@@ -65,8 +65,14 @@ SPEC_PATH = Path(__file__).with_name("wire_proto.json")
 #: ``_send`` all count.
 SEND_FUNCS = {
     "send", "_send", "send_bytes", "encode_frame",
-    "_send_handshake", "send_frame", "encode_handshake",
+    "_send_handshake", "send_frame", "encode_handshake", "request",
 }
+
+#: Callables whose last argument (``expect``) names the one frame they
+#: accept from the peer — ``WorkerCluster.request(worker, kind,
+#: payload, expect)`` and ``reply(worker, expect)``.  That argument is
+#: a handle site, not a send.
+EXPECT_FUNCS = {"request", "reply"}
 
 
 class WireProtoError(ValueError):
@@ -222,7 +228,8 @@ class _SiteCollector(ast.NodeVisitor):
     ``mode`` is how the role spells a frame on the wire:
 
     - ``"enum"``: ``FrameKind.X`` attributes inside a send call;
-      handled via ``kind is/== FrameKind.X`` comparisons.
+      handled via ``kind is/== FrameKind.X`` comparisons or as the
+      ``expect`` argument of an :data:`EXPECT_FUNCS` call.
     - ``"verbs"``: tuple literals whose first element is a string
       constant (the serve slot protocol builds these outside the send
       call, so every such literal in scope counts); handled via string
@@ -253,9 +260,12 @@ class _SiteCollector(ast.NodeVisitor):
 
     def visit_Call(self, node: ast.Call) -> None:
         callee = _callee_name(node.func)
+        sent = node.args + [kw.value for kw in node.keywords]
+        if callee in EXPECT_FUNCS and sent:
+            self._collect_frames("handles", sent.pop())
         if callee in SEND_FUNCS:
-            for arg in node.args + [kw.value for kw in node.keywords]:
-                self._collect_sent_frames(arg)
+            for arg in sent:
+                self._collect_frames("sends", arg)
         if callee == "isinstance" and self.mode == "classes" and \
                 len(node.args) == 2:
             classinfo = node.args[1]
@@ -268,16 +278,16 @@ class _SiteCollector(ast.NodeVisitor):
                     self._add("handles", ident, node)
         self.generic_visit(node)
 
-    def _collect_sent_frames(self, node: ast.AST) -> None:
+    def _collect_frames(self, bucket: str, node: ast.AST) -> None:
         for sub in ast.walk(node):
             if self.mode == "enum" and isinstance(sub, ast.Attribute) \
                     and isinstance(sub.value, ast.Name) \
                     and sub.value.id == "FrameKind":
-                self._add("sends", sub.attr, sub)
+                self._add(bucket, sub.attr, sub)
             elif self.mode == "classes" and isinstance(sub, ast.Call):
                 ident = _callee_name(sub.func)
                 if ident in self.frame_classes:
-                    self._add("sends", ident, sub)
+                    self._add(bucket, ident, sub)
 
     def visit_Tuple(self, node: ast.Tuple) -> None:
         if self.mode == "verbs" and node.elts and \

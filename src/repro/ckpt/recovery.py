@@ -1,88 +1,67 @@
 """Loading checkpoints and the crash-recovery driver.
 
 :func:`load_checkpoint` turns an on-disk snapshot back into a runnable
-simulator: the coordinator blob is unpickled, the post-restore fixups
-run (syscall-tracer unwrap, generator replay), and — for an mp
+simulator: the coordinator blob is unpickled, the simulator re-arms
+its host-side wiring with the same two functions a fresh build runs
+(``Simulator._after_restore``; DESIGN.md §3), and — for an mp
 snapshot — the shard blobs are stashed on the simulator for
 ``resume_run`` to ship to freshly started workers.
 
-:func:`run_with_recovery` is the fault-tolerance loop the CLI and
-:func:`repro.sim.runner.run_simulation` use: it runs the simulation
-and, when a worker dies (:class:`~repro.distrib.errors.
-WorkerCrashError` / ``WorkerTimeoutError``), sleeps an exponential
-backoff, reloads the last consistent checkpoint into a *fresh*
-simulator and resumes — up to ``config.ckpt.max_restarts`` attempts.
-Each restart is logged in ``result.recoveries`` and, when tracing is
-enabled, emitted as a WORKER-category ``recovery`` telemetry event.
+:func:`drive` is the fault-tolerance loop a checkpointing run is
+launched under (:func:`repro.sim.runner.launch`): it starts the
+simulation and, when
+a worker dies (:class:`~repro.distrib.errors.WorkerCrashError` /
+``WorkerTimeoutError``), sleeps an exponential backoff, reloads the
+last consistent checkpoint into a *fresh* simulator and resumes — up
+to ``config.ckpt.max_restarts`` attempts.  Each restart is logged in
+``result.recoveries`` and, when tracing is enabled, emitted as a
+WORKER-category ``recovery`` telemetry event.
 """
 
 from __future__ import annotations
 
 import os
 import time
-from typing import Any, Dict, Optional, Tuple
+from typing import Any, Callable, Dict, Optional, Tuple
 
+from repro.common.config import SimulationConfig
 from repro.common.errors import CheckpointError
 from repro.ckpt.snapshot import load_bytes
 from repro.ckpt.store import CheckpointStore
 
 
-def load_checkpoint(path: str, name: Optional[str] = None
+def _locate(path: str, name: Optional[str]) -> Tuple[str, Optional[str]]:
+    """``(root, name)`` of a checkpoint given either a checkpoint
+    *root* (the ``--ckpt-dir``; ``name`` or the newest complete
+    checkpoint is meant) or one specific ``ckpt-NNNNNNNN`` directory."""
+    if name is None and os.path.isfile(os.path.join(path,
+                                                    "manifest.json")):
+        return os.path.dirname(path) or ".", os.path.basename(path)
+    return path, name
+
+
+def load_checkpoint(path: str, name: Optional[str] = None,
+                    config: Optional[SimulationConfig] = None
                     ) -> Tuple[Any, Dict[str, Any]]:
     """Restore a simulator from a checkpoint directory.
 
-    ``path`` is either a checkpoint *root* (the ``--ckpt-dir``; the
-    newest complete checkpoint is used, or ``name`` if given) or one
-    specific ``ckpt-NNNNNNNN`` directory.  Returns ``(simulator,
+    ``path`` and ``name`` select the checkpoint as :func:`_locate`
+    describes.  ``config`` replaces the checkpointed run's
+    configuration before the simulator re-arms; the caller vouches
+    that it differs only in sections that cannot change the result —
+    the observational ones, and for a snapshot-library fork the
+    timing sections the fork re-dresses.  Returns ``(simulator,
     manifest)``; drive the simulator with ``resume_run()``.
     """
-    if name is None and os.path.isfile(os.path.join(path,
-                                                    "manifest.json")):
-        path, name = os.path.dirname(path) or ".", os.path.basename(path)
-    store = CheckpointStore(path)
-    manifest, blobs = store.read(name)
+    root, name = _locate(path, name)
+    manifest, blobs = CheckpointStore(root).read(name)
     simulator = load_bytes(blobs["coordinator"])
     shards = {int(key[len("shard"):]): blob
               for key, blob in blobs.items() if key.startswith("shard")}
     if shards:
         simulator._restore_shards = shards
-    simulator._after_restore()
+    simulator._after_restore(config)
     return simulator, manifest
-
-
-def _recovery_bus(simulator: Any) -> None:
-    """Re-create a coordinator-level telemetry bus on a restored sim.
-
-    Component-level channels were excised by the snapshot (the resumed
-    run's subsystems run unobserved), but recovery events and the
-    final worker merges still surface when the user asked for tracing.
-    The flight recorder and the run-level span emitter
-    (:mod:`repro.obs`) were excised too; both re-arm here so a resumed
-    run keeps its forensics ring and its place in the job's span tree.
-    """
-    from repro.telemetry.bus import create_bus
-    config = simulator.config.telemetry
-    simulator.telemetry = create_bus(config)
-    simulator.flight = None
-    if config.flight_dir:
-        from repro.obs.flight import FlightRecorder
-        from repro.telemetry.bus import TelemetryBus
-        from repro.telemetry.events import ALL_CATEGORIES
-        if simulator.telemetry is None:
-            simulator.telemetry = TelemetryBus(0)
-        simulator.flight = FlightRecorder(config.flight_events)
-        simulator.telemetry.observe(simulator.flight.on_event,
-                                    ALL_CATEGORIES)
-    simulator._span_emitter = None
-    simulator._run_span = ""
-    if config.trace_id and simulator.telemetry is not None:
-        from repro.obs.spans import SpanEmitter
-        from repro.telemetry.events import EventCategory
-        simulator._span_emitter = SpanEmitter(
-            simulator.telemetry.channel(EventCategory.OBS),
-            config.trace_id, parent=config.span_parent)
-    if simulator.telemetry is not None:
-        simulator._configure_trace_sinks()
 
 
 def _dump_flight(simulator: Any, failure: Exception) -> None:
@@ -102,65 +81,34 @@ def _dump_flight(simulator: Any, failure: Exception) -> None:
 
 
 def _emit_recovery(simulator: Any, event: Dict[str, Any]) -> None:
-    if simulator.telemetry is None:
-        return
     from repro.telemetry.events import EventCategory
-    channel = simulator.telemetry.channel(EventCategory.WORKER)
+    channel = simulator._channel(EventCategory.WORKER)
     if channel is not None:
         channel.emit("recovery", None, 0, dict(event))
 
 
-def run_with_recovery(simulator: Any, program: Any,
-                      args: tuple = ()) -> Tuple[Any, Any]:
-    """Run to completion, restarting from checkpoints after crashes.
+def drive(simulator: Any, start: Callable[[], Any]) -> Tuple[Any, Any]:
+    """Run ``start()`` to completion, restarting from checkpoints
+    after crashes.
 
-    Returns ``(result, final_simulator)`` — the final simulator is the
-    one that actually completed (a restored instance after a crash),
-    which callers needing ``host_profile``/``stats`` must use instead
-    of the one they passed in.  Only infrastructure failures are
-    retried; target faults and simulator bugs propagate immediately.
-    Without checkpointing enabled this is exactly ``simulator.run``.
+    ``start`` is the simulator's bound ``run`` (with its program) or
+    ``resume_run``.  Returns ``(result, final_simulator)`` — the final
+    simulator is the one that actually completed (a restored instance
+    after a crash), which callers needing ``host_profile``/``stats``
+    must use instead of the one they passed in.  Only infrastructure
+    failures are retried; target faults and simulator bugs propagate
+    immediately.  Without checkpointing enabled this is exactly
+    ``start()``.
     """
     from repro.distrib.errors import WorkerCrashError, WorkerTimeoutError
-    config = simulator.config
+    crashes = (WorkerCrashError, WorkerTimeoutError)
     try:
-        return simulator.run(program, args), simulator
-    except (WorkerCrashError, WorkerTimeoutError) as exc:
+        return start(), simulator
+    except crashes as exc:
         _dump_flight(simulator, exc)
-        if not config.ckpt.enabled:
+        if not simulator.config.ckpt.enabled:
             raise
         failure = exc
-    return _resume_loop(simulator, failure)
-
-
-def resume_with_recovery(path: str, name: Optional[str] = None,
-                         telemetry: Optional[Any] = None
-                         ) -> Tuple[Any, Any]:
-    """``repro resume``: load a checkpoint and drive it to completion,
-    with the same crash-recovery loop as :func:`run_with_recovery`.
-
-    ``telemetry`` optionally replaces the checkpointed run's telemetry
-    section (a :class:`~repro.common.config.TelemetryConfig`) before
-    the bus is rebuilt — how ``repro resume --trace`` re-arms tracing
-    on a run checkpointed without it.  Observational only: it cannot
-    change the resumed result.
-    """
-    from repro.distrib.errors import WorkerCrashError, WorkerTimeoutError
-    simulator, manifest = load_checkpoint(path, name)
-    if telemetry is not None:
-        simulator.config.telemetry = telemetry
-        simulator.config.validate()
-    _recovery_bus(simulator)
-    try:
-        return simulator.resume_run(), simulator
-    except (WorkerCrashError, WorkerTimeoutError) as exc:
-        _dump_flight(simulator, exc)
-        failure = exc
-    return _resume_loop(simulator, failure)
-
-
-def _resume_loop(simulator: Any, failure: Exception) -> Tuple[Any, Any]:
-    """Shared restart loop: backoff, reload, resume, repeat."""
     config = simulator.config
     recoveries = list(simulator.recoveries)
     attempt = 0
@@ -172,7 +120,8 @@ def _resume_loop(simulator: Any, failure: Exception) -> Tuple[Any, Any]:
                  * config.ckpt.backoff_factor ** (attempt - 1))
         time.sleep(delay)
         try:
-            restored, manifest = load_checkpoint(config.ckpt.dir)
+            restored, manifest = load_checkpoint(config.ckpt.dir,
+                                                 config=config)
         except CheckpointError as exc:
             raise CheckpointError(
                 f"cannot recover from crash: {exc}") from failure
@@ -185,15 +134,38 @@ def _resume_loop(simulator: Any, failure: Exception) -> Tuple[Any, Any]:
         }
         recoveries.append(event)
         restored.recoveries = list(recoveries)
-        _recovery_bus(restored)
         _emit_recovery(restored, event)
-        from repro.distrib.errors import (
-            WorkerCrashError,
-            WorkerTimeoutError,
-        )
         try:
             return restored.resume_run(), restored
-        except (WorkerCrashError, WorkerTimeoutError) as exc:
+        except crashes as exc:
             _dump_flight(restored, exc)
             failure = exc
-            simulator = restored
+
+
+def run_with_recovery(simulator: Any, program: Any,
+                      args: tuple = ()) -> Tuple[Any, Any]:
+    """:func:`drive` a freshly built simulator through ``program``."""
+    return drive(simulator, lambda: simulator.run(program, args))
+
+
+def resume_with_recovery(path: str, name: Optional[str] = None,
+                         telemetry: Optional[Any] = None
+                         ) -> Tuple[Any, Any]:
+    """``repro resume``: load a checkpoint and :func:`drive` it to
+    completion.
+
+    ``telemetry`` optionally replaces the checkpointed run's telemetry
+    section (a :class:`~repro.common.config.TelemetryConfig`) — how
+    ``repro resume --trace`` arms tracing on a run checkpointed
+    without it.  Observational only: it cannot change the resumed
+    result.
+    """
+    config = None
+    if telemetry is not None:
+        path, name = _locate(path, name)
+        name, manifest = CheckpointStore(path).manifest(name)
+        config = SimulationConfig.from_dict(manifest["config"])
+        config.telemetry = telemetry
+        config.validate()
+    simulator, _manifest = load_checkpoint(path, name, config=config)
+    return drive(simulator, simulator.resume_run)

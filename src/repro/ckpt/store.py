@@ -1,4 +1,4 @@
-"""On-disk checkpoint layout: the ``repro.ckpt/1`` format.
+"""On-disk checkpoint layout: the ``repro.ckpt/2`` format.
 
 A checkpoint directory tree looks like::
 
@@ -30,7 +30,7 @@ from typing import Any, Dict, List, Optional, Tuple
 from repro.common.errors import CheckpointError
 
 #: Version tag written into (and required from) every manifest.
-FORMAT = "repro.ckpt/1"
+FORMAT = "repro.ckpt/2"
 
 _MANIFEST = "manifest.json"
 _LATEST = "LATEST"
@@ -118,15 +118,11 @@ class CheckpointStore:
         names = self.list()
         return names[-1] if names else None
 
-    def read(self, name: Optional[str] = None
-             ) -> Tuple[Dict[str, Any], Dict[str, bytes]]:
-        """Load and verify one checkpoint (the latest by default).
-
-        Returns ``(manifest, blobs)`` with blobs keyed by their
-        manifest name minus the ``.pkl`` suffix.  Raises
-        :class:`CheckpointError` on a missing checkpoint, an unknown
-        format version, or any checksum mismatch.
-        """
+    def manifest(self, name: Optional[str] = None
+                 ) -> Tuple[str, Dict[str, Any]]:
+        """``(name, manifest)`` of one checkpoint (the latest by
+        default), blobs unread.  Raises :class:`CheckpointError` on a
+        missing checkpoint or an unknown format version."""
         if name is None:
             name = self.latest()
             if name is None:
@@ -143,6 +139,19 @@ class CheckpointStore:
             raise CheckpointError(
                 f"{name}: unsupported snapshot format "
                 f"{manifest.get('format')!r} (expected {FORMAT!r})")
+        return name, manifest
+
+    def read(self, name: Optional[str] = None
+             ) -> Tuple[Dict[str, Any], Dict[str, bytes]]:
+        """Load and verify one checkpoint (the latest by default).
+
+        Returns ``(manifest, blobs)`` with blobs keyed by their
+        manifest name minus the ``.pkl`` suffix.  Raises
+        :class:`CheckpointError` as :meth:`manifest` does, and on any
+        checksum mismatch.
+        """
+        name, manifest = self.manifest(name)
+        path = os.path.join(self.root, name)
         blobs: Dict[str, bytes] = {}
         for filename, meta in manifest.get("files", {}).items():
             blob_path = os.path.join(path, filename)

@@ -27,7 +27,7 @@ from repro.common.config import (
     SimulationConfig,
 )
 from repro.common.units import pretty_seconds
-from repro.sim.runner import create_simulator
+from repro.sim.runner import launch
 from repro.workloads import WORKLOADS, get_workload
 
 
@@ -234,13 +234,6 @@ def build_parser() -> argparse.ArgumentParser:
     from repro.profile.cli import add_profile_arguments
     add_profile_arguments(profile)
 
-    bench = sub.add_parser(
-        "bench",
-        help="run the benchmark set under profiling and write the "
-             "BENCH_host_profile.json trajectory")
-    from repro.profile.bench import add_bench_arguments
-    add_bench_arguments(bench)
-
     from repro.serve.cli import (
         add_cancel_arguments,
         add_fetch_arguments,
@@ -344,24 +337,16 @@ def _configure(args: argparse.Namespace) -> SimulationConfig:
             from repro.common.errors import ConfigError
             raise ConfigError("--sample-library requires --ff-until")
         config.sample.library = args.sample_library
-    if args.trace or args.trace_out or args.metrics_interval:
-        config.telemetry.enabled = True
-        config.telemetry.events = (
-            [c.strip() for c in args.trace.split(",") if c.strip()]
-            if args.trace else ["all"])
-        config.telemetry.trace_path = args.trace_out
-        config.telemetry.metrics_interval = args.metrics_interval
-        if config.telemetry.events_include("obs"):
+    telemetry = telemetry_from_args(args)
+    if telemetry is not None:
+        config.telemetry = telemetry
+        if telemetry.enabled and telemetry.events_include("obs"):
             # Standalone runs have no serve daemon to mint a trace
             # identity, so the run span would never arm; mint one here
             # from the semantic config, deterministically.
             from repro.obs.spans import mint_trace_id
-            config.telemetry.trace_id = mint_trace_id(
+            telemetry.trace_id = mint_trace_id(
                 "run", args.workload, config.content_hash())
-    if args.flight_dir:
-        # Arms the ring even without --trace: the recorder observes a
-        # mask-0 bus, so nothing is recorded or shipped unless asked.
-        config.telemetry.flight_dir = args.flight_dir
     config.validate()
     return config
 
@@ -374,24 +359,7 @@ def _command_run(args: argparse.Namespace) -> int:
     # it at spawn time, and the mp backend can ship it to workers.
     from repro.distrib.wire import WorkloadRef
     program = WorkloadRef(args.workload, threads, args.scale)
-    if config.sample.ff_until > 0 and config.sample.library:
-        # Snapshot-library run: prime the shared prefix once, fork
-        # from the stored checkpoint (kept apart from run_simulation
-        # so the forked simulator stays visible for the report below).
-        from repro.sample.library import SnapshotLibrary
-        library = SnapshotLibrary(config.sample.library)
-        key, primed = library.ensure(config, program)
-        simulator = library.fork(key, config)
-        result = simulator.resume_run()
-        result.sample["library"] = {"key": key, "primed": primed,
-                                    "root": library.root}
-    elif config.ckpt.enabled:
-        from repro.ckpt.recovery import run_with_recovery
-        simulator = create_simulator(config)
-        result, simulator = run_with_recovery(simulator, program)
-    else:
-        simulator = create_simulator(config)
-        result = simulator.run(program)
+    result, simulator = launch(config, program)
     simulator.engine.check_coherence_invariants()
     if simulator.sanitizers is not None and not args.json:
         print(simulator.sanitizers.summary())
@@ -590,9 +558,6 @@ def main(argv: Optional[List[str]] = None) -> int:
     if args.command == "profile":
         from repro.profile.cli import run_profile
         return run_profile(args)
-    if args.command == "bench":
-        from repro.profile.bench import run_bench
-        return run_bench(args)
     if args.command == "check":
         from repro.check.cli import run_check
         return run_check(args)

@@ -20,9 +20,10 @@ independent configurations in parallel.
 
 from __future__ import annotations
 
+import contextlib
 import multiprocessing
 import time
-from typing import Any, Callable, Dict, List, Optional, Tuple
+from typing import Any, Callable, Dict, Iterator, List, Optional, Tuple
 
 from repro.common.config import SimulationConfig
 from repro.common.ids import ProcessId, ThreadId, TileId
@@ -66,9 +67,10 @@ class WorkerCluster:
     TCP-connected workers (``transport="tcp"``, local self-dialed or
     remote ``repro worker --connect`` dial-ins) — and owns the dynamic
     tile→worker map.  Membership only changes between quanta (the
-    coordinator polls the listener from a scheduler hook), and a live
-    worker's whole shard can be migrated to another worker via the
-    checkpoint blobs of wire v4 (:meth:`migrate_shard`).  Placement is
+    coordinator polls the listener from its ``net`` boundary stage),
+    and a live worker's whole shard can be migrated to another worker
+    via the checkpoint blobs of wire v4 (:meth:`migrate_shard`).
+    Placement is
     host bookkeeping only: every modelled cost reads the simulated
     :class:`~repro.host.cluster.ClusterLayout`, so joins, leaves and
     migrations never perturb simulated metrics.
@@ -203,7 +205,7 @@ class WorkerCluster:
     def poll_joins(self) -> List[int]:
         """Accept any pending dial-ins; returns the new worker indices.
 
-        Called from the coordinator's scheduler hook, i.e. strictly
+        Called from the coordinator's ``net`` stage, i.e. strictly
         between quanta — a joiner becomes a registered (initially
         tile-less) worker without ever racing a running quantum.  A
         peer failing the handshake is rejected and skipped; it never
@@ -234,7 +236,7 @@ class WorkerCluster:
         """Broadcast the execution mode to every worker (wire v6).
 
         Called by the coordinator strictly between quanta (the sample
-        controller is a periodic hook), when every worker is parked on
+        controller is a boundary stage), when every worker is parked on
         its control pipe — so the flag lands before any worker runs
         another quantum.  Also remembered for membership: later
         dial-ins get a SET_MODE right after HELLO, and the handshake
@@ -260,34 +262,15 @@ class WorkerCluster:
         tiles = self.tiles_of(src)
         if not tiles or src == dst:
             return []
-        self.send(src, FrameKind.CHECKPOINT, None)
-        kind, payload = self.recv(src)
-        if kind is FrameKind.ERROR:
-            _raise_remote(src, payload)
-        if kind is not FrameKind.CKPT_ACK:
-            raise DistribError(
-                f"worker {src}: expected CKPT_ACK, got {kind.value}")
-        self.send(dst, FrameKind.ADOPT, payload.blob)
-        kind, payload = self.recv(dst)
-        if kind is FrameKind.ERROR:
-            _raise_remote(dst, payload)
-        if kind is not FrameKind.CKPT_ACK:
-            raise DistribError(
-                f"worker {dst}: expected CKPT_ACK after ADOPT, got "
-                f"{kind.value}")
+        shard = self.request(src, FrameKind.CHECKPOINT, None,
+                             FrameKind.CKPT_ACK)
+        self.request(dst, FrameKind.ADOPT, shard.blob, FrameKind.CKPT_ACK)
         # The source sheds its (now stale) shard: its old kernel would
         # otherwise keep double-reporting the moved tiles' stats, and a
         # shard migrated back in later would collide with the leftover
         # queue entries.  A departing source is GOODBYEd right after,
         # which makes the release a harmless no-op.
-        self.send(src, FrameKind.RELEASE, None)
-        kind, payload = self.recv(src)
-        if kind is FrameKind.ERROR:
-            _raise_remote(src, payload)
-        if kind is not FrameKind.CKPT_ACK:
-            raise DistribError(
-                f"worker {src}: expected CKPT_ACK after RELEASE, got "
-                f"{kind.value}")
+        self.request(src, FrameKind.RELEASE, None, FrameKind.CKPT_ACK)
         for tile in tiles:
             self._owner[tile] = dst
         return tiles
@@ -385,6 +368,29 @@ class WorkerCluster:
                     f"worker {worker} sent nothing for "
                     f"{self.timeout:.0f}s")
 
+    def reply(self, worker: int, expect: FrameKind) -> Any:
+        """Receive the ``expect`` frame a request is owed; its payload.
+
+        A worker-reported ERROR re-raises the worker's exception here,
+        any other frame is a protocol violation.
+        """
+        kind, payload = self.recv(worker)
+        if kind is FrameKind.ERROR:
+            _raise_remote(worker, payload)
+        if kind is not expect:
+            raise DistribError(
+                f"worker {worker}: expected {expect.value}, got "
+                f"{kind.value}")
+        return payload
+
+    def request(self, worker: int, kind: FrameKind, payload: Any,
+                expect: FrameKind) -> Any:
+        """Send one frame and return the payload of its ``expect``
+        reply.  (Barriers that fan out send to every worker first and
+        collect each :meth:`reply` after.)"""
+        self.send(worker, kind, payload)
+        return self.reply(worker, expect)
+
     # -- frame helpers -------------------------------------------------------
 
     def deliver(self, message: Message) -> None:
@@ -401,47 +407,21 @@ class WorkerCluster:
 
     def collect_stats(self) -> List[Dict[str, int]]:
         """Fetch each attached worker's flattened local statistics."""
-        out = []
-        for worker in self.workers():
-            self.send(worker, FrameKind.COLLECT_STATS, None)
-            kind, payload = self.recv(worker)
-            if kind is FrameKind.ERROR:
-                _raise_remote(worker, payload)
-            if kind is not FrameKind.STATS:
-                raise DistribError(
-                    f"worker {worker}: expected STATS, got {kind.value}")
-            out.append(payload)
-        return out
+        return [self.request(worker, FrameKind.COLLECT_STATS, None,
+                             FrameKind.STATS)
+                for worker in self.workers()]
 
     def collect_telemetry(self) -> List[TelemetryBatch]:
         """Final telemetry drain: each worker's events + histograms."""
-        out = []
-        for worker in self.workers():
-            self.send(worker, FrameKind.COLLECT_TELEMETRY, None)
-            kind, payload = self.recv(worker)
-            if kind is FrameKind.ERROR:
-                _raise_remote(worker, payload)
-            if kind is not FrameKind.TELEMETRY:
-                raise DistribError(
-                    f"worker {worker}: expected TELEMETRY, got "
-                    f"{kind.value}")
-            out.append(payload)
-        return out
+        return [self.request(worker, FrameKind.COLLECT_TELEMETRY, None,
+                             FrameKind.TELEMETRY)
+                for worker in self.workers()]
 
     def collect_host_stats(self) -> List[HostStatsBatch]:
         """Fetch each worker's host-profiler scope export (wire v3)."""
-        out = []
-        for worker in self.workers():
-            self.send(worker, FrameKind.COLLECT_HOST_STATS, None)
-            kind, payload = self.recv(worker)
-            if kind is FrameKind.ERROR:
-                _raise_remote(worker, payload)
-            if kind is not FrameKind.HOST_STATS:
-                raise DistribError(
-                    f"worker {worker}: expected HOST_STATS, got "
-                    f"{kind.value}")
-            out.append(payload)
-        return out
+        return [self.request(worker, FrameKind.COLLECT_HOST_STATS, None,
+                             FrameKind.HOST_STATS)
+                for worker in self.workers()]
 
     def quantum_busy_ns(self) -> Dict[int, int]:
         """Cumulative per-worker ``quantum.run`` self-time (rebalance)."""
@@ -573,24 +553,30 @@ class DistribSimulator(Simulator):
         self._owner_at_ckpt: Dict[int, int] = {}
         #: True once the scripted drain (``--drain-turn``) has fired.
         self._drained = False
+        self._build_handler_tables()
+
+    def _arm_boundary(self) -> None:
+        """The base stages plus ``net``, with the host-side policies it
+        drives: both track *this* fleet's processes, so a restored
+        coordinator — which starts a fresh fleet — starts them fresh."""
+        super()._arm_boundary()
+        config = self.config
         self._rebalance = create_policy(config)
         self._watchdog = None
         if config.distrib.straggler_fraction > 0:
             from repro.obs.watchdog import StragglerWatchdog
             self._watchdog = StragglerWatchdog(
-                self.telemetry.channel(EventCategory.OBS)
-                if self.telemetry is not None else None,
+                self._channel(EventCategory.OBS),
                 config.distrib.straggler_fraction)
         if (config.distrib.backend == "mp"
                 and (config.distrib.transport == "tcp"
                      or config.distrib.migration_capable()
                      or config.distrib.needs_worker_busy_signal())):
             # Membership and migration act strictly between quanta:
-            # the hook polls for dial-ins, fires the scripted drain,
+            # the stage polls for dial-ins, fires the scripted drain,
             # and evaluates the rebalance policy and the straggler
             # watchdog.
-            self.scheduler.add_periodic_hook(self._net_hook, 1)
-        self._build_handler_tables()
+            self.scheduler.set_stage("net", 1, self._net_stage)
 
     def _build_handler_tables(self) -> None:
         """(Re)create the kernel dispatch tables.
@@ -670,35 +656,42 @@ class DistribSimulator(Simulator):
 
     # -- lifecycle -----------------------------------------------------------
 
+    @contextlib.contextmanager
+    def _fleet(self) -> Iterator[WorkerCluster]:
+        """Bring the worker fleet up for one run, and down after it."""
+        cluster = WorkerCluster(self.layout, self.config,
+                                profiler=self.profiler)
+        cluster.flight = self.flight
+        self._cluster = cluster
+        self.transport.attach(cluster)
+        try:
+            if self.exec_functional:
+                # Workers start detailed.  An initial ``ff_until``
+                # flip predates the fleet, and a checkpoint may have
+                # been taken mid-fast-forward (its shards pickled the
+                # flag, but late joiners learn it from the listener).
+                cluster.set_execution_mode(True)
+            yield cluster
+        finally:
+            cluster.shutdown()
+            self.transport.attach(None)
+            self._cluster = None
+
     def run(self, main_program: Any, args: tuple = ()):
         if self.profiler is not None:
             # Open the wall-time bracket before the fork so cluster
             # start-up (the paper's process start-up cost, for real)
             # counts toward host wall time.
             self.profiler.start_run()
-        self._cluster = WorkerCluster(self.layout, self.config,
-                                      profiler=self.profiler)
-        self._cluster.flight = getattr(self, "flight", None)
-        self.transport.attach(self._cluster)
-        tele_worker = (self.telemetry.channel(EventCategory.WORKER)
-                       if self.telemetry is not None else None)
-        if tele_worker is not None:
-            for index in self._cluster.workers():
-                tele_worker.emit(
-                    "worker_start", None, 0,
-                    {"worker": index,
-                     "tiles": len(self._cluster.tiles_of(index))})
-        if self.exec_functional:
-            # The initial fast-forward flip (``sample.ff_until``)
-            # happened in ``__init__``, before any worker existed;
-            # replay it now the cluster is up.
-            self._cluster.set_execution_mode(True)
-        try:
+        with self._fleet() as cluster:
+            tele_worker = self._channel(EventCategory.WORKER)
+            if tele_worker is not None:
+                for index in cluster.workers():
+                    tele_worker.emit(
+                        "worker_start", None, 0,
+                        {"worker": index,
+                         "tiles": len(cluster.tiles_of(index))})
             return super().run(main_program, args)
-        finally:
-            self._cluster.shutdown()
-            self.transport.attach(None)
-            self._cluster = None
 
     def resume_run(self):
         """Continue a restored distributed simulation to completion.
@@ -712,74 +705,50 @@ class DistribSimulator(Simulator):
             raise CheckpointError(
                 "no shard blobs to restore; load the checkpoint via "
                 "repro.ckpt.recovery.load_checkpoint")
-        self._cluster = WorkerCluster(self.layout, self.config)
-        self._cluster.flight = getattr(self, "flight", None)
-        self.transport.attach(self._cluster)
-        try:
+        with self._fleet() as cluster:
             if self._owner_at_ckpt:
                 # The checkpoint was taken under a migrated placement;
                 # shards must land where the blobs say the tiles live.
                 highest = max(self._owner_at_ckpt.values())
-                if highest >= self._cluster.num_workers:
+                if highest >= cluster.num_workers:
                     raise CheckpointError(
                         f"checkpoint placement references worker "
-                        f"{highest} but only "
-                        f"{self._cluster.num_workers} workers "
-                        f"attached; resume with at least "
+                        f"{highest} but only {cluster.num_workers} "
+                        f"workers attached; resume with at least "
                         f"{highest + 1} workers")
-                self._cluster.adopt_ownership(self._owner_at_ckpt)
+                cluster.adopt_ownership(self._owner_at_ckpt)
             restored = []
-            for worker in self._cluster.workers():
+            for worker in cluster.workers():
                 blob = self._restore_shards.get(worker)
                 if blob is None:
-                    if self._cluster.tiles_of(worker):
+                    if cluster.tiles_of(worker):
                         raise CheckpointError(
                             f"checkpoint has no shard for worker "
                             f"{worker}")
                     continue  # fully drained before the snapshot
-                self._cluster.send(worker, FrameKind.RESTORE, blob)
+                cluster.send(worker, FrameKind.RESTORE, blob)
                 restored.append(worker)
             for worker in restored:
-                kind, payload = self._cluster.recv(worker)
-                if kind is FrameKind.ERROR:
-                    _raise_remote(worker, payload)
-                if kind is not FrameKind.CKPT_ACK:
-                    raise DistribError(
-                        f"worker {worker}: expected CKPT_ACK after "
-                        f"RESTORE, got {kind.value}")
+                cluster.reply(worker, FrameKind.CKPT_ACK)
             self._restore_shards = {}
-            if self.exec_functional:
-                # A checkpoint taken mid-fast-forward: the shard
-                # kernels pickled the flag too, but the replay also
-                # updates the membership listener for late joiners.
-                self._cluster.set_execution_mode(True)
             return super().resume_run()
-        finally:
-            self._cluster.shutdown()
-            self.transport.attach(None)
-            self._cluster = None
 
     # -- membership & migration ----------------------------------------------
 
-    def _net_channel(self):
-        if self.telemetry is None:
-            return None
-        return self.telemetry.channel(EventCategory.NET)
-
-    def _net_hook(self, scheduler) -> None:
+    def _net_stage(self, scheduler) -> None:
         """Between-quanta membership tick.
 
         Fires after every scheduler turn — the one point where no
         quantum is in flight anywhere — and performs the three
         membership actions in a fixed order: accept pending dial-ins,
         run the scripted drain, evaluate the rebalance policy.  All
-        three move host placement only, so the hook cannot change
+        three move host placement only, so the stage cannot change
         simulated metrics.
         """
         cluster = self._cluster
         if cluster is None:
             return
-        channel = self._net_channel()
+        channel = self._channel(EventCategory.NET)
         for index in cluster.poll_joins():
             if channel is not None:
                 channel.emit(
@@ -792,7 +761,7 @@ class DistribSimulator(Simulator):
                 and turn >= distrib.drain_turn):
             self._drained = True
             self._scripted_drain(cluster, channel)
-        watchdog = getattr(self, "_watchdog", None)
+        watchdog = self._watchdog
         if ((self._rebalance is not None or watchdog is not None)
                 and turn % distrib.rebalance_every == 0):
             # One host-stats sweep feeds both consumers of the
@@ -848,7 +817,7 @@ class DistribSimulator(Simulator):
     def _checkpoint_blobs(self) -> Dict[str, bytes]:
         """Coordinated snapshot: barrier every worker, then self.
 
-        The periodic hook fires between quanta, when every worker sits
+        The ``ckpt`` stage fires between quanta, when every worker sits
         idle in its frame loop — so CHECKPOINT can fan out to all
         workers at once and each shard snapshot is consistent with the
         coordinator's shared state by construction.
@@ -860,14 +829,8 @@ class DistribSimulator(Simulator):
             cluster.send(worker, FrameKind.CHECKPOINT, None)
         blobs: Dict[str, bytes] = {}
         for worker in active:
-            kind, payload = cluster.recv(worker)
-            if kind is FrameKind.ERROR:
-                _raise_remote(worker, payload)
-            if kind is not FrameKind.CKPT_ACK:
-                raise DistribError(
-                    f"worker {worker}: expected CKPT_ACK, got "
-                    f"{kind.value}")
-            blobs[f"shard{payload.worker}"] = payload.blob
+            shard = cluster.reply(worker, FrameKind.CKPT_ACK)
+            blobs[f"shard{shard.worker}"] = shard.blob
         # The coordinator snapshot carries the live tile→worker map so
         # a post-migration checkpoint resumes with the same placement.
         self._owner_at_ckpt = cluster.ownership
@@ -1002,12 +965,10 @@ class DistribSimulator(Simulator):
         """
         for batch in self.cluster.collect_telemetry():
             merge_batch(self.telemetry, self.stats, batch)
-        if self.telemetry is not None:
-            channel = self.telemetry.channel(EventCategory.WORKER)
-            if channel is not None:
-                for index in self.cluster.workers():
-                    channel.emit("worker_stop", None, 0,
-                                 {"worker": index})
+        channel = self._channel(EventCategory.WORKER)
+        if channel is not None:
+            for index in self.cluster.workers():
+                channel.emit("worker_stop", None, 0, {"worker": index})
         for flat in self.cluster.collect_stats():
             self.stats.add_flat(flat)
         if self.profiler is not None:

@@ -46,6 +46,19 @@ def _effective_workers(workers: int, num_jobs: int) -> int:
     return max(1, min(workers, num_jobs))
 
 
+def _run_one(config: SimulationConfig, ref: Any,
+             args: tuple) -> SimulationResult:
+    """One job, in this process, on the in-process backend — through
+    :func:`repro.sim.runner.launch` like every run, so a job whose
+    config names a snapshot library forks from the shared prefix
+    (primed up front by a ``share_prefix`` sweep, or by whichever
+    process gets there first: entry creation is atomic)."""
+    from repro.sim.runner import launch
+    run_config = config.copy()
+    run_config.distrib.backend = "inproc"
+    return launch(run_config, ref, args)[0]
+
+
 def _pool_child(task_queue, result_queue,
                 marker) -> None:  # pragma: no cover
     """Child loop: pull jobs until the sentinel, run each in-process.
@@ -59,7 +72,6 @@ def _pool_child(task_queue, result_queue,
     is flushed by a background feeder thread that a SIGKILL right after
     a short job would silently take down marker-unsent.
     """
-    from repro.sim.simulator import Simulator
     while True:
         item = task_queue.get()
         if item is None:
@@ -67,18 +79,7 @@ def _pool_child(task_queue, result_queue,
         index, config, ref, args = item
         marker.send((index, os.getpid()))
         try:
-            run_config = config.copy()
-            run_config.distrib.backend = "inproc"
-            if run_config.sample.ff_until > 0 and \
-                    run_config.sample.library:
-                # Snapshot-library path: fork from the shared prefix
-                # checkpoint (primed up front by a share_prefix sweep,
-                # or by whichever pool child gets there first — entry
-                # creation is atomic, the race loser's work discarded).
-                from repro.sample.library import run_with_library
-                result = run_with_library(run_config, ref, args)
-            else:
-                result = Simulator(run_config).run(ref, args)
+            result = _run_one(config, ref, args)
             try:
                 pickle.dumps(result.main_result)
             except Exception:
@@ -110,13 +111,8 @@ def run_jobs(jobs: Sequence[Job], workers: int,
                 for config, program, args in jobs]
     workers = _effective_workers(workers, len(prepared))
     if workers == 1:
-        from repro.sim.simulator import Simulator
-        out = []
-        for config, ref, args in prepared:
-            run_config = config.copy()
-            run_config.distrib.backend = "inproc"
-            out.append(Simulator(run_config).run(ref, args))
-        return out
+        return [_run_one(config, ref, args)
+                for config, ref, args in prepared]
 
     try:
         ctx = multiprocessing.get_context("fork")

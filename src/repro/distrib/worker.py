@@ -292,22 +292,6 @@ class Worker:
         #: and histogram collection folds them in alongside the
         #: primary kernel.
         self.adopted: List[KernelProxy] = []
-        # Crash flight recorder (``--flight-dir``): every process keeps
-        # its own bounded ring of recent events.  It observes a mask-0
-        # bus when tracing is off, so nothing is recorded or shipped —
-        # batches drain only *recorded* events, keeping the
-        # coordinator's merged trace byte-identical either way.  Must
-        # attach before any channel resolves (observer mask).
-        self.flight = None
-        if config.telemetry.flight_dir:
-            from repro.obs.flight import FlightRecorder
-            from repro.telemetry.bus import TelemetryBus
-            from repro.telemetry.events import ALL_CATEGORIES
-            if self.kernel.telemetry is None:
-                self.kernel.telemetry = TelemetryBus(0)
-            self.flight = FlightRecorder(config.telemetry.flight_events)
-            self.kernel.telemetry.observe(self.flight.on_event,
-                                          ALL_CATEGORIES)
         self._batch_events = config.telemetry.batch_events
         self._tele_worker = None
         if self.kernel.telemetry is not None:
@@ -525,45 +509,18 @@ class Worker:
         # Observers (telemetry bus/channels) were excised to None; the
         # resumed shard runs unobserved, like a --trace-less run.
         self._tele_worker = None
-        self._redress_shard(hello_config)
-        for interpreter in self.interpreters.values():
-            interpreter.rebuild_generator()
-        self._send(FrameKind.CKPT_ACK,
-                   ShardCheckpoint(self.process_index, b""))
-
-    def _redress_shard(self, hello_config: SimulationConfig) -> None:
-        """Re-dress a restored shard for the HELLO config (wire v6).
-
-        A snapshot-library fork (:mod:`repro.sample.library`) resumes
-        a shared prefix checkpoint under a *variant* config that may
-        differ from the pickled one in prefix-irrelevant sections —
-        the core model above all.  Mirror of the coordinator-side fork
-        re-dressing: each interpreter whose core disagrees with the
-        variant gets a freshly built model (its ``core`` stat subtree
-        rebuilt from scratch, so no stale counters from the primer's
-        model type survive) carrying the clock and instruction total
-        over — exactly the state fast-forward advances.  A plain
-        crash-recovery resume restores under the identical config and
-        rebuilds nothing.
-        """
-        from repro.core.factory import create_core_model
+        # The HELLO config wins over the pickled one (wire v6): a
+        # snapshot-library fork restores a shared prefix under a
+        # variant config — mirror of the coordinator-side re-dressing.
+        from repro.core.factory import redress_core
         for kernel in [self.kernel, *self.adopted]:
             kernel.config = hello_config
         for tile, interpreter in self.interpreters.items():
-            target = hello_config.core_config_for(int(tile))
-            old = interpreter.core
-            if not hasattr(old, "config") or old.config == target:
-                continue
-            clock_now = old.clock.now
-            retired = old.instruction_count
-            stats = interpreter.kernel.stats.child(f"thread{int(tile)}")
-            stats.children.pop("core", None)
-            core = create_core_model(target, stats.child("core"),
-                                     telemetry=None, tile=int(tile))
-            core.clock.forward_to(clock_now)
-            if retired:
-                core._instructions.add(retired)
-            interpreter.core = core
+            redress_core(interpreter,
+                         hello_config.core_config_for(int(tile)))
+            interpreter.rebuild_generator()
+        self._send(FrameKind.CKPT_ACK,
+                   ShardCheckpoint(self.process_index, b""))
 
     def _handle_adopt(self, blob: bytes) -> None:
         """Merge a migrated shard into this worker's own (wire v5).

@@ -120,6 +120,23 @@ class SchedulerReport:
         return sum(self.core_busy_seconds.values())
 
 
+#: The quantum boundary.  After every scheduler turn — the one point
+#: where no thread is mid-op anywhere — the armed stages fire in this
+#: order, each on its own period in turns (DESIGN.md §3 tabulates who
+#: arms what).  The samplers come first, they only read; ``sample``
+#: precedes ``ckpt`` so a snapshot carries the execution mode and
+#: measurement window the turn settled on; ``net`` (mp membership)
+#: follows ``ckpt`` so a snapshot never sees half a migration;
+#: ``preempt`` (serve) is last, so it checkpoints and unwinds only
+#: once every other stage has run.  Stages are host-side wiring, not
+#: simulation state: the simulator's ``_arm_boundary`` installs them
+#: on a fresh build and again after a restore, and they are never
+#: pickled.
+STAGE_ORDER = ("skew", "metrics", "sample", "ckpt", "net", "preempt")
+
+Stage = Callable[["Scheduler"], None]
+
+
 class Scheduler:
     """Runs tile threads on simulated host cores to completion."""
 
@@ -156,10 +173,9 @@ class Scheduler:
         self._running_core: int = 0
         self._turns = 0
         self._total_instructions = 0
-        self._skew_samplers: List[Callable[["Scheduler"], None]] = []
-        self.skew_sample_period = 0
-        self._periodic_hooks: List[
-            Tuple[Callable[["Scheduler"], None], int]] = []
+        #: Armed boundary stages, ``(name, period, callable)`` kept in
+        #: :data:`STAGE_ORDER`.
+        self._stages: List[Tuple[str, int, Stage]] = []
         self._tele_quantum = None
         if telemetry is not None:
             from repro.telemetry.events import EventCategory
@@ -268,20 +284,31 @@ class Scheduler:
         """Park a thread on the synchronization barrier (LaxBarrier)."""
         thread.state = ThreadState.BARRIER_WAIT
 
-    # -- skew sampling (Figure 7) ---------------------------------------------
+    # -- quantum-boundary stages ----------------------------------------------
 
-    def add_skew_sampler(self, sampler: Callable[["Scheduler"], None],
-                         period: int) -> None:
-        """Invoke ``sampler(self)`` every ``period`` scheduler turns."""
-        self._skew_samplers.append(sampler)
-        self.skew_sample_period = period
+    def set_stage(self, name: str, period: int, stage: Stage) -> None:
+        """Arm (or replace) the boundary stage ``name``.
 
-    def add_periodic_hook(self, hook: Callable[["Scheduler"], None],
-                          period: int) -> None:
-        """Invoke ``hook(self)`` every ``period`` turns (metrics cadence)."""
+        ``stage(self)`` then runs after every ``period``-th turn, at
+        the position :data:`STAGE_ORDER` gives its name.
+        """
+        if name not in STAGE_ORDER:
+            raise SimulationError(f"unknown boundary stage {name!r}")
         if period < 1:
-            raise SimulationError("periodic hook period must be >= 1")
-        self._periodic_hooks.append((hook, period))
+            raise SimulationError("boundary stage period must be >= 1")
+        stages = [s for s in self._stages if s[0] != name]
+        stages.append((name, period, stage))
+        stages.sort(key=lambda s: STAGE_ORDER.index(s[0]))
+        self._stages = stages
+
+    def stage_names(self) -> List[str]:
+        """Names of the armed stages, in firing order."""
+        return [name for name, _period, _stage in self._stages]
+
+    def __getstate__(self) -> dict:
+        state = dict(self.__dict__)
+        state["_stages"] = []
+        return state
 
     @property
     def turns(self) -> int:
@@ -406,13 +433,9 @@ class Scheduler:
             assert thread is not None
             self._run_quantum(core, thread)
             self._turns += 1
-            if (self.skew_sample_period
-                    and self._turns % self.skew_sample_period == 0):
-                for sampler in self._skew_samplers:
-                    sampler(self)
-            for hook, period in self._periodic_hooks:
+            for _name, period, stage in self._stages:
                 if self._turns % period == 0:
-                    hook(self)
+                    stage(self)
             if max_turns is not None and self._turns >= max_turns:
                 raise SimulationError(
                     f"scheduler exceeded {max_turns} turns; "

@@ -22,7 +22,7 @@ Three layers, each usable on its own:
 
 from repro.sample.controller import FastForwardDone, SampleController
 from repro.sample.intervals import Phase, phase_at
-from repro.sample.library import SnapshotLibrary, run_with_library
+from repro.sample.library import SnapshotLibrary
 from repro.sample.stats import confidence_interval, extrapolate
 
 __all__ = [
@@ -33,5 +33,4 @@ __all__ = [
     "confidence_interval",
     "extrapolate",
     "phase_at",
-    "run_with_library",
 ]

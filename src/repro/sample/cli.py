@@ -8,7 +8,8 @@ Three verbs over a library directory (:mod:`repro.sample.library`):
   the switch-point checkpoint, so later sweeps (and serve jobs) fork
   instead of re-running the prefix;
 * ``gc`` bounds the library's disk footprint, keeping the most
-  recently used entries and dropping the rest.
+  recently used entries and dropping the rest — and every entry no
+  run can fork (unreadable, or another layout version's).
 """
 
 from __future__ import annotations
@@ -114,13 +115,23 @@ def _command_prime(args: argparse.Namespace) -> int:
 
 def _command_gc(args: argparse.Namespace) -> int:
     from repro.sample.library import SnapshotLibrary
+    from repro.common.errors import SampleError
     library = SnapshotLibrary(args.library)
-    ranked: List[Tuple[float, str]] = sorted(
-        ((_entry_mtime(library, key), key)
-         for key, _meta in library.entries()),
-        reverse=True)
-    keep = max(args.keep, 0)
+    ranked: List[Tuple[float, str]] = []
     dropped = 0
+    for key in library.keys():
+        try:
+            library.meta(key)
+        except SampleError as exc:
+            # Unreadable, or written by another layout version: no run
+            # can ever fork it, so it does not count against --keep.
+            library.drop(key)
+            print(f"dropped {key} ({exc})")
+            dropped += 1
+        else:
+            ranked.append((_entry_mtime(library, key), key))
+    ranked.sort(reverse=True)
+    keep = max(args.keep, 0)
     for _mtime, key in ranked[keep:]:
         if library.drop(key):
             print(f"dropped {key}")

@@ -1,8 +1,8 @@
-"""The sample controller: a scheduler hook that switches execution mode.
+"""The sample controller: the boundary stage that switches execution mode.
 
-Installed by the simulator as a periodic hook with period 1, so it runs
-between every pair of scheduler quanta — the same consistency boundary
-checkpoints use.  Each invocation computes the progress horizon (the
+Armed by the simulator as the scheduler's ``sample`` stage with period
+1, so it runs between every pair of scheduler quanta — the same
+consistency boundary checkpoints use.  Each invocation computes the progress horizon (the
 maximum live thread clock — elapsed target time), asks
 :mod:`repro.sample.intervals` which phase that horizon falls in, and
 reconciles the simulator's execution mode with the phase.  Detail
@@ -42,13 +42,12 @@ class FastForwardDone(SimulationError):
 class SampleController:
     """Drives mode switches and window measurement for one simulator."""
 
-    def __init__(self, simulator: Any, config: SampleConfig,
-                 channel: Optional[Any] = None) -> None:
+    def __init__(self, simulator: Any, config: SampleConfig) -> None:
         self.simulator = simulator
         self.config = config
-        #: SAMPLE-category telemetry channel, or ``None`` (excised to
-        #: ``None`` by checkpoint snapshots, like every bus client).
-        self.channel = channel
+        #: SAMPLE-category telemetry channel, or ``None``; set by the
+        #: simulator's ``_arm_boundary`` on build and after a restore.
+        self.channel: Optional[Any] = None
         #: Library priming (:mod:`repro.sample.library`): checkpoint at
         #: the fast-forward switch point and unwind with
         #: :class:`FastForwardDone` instead of running on.
@@ -69,7 +68,7 @@ class SampleController:
         # negative-length window.
         self._horizon = 0
 
-    # -- the periodic hook ---------------------------------------------------
+    # -- the boundary stage --------------------------------------------------
 
     def __call__(self, scheduler: Any) -> None:
         clocks = scheduler.thread_clocks()
@@ -102,7 +101,7 @@ class SampleController:
                                phase.name == DETAIL)
         if finished_ff and self.stop_after_ff:
             # Library priming: snapshot at the switch point and unwind.
-            # The snapshot is written only after this hook's full
+            # The snapshot is written only after this stage's full
             # bookkeeping — mode flipped back to detailed, measurement
             # window opened — so a fork resumes with *exactly* the
             # state an unshared run carries out of this invocation.

@@ -44,7 +44,7 @@ import hashlib
 import json
 import os
 import shutil
-from typing import Any, Dict, List, Optional, Tuple
+from typing import Any, Dict, List, Tuple
 
 from repro.common.config import SampleConfig, SimulationConfig
 from repro.common.errors import SampleError
@@ -54,7 +54,7 @@ from repro.sample.controller import FastForwardDone
 LIBRARY_META = "LIBRARY.json"
 
 #: On-disk entry format version.
-LIBRARY_FORMAT = "repro.sample/1"
+LIBRARY_FORMAT = "repro.sample/2"
 
 
 def workload_descriptor(program: Any, args: tuple = ()) -> Dict[str, Any]:
@@ -144,25 +144,36 @@ class SnapshotLibrary:
         return os.path.join(self.root, key)
 
     def has(self, key: str) -> bool:
-        return os.path.isfile(os.path.join(self.entry_dir(key),
-                                           LIBRARY_META))
+        """Whether a complete entry exists; a complete entry of
+        another format version is an error, never a silent miss."""
+        path = os.path.join(self.entry_dir(key), LIBRARY_META)
+        return os.path.isfile(path) and bool(self.meta(key))
 
     def meta(self, key: str) -> Dict[str, Any]:
         path = os.path.join(self.entry_dir(key), LIBRARY_META)
         try:
             with open(path, "r", encoding="utf-8") as handle:
-                return json.load(handle)
+                meta = json.load(handle)
         except (OSError, ValueError) as exc:
             raise SampleError(
                 f"library entry {key!r} is unreadable: {exc}") from exc
+        if meta.get("format") != LIBRARY_FORMAT:
+            raise SampleError(
+                f"library entry {key!r} in {self.root} has format "
+                f"{meta.get('format')!r}, this build reads "
+                f"{LIBRARY_FORMAT!r}; `repro sample gc --library "
+                f"{self.root}` drops it")
+        return meta
+
+    def keys(self) -> List[str]:
+        """Every complete entry's key, sorted, whatever its format."""
+        return [name for name in sorted(os.listdir(self.root))
+                if os.path.isfile(os.path.join(self.root, name,
+                                               LIBRARY_META))]
 
     def entries(self) -> List[Tuple[str, Dict[str, Any]]]:
         """Every complete entry as ``(key, metadata)``, key-sorted."""
-        found = []
-        for name in sorted(os.listdir(self.root)):
-            if self.has(name):
-                found.append((name, self.meta(name)))
-        return found
+        return [(key, self.meta(key)) for key in self.keys()]
 
     def drop(self, key: str) -> bool:
         """Delete one entry; returns whether anything was removed."""
@@ -287,29 +298,19 @@ class SnapshotLibrary:
     def fork(self, key: str, config: SimulationConfig) -> Any:
         """A runnable simulator: the stored snapshot, re-dressed.
 
-        Restores the entry's checkpoint, swaps in ``config``'s timing
-        models (core and network — the prefix-irrelevant sections) and
-        re-arms telemetry per ``config``.  Drive the result with
-        ``resume_run()``.
+        Restores the entry's checkpoint armed for ``config`` (its
+        telemetry, checkpoint policy and boundary stages, exactly as a
+        fresh build of ``config`` has them) and swaps in ``config``'s
+        timing models (core and network — the prefix-irrelevant
+        sections).  Drive the result with ``resume_run()``.
         """
         if not self.has(key):
             raise SampleError(f"no library entry {key!r} in {self.root}")
-        from repro.ckpt.recovery import _recovery_bus, load_checkpoint
-        simulator, _manifest = load_checkpoint(self.entry_dir(key))
-        _reconfigure_fork(simulator, config)
-        _recovery_bus(simulator)
-        self._rearm_controller_channel(simulator)
+        from repro.ckpt.recovery import load_checkpoint
+        simulator, _manifest = load_checkpoint(self.entry_dir(key),
+                                               config=config)
+        _redress_fork(simulator)
         return simulator
-
-    @staticmethod
-    def _rearm_controller_channel(simulator: Any) -> None:
-        """Re-attach the SAMPLE channel the snapshot excised."""
-        controller = simulator.sample_controller
-        if controller is None or simulator.telemetry is None:
-            return
-        from repro.telemetry.events import EventCategory
-        controller.channel = simulator.telemetry.channel(
-            EventCategory.SAMPLE)
 
     # -- the determinism check ------------------------------------------------
 
@@ -350,65 +351,36 @@ class SnapshotLibrary:
                 "identical": True}
 
 
-def run_with_library(config: SimulationConfig, program: Any,
-                     args: tuple = (),
-                     library: Optional[SnapshotLibrary] = None) -> Any:
-    """Run one configuration, sharing its fast-forward via the library.
-
-    The library path engages when the config names a library directory
-    and requests a fast-forward; otherwise this is a plain
-    :func:`repro.sim.runner.run_simulation`.  The returned result's
-    ``sample["library"]`` records the entry key and whether this call
-    primed it.
-    """
-    use_library = (config.sample.ff_until > 0
-                   and bool(config.sample.library))
-    if not use_library:
-        from repro.sim.runner import run_simulation
-        return run_simulation(config, program, args)
-    lib = library or SnapshotLibrary(config.sample.library)
-    key, primed = lib.ensure(config, program, args)
-    simulator = lib.fork(key, config)
-    result = simulator.resume_run()
-    result.sample["library"] = {"key": key, "primed": primed,
-                                "root": lib.root}
-    return result
-
-
 # -- fork-time re-dressing ----------------------------------------------------
 
 
-def _reconfigure_fork(simulator: Any, config: SimulationConfig) -> None:
-    """Swap a restored snapshot's timing models for ``config``'s.
+def _redress_fork(simulator: Any) -> None:
+    """Swap a restored snapshot's timing models for its new config's.
 
     Only the prefix-irrelevant sections may differ between the primer
     and the variant, so this touches exactly the core models, the
-    network models and the sampling/checkpoint policy; everything else
-    (memory system, sync, host layout) is identical by construction of
-    the library key.  Model rebuilds are gated on actual config
-    inequality so a same-config fork keeps the snapshot's objects
-    untouched.
+    network models and the sampling policy; everything else (memory
+    system, sync, host layout) is identical by construction of the
+    library key.  Model rebuilds are gated on actual config inequality
+    so a same-config fork keeps the snapshot's objects untouched.
     """
-    simulator.config = config
+    from repro.core.factory import redress_core
+    config = simulator.config
     for tile, interpreter in simulator.interpreters.items():
-        core = getattr(interpreter, "core", None)
-        if core is None or not hasattr(core, "config"):
-            continue  # mp coordinator stubs; workers re-dress on RESTORE
-        target = config.core_config_for(int(tile))
-        if core.config != target:
-            _rebuild_core(simulator, interpreter, target)
-    fabric = getattr(simulator, "fabric", None)
-    if fabric is not None and fabric.config != config.network:
+        # (mp: the workers re-dress their own shards on RESTORE)
+        redress_core(interpreter, config.core_config_for(int(tile)))
+    fabric = simulator.fabric
+    if fabric.config != config.network:
         _rebuild_fabric(fabric, config.network)
     controller = simulator.sample_controller
     if controller is not None:
         controller.config = config.sample
         controller.stop_after_ff = False
-        # The primer ran fast-forward-only, so its switch-point hook
+        # The primer ran fast-forward-only, so its switch-point stage
         # opened a measurement window (everything past ``ff_until`` is
         # DETAIL without intervals).  Re-evaluate under the variant's
         # geometry: an unshared run of the variant opens a window at
-        # that same hook only if its phase there is measured (warmup
+        # that same turn only if its phase there is measured (warmup
         # is not), and warmup-first period ordering guarantees the two
         # runs agree on every field when it is.
         if controller._open_window is not None:
@@ -416,42 +388,6 @@ def _reconfigure_fork(simulator: Any, config: SimulationConfig) -> None:
             phase = phase_at(config.sample, controller._horizon)
             if not phase.measured:
                 controller._open_window = None
-    # The variant's own checkpoint policy replaces the primer's
-    # (which pointed into the library staging area).
-    simulator._ckpt_store = None
-    if config.ckpt.enabled:
-        from repro.ckpt.store import CheckpointStore
-        simulator._ckpt_store = CheckpointStore(config.ckpt.dir,
-                                                keep=config.ckpt.keep)
-        if config.ckpt.every > 0:
-            simulator.scheduler.add_periodic_hook(simulator._ckpt_hook,
-                                                  config.ckpt.every)
-
-
-def _rebuild_core(simulator: Any, interpreter: Any, target: Any) -> None:
-    """Replace one thread's core model, preserving functional progress.
-
-    Fast-forward advances only the clock and the retired-instruction
-    counter; predictors, store buffers and issue windows are untouched
-    — i.e. exactly the pristine state a freshly built model has.  The
-    thread's ``core`` stat subtree is rebuilt from scratch so the new
-    model's counter set matches an unshared run of the variant (no
-    stale zero-valued counters from the primer's model type), then the
-    clock and instruction total carry over.
-    """
-    from repro.core.factory import create_core_model
-    old = interpreter.core
-    clock_now = old.clock.now
-    retired = old.instruction_count
-    thread_stats = simulator.stats.child(f"thread{int(interpreter.tile)}")
-    thread_stats.children.pop("core", None)
-    core = create_core_model(target, thread_stats.child("core"),
-                             telemetry=None,
-                             tile=int(interpreter.tile))
-    core.clock.forward_to(clock_now)
-    if retired:
-        core._instructions.add(retired)
-    interpreter.core = core
 
 
 def _rebuild_fabric(fabric: Any, network_config: Any) -> None:

@@ -221,10 +221,6 @@ def run_remote_fleet_worker(channel: Channel, ops: Any = None) -> None:
             try:
                 result = run_job(config, program, args, resume_dir,
                                  flag)
-                try:
-                    pickle.dumps(result.main_result)
-                except Exception:
-                    result.main_result = None
                 note("job.done", job_id, trace)
                 _send(channel, ("result", (job_id, "ok", result)))
             except JobPreempted as preempted:

@@ -15,7 +15,8 @@ from typing import Any, Callable, List, Optional, Sequence
 
 from repro.common.config import SimulationConfig
 from repro.sim.results import SimulationResult
-from repro.sim.runner import create_simulator
+# ``create_simulator`` is re-exported: bench/tracer.py patches it here.
+from repro.sim.runner import create_simulator, launch  # noqa: F401
 
 
 def _per_run_trace_path(path: str, index: int) -> str:
@@ -110,8 +111,7 @@ def repeat_runs(config: SimulationConfig,
         if run_config.telemetry.trace_path:
             run_config.telemetry.trace_path = _per_run_trace_path(
                 config.telemetry.trace_path, run_index)
-        simulator = create_simulator(run_config)
-        results.append(simulator.run(program, args))
+        results.append(launch(run_config, program, args)[0])
     return RunStatistics(results)
 
 
@@ -137,7 +137,8 @@ def sweep(configs: Sequence[SimulationConfig],
     caller; by default one instance per distinct library root is
     created.  With ``workers > 1`` the distinct prefixes are primed
     serially up front so the pool's processes all fork instead of
-    racing to fast-forward.
+    racing to fast-forward.  Without ``share_prefix`` every variant
+    runs unshared, on either path, whatever library its config names.
     """
     libraries: dict = {}
 
@@ -156,23 +157,24 @@ def sweep(configs: Sequence[SimulationConfig],
             libraries[root] = SnapshotLibrary(root)
         return libraries[root]
 
-    def _with_root(config: SimulationConfig,
-                   lib: Optional[Any]) -> SimulationConfig:
-        # Pool children rebuild the library from the config (the
-        # instance cannot cross the process boundary), and
-        # run_with_library keys off the same field — fill it in when
-        # only the ``library`` argument named the root.
-        if lib is None or config.sample.library:
+    def _rooted(config: SimulationConfig,
+                lib: Optional[Any]) -> SimulationConfig:
+        # The config carries the sharing decision to ``launch`` (pool
+        # children rebuild the library from it; the instance cannot
+        # cross the process boundary): the library's root when this
+        # variant shares, none when it does not.
+        root = lib.root if lib is not None else None
+        if config.sample.library == root:
             return config
         config = config.copy()
-        config.sample.library = lib.root
+        config.sample.library = root
         return config
 
     if workers > 1:
         staged = []
         for config in configs:
             lib = _library_for(config)
-            config = _with_root(config, lib)
+            config = _rooted(config, lib)
             if lib is not None:
                 lib.ensure(config, program, args)
             staged.append(config)
@@ -185,10 +187,6 @@ def sweep(configs: Sequence[SimulationConfig],
             config.telemetry.trace_path = _per_run_trace_path(
                 config.telemetry.trace_path, index)
         lib = _library_for(config)
-        if lib is not None:
-            from repro.sample.library import run_with_library
-            results.append(run_with_library(_with_root(config, lib),
-                                            program, args, library=lib))
-        else:
-            results.append(create_simulator(config).run(program, args))
+        results.append(launch(_rooted(config, lib), program, args,
+                              library=lib)[0])
     return results

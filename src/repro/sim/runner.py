@@ -1,8 +1,10 @@
-"""Backend selection: build the right simulator for a configuration."""
+"""Backend selection and the launcher: build the right simulator for a
+configuration, and start every kind of run from one place."""
 
 from __future__ import annotations
 
-from typing import Any
+import functools
+from typing import Any, Optional, Tuple
 
 from repro.common.config import SimulationConfig
 from repro.sim.results import SimulationResult
@@ -24,27 +26,64 @@ def create_simulator(config: SimulationConfig) -> Simulator:
     return Simulator(config)
 
 
+def launch(config: SimulationConfig, program: Any, args: tuple = (),
+           *, resume_dir: Optional[str] = None,
+           preempt_flag: Any = None,
+           library: Optional[Any] = None
+           ) -> Tuple[SimulationResult, Simulator]:
+    """Run ``program`` under ``config``; the one place a run starts.
+
+    The CLI, :func:`run_simulation`, sweeps, the sweep pool's children
+    and serve workers all come through here, so the kind of run is
+    chosen once: restore ``resume_dir`` (armed for ``config`` — the
+    same job, possibly with re-assigned observability); or, when the
+    config fast-forwards and a snapshot library is at hand (``library``,
+    else the directory ``sample.library`` names), prime-or-fork the
+    shared prefix and note ``{"key", "primed", "root"}`` under
+    ``result.sample["library"]``; or build fresh.  With checkpointing
+    enabled the run is driven by the crash-recovery loop
+    (:func:`repro.ckpt.recovery.drive`).  ``preempt_flag`` (serve) arms
+    the ``preempt`` boundary stage; its ``JobPreempted`` propagates.
+
+    Returns ``(result, simulator)``: the simulator that completed, for
+    callers that report its stats or host profile.
+    """
+    entry = None
+    if resume_dir:
+        from repro.ckpt.recovery import load_checkpoint
+        simulator, _manifest = load_checkpoint(resume_dir, config=config)
+        start = simulator.resume_run
+    elif config.sample.ff_until > 0 and (library is not None
+                                         or config.sample.library):
+        if library is None:
+            from repro.sample.library import SnapshotLibrary
+            library = SnapshotLibrary(config.sample.library)
+        key, primed = library.ensure(config, program, args)
+        entry = {"key": key, "primed": primed, "root": library.root}
+        simulator = library.fork(key, config)
+        start = simulator.resume_run
+    else:
+        simulator = create_simulator(config)
+        # Program references go to ``run`` unresolved: ``spawn_thread``
+        # keeps the ref on the interpreter, which checkpoint snapshots
+        # need (a resolved workload main is a closure and cannot
+        # pickle).
+        start = functools.partial(simulator.run, program, args)
+    if preempt_flag is not None:
+        from repro.serve.worker import PreemptGuard
+        simulator.scheduler.set_stage(
+            "preempt", 1, PreemptGuard(simulator, preempt_flag))
+    if config.ckpt.enabled:
+        from repro.ckpt.recovery import drive
+        result, simulator = drive(simulator, start)
+    else:
+        result = start()
+    if entry is not None:
+        result.sample["library"] = entry
+    return result, simulator
+
+
 def run_simulation(config: SimulationConfig, program: Any,
                    args: tuple = ()) -> SimulationResult:
-    """One-shot convenience: build the backend and run ``program``.
-
-    When checkpointing is enabled the run is wrapped in the
-    crash-recovery loop: a dead mp worker triggers a restore from the
-    last consistent checkpoint instead of failing the run (see
-    :func:`repro.ckpt.recovery.run_with_recovery`).
-
-    When the config requests a fast-forward (``sample.ff_until``) and
-    names a snapshot library (``sample.library``), the run routes
-    through :func:`repro.sample.library.run_with_library`: the
-    fast-forward is primed once per shared prefix and every later run
-    forks from the stored switch-point checkpoint.
-    """
-    if config.sample.ff_until > 0 and config.sample.library:
-        from repro.sample.library import run_with_library
-        return run_with_library(config, program, args)
-    simulator = create_simulator(config)
-    if config.ckpt.enabled:
-        from repro.ckpt.recovery import run_with_recovery
-        result, _ = run_with_recovery(simulator, program, args)
-        return result
-    return simulator.run(program, args)
+    """One-shot convenience: :func:`launch` and keep only the result."""
+    return launch(config, program, args)[0]

@@ -51,63 +51,15 @@ class Simulator:
         self.config = config
         self.rngs = RngStreams(config.seed)
         self.stats = StatGroup("sim")
+        self.layout = ClusterLayout(config.num_tiles, config.host)
 
-        # Telemetry: ``None`` when disabled — every instrumented
-        # component then resolves a ``None`` channel and the hot paths
-        # stay a single attribute test.  Purely observational: the bus
-        # never consumes RNG draws or touches simulated time.
-        self.telemetry = create_bus(config.telemetry)
-
-        # Runtime sanitizers (``--sanitize``): ride the bus as pure
-        # observers.  With tracing off they get a mask-0 bus that
-        # records nothing; either way they must attach before any
-        # component resolves its channels, because ``channel()``
+        # Host-side observers first: every component below resolves
+        # its telemetry channels at construction, and ``channel()``
         # honours the observer mask.
-        self.sanitizers = None
-        if config.check.sanitize:
-            from repro.check.sanitize import Sanitizers
-            from repro.telemetry.bus import TelemetryBus
-            if self.telemetry is None:
-                self.telemetry = TelemetryBus(0)
-            self.sanitizers = Sanitizers(config.num_tiles,
-                                         self.telemetry)
-
-        # Crash flight recorder (``--flight-dir``): a bounded ring of
-        # the most recent events, riding the bus exactly like the
-        # sanitizers — a mask-0 bus when tracing is off, so neither
-        # the recorded trace nor the results change either way.  The
-        # recovery path dumps the ring as a forensics bundle when a
-        # worker crash or timeout kills the run.
-        self.flight = None
-        if config.telemetry.flight_dir:
-            from repro.obs.flight import FlightRecorder
-            from repro.telemetry.bus import TelemetryBus
-            from repro.telemetry.events import ALL_CATEGORIES
-            if self.telemetry is None:
-                self.telemetry = TelemetryBus(0)
-            self.flight = FlightRecorder(config.telemetry.flight_events)
-            self.telemetry.observe(self.flight.on_event,
-                                   ALL_CATEGORIES)
-
-        # Run-level span (:mod:`repro.obs.spans`): when a trace id was
-        # propagated into this config (e.g. by the serve daemon at job
-        # assignment), the run stamps its lifecycle onto that job's
-        # span tree.  Purely observational, like every bus client.
-        self._span_emitter = None
-        self._run_span = ""
-        if config.telemetry.trace_id and self.telemetry is not None:
-            from repro.obs.spans import SpanEmitter
-            self._span_emitter = SpanEmitter(
-                self.telemetry.channel(EventCategory.OBS),
-                config.telemetry.trace_id,
-                parent=config.telemetry.span_parent)
-
-        sync_channel = (self.telemetry.channel(EventCategory.SYNC)
-                        if self.telemetry is not None else None)
+        self._arm_observers()
+        sync_channel = self._channel(EventCategory.SYNC)
 
         # Host platform.
-        self.layout = ClusterLayout(config.num_tiles, config.host)
-        self._configure_trace_sinks()
         self.cost_model = HostCostModel(
             config.host, rng=self.rngs.stream("host_jitter"))
         self.sync_model = create_sync_model(
@@ -158,27 +110,12 @@ class Simulator:
         self.interpreters: Dict[TileId, Any] = {}
         self._code_bases: Dict[Any, int] = {}
 
-        # Clock-skew tracing (Figure 7).  The sampler appends the same
-        # (mean, +dev, -dev) tuples the simulator always recorded; when
-        # telemetry is on the samples also become SYNC events.
+        # What the boundary stages accumulate rides the snapshot; the
+        # stages themselves are armed below.  ``skew_trace`` holds the
+        # (mean, +dev, -dev) samples of Figure 7, ``metrics`` the
+        # counter time-series.
         self.skew_trace: List[Tuple[float, float, float]] = []
-        if config.trace_clock_skew:
-            self.scheduler.add_skew_sampler(
-                ClockSkewSampler(self.skew_trace, sync_channel),
-                config.skew_sample_period)
-
-        # Metrics time-series: snapshot the counter tree on a fixed
-        # scheduler cadence.
         self.metrics: Optional[MetricsRegistry] = None
-        if config.telemetry.metrics_interval > 0:
-            metrics_channel = (
-                self.telemetry.channel(EventCategory.METRICS)
-                if self.telemetry is not None else None)
-            self.metrics = MetricsRegistry(
-                self.stats, config.telemetry.metrics_interval,
-                metrics_channel)
-            self.scheduler.add_periodic_hook(
-                self._sample_metrics, config.telemetry.metrics_interval)
 
         # Recovery log: one dict per crash-restart cycle performed by
         # the fault-tolerance driver (:mod:`repro.ckpt.recovery`);
@@ -187,32 +124,17 @@ class Simulator:
 
         # Sampling (config.sample): functional fast-forward and
         # interval sampling (:mod:`repro.sample`).  The controller is a
-        # periodic hook, so execution mode only ever changes between
+        # boundary stage, so execution mode only ever changes between
         # quanta — the same consistency boundary checkpoints use.
         self.exec_functional = False
         self.sample_controller = None
         if config.sample.enabled:
             from repro.sample.controller import SampleController
-            sample_channel = (
-                self.telemetry.channel(EventCategory.SAMPLE)
-                if self.telemetry is not None else None)
-            self.sample_controller = SampleController(
-                self, config.sample, sample_channel)
-            self.scheduler.add_periodic_hook(self.sample_controller, 1)
+            self.sample_controller = SampleController(self, config.sample)
             if config.sample.ff_until > 0:
                 self.set_execution_mode("functional")
 
-        # Checkpointing (``--ckpt-dir``): a store when enabled, and a
-        # periodic scheduler hook when a cadence is configured.  The
-        # hook runs between quanta, when no thread is mid-op.
-        self._ckpt_store = None
-        if config.ckpt.enabled:
-            from repro.ckpt.store import CheckpointStore
-            self._ckpt_store = CheckpointStore(config.ckpt.dir,
-                                               keep=config.ckpt.keep)
-            if config.ckpt.every > 0:
-                self.scheduler.add_periodic_hook(self._ckpt_hook,
-                                                 config.ckpt.every)
+        self._arm_boundary()
 
         # Host profiling (``--profile``): the same observer trick as
         # telemetry and the sanitizers — ``None`` when disabled, so no
@@ -226,6 +148,100 @@ class Simulator:
         if self.profiler is not None:
             from repro.profile.instrument import instrument_simulator
             instrument_simulator(self)
+
+    # -- arming: host-side wiring, lives outside the snapshot ---------------------
+    #
+    # ``__init__`` and :meth:`_after_restore` run the same two functions,
+    # so a fresh and a restored simulator of one config cannot disagree
+    # about what they have attached (DESIGN.md §3).
+
+    def _arm_observers(self) -> None:
+        """Bus and trace sinks, sanitizers, flight ring, run span.
+
+        All ``None`` when not configured — every instrumented
+        component then resolves a ``None`` channel and the hot paths
+        stay a single attribute test.  Purely observational: nothing
+        here consumes RNG draws or touches simulated time.
+        """
+        config = self.config
+        self.telemetry = create_bus(config.telemetry)
+
+        # Sanitizers (``--sanitize``) and the crash flight recorder
+        # (``--flight-dir``) ride the bus as observers; with tracing
+        # off they get a mask-0 bus that records nothing, so neither
+        # the trace nor the results change either way.
+        self.sanitizers = None
+        if config.check.sanitize:
+            from repro.check.sanitize import Sanitizers
+            self.sanitizers = Sanitizers(config.num_tiles,
+                                         self._observer_bus())
+        self.flight = None
+        if config.telemetry.flight_dir:
+            from repro.obs.flight import FlightRecorder
+            from repro.telemetry.events import ALL_CATEGORIES
+            self.flight = FlightRecorder(config.telemetry.flight_events)
+            self._observer_bus().observe(self.flight.on_event,
+                                         ALL_CATEGORIES)
+
+        # Run-level span (:mod:`repro.obs.spans`): when a trace id was
+        # propagated into this config (e.g. by the serve daemon at job
+        # assignment), the run stamps its lifecycle onto that job's
+        # span tree.
+        self._span_emitter = None
+        self._run_span = ""
+        if config.telemetry.trace_id and self.telemetry is not None:
+            from repro.obs.spans import SpanEmitter
+            self._span_emitter = SpanEmitter(
+                self._channel(EventCategory.OBS),
+                config.telemetry.trace_id,
+                parent=config.telemetry.span_parent)
+        self._configure_trace_sinks()
+
+    def _observer_bus(self):
+        """The bus observers attach to: mask-0 when tracing is off."""
+        if self.telemetry is None:
+            from repro.telemetry.bus import TelemetryBus
+            self.telemetry = TelemetryBus(0)
+        return self.telemetry
+
+    def _channel(self, category: EventCategory):
+        if self.telemetry is None:
+            return None
+        return self.telemetry.channel(category)
+
+    def _arm_boundary(self) -> None:
+        """Channels of the stage state, checkpoint store, and the
+        scheduler's boundary stages (order: ``host.scheduler.
+        STAGE_ORDER``).  The mp backend extends this with ``net``;
+        serve adds ``preempt`` by name."""
+        config = self.config
+        scheduler = self.scheduler
+        if config.trace_clock_skew and config.skew_sample_period:
+            scheduler.set_stage(
+                "skew", config.skew_sample_period,
+                ClockSkewSampler(self.skew_trace,
+                                 self._channel(EventCategory.SYNC)))
+        interval = config.telemetry.metrics_interval
+        if interval > 0:
+            if self.metrics is None:
+                self.metrics = MetricsRegistry(self.stats, interval)
+            self.metrics.channel = self._channel(EventCategory.METRICS)
+            scheduler.set_stage("metrics", interval,
+                                self._sample_metrics)
+        if self.sample_controller is not None:
+            self.sample_controller.channel = self._channel(
+                EventCategory.SAMPLE)
+            scheduler.set_stage("sample", 1, self.sample_controller)
+        # Checkpointing (``--ckpt-dir``): a store when enabled, and a
+        # stage when a cadence is configured.
+        self._ckpt_store = None
+        if config.ckpt.enabled:
+            from repro.ckpt.store import CheckpointStore
+            self._ckpt_store = CheckpointStore(config.ckpt.dir,
+                                               keep=config.ckpt.keep)
+            if config.ckpt.every > 0:
+                scheduler.set_stage("ckpt", config.ckpt.every,
+                                    lambda _s: self.save_checkpoint())
 
     def _make_transport(self) -> Transport:
         """Build the message fabric; overridden by the mp backend."""
@@ -244,7 +260,7 @@ class Simulator:
                 sink.tile_process = tile_process
 
     def _sample_metrics(self, scheduler: Scheduler) -> None:
-        """Periodic-hook shim: snapshot the stats tree at "now".
+        """``metrics`` stage: snapshot the stats tree at "now".
 
         "Now" for a whole-simulation snapshot is the frontier of
         simulated progress — the maximum live thread clock.
@@ -337,7 +353,7 @@ class Simulator:
         cores retire at unit cost, network and DRAM latencies are zero
         and host-time charges are skipped.  Callers must only flip the
         mode between scheduler quanta (the sample controller runs as a
-        periodic hook, which guarantees exactly that).
+        boundary stage, which guarantees exactly that).
         """
         functional = mode == "functional"
         if functional == self.exec_functional:
@@ -470,10 +486,6 @@ class Simulator:
 
     # -- checkpointing ---------------------------------------------------------------------
 
-    def _ckpt_hook(self, scheduler: Scheduler) -> None:
-        """Periodic-hook shim: write one snapshot between quanta."""
-        self.save_checkpoint()
-
     def save_checkpoint(self) -> str:
         """Write one consistent snapshot; returns its directory.
 
@@ -500,16 +512,22 @@ class Simulator:
         from repro.ckpt.snapshot import snapshot_bytes
         return {"coordinator": snapshot_bytes(self)}
 
-    def _after_restore(self) -> None:
-        """Fix up excised members after a snapshot is unpickled.
+    def _after_restore(self,
+                       config: Optional[SimulationConfig] = None) -> None:
+        """Re-arm a freshly unpickled simulator (see ``load_checkpoint``).
 
-        The snapshot pickler excises host-side observers (telemetry
-        bus/channels, profiler, sanitizers) to ``None`` — exactly the
-        value every instrumented component already treats as
-        "disabled" — and drops thread generators.  This hook unwraps
-        the telemetry syscall tracer (its channel is gone) and replays
-        every live thread's generator back to its position.
+        The snapshot excised every host-side observer to ``None`` and
+        dropped the boundary stages and thread generators.  This runs
+        the same :meth:`_arm_observers` / :meth:`_arm_boundary` a fresh
+        build runs — under ``config`` when one is given in place of
+        the checkpointed run's — and replays every live thread's
+        generator back to its position.  Component-level channels stay
+        excised: the restored subsystems run unobserved, so the
+        telemetry syscall tracer (its channel is gone) is unwrapped.
         """
+        if config is not None:
+            self.config = config
+        self._arm_observers()
         syscalls = self.mcp.syscalls
         inner = getattr(syscalls, "_inner", None)
         if inner is not None:
@@ -518,6 +536,7 @@ class Simulator:
             rebuild = getattr(interpreter, "rebuild_generator", None)
             if rebuild is not None:
                 rebuild()
+        self._arm_boundary()
 
     def _hand_profile_to_sinks(self) -> None:
         """Give Chrome sinks the host-profiler data (pre-close)."""

@@ -20,9 +20,9 @@ from repro.telemetry.bus import Channel
 class MetricsRegistry:
     """Samples a :class:`StatGroup` tree on a fixed cadence.
 
-    Driven by a scheduler periodic hook (see
-    ``Scheduler.add_periodic_hook``); ``sample`` receives the current
-    simulated timestamp.  When a ``metrics`` channel is supplied each
+    Driven by the scheduler's ``metrics`` boundary stage (see
+    ``repro.host.scheduler.STAGE_ORDER``); ``sample`` receives the
+    current simulated timestamp.  When a ``metrics`` channel is set each
     sample also lands on the event bus, so traces interleave metric
     snapshots with the raw event stream.
     """
@@ -37,7 +37,7 @@ class MetricsRegistry:
         self.series: Dict[str, TimeSeries] = {}
         self.histogram_series: Dict[str, List[dict]] = {}
         self.samples_taken = 0
-        self._channel = channel
+        self.channel = channel
 
     def sample(self, t: int) -> None:
         """Snapshot every counter and histogram at simulated time ``t``."""
@@ -56,8 +56,8 @@ class MetricsRegistry:
                 snapshot[f"p{int(q * 100)}"] = hist.quantile(q)
             self.histogram_series.setdefault(path, []).append(snapshot)
         self.samples_taken += 1
-        if self._channel is not None:
-            self._channel.emit("sample", None, int(t),
+        if self.channel is not None:
+            self.channel.emit("sample", None, int(t),
                                {"n": self.samples_taken,
                                 "counters": counters})
 

@@ -1,4 +1,4 @@
-"""The on-disk ``repro.ckpt/1`` store: atomicity, integrity, pruning."""
+"""The on-disk ``repro.ckpt/2`` store: atomicity, integrity, pruning."""
 
 from __future__ import annotations
 

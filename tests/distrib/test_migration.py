@@ -135,21 +135,17 @@ def test_elastic_join_absorbs_work_and_preserves_metrics():
         daemon=True)
 
     sim = create_simulator(cfg)
-    original_hook = sim._net_hook
     fired = {"n": 0}
 
-    def _hook_then_join(scheduler):
-        # Launch the joiner from inside the membership hook so the
+    def _join_then_net(scheduler):
+        # Launch the joiner from inside the membership stage so the
         # dial-in deterministically lands mid-run.
         if fired["n"] == 0:
             joiner.start()
         fired["n"] += 1
-        original_hook(scheduler)
+        sim._net_stage(scheduler)
 
-    sim._net_hook = _hook_then_join
-    sim.scheduler._periodic_hooks = [
-        (_hook_then_join if hook == original_hook else hook, period)
-        for hook, period in sim.scheduler._periodic_hooks]
+    sim.scheduler.set_stage("net", 1, _join_then_net)
     result = sim.run(workload)
     joiner.join(timeout=10.0)
     _assert_same_metrics(result, reference)

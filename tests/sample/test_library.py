@@ -10,8 +10,10 @@ import pytest
 from repro.common.config import SimulationConfig
 from repro.common.errors import SampleError
 from repro.sample.library import (SnapshotLibrary, roi_metrics,
-                                  run_with_library, workload_descriptor)
+                                  workload_descriptor)
+from repro.serve.store import canonical_result_bytes
 from repro.sim.experiment import sweep
+from repro.sim.runner import run_simulation
 from tests.conftest import tiny_config
 
 
@@ -137,13 +139,38 @@ class TestEntries:
         library = SnapshotLibrary(config.sample.library)
         key, _ = library.ensure(config, long_program)
         meta = library.meta(key)
-        assert meta["format"] == "repro.sample/1"
+        assert meta["format"] == "repro.sample/2"
         assert meta["ff_until"] == config.sample.ff_until
         assert meta["prefix_hash"] == config.prefix_hash()
         # The primer's SAMPLE telemetry rides along: exactly one
         # fast-forward completion.
         names = [event["name"] for event in meta["events"]]
         assert names.count("ff.done") == 1
+
+    def test_foreign_format_entry_is_a_typed_error(self, tmp_path):
+        """An entry written by another layout version must never be
+        forked silently: every lookup names the entry and the fix."""
+        config = library_config(tmp_path)
+        library = SnapshotLibrary(config.sample.library)
+        key, _ = library.ensure(config, long_program)
+        path = os.path.join(library.entry_dir(key), "LIBRARY.json")
+        with open(path) as handle:
+            meta = json.load(handle)
+        meta["format"] = "repro.sample/1"
+        with open(path, "w") as handle:
+            json.dump(meta, handle)
+        for lookup in (lambda: library.has(key),
+                       lambda: library.meta(key),
+                       lambda: library.ensure(config, long_program),
+                       lambda: library.fork(key, config)):
+            with pytest.raises(SampleError, match="repro sample gc"):
+                lookup()
+        # ... and the fix it names works, sparing usable entries.
+        other = library_config(tmp_path, ff_until=1800)
+        kept, _ = library.ensure(other, long_program)
+        from repro.cli import main
+        assert main(["sample", "gc", "--library", library.root]) == 0
+        assert library.keys() == [kept]
 
     def test_entries_and_drop(self, tmp_path):
         config = library_config(tmp_path)
@@ -247,6 +274,20 @@ class TestSharedPrefixSweep:
         assert [r.sample["library"]["root"] for r in results] \
             == [library.root] * 2
 
+    def test_single_job_pooled_sweep_forks_like_the_serial_one(
+            self, tmp_path):
+        """One job leaves the pool one effective worker, which used to
+        bypass the library: no annotation, a second fast-forward."""
+        config = library_config(tmp_path)
+        library = SnapshotLibrary(config.sample.library)
+        [pooled] = sweep([config], long_program, workers=2,
+                         share_prefix=True, library=library)
+        assert pooled.sample["library"]["primed"] is False
+        assert library.stats["primes"] == 1
+        [serial] = sweep([config], long_program, share_prefix=True)
+        assert (canonical_result_bytes(pooled)
+                == canonical_result_bytes(serial))
+
     def test_sweep_without_share_prefix_runs_unshared(self, tmp_path):
         config = library_config(tmp_path)
         library = SnapshotLibrary(config.sample.library)
@@ -254,12 +295,12 @@ class TestSharedPrefixSweep:
         assert len(results) == 1
         assert library.stats == {"primes": 0, "hits": 0}
 
-    def test_run_with_library_annotates_result(self, tmp_path):
+    def test_launch_with_library_annotates_result(self, tmp_path):
         config = library_config(tmp_path)
-        result = run_with_library(config, long_program)
+        result = run_simulation(config, long_program)
         annotation = result.sample["library"]
         assert annotation["primed"]
         assert annotation["root"] == config.sample.library
-        forked = run_with_library(config, long_program)
+        forked = run_simulation(config, long_program)
         assert not forked.sample["library"]["primed"]
         assert (roi_metrics(forked) == roi_metrics(result))

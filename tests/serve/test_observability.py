@@ -14,6 +14,8 @@ The ISSUE's acceptance demos against a live daemon:
 from __future__ import annotations
 
 import contextlib
+import glob
+import json
 import multiprocessing
 import os
 import shutil
@@ -24,7 +26,8 @@ import time
 from repro.common.config import SimulationConfig, TelemetryConfig
 from repro.distrib.wire import WIRE_VERSION
 from repro.obs.flight import load_bundles
-from repro.obs.spans import build_span_tree, orphan_spans
+from repro.obs.spans import (build_span_tree, orphan_spans,
+                             span_records)
 from repro.serve.client import ServeClient
 from repro.serve.daemon import SimServer
 
@@ -57,19 +60,44 @@ def running_server(**kwargs):
         shutil.rmtree(root, ignore_errors=True)
 
 
-def _remote_worker_main(address: str) -> None:
+def _remote_worker_main(address: str, trace_dir: str = "") -> None:
     from repro.net.listener import connect_worker
+    from repro.serve import worker
     from repro.serve.remote import run_remote_fleet_worker
+    if trace_dir:
+        # Record what each assignment's *simulator* emits on this
+        # side of the wire: turn the job's own obs tracing on, one
+        # JSONL file per assignment.
+        run_job, assignments = worker.run_job, iter(range(10 ** 6))
+
+        def traced_run_job(config, *rest):
+            config.telemetry.enabled = True
+            config.telemetry.events = ["obs"]
+            config.telemetry.trace_path = os.path.join(
+                trace_dir, f"assignment{next(assignments)}.jsonl")
+            return run_job(config, *rest)
+        worker.run_job = traced_run_job
     channel, welcome = connect_worker(address, WIRE_VERSION,
                                       timeout=10.0)
     run_remote_fleet_worker(channel)
 
 
-def _dial_worker(address: str) -> multiprocessing.Process:
+def _dial_worker(address: str,
+                 trace_dir: str = "") -> multiprocessing.Process:
     proc = multiprocessing.get_context("fork").Process(
-        target=_remote_worker_main, args=(address,), daemon=True)
+        target=_remote_worker_main, args=(address, trace_dir),
+        daemon=True)
     proc.start()
     return proc
+
+
+def _worker_side_events(trace_dir: str) -> list:
+    events = []
+    pattern = os.path.join(trace_dir, "assignment*.jsonl")
+    for name in sorted(glob.glob(pattern)):
+        with open(name) as handle:
+            events += [json.loads(line) for line in handle]
+    return events
 
 
 def _reap(proc) -> None:
@@ -111,7 +139,7 @@ def test_preempted_migrated_resumed_job_is_one_span_tree():
         with running_server(fleet=0, listen="127.0.0.1:0",
                             telemetry=_obs_telemetry()) \
                 as (server, client):
-            proc = _dial_worker(server.listen_address)
+            proc = _dial_worker(server.listen_address, server.root)
             _wait_until(lambda: server.workers, 10,
                         "remote worker never joined")
             low = client.submit(config=_config(1),
@@ -159,6 +187,13 @@ def test_preempted_migrated_resumed_job_is_one_span_tree():
                            if s["args"].get("resumed")]
             assert len(resumed_run) == 1
             assert resumed_run[0]["outcome"] == "done"
+            # The worker's resumed simulator hangs its own ``sim.run``
+            # span under *that* assignment's span, not the first one's
+            # it was checkpointed with.
+            assert [s["parent"] for s in span_records(
+                _worker_side_events(server.root)).values()
+                if s["op"] == "sim.run" and s["args"]["resumed"]] \
+                == [resumed_run[0]["span"]]
             # The preempt request is an instant note on the root span.
             notes = low_spans[root].get("notes", [])
             assert any(n["note"] == "preempt.request" for n in notes)
