@@ -16,6 +16,13 @@ in-process backend.  That is what makes the two backends produce
 byte-identical metrics from the same seed; the speed-up story of the
 mp backend is the *sweep pool* (:mod:`repro.distrib.pool`), which runs
 independent configurations in parallel.
+
+The service loop costs one round trip per front-end op: a LOAD/STORE
+is one fused fetch+access KERNEL_CALL, and the worker's one-way casts
+(the per-op host ``charge`` above all) arrive inside the next
+KERNEL_CALL or the closing QUANTUM_DONE and are applied ahead of it —
+the worker touches no shared state between a cast and the frame that
+carries it, so the order of shared-state touches is unchanged.
 """
 
 from __future__ import annotations
@@ -588,6 +595,8 @@ class DistribSimulator(Simulator):
             "memory_load": self._rpc_memory_load,
             "memory_store": self._rpc_memory_store,
             "memory_fetch": self._rpc_memory_fetch,
+            "memory_fetch_load": self._rpc_memory_fetch_load,
+            "memory_fetch_store": self._rpc_memory_fetch_store,
             "fabric_send": self._rpc_fabric_send,
             "fabric_transfer": self._rpc_fabric_transfer,
             "malloc": lambda size, align: self.allocator.malloc(size,
@@ -876,8 +885,9 @@ class DistribSimulator(Simulator):
         """Run one quantum remotely, servicing kernel traffic inline.
 
         The worker owning ``task.tile`` becomes the (single) active
-        worker; its KERNEL_CALL/KERNEL_CAST frames are applied to the
-        shared state here, in arrival order, until QUANTUM_DONE.
+        worker; its kernel calls, and the casts each frame carries
+        ahead of its own work, are applied to the shared state here,
+        in program order, until QUANTUM_DONE.
         """
         worker = self.cluster.owner(task.tile)
         self.cluster.send(worker, FrameKind.RUN_QUANTUM,
@@ -885,19 +895,21 @@ class DistribSimulator(Simulator):
         while True:
             kind, payload = self.cluster.recv(worker)
             if kind is FrameKind.QUANTUM_DONE:
-                status, instructions, cycles, icount, outcome = payload
+                (status, instructions, cycles, icount, outcome,
+                 casts) = payload
+                self._apply_casts(casts)
                 task.core.cycles = cycles
                 task.core.instruction_count = icount
                 if QuantumStatus(status) is QuantumStatus.DONE:
                     task.result = outcome
                 return QuantumResult(QuantumStatus(status), instructions)
             if kind is FrameKind.KERNEL_CALL:
-                method, args = payload
+                method, args, casts = payload
+                self._apply_casts(casts)
                 reply = self._rpc_handlers[method](*args)
                 self.cluster.send(worker, FrameKind.KERNEL_REPLY, reply)
             elif kind is FrameKind.KERNEL_CAST:
-                method, args = payload
-                self._cast_handlers[method](*args)
+                self._apply_casts(payload)
             elif kind is FrameKind.TELEMETRY:
                 merge_batch(self.telemetry, self.stats, payload)
             elif kind is FrameKind.ERROR:
@@ -921,6 +933,16 @@ class DistribSimulator(Simulator):
                           timestamp: int) -> int:
         return self.controllers[tile].fetch(pc, timestamp)
 
+    def _rpc_memory_fetch_load(self, tile: int, pc: int, address: int,
+                               size: int, timestamp: int) -> tuple:
+        return self.controllers[tile].fetch_load(pc, address, size,
+                                                 timestamp)
+
+    def _rpc_memory_fetch_store(self, tile: int, pc: int, address: int,
+                                data: bytes, timestamp: int) -> tuple:
+        return self.controllers[tile].fetch_store(pc, address, data,
+                                                  timestamp)
+
     def _rpc_fabric_send(self, src: int, dst: int, kind: str,
                          payload: Any, size_bytes: int, timestamp: int,
                          tag: Optional[int]) -> None:
@@ -940,9 +962,16 @@ class DistribSimulator(Simulator):
 
     # -- cast handlers -------------------------------------------------------
 
+    def _apply_casts(self, casts: List[tuple]) -> None:
+        """Apply the casts a frame carried, in the order they were
+        issued, before the frame's own work."""
+        handlers = self._cast_handlers
+        for method, args in casts:
+            handlers[method](*args)
+
     def _cast_charge(self, token: tuple) -> None:
         """Evaluate a deferred cost token, consuming jitter RNG here —
-        in cast-arrival order, which equals in-process call order."""
+        in cast-issue order, which equals in-process call order."""
         kind, *rest = token
         if kind == "instructions":
             cost = self.cost_model.instructions(rest[0])

@@ -34,7 +34,13 @@ from repro.distrib.errors import ProgramTransportError, WireFormatError
 #: workers and orderly departure of drained workers; :mod:`repro.net`).
 #: v6: SET_MODE frame (execution-mode propagation for functional
 #: fast-forward and interval sampling; :mod:`repro.sample`).
-WIRE_VERSION = 6
+#: v7: one round trip per front-end op — KERNEL_CALL is ``(method,
+#: args, casts)`` and QUANTUM_DONE ends with ``casts`` (the one-way
+#: casts issued since the previous frame, applied before it),
+#: KERNEL_CAST is a batch ``[(method, args), ...]``, and the
+#: ``memory_fetch_load`` / ``memory_fetch_store`` calls fuse the
+#: instruction fetch into the data access.
+WIRE_VERSION = 7
 
 
 class FrameKind(enum.Enum):
@@ -46,13 +52,18 @@ class FrameKind(enum.Enum):
     SPAWN = "spawn"
     #: coordinator -> worker: run one scheduler quantum on a tile.
     RUN_QUANTUM = "run_quantum"
-    #: worker -> coordinator: quantum finished (status + core state).
+    #: worker -> coordinator: quantum finished (status + core state +
+    #: the casts issued since the last KERNEL_CALL).
     QUANTUM_DONE = "quantum_done"
-    #: worker -> coordinator: kernel RPC (needs a KERNEL_REPLY).
+    #: worker -> coordinator: kernel RPC (needs a KERNEL_REPLY), with
+    #: the casts issued since the previous frame, to apply first.
     KERNEL_CALL = "kernel_call"
     #: coordinator -> worker: RPC return value.
     KERNEL_REPLY = "kernel_reply"
-    #: worker -> coordinator: one-way kernel notification (no reply).
+    #: worker -> coordinator: a batch of one-way kernel notifications
+    #: (no reply).  Casts normally ride the next KERNEL_CALL or
+    #: QUANTUM_DONE; this frame flushes them ahead of an unsolicited
+    #: TELEMETRY push.
     KERNEL_CAST = "kernel_cast"
     #: coordinator -> worker: enqueue a user message on a local tile.
     DELIVER = "deliver"

@@ -17,7 +17,10 @@ the same order the in-process backend would make them — including the
 order in which the jittered cost model's RNG is consumed.  Cost-model
 lookups themselves are deferred: ``cost_model.instructions(n)`` here
 returns a token, and the coordinator evaluates it (consuming RNG) when
-the paired ``charge`` arrives.
+the paired ``charge`` arrives.  One-way casts (``charge``,
+``wake_scheduler``, ``thread_finished``) cost no frame of their own:
+they ride the next KERNEL_CALL or the closing QUANTUM_DONE and are
+applied, in order, ahead of it.
 """
 
 from __future__ import annotations
@@ -30,6 +33,7 @@ from typing import Any, List, Optional
 from repro.common.config import SimulationConfig
 from repro.common.ids import ThreadId, TileId
 from repro.common.stats import StatGroup
+from repro.distrib.errors import WireFormatError
 from repro.distrib.shard import ShardQueues
 from repro.distrib.wire import (
     FrameKind,
@@ -51,7 +55,7 @@ class _DeferredCostModel:
 
     The real model consumes a jitter RNG per lookup; evaluating here
     would fork the RNG stream.  Tokens ride the ``charge`` cast and are
-    evaluated coordinator-side, in arrival (= program) order.
+    evaluated coordinator-side, in program order.
     """
 
     def instructions(self, count: int) -> tuple:
@@ -84,6 +88,16 @@ class _MemoryProxy:
     def fetch(self, pc: int, timestamp: int) -> int:
         return self._kernel.rpc("memory_fetch",
                                 (self._tile, pc, timestamp))
+
+    def fetch_load(self, pc: int, address: int, size: int,
+                   timestamp: int):
+        return self._kernel.rpc("memory_fetch_load",
+                                (self._tile, pc, address, size, timestamp))
+
+    def fetch_store(self, pc: int, address: int, data: bytes,
+                    timestamp: int):
+        return self._kernel.rpc("memory_fetch_store",
+                                (self._tile, pc, address, data, timestamp))
 
 
 class _NetIfProxy:
@@ -287,6 +301,14 @@ class Worker:
         self.queues = ShardQueues([TileId(t) for t in tiles])
         self.kernel = KernelProxy(self, config)
         self.interpreters: dict = {}
+        #: Casts issued since the last frame that could carry them.  A
+        #: cast never needs an answer, so it waits for the next
+        #: KERNEL_CALL (or the quantum's QUANTUM_DONE) and the
+        #: coordinator applies it just before that frame's own work.
+        #: The worker touches nothing shared in between, so shared
+        #: state is touched in program order all the same.  Empty
+        #: whenever the worker is between quanta.
+        self._casts: List[tuple] = []
         #: Kernel proxies adopted through live shard migration: their
         #: interpreters keep charging stats into these trees, so stat
         #: and histogram collection folds them in alongside the
@@ -328,6 +350,10 @@ class Worker:
         bus = self.kernel.telemetry
         if bus is None or len(bus.events) < self._batch_events:
             return
+        if self._casts:
+            # Merging the batch touches coordinator state; the casts
+            # issued before it must land first.
+            self._send(FrameKind.KERNEL_CAST, self._take_casts())
         self._send(FrameKind.TELEMETRY,
                    TelemetryBatch(self.process_index,
                                   bus.drain_pending()))
@@ -375,7 +401,8 @@ class Worker:
         a tile we own, or a spawn landing on our shard).  Those are
         handled inline; all are pure-local, so no recursion is possible.
         """
-        self._send(FrameKind.KERNEL_CALL, (method, args))
+        self._send(FrameKind.KERNEL_CALL,
+                   (method, args, self._take_casts()))
         while True:
             kind, payload = self._recv()
             if kind is FrameKind.KERNEL_REPLY:
@@ -387,7 +414,11 @@ class Worker:
             self._handle_cast_frame(kind, payload)
 
     def cast(self, method: str, args: tuple) -> None:
-        self._send(FrameKind.KERNEL_CAST, (method, args))
+        self._casts.append((method, args))
+
+    def _take_casts(self) -> List[tuple]:
+        casts, self._casts = self._casts, []
+        return casts
 
     # -- frame handlers ------------------------------------------------------
 
@@ -451,20 +482,23 @@ class Worker:
                 self.profiler.exit()
         else:
             result = interpreter.run(budget, cycle_limit)
-        outcome = None
-        if result.status.value == "done":
-            try:
-                pickle.dumps(interpreter.result)
-                outcome = interpreter.result
-            except Exception:
-                outcome = None  # unshippable results stay worker-side
         # The coordinator reads this pipe until QUANTUM_DONE, so a full
         # event buffer flushes here, *before* the terminating frame.
         self._flush_telemetry()
-        self._send(FrameKind.QUANTUM_DONE,
-                   (result.status.value, result.instructions,
-                    interpreter.core.cycles,
-                    interpreter.core.instruction_count, outcome))
+        done = (result.status.value, result.instructions,
+                interpreter.core.cycles,
+                interpreter.core.instruction_count)
+        outcome = (interpreter.result
+                   if result.status.value == "done" else None)
+        casts = self._take_casts()
+        try:
+            self._send(FrameKind.QUANTUM_DONE, (*done, outcome, casts))
+        except WireFormatError:
+            if outcome is None:
+                raise
+            # Unshippable results stay worker-side.  Encoding failed,
+            # so nothing of the first attempt reached the wire.
+            self._send(FrameKind.QUANTUM_DONE, (*done, None, casts))
 
     def _handle_checkpoint(self) -> None:
         """Snapshot this shard and acknowledge the barrier (wire v4).
@@ -623,6 +657,8 @@ class Worker:
                 # Drained: our tiles live elsewhere now; leave cleanly.
                 return
             try:
+                assert not self._casts, \
+                    f"casts pending between quanta at {kind.value}"
                 if kind is FrameKind.RUN_QUANTUM:
                     self._handle_run_quantum(payload)
                 elif kind is FrameKind.CHECKPOINT:

@@ -183,3 +183,27 @@ class MemoryController:
             self.tile, pc, 4, timestamp)
         self.hierarchy.fill_l1i(line_address)
         return self._l1i_latency + miss_latency
+
+    # -- fused accesses ----------------------------------------------------------
+
+    # A LOAD/STORE op is an instruction fetch followed by the data
+    # access, with only a clock advance in between.  Fusing the pair is
+    # one call — one wire round trip on the mp backend — instead of
+    # two; both are written in terms of the methods above, so every
+    # counter, probe and observer sees the same calls in the same order.
+
+    def fetch_load(self, pc: int, address: int, size: int, timestamp: int
+                   ) -> Tuple[int, bytes, int]:
+        """Fetch, then load once the fetch stall has elapsed; returns
+        (fetch stall, bytes, load latency).  Only the miss portion of
+        a fetch stalls — the L1I hit latency is pipelined."""
+        stall = self.fetch(pc, timestamp) - self._l1i_latency
+        data, latency = self.load(address, size, timestamp + stall)
+        return stall, data, latency
+
+    def fetch_store(self, pc: int, address: int, data: bytes,
+                    timestamp: int) -> Tuple[int, int]:
+        """Fetch, then store once the fetch stall has elapsed; returns
+        (fetch stall, store latency)."""
+        stall = self.fetch(pc, timestamp) - self._l1i_latency
+        return stall, self.store(address, data, timestamp + stall)

@@ -49,6 +49,13 @@ class Channel:
     kind = "base"
     proc = None
 
+    def __init__(self, fd: int) -> None:
+        #: Registered once: a wait is then a single ``poll(2)`` with no
+        #: per-call selector set-up, and — unlike ``select(2)`` — has
+        #: no ``FD_SETSIZE`` ceiling on the descriptor number.
+        self._poller = select.poll()
+        self._poller.register(fd, select.POLLIN)
+
     def send_bytes(self, blob: bytes) -> None:
         raise NotImplementedError
 
@@ -56,8 +63,12 @@ class Channel:
         raise NotImplementedError
 
     def poll(self, timeout: float = 0.0) -> bool:
-        """True when a frame (or EOF) is ready to be received."""
-        raise NotImplementedError
+        """True when a frame (or EOF) is ready to be received.
+
+        Hang-up, error and closed-descriptor events count as ready:
+        the ``recv_bytes`` that follows raises the closed error.
+        """
+        return bool(self._poller.poll(timeout * 1000.0))
 
     def alive(self) -> bool:
         """Best-effort: could the peer still send us a frame?"""
@@ -81,6 +92,7 @@ class PipeChannel(Channel):
     kind = "pipe"
 
     def __init__(self, conn, proc=None) -> None:
+        super().__init__(conn.fileno())
         self.conn = conn
         self.proc = proc
 
@@ -97,10 +109,8 @@ class PipeChannel(Channel):
             raise ChannelClosedError(f"pipe closed: {exc}") from exc
 
     def poll(self, timeout: float = 0.0) -> bool:
-        try:
-            return self.conn.poll(timeout)
-        except (BrokenPipeError, EOFError, OSError):
-            return True  # EOF is "ready": recv will raise closed
+        # A closed descriptor number may already name another file.
+        return self.conn.closed or super().poll(timeout)
 
     def alive(self) -> bool:
         if self.proc is not None:
@@ -126,6 +136,7 @@ class TcpChannel(Channel):
 
     def __init__(self, sock: socket.socket, peer: str = "",
                  proc=None) -> None:
+        super().__init__(sock.fileno())
         self.sock = sock
         self.proc = proc
         self._closed = False
@@ -163,13 +174,7 @@ class TcpChannel(Channel):
                 f"tcp peer {self.peer} gone: {exc}") from exc
 
     def poll(self, timeout: float = 0.0) -> bool:
-        if self._closed or self._eof:
-            return True
-        try:
-            ready, _, _ = select.select([self.sock], [], [], timeout)
-        except OSError:
-            return True
-        return bool(ready)
+        return self._closed or self._eof or super().poll(timeout)
 
     def alive(self) -> bool:
         """Liveness without consuming data: peek one byte nonblocking."""

@@ -1,0 +1,117 @@
+"""The mp wire costs one round trip per front-end op — as a count.
+
+A program with a known op mix runs on the mp backend with every
+coordinator-side channel wrapped in a frame counter.  The budget is two
+frames (call + reply) per load, store, compute and branch op, two per
+scheduler turn (RUN_QUANTUM + QUANTUM_DONE), and a constant for
+formation, spawn/join traffic, collection and shutdown.  A per-op cast
+frame, or a second RPC per memory op, costs at least one more frame
+per op and blows it.
+"""
+
+from __future__ import annotations
+
+import pytest
+
+import repro.distrib.coordinator as coordinator_module
+from repro.common.config import SimulationConfig
+from repro.distrib.wire import PickledProgram, make_program_ref
+from repro.net.channel import Channel
+from repro.sim.runner import create_simulator
+
+WORKERS = 3
+ROUNDS = 40
+#: Per thread and round: one store, one compute, one load, one branch.
+MEMORY_OPS = (WORKERS + 1) * ROUNDS * 2
+COMPUTE_BRANCH_OPS = (WORKERS + 1) * ROUNDS * 2
+#: Everything that does not scale with the op count: HELLO, SHUTDOWN
+#: and the three COLLECT_* round trips per worker process, one malloc,
+#: and per spawned thread the spawn and join protocols (system-network
+#: round trips, SPAWN, NOTIFY_WAKE).
+CONSTANT = 20 + 20 * WORKERS
+
+
+def _body(ctx, index, base):
+    slot = base + 8 * ROUNDS * index
+    for i in range(ROUNDS):
+        yield from ctx.store_u64(slot + 8 * i, i)
+        yield from ctx.compute(3)
+        value = yield from ctx.load_u64(slot + 8 * i)
+        yield from ctx.branch(value == i)
+
+
+def _main(ctx):
+    base = yield from ctx.malloc(8 * ROUNDS * (WORKERS + 1), 64)
+    threads = yield from ctx.spawn_workers(_body, WORKERS, base)
+    yield from _body(ctx, WORKERS, base)
+    yield from ctx.join_all(threads)
+
+
+class _CountingChannel(Channel):
+    """Delegating channel that counts the frames crossing it."""
+
+    def __init__(self, inner: Channel) -> None:
+        self._inner = inner
+        self.proc = inner.proc
+        self.frames = 0
+
+    def send_bytes(self, blob: bytes) -> None:
+        self.frames += 1
+        self._inner.send_bytes(blob)
+
+    def recv_bytes(self) -> bytes:
+        self.frames += 1
+        return self._inner.recv_bytes()
+
+    def poll(self, timeout: float = 0.0) -> bool:
+        return self._inner.poll(timeout)
+
+    def alive(self) -> bool:
+        return self._inner.alive()
+
+    def describe(self) -> str:
+        return self._inner.describe()
+
+    def close(self) -> None:
+        self._inner.close()
+
+
+@pytest.mark.parametrize("transport", ["pipe", "tcp"])
+def test_frames_stay_within_one_round_trip_per_op(transport, monkeypatch):
+    counted: list = []
+
+    class CountedCluster(coordinator_module.WorkerCluster):
+        def __init__(self, *args, **kwargs) -> None:
+            super().__init__(*args, **kwargs)
+            self._channels = [_CountingChannel(channel)
+                              for channel in self._channels]
+            counted.extend(self._channels)
+
+    monkeypatch.setattr(coordinator_module, "WorkerCluster",
+                        CountedCluster)
+    cfg = SimulationConfig(num_tiles=4, seed=7)
+    cfg.host.num_machines = 2
+    cfg.host.cores_per_machine = 2
+    cfg.host.quantum_instructions = 100
+    cfg.distrib.backend = "mp"
+    cfg.distrib.transport = transport
+    cfg.validate()
+    assert cfg.memory.l1i.enabled  # every op fetches
+    sim = create_simulator(cfg)
+    program = make_program_ref(_main)
+    assert isinstance(program, PickledProgram)
+    result = sim.run(program)
+
+    fetches = sum(value for name, value in result.counters.items()
+                  if name.endswith(".fetches"))
+    assert fetches == MEMORY_OPS + COMPUTE_BRANCH_OPS
+    turns = sim.scheduler.turns
+    # Formation's HELLO (one per worker) predates the wrap; it is part
+    # of CONSTANT all the same.
+    frames = len(counted) + sum(channel.frames for channel in counted)
+    budget = (2 * (MEMORY_OPS + COMPUTE_BRANCH_OPS) + 2 * turns
+              + CONSTANT)
+    assert frames <= budget, (frames, budget, turns)
+    # The budget is tight enough to notice one extra frame per op of
+    # either kind.
+    assert frames + min(MEMORY_OPS, COMPUTE_BRANCH_OPS) > budget

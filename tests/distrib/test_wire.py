@@ -144,6 +144,43 @@ def test_frame_version_mismatch_rejected():
         decode_frame(blob)
 
 
+def test_previous_wire_version_is_refused_at_both_gates():
+    """v7 reshaped KERNEL_CALL / KERNEL_CAST / QUANTUM_DONE payloads:
+    a v6 peer must be turned away by the per-frame check and, over
+    TCP, already by the handshake (whose error type is its own —
+    :mod:`repro.net` imports nothing from distrib)."""
+    import threading
+    from repro.net.handshake import HandshakeError
+    from repro.net.listener import NetListener, connect_worker
+
+    assert WIRE_VERSION == 7
+    stale = pickle.dumps((6, FrameKind.KERNEL_CALL.value,
+                          ("memory_fetch", (0, 0, 0))))
+    with pytest.raises(WireFormatError, match="got 6, expected 7"):
+        decode_frame(stale)
+
+    listener = NetListener("127.0.0.1:0", role="coordinator",
+                           wire_version=WIRE_VERSION)
+    refused = []
+
+    def accept():
+        try:
+            listener.accept(timeout=5.0)
+        except HandshakeError as exc:
+            refused.append(exc)
+
+    thread = threading.Thread(target=accept)
+    thread.start()
+    try:
+        with pytest.raises(HandshakeError, match="v6"):
+            connect_worker(listener.address, wire_version=6, timeout=5.0)
+    finally:
+        thread.join(timeout=10.0)
+        listener.close()
+    assert not thread.is_alive()
+    assert len(refused) == 1 and "v6" in str(refused[0])
+
+
 def test_frame_garbage_rejected():
     with pytest.raises(WireFormatError):
         decode_frame(b"not a frame")

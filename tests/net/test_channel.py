@@ -47,6 +47,52 @@ def test_peer_close_surfaces_as_channel_closed(pair):
         right.recv_bytes()
 
 
+def test_locally_closed_channel_polls_ready_then_raises(pair):
+    """A closed channel must never look idle: the coordinator's wait
+    loop would otherwise sit out the whole worker timeout on it."""
+    left, right = pair
+    right.close()
+    assert right.poll(0.0)
+    with pytest.raises(ChannelClosedError):
+        right.recv_bytes()
+
+
+def test_poll_works_above_fd_setsize():
+    """``select(2)`` cannot watch descriptors >= 1024 (FD_SETSIZE); a
+    1024-tile multi-host coordinator or a busy serve daemon gets
+    there.  The channel's poller has no such ceiling."""
+    import fcntl
+    import resource
+    soft, hard = resource.getrlimit(resource.RLIMIT_NOFILE)
+    wanted = 1200
+    if soft < wanted:
+        if hard != resource.RLIM_INFINITY and hard < wanted:
+            pytest.skip("RLIMIT_NOFILE hard limit below 1200")
+        try:
+            resource.setrlimit(resource.RLIMIT_NOFILE, (wanted, hard))
+        except (ValueError, OSError):
+            pytest.skip("not permitted to raise RLIMIT_NOFILE")
+    a, b = socket.socketpair()
+    high = socket.socket(fileno=fcntl.fcntl(b.fileno(), fcntl.F_DUPFD,
+                                            1100))
+    b.close()
+    left, right = TcpChannel(a, peer="low"), TcpChannel(high, peer="high")
+    try:
+        assert high.fileno() >= 1024
+        assert not right.poll(0.0)
+        left.send_bytes(b"above the ceiling")
+        assert right.poll(1.0)
+        assert right.recv_bytes() == b"above the ceiling"
+        left.close()
+        assert right.poll(1.0)  # EOF is ready, too
+        with pytest.raises(ChannelClosedError):
+            right.recv_bytes()
+    finally:
+        left.close()
+        right.close()
+        resource.setrlimit(resource.RLIMIT_NOFILE, (soft, hard))
+
+
 def test_send_to_closed_peer_raises_channel_closed(pair):
     left, right = pair
     right.close()
