@@ -40,6 +40,9 @@ These rules encode the repo-specific ways that property gets broken:
     allowlisted picklable field types, and any change to the field
     schema requires a ``WIRE_VERSION`` bump (tracked via a fingerprint
     manifest, refreshed with ``repro check --accept-wire-schema``).
+    The pickle wire's schema includes what its dataclasses cannot
+    show: the kernel methods the coordinator serves (names, arities)
+    and the tuple shapes of the quantum loop's frames.
 
 ``P001``–``P003``
     Wire-*protocol* conformance (who may send what, what must be
@@ -65,7 +68,7 @@ import json
 import re
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Dict, Iterable, List, Optional, Sequence, Set, Tuple
+from typing import Dict, List, Optional, Sequence, Set, Tuple
 
 #: Sub-packages whose code models the target and must be wall-clock and
 #: float-cycle clean (D001/D004) and set-iteration clean (D003).
@@ -97,6 +100,12 @@ WIRE_MODULES: Dict[str, Optional[str]] = {
     "serve/protocol.py": "serve",
     "net/handshake.py": "net",
 }
+
+#: Siblings of ``distrib/wire.py`` whose dispatch shape is wire schema:
+#: the coordinator's handler tables, and the tuple payloads either side
+#: puts on a frame (RUN_QUANTUM, KERNEL_CALL, KERNEL_REPLY, ...).
+WIRE_DISPATCH_SIBLINGS = ("coordinator.py", "worker.py")
+_HANDLER_TABLES = ("_rpc_handlers", "_cast_handlers")
 
 #: The one module allowed to construct random.Random.
 RNG_MODULE = "common/rng.py"
@@ -511,8 +520,42 @@ def _unsafe_annotation_names(annotation: ast.AST) -> Set[str]:
 _SCHEMA_PATH = Path(__file__).with_name("wire_schema.json")
 
 
-def wire_fingerprint(tree: ast.Module) -> Tuple[str, Optional[int]]:
-    """Schema fingerprint of a wire module: dataclass fields + types.
+def wire_siblings(path) -> List[ast.Module]:
+    """The parsed :data:`WIRE_DISPATCH_SIBLINGS` beside ``path``."""
+    beside = [Path(path).with_name(name) for name in WIRE_DISPATCH_SIBLINGS]
+    return [ast.parse(p.read_text()) for p in beside if p.exists()]
+
+
+def dispatch_rows(tree: ast.Module) -> List[Tuple[str, str, str]]:
+    """A dispatch module's share of the wire schema: each ``(handler
+    table, method, positional arity)`` and each ``(frame, "send",
+    payload shape)`` of a tuple-payload send site."""
+    arity = {node.name: len(node.args.args) - 1
+             for node in ast.walk(tree) if isinstance(node, ast.FunctionDef)}
+    rows = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.AnnAssign) and \
+                getattr(node.target, "attr", None) in _HANDLER_TABLES:
+            table = node.target.attr
+            for key, handler in zip(node.value.keys, node.value.values):
+                rows.add((table, key.value, str(
+                    len(handler.args.args)
+                    if isinstance(handler, ast.Lambda)
+                    else arity.get(getattr(handler, "attr", None)))))
+        elif isinstance(node, ast.Call):
+            for kind, payload in zip(node.args, node.args[1:]):
+                if isinstance(payload, ast.Tuple) and getattr(getattr(
+                        kind, "value", None), "id", None) == "FrameKind":
+                    rows.add((kind.attr, "send", "".join(
+                        "*" if isinstance(e, ast.Starred) else "."
+                        for e in payload.elts)))
+    return sorted(rows)
+
+
+def wire_fingerprint(tree: ast.Module, siblings: Sequence[ast.Module] = ()
+                     ) -> Tuple[str, Optional[int]]:
+    """Schema fingerprint of a wire module: dataclass fields + types,
+    plus the :func:`dispatch_rows` of its ``siblings``.
 
     Returns ``(fingerprint, wire_version)``; the fingerprint hashes the
     ordered ``(class, field, annotation)`` triples so *any* field
@@ -533,6 +576,8 @@ def wire_fingerprint(tree: ast.Module) -> Tuple[str, Optional[int]]:
                         isinstance(stmt.target, ast.Name):
                     rows.append((node.name, stmt.target.id,
                                  ast.dump(stmt.annotation)))
+    for sibling in siblings:
+        rows.extend(dispatch_rows(sibling))
     digest = hashlib.sha256(repr(rows).encode("utf-8")).hexdigest()[:16]
     return digest, version
 
@@ -547,7 +592,8 @@ def check_wire_manifest(tree: ast.Module, path: str,
     ``None`` reads the top-level entry (the pickle wire), a string
     reads a nested one (e.g. ``"serve"`` for the serve protocol).
     """
-    fingerprint, version = wire_fingerprint(tree)
+    fingerprint, version = wire_fingerprint(
+        tree, wire_siblings(path) if record_key is None else ())
     if not schema_path.exists():
         return [LintFinding(
             "W001", path, 1, 1,
@@ -566,7 +612,8 @@ def check_wire_manifest(tree: ast.Module, path: str,
     if recorded.get("fingerprint") != fingerprint:
         findings.append(LintFinding(
             "W001", path, 1, 1,
-            "wire dataclass fields changed since the recorded schema; "
+            "wire dataclass fields (or, for the pickle wire, the kernel "
+            "dispatch shape) changed since the recorded schema; "
             "bump WIRE_VERSION and run `python -m repro check "
             "--accept-wire-schema`"))
     elif recorded.get("wire_version") != version:
@@ -591,7 +638,8 @@ def accept_wire_schema(root: Optional[Path] = None,
     for rel, key in WIRE_MODULES.items():
         module = root / Path(rel)
         tree = ast.parse(module.read_text(), filename=str(module))
-        fingerprint, version = wire_fingerprint(tree)
+        fingerprint, version = wire_fingerprint(
+            tree, wire_siblings(module) if key is None else ())
         entry = {"wire_version": version, "fingerprint": fingerprint}
         if key is None:
             record.update(entry)
@@ -673,7 +721,3 @@ def lint_tree(root: Optional[Path] = None) -> List[LintFinding]:
     """Lint the whole repro package source tree."""
     root = package_root() if root is None else root
     return lint_paths([root], root)
-
-
-def render_findings(findings: Iterable[LintFinding]) -> str:
-    return "\n".join(f.render() for f in findings)

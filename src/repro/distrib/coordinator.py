@@ -17,12 +17,17 @@ byte-identical metrics from the same seed; the speed-up story of the
 mp backend is the *sweep pool* (:mod:`repro.distrib.pool`), which runs
 independent configurations in parallel.
 
-The service loop costs one round trip per front-end op: a LOAD/STORE
-is one fused fetch+access KERNEL_CALL, and the worker's one-way casts
-(the per-op host ``charge`` above all) arrive inside the next
-KERNEL_CALL or the closing QUANTUM_DONE and are applied ahead of it —
+The service loop costs one round trip per true interaction point — an
+L1 miss or write upgrade (the L1s live with the workers' threads; the
+L2s, the coherence point, stay here), a message, a sync or system
+call — not per front-end op.  The worker's one-way casts (the per-op
+host ``charge``, a completed store's bytes) arrive inside the next
+KERNEL_CALL or the closing QUANTUM_DONE and are applied ahead of it:
 the worker touches no shared state between a cast and the frame that
-carries it, so the order of shared-state touches is unchanged.
+carries it, so the order of shared-state touches is unchanged.  What
+an L2 does to a tile's L1s (inclusion purges, M->S downgrades) is as
+lazy: noted, it rides the next RUN_QUANTUM or KERNEL_REPLY to the
+tile's worker, which is before the tile next executes.
 """
 
 from __future__ import annotations
@@ -412,10 +417,12 @@ class WorkerCluster:
         self.send(self.owner(tile), FrameKind.SPAWN,
                   (int(tile), ref, args, start_clock, code_base))
 
-    def collect_stats(self) -> List[Dict[str, int]]:
-        """Fetch each attached worker's flattened local statistics."""
-        return [self.request(worker, FrameKind.COLLECT_STATS, None,
-                             FrameKind.STATS)
+    def collect_stats(self, l1_notes_for: Callable[[int], list]
+                      = lambda worker: []) -> List[Dict[str, int]]:
+        """Fetch each attached worker's flattened local statistics,
+        handing it its last L1 notes first (they move L1 counters)."""
+        return [self.request(worker, FrameKind.COLLECT_STATS,
+                             l1_notes_for(worker), FrameKind.STATS)
                 for worker in self.workers()]
 
     def collect_telemetry(self) -> List[TelemetryBatch]:
@@ -560,7 +567,21 @@ class DistribSimulator(Simulator):
         self._owner_at_ckpt: Dict[int, int] = {}
         #: True once the scripted drain (``--drain-turn``) has fired.
         self._drained = False
+        #: What the L2s did to the L1s the workers hold, in order, until
+        #: a frame to the tile's worker takes it along; rides snapshots.
+        self._l1_notes = self.engine.release_l1s()
         self._build_handler_tables()
+
+    def _l1_notes_for(self, worker: int) -> List[tuple]:
+        """Take the pending notes for the tiles ``worker`` holds *now*:
+        a shard that migrated since takes its notes with it."""
+        owner = self.cluster.owner
+        due = [note for note in self._l1_notes if owner(note[0]) == worker]
+        if due:
+            # In place: the hierarchies append to this very list.
+            self._l1_notes[:] = [note for note in self._l1_notes
+                                 if owner(note[0]) != worker]
+        return due
 
     def _arm_boundary(self) -> None:
         """The base stages plus ``net``, with the host-side policies it
@@ -592,11 +613,8 @@ class DistribSimulator(Simulator):
         cross a snapshot — and rebuilt on ``__setstate__``.
         """
         self._rpc_handlers: Dict[str, Callable] = {
-            "memory_load": self._rpc_memory_load,
-            "memory_store": self._rpc_memory_store,
-            "memory_fetch": self._rpc_memory_fetch,
-            "memory_fetch_load": self._rpc_memory_fetch_load,
-            "memory_fetch_store": self._rpc_memory_fetch_store,
+            "memory_read": self._rpc_memory_read,
+            "memory_write": self._rpc_memory_write,
             "fabric_send": self._rpc_fabric_send,
             "fabric_transfer": self._rpc_fabric_transfer,
             "malloc": lambda size, align: self.allocator.malloc(size,
@@ -618,6 +636,8 @@ class DistribSimulator(Simulator):
         }
         self._cast_handlers: Dict[str, Callable] = {
             "charge": self._cast_charge,
+            "store_data": lambda t, a, d: self.engine.apply_store(
+                TileId(t), a, d),
             "thread_finished": lambda t, c: self.thread_finished(
                 TileId(t), c),
             "wake_scheduler": lambda t: self.wake_scheduler(TileId(t)),
@@ -891,7 +911,8 @@ class DistribSimulator(Simulator):
         """
         worker = self.cluster.owner(task.tile)
         self.cluster.send(worker, FrameKind.RUN_QUANTUM,
-                          (int(task.tile), budget, cycle_limit))
+                          (int(task.tile), budget, cycle_limit,
+                           self._l1_notes_for(worker)))
         while True:
             kind, payload = self.cluster.recv(worker)
             if kind is FrameKind.QUANTUM_DONE:
@@ -906,8 +927,9 @@ class DistribSimulator(Simulator):
             if kind is FrameKind.KERNEL_CALL:
                 method, args, casts = payload
                 self._apply_casts(casts)
-                reply = self._rpc_handlers[method](*args)
-                self.cluster.send(worker, FrameKind.KERNEL_REPLY, reply)
+                value = self._rpc_handlers[method](*args)
+                self.cluster.send(worker, FrameKind.KERNEL_REPLY,
+                                  (value, self._l1_notes_for(worker)))
             elif kind is FrameKind.KERNEL_CAST:
                 self._apply_casts(payload)
             elif kind is FrameKind.TELEMETRY:
@@ -921,27 +943,21 @@ class DistribSimulator(Simulator):
 
     # -- RPC handlers --------------------------------------------------------
 
-    def _rpc_memory_load(self, tile: int, address: int, size: int,
-                         timestamp: int) -> tuple:
-        return self.controllers[tile].load(address, size, timestamp)
+    def _rpc_memory_read(self, tile: int, address: int, size: int,
+                         timestamp: int, want_line: bool) -> tuple:
+        """An L1 miss: ``(line bytes, line state, latency)``.  An
+        instruction fetch fills a tag only and wants no bytes."""
+        line, latency = self.engine.read_access(TileId(tile), address,
+                                                size, timestamp)
+        return (bytes(line.data) if want_line else None,
+                line.state.value, latency)
 
-    def _rpc_memory_store(self, tile: int, address: int, data: bytes,
-                          timestamp: int) -> int:
-        return self.controllers[tile].store(address, data, timestamp)
-
-    def _rpc_memory_fetch(self, tile: int, pc: int,
-                          timestamp: int) -> int:
-        return self.controllers[tile].fetch(pc, timestamp)
-
-    def _rpc_memory_fetch_load(self, tile: int, pc: int, address: int,
-                               size: int, timestamp: int) -> tuple:
-        return self.controllers[tile].fetch_load(pc, address, size,
-                                                 timestamp)
-
-    def _rpc_memory_fetch_store(self, tile: int, pc: int, address: int,
-                                data: bytes, timestamp: int) -> tuple:
-        return self.controllers[tile].fetch_store(pc, address, data,
-                                                  timestamp)
+    def _rpc_memory_write(self, tile: int, address: int, size: int,
+                          timestamp: int) -> tuple:
+        """An L1D write miss, or a store to a line held S or E."""
+        line, latency = self.engine.write_access(TileId(tile), address,
+                                                 size, timestamp)
+        return bytes(line.data), line.state.value, latency
 
     def _rpc_fabric_send(self, src: int, dst: int, kind: str,
                          payload: Any, size_bytes: int, timestamp: int,
@@ -970,18 +986,11 @@ class DistribSimulator(Simulator):
             handlers[method](*args)
 
     def _cast_charge(self, token: tuple) -> None:
-        """Evaluate a deferred cost token, consuming jitter RNG here —
-        in cast-issue order, which equals in-process call order."""
-        kind, *rest = token
-        if kind == "instructions":
-            cost = self.cost_model.instructions(rest[0])
-        elif kind == "model_trap":
-            cost = self.cost_model.model_trap()
-        elif kind == "memory_access":
-            cost = self.cost_model.memory_access()
-        else:
-            raise DistribError(f"unknown cost token {token!r}")
-        self.scheduler.charge(cost)
+        """Evaluate a deferred cost token ``(cost-model method, *args)``,
+        consuming jitter RNG here — in cast-issue order, which equals
+        in-process call order."""
+        method, *args = token
+        self.scheduler.charge(getattr(self.cost_model, method)(*args))
 
     # -- results -------------------------------------------------------------
 
@@ -998,7 +1007,7 @@ class DistribSimulator(Simulator):
         if channel is not None:
             for index in self.cluster.workers():
                 channel.emit("worker_stop", None, 0, {"worker": index})
-        for flat in self.cluster.collect_stats():
+        for flat in self.cluster.collect_stats(self._l1_notes_for):
             self.stats.add_flat(flat)
         if self.profiler is not None:
             self._worker_host_scopes = {

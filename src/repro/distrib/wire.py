@@ -37,10 +37,14 @@ from repro.distrib.errors import ProgramTransportError, WireFormatError
 #: v7: one round trip per front-end op — KERNEL_CALL is ``(method,
 #: args, casts)`` and QUANTUM_DONE ends with ``casts`` (the one-way
 #: casts issued since the previous frame, applied before it),
-#: KERNEL_CAST is a batch ``[(method, args), ...]``, and the
-#: ``memory_fetch_load`` / ``memory_fetch_store`` calls fuse the
-#: instruction fetch into the data access.
-WIRE_VERSION = 7
+#: KERNEL_CAST is a batch ``[(method, args), ...]``, and two fused
+#: calls carry a LOAD/STORE's instruction fetch with its data access.
+#: v8: the L1s live in the worker — ``memory_read`` / ``memory_write``
+#: (L1 misses and upgrades; the reply carries the line) replace the five
+#: per-access calls, ``store_data`` casts forward completed stores, and
+#: RUN_QUANTUM ``(tile, budget, cycle_limit, l1_notes)``, KERNEL_REPLY
+#: ``(value, l1_notes)`` and COLLECT_STATS carry the L1 notes due.
+WIRE_VERSION = 8
 
 
 class FrameKind(enum.Enum):
@@ -50,7 +54,8 @@ class FrameKind(enum.Enum):
     HELLO = "hello"
     #: coordinator -> worker: create an interpreter for a tile.
     SPAWN = "spawn"
-    #: coordinator -> worker: run one scheduler quantum on a tile.
+    #: coordinator -> worker: run one scheduler quantum on a tile, after
+    #: applying the L1 notes (purges, downgrades) due to the worker.
     RUN_QUANTUM = "run_quantum"
     #: worker -> coordinator: quantum finished (status + core state +
     #: the casts issued since the last KERNEL_CALL).
@@ -58,7 +63,8 @@ class FrameKind(enum.Enum):
     #: worker -> coordinator: kernel RPC (needs a KERNEL_REPLY), with
     #: the casts issued since the previous frame, to apply first.
     KERNEL_CALL = "kernel_call"
-    #: coordinator -> worker: RPC return value.
+    #: coordinator -> worker: RPC return value, and the L1 notes the
+    #: call (or anything since the last frame) left for the worker.
     KERNEL_REPLY = "kernel_reply"
     #: worker -> coordinator: a batch of one-way kernel notifications
     #: (no reply).  Casts normally ride the next KERNEL_CALL or
@@ -75,7 +81,8 @@ class FrameKind(enum.Enum):
     #: scheduler hook — so no interpreter is ever mid-quantum when the
     #: mode flips (:mod:`repro.sample`).
     SET_MODE = "set_mode"
-    #: coordinator -> worker: request the flattened local stats.
+    #: coordinator -> worker: request the flattened local stats
+    #: (payload: the worker's last L1 notes, which move L1 counters).
     COLLECT_STATS = "collect_stats"
     #: worker -> coordinator: flattened local stats.
     STATS = "stats"

@@ -4,12 +4,14 @@ A worker is the mp backend's analogue of one Graphite target process:
 it owns the tile threads striped onto it (paper §3.5) and *really*
 executes their programs — the generators run here, op by op, through
 unmodified :class:`~repro.frontend.interpreter.ThreadInterpreter`
-instances.  What the worker does **not** own is shared simulation
-state: the memory system, network models, MCP, allocator, host cost
+instances and each tile's real memory controller, over L1s it owns
+(:class:`~repro.memory.hierarchy.MirroredL1`): a hit never leaves the
+process.  What the worker does **not** own is shared simulation state:
+the L2s and all behind them, network models, MCP, allocator, host cost
 model and scheduler all live in the coordinator, reached through
 :class:`KernelProxy` — a stand-in for the kernel object whose local
-pieces (config, per-thread stats, inbound message queues) are worker
-resident and whose shared pieces are RPCs over the control pipe.
+pieces (config, per-thread stats, L1s, inbound message queues) are
+worker resident and whose shared pieces are RPCs over the control pipe.
 
 Determinism: the pipe is FIFO and the coordinator runs exactly one
 quantum anywhere at a time, so kernel calls reach the coordinator in
@@ -18,9 +20,10 @@ order in which the jittered cost model's RNG is consumed.  Cost-model
 lookups themselves are deferred: ``cost_model.instructions(n)`` here
 returns a token, and the coordinator evaluates it (consuming RNG) when
 the paired ``charge`` arrives.  One-way casts (``charge``,
-``wake_scheduler``, ``thread_finished``) cost no frame of their own:
-they ride the next KERNEL_CALL or the closing QUANTUM_DONE and are
-applied, in order, ahead of it.
+``store_data``, ``wake_scheduler``, ``thread_finished``) cost no frame
+of their own: they ride the next KERNEL_CALL or the closing
+QUANTUM_DONE and are applied, in order, ahead of it.  What the L2s do
+to our L1s comes back as lazily, as notes in RUN_QUANTUM / KERNEL_REPLY.
 """
 
 from __future__ import annotations
@@ -43,6 +46,10 @@ from repro.distrib.wire import (
     encode_frame,
 )
 from repro.frontend.interpreter import ThreadInterpreter
+from repro.memory.address import AddressSpace
+from repro.memory.cache import CacheLine, LineState
+from repro.memory.controller import MemoryController
+from repro.memory.hierarchy import MirroredL1
 from repro.profile.timers import create_profiler
 from repro.telemetry.aggregate import TelemetryBatch
 from repro.telemetry.bus import create_bus
@@ -64,40 +71,71 @@ class _DeferredCostModel:
     def model_trap(self) -> tuple:
         return ("model_trap",)
 
-    def memory_access(self) -> tuple:
-        return ("memory_access",)
+
+#: The per-access host charge; one tuple, so pickled once per frame.
+_MEMORY_CHARGE = ("charge", (("memory_access",),))
 
 
-class _MemoryProxy:
-    """``kernel.controllers[tile]`` stand-in: RPCs to the real MC."""
+class _RemoteL2:
+    """``controller.engine`` in a worker: the coordinator-homed L2s, as
+    the slice of ``CoherenceEngine`` a controller uses.  Its accesses —
+    L1 misses and write upgrades — are the only memory RPCs there are."""
 
-    __slots__ = ("_kernel", "_tile")
+    classifier = None  # misses are classified where the L2s are
 
-    def __init__(self, kernel: "KernelProxy", tile: int) -> None:
+    def __init__(self, kernel: "KernelProxy") -> None:
         self._kernel = kernel
-        self._tile = tile
+        self.config = kernel.config.memory
+        self.line_bytes = self.config.l2.line_bytes
+        self.space = AddressSpace(kernel.config.num_tiles,
+                                  self.line_bytes)
+        self.hierarchies: dict = {}  # tile -> MirroredL1, once it ran
 
-    def load(self, address: int, size: int, timestamp: int):
-        return self._kernel.rpc("memory_load",
-                                (self._tile, address, size, timestamp))
+    @property
+    def functional(self) -> bool:
+        return self._kernel.exec_functional
 
-    def store(self, address: int, data: bytes, timestamp: int) -> int:
-        return self._kernel.rpc("memory_store",
-                                (self._tile, address, data, timestamp))
+    def _line(self, address: int, reply: tuple) -> tuple:
+        data, state, latency = reply
+        return CacheLine(self.space.line_of(address), LineState(state),
+                         bytearray(data)), latency
 
-    def fetch(self, pc: int, timestamp: int) -> int:
-        return self._kernel.rpc("memory_fetch",
-                                (self._tile, pc, timestamp))
+    def read_access(self, tile: TileId, address: int, size: int,
+                    timestamp: int) -> tuple:
+        return self._line(address, self._kernel.rpc(
+            "memory_read", (int(tile), address, size, timestamp, True)))
 
-    def fetch_load(self, pc: int, address: int, size: int,
-                   timestamp: int):
-        return self._kernel.rpc("memory_fetch_load",
-                                (self._tile, pc, address, size, timestamp))
+    def write_access(self, tile: TileId, address: int, size: int,
+                     timestamp: int) -> tuple:
+        return self._line(address, self._kernel.rpc(
+            "memory_write", (int(tile), address, size, timestamp)))
 
-    def fetch_store(self, pc: int, address: int, data: bytes,
-                    timestamp: int):
-        return self._kernel.rpc("memory_fetch_store",
-                                (self._tile, pc, address, data, timestamp))
+    def fetch_access(self, tile: TileId, pc: int, timestamp: int) -> int:
+        return self._kernel.rpc(
+            "memory_read", (int(tile), pc, 4, timestamp, False))[2]
+
+    def forward_store(self, tile: TileId, address: int,
+                      data: bytes) -> None:
+        self._kernel.cast("store_data", (int(tile), address, data))
+
+
+class _ControllerTable(dict):
+    """``controllers[tile]``: the tile's real memory controller over its
+    own L1s, built on first use — a worker models only tiles it runs."""
+
+    def __init__(self, kernel: "KernelProxy") -> None:
+        super().__init__()
+        self._kernel = kernel
+
+    def __missing__(self, tile: int) -> MemoryController:
+        kernel = self._kernel
+        kernel.engine.hierarchies[tile] = MirroredL1(
+            kernel.engine.config,
+            kernel.stats.child("memory").child(f"tile{tile}"))
+        self[tile] = MemoryController(
+            TileId(tile), kernel.engine, kernel.charge_memory_access,
+            kernel.stats.child(f"mc{tile}"))
+        return self[tile]
 
 
 class _NetIfProxy:
@@ -214,18 +252,6 @@ class _McpProxy:
                                 (address, int(tile)))
 
 
-class _ControllerTable:
-    """Lazy ``controllers[tile]`` lookup over the whole tile space."""
-
-    __slots__ = ("_kernel",)
-
-    def __init__(self, kernel: "KernelProxy") -> None:
-        self._kernel = kernel
-
-    def __getitem__(self, tile: int) -> _MemoryProxy:
-        return _MemoryProxy(self._kernel, int(tile))
-
-
 class KernelProxy:
     """The kernel object handed to this worker's interpreters."""
 
@@ -245,6 +271,7 @@ class KernelProxy:
         #: coordinator's trace file); events batch over the wire.
         self.telemetry = create_bus(config.telemetry, with_sinks=False)
         self.cost_model = _DeferredCostModel()
+        self.engine = _RemoteL2(self)
         self.controllers = _ControllerTable(self)
         self.fabric = _FabricProxy(self)
         self.allocator = _AllocatorProxy(self)
@@ -261,6 +288,9 @@ class KernelProxy:
 
     def cast(self, method: str, args: tuple) -> None:
         self._worker.cast(method, args)
+
+    def charge_memory_access(self) -> None:
+        self._worker._casts.append(_MEMORY_CHARGE)
 
     # -- kernel interface ----------------------------------------------------
 
@@ -406,7 +436,9 @@ class Worker:
         while True:
             kind, payload = self._recv()
             if kind is FrameKind.KERNEL_REPLY:
-                return payload
+                value, l1_notes = payload
+                self._apply_l1_notes(l1_notes)
+                return value
             if kind is FrameKind.SHUTDOWN:
                 # The coordinator aborted mid-call (its side raised);
                 # exit instead of waiting for a reply that never comes.
@@ -419,6 +451,13 @@ class Worker:
     def _take_casts(self) -> List[tuple]:
         casts, self._casts = self._casts, []
         return casts
+
+    def _apply_l1_notes(self, notes: List[tuple]) -> None:
+        """What the coordinator's L2s did to our tiles' L1s since the
+        last frame it sent us, in order: ``(tile, line, L1 method)``."""
+        for tile, line_address, action in notes:
+            getattr(self.kernel.controllers[tile].hierarchy,
+                    action)(line_address)
 
     # -- frame handlers ------------------------------------------------------
 
@@ -472,7 +511,8 @@ class Worker:
                                    {"worker": self.process_index})
 
     def _handle_run_quantum(self, payload: tuple) -> None:
-        tile, budget, cycle_limit = payload
+        tile, budget, cycle_limit, l1_notes = payload
+        self._apply_l1_notes(l1_notes)
         interpreter = self.interpreters[tile]
         if self.profiler is not None:
             self.profiler.enter("quantum.run")
@@ -505,8 +545,8 @@ class Worker:
 
         Arrives only between quanta, so no interpreter is mid-op; the
         shard's entire mutable state is the kernel proxy (stats tree,
-        inbound queues) plus the interpreters, pickled as one graph so
-        shared references survive.
+        L1s, inbound queues) plus the interpreters, pickled as one graph
+        so shared references survive.
         """
         from repro.ckpt.snapshot import snapshot_bytes
         blob = snapshot_bytes({"kernel": self.kernel,
@@ -583,6 +623,9 @@ class Worker:
             # migrated tiles land in our queues, and the migrated
             # interpreters poll through their (rewired) kernel.
             kernel.queues = self.queues
+            # And one controller table: L1 notes for a migrated tile,
+            # and a later thread on it, find the L1s it warmed.
+            self.kernel.controllers.update(kernel.controllers)
         for tile, interpreter in shard["interpreters"].items():
             interpreter.rebuild_generator()
             self.interpreters[tile] = interpreter
@@ -611,7 +654,8 @@ class Worker:
         self._send(FrameKind.CKPT_ACK,
                    ShardCheckpoint(self.process_index, b""))
 
-    def _handle_collect_stats(self) -> None:
+    def _handle_collect_stats(self, l1_notes: List[tuple]) -> None:
+        self._apply_l1_notes(l1_notes)  # a purge counts an invalidation
         flat = dict(self.kernel.stats.to_dict())
         for kernel in self.adopted:
             for path, value in kernel.stats.to_dict().items():
@@ -670,7 +714,7 @@ class Worker:
                 elif kind is FrameKind.RELEASE:
                     self._handle_release()
                 elif kind is FrameKind.COLLECT_STATS:
-                    self._handle_collect_stats()
+                    self._handle_collect_stats(payload)
                 elif kind is FrameKind.COLLECT_TELEMETRY:
                     self._handle_collect_telemetry()
                 elif kind is FrameKind.COLLECT_HOST_STATS:

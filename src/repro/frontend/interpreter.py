@@ -247,17 +247,11 @@ class ThreadInterpreter(ThreadTask):
 
     # -- op dispatch ------------------------------------------------------------------
 
-    def _execute(self, op: Any) -> Any:
-        handler = self._HANDLERS.get(type(op))
-        if handler is None:
-            raise SimulationError(f"unknown front-end op {op!r}")
-        return handler(self, op)
-
     def _fetch(self) -> None:
         """Model the instruction fetch for one op (one basic block)
-        that makes no data access; ``_op_load`` / ``_op_store`` fuse
-        theirs into the access.  The cursor walk is spelled out at all
-        three sites: a helper call per op is measurable here."""
+        that makes no data access; ``_op_load`` / ``_op_store`` spell
+        the same walk out inline: a helper call per op is measurable
+        there."""
         if not self._model_ifetch:
             return
         pc = self._code_base + self._fetch_cursor
@@ -284,18 +278,14 @@ class ThreadInterpreter(ThreadTask):
 
     def _op_load(self, op: ops.Load) -> bytes:
         if self._model_ifetch:
-            # One controller call (one round trip on the mp backend)
-            # for the fetch and the access it precedes.
             pc = self._code_base + self._fetch_cursor
             self._fetch_cursor = (
                 self._fetch_cursor + 64) % CODE_FOOTPRINT_BYTES
-            stall, data, latency = self.memory.fetch_load(
-                pc, op.address, op.size, self.core.cycles)
-            if stall:
-                self.core.clock.advance(stall)
-        else:
-            data, latency = self.memory.load(op.address, op.size,
-                                             self.core.cycles)
+            fetched = self.memory.fetch(pc, self.core.cycles)
+            if fetched > self._l1i_hit_latency:
+                self.core.clock.advance(fetched - self._l1i_hit_latency)
+        data, latency = self.memory.load(op.address, op.size,
+                                         self.core.cycles)
         self.core.execute_memory(MemoryInstruction(
             InstructionClass.LOAD, op.address, op.size, latency))
         self.kernel.charge(self.kernel.cost_model.instructions(1))
@@ -306,13 +296,10 @@ class ThreadInterpreter(ThreadTask):
             pc = self._code_base + self._fetch_cursor
             self._fetch_cursor = (
                 self._fetch_cursor + 64) % CODE_FOOTPRINT_BYTES
-            stall, latency = self.memory.fetch_store(
-                pc, op.address, op.data, self.core.cycles)
-            if stall:
-                self.core.clock.advance(stall)
-        else:
-            latency = self.memory.store(op.address, op.data,
-                                        self.core.cycles)
+            fetched = self.memory.fetch(pc, self.core.cycles)
+            if fetched > self._l1i_hit_latency:
+                self.core.clock.advance(fetched - self._l1i_hit_latency)
+        latency = self.memory.store(op.address, op.data, self.core.cycles)
         self.core.execute_memory(MemoryInstruction(
             InstructionClass.STORE, op.address, len(op.data), latency))
         self.kernel.charge(self.kernel.cost_model.instructions(1))

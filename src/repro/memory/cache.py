@@ -163,10 +163,6 @@ class Cache:
         n = self._lookups.value
         return self._hits.value / n if n else 0.0
 
-    @property
-    def miss_count(self) -> int:
-        return self._lookups.value - self._hits.value
-
     def __iter__(self):
         """Iterate over all resident lines (tests, invariant checks)."""
         for cache_set in self._sets:

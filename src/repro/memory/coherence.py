@@ -48,6 +48,9 @@ HEADER_BYTES = 8
 class CoherenceEngine:
     """Global protocol engine owning all per-tile memory structures."""
 
+    #: Controllers forward no store here: they write the L2's own line.
+    forward_store = None
+
     def __init__(self, num_tiles: int, config: MemoryConfig,
                  space: AddressSpace, backing: BackingStore,
                  fabric: NetworkFabric, clock_hz: int,
@@ -207,6 +210,33 @@ class CoherenceEngine:
                                    "latency": now - timestamp,
                                    "forwarded": data_forwarded})
         return line, now - timestamp
+
+    def fetch_access(self, tile: TileId, pc: int, timestamp: int) -> int:
+        """An instruction-fetch miss: a read whose bytes nobody wants."""
+        return self.read_access(tile, pc, 4, timestamp)[1]
+
+    def release_l1s(self) -> List[tuple]:
+        """The L1s move out to where the tiles' threads run (mp workers);
+        the L2s note ``(tile, line, L1 method)`` in the returned list."""
+        notes: List[tuple] = []
+        for hierarchy in self.hierarchies:
+            hierarchy.l1i = hierarchy.l1d = None
+            hierarchy.l1_notes = notes
+        return notes
+
+    def apply_store(self, tile: TileId, address: int, data: bytes) -> None:
+        """Commit a store that completed against a mirror of ``tile``'s
+        line (an mp worker's ``forward_store``) to the line itself."""
+        line = self.hierarchies[int(tile)].l2.peek(
+            self.space.line_of(address))
+        if line is None or line.state is not LineState.MODIFIED:
+            raise ProtocolError(
+                f"tile {int(tile)} stored to {address:#x} without "
+                f"holding its line modified ({line!r})")
+        offset = address - line.address
+        line.data[offset:offset + len(data)] = data
+        if self.classifier is not None:
+            self.classifier.note_store(tile, address, len(data))
 
     def write_access(self, tile: TileId, address: int, size: int,
                      timestamp: int) -> "tuple[CacheLine, int]":

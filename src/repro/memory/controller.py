@@ -6,6 +6,10 @@ system: it validates addresses, splits accesses that straddle cache
 lines, models the L1s (timing-only tag arrays), delegates line
 ownership to the coherence engine, moves the actual bytes, and charges
 the host cost of each model invocation.
+
+It runs where the tile's thread runs: in an mp worker ``engine`` is a
+stand-in whose ``read_access`` / ``write_access`` / ``fetch_access`` are
+the only calls to leave the process, and the L1s a ``MirroredL1``.
 """
 
 from __future__ import annotations
@@ -35,6 +39,9 @@ class MemoryController:
         self.hierarchy = engine.hierarchies[int(tile)]
         self.line_bytes = engine.line_bytes
         self._charge_fn = charge_memory_access
+        #: With the L2 a process away (mp) a store wrote a copy, and is
+        #: forwarded to the real line; ``None`` where it wrote that.
+        self._forward_store = engine.forward_store
         self._loads = stats.counter("loads")
         self._stores = stats.counter("stores")
         self._fetches = stats.counter("fetches")
@@ -90,7 +97,7 @@ class MemoryController:
             else:
                 line, miss_latency = self.engine.read_access(
                     self.tile, address, size, timestamp)
-                self.hierarchy.fill_l1d(line_address)
+                self.hierarchy.fill_l1d(line)
                 latency = self._l1d_latency + miss_latency
             assert line.data is not None
             return bytes(line.data[offset:offset + size]), latency
@@ -109,7 +116,7 @@ class MemoryController:
             else:
                 line, miss_latency = self.engine.read_access(
                     self.tile, piece_address, chunk, timestamp + latency)
-                self.hierarchy.fill_l1d(line_address)
+                self.hierarchy.fill_l1d(line)
                 piece_latency = self._l1d_latency + miss_latency
             assert line.data is not None
             out += line.data[offset:offset + chunk]
@@ -135,13 +142,15 @@ class MemoryController:
             else:
                 line, miss_latency = self.engine.write_access(
                     self.tile, address, size, timestamp)
-                self.hierarchy.fill_l1d(line_address)
+                self.hierarchy.fill_l1d(line)
                 latency = self._l1d_latency + miss_latency
             assert line.data is not None
             line.data[offset:offset + size] = data
             if self.engine.classifier is not None:
                 self.engine.classifier.note_store(self.tile, address,
                                                   size)
+            if self._forward_store is not None:
+                self._forward_store(self.tile, address, data)
             return latency
         latency = 0
         consumed = 0
@@ -156,7 +165,7 @@ class MemoryController:
             else:
                 line, miss_latency = self.engine.write_access(
                     self.tile, piece_address, chunk, timestamp + latency)
-                self.hierarchy.fill_l1d(line_address)
+                self.hierarchy.fill_l1d(line)
                 piece_latency = self._l1d_latency + miss_latency
             assert line.data is not None
             line.data[offset:offset + chunk] = \
@@ -164,6 +173,9 @@ class MemoryController:
             if self.engine.classifier is not None:
                 self.engine.classifier.note_store(
                     self.tile, piece_address, chunk)
+            if self._forward_store is not None:
+                self._forward_store(self.tile, piece_address,
+                                    data[consumed:consumed + chunk])
             consumed += chunk
             latency += piece_latency
         return latency
@@ -179,31 +191,6 @@ class MemoryController:
         line_address = self.space.line_of(pc)
         if self.hierarchy.l1i_hit(line_address):
             return self._l1i_latency
-        _, miss_latency = self.engine.read_access(
-            self.tile, pc, 4, timestamp)
+        miss_latency = self.engine.fetch_access(self.tile, pc, timestamp)
         self.hierarchy.fill_l1i(line_address)
         return self._l1i_latency + miss_latency
-
-    # -- fused accesses ----------------------------------------------------------
-
-    # A LOAD/STORE op is an instruction fetch followed by the data
-    # access, with only a clock advance in between.  Fusing the pair is
-    # one call — one wire round trip on the mp backend — instead of
-    # two; both are written in terms of the methods above, so every
-    # counter, probe and observer sees the same calls in the same order.
-
-    def fetch_load(self, pc: int, address: int, size: int, timestamp: int
-                   ) -> Tuple[int, bytes, int]:
-        """Fetch, then load once the fetch stall has elapsed; returns
-        (fetch stall, bytes, load latency).  Only the miss portion of
-        a fetch stalls — the L1I hit latency is pipelined."""
-        stall = self.fetch(pc, timestamp) - self._l1i_latency
-        data, latency = self.load(address, size, timestamp + stall)
-        return stall, data, latency
-
-    def fetch_store(self, pc: int, address: int, data: bytes,
-                    timestamp: int) -> Tuple[int, int]:
-        """Fetch, then store once the fetch stall has elapsed; returns
-        (fetch stall, store latency)."""
-        stall = self.fetch(pc, timestamp) - self._l1i_latency
-        return stall, self.store(address, data, timestamp + stall)

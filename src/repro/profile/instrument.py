@@ -12,7 +12,7 @@ Scope names form the per-subsystem attribution the reports aggregate:
 ``scheduler.quantum``   one scheduler turn (dispatch + the quantum body)
 ``frontend.interpret``  op-stream interpretation (inproc tile threads)
 ``core.model``          the core performance model (timing of instructions)
-``memory.controller``   per-tile memory controller (load/store/fetch)
+``memory.controller``   per-tile memory controller (inproc tile threads)
 ``memory.coherence``    the directory coherence engine
 ``memory.dram``         DRAM controller queue/service models
 ``network.fabric``      network model send/transfer

@@ -13,6 +13,7 @@ from repro.check.lint import (
     package_root,
     scope_for,
     wire_fingerprint,
+    wire_siblings,
 )
 
 FIXTURES = Path(__file__).parent / "fixtures"
@@ -257,8 +258,9 @@ class TestRealTree:
         it is today — the refresh after a version bump is mandatory."""
         import json
         root = package_root()
-        tree = ast.parse((root / "distrib" / "wire.py").read_text())
-        fingerprint, version = wire_fingerprint(tree)
+        wire_path = root / "distrib" / "wire.py"
+        fingerprint, version = wire_fingerprint(
+            ast.parse(wire_path.read_text()), wire_siblings(wire_path))
         serve_tree = ast.parse(
             (root / "serve" / "protocol.py").read_text())
         serve_fingerprint, serve_version = wire_fingerprint(serve_tree)

@@ -8,6 +8,7 @@ message counts, every counter) whichever backend ran the simulation.
 from __future__ import annotations
 
 import functools
+import pickle
 import tempfile
 
 import pytest
@@ -17,7 +18,8 @@ from hypothesis import strategies as st
 from repro.ckpt.recovery import load_checkpoint
 from repro.common.config import SimulationConfig
 from repro.distrib.coordinator import DistribSimulator
-from repro.distrib.wire import WorkloadRef
+from repro.distrib.wire import WorkloadRef, make_program_ref
+from repro.memory.cache import LineState
 from repro.serve.store import canonical_result_bytes
 from repro.sim.runner import create_simulator, run_simulation
 from repro.sim.simulator import Simulator
@@ -82,19 +84,61 @@ def test_run_simulation_selects_backend():
 
 # -- one searched property: the wire's deferrals reorder nothing ------------
 #
-# Casts ride the next call and the instruction fetch rides the memory
-# access it precedes (wire v7); neither may change *when* shared state
-# is touched.  Rather than enumerate feature pairs, draw the model
-# choices, the carrier, the observers and one membership / recovery
-# perturbation together, and require the mp run to equal the plain
-# in-process run byte for byte — result and event stream.
+# Casts ride the next call, and the L1s live in the worker: hits touch
+# nothing shared, store bytes are casts, and what an L2 does to an L1
+# arrives with the next frame to that worker (wire v8).  None of it may
+# change *when* shared state is touched.  Rather than enumerate feature
+# pairs, draw the model choices, the program, the carrier, the observers
+# and one membership / recovery perturbation together, and require the
+# mp run to equal the plain in-process run byte for byte — result and
+# event stream.
 
-def _drawn_config(l1i: bool, network: str, sync: str,
+SHARE_ROUNDS = 120
+
+
+def _sharer(ctx, index, base):
+    """Four threads on tiles 0-3 of six (4 and 5 never run; 0 and 2
+    share one worker, 1 and 3 the other) false-share the line at
+    ``base``, straddle it into the next, and keep one private line
+    each — read before written, so MESI grants it exclusively."""
+    word = base + 8 * index
+    private = base + 128 + 64 * index
+    total = 0
+    for i in range(SHARE_ROUNDS):
+        value = yield from ctx.load_u64(word)
+        yield from ctx.store_u64(word, value + index + 1)
+        seen = yield from ctx.load(base + 60, 8)  # two lines
+        if i % 4 == index:
+            yield from ctx.store(base + 60, bytes([i % 251 + 1]) * 8)
+        kept = yield from ctx.load_u64(private + 8 * (i % 8))
+        yield from ctx.store_u64(private + 8 * (i % 8), kept + i)
+        yield from ctx.compute(3)
+        total += value + sum(seen) + kept
+    return total
+
+
+def _sharing_main(ctx):
+    base = yield from ctx.malloc(512, 64)
+    threads = yield from ctx.spawn_workers(_sharer, 3, base)
+    total = yield from _sharer(ctx, 3, base)
+    yield from ctx.join_all(threads)
+    line = yield from ctx.load(base, 64)
+    return total, bytes(line)
+
+
+PROGRAMS = {"matmul": (4, REF), "sharing": (6, _sharing_main)}
+
+
+def _drawn_config(program: str, protocol: str, l1d: bool, classify: bool,
+                  l1i: bool, network: str, sync: str,
                   telemetry: bool) -> SimulationConfig:
-    cfg = SimulationConfig(num_tiles=4, seed=11)
+    cfg = SimulationConfig(num_tiles=PROGRAMS[program][0], seed=11)
     cfg.host.num_machines = 2
     cfg.host.cores_per_machine = 2
     cfg.host.quantum_instructions = 200
+    cfg.memory.protocol = protocol
+    cfg.memory.l1d.enabled = l1d
+    cfg.memory.classify_misses = classify
     cfg.memory.l1i.enabled = l1i
     cfg.network.memory_model = network
     cfg.sync.model = sync
@@ -125,7 +169,7 @@ def _coordinator_order(sim) -> list:
     Every category the coordinator alone emits on the mp backend
     (memory, network, scheduler …) is an in-order record of shared-
     state touches; it must equal the in-process emission order, which
-    is exactly what a reordered cast or fetch would break.
+    is exactly what a reordered cast, store or purge would break.
     """
     shared = ~(EventCategory.WORKER | EventCategory.SYNC
                | EventCategory.NET | EventCategory.OBS)
@@ -135,19 +179,29 @@ def _coordinator_order(sim) -> list:
 
 
 @functools.lru_cache(maxsize=None)
-def _reference(l1i: bool, network: str, sync: str, telemetry: bool):
+def _reference(*drawn):
     """The plain in-process run of one drawn model configuration."""
-    cfg = _drawn_config(l1i, network, sync, telemetry)
+    cfg = _drawn_config(*drawn)
     cfg.validate()
     sim = Simulator(cfg)
-    result = canonical_result_bytes(sim.run(REF))
-    if not telemetry:
-        return result, None, None
-    return result, _event_stream(sim), _coordinator_order(sim)
+    result = sim.run(make_program_ref(PROGRAMS[drawn[0]][1]))
+    if drawn[0] == "sharing":
+        # Tiles 4 and 5 never ran; their counters exist all the same.
+        assert result.counters["sim.mc5.loads"] == 0
+        assert result.counters["sim.memory.upgrades"] \
+            or drawn[1] == "mesi"
+    if not drawn[-1]:
+        return canonical_result_bytes(result), None, None
+    return (canonical_result_bytes(result), _event_stream(sim),
+            _coordinator_order(sim))
 
 
-@settings(max_examples=30, deadline=None)
+@settings(max_examples=40, deadline=None)
 @given(
+    program=st.sampled_from(sorted(PROGRAMS)),
+    protocol=st.sampled_from(["msi", "mesi"]),
+    l1d=st.booleans(),
+    classify=st.booleans(),
     l1i=st.booleans(),
     network=st.sampled_from(["magic", "mesh"]),
     sync=st.sampled_from(["lax", "lax_barrier", "lax_p2p"]),
@@ -156,22 +210,25 @@ def _reference(l1i: bool, network: str, sync: str, telemetry: bool):
     perturb=st.sampled_from(["none", "drain", "ckpt"]),
 )
 def test_mp_equals_inproc_under_any_drawn_combination(
-        l1i, network, sync, transport, telemetry, perturb):
-    expected, expected_stream, expected_order = _reference(
-        l1i, network, sync, telemetry)
+        program, protocol, l1d, classify, l1i, network, sync, transport,
+        telemetry, perturb):
+    drawn = (program, protocol, l1d, classify, l1i, network, sync,
+             telemetry)
+    expected, expected_stream, expected_order = _reference(*drawn)
 
-    cfg = _drawn_config(l1i, network, sync, telemetry)
+    cfg = _drawn_config(*drawn)
     cfg.distrib.backend = "mp"
     cfg.distrib.transport = transport
+    ref = make_program_ref(PROGRAMS[program][1])
     with tempfile.TemporaryDirectory() as scratch:
         if perturb == "drain":
             cfg.distrib.drain_turn = 5
         elif perturb == "ckpt":
             cfg.ckpt.dir = scratch
-            cfg.ckpt.every = 20
+            cfg.ckpt.every = 8
         cfg.validate()
         sim = create_simulator(cfg)
-        assert canonical_result_bytes(sim.run(REF)) == expected
+        assert canonical_result_bytes(sim.run(ref)) == expected
         if perturb == "ckpt":
             restored, manifest = load_checkpoint(scratch)
             assert manifest["turn"] > 0
@@ -182,3 +239,48 @@ def test_mp_equals_inproc_under_any_drawn_combination(
         # only an unperturbed run has the whole stream to compare.
         assert _event_stream(sim) == expected_stream
         assert _coordinator_order(sim) == expected_order
+
+
+@pytest.mark.parametrize("protocol", ["msi", "mesi"])
+def test_worker_l1s_mirror_the_coordinator_l2s(protocol):
+    """Between quanta, once the notes still pending are applied, every
+    L1D line a worker holds has the bytes of the coordinator's L2 line,
+    is M exactly when that is, and both L1s are included in the L2."""
+    cfg = _drawn_config("sharing", protocol, True, False, True, "mesh",
+                        "lax", False)
+    cfg.distrib.backend = "mp"
+    cfg.validate()
+    sim = create_simulator(cfg)
+    audits = []
+
+    def audit(_scheduler) -> None:
+        l1s = {}
+        for name, blob in sim._checkpoint_blobs().items():
+            if name.startswith("shard"):
+                shard = pickle.loads(blob)
+                for kernel in [shard["kernel"], *shard["adopted"]]:
+                    l1s.update(kernel.engine.hierarchies)
+        pending = list(sim._l1_notes)
+        for tile, line_address, action in pending:
+            getattr(l1s[tile], action)(line_address)
+        lines = 0
+        for tile, l1 in l1s.items():
+            hierarchy = sim.engine.hierarchies[tile]
+            hierarchy.l1i, hierarchy.l1d = l1.l1i, l1.l1d
+            try:
+                assert hierarchy.check_inclusion(), tile
+            finally:
+                hierarchy.l1i = hierarchy.l1d = None
+            for line in l1.l1d:
+                truth = hierarchy.l2.peek(line.address)
+                assert bytes(line.data) == bytes(truth.data), tile
+                assert (line.state is LineState.MODIFIED) \
+                    == (truth.state is LineState.MODIFIED), tile
+                lines += 1
+        audits.append((len(pending), lines))
+
+    sim.scheduler.set_stage("ckpt", 2, audit)
+    sim.run(make_program_ref(_sharing_main))
+    assert len(audits) >= 8
+    assert any(pending for pending, _ in audits)  # laziness was observed
+    assert all(lines for _, lines in audits)

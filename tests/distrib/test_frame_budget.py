@@ -1,12 +1,14 @@
-"""The mp wire costs one round trip per front-end op — as a count.
+"""The mp wire costs one round trip per L1 miss — as a count.
 
 A program with a known op mix runs on the mp backend with every
-coordinator-side channel wrapped in a frame counter.  The budget is two
-frames (call + reply) per load, store, compute and branch op, two per
-scheduler turn (RUN_QUANTUM + QUANTUM_DONE), and a constant for
-formation, spawn/join traffic, collection and shutdown.  A per-op cast
-frame, or a second RPC per memory op, costs at least one more frame
-per op and blows it.
+coordinator-side channel wrapped in a frame counter.  The L1s live in
+the workers, so the budget is two frames (call + reply) per L1I miss,
+L1D miss and write upgrade — the three read from the result's own
+counters — two per scheduler turn (RUN_QUANTUM + QUANTUM_DONE), and a
+constant for formation, spawn/join traffic, collection and shutdown.
+Wire v7's round trip per front-end op blows it four times over; so
+does anything that routes hits back over the wire, or gives purges,
+store data or charges a frame of their own.
 """
 
 from __future__ import annotations
@@ -21,7 +23,7 @@ from repro.sim.runner import create_simulator
 
 WORKERS = 3
 ROUNDS = 40
-#: Per thread and round: one store, one compute, one load, one branch.
+#: Per thread and round: one load, one compute, one store, one branch.
 MEMORY_OPS = (WORKERS + 1) * ROUNDS * 2
 COMPUTE_BRANCH_OPS = (WORKERS + 1) * ROUNDS * 2
 #: Everything that does not scale with the op count: HELLO, SHUTDOWN
@@ -34,10 +36,12 @@ CONSTANT = 20 + 20 * WORKERS
 def _body(ctx, index, base):
     slot = base + 8 * ROUNDS * index
     for i in range(ROUNDS):
-        yield from ctx.store_u64(slot + 8 * i, i)
-        yield from ctx.compute(3)
+        # A line's first touch is a read miss, its first store an
+        # upgrade; the seven rounds after that hit.
         value = yield from ctx.load_u64(slot + 8 * i)
-        yield from ctx.branch(value == i)
+        yield from ctx.compute(3)
+        yield from ctx.store_u64(slot + 8 * i, value + i)
+        yield from ctx.branch(value == 0)
 
 
 def _main(ctx):
@@ -97,21 +101,29 @@ def test_frames_stay_within_one_round_trip_per_op(transport, monkeypatch):
     cfg.distrib.transport = transport
     cfg.validate()
     assert cfg.memory.l1i.enabled  # every op fetches
+    # Under MESI a first store to an E line crosses uncounted.
+    assert cfg.memory.protocol == "msi"
     sim = create_simulator(cfg)
     program = make_program_ref(_main)
     assert isinstance(program, PickledProgram)
-    result = sim.run(program)
+    counters = sim.run(program).counters
 
-    fetches = sum(value for name, value in result.counters.items()
-                  if name.endswith(".fetches"))
-    assert fetches == MEMORY_OPS + COMPUTE_BRANCH_OPS
+    def total(suffix: str) -> int:
+        return sum(value for name, value in counters.items()
+                   if name.endswith(suffix))
+
+    assert total(".fetches") == MEMORY_OPS + COMPUTE_BRANCH_OPS
+    crossings = (total(".l1i.lookups") - total(".l1i.hits")
+                 + total(".l1d.lookups") - total(".l1d.hits")
+                 + total("memory.upgrades"))
+    assert total("memory.upgrades") > 0
+    assert crossings < MEMORY_OPS // 2  # hits are the common case
     turns = sim.scheduler.turns
     # Formation's HELLO (one per worker) predates the wrap; it is part
     # of CONSTANT all the same.
     frames = len(counted) + sum(channel.frames for channel in counted)
-    budget = (2 * (MEMORY_OPS + COMPUTE_BRANCH_OPS) + 2 * turns
-              + CONSTANT)
-    assert frames <= budget, (frames, budget, turns)
-    # The budget is tight enough to notice one extra frame per op of
-    # either kind.
-    assert frames + min(MEMORY_OPS, COMPUTE_BRANCH_OPS) > budget
+    budget = 2 * crossings + 2 * turns + CONSTANT
+    assert frames <= budget, (frames, budget, crossings, turns)
+    # The budget is tight enough to notice one extra frame per memory
+    # op, let alone the two a forwarded access costs.
+    assert frames + MEMORY_OPS > budget

@@ -145,18 +145,19 @@ def test_frame_version_mismatch_rejected():
 
 
 def test_previous_wire_version_is_refused_at_both_gates():
-    """v7 reshaped KERNEL_CALL / KERNEL_CAST / QUANTUM_DONE payloads:
-    a v6 peer must be turned away by the per-frame check and, over
-    TCP, already by the handshake (whose error type is its own —
-    :mod:`repro.net` imports nothing from distrib)."""
+    """v8 moved the L1s into the worker — other memory calls, notes in
+    RUN_QUANTUM / KERNEL_REPLY: a v7 peer must be turned away by the
+    per-frame check and, over TCP, already by the handshake (whose
+    error type is its own — :mod:`repro.net` imports nothing from
+    distrib)."""
     import threading
     from repro.net.handshake import HandshakeError
     from repro.net.listener import NetListener, connect_worker
 
-    assert WIRE_VERSION == 7
-    stale = pickle.dumps((6, FrameKind.KERNEL_CALL.value,
-                          ("memory_fetch", (0, 0, 0))))
-    with pytest.raises(WireFormatError, match="got 6, expected 7"):
+    assert WIRE_VERSION == 8
+    stale = pickle.dumps((7, FrameKind.KERNEL_CALL.value,
+                          ("memory_fetch_load", (0, 0, 0, 8, 0), [])))
+    with pytest.raises(WireFormatError, match="got 7, expected 8"):
         decode_frame(stale)
 
     listener = NetListener("127.0.0.1:0", role="coordinator",
@@ -172,13 +173,39 @@ def test_previous_wire_version_is_refused_at_both_gates():
     thread = threading.Thread(target=accept)
     thread.start()
     try:
-        with pytest.raises(HandshakeError, match="v6"):
-            connect_worker(listener.address, wire_version=6, timeout=5.0)
+        with pytest.raises(HandshakeError, match="v7"):
+            connect_worker(listener.address, wire_version=7, timeout=5.0)
     finally:
         thread.join(timeout=10.0)
         listener.close()
     assert not thread.is_alive()
-    assert len(refused) == 1 and "v6" in str(refused[0])
+    assert len(refused) == 1 and "v7" in str(refused[0])
+
+
+def test_kernel_dispatch_change_without_bump_is_w001(tmp_path):
+    """The handler tables and the tuple arity of the quantum loop's
+    frames are wire schema: reshaping either under the committed
+    ``WIRE_VERSION`` is a W001 finding on ``distrib/wire.py``."""
+    import shutil
+    from repro.check.lint import lint_file, package_root
+
+    def w001(case: str, edit_file: str, old: str, new: str) -> list:
+        root = tmp_path / case / "repro"
+        shutil.copytree(package_root() / "distrib", root / "distrib")
+        edited = root / "distrib" / edit_file
+        source = edited.read_text()
+        assert source.count(old) == 1
+        edited.write_text(source.replace(old, new))
+        return [f.rule for f in lint_file(root / "distrib" / "wire.py",
+                                          root=root)]
+
+    assert w001("same", "coordinator.py", "Coordinator: ",
+                "Coordinator:  ") == []
+    assert w001("renamed", "coordinator.py", '"memory_read": self.',
+                '"memory_load": self.') == ["W001"]
+    assert w001("reshaped", "worker.py",
+                "(method, args, self._take_casts())",
+                "(method, args)") == ["W001"]
 
 
 def test_frame_garbage_rejected():

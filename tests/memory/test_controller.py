@@ -84,54 +84,6 @@ class TestFetch:
         assert rig.stats.child("mc0").counter("fetches").value == 1
 
 
-class TestFusedFetchAccess:
-    """``fetch_load`` / ``fetch_store`` are the fetch, the stall and the
-    access in one call — nothing more: same returns, same counters."""
-
-    #: (tile, kind, pc, address, size): an L1I miss first, L1I hits
-    #: after, further code lines (misses again), line-straddling
-    #: accesses, and a second tile reading what the first wrote.
-    SCRIPT = [
-        (0, "load", CODE, HEAP, 8),
-        (0, "store", CODE, HEAP + 8, 8),
-        (0, "load", CODE + 64, HEAP + 60, 8),            # two lines
-        (0, "store", CODE + 64, HEAP + 4096 + 50, 100),  # three lines
-        (1, "load", CODE, HEAP + 4096 + 50, 100),
-        (0, "load", CODE + 128, HEAP + 4096 + 50, 100),
-    ]
-
-    @staticmethod
-    def _separate(mc, hit, kind, pc, address, size, now):
-        stall = max(0, mc.fetch(pc, now) - hit)
-        if kind == "load":
-            data, latency = mc.load(address, size, now + stall)
-            return stall, data, latency
-        return stall, mc.store(address, bytes(range(size)), now + stall)
-
-    @staticmethod
-    def _fused(mc, kind, pc, address, size, now):
-        if kind == "load":
-            return mc.fetch_load(pc, address, size, now)
-        return mc.fetch_store(pc, address, bytes(range(size)), now)
-
-    def test_equals_fetch_advance_access(self):
-        plain, fused = (MemoryRig(SimulationConfig(num_tiles=4))
-                        for _ in range(2))
-        hit = plain.config.memory.l1i.access_latency
-        stalls = []
-        now = 0
-        for tile, kind, pc, address, size in self.SCRIPT:
-            expected = self._separate(plain.controllers[tile], hit, kind,
-                                      pc, address, size, now)
-            got = self._fused(fused.controllers[tile], kind, pc, address,
-                              size, now)
-            assert got == expected, (tile, kind, hex(pc), hex(address))
-            stalls.append(expected[0])
-            now += 50 + expected[0] + expected[-1]
-        assert stalls[0] > 0 and stalls[1] == 0  # a miss, then a hit
-        assert fused.stats.to_dict() == plain.stats.to_dict()
-
-
 class TestFaults:
     def test_kernel_load_faults(self, rig):
         with pytest.raises(TargetFault):

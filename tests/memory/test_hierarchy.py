@@ -5,7 +5,7 @@ from repro.common.config import MemoryConfig
 from repro.common.ids import TileId
 from repro.common.stats import StatGroup
 from repro.common.units import KB
-from repro.memory.cache import LineState
+from repro.memory.cache import CacheLine, LineState
 from repro.memory.hierarchy import CacheHierarchy
 
 
@@ -22,12 +22,12 @@ class TestL1:
     def test_miss_then_hit_after_fill(self):
         h = make()
         assert not h.l1d_hit(0x1000)
-        h.fill_l1d(0x1000)
+        h.fill_l1d(CacheLine(0x1000, LineState.SHARED, None))
         assert h.l1d_hit(0x1000)
 
     def test_disabled_l1_always_misses(self):
         h = make(l1_enabled=False)
-        h.fill_l1d(0x1000)  # no-op
+        h.fill_l1d(CacheLine(0x1000, LineState.SHARED, None))  # no-op
         assert not h.l1d_hit(0x1000)
         assert h.l1d is None
 
@@ -43,7 +43,7 @@ class TestInclusion:
         h = make(l2_size=4 * KB, l2_ways=1)  # 64 one-way sets
         step = 64 * 64  # same-set stride
         h.fill_l2(0x0, LineState.SHARED, bytearray(64))
-        h.fill_l1d(0x0)
+        h.fill_l1d(h.l2.peek(0x0))
         h.fill_l2(step, LineState.SHARED, bytearray(64))  # evicts 0x0
         assert not h.l1d_hit(0x0)
         assert h.check_inclusion()
@@ -51,7 +51,7 @@ class TestInclusion:
     def test_invalidate_purges_all_levels(self):
         h = make()
         h.fill_l2(0x40, LineState.MODIFIED, bytearray(64))
-        h.fill_l1d(0x40)
+        h.fill_l1d(h.l2.peek(0x40))
         h.fill_l1i(0x40)
         line = h.invalidate(0x40)
         assert line.state is LineState.MODIFIED
@@ -62,7 +62,7 @@ class TestInclusion:
     def test_inclusion_invariant_checker(self):
         h = make()
         h.fill_l2(0x0, LineState.SHARED, bytearray(64))
-        h.fill_l1d(0x0)
+        h.fill_l1d(h.l2.peek(0x0))
         assert h.check_inclusion()
         h.l2.remove(0x0)  # break inclusion deliberately
         assert not h.check_inclusion()
