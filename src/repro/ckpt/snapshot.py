@@ -81,8 +81,11 @@ class SnapshotPickler(pickle.Pickler):
 def snapshot_bytes(obj: Any) -> bytes:
     """Serialize ``obj`` (a simulator or shard dict) to snapshot bytes.
 
-    Purely observational: pickling never mutates the graph, so taking
-    a snapshot cannot perturb the simulation it captures.
+    Observational: the graph's values are only read, and no instance
+    ``__dict__`` is materialised (on CPython 3.11/3.12 that slows every
+    later attribute read on the instance): the model classes keep their
+    fields in ``__slots__`` and every ``__getstate__`` reads those,
+    through :func:`repro.common.slot_state`.
     """
     buffer = io.BytesIO()
     try:

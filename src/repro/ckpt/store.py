@@ -1,4 +1,4 @@
-"""On-disk checkpoint layout: the ``repro.ckpt/2`` format.
+"""On-disk checkpoint layout: the ``repro.ckpt/3`` format.
 
 A checkpoint directory tree looks like::
 
@@ -13,7 +13,9 @@ A checkpoint directory tree looks like::
 Write protocol: blobs and manifest land in a ``.tmp`` directory that
 is renamed into place, then ``LATEST`` is replaced via rename — so a
 crash mid-write can never leave a half checkpoint that ``LATEST``
-points at, and a reader always sees either the old or the new state.
+points at.  A turn that already exists steps aside to ``.old`` first
+(no renaming a directory over a non-empty one); if the writer dies
+between the two renames, ``latest()`` finds the complete ``.old``.
 Every blob's sha256 travels in the manifest and is re-verified on
 read; corruption surfaces as :class:`~repro.common.errors.
 CheckpointError` instead of an unpickling crash deep in a resume.
@@ -30,7 +32,7 @@ from typing import Any, Dict, List, Optional, Tuple
 from repro.common.errors import CheckpointError
 
 #: Version tag written into (and required from) every manifest.
-FORMAT = "repro.ckpt/2"
+FORMAT = "repro.ckpt/3"
 
 _MANIFEST = "manifest.json"
 _LATEST = "LATEST"
@@ -75,9 +77,12 @@ class CheckpointStore:
         with open(os.path.join(staging, _MANIFEST), "w",
                   encoding="utf-8") as fh:
             json.dump(manifest, fh, indent=2, sort_keys=True)
+        retired = final + ".old"
         if os.path.exists(final):
-            shutil.rmtree(final)
+            shutil.rmtree(retired, ignore_errors=True)
+            os.replace(final, retired)
         os.replace(staging, final)
+        shutil.rmtree(retired, ignore_errors=True)
         self._write_latest(name)
         self._prune()
         return final

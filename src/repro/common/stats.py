@@ -216,6 +216,8 @@ class StatGroup:
     which :mod:`repro.sim.results` snapshots at the end of a run.
     """
 
+    __slots__ = ("name", "counters", "histograms", "series", "children")
+
     def __init__(self, name: str) -> None:
         self.name = name
         self.counters: Dict[str, Counter] = {}

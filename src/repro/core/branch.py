@@ -21,6 +21,8 @@ _STRONG_TAKEN = 3
 class BranchPredictor:
     """Two-bit saturating-counter bimodal predictor."""
 
+    __slots__ = ("_mask", "_table", "_predicted", "_mispredicted")
+
     def __init__(self, entries: int, stats: StatGroup) -> None:
         if entries <= 0 or entries & (entries - 1):
             raise ValueError("predictor entries must be a power of two")

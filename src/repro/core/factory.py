@@ -11,15 +11,11 @@ execution.
 
 from __future__ import annotations
 
-from typing import Union
-
 from repro.common.config import CoreConfig
 from repro.common.errors import ConfigError
 from repro.common.stats import StatGroup
 from repro.core.ooo_model import OutOfOrderCoreModel
-from repro.core.perf_model import CorePerfModel
-
-CoreModel = Union[CorePerfModel, OutOfOrderCoreModel]
+from repro.core.perf_model import CoreModel, CorePerfModel
 
 
 def create_core_model(config: CoreConfig, stats: StatGroup,

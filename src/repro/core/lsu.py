@@ -23,6 +23,8 @@ class StoreBuffer:
     the oldest store drains.
     """
 
+    __slots__ = ("entries", "_inflight", "_stalls", "_stores")
+
     def __init__(self, entries: int, stats: StatGroup) -> None:
         if entries < 1:
             raise ValueError("store buffer needs at least one entry")
@@ -72,6 +74,8 @@ class LoadQueue:
     structural stall when too many loads are outstanding in the same
     window (approximating a limited load unit).
     """
+
+    __slots__ = ("entries", "_inflight", "_stalls", "_loads")
 
     def __init__(self, entries: int, stats: StatGroup) -> None:
         if entries < 1:

@@ -34,8 +34,6 @@ from typing import List
 
 from repro.common.config import CoreConfig
 from repro.common.stats import StatGroup
-from repro.core.branch import BranchPredictor
-from repro.core.clock import TileClock
 from repro.core.instruction import (
     BranchInstruction,
     Instruction,
@@ -44,32 +42,24 @@ from repro.core.instruction import (
     PseudoKind,
 )
 from repro.core.isa import InstructionClass, cost_of
+from repro.core.perf_model import CoreModel
 
 
-class OutOfOrderCoreModel:
+class OutOfOrderCoreModel(CoreModel):
     """Window-based OoO timing model (same interface as the in-order)."""
+
+    __slots__ = ("window_size", "dispatch_width", "_window",
+                 "_dispatch_backlog", "_window_stalls", "_overlapped")
 
     def __init__(self, config: CoreConfig, stats: StatGroup,
                  telemetry=None, tile=None) -> None:
-        self.config = config
-        self.clock = TileClock()
-        self.stats = stats
-        #: SYNC-category telemetry channel for stall events, or ``None``.
-        self._tele = telemetry
-        self._tile = tile
-        self.branch_predictor = BranchPredictor(
-            config.branch_predictor_entries, stats.child("branch"))
-        self._costs = config.instruction_costs
+        super().__init__(config, stats, telemetry, tile)
         self.window_size = config.rob_entries
         self.dispatch_width = max(config.dispatch_width, 1)
         #: Min-heap of completion times of in-flight long-latency ops.
         self._window: List[int] = []
         #: Fractional dispatch accumulator (width > 1).
         self._dispatch_backlog = 0.0
-        self._instructions = stats.counter("instructions")
-        self._memory_stall = stats.counter("memory_stall_cycles")
-        self._branch_stall = stats.counter("branch_stall_cycles")
-        self._sync_wait = stats.counter("sync_wait_cycles")
         self._window_stalls = stats.counter("window_stall_cycles")
         self._overlapped = stats.counter("overlapped_latency_cycles")
 
@@ -155,22 +145,3 @@ class OutOfOrderCoreModel:
                                  "kind": pseudo.kind.value})
         if pseudo.cost:
             self.clock.advance(pseudo.cost)
-
-    def retire_functional(self, count: int = 1) -> None:
-        """Unit-cost retirement for fast-forward (:mod:`repro.sample`).
-
-        Identical to the in-order model's — fast-forward progress must
-        not depend on which timing model a variant selects, or shared
-        prefix snapshots would diverge."""
-        self.clock.advance(count)
-        self._instructions.add(count)
-
-    # -- accessors ------------------------------------------------------------------
-
-    @property
-    def cycles(self) -> int:
-        return self.clock.now
-
-    @property
-    def instruction_count(self) -> int:
-        return self._instructions.value

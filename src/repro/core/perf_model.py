@@ -36,8 +36,16 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
 STORE_FORWARD_LATENCY = 1
 
 
-class CorePerfModel:
-    """Timing model of one in-order core with an OoO memory interface."""
+class CoreModel:
+    """What every core timing model holds — the tile clock, the branch
+    predictor, the retirement and stall counters — and the one thing
+    they must do identically: retire under fast-forward."""
+
+    # ``__dict__`` holds only ``repro.profile``'s per-instance timed
+    # wrappers; it stays empty in every run that takes snapshots.
+    __slots__ = ("config", "clock", "stats", "_tele", "_tile",
+                 "branch_predictor", "_costs", "_instructions",
+                 "_memory_stall", "_branch_stall", "_sync_wait", "__dict__")
 
     def __init__(self, config: CoreConfig, stats: StatGroup,
                  telemetry: Optional["Channel"] = None,
@@ -50,15 +58,46 @@ class CorePerfModel:
         self._tile = tile
         self.branch_predictor = BranchPredictor(
             config.branch_predictor_entries, stats.child("branch"))
-        self.store_buffer = StoreBuffer(
-            config.store_buffer_entries, stats.child("lsu"))
-        self.load_queue = LoadQueue(
-            config.load_queue_entries, stats.child("lsu"))
         self._costs = config.instruction_costs
         self._instructions = stats.counter("instructions")
         self._memory_stall = stats.counter("memory_stall_cycles")
         self._branch_stall = stats.counter("branch_stall_cycles")
         self._sync_wait = stats.counter("sync_wait_cycles")
+
+    def retire_functional(self, count: int = 1) -> None:
+        """Retire ``count`` instructions at fixed unit cost.
+
+        The fast-forward path (:mod:`repro.sample`): the counter and
+        the clock advance (lax synchronization needs monotone clocks),
+        the predictor, LSU and stall accounting do not.  One for every
+        model, or forks of a shared prefix snapshot would diverge.
+        """
+        self.clock.advance(count)
+        self._instructions.add(count)
+
+    @property
+    def cycles(self) -> int:
+        """Current local clock in cycles."""
+        return self.clock.now
+
+    @property
+    def instruction_count(self) -> int:
+        return self._instructions.value
+
+
+class CorePerfModel(CoreModel):
+    """Timing model of one in-order core with an OoO memory interface."""
+
+    __slots__ = ("store_buffer", "load_queue")
+
+    def __init__(self, config: CoreConfig, stats: StatGroup,
+                 telemetry: Optional["Channel"] = None,
+                 tile: Optional[int] = None) -> None:
+        super().__init__(config, stats, telemetry, tile)
+        self.store_buffer = StoreBuffer(
+            config.store_buffer_entries, stats.child("lsu"))
+        self.load_queue = LoadQueue(
+            config.load_queue_entries, stats.child("lsu"))
 
     # -- instruction consumption -------------------------------------------
 
@@ -130,25 +169,3 @@ class CorePerfModel:
         the local clock — so this is a no-op, present for interface
         parity with the out-of-order model.
         """
-
-    def retire_functional(self, count: int = 1) -> None:
-        """Retire ``count`` instructions at fixed unit cost.
-
-        The fast-forward path (:mod:`repro.sample`): the instruction
-        counter and the local clock advance — lax synchronization
-        still needs monotone per-tile clocks — but the predictor,
-        LSU and stall accounting are untouched.
-        """
-        self.clock.advance(count)
-        self._instructions.add(count)
-
-    # -- accessors -----------------------------------------------------------
-
-    @property
-    def cycles(self) -> int:
-        """Current local clock in cycles."""
-        return self.clock.now
-
-    @property
-    def instruction_count(self) -> int:
-        return self._instructions.value

@@ -37,6 +37,7 @@ import multiprocessing
 import time
 from typing import Any, Callable, Dict, Iterator, List, Optional, Tuple
 
+from repro.common import slot_state
 from repro.common.config import SimulationConfig
 from repro.common.ids import ProcessId, ThreadId, TileId
 from repro.distrib.errors import (
@@ -530,6 +531,9 @@ class RemoteTask(ThreadTask):
     wake notifications exactly as ``Clock.forward_to`` would.
     """
 
+    __slots__ = ("tile", "start_clock", "core", "result", "_sim",
+                 "__dict__")  # profile's wrappers, as CoreModel
+
     def __init__(self, sim: "DistribSimulator", tile: TileId,
                  start_clock: int) -> None:
         self.tile = tile
@@ -556,6 +560,10 @@ class RemoteTask(ThreadTask):
 class DistribSimulator(Simulator):
     """Simulator whose tile threads execute in forked worker processes."""
 
+    __slots__ = ("_cluster", "_restore_shards", "_owner_at_ckpt",
+                 "_drained", "_l1_notes", "_rebalance", "_watchdog",
+                 "_rpc_handlers", "_cast_handlers")
+
     def __init__(self, config: SimulationConfig) -> None:
         super().__init__(config)
         self._cluster: Optional[WorkerCluster] = None
@@ -570,7 +578,6 @@ class DistribSimulator(Simulator):
         #: What the L2s did to the L1s the workers hold, in order, until
         #: a frame to the tile's worker takes it along; rides snapshots.
         self._l1_notes = self.engine.release_l1s()
-        self._build_handler_tables()
 
     def _l1_notes_for(self, worker: int) -> List[tuple]:
         """Take the pending notes for the tiles ``worker`` holds *now*:
@@ -588,6 +595,7 @@ class DistribSimulator(Simulator):
         drives: both track *this* fleet's processes, so a restored
         coordinator — which starts a fresh fleet — starts them fresh."""
         super()._arm_boundary()
+        self._build_handler_tables()
         config = self.config
         self._rebalance = create_policy(config)
         self._watchdog = None
@@ -607,11 +615,8 @@ class DistribSimulator(Simulator):
             self.scheduler.set_stage("net", 1, self._net_stage)
 
     def _build_handler_tables(self) -> None:
-        """(Re)create the kernel dispatch tables.
-
-        Kept out of the pickled state — the lambdas they hold cannot
-        cross a snapshot — and rebuilt on ``__setstate__``.
-        """
+        """The kernel dispatch tables: host-side wiring like the stages
+        (their lambdas cannot cross a snapshot), armed with them."""
         self._rpc_handlers: Dict[str, Callable] = {
             "memory_read": self._rpc_memory_read,
             "memory_write": self._rpc_memory_write,
@@ -643,17 +648,12 @@ class DistribSimulator(Simulator):
             "wake_scheduler": lambda t: self.wake_scheduler(TileId(t)),
         }
 
-    def __getstate__(self) -> dict:
-        state = dict(self.__dict__)
+    def __getstate__(self) -> tuple:
+        state = slot_state(self)
         state["_cluster"] = None
         state["_restore_shards"] = {}
-        state.pop("_rpc_handlers", None)
-        state.pop("_cast_handlers", None)
-        return state
-
-    def __setstate__(self, state: dict) -> None:
-        self.__dict__.update(state)
-        self._build_handler_tables()
+        del state["_rpc_handlers"], state["_cast_handlers"]
+        return None, state  # (no __dict__, slots): default restore
 
     @property
     def cluster(self) -> WorkerCluster:

@@ -35,6 +35,8 @@ from repro.transport.transport import Transport
 class ShardTransport(Transport):
     """Transport whose delivery step crosses process boundaries."""
 
+    __slots__ = ("_cluster",)
+
     def __init__(self, layout: ClusterLayout,
                  stats: Optional[StatGroup] = None) -> None:
         super().__init__(layout, stats)

@@ -44,7 +44,9 @@ from repro.distrib.errors import ProgramTransportError, WireFormatError
 #: per-access calls, ``store_data`` casts forward completed stores, and
 #: RUN_QUANTUM ``(tile, budget, cycle_limit, l1_notes)``, KERNEL_REPLY
 #: ``(value, l1_notes)`` and COLLECT_STATS carry the L1 notes due.
-WIRE_VERSION = 8
+#: v9: pickled caches and directories in shard blobs (CKPT_ACK, ADOPT)
+#: carry resident lines and ``line -> (state, sharers)``, not containers.
+WIRE_VERSION = 9
 
 
 class FrameKind(enum.Enum):

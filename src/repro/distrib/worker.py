@@ -65,6 +65,8 @@ class _DeferredCostModel:
     evaluated coordinator-side, in program order.
     """
 
+    __slots__ = ()
+
     def instructions(self, count: int) -> tuple:
         return ("instructions", count)
 
@@ -82,6 +84,7 @@ class _RemoteL2:
     L1 misses and write upgrades — are the only memory RPCs there are."""
 
     classifier = None  # misses are classified where the L2s are
+    __slots__ = ("_kernel", "config", "line_bytes", "space", "hierarchies")
 
     def __init__(self, kernel: "KernelProxy") -> None:
         self._kernel = kernel
@@ -254,6 +257,10 @@ class _McpProxy:
 
 class KernelProxy:
     """The kernel object handed to this worker's interpreters."""
+
+    __slots__ = ("_worker", "config", "exec_functional", "stats", "queues",
+                 "telemetry", "cost_model", "engine", "controllers", "fabric",
+                 "allocator", "mcp", "_pending_code_base", "_code_bases")
 
     def __init__(self, worker: "Worker",
                  config: SimulationConfig) -> None:

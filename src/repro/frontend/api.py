@@ -27,6 +27,8 @@ _F64 = struct.Struct("<d")
 class ThreadContext:
     """One thread's handle on the simulated machine."""
 
+    __slots__ = ("thread_id", "num_tiles", "_branch_seq")
+
     def __init__(self, thread_id: ThreadId, num_tiles: int) -> None:
         self.thread_id = thread_id
         self.num_tiles = num_tiles

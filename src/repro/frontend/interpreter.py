@@ -24,6 +24,7 @@ from __future__ import annotations
 
 from typing import Any, List, Optional
 
+from repro.common import slot_state
 from repro.common.errors import CheckpointError, SimulationError
 from repro.common.ids import ThreadId, TileId
 from repro.core.instruction import (
@@ -64,6 +65,13 @@ USER_MESSAGE_HEADER = 8
 
 class ThreadInterpreter(ThreadTask):
     """Drives one application thread (generator) to completion."""
+
+    __slots__ = ("kernel", "tile", "program", "args", "program_ref",
+                 "core", "_sanitizers", "memory", "netif", "context",
+                 "generator", "start_clock", "_send_value", "_pending_op",
+                 "_wake_time", "_finished", "result", "_fetch_cursor",
+                 "_code_base", "_model_ifetch", "_l1i_hit_latency",
+                 "_ckpt_log", "__dict__")  # for profile, as CoreModel
 
     def __init__(self, kernel: Any, tile: TileId, program: Any,
                  args: tuple = (), start_clock: int = 0) -> None:
@@ -195,7 +203,7 @@ class ThreadInterpreter(ThreadTask):
         resolves it back and :meth:`rebuild_generator` replays the
         send log to reconstruct the generator's position.
         """
-        state = dict(self.__dict__)
+        state = slot_state(self)
         state["generator"] = None
         ref = self.program_ref
         if ref is None:
@@ -206,7 +214,8 @@ class ThreadInterpreter(ThreadTask):
         return state
 
     def __setstate__(self, state: dict) -> None:
-        self.__dict__.update(state)
+        for name, value in state.items():
+            setattr(self, name, value)
         if hasattr(self.program, "resolve"):
             self.program = self.program.resolve()
 

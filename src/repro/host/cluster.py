@@ -27,6 +27,9 @@ class Locality(enum.Enum):
 class ClusterLayout:
     """Static placement of tiles onto processes, machines and cores."""
 
+    __slots__ = ("num_tiles", "host", "num_processes", "num_machines",
+                 "cores_per_machine", "_machine_of_tile", "_core_of_tile")
+
     def __init__(self, num_tiles: int, host: HostConfig) -> None:
         if num_tiles < 1:
             raise ConfigError("cluster: need at least one tile")

@@ -23,6 +23,9 @@ from repro.host.cluster import Locality
 class HostCostModel:
     """Computes host seconds consumed by each class of simulation event."""
 
+    __slots__ = ("config", "_rng", "_instr_cost", "_message_cost",
+                 "_message_latency")
+
     def __init__(self, config: HostConfig,
                  rng: Optional[random.Random] = None) -> None:
         config.validate()

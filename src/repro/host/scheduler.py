@@ -23,6 +23,7 @@ import enum
 from dataclasses import dataclass
 from typing import Callable, Dict, List, Optional, Tuple, TYPE_CHECKING
 
+from repro.common import slot_state
 from repro.common.errors import DeadlockError, SimulationError
 from repro.common.ids import TileId
 from repro.common.stats import StatGroup
@@ -69,6 +70,8 @@ class QuantumResult:
 class ThreadTask(abc.ABC):
     """What the scheduler runs: one tile thread's execution driver."""
 
+    __slots__ = ()
+
     #: Tile this thread is mapped to.
     tile: TileId
 
@@ -87,17 +90,21 @@ class ThreadTask(abc.ABC):
         """Current local clock of this thread's tile."""
 
 
-@dataclass
 class ScheduledThread:
     """Scheduler bookkeeping wrapped around a task."""
 
-    task: ThreadTask
-    state: ThreadState = ThreadState.RUNNABLE
-    #: Earliest host time this thread may next run (set on wake).
-    ready_host_time: float = 0.0
-    #: Host time a SLEEPING thread wakes (LaxP2P).
-    wake_host_time: float = 0.0
-    quanta: int = 0
+    __slots__ = ("task", "state", "ready_host_time", "wake_host_time",
+                 "quanta")
+
+    def __init__(self, task: ThreadTask,
+                 ready_host_time: float = 0.0) -> None:
+        self.task = task
+        self.state = ThreadState.RUNNABLE
+        #: Earliest host time this thread may next run (set on wake).
+        self.ready_host_time = ready_host_time
+        #: Host time a SLEEPING thread wakes (LaxP2P).
+        self.wake_host_time = 0.0
+        self.quanta = 0
 
     @property
     def tile(self) -> TileId:
@@ -139,6 +146,14 @@ Stage = Callable[["Scheduler"], None]
 
 class Scheduler:
     """Runs tile threads on simulated host cores to completion."""
+
+    __slots__ = ("layout", "cost_model", "sync_model", "stats",
+                 "quantum_instructions", "_rng", "threads", "core_time",
+                 "core_busy", "_core_queues", "_quantum_charge",
+                 "_quantum_blocking", "functional", "_running",
+                 "_running_core", "_turns", "_total_instructions",
+                 "_stages", "_tele_quantum",
+                 "__dict__")  # profile's wrappers, as CoreModel
 
     def __init__(self, layout: ClusterLayout, cost_model: HostCostModel,
                  sync_model: "SynchronizationModel",
@@ -305,10 +320,10 @@ class Scheduler:
         """Names of the armed stages, in firing order."""
         return [name for name, _period, _stage in self._stages]
 
-    def __getstate__(self) -> dict:
-        state = dict(self.__dict__)
+    def __getstate__(self) -> tuple:
+        state = slot_state(self)
         state["_stages"] = []
-        return state
+        return None, state  # (no __dict__, slots): default restore
 
     @property
     def turns(self) -> int:

@@ -70,6 +70,9 @@ class AddressSpace:
     KERNEL_BASE = 0xF000_0000
     LIMIT = 0x1_0000_0000
 
+    __slots__ = ("num_tiles", "line_bytes", "_line_shift",
+                 "stack_bytes_per_thread", "segments")
+
     def __init__(self, num_tiles: int, line_bytes: int,
                  stack_bytes_per_thread: int = 1 * MB) -> None:
         if num_tiles < 1:

@@ -12,6 +12,7 @@ import enum
 from collections import OrderedDict
 from typing import List, Optional, TYPE_CHECKING
 
+from repro.common import slot_state
 from repro.common.config import CacheConfig
 from repro.common.stats import StatGroup
 
@@ -54,6 +55,10 @@ class CacheLine:
 class Cache:
     """Set-associative LRU cache keyed by line-aligned addresses."""
 
+    __slots__ = ("name", "config", "tile", "_tele", "line_bytes",
+                 "associativity", "num_sets", "_line_shift", "_sets", "stats",
+                 "_lookups", "_hits", "_evictions", "_invalidations")
+
     def __init__(self, name: str, config: CacheConfig,
                  stats: StatGroup, tile: Optional[int] = None,
                  telemetry: Optional["Channel"] = None) -> None:
@@ -81,6 +86,23 @@ class Cache:
     def _set_of(self, line_address: int) -> "OrderedDict[int, CacheLine]":
         index = (line_address >> self._line_shift) % self.num_sets
         return self._sets[index]
+
+    def __getstate__(self) -> dict:
+        """Scalars plus the *resident* lines, one flat list of ``(address,
+        state, data)`` in set then LRU order: a snapshot costs what is
+        cached, not ``num_sets`` containers.  ``data`` is not copied."""
+        state = slot_state(self)
+        state["_sets"] = [(line.address, line.state, line.data)
+                          for line in self]
+        return state
+
+    def __setstate__(self, state: dict) -> None:
+        for name, value in state.items():
+            setattr(self, name, value)
+        lines = self._sets  # as pickled: the flat list
+        self._sets = [OrderedDict() for _ in range(self.num_sets)]
+        for line in lines:  # LRU order in, so the same eviction order
+            self._set_of(line[0])[line[0]] = CacheLine(*line)
 
     # -- operations -----------------------------------------------------------
 

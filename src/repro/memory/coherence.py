@@ -51,6 +51,12 @@ class CoherenceEngine:
     #: Controllers forward no store here: they write the L2's own line.
     forward_store = None
 
+    __slots__ = ("num_tiles", "config", "space", "backing", "fabric",
+                 "classifier", "line_bytes", "stats", "_tele_cache",
+                 "functional", "progress", "hierarchies", "directories",
+                 "drams", "_read_misses", "_write_misses", "_upgrades",
+                 "__dict__")  # profile's wrappers, as CoreModel
+
     def __init__(self, num_tiles: int, config: MemoryConfig,
                  space: AddressSpace, backing: BackingStore,
                  fabric: NetworkFabric, clock_hz: int,

@@ -30,6 +30,11 @@ ChargeFn = Callable[[], None]
 class MemoryController:
     """One tile's entry point into the memory system."""
 
+    __slots__ = ("tile", "engine", "space", "hierarchy", "line_bytes",
+                 "_charge_fn", "_forward_store", "_loads", "_stores",
+                 "_fetches", "_l1d_latency", "_l1i_latency",
+                 "__dict__")  # profile's wrappers, as CoreModel
+
     def __init__(self, tile: TileId, engine: CoherenceEngine,
                  charge_memory_access: ChargeFn,
                  stats: StatGroup) -> None:

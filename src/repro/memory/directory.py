@@ -18,6 +18,7 @@ import enum
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, TYPE_CHECKING
 
+from repro.common import slot_state
 from repro.common.config import MemoryConfig
 from repro.common.errors import ConfigError, ProtocolError
 from repro.common.ids import TileId
@@ -35,13 +36,16 @@ class DirState(enum.Enum):
     MODIFIED = "M"
 
 
-@dataclass
 class DirectoryEntry:
     """Directory knowledge about one line."""
 
-    state: DirState = DirState.UNCACHED
-    #: Sharer tiles in insertion order (dict used as an ordered set).
-    sharers: Dict[TileId, None] = field(default_factory=dict)
+    __slots__ = ("state", "sharers")
+
+    def __init__(self, state: DirState = DirState.UNCACHED,
+                 sharers: Optional[Dict[TileId, None]] = None) -> None:
+        self.state = state
+        #: Sharer tiles in insertion order (dict used as an ordered set).
+        self.sharers = {} if sharers is None else sharers
 
     @property
     def owner(self) -> Optional[TileId]:
@@ -72,6 +76,9 @@ class Directory:
 
     kind = "full_map"
 
+    __slots__ = ("home", "config", "entries", "stats", "_tele", "_lookups",
+                 "__dict__")  # empty unless a test rebinds a method
+
     def __init__(self, home: TileId, config: MemoryConfig,
                  stats: StatGroup,
                  telemetry: Optional["Channel"] = None) -> None:
@@ -82,6 +89,19 @@ class Directory:
         #: DIRECTORY-category telemetry channel, or ``None``.
         self._tele = telemetry
         self._lookups = stats.counter("lookups")
+
+    def __getstate__(self) -> dict:
+        """``entries`` as ``line -> (state, sharers)``: no object each."""
+        state = slot_state(self)
+        state["entries"] = {line: (entry.state, entry.sharers)
+                            for line, entry in self.entries.items()}
+        return state
+
+    def __setstate__(self, state: dict) -> None:
+        for name, value in state.items():
+            setattr(self, name, value)
+        self.entries = {line: DirectoryEntry(*pair)
+                        for line, pair in self.entries.items()}
 
     def entry(self, line_address: int) -> DirectoryEntry:
         """Fetch (or create) the entry for a line homed here."""
@@ -121,6 +141,7 @@ class FullMapDirectory(Directory):
     """Unbounded sharer bit-vector: never evicts, never traps."""
 
     kind = "full_map"
+    __slots__ = ()
 
 
 class LimitedDirectory(Directory):
@@ -132,6 +153,7 @@ class LimitedDirectory(Directory):
     """
 
     kind = "limited"
+    __slots__ = ("max_sharers", "_pointer_evictions")
 
     def __init__(self, home: TileId, config: MemoryConfig,
                  stats: StatGroup,
@@ -172,6 +194,7 @@ class LimitLessDirectory(Directory):
     """
 
     kind = "limitless"
+    __slots__ = ("hw_pointers", "trap_latency", "_traps")
 
     def __init__(self, home: TileId, config: MemoryConfig,
                  stats: StatGroup,

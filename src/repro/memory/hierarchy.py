@@ -29,6 +29,8 @@ class L1Caches:
     the tile's thread executes.  Subclasses supply ``l2``, whose ``peek``
     is where a hit's bytes and write permission are read."""
 
+    __slots__ = ("l1i", "l1d")
+
     def __init__(self, config: MemoryConfig, stats: StatGroup) -> None:
         self.l1i: Optional[Cache] = (
             Cache("l1i", config.l1i, stats.child("l1i"))
@@ -75,6 +77,8 @@ class MirroredL1(L1Caches):
     ``purge_l1`` / ``downgrade`` notes before this tile next executes.
     """
 
+    __slots__ = ("l2",)
+
     def __init__(self, config: MemoryConfig, stats: StatGroup) -> None:
         super().__init__(config, stats)
         self.l2 = self
@@ -94,6 +98,8 @@ class MirroredL1(L1Caches):
 
 class CacheHierarchy(L1Caches):
     """One tile's caches plus inclusion maintenance."""
+
+    __slots__ = ("tile", "config", "l1_notes", "l2")
 
     def __init__(self, tile: TileId, config: MemoryConfig,
                  stats: StatGroup,

@@ -39,17 +39,9 @@ class MissType(enum.Enum):
     COHERENCE = "coherence"
 
 
-class _Removal:
-    """Why and when a tile lost a line."""
-
-    __slots__ = ("reason", "version")
-    EVICT = 0
-    INVAL_WRITE = 1
-    INVAL_OTHER = 2
-
-    def __init__(self, reason: int, version: int) -> None:
-        self.reason = reason
-        self.version = version
+#: Why a tile lost a line; kept with the write version of the moment
+#: as a ``(reason, version)`` removal record.
+_EVICT, _INVAL_WRITE, _INVAL_OTHER = range(3)
 
 
 class MissClassifier:
@@ -67,7 +59,7 @@ class MissClassifier:
         self._seen: Tuple[Set[int], ...] = tuple(
             set() for _ in range(num_tiles))
         #: per tile: line -> removal record.
-        self._removed: Tuple[Dict[int, _Removal], ...] = tuple(
+        self._removed: Tuple[Dict[int, Tuple[int, int]], ...] = tuple(
             {} for _ in range(num_tiles))
         self._counts = {t: stats.counter(f"miss_{t.value}")
                         for t in MissType}
@@ -92,15 +84,13 @@ class MissClassifier:
 
     def note_eviction(self, tile: TileId, line_address: int) -> None:
         """``tile`` lost the line to its own replacement policy."""
-        self._removed[int(tile)][line_address] = _Removal(
-            _Removal.EVICT, self._version)
+        self._removed[int(tile)][line_address] = (_EVICT, self._version)
 
     def note_invalidation(self, tile: TileId, line_address: int,
                           due_to_write: bool) -> None:
         """``tile`` lost the line to a coherence invalidation."""
-        reason = _Removal.INVAL_WRITE if due_to_write else _Removal.INVAL_OTHER
-        self._removed[int(tile)][line_address] = _Removal(
-            reason, self._version)
+        reason = _INVAL_WRITE if due_to_write else _INVAL_OTHER
+        self._removed[int(tile)][line_address] = (reason, self._version)
 
     # -- classification -----------------------------------------------------------
 
@@ -111,14 +101,13 @@ class MissClassifier:
         if line not in self._seen[t]:
             kind = MissType.COLD
         else:
-            removal = self._removed[t].get(line)
-            if removal is None or removal.reason == _Removal.EVICT:
+            reason, version = self._removed[t].get(line, (_EVICT, 0))
+            if reason == _EVICT:
                 kind = MissType.CAPACITY
-            elif removal.reason == _Removal.INVAL_OTHER:
+            elif reason == _INVAL_OTHER:
                 kind = MissType.COHERENCE
             else:
-                kind = self._sharing_kind(line, address, size,
-                                          removal.version)
+                kind = self._sharing_kind(line, address, size, version)
         self._counts[kind].add()
         return kind
 

@@ -27,6 +27,10 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
 class NetworkFabric:
     """All network models plus the shared transport, for one simulation."""
 
+    __slots__ = ("num_tiles", "config", "transport", "stats", "_tele",
+                 "functional", "models",
+                 "__dict__")  # profile's wrappers, as CoreModel
+
     def __init__(self, num_tiles: int, config: NetworkConfig,
                  transport: Transport, stats: StatGroup,
                  telemetry: Optional["TelemetryBus"] = None) -> None:

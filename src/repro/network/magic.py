@@ -17,6 +17,8 @@ from repro.network.model import NetworkModel, register_model
 class MagicNetworkModel(NetworkModel):
     """All packets arrive with zero latency."""
 
+    __slots__ = ()
+
     def __init__(self, num_tiles: int, config: NetworkConfig,
                  stats: StatGroup) -> None:
         super().__init__("magic", stats)

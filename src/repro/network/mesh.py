@@ -25,6 +25,9 @@ def serialization_cycles(size_bytes: int, link_bytes_per_cycle: int) -> int:
 class MeshNetworkModel(NetworkModel):
     """Hop-count mesh: fixed per-hop latency, no contention."""
 
+    __slots__ = ("geometry", "hop_latency", "link_bytes_per_cycle",
+                 "endpoint_latency")
+
     def __init__(self, num_tiles: int, config: NetworkConfig,
                  stats: StatGroup) -> None:
         super().__init__("mesh", stats)

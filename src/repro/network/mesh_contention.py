@@ -29,6 +29,10 @@ from repro.sync.queue_model import LaxQueueModel
 class ContentionMeshNetworkModel(NetworkModel):
     """Mesh with per-link lax queue clocks modelling contention."""
 
+    __slots__ = ("geometry", "hop_latency", "link_bytes_per_cycle",
+                 "endpoint_latency", "progress", "_queue_stats", "_links",
+                 "_contention")
+
     def __init__(self, num_tiles: int, config: NetworkConfig,
                  stats: StatGroup) -> None:
         super().__init__("mesh_contention", stats)

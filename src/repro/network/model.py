@@ -21,6 +21,9 @@ from repro.common.stats import StatGroup
 class NetworkModel(abc.ABC):
     """Computes modelled packet latency for one traffic class."""
 
+    __slots__ = ("name", "stats", "telemetry", "_packets", "_bytes",
+                 "_latency")
+
     def __init__(self, name: str, stats: StatGroup) -> None:
         self.name = name
         self.stats = stats

@@ -24,6 +24,9 @@ from repro.network.routing import MeshGeometry
 class RingNetworkModel(NetworkModel):
     """Bidirectional 1D ring, shortest-direction routing."""
 
+    __slots__ = ("num_tiles", "hop_latency", "link_bytes_per_cycle",
+                 "endpoint_latency")
+
     def __init__(self, num_tiles: int, config: NetworkConfig,
                  stats: StatGroup) -> None:
         super().__init__("ring", stats)
@@ -48,6 +51,9 @@ class RingNetworkModel(NetworkModel):
 @register_model("torus")
 class TorusNetworkModel(NetworkModel):
     """2D torus: the mesh grid with wrap-around in both dimensions."""
+
+    __slots__ = ("geometry", "hop_latency", "link_bytes_per_cycle",
+                 "endpoint_latency")
 
     def __init__(self, num_tiles: int, config: NetworkConfig,
                  stats: StatGroup) -> None:

@@ -21,6 +21,8 @@ class MeshGeometry:
     ``num_tiles`` slots; tiles are numbered row-major.
     """
 
+    __slots__ = ("num_tiles", "width", "height")
+
     def __init__(self, num_tiles: int) -> None:
         if num_tiles < 1:
             raise ValueError("mesh needs at least one tile")

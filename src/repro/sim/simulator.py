@@ -46,6 +46,17 @@ _CODE_REGION_BYTES = 64 * 1024
 class Simulator:
     """One fully wired simulation instance."""
 
+    # The kernel the interpreters read per op, so slotted like them.
+    __slots__ = ("config", "rngs", "stats", "layout", "telemetry",
+                 "sanitizers", "flight", "_span_emitter", "_run_span",
+                 "cost_model", "sync_model", "scheduler", "transport",
+                 "fabric", "space", "backing", "classifier", "engine",
+                 "controllers", "allocator", "mcp", "lcps", "interpreters",
+                 "_code_bases", "skew_trace", "metrics", "recoveries",
+                 "exec_functional", "sample_controller", "_ckpt_store",
+                 "host_profile", "_worker_host_scopes", "profiler",
+                 "__dict__")  # profile's wrappers, as CoreModel
+
     def __init__(self, config: SimulationConfig) -> None:
         config.validate()
         self.config = config

@@ -8,14 +8,13 @@ the windowed global-progress estimator and the lax queueing model that
 the network-contention and DRAM models rely on.
 """
 
-from repro.sync.model import SyncDecision, SynchronizationModel, create_sync_model
+from repro.sync.model import SynchronizationModel, create_sync_model
 from repro.sync.progress import ProgressEstimator
 from repro.sync.queue_model import LaxQueueModel
 
 __all__ = [
     "LaxQueueModel",
     "ProgressEstimator",
-    "SyncDecision",
     "SynchronizationModel",
     "create_sync_model",
 ]

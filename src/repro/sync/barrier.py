@@ -28,6 +28,7 @@ class LaxBarrierModel(SynchronizationModel):
     """Barrier every ``barrier_interval`` simulated cycles."""
 
     name = "lax_barrier"
+    __slots__ = ("interval", "epoch_end", "_waiting", "_barriers", "_arrivals")
 
     def __init__(self, config: SyncConfig, stats: StatGroup,
                  telemetry=None) -> None:

@@ -17,3 +17,4 @@ class LaxModel(SynchronizationModel):
     """Lax synchronization: let threads run freely."""
 
     name = "lax"
+    __slots__ = ()

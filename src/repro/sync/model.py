@@ -8,7 +8,6 @@ forwarded only at true interaction events.
 
 from __future__ import annotations
 
-import enum
 import random
 from typing import Optional, TYPE_CHECKING
 
@@ -21,18 +20,12 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.telemetry.bus import Channel
 
 
-class SyncDecision(enum.Enum):
-    """What a model asked the scheduler to do with a thread."""
-
-    CONTINUE = "continue"
-    SLEEP = "sleep"
-    BARRIER = "barrier"
-
-
 class SynchronizationModel:
     """Base class: plain lax behaviour (no constraints)."""
 
     name = "lax"
+    __slots__ = ("config", "stats", "telemetry", "scheduler",
+                 "__dict__")  # profile's wrappers, as CoreModel
 
     def __init__(self, config: SyncConfig, stats: StatGroup,
                  telemetry: Optional["Channel"] = None) -> None:

@@ -31,6 +31,8 @@ class LaxP2PModel(SynchronizationModel):
     """Randomized pairwise slack enforcement."""
 
     name = "lax_p2p"
+    __slots__ = ("slack", "interval", "_rng", "_next_check", "_checks",
+                 "_sleeps", "_sleep_hist")
 
     def __init__(self, config: SyncConfig, stats: StatGroup,
                  rng: random.Random, telemetry=None) -> None:

@@ -18,6 +18,8 @@ from typing import Deque
 class ProgressEstimator:
     """Sliding-window average of observed message timestamps."""
 
+    __slots__ = ("window_size", "_window", "_sum")
+
     def __init__(self, window_size: int) -> None:
         if window_size < 1:
             raise ValueError("progress window must hold at least one sample")

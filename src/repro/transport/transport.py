@@ -33,6 +33,9 @@ class Transport:
     handlers) or block via the scheduler (user messaging API).
     """
 
+    __slots__ = ("layout", "_queues", "_hooks", "stats", "_sent",
+                 "_bytes", "_by_locality")
+
     def __init__(self, layout: ClusterLayout,
                  stats: Optional[StatGroup] = None) -> None:
         self.layout = layout

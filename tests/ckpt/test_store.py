@@ -1,4 +1,4 @@
-"""The on-disk ``repro.ckpt/2`` store: atomicity, integrity, pruning."""
+"""The on-disk ``repro.ckpt/3`` store: atomicity, integrity, pruning."""
 
 from __future__ import annotations
 
@@ -85,6 +85,40 @@ def test_rewriting_same_turn_replaces_cleanly(tmp_path):
     assert blobs["coordinator"] == b"second"
 
 
+def test_crash_between_the_two_renames_leaves_a_readable_checkpoint(
+        tmp_path, monkeypatch):
+    """Rewriting an existing turn moves it aside, then renames the new
+    one in.  Dying between the two must not strand ``LATEST`` on a
+    directory that is gone (the old ``rmtree``-then-rename did)."""
+    store = CheckpointStore(str(tmp_path))
+    _write(store, 20, b"first")
+    assert store.latest() == "ckpt-00000020"
+    real_replace = os.replace
+    calls = []
+
+    def dying_replace(src, dst):
+        calls.append((os.path.basename(src), os.path.basename(dst)))
+        if len(calls) == 2:
+            raise OSError("killed between the two renames")
+        return real_replace(src, dst)
+
+    monkeypatch.setattr(os, "replace", dying_replace)
+    with pytest.raises(OSError, match="killed"):
+        _write(store, 20, b"second")
+    monkeypatch.undo()
+    assert calls == [("ckpt-00000020", "ckpt-00000020.old"),
+                     ("ckpt-00000020.tmp", "ckpt-00000020")]
+    # Both survivors are whole: the one stepped aside and the one staged
+    # (its manifest, written last, is there).  read() verifies either.
+    manifest, blobs = CheckpointStore(str(tmp_path)).read()
+    assert manifest["turn"] == 20
+    assert blobs["coordinator"] in (b"first", b"second")
+    # The next write of the turn goes through and leaves no debris.
+    _write(store, 20, b"third")
+    assert store.read()[1]["coordinator"] == b"third"
+    assert sorted(os.listdir(tmp_path)) == ["LATEST", "ckpt-00000020"]
+
+
 def test_missing_root_reports_no_checkpoint(tmp_path):
     store = CheckpointStore(str(tmp_path / "empty"))
     with pytest.raises(CheckpointError, match="no checkpoint"):
@@ -125,11 +159,13 @@ def test_unknown_format_version_is_rejected(tmp_path):
     manifest_path = os.path.join(path, "manifest.json")
     with open(manifest_path) as fh:
         manifest = json.load(fh)
-    manifest["format"] = "repro.ckpt/99"
+    manifest["format"] = "repro.ckpt/2"  # the previous layout
     with open(manifest_path, "w") as fh:
         json.dump(manifest, fh)
-    with pytest.raises(CheckpointError, match="unsupported"):
+    with pytest.raises(CheckpointError, match="unsupported") as refused:
         store.read()
+    assert "'repro.ckpt/2'" in str(refused.value)
+    assert repr(FORMAT) in str(refused.value) and FORMAT.endswith("/3")
 
 
 def test_checkpoint_without_coordinator_is_rejected(tmp_path):

@@ -139,7 +139,7 @@ class TestEntries:
         library = SnapshotLibrary(config.sample.library)
         key, _ = library.ensure(config, long_program)
         meta = library.meta(key)
-        assert meta["format"] == "repro.sample/2"
+        assert meta["format"] == "repro.sample/3"
         assert meta["ff_until"] == config.sample.ff_until
         assert meta["prefix_hash"] == config.prefix_hash()
         # The primer's SAMPLE telemetry rides along: exactly one
@@ -156,7 +156,7 @@ class TestEntries:
         path = os.path.join(library.entry_dir(key), "LIBRARY.json")
         with open(path) as handle:
             meta = json.load(handle)
-        meta["format"] = "repro.sample/1"
+        meta["format"] = "repro.sample/2"  # the previous layout
         with open(path, "w") as handle:
             json.dump(meta, handle)
         for lookup in (lambda: library.has(key),
