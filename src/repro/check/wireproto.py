@@ -4,7 +4,7 @@
 field-schema manifest: where W001 pins *what* a frame carries, the
 protocol spec pins *who may say what, when*.  It names every protocol
 role (coordinator/worker over the pickle wire, the serve daemon and
-its remote fleet slots over the verb tuples, both ends of the net
+its fleet workers over the verb tuples, both ends of the net
 handshake), which frames each role may send, how requests pair with
 replies, and the per-role phase machine legal orderings must follow.
 
@@ -31,7 +31,7 @@ references are ``FrameKind.X`` attributes for the pickle wire,
 lowercase verb tuples ``("job", ...)`` for the serve slot protocol,
 and frame-dataclass constructors for the net handshake.  Sites are
 scoped to the classes/functions the spec names for each role, so the
-two roles sharing ``serve/remote.py`` are checked independently.
+two roles sharing ``serve/fleet.py`` are checked independently.
 
 Findings ride the same reporting and ``# check: allow P001 -- why``
 suppression machinery as every other lint rule.

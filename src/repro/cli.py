@@ -517,8 +517,8 @@ def _command_worker(args: argparse.Namespace) -> int:
                   "trace": welcome.trace})
     try:
         if welcome.role == "serve":
-            from repro.serve.remote import run_remote_fleet_worker
-            run_remote_fleet_worker(channel, ops=ops)
+            from repro.serve.fleet import run_fleet_child
+            run_fleet_child(channel, ops=ops)
         else:
             from repro.distrib.worker import run_connected_worker
             run_connected_worker(channel, welcome)

@@ -68,8 +68,8 @@ from repro.telemetry.events import EventCategory
 from repro.transport.message import Message, MessageKind
 from repro.transport.transport import Transport
 
-#: Pipe poll granularity while waiting on a worker (seconds).
-_POLL_TICK = 0.05
+#: Seconds between liveness re-checks while waiting on a worker.
+_LIVENESS_TICK = 0.05
 
 
 class WorkerCluster:
@@ -347,7 +347,7 @@ class WorkerCluster:
         wait_start = time.perf_counter_ns() if prof is not None else 0
         deadline = time.monotonic() + self.timeout
         while True:
-            if channel.poll(_POLL_TICK):
+            if channel.poll(_LIVENESS_TICK):
                 try:
                     blob = channel.recv_bytes()
                 except ChannelClosedError as exc:

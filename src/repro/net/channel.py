@@ -55,6 +55,7 @@ class Channel:
         #: no ``FD_SETSIZE`` ceiling on the descriptor number.
         self._poller = select.poll()
         self._poller.register(fd, select.POLLIN)
+        self._fd = fd
 
     def send_bytes(self, blob: bytes) -> None:
         raise NotImplementedError
@@ -69,6 +70,11 @@ class Channel:
         the ``recv_bytes`` that follows raises the closed error.
         """
         return bool(self._poller.poll(timeout * 1000.0))
+
+    def fileno(self) -> int:
+        """The descriptor :meth:`poll` watches, for a supervisor that
+        blocks on many channels at once."""
+        return self._fd
 
     def alive(self) -> bool:
         """Best-effort: could the peer still send us a frame?"""
@@ -177,14 +183,14 @@ class TcpChannel(Channel):
         return self._closed or self._eof or super().poll(timeout)
 
     def alive(self) -> bool:
-        """Liveness without consuming data: peek one byte nonblocking."""
+        """Liveness without consuming data: peek one byte nonblocking.
+
+        The peek is the arbiter even when ``proc`` has exited: frames
+        the dead process wrote may still sit unread in the socket
+        buffer, and the channel stays alive until they are consumed.
+        """
         if self._closed or self._eof:
             return False
-        if self.proc is not None and not self.proc.is_alive():
-            # The process died; unread frames may still sit in the
-            # socket buffer, so EOF detection below stays the arbiter
-            # only when nothing is buffered.
-            pass
         try:
             chunk = self.sock.recv(1, socket.MSG_PEEK | socket.MSG_DONTWAIT)
         except (BlockingIOError, InterruptedError):

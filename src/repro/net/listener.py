@@ -64,6 +64,10 @@ class NetListener:
         host, port = self._sock.getsockname()[:2]
         return f"{host}:{port}"
 
+    def fileno(self) -> int:
+        """The listening descriptor: readable when a dial-in waits."""
+        return self._sock.fileno()
+
     def accept(self, timeout: float = 0.0
                ) -> Optional[Tuple[TcpChannel, Hello]]:
         """Accept and handshake one dial-in; ``None`` on timeout.

@@ -2,10 +2,11 @@
 
 ``SimServer`` owns three things:
 
-* a **worker fleet** — long-lived forked processes (:mod:`repro.serve.
-  worker`), one job each, respawned on death with the dead worker's
-  job requeued against its retry budget (the sweep pool's
-  requeue-on-dead-child rule, made per-job);
+* a **worker fleet** — one :class:`~repro.serve.fleet.FleetSlot` per
+  worker, one job each: long-lived forked children, respawned on
+  death, plus any ``repro worker --connect`` dial-ins, removed on
+  death; either way the dead worker's job is requeued against its
+  retry budget;
 * a **job queue** (:mod:`repro.serve.jobs`) — strict priority, FIFO
   within a class, with checkpoint preemption when a higher-priority
   job arrives and every worker is busy;
@@ -13,11 +14,15 @@
   repeat submission whose key is already stored is answered as
   ``cached`` without simulating.
 
-Two daemon threads run the service: the *pump* (scheduling, worker
-supervision, result collection) and the *listener* (versioned JSON
-frames from clients over a Unix socket, :mod:`repro.serve.protocol`).
-All shared state is guarded by one lock; both threads hold it only for
-bookkeeping, never across a simulation.
+Two daemon threads run the service: the *pump* (worker supervision and
+result collection; it sleeps in one wait over the fleet's channels,
+the forked children's sentinels and the dial-in listener, and wakes
+only when one of them has something to say) and the *listener*
+(versioned JSON frames from clients over a Unix socket,
+:mod:`repro.serve.protocol`), which assigns or preempts inline when a
+submission or cancellation calls for it.  All shared state is guarded
+by one lock; both threads hold it only for bookkeeping, never across a
+simulation.
 
 Job and worker lifecycle events surface on the telemetry bus as
 ``serve.*`` events — the service's ops stream (``--trace-out``).
@@ -26,7 +31,6 @@ Job and worker lifecycle events surface on the telemetry bus as
 from __future__ import annotations
 
 import itertools
-import multiprocessing
 import os
 import socket
 import threading
@@ -44,6 +48,7 @@ from repro.common.config import (
 )
 from repro.common.errors import ServeError
 from repro.serve import protocol
+from repro.serve.fleet import FleetSlot, wait_for_slots
 from repro.serve.jobs import (
     CACHED,
     DONE,
@@ -59,74 +64,10 @@ from repro.serve.protocol import ServerInfo, SubmitSpec, view_payload
 from repro.serve.store import ResultStore, job_key
 from repro.telemetry.events import EventCategory
 
-#: Seconds the pump sleeps between supervision passes.
-_DEFAULT_POLL = 0.02
 #: Listener accept timeout (also the stop-flag check cadence).
 _ACCEPT_TICK = 0.1
-#: Seconds allowed for orderly worker shutdown before termination.
-_SHUTDOWN_GRACE = 2.0
-
-
-class _FleetWorker:
-    """One fleet slot: the child process and its channels."""
-
-    #: Forked children are respawned in place when they die.
-    respawnable = True
-
-    def __init__(self, index: int, ctx) -> None:
-        self.index = index
-        self._ctx = ctx
-        self.proc = None
-        self.task_send = None
-        self.result_recv = None
-        self.preempt_flag = None
-        #: The job currently on this worker (``None`` = idle).
-        self.job: Optional[ServeJob] = None
-        #: A preempt signal is in flight for the current job.
-        self.preempt_pending = False
-
-    def spawn(self) -> None:
-        from repro.serve.worker import worker_main
-        task_recv, task_send = self._ctx.Pipe(duplex=False)
-        result_recv, result_send = self._ctx.Pipe(duplex=False)
-        flag = self._ctx.Event()
-        proc = self._ctx.Process(
-            target=worker_main, args=(task_recv, result_send, flag),
-            name=f"repro-serve-{self.index}", daemon=True)
-        proc.start()
-        task_recv.close()
-        result_send.close()
-        self.proc = proc
-        self.task_send = task_send
-        self.result_recv = result_recv
-        self.preempt_flag = flag
-        self.job = None
-        self.preempt_pending = False
-
-    @property
-    def idle(self) -> bool:
-        return self.job is None
-
-    def alive(self) -> bool:
-        return self.proc is not None and self.proc.is_alive()
-
-    def shutdown(self) -> None:
-        try:
-            if self.alive():
-                self.task_send.send(None)
-        except (OSError, ValueError):
-            pass
-        if self.proc is not None:
-            self.proc.join(timeout=_SHUTDOWN_GRACE)
-            if self.proc.is_alive():
-                self.proc.terminate()
-                self.proc.join(timeout=1.0)
-        for conn in (self.task_send, self.result_recv):
-            try:
-                if conn is not None:
-                    conn.close()
-            except OSError:
-                pass
+#: Seconds the pump backs off after a supervision pass raised.
+_CRASH_BACKOFF = 1.0
 
 
 class SimServer:
@@ -136,7 +77,6 @@ class SimServer:
                  max_attempts: int = 3,
                  socket_path: Optional[str] = None,
                  telemetry: Optional[TelemetryConfig] = None,
-                 poll_interval: float = _DEFAULT_POLL,
                  listen: Optional[str] = None) -> None:
         if fleet < 1 and listen is None:
             raise ServeError("serve: fleet must have at least 1 worker "
@@ -147,16 +87,17 @@ class SimServer:
                                                        "serve.sock")
         self.fleet_size = fleet
         self.max_attempts = max(1, int(max_attempts))
-        self.poll_interval = poll_interval
         self.store = ResultStore(os.path.join(self.root, "results"))
 
         self.queue = JobQueue()
         #: job_id -> ServeJob, in submission order.
         self.jobs: Dict[str, ServeJob] = {}
-        self.workers: List[_FleetWorker] = []
+        self.workers: List[FleetSlot] = []
         self._job_ids = itertools.count(1)
         self._lock = threading.RLock()
         self._stop = threading.Event()
+        #: Self-pipe ``(read, write)`` that wakes the blocked pump.
+        self._wake: Optional[tuple] = None
         self._threads: List[threading.Thread] = []
         self._listener: Optional[socket.socket] = None
         self._started = False
@@ -248,16 +189,12 @@ class SimServer:
             from repro.net.listener import NetListener
             self._net_listener = NetListener(self.listen, role="serve",
                                              wire_version=WIRE_VERSION)
-        try:
-            ctx = multiprocessing.get_context("fork")
-        except ValueError:  # pragma: no cover - non-POSIX hosts
-            ctx = multiprocessing.get_context("spawn")
+        self._wake = os.pipe()
         for index in range(self.fleet_size):
-            worker = _FleetWorker(index, ctx)
-            worker.spawn()
+            worker = FleetSlot.fork(index, f"repro-serve-{index}")
             self.workers.append(worker)
             self._emit("worker.spawned", {"worker": index,
-                                          "pid": worker.proc.pid})
+                                          "pid": worker.channel.proc.pid})
         for name, target in [["serve-pump", self._pump_loop],
                              ["serve-listen", self._listen_loop]]:
             thread = threading.Thread(target=target, name=name,
@@ -311,6 +248,9 @@ class SimServer:
     def request_stop(self) -> None:
         """Ask the service to wind down (returns immediately)."""
         self._stop.set()
+        wake = self._wake
+        if wake is not None:
+            os.write(wake[1], b"!")
 
     def wait(self, timeout: Optional[float] = None) -> bool:
         """Block until a stop is requested; ``True`` if it was."""
@@ -321,12 +261,16 @@ class SimServer:
 
         Graceful but immediate: queued jobs stay queued (and are
         reported as such by a later daemon over the same spool's
-        store), running jobs are terminated with their workers.
+        store), running jobs checkpoint off at their next quantum and
+        exit with their workers (terminated after a grace period).
         """
-        self._stop.set()
+        self.request_stop()
         for thread in self._threads:
             thread.join(timeout=5.0)
         self._threads = []
+        wake, self._wake = self._wake, None
+        for fd in wake or ():
+            os.close(fd)
         for worker in self.workers:
             worker.shutdown()
         self.workers = []
@@ -437,6 +381,10 @@ class SimServer:
                 self._enqueued_at[job_id] = time.monotonic()
                 self._emit_job("job.submitted", job)
                 self._trace_begin(job, "queue")
+                # The pump sleeps until a worker speaks, so the
+                # submission itself starts or preempts for the job.
+                self._assign_idle_workers()
+                self._consider_preemption()
             return job
 
     def _job_config(self, config: SimulationConfig,
@@ -463,6 +411,9 @@ class SimServer:
     # -- the pump: scheduling, supervision, results -------------------------
 
     def _pump_loop(self) -> None:  # pragma: no cover - thread driver
+        also = [self._wake[0]]
+        if self._net_listener is not None:
+            also.append(self._net_listener)
         while not self._stop.is_set():
             try:
                 self.pump_once()
@@ -470,7 +421,16 @@ class SimServer:
                 # A pump crash would silently freeze the service;
                 # surface it on stderr and keep serving.
                 traceback.print_exc()
-            self._stop.wait(self.poll_interval)
+                self._stop.wait(_CRASH_BACKOFF)
+                continue
+            # Sleep until a worker reports or dies, a host dials in or
+            # a stop is requested — or the next metrics sample is due.
+            timeout = None
+            if self._metrics_channel is not None:
+                timeout = max(0.0, self._last_sample + self._metrics_every
+                              - time.monotonic())
+            if also[0] in wait_for_slots(self.workers, timeout, also):
+                os.read(also[0], 4096)
 
     def pump_once(self) -> None:
         """One supervision pass (public for deterministic tests)."""
@@ -497,7 +457,6 @@ class SimServer:
         if self._net_listener is None:
             return
         from repro.net.handshake import HandshakeError
-        from repro.serve.remote import RemoteFleetWorker
         while True:
             try:
                 accepted = self._net_listener.accept(0.0)
@@ -509,8 +468,7 @@ class SimServer:
             channel, hello = accepted
             index = self._next_remote_index
             self._next_remote_index += 1
-            worker = RemoteFleetWorker(index, channel, hello)
-            self.workers.append(worker)
+            self.workers.append(FleetSlot(index, channel))
             self._emit("worker.joined", {"worker": index,
                                          "peer": channel.describe(),
                                          "host": hello.host,
@@ -518,17 +476,12 @@ class SimServer:
 
     def _drain_results(self) -> None:
         for worker in self.workers:
-            if worker.job is None:
-                continue
-            try:
-                if not worker.result_recv.poll():
-                    continue
-                job_id, status, payload = worker.result_recv.recv()
-            except (EOFError, OSError):
-                continue  # death handled by _reap_dead_workers
-            job = self.jobs.get(job_id, worker.job)
-            worker.job = None
-            worker.preempt_pending = False
+            running = worker.job
+            taken = worker.take_result()
+            if taken is None:
+                continue  # nothing yet (or dead: _reap_dead_workers)
+            job_id, status, payload = taken
+            job = self.jobs.get(job_id, running)
             self._release_worker(worker)
             if status == "ok":
                 self._finish_ok(job, payload)
@@ -592,10 +545,11 @@ class SimServer:
                     extra={"worker": worker.index,
                            "job": job.job_id if job else None,
                            "trace": job.trace_id if job else ""})
-            if worker.respawnable:
-                worker.spawn()
-                self._emit("worker.spawned", {"worker": worker.index,
-                                              "pid": worker.proc.pid})
+            if worker.respawn is not None:
+                worker.restart()
+                self._emit("worker.spawned", {
+                    "worker": worker.index,
+                    "pid": worker.channel.proc.pid})
             else:
                 # A remote host cannot be respawned from here: the
                 # slot leaves the fleet, its job does not.
@@ -635,15 +589,13 @@ class SimServer:
 
     def _assign_idle_workers(self) -> None:
         for worker in self.workers:
-            if not worker.idle or not worker.alive():
+            if worker.job is not None or not worker.alive():
                 continue
             job = self.queue.pop()
             if job is None:
                 return
             job.state = RUNNING
             job.attempts += 1
-            worker.job = job
-            worker.preempt_pending = False
             now = time.monotonic()
             queued_at = self._enqueued_at.pop(job.job_id, None)
             wait = now - queued_at if queued_at is not None else 0.0
@@ -661,14 +613,10 @@ class SimServer:
             # simulator it builds parents its run span under ours.
             job.config.telemetry.trace_id = job.trace_id
             job.config.telemetry.span_parent = run_span
-            try:
-                worker.task_send.send(
-                    (job.job_id, job.config, job.program, job.args,
-                     job.resume_dir))
-            except (OSError, ValueError):
-                # Worker died between the alive() check and the send;
-                # the next reap pass respawns it and requeues the job.
-                continue
+            # A worker that died between the alive() check and this
+            # send is reaped, and the job requeued, on the next pass.
+            worker.assign(job, (job.job_id, job.config, job.program,
+                                job.args, job.resume_dir))
             self._emit_job("job.started", job,
                            {"worker": worker.index,
                             "resumed": job.resume_dir is not None})
@@ -685,8 +633,7 @@ class SimServer:
             return
         victim = min(victims,
                      key=lambda w: (w.job.priority, -w.job.seqno))
-        victim.preempt_pending = True
-        victim.preempt_flag.set()
+        victim.preempt()
         self._emit_job("job.preempt", victim.job,
                        {"for": top.job_id, "worker": victim.index})
         self._trace_note(victim.job, "preempt.request",
@@ -904,8 +851,7 @@ class SimServer:
                 job.cancel_requested = True
                 for worker in self.workers:
                     if worker.job is job and not worker.preempt_pending:
-                        worker.preempt_pending = True
-                        worker.preempt_flag.set()
+                        worker.preempt()
             return {"job": view_payload(job.view())}
 
     def _stats(self) -> ServerInfo:

@@ -56,7 +56,7 @@ class TestSpecValidation:
     def test_spec_covers_all_wire_modules(self):
         assert spec_modules(load_spec()) == {
             "distrib/coordinator.py", "distrib/worker.py",
-            "serve/remote.py", "serve/client.py", "serve/daemon.py",
+            "serve/fleet.py", "serve/client.py", "serve/daemon.py",
             "net/handshake.py"}
 
     @pytest.mark.parametrize("mutate,needle", [

@@ -126,6 +126,24 @@ def test_pool_deadline_names_unfinished_jobs():
     assert not isinstance(excinfo.value, TimeoutError)
 
 
+def _slow_program(ctx, seconds):
+    import time
+    time.sleep(seconds)
+    yield from ctx.compute(5)
+    return "slept"
+
+
+def test_pool_deadline_is_per_result_not_per_sweep():
+    """``timeout`` is what the error says it is — the longest the pool
+    waits for the *next* result: a sweep that keeps producing results
+    outlives it."""
+    # Two children, four rounds of 0.3 s: over a second in total, but
+    # never more than a round between two results.
+    jobs = [(cfg, _slow_program, (0.3,)) for cfg in _configs(8)]
+    results = run_jobs(jobs, workers=2, timeout=1.0)
+    assert [r.main_result for r in results] == ["slept"] * 8
+
+
 def _die_once_program(ctx, marker):
     """SIGKILL the hosting pool child on the first attempt only."""
     yield from ctx.compute(5)
@@ -186,21 +204,12 @@ def test_pool_deadline_truncates_long_unfinished_list():
                  workers=2, timeout=0.5)
 
 
-def test_effective_workers_capped_at_job_count():
-    from repro.distrib.pool import _effective_workers
-    assert _effective_workers(8, 2) == 2
-    assert _effective_workers(2, 8) == 2
-    assert _effective_workers(0, 5) == 1
-    assert _effective_workers(4, 0) == 1
-    assert _effective_workers(3, 3) == 3
-
-
 def test_pool_never_forks_more_children_than_jobs(monkeypatch):
     """Two jobs on an eight-way pool must fork exactly two children:
-    surplus children would be pure fork cost (start, find the queue
-    drained, exit)."""
-    import repro.distrib.pool as pool_mod
-    real_get_context = pool_mod.multiprocessing.get_context
+    a surplus child would be pure fork cost (start, never be handed a
+    job, exit)."""
+    import repro.serve.fleet as fleet_mod
+    real_get_context = fleet_mod.multiprocessing.get_context
     spawned = []
 
     class CountingCtx:
@@ -215,23 +224,31 @@ def test_pool_never_forks_more_children_than_jobs(monkeypatch):
             return self._ctx.Process(*args, **kwargs)
 
     monkeypatch.setattr(
-        pool_mod.multiprocessing, "get_context",
+        fleet_mod.multiprocessing, "get_context",
         lambda kind: CountingCtx(real_get_context(kind)))
     configs = _configs(2)
     results = run_jobs([(cfg, REF, ()) for cfg in configs], workers=8)
     assert len(results) == 2
+    assert spawned == ["repro-pool-0", "repro-pool-1"]
+    # The cap is on the job count, not the other way round.
+    del spawned[:]
+    assert len(run_jobs([(cfg, REF, ()) for cfg in _configs(3)],
+                        workers=2)) == 3
     assert len(spawned) == 2
 
 
 def test_single_job_takes_the_serial_path(monkeypatch):
-    """One job never forks at all — the serial fallback runs it
-    in-process regardless of the requested pool width."""
-    import repro.distrib.pool as pool_mod
+    """One job — or a pool of one (or zero) workers — never forks at
+    all: the serial fallback runs in-process regardless of the
+    requested pool width."""
+    import repro.serve.fleet as fleet_mod
 
     def explode(kind):  # any fork attempt fails the test
         raise AssertionError("pool forked for a single job")
 
-    monkeypatch.setattr(pool_mod.multiprocessing, "get_context",
+    monkeypatch.setattr(fleet_mod.multiprocessing, "get_context",
                         explode)
     [result] = run_jobs([(_configs(1)[0], REF, ())], workers=8)
     assert result.simulated_cycles > 0
+    jobs = [(cfg, REF, ()) for cfg in _configs(2)]
+    assert len(run_jobs(jobs, workers=0)) == 2

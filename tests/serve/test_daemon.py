@@ -3,8 +3,9 @@
 Each test runs a real daemon (forked worker fleet, Unix socket) and a
 real client.  The load-bearing assertions are byte-level: a served
 result equals the canonical bytes of a direct in-process run of the
-same job — for plain runs, for cache hits, and for a job that was
-checkpoint-preempted mid-flight and resumed.
+same job — for plain runs and for cache hits.  What one worker does
+with one job (assign, preempt and resume, die and be requeued) is
+``test_fleet.py``, once per carrier.
 """
 
 from __future__ import annotations
@@ -14,7 +15,6 @@ import os
 import shutil
 import signal
 import tempfile
-import time
 
 import pytest
 
@@ -58,16 +58,6 @@ def running_server(**kwargs):
     finally:
         server.stop()
         shutil.rmtree(root, ignore_errors=True)
-
-
-def _kill_once_program(ctx, flag_path):
-    """Takes its worker down with it on the first attempt only."""
-    yield from ctx.compute(50)
-    if not os.path.exists(flag_path):
-        with open(flag_path, "w"):
-            pass
-        os.kill(os.getpid(), signal.SIGKILL)
-    yield from ctx.compute(50)
 
 
 def _always_kill_program(ctx):
@@ -130,46 +120,6 @@ def test_seed_flip_misses_the_cache():
         assert client.wait(flipped["job_id"],
                            timeout=120)["state"] == "done"
         assert client.stats()["cache_hits"] == 0
-
-
-def test_preempted_job_resumes_byte_identical():
-    """A higher-priority arrival checkpoints the runner off its single
-    worker; the preempted job later resumes and finishes with a result
-    byte-identical to an undisturbed run."""
-    with running_server(fleet=1) as (server, client):
-        low = client.submit(config=_config(1),
-                            workload="matrix_multiply", nthreads=2,
-                            scale=LONG_SCALE, priority=0)
-        deadline = time.monotonic() + 30
-        while client.status(low["job_id"])["state"] != "running":
-            assert time.monotonic() < deadline, "job never started"
-            time.sleep(0.01)
-        high = client.submit(config=_config(2), workload="fft",
-                             nthreads=2, scale=0.1, priority=5)
-        high_final = client.wait(high["job_id"], timeout=120)
-        assert high_final["state"] == "done"
-        low_final = client.wait(low["job_id"], timeout=300)
-        assert low_final["state"] == "done"
-        assert low_final["preemptions"] >= 1
-        assert client.stats()["preemptions"] >= 1
-        served = client.fetch_result(low["job_id"])
-        assert canonical_result_bytes(served) == _direct_bytes(
-            1, "matrix_multiply", LONG_SCALE)
-
-
-def test_dead_worker_requeues_job_within_budget(tmp_path):
-    """A worker SIGKILLed mid-job is respawned and the job retried —
-    the sweep pool's requeue-on-dead-child rule, per job."""
-    flag = str(tmp_path / "died-once")
-    with running_server(fleet=1) as (server, client):
-        view = client.submit(config=_config(41),
-                             program=_kill_once_program,
-                             args=(flag,))
-        final = client.wait(view["job_id"], timeout=120)
-        assert final["state"] == "done"
-        assert final["deaths"] == 1
-        assert final["attempts"] == 2
-        assert client.stats()["worker_deaths"] >= 1
 
 
 def test_retry_budget_exhaustion_fails_the_job():

@@ -62,13 +62,13 @@ def running_server(**kwargs):
 
 def _remote_worker_main(address: str, trace_dir: str = "") -> None:
     from repro.net.listener import connect_worker
-    from repro.serve import worker
-    from repro.serve.remote import run_remote_fleet_worker
+    from repro.serve import fleet
+    from repro.serve.fleet import run_fleet_child
     if trace_dir:
         # Record what each assignment's *simulator* emits on this
         # side of the wire: turn the job's own obs tracing on, one
         # JSONL file per assignment.
-        run_job, assignments = worker.run_job, iter(range(10 ** 6))
+        run_job, assignments = fleet.run_job, iter(range(10 ** 6))
 
         def traced_run_job(config, *rest):
             config.telemetry.enabled = True
@@ -76,10 +76,10 @@ def _remote_worker_main(address: str, trace_dir: str = "") -> None:
             config.telemetry.trace_path = os.path.join(
                 trace_dir, f"assignment{next(assignments)}.jsonl")
             return run_job(config, *rest)
-        worker.run_job = traced_run_job
+        fleet.run_job = traced_run_job
     channel, welcome = connect_worker(address, WIRE_VERSION,
                                       timeout=10.0)
-    run_remote_fleet_worker(channel)
+    run_fleet_child(channel)
 
 
 def _dial_worker(address: str,

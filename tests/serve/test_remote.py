@@ -1,96 +1,21 @@
-"""Remote serve fleet (``--listen``) and stale-socket recovery.
+"""Stale-socket recovery: a spool's Unix socket outliving its daemon.
 
-The remote slots ride the exact pump policies of the forked fleet —
-assignment, preemption, retry — over a TCP channel, so every served
-result must stay byte-identical to a direct in-process run, and a
-vanished remote host must surrender its slot but not its job.
+(The remote ``--listen`` fleet is ``test_fleet.py``'s tcp carrier.)
 """
 
 from __future__ import annotations
 
-import contextlib
-import multiprocessing
 import os
 import shutil
 import socket
 import tempfile
-import time
 
 import pytest
 
-from repro.common.config import SimulationConfig, TelemetryConfig
 from repro.common.errors import ServeError
-from repro.distrib.wire import WIRE_VERSION, WorkloadRef
 from repro.serve.client import ServeClient
 from repro.serve.daemon import SimServer
-from repro.serve.store import canonical_result_bytes
-from repro.sim.simulator import Simulator
-
-FAST_SCALE = 0.05
-LONG_SCALE = 10.0
-
-
-def _config(seed: int) -> SimulationConfig:
-    cfg = SimulationConfig(num_tiles=2, seed=seed)
-    cfg.host.quantum_instructions = 200
-    return cfg
-
-
-def _direct_bytes(seed: int, workload: str, scale: float) -> bytes:
-    result = Simulator(_config(seed)).run(WorkloadRef(workload, 2, scale))
-    return canonical_result_bytes(result)
-
-
-def _remote_worker_main(address: str) -> None:
-    """What ``repro worker --connect`` does once welcomed by a daemon."""
-    from repro.net.listener import connect_worker
-    from repro.serve.remote import run_remote_fleet_worker
-    channel, welcome = connect_worker(address, WIRE_VERSION,
-                                      timeout=10.0)
-    assert welcome.role == "serve"
-    run_remote_fleet_worker(channel)
-
-
-def _dial_worker(address: str) -> multiprocessing.Process:
-    proc = multiprocessing.get_context("fork").Process(
-        target=_remote_worker_main, args=(address,), daemon=True)
-    proc.start()
-    return proc
-
-
-@contextlib.contextmanager
-def running_server(**kwargs):
-    # Short tempdir: AF_UNIX socket paths cap out around 107 chars.
-    root = tempfile.mkdtemp(dir="/tmp", prefix="rr-")
-    server = SimServer(root, **kwargs).start()
-    client = ServeClient(server.socket_path)
-    try:
-        client.wait_up()
-        yield server, client
-    finally:
-        server.stop()
-        shutil.rmtree(root, ignore_errors=True)
-
-
-def _wait_for_fleet(server: SimServer, count: int,
-                    timeout: float = 10.0) -> None:
-    deadline = time.monotonic() + timeout
-    while len(server.workers) < count:
-        assert time.monotonic() < deadline, "remote worker never joined"
-        time.sleep(0.02)
-
-
-def _die_once_program(ctx, flag_path):
-    """Takes its (remote) worker down with it on the first attempt."""
-    yield from ctx.compute(50)
-    if not os.path.exists(flag_path):
-        with open(flag_path, "w"):
-            pass
-        os.kill(os.getpid(), 9)
-    yield from ctx.compute(50)
-
-
-# -- stale Unix sockets ------------------------------------------------------
+from tests.serve.test_daemon import running_server
 
 
 def test_stale_socket_is_probed_and_rebound():
@@ -121,106 +46,3 @@ def test_live_daemon_socket_is_never_hijacked():
         # The refused daemon must not have broken the live one.
         probe = ServeClient(server.socket_path)
         assert probe.alive()
-
-
-# -- remote fleet workers ----------------------------------------------------
-
-
-def _reap(proc: multiprocessing.Process) -> None:
-    if proc is not None and proc.is_alive():
-        proc.terminate()
-        proc.join(timeout=5.0)
-
-
-def test_remote_worker_serves_jobs_byte_identical():
-    telemetry = TelemetryConfig(enabled=True, events=["serve"])
-    proc = None
-    try:
-        with running_server(fleet=0, listen="127.0.0.1:0",
-                            telemetry=telemetry) as (server, client):
-            assert server.listen_address is not None
-            proc = _dial_worker(server.listen_address)
-            _wait_for_fleet(server, 1)
-            view = client.submit(config=_config(91),
-                                 workload="matrix_multiply",
-                                 nthreads=2, scale=FAST_SCALE)
-            final = client.wait(view["job_id"], timeout=120)
-            assert final["state"] == "done"
-            served = client.fetch_result(view["job_id"])
-            assert canonical_result_bytes(served) == _direct_bytes(
-                91, "matrix_multiply", FAST_SCALE)
-            names = {event.name for event in server.bus.events}
-            assert "worker.joined" in names
-        # server.stop() (context exit) sent the shutdown frame.
-        proc.join(timeout=30.0)
-        assert proc.exitcode == 0  # clean shutdown frame honoured
-    finally:
-        _reap(proc)
-
-
-def test_remote_preemption_rides_the_channel():
-    """Preempting a remote slot has no side-band Event: the signal
-    travels the job channel and the resumed job stays byte-identical."""
-    proc = None
-    try:
-        with running_server(fleet=0, listen="127.0.0.1:0") \
-                as (server, client):
-            proc = _dial_worker(server.listen_address)
-            _wait_for_fleet(server, 1)
-            low = client.submit(config=_config(1),
-                                workload="matrix_multiply", nthreads=2,
-                                scale=LONG_SCALE, priority=0)
-            deadline = time.monotonic() + 30
-            while client.status(low["job_id"])["state"] != "running":
-                assert time.monotonic() < deadline, "job never started"
-                time.sleep(0.01)
-            high = client.submit(config=_config(2), workload="fft",
-                                 nthreads=2, scale=0.1, priority=5)
-            assert client.wait(high["job_id"],
-                               timeout=120)["state"] == "done"
-            low_final = client.wait(low["job_id"], timeout=300)
-            assert low_final["state"] == "done"
-            assert low_final["preemptions"] >= 1
-            served = client.fetch_result(low["job_id"])
-            assert canonical_result_bytes(served) == _direct_bytes(
-                1, "matrix_multiply", LONG_SCALE)
-        proc.join(timeout=30.0)
-    finally:
-        _reap(proc)
-
-
-def test_dead_remote_worker_loses_its_slot_not_the_job(tmp_path):
-    """A remote host dying mid-job removes the slot (no respawn from
-    here) and requeues the job; fresh capacity dialing in finishes it."""
-    flag = str(tmp_path / "died-once")
-    telemetry = TelemetryConfig(enabled=True, events=["serve"])
-    first = second = None
-    try:
-        with running_server(fleet=0, listen="127.0.0.1:0",
-                            telemetry=telemetry) as (server, client):
-            first = _dial_worker(server.listen_address)
-            _wait_for_fleet(server, 1)
-            view = client.submit(config=_config(93),
-                                 program=_die_once_program,
-                                 args=(flag,))
-            deadline = time.monotonic() + 30
-            while not server.worker_deaths:
-                assert time.monotonic() < deadline, "worker never died"
-                time.sleep(0.02)
-            # The dead slot leaves the fleet; the job stays queued.
-            deadline = time.monotonic() + 10
-            while server.workers:
-                assert time.monotonic() < deadline, "slot never removed"
-                time.sleep(0.02)
-            second = _dial_worker(server.listen_address)
-            final = client.wait(view["job_id"], timeout=120)
-            assert final["state"] == "done"
-            assert final["deaths"] == 1
-            assert final["attempts"] == 2
-            names = {event.name for event in server.bus.events}
-            assert "worker.left" in names
-        first.join(timeout=30.0)
-        second.join(timeout=30.0)
-    finally:
-        _reap(first)
-        _reap(second)
