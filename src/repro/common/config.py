@@ -751,11 +751,6 @@ class SimulationConfig:
         self.profile.validate()
         self.ckpt.validate()
         self.sample.validate()
-        # Host-profiling instrumentation rebinds instance methods with
-        # closure wrappers, which cannot cross a snapshot pickle.
-        _require(not (self.ckpt.enabled and self.profile.enabled),
-                 "ckpt: checkpointing does not support host profiling "
-                 "(--profile); disable one of the two")
 
     # -- (de)serialisation --------------------------------------------------
 

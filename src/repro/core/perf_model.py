@@ -41,11 +41,9 @@ class CoreModel:
     predictor, the retirement and stall counters — and the one thing
     they must do identically: retire under fast-forward."""
 
-    # ``__dict__`` holds only ``repro.profile``'s per-instance timed
-    # wrappers; it stays empty in every run that takes snapshots.
     __slots__ = ("config", "clock", "stats", "_tele", "_tile",
                  "branch_predictor", "_costs", "_instructions",
-                 "_memory_stall", "_branch_stall", "_sync_wait", "__dict__")
+                 "_memory_stall", "_branch_stall", "_sync_wait")
 
     def __init__(self, config: CoreConfig, stats: StatGroup,
                  telemetry: Optional["Channel"] = None,

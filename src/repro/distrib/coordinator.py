@@ -90,16 +90,11 @@ class WorkerCluster:
     """
 
     def __init__(self, layout: ClusterLayout,
-                 config: SimulationConfig,
-                 profiler: Optional[Any] = None) -> None:
+                 config: SimulationConfig) -> None:
         self.layout = layout
         self.config = config
         self.timeout = config.distrib.worker_timeout
         self.shutdown_timeout = config.distrib.shutdown_timeout
-        #: Coordinator-side host profiler (``--profile``) or ``None``.
-        #: Times wire serialization (``mp.wire.encode``/``decode``/
-        #: ``send``) and blocked channel waits (``mp.idle.wait``).
-        self.profiler = profiler
         #: Optional :class:`~repro.obs.flight.FlightRecorder` whose
         #: wire-frame ring :meth:`send`/:meth:`recv` feed; installed by
         #: the simulator after formation (formation frames are not
@@ -136,7 +131,7 @@ class WorkerCluster:
         for index, tiles in enumerate(self.layout.shards()):
             parent, child = self._ctx.Pipe(duplex=True)
             proc = self._ctx.Process(
-                target=_worker_entry, args=(child, index),
+                target=_worker_entry, args=(child,),
                 name=f"repro-worker-{index}", daemon=True)
             proc.start()
             child.close()
@@ -307,28 +302,13 @@ class WorkerCluster:
     # -- framed I/O ----------------------------------------------------------
 
     def send(self, worker: int, kind: FrameKind, payload: Any) -> None:
-        prof = self.profiler
-        if prof is not None:
-            prof.enter("mp.wire.encode")
-            try:
-                blob = encode_frame(kind, payload)
-            finally:
-                prof.exit()
-        else:
-            blob = encode_frame(kind, payload)
+        blob = encode_frame(kind, payload)
         channel = self._channels[worker]
         if self.flight is not None:
             self.flight.note_frame("send", f"worker{worker}",
                                    kind.value, len(blob))
         try:
-            if prof is not None:
-                prof.enter("mp.wire.send")
-                try:
-                    channel.send_bytes(blob)
-                finally:
-                    prof.exit()
-            else:
-                channel.send_bytes(blob)
+            channel.send_bytes(blob)
         except ChannelClosedError as exc:
             raise WorkerCrashError(
                 f"worker {worker} ({channel.describe()}) closed while "
@@ -343,8 +323,6 @@ class WorkerCluster:
         a local process) rather than a hang.
         """
         channel = self._channels[worker]
-        prof = self.profiler
-        wait_start = time.perf_counter_ns() if prof is not None else 0
         deadline = time.monotonic() + self.timeout
         while True:
             if channel.poll(_LIVENESS_TICK):
@@ -355,16 +333,7 @@ class WorkerCluster:
                         f"worker {worker} ({channel.describe()}) closed "
                         f"its channel (exit code {channel.exitcode()})"
                     ) from exc
-                if prof is not None:
-                    prof.add_ns("mp.idle.wait",
-                                time.perf_counter_ns() - wait_start)
-                    prof.enter("mp.wire.decode")
-                    try:
-                        frame = decode_frame(blob)
-                    finally:
-                        prof.exit()
-                else:
-                    frame = decode_frame(blob)
+                frame = decode_frame(blob)
                 if self.flight is not None:
                     self.flight.note_frame("recv", f"worker{worker}",
                                            frame[0].value, len(blob))
@@ -485,9 +454,9 @@ class WorkerCluster:
         self.shutdown()
 
 
-def _worker_entry(conn, index: int) -> None:  # pragma: no cover - child
-    from repro.distrib.worker import worker_main
-    worker_main(conn, index)
+def _worker_entry(conn) -> None:  # pragma: no cover - child
+    from repro.distrib.worker import run_connected_worker
+    run_connected_worker(PipeChannel(conn))
 
 
 def _tcp_worker_entry(address: str) -> None:  # pragma: no cover - child
@@ -531,8 +500,7 @@ class RemoteTask(ThreadTask):
     wake notifications exactly as ``Clock.forward_to`` would.
     """
 
-    __slots__ = ("tile", "start_clock", "core", "result", "_sim",
-                 "__dict__")  # profile's wrappers, as CoreModel
+    __slots__ = ("tile", "start_clock", "core", "result", "_sim")
 
     def __init__(self, sim: "DistribSimulator", tile: TileId,
                  start_clock: int) -> None:
@@ -688,8 +656,7 @@ class DistribSimulator(Simulator):
     @contextlib.contextmanager
     def _fleet(self) -> Iterator[WorkerCluster]:
         """Bring the worker fleet up for one run, and down after it."""
-        cluster = WorkerCluster(self.layout, self.config,
-                                profiler=self.profiler)
+        cluster = WorkerCluster(self.layout, self.config)
         cluster.flight = self.flight
         self._cluster = cluster
         self.transport.attach(cluster)
@@ -706,61 +673,58 @@ class DistribSimulator(Simulator):
             self.transport.attach(None)
             self._cluster = None
 
-    def run(self, main_program: Any, args: tuple = ()):
-        if self.profiler is not None:
-            # Open the wall-time bracket before the fork so cluster
-            # start-up (the paper's process start-up cost, for real)
-            # counts toward host wall time.
-            self.profiler.start_run()
-        with self._fleet() as cluster:
-            tele_worker = self._channel(EventCategory.WORKER)
-            if tele_worker is not None:
-                for index in cluster.workers():
-                    tele_worker.emit(
-                        "worker_start", None, 0,
-                        {"worker": index,
-                         "tiles": len(cluster.tiles_of(index))})
-            return super().run(main_program, args)
-
-    def resume_run(self):
-        """Continue a restored distributed simulation to completion.
-
-        Starts a fresh worker cluster (HELLO as usual), then ships
-        each worker its shard blob in a RESTORE frame so it adopts the
-        checkpointed kernel and interpreters before the first quantum.
-        """
-        from repro.common.errors import CheckpointError
-        if not self._restore_shards:
+    @contextlib.contextmanager
+    def _running(self, resumed: bool) -> Iterator[None]:
+        """The fleet is up exactly as long as the run is — inside the
+        profiler's bracket, so that cluster start-up (the paper's
+        process start-up cost, for real) counts toward host wall time.
+        A resumed run starts a fresh cluster (HELLO as usual), then
+        RESTOREs each worker's shard before the first quantum."""
+        if resumed and not self._restore_shards:
+            from repro.common.errors import CheckpointError
             raise CheckpointError(
                 "no shard blobs to restore; load the checkpoint via "
                 "repro.ckpt.recovery.load_checkpoint")
-        with self._fleet() as cluster:
-            if self._owner_at_ckpt:
-                # The checkpoint was taken under a migrated placement;
-                # shards must land where the blobs say the tiles live.
-                highest = max(self._owner_at_ckpt.values())
-                if highest >= cluster.num_workers:
+        with super()._running(resumed), self._fleet() as cluster:
+            if resumed:
+                self._restore_fleet(cluster)
+            else:
+                tele_worker = self._channel(EventCategory.WORKER)
+                if tele_worker is not None:
+                    for index in cluster.workers():
+                        tele_worker.emit(
+                            "worker_start", None, 0,
+                            {"worker": index,
+                             "tiles": len(cluster.tiles_of(index))})
+            yield
+
+    def _restore_fleet(self, cluster: WorkerCluster) -> None:
+        from repro.common.errors import CheckpointError
+        if self._owner_at_ckpt:
+            # The checkpoint was taken under a migrated placement;
+            # shards must land where the blobs say the tiles live.
+            highest = max(self._owner_at_ckpt.values())
+            if highest >= cluster.num_workers:
+                raise CheckpointError(
+                    f"checkpoint placement references worker "
+                    f"{highest} but only {cluster.num_workers} "
+                    f"workers attached; resume with at least "
+                    f"{highest + 1} workers")
+            cluster.adopt_ownership(self._owner_at_ckpt)
+        restored = []
+        for worker in cluster.workers():
+            blob = self._restore_shards.get(worker)
+            if blob is None:
+                if cluster.tiles_of(worker):
                     raise CheckpointError(
-                        f"checkpoint placement references worker "
-                        f"{highest} but only {cluster.num_workers} "
-                        f"workers attached; resume with at least "
-                        f"{highest + 1} workers")
-                cluster.adopt_ownership(self._owner_at_ckpt)
-            restored = []
-            for worker in cluster.workers():
-                blob = self._restore_shards.get(worker)
-                if blob is None:
-                    if cluster.tiles_of(worker):
-                        raise CheckpointError(
-                            f"checkpoint has no shard for worker "
-                            f"{worker}")
-                    continue  # fully drained before the snapshot
-                cluster.send(worker, FrameKind.RESTORE, blob)
-                restored.append(worker)
-            for worker in restored:
-                cluster.reply(worker, FrameKind.CKPT_ACK)
-            self._restore_shards = {}
-            return super().resume_run()
+                        f"checkpoint has no shard for worker "
+                        f"{worker}")
+                continue  # fully drained before the snapshot
+            cluster.send(worker, FrameKind.RESTORE, blob)
+            restored.append(worker)
+        for worker in restored:
+            cluster.reply(worker, FrameKind.CKPT_ACK)
+        self._restore_shards = {}
 
     # -- membership & migration ----------------------------------------------
 

@@ -50,7 +50,8 @@ from repro.memory.address import AddressSpace
 from repro.memory.cache import CacheLine, LineState
 from repro.memory.controller import MemoryController
 from repro.memory.hierarchy import MirroredL1
-from repro.profile.timers import create_profiler
+from repro.profile.instrument import installed
+from repro.profile.timers import HostProfiler, create_profiler
 from repro.telemetry.aggregate import TelemetryBatch
 from repro.telemetry.bus import create_bus
 from repro.telemetry.events import EventCategory
@@ -356,25 +357,20 @@ class Worker:
         if self.kernel.telemetry is not None:
             self._tele_worker = self.kernel.telemetry.channel(
                 EventCategory.WORKER)
-        #: Worker-side host profiler (``--profile``): ``None`` when off,
-        #: in which case the plain frame I/O methods below stay bound
-        #: and nothing is timed.  Scope names: ``idle.wait`` (blocked on
-        #: the control pipe), ``wire.encode``/``wire.decode``/
-        #: ``wire.send`` (serialization), ``quantum.run`` (interpreting
-        #: the op stream; RPC waits nest inside and subtract out).
+        #: Worker-side host profiler, or ``None``.  Under ``--profile``
+        #: it times the ``worker`` table of
+        #: :mod:`repro.profile.instrument`; a migration-capable run
+        #: (or one with a straggler watchdog) that is not profiled
+        #: still brackets ``quantum.run`` alone, the per-worker busy
+        #: signal the rebalance policy and the watchdog feed on.
         self.profiler = create_profiler(config.profile)
-        if self.profiler is not None:
-            self._send = self._send_timed  # type: ignore[method-assign]
-            self._recv = self._recv_timed  # type: ignore[method-assign]
-        elif config.distrib.migration_capable() or \
-                config.distrib.needs_worker_busy_signal():
-            # Migration-capable runs (and runs with a straggler
-            # watchdog) always carry a minimal profiler: only
-            # ``quantum.run`` is bracketed (frame I/O stays untimed),
-            # which is exactly the per-worker busy signal the
-            # rebalance policy and the watchdog feed on.
-            from repro.profile.timers import HostProfiler
-            self.profiler = HostProfiler()
+        role = "worker"
+        if self.profiler is None and (
+                config.distrib.migration_capable()
+                or config.distrib.needs_worker_busy_signal()):
+            self.profiler, role = HostProfiler(), "worker.busy"
+        #: Entered around :meth:`loop` by whoever serves this worker.
+        self.timers = installed(self.profiler, role)
 
     def _flush_telemetry(self) -> None:
         """Ship buffered events once the batch threshold is crossed.
@@ -402,32 +398,6 @@ class Worker:
 
     def _recv(self) -> tuple:
         return decode_frame(self.conn.recv_bytes())
-
-    def _send_timed(self, kind: FrameKind, payload: Any) -> None:
-        prof = self.profiler
-        prof.enter("wire.encode")
-        try:
-            blob = encode_frame(kind, payload)
-        finally:
-            prof.exit()
-        prof.enter("wire.send")
-        try:
-            self.conn.send_bytes(blob)
-        finally:
-            prof.exit()
-
-    def _recv_timed(self) -> tuple:
-        prof = self.profiler
-        prof.enter("idle.wait")
-        try:
-            blob = self.conn.recv_bytes()
-        finally:
-            prof.exit()
-        prof.enter("wire.decode")
-        try:
-            return decode_frame(blob)
-        finally:
-            prof.exit()
 
     def rpc(self, method: str, args: tuple) -> Any:
         """Issue a kernel RPC; service interleaved casts while waiting.
@@ -521,14 +491,7 @@ class Worker:
         tile, budget, cycle_limit, l1_notes = payload
         self._apply_l1_notes(l1_notes)
         interpreter = self.interpreters[tile]
-        if self.profiler is not None:
-            self.profiler.enter("quantum.run")
-            try:
-                result = interpreter.run(budget, cycle_limit)
-            finally:
-                self.profiler.exit()
-        else:
-            result = interpreter.run(budget, cycle_limit)
+        result = interpreter.run(budget, cycle_limit)
         # The coordinator reads this pipe until QUANTUM_DONE, so a full
         # event buffer flushes here, *before* the terminating frame.
         self._flush_telemetry()
@@ -565,28 +528,20 @@ class Worker:
     def _handle_restore(self, blob: bytes) -> None:
         """Adopt a checkpointed shard (sent right after HELLO).
 
-        The restored kernel proxy replaces the HELLO-built one; its
-        worker backref (excised by the snapshot pickler) is repointed
-        here, its program-id cache is dropped (object ids do not
-        survive a process boundary), and every live interpreter's
-        generator is replayed back to its checkpointed position.
+        The restored kernel proxy replaces the HELLO-built one and is
+        rewired to this worker, and every live interpreter's generator
+        is replayed back to its checkpointed position.
         """
         hello_config = self.kernel.config
         shard = pickle.loads(blob)
-        kernel = shard["kernel"]
-        kernel._worker = self
-        kernel._code_bases = {}
-        kernel._pending_code_base = None
-        self.kernel = kernel
-        self.queues = kernel.queues
+        self.kernel = shard["kernel"]
+        self.queues = self.kernel.queues
         self.interpreters = shard["interpreters"]
         # Shards snapshotted after a live migration carry the adopted
         # kernels too; rewire each exactly like the primary.
         self.adopted = list(shard.get("adopted", []))
-        for extra in self.adopted:
-            extra._worker = self
-            extra._code_bases = {}
-            extra._pending_code_base = None
+        for kernel in [self.kernel, *self.adopted]:
+            self._rewire(kernel)
         # Observers (telemetry bus/channels) were excised to None; the
         # resumed shard runs unobserved, like a --trace-less run.
         self._tele_worker = None
@@ -602,6 +557,14 @@ class Worker:
             interpreter.rebuild_generator()
         self._send(FrameKind.CKPT_ACK,
                    ShardCheckpoint(self.process_index, b""))
+
+    def _rewire(self, kernel: KernelProxy) -> None:
+        """Point an unpickled kernel proxy at this worker: the backref
+        was excised by the snapshot pickler, and its program-id cache
+        is dropped (object ids do not survive a process boundary)."""
+        kernel._worker = self
+        kernel._code_bases = {}
+        kernel._pending_code_base = None
 
     def _handle_adopt(self, blob: bytes) -> None:
         """Merge a migrated shard into this worker's own (wire v5).
@@ -623,9 +586,7 @@ class Worker:
                 kernels.append(kernel)
         self.queues.absorb(shard["kernel"].queues)
         for kernel in kernels:
-            kernel._worker = self
-            kernel._code_bases = {}
-            kernel._pending_code_base = None
+            self._rewire(kernel)
             # One shared queue set per worker: DELIVER frames for the
             # migrated tiles land in our queues, and the migrated
             # interpreters poll through their (rewired) kernel.
@@ -740,26 +701,12 @@ class Worker:
                            (traceback.format_exc(), blob))
 
 
-def worker_main(conn, process_index: int = -1) -> None:
-    """Entry point of a pipe worker process.
-
-    ``conn`` is the raw multiprocessing connection; it is wrapped in a
-    :class:`~repro.net.channel.PipeChannel` so the worker loop speaks
-    the same channel surface whichever transport spawned it.
-    """
-    from repro.net.channel import PipeChannel
-    _channel_worker_main(PipeChannel(conn), process_index)
-
-
 def tcp_worker_main(address: str, timeout: float = 30.0) -> None:
     """Entry point of a TCP worker: dial, handshake, serve frames.
 
     Used both by coordinator-forked local workers (self-contained TCP
     runs) and by ``repro worker --connect`` on another host.  The
-    handshake pins the net and pickle wire versions; the coordinator's
-    config fingerprint is then re-checked against the HELLO config so
-    a worker can never execute a different simulation than the one it
-    agreed to join.
+    handshake pins the net and pickle wire versions.
     """
     from repro.distrib.wire import WIRE_VERSION
     from repro.net.listener import connect_worker
@@ -768,8 +715,16 @@ def tcp_worker_main(address: str, timeout: float = 30.0) -> None:
     run_connected_worker(channel, welcome)
 
 
-def run_connected_worker(channel, welcome) -> None:
-    """Serve a coordinator over an already-handshaken channel."""
+def run_connected_worker(channel, welcome=None) -> None:
+    """Serve a coordinator over ``channel``: HELLO, then frames.
+
+    ``welcome`` is the net handshake's reply where there was one (TCP,
+    not a forked pipe): its config fingerprint is re-checked against
+    the HELLO config, so a worker can never execute a different
+    simulation than the one it agreed to join, and it names the mode a
+    worker joining mid-fast-forward starts in (net wire v3; a SET_MODE
+    frame follows HELLO regardless).
+    """
     from repro.net.channel import ChannelClosedError
     from repro.net.handshake import HandshakeError
     try:
@@ -777,38 +732,19 @@ def run_connected_worker(channel, welcome) -> None:
         if kind is not FrameKind.HELLO:
             raise RuntimeError(f"expected HELLO, got {kind}")
         config, tiles, index = payload
-        if welcome.config_fingerprint and \
-                config.content_hash() != welcome.config_fingerprint:
-            raise HandshakeError(
-                "config fingerprint mismatch between handshake "
-                f"({welcome.config_fingerprint}) and HELLO "
-                f"({config.content_hash()}); refusing to desync")
         worker = Worker(channel, index, config, tiles)
-        # Net wire v3: a worker joining mid-fast-forward starts
-        # functional; a SET_MODE frame follows HELLO regardless.
-        worker.kernel.exec_functional = (
-            getattr(welcome, "mode", "detailed") == "functional")
-        worker.loop()
+        if welcome is not None:
+            if welcome.config_fingerprint and \
+                    config.content_hash() != welcome.config_fingerprint:
+                raise HandshakeError(
+                    "config fingerprint mismatch between handshake "
+                    f"({welcome.config_fingerprint}) and HELLO "
+                    f"({config.content_hash()}); refusing to desync")
+            worker.kernel.exec_functional = (
+                getattr(welcome, "mode", "detailed") == "functional")
+        with worker.timers:
+            worker.loop()
     except (EOFError, ChannelClosedError, KeyboardInterrupt):
         pass  # coordinator gone: nothing left to serve
     finally:
         channel.close()
-
-
-def _channel_worker_main(channel, process_index: int) -> None:
-    from repro.net.channel import ChannelClosedError
-    try:
-        kind, payload = decode_frame(channel.recv_bytes())
-        if kind is not FrameKind.HELLO:
-            raise RuntimeError(f"expected HELLO, got {kind}")
-        config, tiles, index = payload
-        if index < 0:
-            index = process_index
-        Worker(channel, index, config, tiles).loop()
-    except (EOFError, ChannelClosedError, KeyboardInterrupt):
-        pass
-    finally:
-        try:
-            channel.close()
-        except Exception:
-            pass

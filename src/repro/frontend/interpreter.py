@@ -71,7 +71,7 @@ class ThreadInterpreter(ThreadTask):
                  "generator", "start_clock", "_send_value", "_pending_op",
                  "_wake_time", "_finished", "result", "_fetch_cursor",
                  "_code_base", "_model_ifetch", "_l1i_hit_latency",
-                 "_ckpt_log", "__dict__")  # for profile, as CoreModel
+                 "_ckpt_log")
 
     def __init__(self, kernel: Any, tile: TileId, program: Any,
                  args: tuple = (), start_clock: int = 0) -> None:

@@ -152,8 +152,7 @@ class Scheduler:
                  "core_busy", "_core_queues", "_quantum_charge",
                  "_quantum_blocking", "functional", "_running",
                  "_running_core", "_turns", "_total_instructions",
-                 "_stages", "_tele_quantum",
-                 "__dict__")  # profile's wrappers, as CoreModel
+                 "_stages", "_tele_quantum")
 
     def __init__(self, layout: ClusterLayout, cost_model: HostCostModel,
                  sync_model: "SynchronizationModel",

@@ -54,8 +54,7 @@ class CoherenceEngine:
     __slots__ = ("num_tiles", "config", "space", "backing", "fabric",
                  "classifier", "line_bytes", "stats", "_tele_cache",
                  "functional", "progress", "hierarchies", "directories",
-                 "drams", "_read_misses", "_write_misses", "_upgrades",
-                 "__dict__")  # profile's wrappers, as CoreModel
+                 "drams", "_read_misses", "_write_misses", "_upgrades")
 
     def __init__(self, num_tiles: int, config: MemoryConfig,
                  space: AddressSpace, backing: BackingStore,

@@ -32,8 +32,7 @@ class MemoryController:
 
     __slots__ = ("tile", "engine", "space", "hierarchy", "line_bytes",
                  "_charge_fn", "_forward_store", "_loads", "_stores",
-                 "_fetches", "_l1d_latency", "_l1i_latency",
-                 "__dict__")  # profile's wrappers, as CoreModel
+                 "_fetches", "_l1d_latency", "_l1i_latency")
 
     def __init__(self, tile: TileId, engine: CoherenceEngine,
                  charge_memory_access: ChargeFn,

@@ -76,8 +76,7 @@ class Directory:
 
     kind = "full_map"
 
-    __slots__ = ("home", "config", "entries", "stats", "_tele", "_lookups",
-                 "__dict__")  # empty unless a test rebinds a method
+    __slots__ = ("home", "config", "entries", "stats", "_tele", "_lookups")
 
     def __init__(self, home: TileId, config: MemoryConfig,
                  stats: StatGroup,

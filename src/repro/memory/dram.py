@@ -30,8 +30,7 @@ class DramController:
     """One tile's slice of the off-chip memory interface."""
 
     __slots__ = ("tile", "config", "bytes_per_cycle", "queue", "_tele",
-                 "_reads", "_writes", "_read_latency",
-                 "__dict__")  # profile's wrappers, as CoreModel
+                 "_reads", "_writes", "_read_latency")
 
     def __init__(self, tile: TileId, config: DramConfig, num_tiles: int,
                  clock_hz: int, progress: ProgressEstimator,

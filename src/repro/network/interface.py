@@ -28,8 +28,7 @@ class NetworkFabric:
     """All network models plus the shared transport, for one simulation."""
 
     __slots__ = ("num_tiles", "config", "transport", "stats", "_tele",
-                 "functional", "models",
-                 "__dict__")  # profile's wrappers, as CoreModel
+                 "functional", "models")
 
     def __init__(self, num_tiles: int, config: NetworkConfig,
                  transport: Transport, stats: StatGroup,

@@ -1,10 +1,14 @@
-"""Attach the host profiler to a built simulator.
+"""The table that puts the host profiler's timers around each layer.
 
-Instrumentation works by rebinding *instance* attributes to timed
-wrappers after the simulator is fully wired — no model module is
-edited, no subclass exists, and with profiling off nothing here runs,
-so the disabled path costs literally zero (the classes keep their
-original, unwrapped methods).
+:func:`installed` rebinds *class* attributes (and the wire codec's
+module globals) to timed wrappers for the length of one run and puts
+the originals back after — no model module is edited, no instance
+carries anything, and with profiling off nothing here runs at all.
+Classes, not instances: a simulator that checkpoints is pickled whole
+and one that resumes or forks from a library is built by unpickling,
+and a class attribute is there for all of them and in none of their
+snapshots.  Hence two profiled simulators may exist at once but only
+one may *run* at a time in a process; a second :func:`installed` raises.
 
 Scope names form the per-subsystem attribution the reports aggregate:
 
@@ -19,8 +23,13 @@ Scope names form the per-subsystem attribution the reports aggregate:
 ``sync.model``          synchronization-model callbacks
 ``mp.quantum_service``  coordinator servicing one remote quantum
 ``mp.wire.*``           wire encode/decode/send on the coordinator side
-``mp.idle.wait``        coordinator blocked on a worker pipe
+``mp.idle.wait``        coordinator blocked on a worker channel
 ======================  ====================================================
+
+and, in an mp worker (shipped in ``HOST_STATS``): ``quantum.run``
+(interpreting the op stream; RPC waits nest inside and subtract out),
+``idle.wait`` (blocked on the control channel) and ``wire.encode`` /
+``wire.decode`` / ``wire.send``.
 
 Nested scopes subtract correctly: ``memory.controller`` calls into
 ``memory.coherence`` which calls ``memory.dram`` and ``network.fabric``,
@@ -29,84 +38,122 @@ and each layer's *self* time excludes its callees.
 
 from __future__ import annotations
 
-from typing import Any
+import contextlib
+import importlib
+import os
+from typing import Any, Iterator, List, Optional, Tuple
 
-from repro.frontend.interpreter import ThreadInterpreter
+from repro.profile.timers import HostProfiler
 
-#: Core-model methods timed under ``core.model``.
-_CORE_METHODS = ("execute", "execute_branch", "execute_memory",
-                 "execute_pseudo", "drain")
+_CORE = ("execute", "execute_branch", "execute_memory", "execute_pseudo",
+         "drain")
+_SYNC = ("on_thread_added", "on_thread_done", "on_thread_blocked",
+         "on_thread_woken", "on_quantum_end", "cycle_limit",
+         "release_if_stalled")
 
-#: Sync-model callbacks timed under ``sync.model``.
-_SYNC_METHODS = ("on_thread_added", "on_thread_done", "on_thread_blocked",
-                 "on_thread_woken", "on_quantum_end", "cycle_limit",
-                 "release_if_stalled")
+#: ``(scope, module, class or None, attributes)``.  A ``None`` class
+#: patches module globals — the name *as bound in that module*, which is
+#: what its callers resolve.  Sync models override the callbacks per
+#: subclass, so each class that defines one is listed.
+Row = Tuple[str, str, Optional[str], Tuple[str, ...]]
+
+_MODELS: Tuple[Row, ...] = (
+    ("scheduler.quantum", "repro.host.scheduler", "Scheduler",
+     ("_run_quantum",)),
+    ("frontend.interpret", "repro.frontend.interpreter",
+     "ThreadInterpreter", ("run",)),
+    ("core.model", "repro.core.perf_model", "CorePerfModel", _CORE),
+    ("core.model", "repro.core.ooo_model", "OutOfOrderCoreModel", _CORE),
+    ("memory.controller", "repro.memory.controller", "MemoryController",
+     ("load", "store", "fetch")),
+    ("memory.coherence", "repro.memory.coherence", "CoherenceEngine",
+     ("read_access", "write_access")),
+    ("memory.dram", "repro.memory.dram", "DramController",
+     ("read", "post_write")),
+    ("network.fabric", "repro.network.interface", "NetworkFabric",
+     ("send", "transfer")),
+    ("sync.model", "repro.sync.model", "SynchronizationModel", _SYNC),
+    ("sync.model", "repro.sync.lax", "LaxModel", _SYNC),
+    ("sync.model", "repro.sync.barrier", "LaxBarrierModel", _SYNC),
+    ("sync.model", "repro.sync.p2p", "LaxP2PModel", _SYNC),
+)
+
+_COORDINATOR: Tuple[Row, ...] = (
+    ("mp.quantum_service", "repro.distrib.coordinator", "RemoteTask",
+     ("run",)),
+    ("mp.idle.wait", "repro.distrib.coordinator", "WorkerCluster",
+     ("recv",)),
+    ("mp.wire.decode", "repro.distrib.coordinator", None,
+     ("decode_frame",)),
+    ("mp.wire.encode", "repro.distrib.coordinator", None,
+     ("encode_frame",)),
+    ("mp.wire.send", "repro.net.channel", "PipeChannel", ("send_bytes",)),
+    ("mp.wire.send", "repro.net.channel", "TcpChannel", ("send_bytes",)),
+)
+
+_WORKER: Tuple[Row, ...] = (
+    ("quantum.run", "repro.frontend.interpreter", "ThreadInterpreter",
+     ("run",)),
+    ("idle.wait", "repro.net.channel", "PipeChannel", ("recv_bytes",)),
+    ("idle.wait", "repro.net.channel", "TcpChannel", ("recv_bytes",)),
+    ("wire.decode", "repro.distrib.worker", None, ("decode_frame",)),
+    ("wire.encode", "repro.distrib.worker", None, ("encode_frame",)),
+    ("wire.send", "repro.net.channel", "PipeChannel", ("send_bytes",)),
+    ("wire.send", "repro.net.channel", "TcpChannel", ("send_bytes",)),
+)
+
+#: What each kind of process times.  ``inproc`` and ``mp`` are the
+#: ``distrib.backend`` of the simulator that runs; ``worker.busy`` —
+#: ``quantum.run`` alone — is the mp worker of an unprofiled run that
+#: still owes the rebalance policy or the watchdog its busy signal.
+TABLES = {"inproc": _MODELS, "mp": _MODELS + _COORDINATOR,
+          "worker": _WORKER, "worker.busy": _WORKER[:1]}
+
+#: ``(owner, attribute, original)`` of every patch live in this
+#: process: a process-wide fork hook cannot be handed them any other way.
+_live: List[Tuple[Any, str, Any]] = []
+_fork_hook_registered = False
 
 
-def instrument_simulator(sim: Any) -> None:
-    """Wrap the hot subsystem entry points of ``sim`` with timed scopes.
-
-    Requires ``sim.profiler`` to be a live
-    :class:`~repro.profile.timers.HostProfiler`.  Works for both the
-    in-process simulator and the mp coordinator (whose tile tasks are
-    RemoteTask stubs — their ``run`` is the quantum service loop).
-    """
-    profiler = sim.profiler
-    wrap = profiler.wrap
-
-    for controller in sim.controllers:
-        controller.load = wrap("memory.controller", controller.load)
-        controller.store = wrap("memory.controller", controller.store)
-        controller.fetch = wrap("memory.controller", controller.fetch)
-
-    engine = sim.engine
-    engine.read_access = wrap("memory.coherence", engine.read_access)
-    engine.write_access = wrap("memory.coherence", engine.write_access)
-    for dram in engine.drams:
-        dram.read = wrap("memory.dram", dram.read)
-        dram.post_write = wrap("memory.dram", dram.post_write)
-
-    fabric = sim.fabric
-    fabric.send = wrap("network.fabric", fabric.send)
-    fabric.transfer = wrap("network.fabric", fabric.transfer)
-
-    sync_model = sim.sync_model
-    for name in _SYNC_METHODS:
-        setattr(sync_model, name, wrap("sync.model",
-                                       getattr(sync_model, name)))
-
-    scheduler = sim.scheduler
-    scheduler._run_quantum = wrap("scheduler.quantum",
-                                  scheduler._run_quantum)
-
-    # Interpreters appear as threads spawn; hook the spawn path so each
-    # new task's quantum body (and, inproc, its core model) is timed.
-    original_spawn = sim.spawn_thread
-
-    def profiled_spawn(program, args, parent_tile, parent_clock):
-        thread_id = original_spawn(program, args, parent_tile,
-                                   parent_clock)
-        # interpreters is keyed by TileId; the returned ThreadId shares
-        # its integer value (TileId subclasses int, so lookup matches).
-        task = sim.interpreters.get(thread_id)
-        if task is not None and not getattr(task, "_profiled", False):
-            _instrument_task(profiler, task)
-        return thread_id
-
-    sim.spawn_thread = profiled_spawn
+def uninstall() -> None:
+    """Put back every original :func:`installed` replaced."""
+    while _live:
+        owner, attr, original = _live.pop()
+        setattr(owner, attr, original)
 
 
-def _instrument_task(profiler: Any, task: Any) -> None:
-    """Time one tile task: the interpreter body and its core model."""
-    task._profiled = True
-    if isinstance(task, ThreadInterpreter):
-        task.run = profiler.wrap("frontend.interpret", task.run)
-        core = task.core
-        for name in _CORE_METHODS:
-            if hasattr(core, name):
-                setattr(core, name,
-                        profiler.wrap("core.model", getattr(core, name)))
-    else:
-        # A RemoteTask stub: its run() is the coordinator's quantum
-        # service loop (wire + RPC dispatch for one remote quantum).
-        task.run = profiler.wrap("mp.quantum_service", task.run)
+@contextlib.contextmanager
+def installed(profiler: Optional[HostProfiler], role: str) -> Iterator[None]:
+    """Time every entry point of ``TABLES[role]`` with ``profiler`` for
+    the enclosed run; nothing at all when ``profiler`` is ``None``."""
+    global _fork_hook_registered
+    if profiler is None:
+        yield
+        return
+    if _live:
+        raise RuntimeError(
+            "a profiled run is already under way in this process")
+    if not _fork_hook_registered:
+        # A forked child (mp worker, fleet child) starts unpatched:
+        # the parent's profiler is not the child's to write to.
+        os.register_at_fork(after_in_child=uninstall)
+        _fork_hook_registered = True
+    profiler.start_run()
+    try:
+        for scope, module_name, cls_name, attrs in TABLES[role]:
+            owner = importlib.import_module(module_name)
+            if cls_name is not None:
+                owner = getattr(owner, cls_name)
+            for attr in attrs:
+                # vars(): only what this class itself defines, so a
+                # subclass does not get a second wrapper around a
+                # method it inherits already wrapped.
+                original = vars(owner).get(attr)
+                if original is None:
+                    getattr(owner, attr)  # inherited; a renamed one raises
+                    continue
+                setattr(owner, attr, profiler.wrap(scope, original))
+                _live.append((owner, attr, original))
+        yield
+    finally:
+        uninstall()

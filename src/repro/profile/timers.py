@@ -83,25 +83,10 @@ class HostProfiler:
         timed.__wrapped__ = fn  # type: ignore[attr-defined]
         return timed
 
-    def add_ns(self, name: str, elapsed_ns: int, calls: int = 1) -> None:
-        """Credit pre-measured time to a scope (flat: self == cum).
-
-        Used where enter/exit bracketing cannot separate phases of one
-        call (e.g. the blocked-poll part of a pipe receive).
-        """
-        stats = self.scopes.get(name)
-        if stats is None:
-            stats = self.scopes[name] = ScopeStats()
-        stats.add(calls, elapsed_ns, elapsed_ns)
-        if self._stack:
-            self._stack[-1][2] += elapsed_ns
-
     # -- run bracketing ------------------------------------------------------
 
     def start_run(self) -> None:
-        # Idempotent: the mp backend opens the bracket before forking
-        # its cluster, then the common run path calls this again.
-        if self._run_start_ns is None:
+        if self._run_start_ns is None:  # the first call opens it
             self._run_start_ns = perf_counter_ns()
 
     def stop_run(self) -> None:

@@ -63,6 +63,7 @@ from repro.obs.spans import SpanEmitter, mint_trace_id
 from repro.serve.protocol import ServerInfo, SubmitSpec, view_payload
 from repro.serve.store import ResultStore, job_key
 from repro.telemetry.events import EventCategory
+from repro.transport.frames import ConnectionClosed, FrameError
 
 #: Listener accept timeout (also the stop-flag check cadence).
 _ACCEPT_TICK = 0.1
@@ -729,7 +730,9 @@ class SimServer:
         while True:
             try:
                 message = protocol.try_recv_message(conn)
-            except ServeError as exc:
+            except (ConnectionClosed, OSError):
+                return  # hung up mid-frame, or idle past the timeout
+            except (ServeError, FrameError) as exc:
                 self._reply(conn, ("error", {"error": str(exc)}))
                 return
             if message is None:

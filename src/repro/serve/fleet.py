@@ -41,7 +41,8 @@ from repro.net.channel import (
 )
 from repro.serve.worker import JobPreempted, run_job
 
-#: Pickle protocol for fleet frames (matches the distrib wire).
+#: Pickle protocol for fleet frames: pinned (the distrib wire takes
+#: ``HIGHEST_PROTOCOL``), so a dial-in under another Python reads them.
 _PICKLE_PROTOCOL = 4
 #: Seconds allowed for orderly worker shutdown before termination.
 _SHUTDOWN_GRACE = 2.0

@@ -9,7 +9,7 @@ threads.
 
 from __future__ import annotations
 
-from typing import Any, Callable, Dict, List, Optional, Tuple
+from typing import Any, Callable, ContextManager, Dict, List, Optional, Tuple
 
 from repro.common.config import SimulationConfig
 from repro.common.ids import ProcessId, ThreadId, TileId
@@ -26,6 +26,7 @@ from repro.memory.coherence import CoherenceEngine
 from repro.memory.controller import MemoryController
 from repro.memory.miss_classifier import MissClassifier
 from repro.network.interface import NetworkFabric
+from repro.profile.instrument import installed
 from repro.profile.timers import create_profiler
 from repro.sim.results import SimulationResult
 from repro.sync.model import create_sync_model
@@ -54,8 +55,7 @@ class Simulator:
                  "controllers", "allocator", "mcp", "lcps", "interpreters",
                  "_code_bases", "skew_trace", "metrics", "recoveries",
                  "exec_functional", "sample_controller", "_ckpt_store",
-                 "host_profile", "_worker_host_scopes", "profiler",
-                 "__dict__")  # profile's wrappers, as CoreModel
+                 "host_profile", "_worker_host_scopes", "profiler")
 
     def __init__(self, config: SimulationConfig) -> None:
         config.validate()
@@ -147,19 +147,6 @@ class Simulator:
 
         self._arm_boundary()
 
-        # Host profiling (``--profile``): the same observer trick as
-        # telemetry and the sanitizers — ``None`` when disabled, so no
-        # call site is wrapped and the hot paths keep their original
-        # methods.  Purely observational: reads host clocks only, never
-        # RNG streams or simulated time, so a profiled run produces
-        # byte-identical simulation metrics.
-        self.host_profile: Optional[Dict[str, Any]] = None
-        self._worker_host_scopes: Optional[Dict[int, Any]] = None
-        self.profiler = create_profiler(config.profile)
-        if self.profiler is not None:
-            from repro.profile.instrument import instrument_simulator
-            instrument_simulator(self)
-
     # -- arming: host-side wiring, lives outside the snapshot ---------------------
     #
     # ``__init__`` and :meth:`_after_restore` run the same two functions,
@@ -167,7 +154,8 @@ class Simulator:
     # about what they have attached (DESIGN.md §3).
 
     def _arm_observers(self) -> None:
-        """Bus and trace sinks, sanitizers, flight ring, run span.
+        """Bus and trace sinks, sanitizers, flight ring, run span,
+        host profiler.
 
         All ``None`` when not configured — every instrumented
         component then resolves a ``None`` channel and the hot paths
@@ -176,6 +164,12 @@ class Simulator:
         """
         config = self.config
         self.telemetry = create_bus(config.telemetry)
+        # Host profiling (``--profile``) reads host clocks only; its
+        # timers go around the layers for the length of a run
+        # (:meth:`_running`), so nothing is wrapped while it is off.
+        self.profiler = create_profiler(config.profile)
+        self.host_profile: Optional[Dict[str, Any]] = None
+        self._worker_host_scopes: Optional[Dict[int, Any]] = None
 
         # Sanitizers (``--sanitize``) and the crash flight recorder
         # (``--flight-dir``) ride the bus as observers; with tracing
@@ -413,11 +407,16 @@ class Simulator:
         reference* (an object with a ``resolve()`` method, e.g.
         :class:`repro.distrib.wire.WorkloadRef`) that builds one.
         """
-        if self.profiler is not None:
-            self.profiler.start_run()
-        self._begin_run_span(resumed=False)
-        self.spawn_thread(main_program, args, None, 0)
-        return self._run_to_completion()
+        with self._running(resumed=False):
+            self._begin_run_span(resumed=False)
+            self.spawn_thread(main_program, args, None, 0)
+            return self._run_to_completion()
+
+    def _running(self, resumed: bool) -> ContextManager[None]:
+        """What lasts exactly as long as a run or a resumed run does:
+        the host profiler's timers around each layer's entry points
+        (and, in the mp backend, the worker fleet)."""
+        return installed(self.profiler, self.config.distrib.backend)
 
     def _begin_run_span(self, resumed: bool) -> None:
         if self._span_emitter is None:
@@ -436,8 +435,9 @@ class Simulator:
         checkpointed run left off; the result is byte-identical to the
         uninterrupted run's.
         """
-        self._begin_run_span(resumed=True)
-        return self._run_to_completion()
+        with self._running(resumed=True):
+            self._begin_run_span(resumed=True)
+            return self._run_to_completion()
 
     def _run_to_completion(self) -> SimulationResult:
         report = self.scheduler.run()

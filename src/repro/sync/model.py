@@ -24,8 +24,7 @@ class SynchronizationModel:
     """Base class: plain lax behaviour (no constraints)."""
 
     name = "lax"
-    __slots__ = ("config", "stats", "telemetry", "scheduler",
-                 "__dict__")  # profile's wrappers, as CoreModel
+    __slots__ = ("config", "stats", "telemetry", "scheduler")
 
     def __init__(self, config: SyncConfig, stats: StatGroup,
                  telemetry: Optional["Channel"] = None) -> None:

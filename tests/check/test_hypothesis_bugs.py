@@ -14,50 +14,51 @@ from repro.check.protocol import ProtocolExplorer, build_engine
 from repro.memory.directory import AddResult, DirState
 
 
+def override(obj, **methods):
+    """Give ``obj`` alone these methods: the model classes are slotted
+    and take no instance attributes, so its class becomes a
+    ``__slots__ = ()`` subclass that defines them."""
+    obj.__class__ = type(f"Mutant{type(obj).__name__}", (type(obj),),
+                         {"__slots__": (), **methods})
+
+
 def mutate_drop_add(engine):
     """add_sharer forgets to record the sharer (U -> S loses the S)."""
     for directory in engine.directories:
-        directory.add_sharer = \
-            lambda entry, tile, timestamp=0: AddResult()
+        override(directory, add_sharer=lambda self, entry, tile,
+                 timestamp=0: AddResult())
 
 
 def mutate_phantom_sharer(engine):
     """add_sharer also records a tile that never requested the line."""
-    def wrap(directory):
-        original = directory.add_sharer
-
-        def add(entry, tile, timestamp=0):
-            result = original(entry, tile, timestamp)
-            phantom = type(tile)((int(tile) + 1) % engine.num_tiles)
-            entry.sharers.setdefault(phantom, None)
-            return result
-        directory.add_sharer = add
+    def add_sharer(self, entry, tile, timestamp=0):
+        result = super(type(self), self).add_sharer(entry, tile,
+                                                    timestamp)
+        phantom = type(tile)((int(tile) + 1) % engine.num_tiles)
+        entry.sharers.setdefault(phantom, None)
+        return result
 
     for directory in engine.directories:
-        wrap(directory)
+        override(directory, add_sharer=add_sharer)
 
 
 def mutate_skip_invalidation(engine):
     """Writes no longer invalidate the other sharers (S -> M keeps S)."""
-    engine._invalidate_sharers = \
-        lambda home, sharers, line, ts, exclude: 0
+    override(engine, _invalidate_sharers=lambda self, home, sharers, line,
+             ts, exclude: 0)
 
 
 def mutate_forget_modified(engine):
     """Every lookup downgrades M entries to SHARED: the directory
     forgets ownership, so dirty recalls are skipped."""
-    def wrap(directory):
-        original = directory.entry
-
-        def entry(line_address):
-            result = original(line_address)
-            if result.state is DirState.MODIFIED:
-                result.state = DirState.SHARED
-            return result
-        directory.entry = entry
+    def entry(self, line_address):
+        result = super(type(self), self).entry(line_address)
+        if result.state is DirState.MODIFIED:
+            result.state = DirState.SHARED
+        return result
 
     for directory in engine.directories:
-        wrap(directory)
+        override(directory, entry=entry)
 
 
 MUTATIONS = [mutate_drop_add, mutate_phantom_sharer,

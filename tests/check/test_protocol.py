@@ -3,6 +3,7 @@
 import pytest
 
 from repro.check.protocol import ProtocolExplorer, build_engine
+from tests.check.test_hypothesis_bugs import mutate_skip_invalidation
 
 
 class TestRealProtocol:
@@ -44,8 +45,7 @@ class TestBugDetection:
     def test_skipped_invalidation_is_caught(self):
         def buggy():
             engine = build_engine(2)
-            engine._invalidate_sharers = \
-                lambda home, sharers, line, ts, exclude: 0
+            mutate_skip_invalidation(engine)
             return engine
 
         report = ProtocolExplorer(tiles=2, lines=1, depth=3,
@@ -69,8 +69,7 @@ class TestBugDetection:
     def test_violation_reports_are_bounded(self):
         def buggy():
             engine = build_engine(2)
-            engine._invalidate_sharers = \
-                lambda home, sharers, line, ts, exclude: 0
+            mutate_skip_invalidation(engine)
             return engine
 
         report = ProtocolExplorer(tiles=2, lines=1, depth=4,

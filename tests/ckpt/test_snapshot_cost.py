@@ -15,11 +15,11 @@ Two properties, both counted rather than timed:
 from __future__ import annotations
 
 import collections
-import copyreg
 import gc
+import multiprocessing
+import os
 import pickle
 import pickletools
-import sys
 
 import pytest
 
@@ -31,6 +31,7 @@ from repro.common.stats import StatGroup
 from repro.distrib.wire import WorkloadRef
 from repro.memory.cache import Cache, LineState
 from repro.sim.runner import create_simulator, run_simulation
+from tests.profile.test_instrument import table_targets
 
 TILES = 4
 PROGRAM = WorkloadRef("fft", TILES, 0.5)
@@ -214,18 +215,7 @@ def _assert_no_instance_dicts(root, expect: set) -> None:
     missing = expect - {type(obj).__name__ for obj in slotted}
     assert not missing, f"not slotted or not reached: {sorted(missing)}"
     for obj in slotted:
-        if sys.version_info < (3, 11):
-            assert not getattr(obj, "__dict__", None), \
-                f"{type(obj).__name__}.__dict__ = {obj.__dict__!r}"
-            continue
-        # Where it matters, stronger: not even an empty dict has been
-        # allocated (and reading ``__dict__`` to look would allocate it).
-        slots = {id(getattr(obj, name))
-                 for name in copyreg._slotnames(type(obj))
-                 if hasattr(obj, name)}
-        assert not [ref for ref in gc.get_referents(obj)
-                    if type(ref) is dict and id(ref) not in slots], \
-            f"{type(obj).__name__} has a materialised __dict__"
+        assert not hasattr(obj, "__dict__"), type(obj).__name__
 
 
 def test_inproc_snapshots_and_restores_leave_no_instance_dict(tmp_path):
@@ -264,22 +254,45 @@ def test_an_unpickled_mp_shard_has_no_instance_dict(tmp_path):
            "Transport", "TileClock"})
 
 
-def test_profiling_still_rebinds_on_the_instance(tmp_path):
-    """``repro.profile`` wraps *instance* attributes; the classes it
-    wraps keep a ``"__dict__"`` slot for exactly that (profile and ckpt
-    are mutually exclusive, so it is empty in a snapshotting run)."""
-    config = SimulationConfig(num_tiles=TILES, seed=7)
+def _exit_unless_originals(originals: dict) -> None:
+    os._exit(0 if table_targets() == originals else 1)
+
+
+@pytest.mark.parametrize("backend", ["inproc", "mp"])
+def test_profiling_rebinds_on_the_class_for_the_run_only(backend, tmp_path):
+    """``repro.profile`` times *class* attributes and only while a run
+    lasts: the slotted classes need no ``__dict__`` for it, a snapshot
+    pickles none of it, and a process forked mid-run starts without."""
+    from repro.profile.instrument import installed
+    from repro.profile.timers import HostProfiler
+
+    originals = table_targets()
+    config = _config(tmp_path, backend)
     config.profile.enabled = True
     simulator = create_simulator(config)
     simulator.run(PROGRAM)
-    assert set(vars(simulator.controllers[0])) == {"load", "store", "fetch"}
-    assert set(vars(simulator)) == {"spawn_thread"}
-    assert "run" in vars(simulator.interpreters[0])
-    subsystems = simulator.host_profile["subsystems"]
-    for scope in ("frontend.interpret", "core.model", "memory.controller",
-                  "memory.coherence", "memory.dram", "network.fabric",
-                  "sync.model", "scheduler.quantum"):
-        assert subsystems[scope]["calls"] > 0, scope
-    config.ckpt.dir = str(tmp_path / "ckpt")
-    with pytest.raises(Exception, match="profil"):
-        config.validate()
+    restored, _ = load_checkpoint(
+        config.ckpt.dir, name=CheckpointStore(config.ckpt.dir).list()[0])
+    restored.resume_run()
+    assert table_targets() == originals
+    for sim in (simulator, restored):
+        subsystems = sim.host_profile["subsystems"]
+        scopes = ["scheduler.quantum", "memory.coherence", "memory.dram",
+                  "network.fabric", "sync.model"]
+        scopes += (["frontend.interpret", "core.model", "memory.controller"]
+                   if backend == "inproc" else
+                   ["mp.quantum_service", "mp.wire.encode", "mp.wire.send",
+                    "mp.wire.decode", "mp.idle.wait"])
+        for scope in scopes:
+            assert subsystems[scope]["calls"] > 0, scope
+        if backend == "inproc":
+            _assert_no_instance_dicts(sim, HOT_CLASSES)
+
+    with installed(HostProfiler(), backend):
+        assert table_targets() != originals
+        child = multiprocessing.get_context("fork").Process(
+            target=_exit_unless_originals, args=(originals,))
+        child.start()
+        child.join(30)
+        assert child.exitcode == 0
+    assert table_targets() == originals

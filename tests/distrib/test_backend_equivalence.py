@@ -208,10 +208,11 @@ def _reference(*drawn):
     transport=st.sampled_from(["pipe", "tcp"]),
     telemetry=st.booleans(),
     perturb=st.sampled_from(["none", "drain", "ckpt"]),
+    profile=st.booleans(),
 )
 def test_mp_equals_inproc_under_any_drawn_combination(
         program, protocol, l1d, classify, l1i, network, sync, transport,
-        telemetry, perturb):
+        telemetry, perturb, profile):
     drawn = (program, protocol, l1d, classify, l1i, network, sync,
              telemetry)
     expected, expected_stream, expected_order = _reference(*drawn)
@@ -219,6 +220,7 @@ def test_mp_equals_inproc_under_any_drawn_combination(
     cfg = _drawn_config(*drawn)
     cfg.distrib.backend = "mp"
     cfg.distrib.transport = transport
+    cfg.profile.enabled = profile  # the mp run only: an observer
     ref = make_program_ref(PROGRAMS[program][1])
     with tempfile.TemporaryDirectory() as scratch:
         if perturb == "drain":
@@ -234,6 +236,8 @@ def test_mp_equals_inproc_under_any_drawn_combination(
             assert manifest["turn"] > 0
             assert canonical_result_bytes(restored.resume_run()) \
                 == expected
+            assert (restored.host_profile is not None) == profile
+    assert (sim.host_profile is not None) == profile
     if telemetry and perturb == "none":
         # Migrated and restored shards run unobserved from then on, so
         # only an unperturbed run has the whole stream to compare.

@@ -80,17 +80,22 @@ def test_timeout_is_distrib_error_not_builtin():
 
 
 def test_silent_worker_times_out_under_profiling():
-    """The profiled recv path (which times idle waits and decodes)
-    must preserve the deadline behaviour, worker id included."""
+    """The timed recv (``mp.idle.wait`` around it, ``mp.wire.decode``
+    inside) must preserve the deadline behaviour, worker id included,
+    and close its scope on the way out."""
     from repro.profile import HostProfiler
+    from repro.profile.instrument import installed
 
     cfg = _cluster_config(timeout=0.5)
     cfg.profile.enabled = True
     layout = ClusterLayout(cfg.num_tiles, cfg.host)
     profiler = HostProfiler()
-    with WorkerCluster(layout, cfg, profiler=profiler) as cluster:
+    with installed(profiler, "mp"), \
+            WorkerCluster(layout, cfg) as cluster:
         with pytest.raises(WorkerTimeoutError, match="worker 0"):
             cluster.recv(0)
+    assert profiler.scopes["mp.idle.wait"].calls == 1
+    assert profiler.scopes["mp.wire.encode"].calls >= 2  # the HELLOs
 
 
 def test_target_fault_reraised_with_remote_traceback():

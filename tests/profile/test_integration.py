@@ -9,10 +9,13 @@ from __future__ import annotations
 
 import pytest
 
+from repro.ckpt.recovery import load_checkpoint
+from repro.ckpt.store import CheckpointStore
 from repro.common.config import SimulationConfig
 from repro.distrib.wire import WorkloadRef
 from repro.profile.report import PROFILE_SCHEMA
-from repro.sim.runner import create_simulator
+from repro.serve.store import canonical_result_bytes
+from repro.sim.runner import create_simulator, launch
 
 REF = WorkloadRef("fft", 4, 0.1)
 
@@ -44,6 +47,34 @@ def test_profiling_never_perturbs_results(backend):
     _, plain = _run(backend, profiled=False)
     _, profiled = _run(backend, profiled=True)
     assert _fingerprint(plain) == _fingerprint(profiled)
+
+
+def test_profile_composes_with_checkpoints_and_the_library(tmp_path):
+    """``--profile --ckpt-dir --sample-library`` together: the result
+    is the plain run's, and both the simulator forked from the library
+    and one resumed from a checkpoint say where their host time went."""
+    def run(root, observed):
+        config = _config("inproc", profiled=observed)
+        config.sample.ff_until = 2000
+        config.sample.library = str(root / "lib")
+        if observed:
+            config.ckpt.dir = str(root / "ck")
+            config.ckpt.every = 10
+        config.validate()
+        result, simulator = launch(config, REF)
+        assert result.sample.pop("library")["primed"]
+        return canonical_result_bytes(result), simulator
+
+    plain, _ = run(tmp_path / "plain", observed=False)
+    observed, forked = run(tmp_path / "observed", observed=True)
+    assert observed == plain
+    store = CheckpointStore(forked.config.ckpt.dir)
+    resumed, _ = load_checkpoint(store.root, name=store.list()[0])
+    assert canonical_result_bytes(resumed.resume_run()) == plain
+    for simulator in (forked, resumed):
+        subsystems = simulator.host_profile["subsystems"]
+        assert subsystems["scheduler.quantum"]["calls"] > 0
+        assert subsystems["frontend.interpret"]["self_seconds"] > 0
 
 
 def test_unprofiled_run_collects_nothing():

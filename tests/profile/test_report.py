@@ -23,8 +23,11 @@ def _profiler(run_ns: int = 2_000_000_000) -> HostProfiler:
     prof = HostProfiler()
     prof._run_start_ns = 0
     prof._run_stop_ns = run_ns
-    prof.add_ns("core.model", 600_000_000, calls=10)
-    prof.add_ns("memory.controller", 900_000_000, calls=20)
+    prof.absorb({
+        "core.model": {"calls": 10, "cum_ns": 600_000_000,
+                       "self_ns": 600_000_000},
+        "memory.controller": {"calls": 20, "cum_ns": 900_000_000,
+                              "self_ns": 900_000_000}})
     return prof
 
 

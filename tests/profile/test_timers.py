@@ -66,21 +66,6 @@ def test_recursive_scope_does_not_double_count():
     assert stats.self_ns <= stats.cum_ns
 
 
-def test_add_ns_is_flat_and_credits_parent():
-    prof = HostProfiler()
-    prof.add_ns("idle", 500, calls=2)
-    assert prof.scopes["idle"].calls == 2
-    assert prof.scopes["idle"].cum_ns == 500
-    assert prof.scopes["idle"].self_ns == 500
-    # Inside an open frame, pre-measured time counts as child time.
-    prof.enter("outer")
-    prof.add_ns("idle", 300)
-    prof.exit()
-    assert prof.scopes["idle"].cum_ns == 800
-    assert prof.scopes["outer"].self_ns \
-        == prof.scopes["outer"].cum_ns - 300
-
-
 def test_wrap_times_every_call_and_keeps_reference():
     prof = HostProfiler()
 
@@ -109,7 +94,7 @@ def test_scope_dict_roundtrips_through_absorb():
     prof = HostProfiler()
     prof.enter("a")
     prof.exit()
-    prof.add_ns("b", 100)
+    prof.absorb({"b": {"calls": 1, "cum_ns": 100, "self_ns": 100}})
     merged = HostProfiler()
     merged.absorb(prof.scope_dict())
     merged.absorb(prof.scope_dict(), prefix="w0.")

@@ -209,6 +209,31 @@ def test_status_list_and_ping_verbs():
             client.status("job-424242")
 
 
+def test_torn_and_oversized_frames_leave_the_daemon_quiet(capfd):
+    """A client that hangs up mid-frame is a hang-up, not a daemon
+    fault; an oversized length prefix is answered like any other bad
+    frame.  Neither reaches the daemon's stderr, and it serves on."""
+    import socket
+    import struct
+
+    from repro.serve import protocol
+    from repro.transport.frames import MAX_FRAME_BYTES
+
+    with running_server(fleet=1) as (server, client):
+        with socket.socket(socket.AF_UNIX) as torn:
+            torn.connect(server.socket_path)
+            torn.sendall(b"\x00\x00")
+        assert client.alive()  # served after the torn one was
+        with socket.socket(socket.AF_UNIX) as huge:
+            huge.connect(server.socket_path)
+            huge.sendall(struct.pack(">I", MAX_FRAME_BYTES + 1))
+            kind, payload = protocol.recv_message(huge)
+        assert kind == "error"
+        assert "limit" in payload["error"]
+        assert client.alive()
+    assert capfd.readouterr().err == ""
+
+
 def test_cli_verbs_against_a_live_daemon(capsys):
     """The repro submit/status/fetch CLI speaks to a real daemon."""
     from repro.cli import main

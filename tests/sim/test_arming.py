@@ -1,8 +1,8 @@
 """One property for every way a simulator comes to exist.
 
 Host-side wiring — the telemetry bus, sanitizers, flight ring, span
-emitter, stage channels, checkpoint store and the scheduler's boundary
-stages — lives outside the snapshot, so every restore has to put it
+emitter, host profiler, stage channels, checkpoint store and the
+scheduler's boundary stages — lives outside the snapshot, so every restore has to put it
 back.  A fresh build and a restore run the same two functions
 (``Simulator._arm_observers`` / ``_arm_boundary``; DESIGN.md §3); this
 file holds them to it: for each host-side feature, a simulator that
@@ -65,6 +65,10 @@ def _ff_until(cfg, tmp_path):
     cfg.sample.ff_until = 2000
 
 
+def _profile(cfg, tmp_path):
+    cfg.profile.enabled = True
+
+
 #: feature -> (how to ask for it, what a fresh build must then have:
 #: a stage name or an observer slot).
 FEATURES = {
@@ -76,10 +80,11 @@ FEATURES = {
     "trace_clock_skew": (_trace_clock_skew, "skew"),
     "ckpt.every": (_ckpt_every, "ckpt"),
     "sample.ff_until": (_ff_until, "sample"),
+    "profile": (_profile, "profiler"),
 }
 
 SLOTS = ("telemetry", "sanitizers", "flight", "_span_emitter",
-         "_ckpt_store")
+         "_ckpt_store", "profiler")
 
 
 def _config(feature: str, tmp_path, backend: str = "inproc"
