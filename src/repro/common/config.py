@@ -290,9 +290,8 @@ class HostConfig:
     #: Host processes participating in the simulation; by default one per
     #: machine, as in the paper's experiments.
     num_processes: Optional[int] = None
-    #: Host core clock, Hz (3.16 GHz Xeon X5460).
-    host_clock_hz: float = 3.16e9
-    #: Cost in host seconds of one natively executed target instruction.
+    #: Cost in host seconds of one natively executed target instruction
+    #: (a 3.16 GHz Xeon X5460).
     native_instruction_cost: float = 1.0 / 3.16e9
     #: Multiplier on instruction cost when running under instrumentation
     #: (the DBT adds basic-block dispatch overhead).

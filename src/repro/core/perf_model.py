@@ -37,9 +37,8 @@ STORE_FORWARD_LATENCY = 1
 
 
 class CoreModel:
-    """What every core timing model holds — the tile clock, the branch
-    predictor, the retirement and stall counters — and the one thing
-    they must do identically: retire under fast-forward."""
+    """What every core timing model holds: the tile clock, the branch
+    predictor, the retirement and stall counters."""
 
     __slots__ = ("config", "clock", "stats", "_tele", "_tile",
                  "branch_predictor", "_costs", "_instructions",
@@ -61,17 +60,6 @@ class CoreModel:
         self._memory_stall = stats.counter("memory_stall_cycles")
         self._branch_stall = stats.counter("branch_stall_cycles")
         self._sync_wait = stats.counter("sync_wait_cycles")
-
-    def retire_functional(self, count: int = 1) -> None:
-        """Retire ``count`` instructions at fixed unit cost.
-
-        The fast-forward path (:mod:`repro.sample`): the counter and
-        the clock advance (lax synchronization needs monotone clocks),
-        the predictor, LSU and stall accounting do not.  One for every
-        model, or forks of a shared prefix snapshot would diverge.
-        """
-        self.clock.advance(count)
-        self._instructions.add(count)
 
     @property
     def cycles(self) -> int:
@@ -167,3 +155,51 @@ class CorePerfModel(CoreModel):
         the local clock — so this is a no-op, present for interface
         parity with the out-of-order model.
         """
+
+
+class UnitCostCoreModel:
+    """Fast-forward as a core model (:mod:`repro.sample`): consumes the
+    streams the timed models do, at one cycle an instruction.
+
+    It stands in for ``timed`` for one quantum, over the same clock and
+    retirement counter — the clock still advances (lax synchronization
+    needs monotone clocks), the predictor, LSU, window and stall
+    accounting do not.  Nothing here reads the core configuration, so
+    forks of a shared fast-forward snapshot agree whatever timed model
+    each resumes under.
+    """
+
+    __slots__ = ("clock", "_instructions", "_timed")
+
+    def __init__(self, timed: CoreModel) -> None:
+        self.clock = timed.clock
+        self._instructions = timed._instructions
+        self._timed = timed
+
+    @property
+    def cycles(self) -> int:
+        return self.clock.now
+
+    def execute(self, instruction: Instruction) -> None:
+        self.clock.advance(instruction.count)
+        self._instructions.add(instruction.count)
+
+    def execute_branch(self, branch: BranchInstruction) -> bool:
+        self.clock.advance(1)
+        self._instructions.add()
+        return False
+
+    def execute_memory(self, op: MemoryInstruction) -> int:
+        self.clock.advance(1)
+        self._instructions.add()
+        return 1
+
+    def execute_pseudo(self, pseudo: PseudoInstruction) -> None:
+        self.clock.forward_to(pseudo.time)
+        if pseudo.cost:
+            self.clock.advance(pseudo.cost)
+
+    def drain(self) -> None:
+        """What is in flight is the timed model's, from before the
+        switch to fast-forward."""
+        self._timed.drain()

@@ -112,9 +112,6 @@ class WorkerCluster:
         self._owner: Dict[int, int] = {}
         #: Every process this cluster spawned (teardown safety net).
         self._spawned: List[Any] = []
-        #: Current interpreter execution mode (:mod:`repro.sample`),
-        #: mirrored here so late joiners can be brought up to date.
-        self.exec_functional = False
         self.listener: Optional[NetListener] = None
         try:
             if config.distrib.transport == "tcp":
@@ -234,28 +231,7 @@ class WorkerCluster:
             self._channels.append(channel)
             self._active.append(True)
             self.send(index, FrameKind.HELLO, (self.config, [], index))
-            if self.exec_functional:
-                # The Welcome already advertised the mode, but the
-                # frame makes it authoritative on the pickle wire too.
-                self.send(index, FrameKind.SET_MODE, True)
             joined.append(index)
-
-    def set_execution_mode(self, functional: bool) -> None:
-        """Broadcast the execution mode to every worker (wire v6).
-
-        Called by the coordinator strictly between quanta (the sample
-        controller is a boundary stage), when every worker is parked on
-        its control pipe — so the flag lands before any worker runs
-        another quantum.  Also remembered for membership: later
-        dial-ins get a SET_MODE right after HELLO, and the handshake
-        Welcome advertises the current mode.
-        """
-        self.exec_functional = bool(functional)
-        if self.listener is not None:
-            self.listener.mode = ("functional" if functional
-                                  else "detailed")
-        for worker in self.workers():
-            self.send(worker, FrameKind.SET_MODE, bool(functional))
 
     def migrate_shard(self, src: int, dst: int) -> List[int]:
         """Move every tile owned by ``src`` into ``dst``, live.
@@ -631,26 +607,6 @@ class DistribSimulator(Simulator):
     def _make_transport(self) -> Transport:
         return ShardTransport(self.layout, self.stats.child("transport"))
 
-    # -- execution mode (repro.sample, wire v6) ------------------------------
-
-    def set_execution_mode(self, mode: str) -> None:
-        """Flip the mode on the coordinator's models *and* the workers.
-
-        The coordinator owns every timing model (memory system,
-        network fabric, host cost), so the base-class flip already
-        covers them in the mp backend; what it cannot reach is the
-        interpreter dispatch in the worker processes.  A SET_MODE
-        broadcast closes that gap — sent between quanta, like every
-        mode switch, so both sides agree before the next quantum.
-        """
-        before = self.exec_functional
-        super().set_execution_mode(mode)
-        # getattr: the ``ff_until`` flip happens inside the base-class
-        # constructor, before this subclass sets ``_cluster``.
-        cluster = getattr(self, "_cluster", None)
-        if self.exec_functional != before and cluster is not None:
-            cluster.set_execution_mode(self.exec_functional)
-
     # -- lifecycle -----------------------------------------------------------
 
     @contextlib.contextmanager
@@ -661,12 +617,6 @@ class DistribSimulator(Simulator):
         self._cluster = cluster
         self.transport.attach(cluster)
         try:
-            if self.exec_functional:
-                # Workers start detailed.  An initial ``ff_until``
-                # flip predates the fleet, and a checkpoint may have
-                # been taken mid-fast-forward (its shards pickled the
-                # flag, but late joiners learn it from the listener).
-                cluster.set_execution_mode(True)
             yield cluster
         finally:
             cluster.shutdown()
@@ -853,7 +803,7 @@ class DistribSimulator(Simulator):
         lcp.handle_spawn(tile)
         self.fabric.transfer(MCP_TILE, tile, MessageKind.SYSTEM, 64,
                              parent_clock)
-        self.charge(self.config.host.thread_spawn_cost)
+        self.scheduler.charge(self.config.host.thread_spawn_cost)
         code_base = self._code_base_for(program_key(ref))
         self.cluster.spawn(tile, ref, args, parent_clock, code_base)
         task = RemoteTask(self, tile, parent_clock)
@@ -876,7 +826,8 @@ class DistribSimulator(Simulator):
         worker = self.cluster.owner(task.tile)
         self.cluster.send(worker, FrameKind.RUN_QUANTUM,
                           (int(task.tile), budget, cycle_limit,
-                           self._l1_notes_for(worker)))
+                           self._l1_notes_for(worker),
+                           self.exec_functional))
         while True:
             kind, payload = self.cluster.recv(worker)
             if kind is FrameKind.QUANTUM_DONE:

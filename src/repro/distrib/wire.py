@@ -32,8 +32,8 @@ from repro.distrib.errors import ProgramTransportError, WireFormatError
 #: barrier and shard restore for fault-tolerant runs).
 #: v5: ADOPT / RELEASE / GOODBYE frames (live shard migration between
 #: workers and orderly departure of drained workers; :mod:`repro.net`).
-#: v6: SET_MODE frame (execution-mode propagation for functional
-#: fast-forward and interval sampling; :mod:`repro.sample`).
+#: v6: a mode-switch frame (execution-mode propagation for functional
+#: fast-forward and interval sampling; gone in v10).
 #: v7: one round trip per front-end op — KERNEL_CALL is ``(method,
 #: args, casts)`` and QUANTUM_DONE ends with ``casts`` (the one-way
 #: casts issued since the previous frame, applied before it),
@@ -46,7 +46,10 @@ from repro.distrib.errors import ProgramTransportError, WireFormatError
 #: ``(value, l1_notes)`` and COLLECT_STATS carry the L1 notes due.
 #: v9: pickled caches and directories in shard blobs (CKPT_ACK, ADOPT)
 #: carry resident lines and ``line -> (state, sharers)``, not containers.
-WIRE_VERSION = 9
+#: v10: the mode travels with the work — RUN_QUANTUM is ``(tile, budget,
+#: cycle_limit, l1_notes, functional)`` and v6's frame is gone
+#: (:mod:`repro.sample`).
+WIRE_VERSION = 10
 
 
 class FrameKind(enum.Enum):
@@ -57,7 +60,8 @@ class FrameKind(enum.Enum):
     #: coordinator -> worker: create an interpreter for a tile.
     SPAWN = "spawn"
     #: coordinator -> worker: run one scheduler quantum on a tile, after
-    #: applying the L1 notes (purges, downgrades) due to the worker.
+    #: applying the L1 notes (purges, downgrades) due to the worker, in
+    #: the execution mode named (functional fast-forward or detailed).
     RUN_QUANTUM = "run_quantum"
     #: worker -> coordinator: quantum finished (status + core state +
     #: the casts issued since the last KERNEL_CALL).
@@ -77,12 +81,6 @@ class FrameKind(enum.Enum):
     DELIVER = "deliver"
     #: coordinator -> worker: forward a wake timestamp to a tile.
     NOTIFY_WAKE = "notify_wake"
-    #: coordinator -> worker: switch the interpreter execution mode
-    #: (payload: ``True`` = functional, ``False`` = detailed).  Sent
-    #: only between quanta — the sample controller is a periodic
-    #: scheduler hook — so no interpreter is ever mid-quantum when the
-    #: mode flips (:mod:`repro.sample`).
-    SET_MODE = "set_mode"
     #: coordinator -> worker: request the flattened local stats
     #: (payload: the worker's last L1 notes, which move L1 counters).
     COLLECT_STATS = "collect_stats"

@@ -17,9 +17,9 @@ Determinism: the pipe is FIFO and the coordinator runs exactly one
 quantum anywhere at a time, so kernel calls reach the coordinator in
 the same order the in-process backend would make them — including the
 order in which the jittered cost model's RNG is consumed.  Cost-model
-lookups themselves are deferred: ``cost_model.instructions(n)`` here
-returns a token, and the coordinator evaluates it (consuming RNG) when
-the paired ``charge`` arrives.  One-way casts (``charge``,
+lookups themselves are deferred: ``charge_instructions(n)`` here casts
+a ``charge`` token, and the coordinator evaluates it (consuming RNG)
+when it arrives.  One-way casts (``charge``,
 ``store_data``, ``wake_scheduler``, ``thread_finished``) cost no frame
 of their own: they ride the next KERNEL_CALL or the closing
 QUANTUM_DONE and are applied, in order, ahead of it.  What the L2s do
@@ -58,24 +58,11 @@ from repro.telemetry.events import EventCategory
 from repro.transport.message import Message, MessageKind
 
 
-class _DeferredCostModel:
-    """Cost-model facade returning tokens instead of host seconds.
-
-    The real model consumes a jitter RNG per lookup; evaluating here
-    would fork the RNG stream.  Tokens ride the ``charge`` cast and are
-    evaluated coordinator-side, in program order.
-    """
-
-    __slots__ = ()
-
-    def instructions(self, count: int) -> tuple:
-        return ("instructions", count)
-
-    def model_trap(self) -> tuple:
-        return ("model_trap",)
-
-
-#: The per-access host charge; one tuple, so pickled once per frame.
+#: Host charges cross as ``(cost-model method, *args)`` tokens, not host
+#: seconds: the real model consumes a jitter RNG per lookup, evaluating
+#: here would fork the RNG stream, so the coordinator evaluates them, in
+#: program order.  The per-access one is one tuple, so pickled once per
+#: frame.
 _MEMORY_CHARGE = ("charge", (("memory_access",),))
 
 
@@ -185,6 +172,8 @@ class _FabricProxy:
 
     def transfer(self, src: TileId, dst: TileId, kind: MessageKind,
                  size_bytes: int, timestamp: int) -> int:
+        if self._kernel.exec_functional:
+            return 0  # as the fabric itself would answer, minus the RPC
         return self._kernel.rpc("fabric_transfer",
                                 (int(src), int(dst), kind.value,
                                  size_bytes, timestamp))
@@ -260,25 +249,22 @@ class KernelProxy:
     """The kernel object handed to this worker's interpreters."""
 
     __slots__ = ("_worker", "config", "exec_functional", "stats", "queues",
-                 "telemetry", "cost_model", "engine", "controllers", "fabric",
+                 "telemetry", "engine", "controllers", "fabric",
                  "allocator", "mcp", "_pending_code_base", "_code_bases")
 
     def __init__(self, worker: "Worker",
                  config: SimulationConfig) -> None:
         self._worker = worker
         self.config = config
-        #: Execution mode sampled by the interpreters once per quantum
-        #: (:mod:`repro.sample`).  Driven by SET_MODE frames (wire v6)
-        #: so it only ever changes between quanta; pickles with the
-        #: shard, so a checkpoint taken mid-fast-forward resumes
-        #: functional.
+        #: The mode of the quantum being run (:mod:`repro.sample`), as
+        #: its RUN_QUANTUM frame named it: read by the interpreter, the
+        #: L1 controllers' host charge and the proxies below.
         self.exec_functional = False
         self.stats = StatGroup("sim")
         self.queues = worker.queues
         #: Worker-local event bus: no sinks (a worker never opens the
         #: coordinator's trace file); events batch over the wire.
         self.telemetry = create_bus(config.telemetry, with_sinks=False)
-        self.cost_model = _DeferredCostModel()
         self.engine = _RemoteL2(self)
         self.controllers = _ControllerTable(self)
         self.fabric = _FabricProxy(self)
@@ -302,8 +288,13 @@ class KernelProxy:
 
     # -- kernel interface ----------------------------------------------------
 
-    def charge(self, cost_token: tuple) -> None:
-        self.cast("charge", (cost_token,))
+    def charge_instructions(self, count: int) -> None:
+        if not self.exec_functional:
+            self.cast("charge", (("instructions", count),))
+
+    def charge_trap(self) -> None:
+        if not self.exec_functional:
+            self.cast("charge", (("model_trap",),))
 
     def code_base(self, program: Any) -> int:
         base = self._code_bases.get(id(program))
@@ -446,20 +437,8 @@ class Worker:
             self.interpreters[tile].notify_wake(timestamp)
         elif kind is FrameKind.SPAWN:
             self._handle_spawn(payload)
-        elif kind is FrameKind.SET_MODE:
-            self._handle_set_mode(payload)
         else:
             raise RuntimeError(f"unexpected frame {kind} in worker")
-
-    def _handle_set_mode(self, functional: bool) -> None:
-        """Flip the interpreter execution mode (wire v6).
-
-        Purely local, like SPAWN: just a flag the interpreters sample
-        at their next quantum.  Adopted kernels (live migration) flip
-        too — their interpreters dispatch through them.
-        """
-        for kernel in [self.kernel, *self.adopted]:
-            kernel.exec_functional = bool(functional)
 
     def _handle_spawn(self, payload: tuple) -> None:
         """Create an interpreter for a tile we own.  Purely local.
@@ -488,9 +467,12 @@ class Worker:
                                    {"worker": self.process_index})
 
     def _handle_run_quantum(self, payload: tuple) -> None:
-        tile, budget, cycle_limit, l1_notes = payload
+        tile, budget, cycle_limit, l1_notes, functional = payload
         self._apply_l1_notes(l1_notes)
         interpreter = self.interpreters[tile]
+        # (its own kernel: a migrated-in interpreter keeps the proxy
+        # it was pickled with)
+        interpreter.kernel.exec_functional = functional
         result = interpreter.run(budget, cycle_limit)
         # The coordinator reads this pipe until QUANTUM_DONE, so a full
         # event buffer flushes here, *before* the terminating frame.
@@ -721,9 +703,7 @@ def run_connected_worker(channel, welcome=None) -> None:
     ``welcome`` is the net handshake's reply where there was one (TCP,
     not a forked pipe): its config fingerprint is re-checked against
     the HELLO config, so a worker can never execute a different
-    simulation than the one it agreed to join, and it names the mode a
-    worker joining mid-fast-forward starts in (net wire v3; a SET_MODE
-    frame follows HELLO regardless).
+    simulation than the one it agreed to join.
     """
     from repro.net.channel import ChannelClosedError
     from repro.net.handshake import HandshakeError
@@ -740,8 +720,6 @@ def run_connected_worker(channel, welcome=None) -> None:
                     "config fingerprint mismatch between handshake "
                     f"({welcome.config_fingerprint}) and HELLO "
                     f"({config.content_hash()}); refusing to desync")
-            worker.kernel.exec_functional = (
-                getattr(welcome, "mode", "detailed") == "functional")
         with worker.timers:
             worker.loop()
     except (EOFError, ChannelClosedError, KeyboardInterrupt):

@@ -36,6 +36,7 @@ from repro.core.instruction import (
 )
 from repro.core.isa import InstructionClass
 from repro.core.factory import create_core_model
+from repro.core.perf_model import UnitCostCoreModel
 from repro.frontend import ops
 from repro.frontend.api import ThreadContext
 from repro.host.scheduler import QuantumResult, QuantumStatus, ThreadTask
@@ -151,17 +152,23 @@ class ThreadInterpreter(ThreadTask):
             cycle_limit: Optional[int] = None) -> QuantumResult:
         if self._finished:
             raise SimulationError("running a finished thread")
-        # Execution mode is sampled once per quantum: the scheduler only
-        # flips it at quantum boundaries (:mod:`repro.sample`).
-        functional = bool(getattr(self.kernel, "exec_functional", False))
-        handlers = self._FF_HANDLERS if functional else self._HANDLERS
+        # The mode is the quantum's (the scheduler only flips it between
+        # quanta, :mod:`repro.sample`).  Fast-forward runs the same
+        # handlers against the unit-cost core model and fetches no
+        # instructions; host charges and system-network legs are
+        # skipped where they are made, by the kernel and the fabric.
+        functional = self.kernel.exec_functional
+        core = UnitCostCoreModel(self.core) if functional else self.core
+        self._model_ifetch = (not functional
+                              and self.kernel.config.memory.l1i.enabled)
+        handlers = self._HANDLERS
         executed = 0
         while executed < budget_instructions:
-            if cycle_limit is not None and self.core.cycles >= cycle_limit:
+            if cycle_limit is not None and core.cycles >= cycle_limit:
                 return QuantumResult(QuantumStatus.RAN, executed)
             if self._pending_op is not None:
                 op = self._pending_op
-                self._consume_wake(functional)
+                self._consume_wake(core)
             else:
                 if self._ckpt_log is not None:
                     self._ckpt_log.append(self._send_value)
@@ -169,12 +176,12 @@ class ThreadInterpreter(ThreadTask):
                     op = self.generator.send(self._send_value)
                 except StopIteration as stop:
                     self.result = stop.value
-                    return self._finish(executed)
+                    return self._finish(core, executed)
                 self._send_value = None
             handler = handlers.get(type(op))
             if handler is None:
                 raise SimulationError(f"unknown front-end op {op!r}")
-            result = handler(self, op)
+            result = handler(self, op, core)
             if result is _BLOCK:
                 self._pending_op = op
                 return QuantumResult(QuantumStatus.BLOCKED, executed)
@@ -183,14 +190,14 @@ class ThreadInterpreter(ThreadTask):
             executed += op.count if isinstance(op, ops.Compute) else 1
         return QuantumResult(QuantumStatus.RAN, executed)
 
-    def _finish(self, executed: int) -> QuantumResult:
+    def _finish(self, core: Any, executed: int) -> QuantumResult:
         self._finished = True
         # A finished thread never replays; drop the log so snapshots
         # of long runs do not keep every completed thread's history.
         self._ckpt_log = None
         # Retire everything in flight before reporting the final clock.
-        self.core.drain()
-        self.kernel.thread_finished(self.tile, self.core.cycles)
+        core.drain()
+        self.kernel.thread_finished(self.tile, core.cycles)
         return QuantumResult(QuantumStatus.DONE, executed)
 
     # -- checkpoint support ---------------------------------------------------------
@@ -245,18 +252,15 @@ class ThreadInterpreter(ThreadTask):
                     f"program is not deterministic") from None
         self.generator = generator
 
-    def _consume_wake(self, functional: bool = False) -> None:
+    def _consume_wake(self, core: Any) -> None:
         if self._wake_time is not None:
-            if functional:
-                self.core.clock.forward_to(self._wake_time)
-            else:
-                self.core.execute_pseudo(PseudoInstruction(
-                    PseudoKind.SYNC, time=self._wake_time))
+            core.execute_pseudo(PseudoInstruction(
+                PseudoKind.SYNC, time=self._wake_time))
             self._wake_time = None
 
     # -- op dispatch ------------------------------------------------------------------
 
-    def _fetch(self) -> None:
+    def _fetch(self, core: Any) -> None:
         """Model the instruction fetch for one op (one basic block)
         that makes no data access; ``_op_load`` / ``_op_store`` spell
         the same walk out inline: a helper call per op is measurable
@@ -265,78 +269,76 @@ class ThreadInterpreter(ThreadTask):
             return
         pc = self._code_base + self._fetch_cursor
         self._fetch_cursor = (self._fetch_cursor + 64) % CODE_FOOTPRINT_BYTES
-        latency = self.memory.fetch(pc, self.core.cycles)
+        latency = self.memory.fetch(pc, core.cycles)
         if latency > self._l1i_hit_latency:
             # Only the miss portion stalls; hit latency is pipelined.
-            self.core.clock.advance(latency - self._l1i_hit_latency)
+            core.clock.advance(latency - self._l1i_hit_latency)
 
     # -- computational ops ----------------------------------------------------------------
 
-    def _op_compute(self, op: ops.Compute) -> None:
-        self._fetch()
-        self.core.execute(Instruction(op.klass, op.count))
-        self.kernel.charge(self.kernel.cost_model.instructions(op.count))
+    def _op_compute(self, op: ops.Compute, core: Any) -> None:
+        self._fetch(core)
+        core.execute(Instruction(op.klass, op.count))
+        self.kernel.charge_instructions(op.count)
 
-    def _op_branch(self, op: ops.Branch) -> None:
-        self._fetch()
+    def _op_branch(self, op: ops.Branch, core: Any) -> None:
+        self._fetch(core)
         pc = op.pc if op.pc is not None else self._code_base
-        self.core.execute_branch(BranchInstruction(pc, op.taken))
-        self.kernel.charge(self.kernel.cost_model.instructions(1))
+        core.execute_branch(BranchInstruction(pc, op.taken))
+        self.kernel.charge_instructions(1)
 
     # -- memory ops ------------------------------------------------------------------------
 
-    def _op_load(self, op: ops.Load) -> bytes:
+    def _op_load(self, op: ops.Load, core: Any) -> bytes:
         if self._model_ifetch:
             pc = self._code_base + self._fetch_cursor
             self._fetch_cursor = (
                 self._fetch_cursor + 64) % CODE_FOOTPRINT_BYTES
-            fetched = self.memory.fetch(pc, self.core.cycles)
+            fetched = self.memory.fetch(pc, core.cycles)
             if fetched > self._l1i_hit_latency:
-                self.core.clock.advance(fetched - self._l1i_hit_latency)
-        data, latency = self.memory.load(op.address, op.size,
-                                         self.core.cycles)
-        self.core.execute_memory(MemoryInstruction(
+                core.clock.advance(fetched - self._l1i_hit_latency)
+        data, latency = self.memory.load(op.address, op.size, core.cycles)
+        core.execute_memory(MemoryInstruction(
             InstructionClass.LOAD, op.address, op.size, latency))
-        self.kernel.charge(self.kernel.cost_model.instructions(1))
+        self.kernel.charge_instructions(1)
         return data
 
-    def _op_store(self, op: ops.Store) -> None:
+    def _op_store(self, op: ops.Store, core: Any) -> None:
         if self._model_ifetch:
             pc = self._code_base + self._fetch_cursor
             self._fetch_cursor = (
                 self._fetch_cursor + 64) % CODE_FOOTPRINT_BYTES
-            fetched = self.memory.fetch(pc, self.core.cycles)
+            fetched = self.memory.fetch(pc, core.cycles)
             if fetched > self._l1i_hit_latency:
-                self.core.clock.advance(fetched - self._l1i_hit_latency)
-        latency = self.memory.store(op.address, op.data, self.core.cycles)
-        self.core.execute_memory(MemoryInstruction(
+                core.clock.advance(fetched - self._l1i_hit_latency)
+        latency = self.memory.store(op.address, op.data, core.cycles)
+        core.execute_memory(MemoryInstruction(
             InstructionClass.STORE, op.address, len(op.data), latency))
-        self.kernel.charge(self.kernel.cost_model.instructions(1))
+        self.kernel.charge_instructions(1)
 
-    def _op_malloc(self, op: ops.Malloc) -> int:
-        self.core.clock.advance(MALLOC_CYCLES)
-        self.kernel.charge(self.kernel.cost_model.model_trap())
+    def _op_malloc(self, op: ops.Malloc, core: Any) -> int:
+        core.clock.advance(MALLOC_CYCLES)
+        self.kernel.charge_trap()
         return self.kernel.allocator.malloc(op.size, op.align)
 
-    def _op_free(self, op: ops.Free) -> None:
-        self.core.clock.advance(FREE_CYCLES)
-        self.kernel.charge(self.kernel.cost_model.model_trap())
+    def _op_free(self, op: ops.Free, core: Any) -> None:
+        core.clock.advance(FREE_CYCLES)
+        self.kernel.charge_trap()
         self.kernel.allocator.free(op.address)
 
     # -- messaging -----------------------------------------------------------------------------
 
-    def _op_send(self, op: ops.Send) -> None:
-        self.core.execute(Instruction(InstructionClass.GENERIC,
-                                      SEND_CYCLES))
+    def _op_send(self, op: ops.Send, core: Any) -> None:
+        core.execute(Instruction(InstructionClass.GENERIC, SEND_CYCLES))
         dst_tile = TileId(int(op.dst))
         self.netif.send(dst_tile, payload=(int(self.tile), op.payload),
                         kind=MessageKind.USER,
                         size_bytes=len(op.payload) + USER_MESSAGE_HEADER,
-                        timestamp=self.core.cycles, tag=op.tag)
+                        timestamp=core.cycles, tag=op.tag)
         # The receiver may be blocked in Recv; let it re-check.
         self.kernel.wake_scheduler(dst_tile)
 
-    def _op_recv(self, op: ops.Recv) -> Any:
+    def _op_recv(self, op: ops.Recv, core: Any) -> Any:
         src_tile = TileId(int(op.src)) if op.src is not None else None
         message = self.netif.poll_match(MessageKind.USER, src=src_tile,
                                         tag=op.tag)
@@ -344,72 +346,71 @@ class ThreadInterpreter(ThreadTask):
             return _BLOCK
         # "Message receive pseudo-instruction" (paper §3.1): the clock
         # forwards to the message's arrival time, then pays recv cost.
-        self.core.execute_pseudo(PseudoInstruction(
+        core.execute_pseudo(PseudoInstruction(
             PseudoKind.MESSAGE_RECEIVE, time=message.arrival_time,
             cost=RECV_CYCLES))
         if self._sanitizers is not None:
             self._sanitizers.on_interaction(
-                int(self.tile), message.arrival_time, self.core.cycles)
+                int(self.tile), message.arrival_time, core.cycles)
         sender, payload = message.payload
         return (ThreadId(sender), payload)
 
     # -- synchronization ---------------------------------------------------------------------------
 
-    def _rmw_lock_word(self, address: int) -> int:
+    def _rmw_lock_word(self, address: int, core: Any) -> int:
         """Atomic RMW on a lock word: the coherence traffic of a futex.
 
         Returns the value read.  The word is acquired exclusively (a
         cmpxchg needs ownership) so contended locks really ping-pong.
         """
-        data, load_latency = self.memory.load(address, 8, self.core.cycles)
-        self.core.execute_memory(MemoryInstruction(
+        data, load_latency = self.memory.load(address, 8, core.cycles)
+        core.execute_memory(MemoryInstruction(
             InstructionClass.LOAD, address, 8, load_latency))
         value = int.from_bytes(data, "little")
         store_latency = self.memory.store(
-            address, data, self.core.cycles)  # ownership acquisition
-        self.core.execute_memory(MemoryInstruction(
+            address, data, core.cycles)  # ownership acquisition
+        core.execute_memory(MemoryInstruction(
             InstructionClass.STORE, address, 8, store_latency))
-        self.core.execute(Instruction(InstructionClass.IALU,
-                                      LOCK_ALU_CYCLES))
-        self.kernel.charge(self.kernel.cost_model.instructions(4))
+        core.execute(Instruction(InstructionClass.IALU, LOCK_ALU_CYCLES))
+        self.kernel.charge_instructions(4)
         return value
 
-    def _op_lock(self, op: ops.Lock) -> Any:
-        value = self._rmw_lock_word(op.address)
+    def _op_lock(self, op: ops.Lock, core: Any) -> Any:
+        value = self._rmw_lock_word(op.address, core)
         if value == 0:
             holder = int(self.tile) + 1  # nonzero == locked
             latency = self.memory.store(
-                op.address, holder.to_bytes(8, "little"), self.core.cycles)
-            self.core.execute_memory(MemoryInstruction(
+                op.address, holder.to_bytes(8, "little"), core.cycles)
+            core.execute_memory(MemoryInstruction(
                 InstructionClass.STORE, op.address, 8, latency))
             return None
         # Contended: forward to the MCP futex (system network round trip)
         # and sleep until an unlock wakes us.
-        self._system_round_trip()
-        self.core.clock.advance(SYSCALL_TRAP_CYCLES)
+        self._system_round_trip(core)
+        core.clock.advance(SYSCALL_TRAP_CYCLES)
         self.kernel.mcp.futex.wait(op.address, self.tile)
         return _BLOCK
 
-    def _op_unlock(self, op: ops.Unlock) -> None:
-        latency = self.memory.store(op.address, bytes(8), self.core.cycles)
-        self.core.execute_memory(MemoryInstruction(
+    def _op_unlock(self, op: ops.Unlock, core: Any) -> None:
+        latency = self.memory.store(op.address, bytes(8), core.cycles)
+        core.execute_memory(MemoryInstruction(
             InstructionClass.STORE, op.address, 8, latency))
-        self.kernel.charge(self.kernel.cost_model.instructions(2))
-        woken = self.kernel.mcp.futex.wake(op.address, 1, self.core.cycles)
+        self.kernel.charge_instructions(2)
+        woken = self.kernel.mcp.futex.wake(op.address, 1, core.cycles)
         if woken:
-            self._system_round_trip()
+            self._system_round_trip(core)
 
-    def _op_barrier(self, op: ops.BarrierWait) -> Any:
+    def _op_barrier(self, op: ops.BarrierWait, core: Any) -> Any:
         if not op.registered:
-            self._rmw_lock_word(op.address)
-            self._system_round_trip()
+            self._rmw_lock_word(op.address, core)
+            self._system_round_trip(core)
             release = self.kernel.mcp.barrier_arrive(
-                op.address, op.participants, self.tile, self.core.cycles)
+                op.address, op.participants, self.tile, core.cycles)
             op.registered = True
             if release is None:
                 return _BLOCK
             op.registered = False
-            self.core.execute_pseudo(PseudoInstruction(
+            core.execute_pseudo(PseudoInstruction(
                 PseudoKind.SYNC, time=release))
             return None
         # Retried after a wake: released unless we are still registered.
@@ -420,24 +421,23 @@ class ThreadInterpreter(ThreadTask):
 
     # -- threads -----------------------------------------------------------------------------------
 
-    def _op_spawn(self, op: ops.Spawn) -> ThreadId:
-        self._system_round_trip()
-        self.core.clock.advance(SPAWN_CYCLES)
-        child = self.kernel.spawn_thread(op.program, op.args, self.tile,
-                                         self.core.cycles)
-        return child
+    def _op_spawn(self, op: ops.Spawn, core: Any) -> ThreadId:
+        self._system_round_trip(core)
+        core.clock.advance(SPAWN_CYCLES)
+        return self.kernel.spawn_thread(op.program, op.args, self.tile,
+                                        core.cycles)
 
-    def _op_join(self, op: ops.Join) -> Any:
+    def _op_join(self, op: ops.Join, core: Any) -> Any:
         target = TileId(int(op.thread))
         if not op.registered:
-            self._system_round_trip()
-            self.core.clock.advance(JOIN_CYCLES)
+            self._system_round_trip(core)
+            core.clock.advance(JOIN_CYCLES)
             final = self.kernel.mcp.threads.try_join(self.tile, target)
             op.registered = True
             if final is None:
                 return _BLOCK
             op.registered = False
-            self.core.execute_pseudo(PseudoInstruction(
+            core.execute_pseudo(PseudoInstruction(
                 PseudoKind.SYNC, time=final))
             return None
         final = self.kernel.mcp.threads.final_clock(target)
@@ -448,142 +448,22 @@ class ThreadInterpreter(ThreadTask):
 
     # -- system calls -----------------------------------------------------------------------------------
 
-    def _op_syscall(self, op: ops.Syscall) -> Any:
-        self._system_round_trip()
-        self.core.clock.advance(SYSCALL_TRAP_CYCLES)
-        self.kernel.charge(self.kernel.cost_model.model_trap())
+    def _op_syscall(self, op: ops.Syscall, core: Any) -> Any:
+        self._system_round_trip(core)
+        core.clock.advance(SYSCALL_TRAP_CYCLES)
+        self.kernel.charge_trap()
         return self.kernel.mcp.syscalls.execute(op.name, op.args)
 
     # -- helpers -------------------------------------------------------------------------------------------
 
-    def _system_round_trip(self) -> None:
+    def _system_round_trip(self, core: Any) -> None:
         """A control round trip to the MCP over the system network."""
         from repro.system.mcp import MCP_TILE
-        clock = self.core.cycles
+        clock = core.cycles
         out = self.kernel.fabric.transfer(self.tile, MCP_TILE,
                                           MessageKind.SYSTEM, 32, clock)
         self.kernel.fabric.transfer(MCP_TILE, self.tile,
                                     MessageKind.SYSTEM, 32, clock + out)
-
-    # -- functional fast-forward handlers (:mod:`repro.sample`) -------------------------
-
-    # Every handler below performs the *identical* functional work as
-    # its detailed twin — bytes move, locks acquire, messages deliver,
-    # threads spawn — but time is accounted at fixed unit cost: no
-    # instruction fetch, no branch predictor, no LSU, no host-cost
-    # charges.  The instruction counter advances by the same amounts as
-    # the detailed handlers so fast-forwarded instruction totals remain
-    # comparable.  Crucially, nothing here depends on the core or
-    # network configuration, so variants forked from a shared
-    # fast-forward snapshot see byte-identical architectural state.
-
-    def _ff_compute(self, op: ops.Compute) -> None:
-        self.core.retire_functional(op.count)
-
-    def _ff_branch(self, op: ops.Branch) -> None:
-        self.core.retire_functional(1)
-
-    def _ff_load(self, op: ops.Load) -> bytes:
-        data, _ = self.memory.load(op.address, op.size, self.core.cycles)
-        self.core.retire_functional(1)
-        return data
-
-    def _ff_store(self, op: ops.Store) -> None:
-        self.memory.store(op.address, op.data, self.core.cycles)
-        self.core.retire_functional(1)
-
-    def _ff_malloc(self, op: ops.Malloc) -> int:
-        self.core.clock.advance(MALLOC_CYCLES)
-        return self.kernel.allocator.malloc(op.size, op.align)
-
-    def _ff_free(self, op: ops.Free) -> None:
-        self.core.clock.advance(FREE_CYCLES)
-        self.kernel.allocator.free(op.address)
-
-    def _ff_send(self, op: ops.Send) -> None:
-        self.core.retire_functional(SEND_CYCLES)
-        dst_tile = TileId(int(op.dst))
-        self.netif.send(dst_tile, payload=(int(self.tile), op.payload),
-                        kind=MessageKind.USER,
-                        size_bytes=len(op.payload) + USER_MESSAGE_HEADER,
-                        timestamp=self.core.cycles, tag=op.tag)
-        self.kernel.wake_scheduler(dst_tile)
-
-    def _ff_recv(self, op: ops.Recv) -> Any:
-        src_tile = TileId(int(op.src)) if op.src is not None else None
-        message = self.netif.poll_match(MessageKind.USER, src=src_tile,
-                                        tag=op.tag)
-        if message is None:
-            return _BLOCK
-        self.core.clock.forward_to(message.arrival_time)
-        self.core.clock.advance(RECV_CYCLES)
-        sender, payload = message.payload
-        return (ThreadId(sender), payload)
-
-    def _ff_rmw_lock_word(self, address: int) -> int:
-        data, _ = self.memory.load(address, 8, self.core.cycles)
-        self.memory.store(address, data, self.core.cycles)
-        self.core.retire_functional(2 + LOCK_ALU_CYCLES)
-        return int.from_bytes(data, "little")
-
-    def _ff_lock(self, op: ops.Lock) -> Any:
-        value = self._ff_rmw_lock_word(op.address)
-        if value == 0:
-            holder = int(self.tile) + 1
-            self.memory.store(op.address, holder.to_bytes(8, "little"),
-                              self.core.cycles)
-            self.core.retire_functional(1)
-            return None
-        self.core.clock.advance(SYSCALL_TRAP_CYCLES)
-        self.kernel.mcp.futex.wait(op.address, self.tile)
-        return _BLOCK
-
-    def _ff_unlock(self, op: ops.Unlock) -> None:
-        self.memory.store(op.address, bytes(8), self.core.cycles)
-        self.core.retire_functional(1)
-        self.kernel.mcp.futex.wake(op.address, 1, self.core.cycles)
-
-    def _ff_barrier(self, op: ops.BarrierWait) -> Any:
-        if not op.registered:
-            self._ff_rmw_lock_word(op.address)
-            release = self.kernel.mcp.barrier_arrive(
-                op.address, op.participants, self.tile, self.core.cycles)
-            op.registered = True
-            if release is None:
-                return _BLOCK
-            op.registered = False
-            self.core.clock.forward_to(release)
-            return None
-        if self.kernel.mcp.barrier_is_waiting(op.address, self.tile):
-            return _BLOCK
-        op.registered = False
-        return None
-
-    def _ff_spawn(self, op: ops.Spawn) -> ThreadId:
-        self.core.clock.advance(SPAWN_CYCLES)
-        return self.kernel.spawn_thread(op.program, op.args, self.tile,
-                                        self.core.cycles)
-
-    def _ff_join(self, op: ops.Join) -> Any:
-        target = TileId(int(op.thread))
-        if not op.registered:
-            self.core.clock.advance(JOIN_CYCLES)
-            final = self.kernel.mcp.threads.try_join(self.tile, target)
-            op.registered = True
-            if final is None:
-                return _BLOCK
-            op.registered = False
-            self.core.clock.forward_to(final)
-            return None
-        final = self.kernel.mcp.threads.final_clock(target)
-        if final is None:
-            return _BLOCK
-        op.registered = False
-        return None
-
-    def _ff_syscall(self, op: ops.Syscall) -> Any:
-        self.core.clock.advance(SYSCALL_TRAP_CYCLES)
-        return self.kernel.mcp.syscalls.execute(op.name, op.args)
 
     _HANDLERS = {
         ops.Compute: _op_compute,
@@ -600,21 +480,4 @@ class ThreadInterpreter(ThreadTask):
         ops.Spawn: _op_spawn,
         ops.Join: _op_join,
         ops.Syscall: _op_syscall,
-    }
-
-    _FF_HANDLERS = {
-        ops.Compute: _ff_compute,
-        ops.Branch: _ff_branch,
-        ops.Load: _ff_load,
-        ops.Store: _ff_store,
-        ops.Malloc: _ff_malloc,
-        ops.Free: _ff_free,
-        ops.Send: _ff_send,
-        ops.Recv: _ff_recv,
-        ops.Lock: _ff_lock,
-        ops.Unlock: _ff_unlock,
-        ops.BarrierWait: _ff_barrier,
-        ops.Spawn: _ff_spawn,
-        ops.Join: _ff_join,
-        ops.Syscall: _ff_syscall,
     }

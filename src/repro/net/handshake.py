@@ -36,10 +36,10 @@ from repro.transport.frames import FrameError, recv_frame, send_frame
 #: the pickle wire version it reports).  v1: hello/welcome/reject.
 #: v2: Welcome carries the coordinator's ``trace`` span context so a
 #: dialing worker joins the job's span tree (:mod:`repro.obs`).
-#: v3: Welcome carries the run's current execution ``mode`` so a
-#: worker that joins mid-fast-forward starts functional
-#: (:mod:`repro.sample`).
-WIRE_VERSION = 3
+#: v3: Welcome carried the run's current execution ``mode``.
+#: v4: ``mode`` is gone — each RUN_QUANTUM names its own
+#: (:mod:`repro.distrib.wire` v10).
+WIRE_VERSION = 4
 
 
 class HandshakeError(TransportError):
@@ -70,11 +70,6 @@ class Welcome:
     ``trace`` is the listener's distributed-trace ID (empty when the
     run is untraced): a worker that joins mid-run tags its own
     telemetry with it so the merged timeline stays one span tree.
-
-    ``mode`` is the run's current execution mode (``detailed`` or
-    ``functional``): a worker joining during a fast-forward stretch
-    starts its interpreters functional instead of waiting for the
-    first SET_MODE frame (:mod:`repro.sample`).
     """
 
     role: str
@@ -82,7 +77,6 @@ class Welcome:
     wire_version: int
     config_fingerprint: str
     trace: str = ""
-    mode: str = "detailed"
 
 
 @dataclass(frozen=True)
@@ -154,8 +148,7 @@ def greet_listener(sock: socket.socket, wire_version: int,
 
 
 def greet_dialer(sock: socket.socket, role: str, wire_version: int,
-                 config_fingerprint: str, trace: str = "",
-                 mode: str = "detailed") -> Hello:
+                 config_fingerprint: str, trace: str = "") -> Hello:
     """Listener side: validate the Hello, answer Welcome or Reject."""
     hello = _recv_handshake(sock)
     if not isinstance(hello, Hello):
@@ -177,7 +170,7 @@ def greet_dialer(sock: socket.socket, role: str, wire_version: int,
             f"rejected {hello.role} {hello.host}/{hello.pid}: {reason}")
     _send_handshake(sock, Welcome(
         role=role, net_version=WIRE_VERSION, wire_version=wire_version,
-        config_fingerprint=config_fingerprint, trace=trace, mode=mode))
+        config_fingerprint=config_fingerprint, trace=trace))
     return hello
 
 

@@ -49,10 +49,6 @@ class NetListener:
         self.wire_version = wire_version
         self.config_fingerprint = config_fingerprint
         self.trace = trace
-        #: Execution mode advertised in the Welcome (net wire v3);
-        #: updated live by the coordinator's SET_MODE broadcast so a
-        #: mid-fast-forward joiner starts functional.
-        self.mode = "detailed"
         host, port = parse_address(address)
         self._sock = socket.socket(socket.AF_INET, socket.SOCK_STREAM)
         self._sock.setsockopt(socket.SOL_SOCKET, socket.SO_REUSEADDR, 1)
@@ -87,8 +83,7 @@ class NetListener:
         conn.settimeout(_HANDSHAKE_TIMEOUT)
         try:
             hello = greet_dialer(conn, self.role, self.wire_version,
-                                 self.config_fingerprint,
-                                 trace=self.trace, mode=self.mode)
+                                 self.config_fingerprint, trace=self.trace)
         except HandshakeError:
             conn.close()
             raise

@@ -45,6 +45,12 @@ from typing import Any, Iterator, List, Optional, Tuple
 
 from repro.profile.timers import HostProfiler
 
+#: What the two timed core models consume.  The unit-cost model that
+#: stands in under fast-forward (``UnitCostCoreModel``) answers to the
+#: same names and has no ``core.model`` row on purpose: it models no
+#: timing, so its two additions count as interpretation, and
+#: ``bench/tracer.py``'s rows — which these seven are held equal to —
+#: do not name it.
 _CORE = ("execute", "execute_branch", "execute_memory", "execute_pseudo",
          "drain")
 _SYNC = ("on_thread_added", "on_thread_done", "on_thread_blocked",

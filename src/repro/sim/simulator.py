@@ -276,8 +276,16 @@ class Simulator:
 
     # -- kernel interface (called by the interpreters) ---------------------------
 
-    def charge(self, seconds: float) -> None:
-        self.scheduler.charge(seconds)
+    def charge_instructions(self, count: int) -> None:
+        """Host cost of interpreting ``count`` instructions — none under
+        fast-forward, and no jitter draw for it either."""
+        if not self.exec_functional:
+            self.scheduler.charge(self.cost_model.instructions(count))
+
+    def charge_trap(self) -> None:
+        """Host cost of one trap into a back-end model; as above."""
+        if not self.exec_functional:
+            self.scheduler.charge(self.cost_model.model_trap())
 
     def code_base(self, program: Callable[..., Any]) -> int:
         """Stable synthetic code address for a program function."""
@@ -315,7 +323,7 @@ class Simulator:
         # MCP -> LCP control hop plus host thread creation.
         self.fabric.transfer(MCP_TILE, tile, MessageKind.SYSTEM, 64,
                              parent_clock)
-        self.charge(self.config.host.thread_spawn_cost)
+        self.scheduler.charge(self.config.host.thread_spawn_cost)
         interpreter = ThreadInterpreter(self, tile, program, args,
                                         start_clock=parent_clock)
         if ref is not None:
@@ -355,10 +363,13 @@ class Simulator:
         Functional mode keeps every architectural state transition —
         caches, directory, backing store, message delivery — on the
         single shared code path while bypassing the timing layers: the
-        cores retire at unit cost, network and DRAM latencies are zero
-        and host-time charges are skipped.  Callers must only flip the
-        mode between scheduler quanta (the sample controller runs as a
-        boundary stage, which guarantees exactly that).
+        cores retire at unit cost (a quantum runs against
+        :class:`~repro.core.perf_model.UnitCostCoreModel`), network and
+        DRAM latencies are zero and host-time charges are skipped.
+        Callers must only flip the mode between scheduler quanta (the
+        sample controller runs as a boundary stage, which guarantees
+        exactly that); the mp backend sends the flag read here with
+        every quantum, so its workers hold no mode to keep in step.
         """
         functional = mode == "functional"
         if functional == self.exec_functional:

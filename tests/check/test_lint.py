@@ -360,3 +360,54 @@ class TestRealTree:
         findings = lint_paths([FIXTURES])
         assert {f.rule for f in findings} >= {"D001", "D002", "D003",
                                               "D004", "W001", "W002"}
+
+
+class TestSchemaManifest:
+    """W001 drift guards on the two wires a simulation crosses, taken
+    through ``check_wire_manifest`` as ``repro check`` takes them."""
+
+    def _check(self, rel: str, record_key) -> list:
+        path = package_root() / rel
+        tree = ast.parse(path.read_text())
+        return check_wire_manifest(tree, str(path),
+                                   record_key=record_key)
+
+    def test_shipped_manifest_is_current(self):
+        """The checked-in wire_schema.json matches the live modules —
+        i.e. the last frame or handshake change was accepted via
+        ``repro check --accept-wire-schema``."""
+        assert self._check("distrib/wire.py", None) == []
+        assert self._check("net/handshake.py", "net") == []
+
+    def test_trace_field_is_fingerprinted(self):
+        """Removing ``Welcome.trace`` must change the net fingerprint:
+        the manifest covers a handshake dataclass field by field."""
+        source = (package_root() / "net" / "handshake.py").read_text()
+        fingerprint, _ = wire_fingerprint(ast.parse(source))
+        stripped = source.replace('    trace: str = ""\n', "")
+        assert stripped != source
+        stripped_fp, _ = wire_fingerprint(ast.parse(stripped))
+        assert stripped_fp != fingerprint
+
+    def test_stale_manifest_flags_drift(self, tmp_path):
+        import json
+        path = package_root() / "distrib" / "wire.py"
+        tree = ast.parse(path.read_text())
+        _, version = wire_fingerprint(tree)
+        stale = tmp_path / "schema.json"
+        stale.write_text(json.dumps(
+            {"wire_version": version, "fingerprint": "0" * 16}))
+        findings = check_wire_manifest(tree, str(path), stale,
+                                       record_key=None)
+        assert [finding.rule for finding in findings] == ["W001"]
+
+    def test_accept_then_check_clean(self, tmp_path):
+        from repro.check.lint import accept_wire_schema
+        schema = tmp_path / "schema.json"
+        accept_wire_schema(schema_path=schema)
+        for rel, key in (("distrib/wire.py", None),
+                         ("net/handshake.py", "net")):
+            path = package_root() / rel
+            tree = ast.parse(path.read_text())
+            assert check_wire_manifest(tree, str(path), schema,
+                                       record_key=key) == []

@@ -128,9 +128,17 @@ def _sharing_main(ctx):
 
 PROGRAMS = {"matmul": (4, REF), "sharing": (6, _sharing_main)}
 
+#: ``(ff_until, period, detail, warmup)``.  Fast-forward keeps one
+#: timeline whatever the models: both programs pass cycle 7000 at turn
+#: 13-15 of 21-33, so the drain (turn 5) and the first checkpoint
+#: (turn 8) fall while the run is functional, and each RUN_QUANTUM has
+#: to name the mode for a worker that was never told of a switch.
+SAMPLES = {"none": (0, 0, 0, 0), "ff": (7000, 0, 0, 0),
+           "intervals": (7000, 1500, 400, 300)}
+
 
 def _drawn_config(program: str, protocol: str, l1d: bool, classify: bool,
-                  l1i: bool, network: str, sync: str,
+                  l1i: bool, network: str, sync: str, sample: str,
                   telemetry: bool) -> SimulationConfig:
     cfg = SimulationConfig(num_tiles=PROGRAMS[program][0], seed=11)
     cfg.host.num_machines = 2
@@ -142,6 +150,8 @@ def _drawn_config(program: str, protocol: str, l1d: bool, classify: bool,
     cfg.memory.l1i.enabled = l1i
     cfg.network.memory_model = network
     cfg.sync.model = sync
+    (cfg.sample.ff_until, cfg.sample.period, cfg.sample.detail,
+     cfg.sample.warmup) = SAMPLES[sample]
     if telemetry:
         cfg.telemetry.enabled = True
         # Far below one quantum's worth of events: every quantum
@@ -205,15 +215,16 @@ def _reference(*drawn):
     l1i=st.booleans(),
     network=st.sampled_from(["magic", "mesh"]),
     sync=st.sampled_from(["lax", "lax_barrier", "lax_p2p"]),
+    sample=st.sampled_from(sorted(SAMPLES)),
     transport=st.sampled_from(["pipe", "tcp"]),
     telemetry=st.booleans(),
     perturb=st.sampled_from(["none", "drain", "ckpt"]),
     profile=st.booleans(),
 )
 def test_mp_equals_inproc_under_any_drawn_combination(
-        program, protocol, l1d, classify, l1i, network, sync, transport,
-        telemetry, perturb, profile):
-    drawn = (program, protocol, l1d, classify, l1i, network, sync,
+        program, protocol, l1d, classify, l1i, network, sync, sample,
+        transport, telemetry, perturb, profile):
+    drawn = (program, protocol, l1d, classify, l1i, network, sync, sample,
              telemetry)
     expected, expected_stream, expected_order = _reference(*drawn)
 
@@ -228,12 +239,16 @@ def test_mp_equals_inproc_under_any_drawn_combination(
         elif perturb == "ckpt":
             cfg.ckpt.dir = scratch
             cfg.ckpt.every = 8
+            cfg.ckpt.keep = 9
         cfg.validate()
         sim = create_simulator(cfg)
         assert canonical_result_bytes(sim.run(ref)) == expected
         if perturb == "ckpt":
-            restored, manifest = load_checkpoint(scratch)
+            # The newest snapshot, or the one taken while functional.
+            restored, manifest = load_checkpoint(
+                scratch, None if sample == "none" else "ckpt-00000008")
             assert manifest["turn"] > 0
+            assert restored.exec_functional == (sample != "none")
             assert canonical_result_bytes(restored.resume_run()) \
                 == expected
             assert (restored.host_profile is not None) == profile
@@ -251,7 +266,7 @@ def test_worker_l1s_mirror_the_coordinator_l2s(protocol):
     L1D line a worker holds has the bytes of the coordinator's L2 line,
     is M exactly when that is, and both L1s are included in the L2."""
     cfg = _drawn_config("sharing", protocol, True, False, True, "mesh",
-                        "lax", False)
+                        "lax", "none", False)
     cfg.distrib.backend = "mp"
     cfg.validate()
     sim = create_simulator(cfg)

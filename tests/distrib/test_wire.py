@@ -145,18 +145,18 @@ def test_frame_version_mismatch_rejected():
 
 
 def test_previous_wire_version_is_refused_at_both_gates():
-    """v9 changed what a pickled cache and directory look like inside
-    the shard blobs of CKPT_ACK / ADOPT: a v8 peer must be turned away
-    by the per-frame check and, over TCP, already by the handshake
-    (whose error type is its own — :mod:`repro.net` imports nothing
-    from distrib)."""
+    """v10 gave RUN_QUANTUM a fifth field (the mode) and dropped a
+    frame kind: a v9 peer must be turned away by the per-frame check
+    and, over TCP, already by the handshake (whose error type is its
+    own — :mod:`repro.net` imports nothing from distrib)."""
     import threading
     from repro.net.handshake import HandshakeError
     from repro.net.listener import NetListener, connect_worker
 
-    assert WIRE_VERSION == 9
-    stale = pickle.dumps((8, FrameKind.ADOPT.value, b"a v8 shard blob"))
-    with pytest.raises(WireFormatError, match="got 8, expected 9"):
+    assert WIRE_VERSION == 10
+    stale = pickle.dumps((9, FrameKind.RUN_QUANTUM.value,
+                          (0, 200, None, [])))
+    with pytest.raises(WireFormatError, match="got 9, expected 10"):
         decode_frame(stale)
 
     listener = NetListener("127.0.0.1:0", role="coordinator",
@@ -172,13 +172,13 @@ def test_previous_wire_version_is_refused_at_both_gates():
     thread = threading.Thread(target=accept)
     thread.start()
     try:
-        with pytest.raises(HandshakeError, match="v8"):
-            connect_worker(listener.address, wire_version=8, timeout=5.0)
+        with pytest.raises(HandshakeError, match="v9"):
+            connect_worker(listener.address, wire_version=9, timeout=5.0)
     finally:
         thread.join(timeout=10.0)
         listener.close()
     assert not thread.is_alive()
-    assert len(refused) == 1 and "v8" in str(refused[0])
+    assert len(refused) == 1 and "v9" in str(refused[0])
 
 
 def test_kernel_dispatch_change_without_bump_is_w001(tmp_path):

@@ -82,7 +82,7 @@ class TestFastForward:
 class TestBackendIdentity:
     def test_sampled_run_identical_across_backends(self):
         """A fast-forwarded, interval-sampled run is byte-identical on
-        the inproc and mp backends (SET_MODE keeps workers in step)."""
+        the inproc and mp backends (each RUN_QUANTUM names its mode)."""
         from repro.common.config import SimulationConfig
         from repro.distrib.wire import WorkloadRef
 
