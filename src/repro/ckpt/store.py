@@ -1,4 +1,4 @@
-"""On-disk checkpoint layout: the ``repro.ckpt/3`` format.
+"""On-disk checkpoint layout: the ``repro.ckpt/4`` format.
 
 A checkpoint directory tree looks like::
 
@@ -32,7 +32,7 @@ from typing import Any, Dict, List, Optional, Tuple
 from repro.common.errors import CheckpointError
 
 #: Version tag written into (and required from) every manifest.
-FORMAT = "repro.ckpt/3"
+FORMAT = "repro.ckpt/4"
 
 _MANIFEST = "manifest.json"
 _LATEST = "LATEST"

@@ -341,7 +341,10 @@ class HostConfig:
         _require(procs >= 1, "host: need at least one process")
         _require(procs >= self.num_machines,
                  "host: need at least one process per machine")
-        _require(0.0 <= self.jitter < 1.0, "host: jitter must be in [0, 1)")
+        # Box–Muller over 53-bit uniforms reaches |z| = 8.57: past 0.1 a
+        # drawn cost factor 1 + z*jitter can be negative, mid-run.
+        _require(0.0 <= self.jitter <= 0.1, "host: jitter must be in [0, 0.1]"
+                 " (a larger one can draw a negative host cost)")
         _require(self.quantum_instructions >= 1,
                  "host: quantum must be >= 1 instruction")
 

@@ -15,7 +15,6 @@ from repro.core.clock import TileClock
 from repro.core.instruction import (
     BranchInstruction,
     Instruction,
-    MemoryInstruction,
     PseudoInstruction,
 )
 from repro.core.isa import InstructionClass
@@ -33,7 +32,6 @@ __all__ = [
     "Instruction",
     "InstructionClass",
     "LoadQueue",
-    "MemoryInstruction",
     "PseudoInstruction",
     "StoreBuffer",
     "TileClock",

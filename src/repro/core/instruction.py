@@ -8,7 +8,8 @@ a "spawn pseudo-instruction" when a thread lands on a core (paper §3.1).
 
 Dynamic information not present in the instruction trace — memory
 latencies, branch paths — travels alongside the instruction through the
-fields below, produced by the back-end and consumed asynchronously.
+fields below; a load's or store's go to the core model as arguments,
+``execute_memory(klass, address, size, latency)``, no record built.
 """
 
 from __future__ import annotations
@@ -36,21 +37,6 @@ class BranchInstruction:
 
     pc: int
     taken: bool
-
-
-@dataclass
-class MemoryInstruction:
-    """A load or store with its modelled round-trip latency.
-
-    ``latency`` is produced by the memory model (it already includes
-    network round trips for misses); the core model decides how much of
-    it stalls the pipeline (store buffering may hide store latency).
-    """
-
-    klass: InstructionClass  # LOAD or STORE
-    address: int
-    size: int
-    latency: int
 
 
 class PseudoKind(enum.Enum):

@@ -9,7 +9,6 @@ configurable").
 from __future__ import annotations
 
 import enum
-from typing import Mapping
 
 
 class InstructionClass(enum.Enum):
@@ -28,10 +27,9 @@ class InstructionClass(enum.Enum):
     STORE = "store"
 
 
-#: Cost charged when a class is missing from the config table.
+#: Cost charged when a class is missing from the config table.  The
+#: models read a class's cost as ``table.get(klass._value_,
+#: DEFAULT_COST)``, once per instruction: ``_value_`` is the member's
+#: plain attribute, the public ``value`` a descriptor two Python frames
+#: deep.
 DEFAULT_COST = 1
-
-
-def cost_of(klass: InstructionClass, table: Mapping[str, int]) -> int:
-    """Look up the configured cycle cost of an instruction class."""
-    return table.get(klass.value, DEFAULT_COST)

@@ -40,22 +40,27 @@ class StoreBuffer:
 
     def issue(self, now: int, address: int, latency: int) -> int:
         """Issue a store; returns the stall in cycles (0 if buffered)."""
-        self._drain(now)
+        inflight = self._inflight
+        while inflight and inflight[0][0] <= now:  # _drain, inline
+            inflight.popleft()
         stall = 0
-        if len(self._inflight) >= self.entries:
+        if len(inflight) >= self.entries:
             # Stall until the oldest store completes.
-            completion = self._inflight[0][0]
+            completion = inflight[0][0]
             stall = max(completion - now, 0)
             now += stall
             self._drain(now)
             self._stalls.add(stall)
-        self._inflight.append((now + latency, address))
-        self._stores.add()
+        inflight.append((now + latency, address))
+        self._stores.value += 1
         return stall
 
     def forwards(self, address: int) -> bool:
         """True when a buffered store can forward data at ``address``."""
-        return any(addr == address for _, addr in self._inflight)
+        for _, buffered in self._inflight:
+            if buffered == address:
+                return True
+        return False
 
     def occupancy(self, now: int) -> int:
         self._drain(now)
@@ -91,14 +96,16 @@ class LoadQueue:
 
     def issue(self, now: int, latency: int) -> int:
         """Issue a load; returns the structural stall in cycles."""
-        self._drain(now)
+        inflight = self._inflight
+        while inflight and inflight[0] <= now:  # _drain, inline
+            inflight.popleft()
         stall = 0
-        if len(self._inflight) >= self.entries:
-            completion = self._inflight[0]
+        if len(inflight) >= self.entries:
+            completion = inflight[0]
             stall = max(completion - now, 0)
             now += stall
             self._drain(now)
             self._stalls.add(stall)
-        self._inflight.append(now + latency)
-        self._loads.add()
+        inflight.append(now + latency)
+        self._loads.value += 1
         return stall

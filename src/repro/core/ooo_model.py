@@ -37,11 +37,10 @@ from repro.common.stats import StatGroup
 from repro.core.instruction import (
     BranchInstruction,
     Instruction,
-    MemoryInstruction,
     PseudoInstruction,
     PseudoKind,
 )
-from repro.core.isa import InstructionClass, cost_of
+from repro.core.isa import DEFAULT_COST, InstructionClass
 from repro.core.perf_model import CoreModel
 
 
@@ -78,7 +77,7 @@ class OutOfOrderCoreModel(CoreModel):
         self._retire_completed()
 
     def _retire_completed(self) -> None:
-        now = self.clock.now
+        now = self.clock.cycles
         while self._window and self._window[0] <= now:
             heapq.heappop(self._window)
 
@@ -86,8 +85,8 @@ class OutOfOrderCoreModel(CoreModel):
         """Stall until the window has room for one more in-flight op."""
         if len(self._window) >= self.window_size:
             oldest = heapq.heappop(self._window)
-            if oldest > self.clock.now:
-                self._window_stalls.add(oldest - self.clock.now)
+            if oldest > self.clock.cycles:
+                self._window_stalls.add(oldest - self.clock.cycles)
                 self.clock.forward_to(oldest)
             self._retire_completed()
 
@@ -95,49 +94,51 @@ class OutOfOrderCoreModel(CoreModel):
         """Wait for every in-flight operation to complete."""
         if self._window:
             last = max(self._window)
-            if last > self.clock.now:
-                self._memory_stall.add(last - self.clock.now)
+            if last > self.clock.cycles:
+                self._memory_stall.add(last - self.clock.cycles)
                 self.clock.forward_to(last)
             self._window.clear()
 
     # -- the core-model interface ----------------------------------------------
 
     def execute(self, instruction: Instruction) -> None:
-        cost = cost_of(instruction.klass, self._costs)
-        self._dispatch(cost * instruction.count)
-        self._instructions.add(instruction.count)
+        count = instruction.count
+        self._dispatch(count * self._costs.get(
+            instruction.klass._value_, DEFAULT_COST))
+        self._instructions.value += count
 
     def execute_branch(self, branch: BranchInstruction) -> bool:
         mispredicted = self.branch_predictor.predict_and_update(
             branch.pc, branch.taken)
-        self._dispatch(cost_of(InstructionClass.BRANCH, self._costs))
+        self._dispatch(self._costs.get("branch", DEFAULT_COST))
         if mispredicted:
             # Flush: lose the overlap and pay the redirect penalty.
             self.drain()
             self.clock.advance(self.config.branch_mispredict_penalty)
             self._branch_stall.add(self.config.branch_mispredict_penalty)
-        self._instructions.add()
+        self._instructions.value += 1
         return mispredicted
 
-    def execute_memory(self, op: MemoryInstruction) -> int:
+    def execute_memory(self, klass: InstructionClass, address: int,
+                       size: int, latency: int) -> int:
         """Memory ops overlap: they occupy a window slot, not the pipe."""
-        issue_cost = cost_of(op.klass, self._costs)
+        issue_cost = self._costs.get(klass._value_, DEFAULT_COST)
         self._dispatch(issue_cost)
         self._reserve_slot()
-        before = self.clock.now
-        heapq.heappush(self._window, before + op.latency)
-        self._overlapped.add(op.latency)
-        self._instructions.add()
-        return self.clock.now - before + issue_cost
+        before = self.clock.cycles
+        heapq.heappush(self._window, before + latency)
+        self._overlapped.value += latency
+        self._instructions.value += 1
+        return self.clock.cycles - before + issue_cost
 
     def execute_pseudo(self, pseudo: PseudoInstruction) -> None:
         if pseudo.kind in (PseudoKind.MESSAGE_RECEIVE, PseudoKind.SYNC,
                            PseudoKind.SPAWN):
             # Synchronization orders everything before it.
             self.drain()
-            before = self.clock.now
+            before = self.clock.cycles
             self.clock.forward_to(pseudo.time)
-            waited = self.clock.now - before
+            waited = self.clock.cycles - before
             self._sync_wait.add(waited)
             if waited > 0 and self._tele is not None:
                 self._tele.emit("stall", self._tile, before,

@@ -22,11 +22,10 @@ from repro.core.clock import TileClock
 from repro.core.instruction import (
     BranchInstruction,
     Instruction,
-    MemoryInstruction,
     PseudoInstruction,
     PseudoKind,
 )
-from repro.core.isa import InstructionClass, cost_of
+from repro.core.isa import DEFAULT_COST, InstructionClass
 from repro.core.lsu import LoadQueue, StoreBuffer
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
@@ -34,6 +33,8 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
 
 #: Latency charged when a load hits a buffered store (forwarding).
 STORE_FORWARD_LATENCY = 1
+
+_LOAD, _STORE = InstructionClass.LOAD, InstructionClass.STORE
 
 
 class CoreModel:
@@ -64,7 +65,7 @@ class CoreModel:
     @property
     def cycles(self) -> int:
         """Current local clock in cycles."""
-        return self.clock.now
+        return self.clock.cycles
 
     @property
     def instruction_count(self) -> int:
@@ -88,57 +89,61 @@ class CorePerfModel(CoreModel):
     # -- instruction consumption -------------------------------------------
 
     def execute(self, instruction: Instruction) -> None:
-        """Retire a batch of computational instructions."""
-        cost = cost_of(instruction.klass, self._costs)
-        self.clock.advance(cost * instruction.count)
-        self._instructions.add(instruction.count)
+        """Retire a batch of computational instructions (anything with
+        a ``klass`` and a ``count``: the front-end's ``Compute`` op)."""
+        count = instruction.count
+        self.clock.advance(count * self._costs.get(
+            instruction.klass._value_, DEFAULT_COST))
+        self._instructions.value += count
 
     def execute_branch(self, branch: BranchInstruction) -> bool:
         """Retire a branch; charge the penalty on a misprediction."""
-        cost = cost_of(InstructionClass.BRANCH, self._costs)
+        cost = self._costs.get("branch", DEFAULT_COST)
         mispredicted = self.branch_predictor.predict_and_update(
             branch.pc, branch.taken)
         if mispredicted:
             cost += self.config.branch_mispredict_penalty
             self._branch_stall.add(self.config.branch_mispredict_penalty)
         self.clock.advance(cost)
-        self._instructions.add()
+        self._instructions.value += 1
         return mispredicted
 
-    def execute_memory(self, op: MemoryInstruction) -> int:
+    def execute_memory(self, klass: InstructionClass, address: int,
+                       size: int, latency: int) -> int:
         """Retire a load or store; returns the cycles the pipeline spent.
 
-        Loads: charged the full round-trip latency (the in-order core
-        needs the value), shortened to the forwarding latency when a
-        buffered store holds the address; the load queue adds structural
-        stalls.  Stores: buffered, so the pipeline only stalls when the
-        store buffer is full.
+        ``latency`` is the memory model's round trip (network legs of a
+        miss included); how much of it stalls the pipeline is decided
+        here.  Loads: charged in full (the in-order core needs the
+        value), shortened to the forwarding latency when a buffered
+        store holds the address; the load queue adds structural stalls.
+        Stores: buffered, so the pipeline only stalls when the store
+        buffer is full.
         """
-        now = self.clock.now
-        issue_cost = cost_of(op.klass, self._costs)
-        if op.klass is InstructionClass.LOAD:
-            latency = op.latency
-            if self.store_buffer.forwards(op.address):
+        clock = self.clock
+        issue_cost = self._costs.get(klass._value_, DEFAULT_COST)
+        if klass is _LOAD:
+            if self.store_buffer.forwards(address):
                 latency = min(latency, STORE_FORWARD_LATENCY)
-            stall = self.load_queue.issue(now, latency)
-            total = issue_cost + stall + latency
-        elif op.klass is InstructionClass.STORE:
-            stall = self.store_buffer.issue(now, op.address, op.latency)
-            total = issue_cost + stall
+            total = (issue_cost + latency
+                     + self.load_queue.issue(clock.cycles, latency))
+        elif klass is _STORE:
+            total = issue_cost + self.store_buffer.issue(
+                clock.cycles, address, latency)
         else:
-            raise ValueError(f"not a memory instruction class: {op.klass}")
-        self.clock.advance(total)
-        self._instructions.add()
-        self._memory_stall.add(total - issue_cost)
+            raise ValueError(f"not a memory instruction class: {klass}")
+        clock.advance(total)
+        self._instructions.value += 1
+        self._memory_stall.value += total - issue_cost
         return total
 
     def execute_pseudo(self, pseudo: PseudoInstruction) -> None:
         """Consume a pseudo-instruction from elsewhere in the system."""
         if pseudo.kind in (PseudoKind.MESSAGE_RECEIVE, PseudoKind.SYNC,
                            PseudoKind.SPAWN):
-            before = self.clock.now
+            before = self.clock.cycles
             self.clock.forward_to(pseudo.time)
-            waited = self.clock.now - before
+            waited = self.clock.cycles - before
             self._sync_wait.add(waited)
             if waited > 0 and self._tele is not None:
                 self._tele.emit("stall", self._tile, before,
@@ -178,20 +183,21 @@ class UnitCostCoreModel:
 
     @property
     def cycles(self) -> int:
-        return self.clock.now
+        return self.clock.cycles
 
     def execute(self, instruction: Instruction) -> None:
         self.clock.advance(instruction.count)
-        self._instructions.add(instruction.count)
+        self._instructions.value += instruction.count
 
     def execute_branch(self, branch: BranchInstruction) -> bool:
         self.clock.advance(1)
-        self._instructions.add()
+        self._instructions.value += 1
         return False
 
-    def execute_memory(self, op: MemoryInstruction) -> int:
+    def execute_memory(self, klass: InstructionClass, address: int,
+                       size: int, latency: int) -> int:
         self.clock.advance(1)
-        self._instructions.add()
+        self._instructions.value += 1
         return 1
 
     def execute_pseudo(self, pseudo: PseudoInstruction) -> None:

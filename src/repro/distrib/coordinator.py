@@ -71,6 +71,11 @@ from repro.transport.transport import Transport
 #: Seconds between liveness re-checks while waiting on a worker.
 _LIVENESS_TICK = 0.05
 
+#: Cost token a worker casts -> the ``HostCostModel`` charger it names.
+_CHARGERS = {"instructions": "charge_instructions",
+             "model_trap": "charge_trap",
+             "memory_access": "charge_memory_access"}
+
 
 class WorkerCluster:
     """Lifecycle, framed I/O and tile ownership for the worker fleet.
@@ -901,11 +906,11 @@ class DistribSimulator(Simulator):
             handlers[method](*args)
 
     def _cast_charge(self, token: tuple) -> None:
-        """Evaluate a deferred cost token ``(cost-model method, *args)``,
-        consuming jitter RNG here — in cast-issue order, which equals
-        in-process call order."""
-        method, *args = token
-        self.scheduler.charge(getattr(self.cost_model, method)(*args))
+        """Make a deferred charge ``(cost token, *args)``, consuming
+        jitter here — in cast-issue order, which equals in-process call
+        order."""
+        name, *args = token
+        getattr(self.cost_model, _CHARGERS[name])(*args)
 
     # -- results -------------------------------------------------------------
 

@@ -58,11 +58,10 @@ from repro.telemetry.events import EventCategory
 from repro.transport.message import Message, MessageKind
 
 
-#: Host charges cross as ``(cost-model method, *args)`` tokens, not host
-#: seconds: the real model consumes a jitter RNG per lookup, evaluating
-#: here would fork the RNG stream, so the coordinator evaluates them, in
-#: program order.  The per-access one is one tuple, so pickled once per
-#: frame.
+#: Host charges cross as ``(cost token, *args)``, not host seconds: the
+#: real model spends a jitter factor per charge, making them here would
+#: fork that stream, so the coordinator makes them, in program order.
+#: The per-access one is one tuple, so pickled once per frame.
 _MEMORY_CHARGE = ("charge", (("memory_access",),))
 
 
@@ -81,10 +80,6 @@ class _RemoteL2:
         self.space = AddressSpace(kernel.config.num_tiles,
                                   self.line_bytes)
         self.hierarchies: dict = {}  # tile -> MirroredL1, once it ran
-
-    @property
-    def functional(self) -> bool:
-        return self._kernel.exec_functional
 
     def _line(self, address: int, reply: tuple) -> tuple:
         data, state, latency = reply
@@ -284,13 +279,15 @@ class KernelProxy:
         self._worker.cast(method, args)
 
     def charge_memory_access(self) -> None:
-        self._worker._casts.append(_MEMORY_CHARGE)
+        if not self.exec_functional:
+            self._worker._casts.append(_MEMORY_CHARGE)
 
     # -- kernel interface ----------------------------------------------------
 
     def charge_instructions(self, count: int) -> None:
         if not self.exec_functional:
-            self.cast("charge", (("instructions", count),))
+            self._worker._casts.append(
+                ("charge", (("instructions", count),)))
 
     def charge_trap(self) -> None:
         if not self.exec_functional:

@@ -30,7 +30,6 @@ from repro.common.ids import ThreadId, TileId
 from repro.core.instruction import (
     BranchInstruction,
     Instruction,
-    MemoryInstruction,
     PseudoInstruction,
     PseudoKind,
 )
@@ -62,6 +61,8 @@ _BLOCK = object()
 
 #: Wire overhead of a user message (header bytes).
 USER_MESSAGE_HEADER = 8
+
+_LOAD, _STORE = InstructionClass.LOAD, InstructionClass.STORE
 
 
 class ThreadInterpreter(ThreadTask):
@@ -132,7 +133,7 @@ class ThreadInterpreter(ThreadTask):
 
     @property
     def cycles(self) -> int:
-        return self.core.cycles
+        return self.core.clock.cycles
 
     def notify_wake(self, timestamp: int) -> None:
         """Forward the clock to a wake event's timestamp.
@@ -161,24 +162,26 @@ class ThreadInterpreter(ThreadTask):
         core = UnitCostCoreModel(self.core) if functional else self.core
         self._model_ifetch = (not functional
                               and self.kernel.config.memory.l1i.enabled)
-        handlers = self._HANDLERS
+        handlers, clock, log = self._HANDLERS, core.clock, self._ckpt_log
+        send, compute = self.generator.send, ops.Compute
         executed = 0
         while executed < budget_instructions:
-            if cycle_limit is not None and core.cycles >= cycle_limit:
+            if cycle_limit is not None and clock.cycles >= cycle_limit:
                 return QuantumResult(QuantumStatus.RAN, executed)
             if self._pending_op is not None:
                 op = self._pending_op
                 self._consume_wake(core)
             else:
-                if self._ckpt_log is not None:
-                    self._ckpt_log.append(self._send_value)
+                if log is not None:
+                    log.append(self._send_value)
                 try:
-                    op = self.generator.send(self._send_value)
+                    op = send(self._send_value)
                 except StopIteration as stop:
                     self.result = stop.value
                     return self._finish(core, executed)
                 self._send_value = None
-            handler = handlers.get(type(op))
+            kind = type(op)
+            handler = handlers.get(kind)
             if handler is None:
                 raise SimulationError(f"unknown front-end op {op!r}")
             result = handler(self, op, core)
@@ -187,7 +190,7 @@ class ThreadInterpreter(ThreadTask):
                 return QuantumResult(QuantumStatus.BLOCKED, executed)
             self._pending_op = None
             self._send_value = result
-            executed += op.count if isinstance(op, ops.Compute) else 1
+            executed += op.count if kind is compute else 1
         return QuantumResult(QuantumStatus.RAN, executed)
 
     def _finish(self, core: Any, executed: int) -> QuantumResult:
@@ -269,7 +272,7 @@ class ThreadInterpreter(ThreadTask):
             return
         pc = self._code_base + self._fetch_cursor
         self._fetch_cursor = (self._fetch_cursor + 64) % CODE_FOOTPRINT_BYTES
-        latency = self.memory.fetch(pc, core.cycles)
+        latency = self.memory.fetch(pc, core.clock.cycles)
         if latency > self._l1i_hit_latency:
             # Only the miss portion stalls; hit latency is pipelined.
             core.clock.advance(latency - self._l1i_hit_latency)
@@ -278,7 +281,7 @@ class ThreadInterpreter(ThreadTask):
 
     def _op_compute(self, op: ops.Compute, core: Any) -> None:
         self._fetch(core)
-        core.execute(Instruction(op.klass, op.count))
+        core.execute(op)  # a klass and a count: no record to build
         self.kernel.charge_instructions(op.count)
 
     def _op_branch(self, op: ops.Branch, core: Any) -> None:
@@ -290,30 +293,32 @@ class ThreadInterpreter(ThreadTask):
     # -- memory ops ------------------------------------------------------------------------
 
     def _op_load(self, op: ops.Load, core: Any) -> bytes:
+        clock = core.clock
         if self._model_ifetch:
             pc = self._code_base + self._fetch_cursor
             self._fetch_cursor = (
                 self._fetch_cursor + 64) % CODE_FOOTPRINT_BYTES
-            fetched = self.memory.fetch(pc, core.cycles)
+            fetched = self.memory.fetch(pc, clock.cycles)
             if fetched > self._l1i_hit_latency:
-                core.clock.advance(fetched - self._l1i_hit_latency)
-        data, latency = self.memory.load(op.address, op.size, core.cycles)
-        core.execute_memory(MemoryInstruction(
-            InstructionClass.LOAD, op.address, op.size, latency))
+                clock.advance(fetched - self._l1i_hit_latency)
+        address, size = op.address, op.size
+        data, latency = self.memory.load(address, size, clock.cycles)
+        core.execute_memory(_LOAD, address, size, latency)
         self.kernel.charge_instructions(1)
         return data
 
     def _op_store(self, op: ops.Store, core: Any) -> None:
+        clock = core.clock
         if self._model_ifetch:
             pc = self._code_base + self._fetch_cursor
             self._fetch_cursor = (
                 self._fetch_cursor + 64) % CODE_FOOTPRINT_BYTES
-            fetched = self.memory.fetch(pc, core.cycles)
+            fetched = self.memory.fetch(pc, clock.cycles)
             if fetched > self._l1i_hit_latency:
-                core.clock.advance(fetched - self._l1i_hit_latency)
-        latency = self.memory.store(op.address, op.data, core.cycles)
-        core.execute_memory(MemoryInstruction(
-            InstructionClass.STORE, op.address, len(op.data), latency))
+                clock.advance(fetched - self._l1i_hit_latency)
+        address, data = op.address, op.data
+        latency = self.memory.store(address, data, clock.cycles)
+        core.execute_memory(_STORE, address, len(data), latency)
         self.kernel.charge_instructions(1)
 
     def _op_malloc(self, op: ops.Malloc, core: Any) -> int:
@@ -364,13 +369,11 @@ class ThreadInterpreter(ThreadTask):
         cmpxchg needs ownership) so contended locks really ping-pong.
         """
         data, load_latency = self.memory.load(address, 8, core.cycles)
-        core.execute_memory(MemoryInstruction(
-            InstructionClass.LOAD, address, 8, load_latency))
+        core.execute_memory(_LOAD, address, 8, load_latency)
         value = int.from_bytes(data, "little")
         store_latency = self.memory.store(
             address, data, core.cycles)  # ownership acquisition
-        core.execute_memory(MemoryInstruction(
-            InstructionClass.STORE, address, 8, store_latency))
+        core.execute_memory(_STORE, address, 8, store_latency)
         core.execute(Instruction(InstructionClass.IALU, LOCK_ALU_CYCLES))
         self.kernel.charge_instructions(4)
         return value
@@ -381,8 +384,7 @@ class ThreadInterpreter(ThreadTask):
             holder = int(self.tile) + 1  # nonzero == locked
             latency = self.memory.store(
                 op.address, holder.to_bytes(8, "little"), core.cycles)
-            core.execute_memory(MemoryInstruction(
-                InstructionClass.STORE, op.address, 8, latency))
+            core.execute_memory(_STORE, op.address, 8, latency)
             return None
         # Contended: forward to the MCP futex (system network round trip)
         # and sleep until an unlock wakes us.
@@ -393,8 +395,7 @@ class ThreadInterpreter(ThreadTask):
 
     def _op_unlock(self, op: ops.Unlock, core: Any) -> None:
         latency = self.memory.store(op.address, bytes(8), core.cycles)
-        core.execute_memory(MemoryInstruction(
-            InstructionClass.STORE, op.address, 8, latency))
+        core.execute_memory(_STORE, op.address, 8, latency)
         self.kernel.charge_instructions(2)
         woken = self.kernel.mcp.futex.wake(op.address, 1, core.cycles)
         if woken:

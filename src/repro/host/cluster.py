@@ -104,11 +104,13 @@ class ClusterLayout:
     # -- locality -----------------------------------------------------------
 
     def locality(self, a: TileId, b: TileId) -> Locality:
-        """Communication distance class between two tiles."""
-        pa, pb = self.process_of_tile(a), self.process_of_tile(b)
+        """Communication distance class between two tiles (once per
+        message: the striping of ``process_of_tile`` and
+        ``machine_of_process``, spelled inline)."""
+        pa, pb = a % self.num_processes, b % self.num_processes
         if pa == pb:
             return Locality.SAME_PROCESS
-        if self.machine_of_process(pa) == self.machine_of_process(pb):
+        if pa % self.num_machines == pb % self.num_machines:
             return Locality.SAME_MACHINE
         return Locality.CROSS_MACHINE
 

@@ -162,6 +162,7 @@ class Scheduler:
                  telemetry: Optional["TelemetryBus"] = None) -> None:
         self.layout = layout
         self.cost_model = cost_model
+        cost_model.scheduler = self  # its charges land in our quanta
         self.sync_model = sync_model
         self.stats = stats
         self.quantum_instructions = quantum_instructions
@@ -222,9 +223,9 @@ class Scheduler:
     def charge(self, seconds: float) -> None:
         """Charge host time to the quantum currently executing.
 
-        Called by the interpreter, memory system and transport hooks for
-        every simulation event.  Outside a quantum (e.g. during set-up)
-        the charge is folded into core 0's time.
+        Outside a quantum (e.g. during set-up) the charge is folded
+        into core 0's time.  The cost model's per-event ``charge_*``
+        make the in-quantum sum themselves and call here otherwise.
         """
         if seconds < 0:
             raise SimulationError("cannot charge negative host time")

@@ -119,9 +119,9 @@ class Cache:
                                % self.num_sets]
         line = cache_set.get(line_address)
         if count:
-            self._lookups.add()
+            self._lookups.value += 1
             if line is not None:
-                self._hits.add()
+                self._hits.value += 1
         if line is not None and touch:
             cache_set.move_to_end(line_address)
         return line

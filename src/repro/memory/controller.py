@@ -22,8 +22,9 @@ from repro.common.stats import StatGroup
 from repro.memory.cache import LineState
 from repro.memory.coherence import CoherenceEngine
 
-#: Charges the host cost of one memory-model access (wired through the
-#: scheduler and host cost model by the simulator).
+#: Charges the host cost of one memory-model access — nothing under
+#: fast-forward (:mod:`repro.sample`): the host cost model's charger, or
+#: in an mp worker the cast of its token.
 ChargeFn = Callable[[], None]
 
 
@@ -31,8 +32,9 @@ class MemoryController:
     """One tile's entry point into the memory system."""
 
     __slots__ = ("tile", "engine", "space", "hierarchy", "line_bytes",
-                 "_charge_fn", "_forward_store", "_loads", "_stores",
-                 "_fetches", "_l1d_latency", "_l1i_latency")
+                 "_line_mask", "_limit", "_charge_host", "_forward_store",
+                 "_loads", "_stores", "_fetches", "_l1d_latency",
+                 "_l1i_latency")
 
     def __init__(self, tile: TileId, engine: CoherenceEngine,
                  charge_memory_access: ChargeFn,
@@ -42,7 +44,9 @@ class MemoryController:
         self.space = engine.space
         self.hierarchy = engine.hierarchies[int(tile)]
         self.line_bytes = engine.line_bytes
-        self._charge_fn = charge_memory_access
+        self._line_mask = -engine.line_bytes  # a power of two
+        self._limit = self.space.KERNEL_BASE  # no access may pass it
+        self._charge_host = charge_memory_access
         #: With the L2 a process away (mp) a store wrote a copy, and is
         #: forwarded to the real line; ``None`` where it wrote that.
         self._forward_store = engine.forward_store
@@ -53,13 +57,6 @@ class MemoryController:
         l1i = engine.config.l1i
         self._l1d_latency = l1d.access_latency if l1d.enabled else 0
         self._l1i_latency = l1i.access_latency if l1i.enabled else 0
-
-    def _charge(self) -> None:
-        # Host-cost accounting is timing bookkeeping; fast-forward
-        # (:mod:`repro.sample`) skips it along with the rest of the
-        # memory timing model.
-        if not self.engine.functional:
-            self._charge_fn()
 
     # -- splitting ---------------------------------------------------------------
 
@@ -82,17 +79,20 @@ class MemoryController:
     def load(self, address: int, size: int, timestamp: int
              ) -> Tuple[bytes, int]:
         """Read target memory; returns (bytes, modelled latency)."""
-        self.space.check_access(address, size)
-        self._loads.add()
-        line_address = self.space.line_of(address)
+        if size <= 0 or address < 0 or address + size > self._limit:
+            self.space.check_access(address, size)  # raises
+        self._loads.value += 1
+        line_address = address & self._line_mask
         offset = address - line_address
         if offset + size <= self.line_bytes:
             # Fast path: the overwhelmingly common single-line access
             # skips the split loop and the result buffer.  Same probes,
             # same counters, same state transitions as the loop below.
-            self._charge()
-            if self.hierarchy.l1d_hit(line_address):
-                line = self.hierarchy.l2.peek(line_address)
+            self._charge_host()
+            hierarchy = self.hierarchy
+            l1d = hierarchy.l1d
+            if l1d is not None and l1d.lookup(line_address) is not None:
+                line = hierarchy.l2.peek(line_address)
                 if line is None:
                     raise ProtocolError(
                         f"L1 holds {line_address:#x} but L2 does not "
@@ -101,14 +101,14 @@ class MemoryController:
             else:
                 line, miss_latency = self.engine.read_access(
                     self.tile, address, size, timestamp)
-                self.hierarchy.fill_l1d(line)
+                hierarchy.fill_l1d(line)
                 latency = self._l1d_latency + miss_latency
             assert line.data is not None
             return bytes(line.data[offset:offset + size]), latency
         out = bytearray()
         latency = 0
         for piece_address, offset, chunk in self._split(address, size):
-            self._charge()
+            self._charge_host()
             line_address = piece_address - offset
             if self.hierarchy.l1d_hit(line_address):
                 line = self.hierarchy.l2.peek(line_address)
@@ -130,15 +130,18 @@ class MemoryController:
     def store(self, address: int, data: bytes, timestamp: int) -> int:
         """Write target memory; returns the modelled latency."""
         size = len(data)
-        self.space.check_access(address, size)
-        self._stores.add()
-        line_address = self.space.line_of(address)
+        if size <= 0 or address < 0 or address + size > self._limit:
+            self.space.check_access(address, size)  # raises
+        self._stores.value += 1
+        line_address = address & self._line_mask
         offset = address - line_address
         if offset + size <= self.line_bytes:
             # Fast path mirroring :meth:`load`'s single-line case.
-            self._charge()
-            resident = self.hierarchy.l2.peek(line_address)
-            if (self.hierarchy.l1d_hit(line_address)
+            self._charge_host()
+            hierarchy = self.hierarchy
+            resident = hierarchy.l2.peek(line_address)
+            l1d = hierarchy.l1d
+            if (l1d is not None and l1d.lookup(line_address) is not None
                     and resident is not None
                     and resident.state is LineState.MODIFIED):
                 line = resident
@@ -146,7 +149,7 @@ class MemoryController:
             else:
                 line, miss_latency = self.engine.write_access(
                     self.tile, address, size, timestamp)
-                self.hierarchy.fill_l1d(line)
+                hierarchy.fill_l1d(line)
                 latency = self._l1d_latency + miss_latency
             assert line.data is not None
             line.data[offset:offset + size] = data
@@ -159,7 +162,7 @@ class MemoryController:
         latency = 0
         consumed = 0
         for piece_address, offset, chunk in self._split(address, size):
-            self._charge()
+            self._charge_host()
             line_address = piece_address - offset
             resident = self.hierarchy.l2.peek(line_address)
             if (self.hierarchy.l1d_hit(line_address) and resident is not None
@@ -190,10 +193,11 @@ class MemoryController:
         Code lines are read-shared and flow through the same coherence
         path as data (they are simply never written).
         """
-        self._fetches.add()
-        self._charge()
-        line_address = self.space.line_of(pc)
-        if self.hierarchy.l1i_hit(line_address):
+        self._fetches.value += 1
+        self._charge_host()
+        line_address = pc & self._line_mask
+        l1i = self.hierarchy.l1i
+        if l1i is not None and l1i.lookup(line_address) is not None:
             return self._l1i_latency
         miss_latency = self.engine.fetch_access(self.tile, pc, timestamp)
         self.hierarchy.fill_l1i(line_address)

@@ -38,9 +38,9 @@ class NetworkModel(abc.ABC):
               timestamp: int) -> int:
         """Return the packet's modelled latency in cycles."""
         latency = self._latency_of(src, dst, size_bytes, timestamp)
-        self._packets.add()
-        self._bytes.add(size_bytes)
-        self._latency.add(latency)
+        self._packets.value += 1
+        self._bytes.value += size_bytes
+        self._latency.value += latency
         return latency
 
     @abc.abstractmethod

@@ -54,7 +54,7 @@ from repro.sample.controller import FastForwardDone
 LIBRARY_META = "LIBRARY.json"
 
 #: On-disk entry format version.
-LIBRARY_FORMAT = "repro.sample/3"
+LIBRARY_FORMAT = "repro.sample/4"
 
 
 def workload_descriptor(program: Any, args: tuple = ()) -> Dict[str, Any]:

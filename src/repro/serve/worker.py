@@ -6,7 +6,7 @@ job through :func:`run_job`: the in-process backend, because one
 process per simulation is already the right grain and nesting worker
 clusters inside fleet children would oversubscribe the host.
 
-Preemption rides the deterministic ``repro.ckpt/3`` snapshot path: the
+Preemption rides the deterministic ``repro.ckpt/4`` snapshot path: the
 supervisor raises the worker's preempt flag, a :class:`PreemptGuard`
 stage polled between scheduler quanta writes one consistent checkpoint
 and unwinds with :class:`JobPreempted`, and the worker hands the

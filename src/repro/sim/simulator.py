@@ -55,7 +55,8 @@ class Simulator:
                  "controllers", "allocator", "mcp", "lcps", "interpreters",
                  "_code_bases", "skew_trace", "metrics", "recoveries",
                  "exec_functional", "sample_controller", "_ckpt_store",
-                 "host_profile", "_worker_host_scopes", "profiler")
+                 "host_profile", "_worker_host_scopes", "profiler",
+                 "charge_instructions", "charge_trap")
 
     def __init__(self, config: SimulationConfig) -> None:
         config.validate()
@@ -82,6 +83,10 @@ class Simulator:
             quantum_instructions=config.host.quantum_instructions,
             rng=self.rngs.stream("scheduler"),
             telemetry=self.telemetry)
+        # Kernel interface: the interpreters charge the host cost of
+        # interpreting and of a model trap straight to the cost model.
+        self.charge_instructions = self.cost_model.charge_instructions
+        self.charge_trap = self.cost_model.charge_trap
 
         # Communication.
         self.transport = self._make_transport()
@@ -106,7 +111,7 @@ class Simulator:
             self.classifier, telemetry=self.telemetry)
         self.controllers: List[MemoryController] = [
             MemoryController(TileId(t), self.engine,
-                             self._charge_memory_access,
+                             self.cost_model.charge_memory_access,
                              self.stats.child(f"mc{t}"))
             for t in range(config.num_tiles)]
 
@@ -276,17 +281,6 @@ class Simulator:
 
     # -- kernel interface (called by the interpreters) ---------------------------
 
-    def charge_instructions(self, count: int) -> None:
-        """Host cost of interpreting ``count`` instructions — none under
-        fast-forward, and no jitter draw for it either."""
-        if not self.exec_functional:
-            self.scheduler.charge(self.cost_model.instructions(count))
-
-    def charge_trap(self) -> None:
-        """Host cost of one trap into a back-end model; as above."""
-        if not self.exec_functional:
-            self.scheduler.charge(self.cost_model.model_trap())
-
     def code_base(self, program: Callable[..., Any]) -> int:
         """Stable synthetic code address for a program function."""
         return self._code_base_for(id(program))
@@ -382,24 +376,14 @@ class Simulator:
     def _charge_message(self, message, locality) -> None:
         if self.sanitizers is not None:
             self.sanitizers.on_message(message)
-        if self.exec_functional:
-            return
-        self.scheduler.charge(
-            self.cost_model.message(locality, message.size_bytes))
         # Application-visible traffic blocks the waiting host thread for
         # the wire latency.  The simulator's own control plane (SYSTEM:
         # spawn, futex, syscall forwarding) is pipelined in Graphite and
         # charged CPU cost only — otherwise a 1024-thread spawn loop
         # would serialize a thousand TCP round trips through one core.
-        if message.kind is MessageKind.SYSTEM:
-            return
-        latency = self.cost_model.message_latency(locality,
-                                                  message.size_bytes)
-        if latency > 0.0:
-            self.scheduler.charge_blocking(latency)
-
-    def _charge_memory_access(self) -> None:
-        self.scheduler.charge(self.cost_model.memory_access())
+        self.cost_model.charge_message(
+            locality, message.size_bytes,
+            message.kind is not MessageKind.SYSTEM)
 
     def _before_results(self) -> None:
         """Hook run after the engine finishes, before the stats snapshot.

@@ -85,7 +85,7 @@ class LaxBarrierModel(SynchronizationModel):
         # The gather message to the MCP travels over the system network;
         # charge its host transfer cost to the arriving thread's core.
         cost = scheduler.cost_model.message(
-            scheduler.layout.locality(thread.tile, MCP_TILE), 64)
+            scheduler.layout.locality(thread.tile, MCP_TILE))
         scheduler.charge_core_of(thread, cost)
         self._maybe_release()
 
@@ -128,7 +128,7 @@ class LaxBarrierModel(SynchronizationModel):
                 thread.state = ThreadState.RUNNABLE
                 # Release broadcast from the MCP, one message per waiter.
                 cost = scheduler.cost_model.message(
-                    scheduler.layout.locality(MCP_TILE, tile), 64)
+                    scheduler.layout.locality(MCP_TILE, tile))
                 thread.ready_host_time = release_time + cost
         self._barriers.add()
         return True

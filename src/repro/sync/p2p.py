@@ -103,7 +103,7 @@ class LaxP2PModel(SynchronizationModel):
         self._checks.add()
         # The clock exchange is a system-network round trip.
         cost = scheduler.cost_model.message(
-            scheduler.layout.locality(thread.tile, partner.tile), 16)
+            scheduler.layout.locality(thread.tile, partner.tile))
         scheduler.charge_core_of(thread, 2 * cost)
         difference = thread.task.cycles - partner.task.cycles
         if self.telemetry is not None:

@@ -99,9 +99,9 @@ class Transport:
         as for :meth:`send`.
         """
         locality = self.layout.locality(src, dst)
-        self._sent.add()
-        self._bytes.add(size_bytes)
-        self._by_locality[locality].add()
+        self._sent.value += 1
+        self._bytes.value += size_bytes
+        self._by_locality[locality].value += 1
         if self._hooks:
             message = Message(src=src, dst=dst, kind=kind,
                               size_bytes=size_bytes)

@@ -18,6 +18,7 @@ from repro.common.errors import CheckpointError, ConfigError
 from repro.ckpt.recovery import load_checkpoint
 from repro.ckpt.store import FORMAT, CheckpointStore
 from repro.distrib.wire import WorkloadRef
+from repro.host.costmodel import BLOCK
 from repro.sim.runner import create_simulator
 
 REF = WorkloadRef("matrix_multiply", nthreads=4, scale=0.05)
@@ -68,6 +69,24 @@ def test_resume_is_byte_identical(backend, tmp_path):
     assert manifest["turn"] > 0
     resumed = restored.resume_run()
     assert _asdict(resumed) == _asdict(baseline)
+
+
+@pytest.mark.parametrize("backend", BACKENDS)
+def test_a_snapshot_taken_mid_block_resumes_identically(backend, tmp_path):
+    """The host cost model draws its jitter 256 factors at a time and a
+    snapshot almost never falls on a block's edge: the unspent factors
+    ride it, and the resumed run spends them before it draws again."""
+    baseline = create_simulator(_config(backend)).run(REF)
+    cfg = _config(backend, tmp_path / "ck", every=7)
+    cfg.ckpt.keep = 99
+    create_simulator(cfg).run(REF)
+    unspent = []
+    for name in CheckpointStore(str(tmp_path / "ck")).list():
+        restored, _ = load_checkpoint(str(tmp_path / "ck"), name)
+        unspent.append(len(restored.cost_model._factors))
+        assert _asdict(restored.resume_run()) == _asdict(baseline)
+    assert len(unspent) >= 3 and all(0 < n < BLOCK for n in unspent)
+    assert len(set(unspent)) == len(unspent)  # a different cursor each
 
 
 def test_resume_from_specific_snapshot(tmp_path):

@@ -1,4 +1,4 @@
-"""The on-disk ``repro.ckpt/3`` store: atomicity, integrity, pruning."""
+"""The on-disk ``repro.ckpt/4`` store: atomicity, integrity, pruning."""
 
 from __future__ import annotations
 
@@ -154,18 +154,21 @@ def test_truncated_blob_is_rejected(tmp_path):
 
 
 def test_unknown_format_version_is_rejected(tmp_path):
+    """``/3`` pickled a cost model without the unspent jitter block
+    ``/4`` holds: restored, it would charge other amounts."""
     store = CheckpointStore(str(tmp_path))
     path = _write(store, 20)
     manifest_path = os.path.join(path, "manifest.json")
     with open(manifest_path) as fh:
         manifest = json.load(fh)
-    manifest["format"] = "repro.ckpt/2"  # the previous layout
-    with open(manifest_path, "w") as fh:
-        json.dump(manifest, fh)
-    with pytest.raises(CheckpointError, match="unsupported") as refused:
-        store.read()
-    assert "'repro.ckpt/2'" in str(refused.value)
-    assert repr(FORMAT) in str(refused.value) and FORMAT.endswith("/3")
+    for old in ("repro.ckpt/2", "repro.ckpt/3"):  # the previous layouts
+        manifest["format"] = old
+        with open(manifest_path, "w") as fh:
+            json.dump(manifest, fh)
+        with pytest.raises(CheckpointError, match="unsupported") as refused:
+            store.read()
+        assert repr(old) in str(refused.value)
+        assert repr(FORMAT) in str(refused.value) and FORMAT.endswith("/4")
 
 
 def test_checkpoint_without_coordinator_is_rejected(tmp_path):

@@ -1,6 +1,7 @@
 """Configuration validation and (de)serialisation."""
 
 import dataclasses
+import math
 
 import pytest
 
@@ -124,6 +125,18 @@ class TestHostConfig:
     def test_rejects_bad_jitter(self):
         with pytest.raises(ConfigError):
             HostConfig(jitter=1.5).validate()
+
+    @pytest.mark.parametrize("jitter", [0.3, 0.5, 0.11])
+    def test_rejects_jitter_that_can_draw_a_negative_cost(self, jitter):
+        """Sigma 0.3 and 0.5 used to pass here and kill `fft` on 4 tiles
+        (seed 1) mid-run with "cannot charge negative host time"."""
+        with pytest.raises(ConfigError, match="negative"):
+            HostConfig(jitter=jitter).validate()
+        HostConfig(jitter=0.1).validate()
+        # The worst deviate Box-Muller can produce over 53-bit uniforms
+        # still leaves a positive factor at the limit.
+        worst = math.sqrt(-2.0 * math.log(2.0 ** -53))
+        assert 8.5 < worst < 8.6 and 1.0 - worst * 0.1 > 0.0
 
 
 class TestSyncConfig:

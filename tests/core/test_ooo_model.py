@@ -9,7 +9,6 @@ from repro.core.factory import create_core_model
 from repro.core.instruction import (
     BranchInstruction,
     Instruction,
-    MemoryInstruction,
     PseudoInstruction,
     PseudoKind,
 )
@@ -25,7 +24,8 @@ def ooo(rob=8, width=2, **kwargs):
 
 
 def load(latency, address=0x1000):
-    return MemoryInstruction(InstructionClass.LOAD, address, 8, latency)
+    """``execute_memory``'s arguments for one 8-byte load."""
+    return InstructionClass.LOAD, address, 8, latency
 
 
 class TestFactory:
@@ -46,7 +46,7 @@ class TestMemoryLevelParallelism:
         """N loads within the window cost far less than N x latency."""
         core = ooo(rob=16)
         for i in range(8):
-            core.execute_memory(load(500, address=i * 64))
+            core.execute_memory(*load(500, address=i * 64))
         core.drain()
         # Serial execution would take >= 8 * 500; overlapped, ~500.
         assert core.cycles < 2 * 500
@@ -54,25 +54,25 @@ class TestMemoryLevelParallelism:
     def test_in_order_model_serializes_same_stream(self):
         in_order = CorePerfModel(CoreConfig(), StatGroup("io"))
         for i in range(8):
-            in_order.execute_memory(load(500, address=i * 64))
+            in_order.execute_memory(*load(500, address=i * 64))
         assert in_order.cycles >= 8 * 500
 
     def test_window_pressure_stalls(self):
         """More in-flight ops than the window -> partial serialization."""
         small = ooo(rob=2)
         for i in range(8):
-            small.execute_memory(load(500, address=i * 64))
+            small.execute_memory(*load(500, address=i * 64))
         small.drain()
         big = ooo(rob=16)
         for i in range(8):
-            big.execute_memory(load(500, address=i * 64))
+            big.execute_memory(*load(500, address=i * 64))
         big.drain()
         assert small.cycles > big.cycles
 
     def test_drain_waits_for_slowest(self):
         core = ooo()
-        core.execute_memory(load(100))
-        core.execute_memory(load(900, address=0x2000))
+        core.execute_memory(*load(100))
+        core.execute_memory(*load(900, address=0x2000))
         core.drain()
         assert core.cycles >= 900
 
@@ -89,14 +89,14 @@ class TestDispatch:
     def test_instruction_counting(self):
         core = ooo()
         core.execute(Instruction(InstructionClass.GENERIC, 123))
-        core.execute_memory(load(10))
+        core.execute_memory(*load(10))
         assert core.instruction_count == 124
 
 
 class TestBranches:
     def test_mispredict_flushes_overlap(self):
         core = ooo(rob=16)
-        core.execute_memory(load(1000))
+        core.execute_memory(*load(1000))
         # A mispredicted branch drains the in-flight load.
         core.execute_branch(BranchInstruction(0x100, True))
         assert core.cycles >= 1000
@@ -106,7 +106,7 @@ class TestBranches:
         for _ in range(4):  # train the predictor
             core.execute_branch(BranchInstruction(0x100, True))
         start = core.cycles
-        core.execute_memory(load(1000))
+        core.execute_memory(*load(1000))
         core.execute_branch(BranchInstruction(0x100, True))
         # No flush: the load is still in flight.
         assert core.cycles - start < 1000
@@ -115,7 +115,7 @@ class TestBranches:
 class TestSynchronization:
     def test_sync_drains_then_forwards(self):
         core = ooo()
-        core.execute_memory(load(700))
+        core.execute_memory(*load(700))
         core.execute_pseudo(PseudoInstruction(PseudoKind.SYNC, time=100))
         assert core.cycles >= 700  # drained past the load
 

@@ -7,7 +7,6 @@ from repro.common.stats import StatGroup
 from repro.core.instruction import (
     BranchInstruction,
     Instruction,
-    MemoryInstruction,
     PseudoInstruction,
     PseudoKind,
 )
@@ -57,36 +56,29 @@ class TestBranches:
 
 class TestMemory:
     def test_load_charges_full_latency(self, core):
-        core.execute_memory(MemoryInstruction(
-            InstructionClass.LOAD, 0x1000, 8, 50))
+        core.execute_memory(InstructionClass.LOAD, 0x1000, 8, 50)
         assert core.cycles == 1 + 50
 
     def test_store_is_buffered(self, core):
-        core.execute_memory(MemoryInstruction(
-            InstructionClass.STORE, 0x1000, 8, 500))
+        core.execute_memory(InstructionClass.STORE, 0x1000, 8, 500)
         assert core.cycles == 1  # hidden by the store buffer
 
     def test_store_buffer_backpressure(self, core):
         for i in range(CoreConfig().store_buffer_entries):
-            core.execute_memory(MemoryInstruction(
-                InstructionClass.STORE, i * 64, 8, 10_000))
+            core.execute_memory(InstructionClass.STORE, i * 64, 8, 10_000)
         before = core.cycles
-        core.execute_memory(MemoryInstruction(
-            InstructionClass.STORE, 0x9000, 8, 10_000))
+        core.execute_memory(InstructionClass.STORE, 0x9000, 8, 10_000)
         assert core.cycles - before > 1  # stalled for a drain
 
     def test_store_to_load_forwarding(self, core):
-        core.execute_memory(MemoryInstruction(
-            InstructionClass.STORE, 0x1000, 8, 10_000))
+        core.execute_memory(InstructionClass.STORE, 0x1000, 8, 10_000)
         before = core.cycles
-        core.execute_memory(MemoryInstruction(
-            InstructionClass.LOAD, 0x1000, 8, 10_000))
+        core.execute_memory(InstructionClass.LOAD, 0x1000, 8, 10_000)
         assert core.cycles - before == 1 + STORE_FORWARD_LATENCY
 
     def test_non_memory_class_rejected(self, core):
         with pytest.raises(ValueError):
-            core.execute_memory(MemoryInstruction(
-                InstructionClass.IALU, 0, 8, 1))
+            core.execute_memory(InstructionClass.IALU, 0, 8, 1)
 
 
 class TestPseudoInstructions:

@@ -52,16 +52,21 @@ def _steps(ctx, index, threads, base, steps, contend):
             yield from ctx.free(block)
         elif kind == "locked_add":
             # Uncontended unless drawn otherwise: a token walks the
-            # threads, so the lock word still changes tile every time.
-            if index and not contend:
+            # threads, so the lock word still changes tile every time —
+            # and comes back to the first, or it would run ahead into
+            # the next ``locked_add`` and contend with this one's tail.
+            walk = not contend and threads > 1
+            if index and walk:
                 yield from ctx.recv_u64(tag=1000 + number)
             yield from ctx.lock(base + LOCK)
             counter = yield from ctx.load_u64(base + COUNTER)
             yield from ctx.store_u64(base + COUNTER,
                                      counter + value + index)
             yield from ctx.unlock(base + LOCK)
-            if index + 1 < threads and not contend:
+            if walk:
                 yield from ctx.send_u64(after, 1, tag=1000 + number)
+                if not index:
+                    yield from ctx.recv_u64(tag=1000 + number)
         elif kind == "barrier":
             yield from ctx.barrier(base + BARRIER, threads)
         elif kind == "ring":

@@ -139,7 +139,7 @@ class TestEntries:
         library = SnapshotLibrary(config.sample.library)
         key, _ = library.ensure(config, long_program)
         meta = library.meta(key)
-        assert meta["format"] == "repro.sample/3"
+        assert meta["format"] == "repro.sample/4"
         assert meta["ff_until"] == config.sample.ff_until
         assert meta["prefix_hash"] == config.prefix_hash()
         # The primer's SAMPLE telemetry rides along: exactly one
@@ -156,15 +156,16 @@ class TestEntries:
         path = os.path.join(library.entry_dir(key), "LIBRARY.json")
         with open(path) as handle:
             meta = json.load(handle)
-        meta["format"] = "repro.sample/2"  # the previous layout
-        with open(path, "w") as handle:
-            json.dump(meta, handle)
-        for lookup in (lambda: library.has(key),
-                       lambda: library.meta(key),
-                       lambda: library.ensure(config, long_program),
-                       lambda: library.fork(key, config)):
-            with pytest.raises(SampleError, match="repro sample gc"):
-                lookup()
+        for old in ("repro.sample/2", "repro.sample/3"):  # previous layouts
+            meta["format"] = old
+            with open(path, "w") as handle:
+                json.dump(meta, handle)
+            for lookup in (lambda: library.has(key),
+                           lambda: library.meta(key),
+                           lambda: library.ensure(config, long_program),
+                           lambda: library.fork(key, config)):
+                with pytest.raises(SampleError, match="repro sample gc"):
+                    lookup()
         # ... and the fix it names works, sparing usable entries.
         other = library_config(tmp_path, ff_until=1800)
         kept, _ = library.ensure(other, long_program)
@@ -228,6 +229,32 @@ class TestForkDeterminism:
         library = SnapshotLibrary(config.sample.library)
         outcome = library.verify(config, long_program)
         assert outcome["identical"]
+
+
+    def test_a_fork_snapshotted_mid_block_resumes_identically(
+            self, tmp_path):
+        """A fork leaves fast-forward with no jitter drawn (it charges
+        nothing); checkpointed from there on, every snapshot holds a
+        partly spent block and resumes to the unshared run's bytes."""
+        from repro.ckpt.recovery import load_checkpoint
+        from repro.ckpt.store import CheckpointStore
+        from repro.distrib.wire import make_program_ref
+        from repro.host.costmodel import BLOCK
+        unshared = run_simulation(library_config(), long_program)
+        config = library_config(tmp_path, ckpt__dir=str(tmp_path / "ck"),
+                                ckpt__every=3, ckpt__keep=99)
+        library = SnapshotLibrary(config.sample.library)
+        key, _ = library.ensure(config, long_program)
+        assert library.fork(key, config).cost_model._factors == []
+        forked = run_simulation(config, make_program_ref(long_program))
+        assert not forked.sample["library"]["primed"]
+        names = CheckpointStore(config.ckpt.dir).list()
+        assert len(names) >= 3
+        for name in names:
+            restored, _ = load_checkpoint(config.ckpt.dir, name)
+            assert 0 < len(restored.cost_model._factors) < BLOCK
+            assert (canonical_result_bytes(restored.resume_run())
+                    == canonical_result_bytes(unshared))
 
 
 class TestSharedPrefixSweep:
