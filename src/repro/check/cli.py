@@ -21,7 +21,7 @@ from __future__ import annotations
 import argparse
 import json
 from pathlib import Path
-from typing import List, Optional
+from typing import List
 
 from repro.check.lint import (
     LintFinding,
@@ -81,11 +81,9 @@ def add_check_arguments(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--json", action="store_true",
                         help="emit machine-readable JSON")
     parser.add_argument("--accept-wire-schema", action="store_true",
-                        help="record the current wire dataclass "
-                             "schemas (distrib/wire.py, "
-                             "serve/protocol.py and net/handshake.py) "
-                             "as the reference (after a WIRE_VERSION "
-                             "bump)")
+                        help="record the current wire schema (frame "
+                             "dataclasses and payload shapes) as the "
+                             "reference (after a WIRE_VERSION bump)")
 
 
 def _github_escape(text: str) -> str:
@@ -112,41 +110,12 @@ def _annotate_violation(title: str, rendered: str) -> str:
     return f"::error title={title}::{_github_escape(rendered)}"
 
 
-def _describe_record(old: Optional[dict], new: dict) -> str:
-    if old == new:
-        return "unchanged"
-    fingerprint = new.get("fingerprint")
-    version = new.get("wire_version")
-    if old is None:
-        return f"NEW (v{version}, fingerprint {fingerprint})"
-    return (f"CHANGED (v{old.get('wire_version')} "
-            f"{old.get('fingerprint')} -> v{version} {fingerprint})")
-
-
 def _run_accept(args: argparse.Namespace) -> int:
     from repro.check.lint import _SCHEMA_PATH
-    previous: dict = {}
-    if _SCHEMA_PATH.exists():
-        previous = json.loads(_SCHEMA_PATH.read_text())
     record = accept_wire_schema()
-    rows = [
-        ("wire (distrib/wire.py)",
-         {k: previous.get(k) for k in ("wire_version", "fingerprint")}
-         if previous else None,
-         {k: record[k] for k in ("wire_version", "fingerprint")}),
-        ("serve (serve/protocol.py)", previous.get("serve"),
-         record["serve"]),
-        ("net (net/handshake.py)", previous.get("net"), record["net"]),
-    ]
-    if args.json:
-        print(json.dumps({
-            "schema": record,
-            "changed": [name for name, old, new in rows
-                        if old != new]}, indent=2))
-        return 0
-    print(f"recorded wire schema manifest at {_SCHEMA_PATH}:")
-    for name, old, new in rows:
-        print(f"  {name}: {_describe_record(old, new)}")
+    print(json.dumps(record, indent=2) if args.json else
+          f"recorded wire schema v{record['wire_version']} "
+          f"{record['fingerprint']} at {_SCHEMA_PATH}")
     return 0
 
 

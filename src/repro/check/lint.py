@@ -36,13 +36,14 @@ These rules encode the repo-specific ways that property gets broken:
     timestamps into floats whose rounding differs across platforms.
 
 ``W001``
-    Wire safety for ``distrib/wire.py``: every dataclass carries only
-    allowlisted picklable field types, and any change to the field
-    schema requires a ``WIRE_VERSION`` bump (tracked via a fingerprint
-    manifest, refreshed with ``repro check --accept-wire-schema``).
-    The pickle wire's schema includes what its dataclasses cannot
-    show: the kernel methods the coordinator serves (names, arities)
-    and the tuple shapes of the quantum loop's frames.
+    Wire safety for the one wire (:data:`WIRE_MODULES`): every
+    dataclass carries only allowlisted picklable field types, and any
+    change to the schema requires a ``WIRE_VERSION`` bump (tracked via
+    one fingerprint record, refreshed with ``repro check
+    --accept-wire-schema``).  The schema includes what dataclasses
+    cannot show: the kernel methods the coordinator serves (names,
+    arities) and the payload shape of every frame a send site builds
+    (:data:`WIRE_DISPATCH_MODULES`).
 
 ``P001``–``P003``
     Wire-*protocol* conformance (who may send what, what must be
@@ -92,19 +93,18 @@ D001_EXEMPT_DIRS = ("profile", "obs")
 #: accept order), so it is in scope too.
 SET_ITER_DIRS = MODEL_DIRS + ("distrib", "serve", "net")
 
-#: Modules under the W001 manifest, mapped to their record key inside
-#: ``check/wire_schema.json`` (``None`` = the top-level record — the
-#: original pickle wire keeps its historical layout).
-WIRE_MODULES: Dict[str, Optional[str]] = {
-    "distrib/wire.py": None,
-    "serve/protocol.py": "serve",
-    "net/handshake.py": "net",
-}
+#: Modules whose dataclasses are wire schema, all under the one
+#: ``WIRE_VERSION`` the first defines (its manifest check covers all).
+WIRE_MODULES = ("distrib/wire.py", "serve/protocol.py", "net/handshake.py")
 
-#: Siblings of ``distrib/wire.py`` whose dispatch shape is wire schema:
-#: the coordinator's handler tables, and the tuple payloads either side
-#: puts on a frame (RUN_QUANTUM, KERNEL_CALL, KERNEL_REPLY, ...).
-WIRE_DISPATCH_SIBLINGS = ("coordinator.py", "worker.py")
+#: Modules whose dispatch shape is wire schema: the coordinator's
+#: handler tables, and the payload shape of every frame a send site
+#: builds — ``FrameKind`` tuples on the mp wire (RUN_QUANTUM,
+#: KERNEL_CALL, KERNEL_REPLY, ...), ``(verb, payload)`` tuples on the
+#: fleet and serve channels.
+WIRE_DISPATCH_MODULES = ("distrib/coordinator.py", "distrib/worker.py",
+                         "serve/fleet.py", "serve/client.py",
+                         "serve/daemon.py")
 _HANDLER_TABLES = ("_rpc_handlers", "_cast_handlers")
 
 #: The one module allowed to construct random.Random.
@@ -194,7 +194,7 @@ def scope_for(path: Path, package_root: Optional[Path]) -> RuleScope:
                 set_iteration=top in SET_ITER_DIRS,
                 float_cycles=top in MODEL_DIRS,
                 wire_safety=as_posix in WIRE_MODULES,
-                wire_manifest=as_posix in WIRE_MODULES,
+                wire_manifest=as_posix == WIRE_MODULES[0],
             )
     return RuleScope(wall_clock=True, randomness=True, set_iteration=True,
                      float_cycles=True, wire_safety=True)
@@ -521,15 +521,32 @@ _SCHEMA_PATH = Path(__file__).with_name("wire_schema.json")
 
 
 def wire_siblings(path) -> List[ast.Module]:
-    """The parsed :data:`WIRE_DISPATCH_SIBLINGS` beside ``path``."""
-    beside = [Path(path).with_name(name) for name in WIRE_DISPATCH_SIBLINGS]
+    """The parsed wire and dispatch modules of the package whose
+    ``distrib/wire.py`` is ``path`` (those that exist)."""
+    root = Path(path).parent.parent
+    beside = [root / rel for rel in WIRE_MODULES[1:] + WIRE_DISPATCH_MODULES]
     return [ast.parse(p.read_text()) for p in beside if p.exists()]
+
+
+def _shape(node: ast.AST) -> str:
+    """A payload expression's shape: tuple arity and nesting, dict
+    keys; any other expression is one opaque value."""
+    if isinstance(node, ast.Starred):
+        return "*"
+    if isinstance(node, ast.Tuple):
+        return "(" + "".join(_shape(e) for e in node.elts) + ")"
+    if isinstance(node, ast.Dict):
+        return "{" + ",".join(str(k.value) if isinstance(k, ast.Constant)
+                              else "*" for k in node.keys) + "}"
+    return "."
 
 
 def dispatch_rows(tree: ast.Module) -> List[Tuple[str, str, str]]:
     """A dispatch module's share of the wire schema: each ``(handler
-    table, method, positional arity)`` and each ``(frame, "send",
-    payload shape)`` of a tuple-payload send site."""
+    table, method, positional arity)``, each ``(frame, "send", payload
+    shape)`` of a ``FrameKind`` send site with a tuple payload, and each
+    ``(verb, "send", shape)`` of a ``(verb, ...)`` frame tuple passed
+    to a call."""
     arity = {node.name: len(node.args.args) - 1
              for node in ast.walk(tree) if isinstance(node, ast.FunctionDef)}
     rows = set()
@@ -546,36 +563,42 @@ def dispatch_rows(tree: ast.Module) -> List[Tuple[str, str, str]]:
             for kind, payload in zip(node.args, node.args[1:]):
                 if isinstance(payload, ast.Tuple) and getattr(getattr(
                         kind, "value", None), "id", None) == "FrameKind":
-                    rows.add((kind.attr, "send", "".join(
-                        "*" if isinstance(e, ast.Starred) else "."
-                        for e in payload.elts)))
+                    rows.add((kind.attr, "send", _shape(payload)))
+            for frame in node.args:
+                if isinstance(frame, ast.Tuple) and frame.elts and \
+                        isinstance(frame.elts[0], ast.Constant) and \
+                        isinstance(frame.elts[0].value, str):
+                    rows.add((frame.elts[0].value, "send",
+                              "".join(_shape(e) for e in frame.elts[1:])))
     return sorted(rows)
 
 
 def wire_fingerprint(tree: ast.Module, siblings: Sequence[ast.Module] = ()
                      ) -> Tuple[str, Optional[int]]:
-    """Schema fingerprint of a wire module: dataclass fields + types,
-    plus the :func:`dispatch_rows` of its ``siblings``.
+    """Schema fingerprint of the wire: dataclass fields + types of
+    ``tree`` and ``siblings``, plus the :func:`dispatch_rows` of the
+    siblings.
 
     Returns ``(fingerprint, wire_version)``; the fingerprint hashes the
-    ordered ``(class, field, annotation)`` triples so *any* field
-    change — add, remove, rename, retype — changes it.
+    ordered rows so *any* field change — add, remove, rename, retype —
+    or payload reshape changes it.
     """
     rows: List[Tuple[str, str, str]] = []
     version: Optional[int] = None
-    for node in tree.body:
-        if isinstance(node, ast.Assign):
-            for target in node.targets:
-                if isinstance(target, ast.Name) and \
-                        target.id == "WIRE_VERSION" and \
-                        isinstance(node.value, ast.Constant):
-                    version = int(node.value.value)
-        if isinstance(node, ast.ClassDef) and _is_dataclass(node):
-            for stmt in node.body:
-                if isinstance(stmt, ast.AnnAssign) and \
-                        isinstance(stmt.target, ast.Name):
-                    rows.append((node.name, stmt.target.id,
-                                 ast.dump(stmt.annotation)))
+    for module in [tree, *siblings]:
+        for node in module.body:
+            if isinstance(node, ast.Assign) and module is tree:
+                for target in node.targets:
+                    if isinstance(target, ast.Name) and \
+                            target.id == "WIRE_VERSION" and \
+                            isinstance(node.value, ast.Constant):
+                        version = int(node.value.value)
+            if isinstance(node, ast.ClassDef) and _is_dataclass(node):
+                for stmt in node.body:
+                    if isinstance(stmt, ast.AnnAssign) and \
+                            isinstance(stmt.target, ast.Name):
+                        rows.append((node.name, stmt.target.id,
+                                     ast.dump(stmt.annotation)))
     for sibling in siblings:
         rows.extend(dispatch_rows(sibling))
     digest = hashlib.sha256(repr(rows).encode("utf-8")).hexdigest()[:16]
@@ -583,38 +606,23 @@ def wire_fingerprint(tree: ast.Module, siblings: Sequence[ast.Module] = ()
 
 
 def check_wire_manifest(tree: ast.Module, path: str,
-                        schema_path: Path = _SCHEMA_PATH,
-                        record_key: Optional[str] = None
+                        schema_path: Path = _SCHEMA_PATH
                         ) -> List[LintFinding]:
-    """W001 manifest check: field changes require a version bump.
-
-    ``record_key`` selects the module's record inside the manifest:
-    ``None`` reads the top-level entry (the pickle wire), a string
-    reads a nested one (e.g. ``"serve"`` for the serve protocol).
-    """
-    fingerprint, version = wire_fingerprint(
-        tree, wire_siblings(path) if record_key is None else ())
+    """W001 manifest check: schema changes require a version bump."""
+    fingerprint, version = wire_fingerprint(tree, wire_siblings(path))
     if not schema_path.exists():
         return [LintFinding(
             "W001", path, 1, 1,
             "no wire schema manifest recorded; run "
             "`python -m repro check --accept-wire-schema`")]
     recorded = json.loads(schema_path.read_text())
-    if record_key is not None:
-        recorded = recorded.get(record_key)
-        if not isinstance(recorded, dict):
-            return [LintFinding(
-                "W001", path, 1, 1,
-                f"no {record_key!r} record in the wire schema "
-                "manifest; run `python -m repro check "
-                "--accept-wire-schema`")]
     findings: List[LintFinding] = []
     if recorded.get("fingerprint") != fingerprint:
         findings.append(LintFinding(
             "W001", path, 1, 1,
-            "wire dataclass fields (or, for the pickle wire, the kernel "
-            "dispatch shape) changed since the recorded schema; "
-            "bump WIRE_VERSION and run `python -m repro check "
+            "wire dataclass fields, kernel dispatch or frame payload "
+            "shapes changed since the recorded schema; bump "
+            "WIRE_VERSION and run `python -m repro check "
             "--accept-wire-schema`"))
     elif recorded.get("wire_version") != version:
         findings.append(LintFinding(
@@ -627,26 +635,15 @@ def check_wire_manifest(tree: ast.Module, path: str,
 
 def accept_wire_schema(root: Optional[Path] = None,
                        schema_path: Path = _SCHEMA_PATH) -> dict:
-    """Record every wire module's schema fingerprint (after a bump).
-
-    One manifest covers all of :data:`WIRE_MODULES`: the pickle wire's
-    record at the top level, each additional protocol (the serve JSON
-    frames) nested under its record key.
-    """
+    """Record the wire's schema fingerprint (after a version bump)."""
     root = package_root() if root is None else root
-    record: dict = {}
-    for rel, key in WIRE_MODULES.items():
-        module = root / Path(rel)
-        tree = ast.parse(module.read_text(), filename=str(module))
-        fingerprint, version = wire_fingerprint(
-            tree, wire_siblings(module) if key is None else ())
-        entry = {"wire_version": version, "fingerprint": fingerprint}
-        if key is None:
-            record.update(entry)
-        else:
-            record[key] = entry
+    module = root / WIRE_MODULES[0]
+    fingerprint, version = wire_fingerprint(
+        ast.parse(module.read_text(), filename=str(module)),
+        wire_siblings(module))
+    record = {"wire_version": version, "fingerprint": fingerprint}
     # Atomic replace: a crash mid-write must never leave a truncated
-    # manifest that would flag every wire module at once.
+    # manifest that would flag the wire.
     tmp = schema_path.with_name(schema_path.name + ".tmp")
     tmp.write_text(json.dumps(record, indent=2, sort_keys=True) + "\n")
     tmp.replace(schema_path)
@@ -687,8 +684,7 @@ def lint_file(path: Path,
     except ValueError:
         rel = None
     if scope.wire_manifest and rel is not None:
-        findings.extend(check_wire_manifest(
-            tree, str(path), record_key=WIRE_MODULES[rel]))
+        findings.extend(check_wire_manifest(tree, str(path)))
     if rel is not None:
         # Protocol conformance (P001-P003) for the modules the wire
         # spec names.  Imported lazily: wireproto imports back from

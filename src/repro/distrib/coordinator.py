@@ -57,7 +57,6 @@ from repro.distrib.wire import (
 )
 from repro.host.cluster import ClusterLayout
 from repro.net.channel import Channel, ChannelClosedError, PipeChannel
-from repro.net.handshake import HandshakeError
 from repro.net.listener import NetListener
 from repro.net.rebalance import create_policy
 from repro.host.scheduler import QuantumResult, QuantumStatus, ThreadTask
@@ -224,19 +223,13 @@ class WorkerCluster:
         if self.listener is None:
             return []
         joined: List[int] = []
-        while True:
-            try:
-                accepted = self.listener.accept(timeout=0.0)
-            except HandshakeError:
-                continue  # rejected peer; keep draining the backlog
-            if accepted is None:
-                return joined
-            channel, _hello = accepted
+        for channel, _hello in self.listener.pending(lambda exc: None):
             index = len(self._channels)
             self._channels.append(channel)
             self._active.append(True)
             self.send(index, FrameKind.HELLO, (self.config, [], index))
             joined.append(index)
+        return joined
 
     def migrate_shard(self, src: int, dst: int) -> List[int]:
         """Move every tile owned by ``src`` into ``dst``, live.

@@ -18,7 +18,7 @@ class DistribError(SimulationError):
 
 
 class WireFormatError(DistribError):
-    """A frame could not be encoded/decoded or had a bad version."""
+    """A frame could not be encoded or decoded."""
 
 
 class ProgramTransportError(DistribError):

@@ -1,9 +1,11 @@
-"""Wire format of the coordinator <-> worker control channel.
+"""The one wire: its version, its frame envelope, and the mp frame kinds.
 
-Every frame crossing a worker pipe is ``(WIRE_VERSION, FrameKind,
-payload)`` serialized with pickle.  The version travels in every frame
-so a coordinator and a worker built from different checkouts fail
-loudly at the first exchange instead of corrupting a simulation.
+Every frame on every channel — coordinator <-> worker, the fleet's job
+verbs, the serve client's verbs — is one pickled ``(kind, payload)``
+pair (:func:`encode_frame` / :func:`decode_frame`).  The version is not
+in the frame: it is checked once per connection, by the JSON
+:mod:`repro.net.handshake` that every socket peer passes before any
+pickle is read, and forked pipe peers share this code image.
 
 The module also defines *program references* — picklable stand-ins for
 target programs.  Workload ``build()`` closures cannot cross a process
@@ -49,11 +51,20 @@ from repro.distrib.errors import ProgramTransportError, WireFormatError
 #: v10: the mode travels with the work — RUN_QUANTUM is ``(tile, budget,
 #: cycle_limit, l1_notes, functional)`` and v6's frame is gone
 #: (:mod:`repro.sample`).
-WIRE_VERSION = 10
+#: v11: one version for every wire, checked once at connect — the net
+#: handshake's and the serve verbs' own versions fold in; frames are
+#: ``(kind, payload)`` and serve verbs are pickled, not JSON.
+WIRE_VERSION = 11
+
+#: Pickle protocol of every frame, pinned so peers under different
+#: Pythons read each other (5: the highest of every supported one).
+PICKLE_PROTOCOL = 5
 
 
-class FrameKind(enum.Enum):
-    """Control-channel frame types."""
+class FrameKind(str, enum.Enum):
+    """Frame kinds of the mp wire.  A member equals its value, so a
+    verb sharing its name (``shutdown``, ``error``) still compares
+    equal to the string a fleet or serve handler tests for."""
 
     #: coordinator -> worker: config + shard at startup.
     HELLO = "hello"
@@ -125,25 +136,29 @@ class FrameKind(enum.Enum):
     ERROR = "error"
 
 
-def encode_frame(kind: FrameKind, payload: Any) -> bytes:
+#: Frame value -> member, so decoding an mp frame is one dict lookup.
+_FRAME_KINDS: Dict[str, FrameKind] = {kind.value: kind for kind in FrameKind}
+
+
+def encode_frame(kind: Any, payload: Any) -> bytes:
+    """One frame: a :class:`FrameKind` (sent as its value) or a verb,
+    and its payload."""
+    if isinstance(kind, FrameKind):
+        kind = kind.value
     try:
-        return pickle.dumps((WIRE_VERSION, kind.value, payload),
-                            protocol=pickle.HIGHEST_PROTOCOL)
+        return pickle.dumps((kind, payload), protocol=PICKLE_PROTOCOL)
     except Exception as exc:
-        raise WireFormatError(
-            f"cannot encode {kind.value} frame: {exc}") from exc
+        raise WireFormatError(f"cannot encode {kind} frame: {exc}") from exc
 
 
-def decode_frame(blob: bytes) -> Tuple[FrameKind, Any]:
+def decode_frame(blob: bytes) -> Tuple[Any, Any]:
+    """The ``(kind, payload)`` of one frame; an mp kind comes back as
+    its :class:`FrameKind` member, a verb as its string."""
     try:
-        version, kind, payload = pickle.loads(blob)
+        kind, payload = pickle.loads(blob)
+        return _FRAME_KINDS.get(kind, kind), payload
     except Exception as exc:
         raise WireFormatError(f"undecodable frame: {exc}") from exc
-    if version != WIRE_VERSION:
-        raise WireFormatError(
-            f"wire version mismatch: got {version!r}, "
-            f"expected {WIRE_VERSION}")
-    return FrameKind(kind), payload
 
 
 @dataclass(frozen=True)
@@ -213,7 +228,7 @@ def make_program_ref(program: Any) -> Any:
         return program
     try:
         return PickledProgram(pickle.dumps(
-            program, protocol=pickle.HIGHEST_PROTOCOL))
+            program, protocol=PICKLE_PROTOCOL))
     except Exception as exc:
         raise ProgramTransportError(
             f"program {program!r} cannot cross a process boundary "
@@ -228,4 +243,4 @@ def program_key(ref: Any) -> bytes:
     references (same workload spec, same pickled function) map to the
     same code base, mirroring the in-process ``id(program)`` keying.
     """
-    return pickle.dumps(ref, protocol=pickle.HIGHEST_PROTOCOL)
+    return pickle.dumps(ref, protocol=PICKLE_PROTOCOL)

@@ -685,7 +685,7 @@ def tcp_worker_main(address: str, timeout: float = 30.0) -> None:
 
     Used both by coordinator-forked local workers (self-contained TCP
     runs) and by ``repro worker --connect`` on another host.  The
-    handshake pins the net and pickle wire versions.
+    handshake pins the wire version.
     """
     from repro.distrib.wire import WIRE_VERSION
     from repro.net.listener import connect_worker

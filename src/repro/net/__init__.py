@@ -13,9 +13,9 @@ around them:
   length-prefixed framing of :mod:`repro.transport.frames`.
 * :mod:`repro.net.handshake` — the JSON hello/welcome exchange that
   fails version- or config-mismatched peers loudly before any pickle
-  crosses the socket.
-* :mod:`repro.net.listener` — the coordinator-side accept loop remote
-  workers dial into (``repro worker --connect host:port``).
+  crosses the socket: the one place a version is checked.
+* :mod:`repro.net.listener` — the doors remote workers (``repro worker
+  --connect host:port``) and serve clients (a Unix socket) dial.
 * :mod:`repro.net.rebalance` — the policy that picks which worker to
   drain from observed per-worker ``quantum.run`` self-time.
 

@@ -3,10 +3,10 @@
 The cluster logic (:mod:`repro.distrib.coordinator`) is written
 against this small surface — blocking framed send/recv, a bounded
 poll, best-effort liveness — so the same code drives a forked child
-over a multiprocessing pipe and a remote worker over TCP.  A channel
-moves opaque ``bytes``; the versioned pickle wire on top
-(:mod:`repro.distrib.wire`) neither knows nor cares which transport
-carried it, which is what keeps the two paths byte-identical.
+over a multiprocessing pipe and a remote worker over TCP (or a Unix
+socket).  A channel moves opaque ``bytes``; the frames on top
+(:mod:`repro.distrib.wire`) neither know nor care which transport
+carried them, which is what keeps the paths byte-identical.
 
 Close/crash semantics are normalized: any "the peer is gone" condition
 (EOF, broken pipe, reset) surfaces as :class:`ChannelClosedError`, so
@@ -136,23 +136,17 @@ class PipeChannel(Channel):
 
 
 class TcpChannel(Channel):
-    """A connected stream socket under length-prefixed framing."""
+    """A connected stream socket under length-prefixed framing (TCP,
+    or a Unix socket: ``peer`` names the other end either way)."""
 
     kind = "tcp"
 
-    def __init__(self, sock: socket.socket, peer: str = "",
-                 proc=None) -> None:
+    def __init__(self, sock: socket.socket, peer: str, proc=None) -> None:
         super().__init__(sock.fileno())
         self.sock = sock
         self.proc = proc
         self._closed = False
         self._eof = False
-        if not peer:
-            try:
-                host, port = sock.getpeername()[:2]
-                peer = f"{host}:{port}"
-            except OSError:
-                peer = "?"
         self.peer = peer
 
     def send_bytes(self, blob: bytes) -> None:

@@ -3,43 +3,37 @@
 Before a single pickle crosses a socket, the two ends exchange one
 JSON frame each (over the :mod:`repro.transport.frames` framing):
 
-* the dialer sends a :class:`Hello` carrying its net-protocol version,
-  its :data:`repro.distrib.wire.WIRE_VERSION`, and which role it wants
-  to play;
+* the dialer sends a :class:`Hello` carrying its
+  :data:`repro.distrib.wire.WIRE_VERSION` — the one version of every
+  wire, handshake included — and which role it wants to play;
 * the listener answers with a :class:`Welcome` carrying its own
-  versions, its role (``coordinator`` for a simulation, ``serve`` for
+  version, its role (``coordinator`` for a simulation, ``serve`` for
   a job daemon), and — for a coordinator — the config fingerprint
   (:meth:`~repro.common.config.SimulationConfig.content_hash`) of the
   run the worker is joining, or a :class:`Reject` naming why not.
 
-Any version skew fails both ends loudly with :class:`HandshakeError`
-at connect time, instead of desyncing mid-run when the first
-incompatible pickle frame arrives.  JSON (not pickle) keeps the
-exchange safe to run against an untrusted or mismatched peer.
+Version skew fails both ends loudly with :class:`HandshakeError` at
+connect time; no frame after this exchange carries a version.  JSON
+(not pickle) keeps the exchange safe to run against an untrusted or
+mismatched peer: nobody unpickles a byte from a peer it has not
+greeted.
 
-The frame schema below is covered by the W001 wire lint like the
-distrib and serve wires: bump :data:`WIRE_VERSION` on any incompatible
-change and re-accept the manifest.
+The frame schema below is covered by the W001 wire lint with the rest
+of the wire: bump ``WIRE_VERSION`` on any incompatible change and
+re-accept the manifest.
 """
 
 from __future__ import annotations
 
+import contextlib
 import json
+import os
 import socket
 from dataclasses import asdict, dataclass
 from typing import Union
 
 from repro.common.errors import TransportError
 from repro.transport.frames import FrameError, recv_frame, send_frame
-
-#: Version of the handshake/membership exchange itself (independent of
-#: the pickle wire version it reports).  v1: hello/welcome/reject.
-#: v2: Welcome carries the coordinator's ``trace`` span context so a
-#: dialing worker joins the job's span tree (:mod:`repro.obs`).
-#: v3: Welcome carried the run's current execution ``mode``.
-#: v4: ``mode`` is gone — each RUN_QUANTUM names its own
-#: (:mod:`repro.distrib.wire` v10).
-WIRE_VERSION = 4
 
 
 class HandshakeError(TransportError):
@@ -57,7 +51,6 @@ class Hello:
     """Dialer's opening frame: who am I, which protocol do I speak."""
 
     role: str
-    net_version: int
     wire_version: int
     pid: int
     host: str
@@ -65,7 +58,7 @@ class Hello:
 
 @dataclass(frozen=True)
 class Welcome:
-    """Listener's acceptance: its versions, role and run fingerprint.
+    """Listener's acceptance: its version, role and run fingerprint.
 
     ``trace`` is the listener's distributed-trace ID (empty when the
     run is untraced): a worker that joins mid-run tags its own
@@ -73,7 +66,6 @@ class Welcome:
     """
 
     role: str
-    net_version: int
     wire_version: int
     config_fingerprint: str
     trace: str = ""
@@ -101,6 +93,8 @@ def encode_handshake(message: HandshakeFrame) -> bytes:
 def decode_handshake(blob: bytes) -> HandshakeFrame:
     try:
         body = json.loads(blob.decode("utf-8"))
+        if not isinstance(body, dict):
+            raise TypeError(f"a JSON {type(body).__name__}, not an object")
         cls = _KINDS[body.pop("kind")]
         return cls(**body)
     except (ValueError, KeyError, TypeError) as exc:
@@ -128,18 +122,14 @@ def greet_listener(sock: socket.socket, wire_version: int,
                    role: str = "worker") -> Welcome:
     """Dialer side: send Hello, validate the Welcome (or Reject)."""
     _send_handshake(sock, Hello(
-        role=role, net_version=WIRE_VERSION, wire_version=wire_version,
-        pid=_own_pid(), host=socket.gethostname()))
+        role=role, wire_version=wire_version, pid=os.getpid(),
+        host=socket.gethostname()))
     reply = _recv_handshake(sock)
     if isinstance(reply, Reject):
         raise HandshakeError(f"listener rejected us: {reply.reason}")
     if not isinstance(reply, Welcome):
         raise HandshakeError(
             f"expected welcome, got {type(reply).__name__}")
-    if reply.net_version != WIRE_VERSION:
-        raise HandshakeError(
-            f"net protocol mismatch: peer speaks v{reply.net_version}, "
-            f"we speak v{WIRE_VERSION}")
     if reply.wire_version != wire_version:
         raise HandshakeError(
             f"pickle wire mismatch: peer speaks v{reply.wire_version}, "
@@ -154,26 +144,14 @@ def greet_dialer(sock: socket.socket, role: str, wire_version: int,
     if not isinstance(hello, Hello):
         raise HandshakeError(
             f"expected hello, got {type(hello).__name__}")
-    reason = None
-    if hello.net_version != WIRE_VERSION:
-        reason = (f"net protocol mismatch: you speak "
-                  f"v{hello.net_version}, we speak v{WIRE_VERSION}")
-    elif hello.wire_version != wire_version:
+    if hello.wire_version != wire_version:
         reason = (f"pickle wire mismatch: you speak "
                   f"v{hello.wire_version}, we speak v{wire_version}")
-    if reason is not None:
-        try:
-            send_frame(sock, encode_handshake(Reject(reason=reason)))
-        except OSError:
-            pass
+        with contextlib.suppress(HandshakeError):
+            _send_handshake(sock, Reject(reason=reason))
         raise HandshakeError(
             f"rejected {hello.role} {hello.host}/{hello.pid}: {reason}")
     _send_handshake(sock, Welcome(
-        role=role, net_version=WIRE_VERSION, wire_version=wire_version,
+        role=role, wire_version=wire_version,
         config_fingerprint=config_fingerprint, trace=trace))
     return hello
-
-
-def _own_pid() -> int:
-    import os
-    return os.getpid()

@@ -1,21 +1,24 @@
-"""The thin serve client: one socket, versioned JSON frames.
+"""The thin serve client: one channel to the daemon, kept open.
 
 ``ServeClient`` wraps the request/reply protocol of
 :mod:`repro.serve.protocol` for in-process use and for the ``repro
-submit/status/fetch/cancel`` CLI verbs.  Every method is one frame up,
-one frame down; an ``error`` reply raises :class:`ServeError` with the
-daemon's message.
+submit/status/fetch/cancel`` CLI verbs.  The first request dials the
+daemon's Unix socket and passes the net handshake; each request is then
+one frame up, one frame down on that channel (dialed afresh if the
+daemon went away).  An ``error`` reply raises :class:`ServeError`.
 """
 
 from __future__ import annotations
 
-import pickle
-import socket
 import time
 from typing import Any, Dict, List, Optional
 
 from repro.common.config import SimulationConfig
-from repro.common.errors import ServeError
+from repro.common.errors import ServeError, TransportError
+from repro.distrib.errors import WireFormatError
+from repro.distrib.wire import WIRE_VERSION, decode_frame, encode_frame
+from repro.net.channel import TcpChannel
+from repro.net.listener import connect_unix
 from repro.serve import protocol
 from repro.serve.store import result_from_jsonable
 
@@ -30,32 +33,55 @@ class ServeClient:
                  timeout: float = _TIMEOUT) -> None:
         self.socket_path = socket_path
         self.timeout = timeout
+        self._channel: Optional[TcpChannel] = None
 
     # -- transport ----------------------------------------------------------
+
+    def _connected(self) -> TcpChannel:
+        """The open channel, dialed now if there is none or the daemon
+        hung up on it (idle, the daemon sends nothing: readable = EOF)."""
+        if self._channel is not None and not self._channel.poll():
+            return self._channel
+        self.close()
+        try:
+            channel, _welcome = connect_unix(self.socket_path,
+                                             WIRE_VERSION)
+        except TransportError as exc:
+            raise ServeError(
+                f"cannot reach serve daemon at {self.socket_path}: "
+                f"{exc}") from exc
+        channel.sock.settimeout(self.timeout)
+        self._channel = channel
+        return channel
+
+    def close(self) -> None:
+        """Hang up (the next request dials again)."""
+        if self._channel is not None:
+            self._channel.close()
+            self._channel = None
 
     def _exchange(self, frame: tuple) -> Dict[str, Any]:
         """Send one ``(verb, payload)`` frame tuple (the shape the
         wire-protocol lint extracts as this role's send sites)."""
-        kind, payload = frame
-        return self.request(kind, payload)
+        return self.request(*frame)
 
     def request(self, kind: str,
                 payload: Optional[Dict[str, Any]] = None
                 ) -> Dict[str, Any]:
         """One request/reply exchange; raises on ``error`` replies."""
-        sock = socket.socket(socket.AF_UNIX, socket.SOCK_STREAM)
-        sock.settimeout(self.timeout)
         try:
-            try:
-                sock.connect(self.socket_path)
-            except OSError as exc:
-                raise ServeError(
-                    f"cannot reach serve daemon at {self.socket_path}: "
-                    f"{exc}") from exc
-            protocol.send_message(sock, kind, payload or {})
-            reply_kind, reply = protocol.recv_message(sock)
-        finally:
-            sock.close()
+            blob = encode_frame(kind, payload or {})
+        except WireFormatError as exc:
+            raise ServeError(str(exc)) from exc
+        channel = self._connected()
+        try:
+            channel.send_bytes(blob)
+            reply_kind, reply = decode_frame(channel.recv_bytes())
+        except (TransportError, WireFormatError) as exc:
+            self.close()
+            raise ServeError(
+                f"serve daemon at {self.socket_path} dropped the "
+                f"{kind} request: {exc}") from exc
         if reply_kind == "error":
             raise ServeError(reply.get("error", "serve request failed"))
         if reply_kind != "ok":
@@ -84,9 +110,9 @@ class ServeClient:
         """Submit one job; returns the daemon's job view.
 
         Pass either ``workload`` (a registry name) or ``program`` (a
-        module-level function or an existing program reference, pickled
-        for the wire — closures and lambdas are rejected exactly as the
-        sweep pool rejects them).
+        module-level function or an existing program reference, shipped
+        as its reference — closures and lambdas are rejected exactly as
+        the sweep pool rejects them).
         """
         payload: Dict[str, Any] = {
             "config": (config.to_dict() if config is not None else {}),
@@ -102,8 +128,7 @@ class ServeClient:
                            params=dict(params or {}))
         else:
             from repro.distrib.wire import make_program_ref
-            ref = make_program_ref(program)
-            payload["program_hex"] = pickle.dumps(ref).hex()
+            payload["program"] = make_program_ref(program)
         return self._exchange(("submit", payload))["job"]
 
     def status(self, job_id: str) -> Dict[str, Any]:

@@ -14,15 +14,13 @@
   repeat submission whose key is already stored is answered as
   ``cached`` without simulating.
 
-Two daemon threads run the service: the *pump* (worker supervision and
-result collection; it sleeps in one wait over the fleet's channels,
-the forked children's sentinels and the dial-in listener, and wakes
-only when one of them has something to say) and the *listener*
-(versioned JSON frames from clients over a Unix socket,
-:mod:`repro.serve.protocol`), which assigns or preempts inline when a
-submission or cancellation calls for it.  All shared state is guarded
-by one lock; both threads hold it only for bookkeeping, never across a
-simulation.
+One thread, the *pump*, runs the service and owns all its state.  It
+sleeps in one wait over the fleet's channels, the forked children's
+sentinels, both doors — :class:`~repro.net.listener.NetListener` s on
+the Unix socket clients dial (:mod:`repro.serve.protocol`) and on the
+optional TCP address remote workers dial — and every client's channel,
+and wakes when one of them has something to say: a result, a death, a
+dial-in or a request, answered inline.
 
 Job and worker lifecycle events surface on the telemetry bus as
 ``serve.*`` events — the service's ops stream (``--trace-out``).
@@ -46,8 +44,11 @@ from repro.common.config import (
     SimulationConfig,
     TelemetryConfig,
 )
-from repro.common.errors import ServeError
-from repro.serve import protocol
+from repro.common.errors import ServeError, TransportError
+from repro.distrib.errors import WireFormatError
+from repro.distrib.wire import WIRE_VERSION, decode_frame, encode_frame
+from repro.net.channel import Channel
+from repro.net.listener import NetListener
 from repro.serve.fleet import FleetSlot, wait_for_slots
 from repro.serve.jobs import (
     CACHED,
@@ -63,12 +64,12 @@ from repro.obs.spans import SpanEmitter, mint_trace_id
 from repro.serve.protocol import ServerInfo, SubmitSpec, view_payload
 from repro.serve.store import ResultStore, job_key
 from repro.telemetry.events import EventCategory
-from repro.transport.frames import ConnectionClosed, FrameError
 
-#: Listener accept timeout (also the stop-flag check cadence).
-_ACCEPT_TICK = 0.1
 #: Seconds the pump backs off after a supervision pass raised.
 _CRASH_BACKOFF = 1.0
+#: Seconds a client may stall the pump mid-frame (or leave a reply
+#: unread) before it is dropped.
+_CLIENT_STALL = 0.5
 
 
 class SimServer:
@@ -95,17 +96,18 @@ class SimServer:
         self.jobs: Dict[str, ServeJob] = {}
         self.workers: List[FleetSlot] = []
         self._job_ids = itertools.count(1)
-        self._lock = threading.RLock()
         self._stop = threading.Event()
         #: Self-pipe ``(read, write)`` that wakes the blocked pump.
         self._wake: Optional[tuple] = None
-        self._threads: List[threading.Thread] = []
-        self._listener: Optional[socket.socket] = None
+        self._pump: Optional[threading.Thread] = None
+        #: The client door (Unix socket) and its connected clients.
+        self._listener: Optional[NetListener] = None
+        self._clients: List[Channel] = []
         self._started = False
         #: ``host:port`` for remote ``repro worker --connect`` dial-ins
         #: (``None`` = local fleet only).
         self.listen = listen
-        self._net_listener = None
+        self._net_listener: Optional[NetListener] = None
         self._next_remote_index = 1000
 
         # Ops counters (the ``stats`` verb).
@@ -170,7 +172,7 @@ class SimServer:
     # -- lifecycle ----------------------------------------------------------
 
     def start(self) -> "SimServer":
-        """Bind the socket, fork the fleet, start the service threads.
+        """Bind the doors, fork the fleet, start the pump.
 
         The socket is claimed *first* so a second daemon on the same
         spool fails before forking anything.
@@ -180,14 +182,9 @@ class SimServer:
         self._started = True
         if os.path.exists(self.socket_path):
             self._clear_stale_socket()
-        listener = socket.socket(socket.AF_UNIX, socket.SOCK_STREAM)
-        listener.bind(self.socket_path)
-        listener.listen(16)
-        listener.settimeout(_ACCEPT_TICK)
-        self._listener = listener
+        self._listener = NetListener(self.socket_path, role="serve",
+                                     wire_version=WIRE_VERSION, unix=True)
         if self.listen is not None:
-            from repro.distrib.wire import WIRE_VERSION
-            from repro.net.listener import NetListener
             self._net_listener = NetListener(self.listen, role="serve",
                                              wire_version=WIRE_VERSION)
         self._wake = os.pipe()
@@ -196,12 +193,9 @@ class SimServer:
             self.workers.append(worker)
             self._emit("worker.spawned", {"worker": index,
                                           "pid": worker.channel.proc.pid})
-        for name, target in [["serve-pump", self._pump_loop],
-                             ["serve-listen", self._listen_loop]]:
-            thread = threading.Thread(target=target, name=name,
-                                      daemon=True)
-            thread.start()
-            self._threads.append(thread)
+        self._pump = threading.Thread(target=self._pump_loop,
+                                      name="serve-pump", daemon=True)
+        self._pump.start()
         self._emit("server.started", {"fleet": self.fleet_size,
                                       "socket": self.socket_path})
         return self
@@ -258,7 +252,7 @@ class SimServer:
         return self._stop.wait(timeout)
 
     def stop(self) -> None:
-        """Stop threads, retire the fleet, close the socket and bus.
+        """Stop the pump, retire the fleet, close the doors and bus.
 
         Graceful but immediate: queued jobs stay queued (and are
         reported as such by a later daemon over the same spool's
@@ -266,25 +260,22 @@ class SimServer:
         exit with their workers (terminated after a grace period).
         """
         self.request_stop()
-        for thread in self._threads:
-            thread.join(timeout=5.0)
-        self._threads = []
+        if self._pump is not None:
+            self._pump.join(timeout=5.0)
+            self._pump = None
         wake, self._wake = self._wake, None
         for fd in wake or ():
             os.close(fd)
         for worker in self.workers:
             worker.shutdown()
         self.workers = []
-        if self._listener is not None:
-            try:
-                self._listener.close()
-            finally:
-                self._listener = None
-        if self._net_listener is not None:
-            try:
-                self._net_listener.close()
-            finally:
-                self._net_listener = None
+        for channel in self._clients:
+            channel.close()
+        self._clients = []
+        for door in (self._listener, self._net_listener):
+            if door is not None:
+                door.close()
+        self._listener = self._net_listener = None
         if os.path.exists(self.socket_path):
             try:
                 os.unlink(self.socket_path)
@@ -354,39 +345,34 @@ class SimServer:
                 state["emitter"].end(state[op], op, outcome=outcome)
         state["emitter"].end(state["job"], "job", outcome=outcome)
 
-    # -- submission (shared by socket handler and embedded use) -------------
+    # -- submission ---------------------------------------------------------
 
     def submit(self, config: SimulationConfig, program: Any,
                args: tuple = (), priority: int = 0) -> ServeJob:
         """Admit one job; returns its (possibly already-cached) record."""
         key = job_key(config, program, args)
-        with self._lock:
-            job_id = f"job-{next(self._job_ids):06d}"
-            job = ServeJob(job_id=job_id, key=key,
-                           config=self._job_config(config, job_id),
-                           program=program, args=tuple(args),
-                           priority=int(priority),
-                           seqno=self.queue.next_seqno(),
-                           max_attempts=self.max_attempts)
-            job.trace_id = mint_trace_id(job_id, key)
-            self.jobs[job_id] = job
-            self.submitted += 1
-            self._trace_open(job)
-            if key in self.store:
-                job.state = CACHED
-                self.cache_hits += 1
-                self._emit_job("job.cached", job)
-                self._trace_close(job, "cached")
-            else:
-                self.queue.push(job)
-                self._enqueued_at[job_id] = time.monotonic()
-                self._emit_job("job.submitted", job)
-                self._trace_begin(job, "queue")
-                # The pump sleeps until a worker speaks, so the
-                # submission itself starts or preempts for the job.
-                self._assign_idle_workers()
-                self._consider_preemption()
-            return job
+        job_id = f"job-{next(self._job_ids):06d}"
+        job = ServeJob(job_id=job_id, key=key,
+                       config=self._job_config(config, job_id),
+                       program=program, args=tuple(args),
+                       priority=int(priority),
+                       seqno=self.queue.next_seqno(),
+                       max_attempts=self.max_attempts)
+        job.trace_id = mint_trace_id(job_id, key)
+        self.jobs[job_id] = job
+        self.submitted += 1
+        self._trace_open(job)
+        if key in self.store:
+            job.state = CACHED
+            self.cache_hits += 1
+            self._emit_job("job.cached", job)
+            self._trace_close(job, "cached")
+        else:
+            self.queue.push(job)
+            self._enqueued_at[job_id] = time.monotonic()
+            self._emit_job("job.submitted", job)
+            self._trace_begin(job, "queue")
+        return job
 
     def _job_config(self, config: SimulationConfig,
                     job_id: str) -> SimulationConfig:
@@ -412,9 +398,9 @@ class SimServer:
     # -- the pump: scheduling, supervision, results -------------------------
 
     def _pump_loop(self) -> None:  # pragma: no cover - thread driver
-        also = [self._wake[0]]
+        doors = [self._wake[0], self._listener]
         if self._net_listener is not None:
-            also.append(self._net_listener)
+            doors.append(self._net_listener)
         while not self._stop.is_set():
             try:
                 self.pump_once()
@@ -424,24 +410,28 @@ class SimServer:
                 traceback.print_exc()
                 self._stop.wait(_CRASH_BACKOFF)
                 continue
-            # Sleep until a worker reports or dies, a host dials in or
-            # a stop is requested — or the next metrics sample is due.
+            # Sleep until a worker reports or dies, a client or a host
+            # dials in, a client asks something or a stop is requested
+            # — or the next metrics sample is due.
             timeout = None
             if self._metrics_channel is not None:
                 timeout = max(0.0, self._last_sample + self._metrics_every
                               - time.monotonic())
-            if also[0] in wait_for_slots(self.workers, timeout, also):
-                os.read(also[0], 4096)
+            if doors[0] in wait_for_slots(self.workers, timeout,
+                                          doors + self._clients):
+                os.read(doors[0], 4096)
 
     def pump_once(self) -> None:
-        """One supervision pass (public for deterministic tests)."""
-        with self._lock:
-            self._accept_remote_workers()
-            self._drain_results()
-            self._reap_dead_workers()
-            self._assign_idle_workers()
-            self._consider_preemption()
-            self._sample_metrics()
+        """One pass: results and deaths first, so a request sees them;
+        then the requests, so a submission is scheduled in the same
+        pass (public for deterministic tests)."""
+        self._accept_remote_workers()
+        self._drain_results()
+        self._reap_dead_workers()
+        self._serve_clients()
+        self._assign_idle_workers()
+        self._consider_preemption()
+        self._sample_metrics()
 
     def _release_worker(self, worker: Any) -> None:
         """Utilization bookkeeping when a worker gives up its job."""
@@ -457,16 +447,9 @@ class SimServer:
         """Admit ``repro worker --connect`` dial-ins as fleet slots."""
         if self._net_listener is None:
             return
-        from repro.net.handshake import HandshakeError
-        while True:
-            try:
-                accepted = self._net_listener.accept(0.0)
-            except HandshakeError as exc:
-                self._emit("worker.rejected", {"error": str(exc)})
-                continue
-            if accepted is None:
-                return
-            channel, hello = accepted
+        for channel, hello in self._net_listener.pending(
+                lambda exc: self._emit("worker.rejected",
+                                       {"error": str(exc)})):
             index = self._next_remote_index
             self._next_remote_index += 1
             self.workers.append(FleetSlot(index, channel))
@@ -667,92 +650,88 @@ class SimServer:
         (:func:`repro.obs.prom.render_fleet_metrics`) and the ``repro
         top`` dashboard.
         """
-        with self._lock:
-            states: Dict[str, int] = {}
-            for job in self.jobs.values():
-                states[job.state] = states.get(job.state, 0) + 1
-            busy = sum(1 for worker in self.workers
-                       if worker.job is not None)
-            now = time.monotonic()
-            worker_busy = dict(self._worker_busy)
-            for worker in self.workers:
-                started = self._assigned_at.get(worker.index)
-                if started is not None:
-                    worker_busy[worker.index] = (
-                        worker_busy.get(worker.index, 0.0)
-                        + now - started)
-            return {
-                "uptime_seconds": now - self._started_at,
-                "queue_depth": len(self.queue),
-                "jobs": states,
-                "submitted": self.submitted,
-                "cache_hits": self.cache_hits,
-                "preemptions": self.preemptions,
-                "worker_deaths": self.worker_deaths,
-                "workers": {"busy": busy,
-                            "idle": len(self.workers) - busy},
-                "wait_seconds": {priority: dict(bucket)
-                                 for priority, bucket
-                                 in self._wait_totals.items()},
-                "worker_busy_seconds": worker_busy,
-                "worker_jobs": dict(self._worker_jobs),
-            }
+        states: Dict[str, int] = {}
+        for job in self.jobs.values():
+            states[job.state] = states.get(job.state, 0) + 1
+        busy = sum(1 for worker in self.workers
+                   if worker.job is not None)
+        now = time.monotonic()
+        worker_busy = dict(self._worker_busy)
+        for worker in self.workers:
+            started = self._assigned_at.get(worker.index)
+            if started is not None:
+                worker_busy[worker.index] = (
+                    worker_busy.get(worker.index, 0.0)
+                    + now - started)
+        return {
+            "uptime_seconds": now - self._started_at,
+            "queue_depth": len(self.queue),
+            "jobs": states,
+            "submitted": self.submitted,
+            "cache_hits": self.cache_hits,
+            "preemptions": self.preemptions,
+            "worker_deaths": self.worker_deaths,
+            "workers": {"busy": busy,
+                        "idle": len(self.workers) - busy},
+            "wait_seconds": {priority: dict(bucket)
+                             for priority, bucket
+                             in self._wait_totals.items()},
+            "worker_busy_seconds": worker_busy,
+            "worker_jobs": dict(self._worker_jobs),
+        }
 
-    # -- client verbs (socket handler) --------------------------------------
+    # -- client verbs -------------------------------------------------------
 
-    def _listen_loop(self) -> None:  # pragma: no cover - thread driver
-        while not self._stop.is_set():
-            try:
-                conn, _ = self._listener.accept()
-            except socket.timeout:
-                continue
-            except OSError:
-                return
-            try:
-                self._serve_connection(conn)
-            except Exception:
-                traceback.print_exc()
-            finally:
-                try:
-                    conn.close()
-                except OSError:
-                    pass
+    def _serve_clients(self) -> None:
+        """Admit clients knocking on the Unix door; answer one request
+        from each client that sent one."""
+        for channel, _hello in self._listener.pending(
+                lambda exc: self._emit("client.rejected",
+                                       {"error": str(exc)})):
+            channel.sock.settimeout(_CLIENT_STALL)
+            self._clients.append(channel)
+        for channel in list(self._clients):
+            if channel.poll() and not self._answer(channel):
+                self._clients.remove(channel)
+                channel.close()
+
+    def _answer(self, channel: Channel) -> bool:
+        """Answer one request; ``False`` drops the client (it hung up,
+        stalled past :data:`_CLIENT_STALL`, or broke the framing)."""
+        try:
+            kind, payload = decode_frame(channel.recv_bytes())
+        except (TransportError, WireFormatError) as exc:
+            # A last word (lost on a peer that hung up), then the
+            # channel closes: the stream may no longer be framed.
+            self._reply(channel, ("error", {"error": str(exc)}))
+            return False
+        try:
+            if not isinstance(payload, dict):
+                raise ServeError(f"malformed {kind!r} request: the "
+                                 f"payload is not a dict")
+            reply = self.handle_request(kind, payload)
+        except ServeError as exc:
+            return self._reply(channel, ("error", {"error": str(exc)}))
+        except Exception:  # a daemon bug: on stderr; the pump serves on
+            traceback.print_exc()
+            return False
+        return self._reply(channel, ("ok", reply))
 
     @staticmethod
-    def _reply(conn: socket.socket, frame: tuple) -> None:
-        """Send one ``(kind, payload)`` reply frame tuple (the shape
-        the wire-protocol lint extracts as this role's send sites)."""
-        protocol.send_message(conn, frame[0], frame[1])
-
-    def _serve_connection(self, conn: socket.socket) -> None:
-        """Handle request frames until the client closes."""
-        conn.settimeout(30.0)
-        while True:
-            try:
-                message = protocol.try_recv_message(conn)
-            except (ConnectionClosed, OSError):
-                return  # hung up mid-frame, or idle past the timeout
-            except (ServeError, FrameError) as exc:
-                self._reply(conn, ("error", {"error": str(exc)}))
-                return
-            if message is None:
-                return
-            kind, payload = message
-            try:
-                reply = self.handle_request(kind, payload)
-            except ServeError as exc:
-                self._reply(conn, ("error", {"error": str(exc)}))
-                continue
-            self._reply(conn, ("ok", reply))
-            if kind == "shutdown":
-                return
+    def _reply(channel: Channel, frame: tuple) -> bool:
+        """Send one ``(kind, payload)`` reply; ``False`` if the client
+        is gone."""
+        try:
+            channel.send_bytes(encode_frame(*frame))
+        except (TransportError, WireFormatError):
+            return False
+        return True
 
     def handle_request(self, kind: str,
                        payload: Dict[str, Any]) -> Dict[str, Any]:
         """Dispatch one client verb; returns the ``ok`` payload."""
         if kind == "ping":
-            return {"protocol": protocol.WIRE_VERSION,
-                    "fleet": self.fleet_size}
+            return {"protocol": WIRE_VERSION, "fleet": self.fleet_size}
         if kind == "submit":
             return self._handle_submit(payload)
         if kind == "status":
@@ -762,9 +741,8 @@ class SimServer:
         if kind == "cancel":
             return self._handle_cancel(payload)
         if kind == "list":
-            with self._lock:
-                return {"jobs": [view_payload(job.view())
-                                 for job in self.jobs.values()]}
+            return {"jobs": [view_payload(job.view())
+                             for job in self.jobs.values()]}
         if kind == "stats":
             return {"stats": view_payload(self._stats())}
         if kind == "metrics":
@@ -779,8 +757,7 @@ class SimServer:
 
     def _job(self, payload: Dict[str, Any]) -> ServeJob:
         job_id = payload.get("job_id")
-        with self._lock:
-            job = self.jobs.get(job_id)
+        job = self.jobs.get(job_id)
         if job is None:
             raise ServeError(f"unknown job {job_id!r}")
         return job
@@ -803,9 +780,9 @@ class SimServer:
     def _resolve_program(self, spec: SubmitSpec,
                          config: SimulationConfig) -> Any:
         from repro.distrib.wire import WorkloadRef
-        if (spec.workload is None) == (spec.program_hex is None):
+        if (spec.workload is None) == (spec.program is None):
             raise ServeError("submit needs exactly one of workload or "
-                             "program_hex")
+                             "program")
         if spec.workload is not None:
             from repro.workloads import WORKLOADS
             if spec.workload not in WORKLOADS:
@@ -814,16 +791,11 @@ class SimServer:
             nthreads = spec.nthreads or config.num_tiles
             return WorkloadRef(spec.workload, nthreads, spec.scale,
                                dict(spec.params))
-        import pickle
-        try:
-            ref = pickle.loads(bytes.fromhex(spec.program_hex))
-        except Exception as exc:
-            raise ServeError(f"bad program_hex: {exc}") from exc
-        if not hasattr(ref, "resolve"):
+        if not hasattr(spec.program, "resolve"):
             raise ServeError(
-                "program_hex must decode to a program reference "
-                "(WorkloadRef or PickledProgram)")
-        return ref
+                "program must be a program reference (WorkloadRef or "
+                "PickledProgram)")
+        return spec.program
 
     def _handle_fetch(self, payload: Dict[str, Any]) -> Dict[str, Any]:
         job = self._job(payload)
@@ -840,31 +812,29 @@ class SimServer:
 
     def _handle_cancel(self, payload: Dict[str, Any]) -> Dict[str, Any]:
         job = self._job(payload)
-        with self._lock:
-            if job.finished:
-                raise ServeError(
-                    f"job {job.job_id} already {job.state}")
-            if job.state in (QUEUED, PREEMPTED):
-                self.queue.remove(job.job_id)
-                job.state = FAILED
-                job.error = "cancelled by client"
-                self._emit_job("job.failed", job, {"cancelled": True})
-                self._trace_close(job, "cancelled")
-            else:  # running: cancellation rides the preemption path
-                job.cancel_requested = True
-                for worker in self.workers:
-                    if worker.job is job and not worker.preempt_pending:
-                        worker.preempt()
-            return {"job": view_payload(job.view())}
+        if job.finished:
+            raise ServeError(
+                f"job {job.job_id} already {job.state}")
+        if job.state in (QUEUED, PREEMPTED):
+            self.queue.remove(job.job_id)
+            job.state = FAILED
+            job.error = "cancelled by client"
+            self._emit_job("job.failed", job, {"cancelled": True})
+            self._trace_close(job, "cancelled")
+        else:  # running: cancellation rides the preemption path
+            job.cancel_requested = True
+            for worker in self.workers:
+                if worker.job is job and not worker.preempt_pending:
+                    worker.preempt()
+        return {"job": view_payload(job.view())}
 
     def _stats(self) -> ServerInfo:
-        with self._lock:
-            states: Dict[str, int] = {}
-            for job in self.jobs.values():
-                states[job.state] = states.get(job.state, 0) + 1
-            return ServerInfo(
-                protocol=protocol.WIRE_VERSION, fleet=self.fleet_size,
-                states=states, submitted=self.submitted,
-                cache_hits=self.cache_hits,
-                preemptions=self.preemptions,
-                worker_deaths=self.worker_deaths)
+        states: Dict[str, int] = {}
+        for job in self.jobs.values():
+            states[job.state] = states.get(job.state, 0) + 1
+        return ServerInfo(
+            protocol=WIRE_VERSION, fleet=self.fleet_size,
+            states=states, submitted=self.submitted,
+            cache_hits=self.cache_hits,
+            preemptions=self.preemptions,
+            worker_deaths=self.worker_deaths)

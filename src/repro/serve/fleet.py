@@ -4,11 +4,12 @@ Every process that runs whole simulations on someone else's behalf —
 the serve daemon's forked workers, its ``repro worker --connect``
 dial-ins and the sweep pool's children — is a :class:`FleetSlot` on the
 supervisor's side and :func:`run_fleet_child` on its own, speaking four
-pickled verb tuples over one :class:`~repro.net.channel.Channel`
+verbs over one :class:`~repro.net.channel.Channel` in the one
+``(kind, payload)`` envelope of :mod:`repro.distrib.wire`
 (``check/wire_proto.json``, roles ``serve_daemon`` / ``serve_remote``):
-``("job", item)``, ``("preempt",)`` and ``("shutdown",)`` down,
-``("result", (job_id, status, payload))`` up, where status is ``ok``
-(payload: the :class:`~repro.sim.results.SimulationResult`),
+``("job", item)``, ``("preempt", None)`` and ``("shutdown", None)``
+down, ``("result", (job_id, status, payload))`` up, where status is
+``ok`` (payload: the :class:`~repro.sim.results.SimulationResult`),
 ``preempted`` (the checkpoint directory to resume from) or ``failed``
 (the traceback).  A forked child gets a
 :class:`~repro.net.channel.PipeChannel`, a dial-in a
@@ -33,6 +34,7 @@ import pickle
 import traceback
 from typing import Any, Callable, Iterable, List, Optional, Sequence
 
+from repro.distrib.wire import decode_frame, encode_frame
 from repro.net.channel import (
     Channel,
     ChannelClosedError,
@@ -41,19 +43,18 @@ from repro.net.channel import (
 )
 from repro.serve.worker import JobPreempted, run_job
 
-#: Pickle protocol for fleet frames: pinned (the distrib wire takes
-#: ``HIGHEST_PROTOCOL``), so a dial-in under another Python reads them.
-_PICKLE_PROTOCOL = 4
 #: Seconds allowed for orderly worker shutdown before termination.
 _SHUTDOWN_GRACE = 2.0
 
 
-def _send(channel: Channel, payload: tuple) -> None:
-    channel.send_bytes(pickle.dumps(payload, protocol=_PICKLE_PROTOCOL))
-
-
-def _recv(channel: Channel) -> tuple:
-    return pickle.loads(channel.recv_bytes())
+def _post(channel: Channel, frame: tuple) -> None:
+    """Best-effort send of one ``(verb, payload)`` frame tuple: a peer
+    that died under it is found by the next wait or read on the
+    channel, not here."""
+    try:
+        channel.send_bytes(encode_frame(*frame))
+    except ChannelClosedError:
+        pass
 
 
 class FleetSlot:
@@ -114,25 +115,17 @@ class FleetSlot:
         return [self.channel.fileno()] + (
             [proc.sentinel] if proc is not None else [])
 
-    def _post(self, frame: tuple) -> None:
-        """Best-effort send: a peer that died under it is found (and
-        its job requeued) through :meth:`alive`, not here."""
-        try:
-            _send(self.channel, frame)
-        except ChannelClosedError:
-            pass
-
     def assign(self, job: Any, item: tuple) -> None:
         """Start ``item`` — ``(job_id, config, program, args,
         resume_dir)`` — on this idle worker, tracked as ``job``."""
         self.job = job
         self.preempt_pending = False
-        self._post(("job", item))
+        _post(self.channel, ("job", item))
 
     def preempt(self) -> None:
         """Ask the running job to checkpoint off at its next quantum."""
         self.preempt_pending = True
-        self._post(("preempt",))
+        _post(self.channel, ("preempt", None))
 
     def take_result(self) -> Optional[tuple]:
         """The finished job's ``(job_id, status, payload)``, freeing
@@ -140,7 +133,7 @@ class FleetSlot:
         try:
             if not self.channel.poll():
                 return None
-            kind, payload = _recv(self.channel)
+            kind, payload = decode_frame(self.channel.recv_bytes())
         except ChannelClosedError:
             return None  # death: the supervisor's alive() pass sees it
         if kind != "result":
@@ -153,7 +146,7 @@ class FleetSlot:
     def shutdown(self, grace: float = _SHUTDOWN_GRACE) -> None:
         """Ask the worker to stop (mid-job: checkpoint off and exit);
         a forked child still running after ``grace`` is terminated."""
-        self._post(("shutdown",))
+        _post(self.channel, ("shutdown", None))
         proc = self.channel.proc
         if proc is not None:
             proc.join(timeout=grace)
@@ -193,7 +186,7 @@ class _ChannelPreemptFlag:
 
     def is_set(self) -> bool:
         while not self._set and self._channel.poll(0.0):
-            kind = _recv(self._channel)[0]
+            kind = decode_frame(self._channel.recv_bytes())[0]
             if kind == "shutdown":
                 self.stopped = True
             elif kind != "preempt":  # pragma: no cover - supervisor bug
@@ -207,9 +200,9 @@ class _ChannelPreemptFlag:
     def next_job(self) -> Optional[tuple]:
         """Block for the next assignment; ``None`` means shut down."""
         while not self.stopped:
-            kind, *rest = _recv(self._channel)
+            kind, payload = decode_frame(self._channel.recv_bytes())
             if kind == "job":
-                return rest[0]
+                return payload
             if kind == "shutdown":
                 break
             # A stale preempt aimed at the job we just finished.
@@ -229,7 +222,7 @@ def run_fleet_child(channel: Channel, ops: Any = None) -> None:
     def report(name, job_id, trace, status, payload, **extra):
         if ops is not None:
             ops.emit(name, None, 0, dict(extra, job=job_id, trace=trace))
-        _send(channel, ("result", (job_id, status, payload)))
+        _post(channel, ("result", (job_id, status, payload)))
 
     try:
         while True:

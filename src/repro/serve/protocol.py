@@ -1,44 +1,18 @@
-"""The serve client/daemon wire protocol: versioned JSON frames.
+"""The serve client/daemon protocol: its payload schema and job states.
 
-Every exchange on the service socket is one request frame up, one
-reply frame down.  A frame is UTF-8 JSON ``{"v": WIRE_VERSION,
-"kind": ..., "payload": {...}}`` carried over the length-prefixed
-byte framing of :mod:`repro.transport.frames`; the version travels in
-every frame so a client and daemon from different checkouts fail
-loudly at the first exchange instead of misreading each other.
-
-The dataclasses below are the protocol's *schema*: every field is a
-plain JSON-representable type, enforced by the W001 wire-safety lint,
-and any field change requires a ``WIRE_VERSION`` bump (tracked by the
-fingerprint manifest in ``check/wire_schema.json``, refreshed with
-``repro check --accept-wire-schema`` — exactly the drift gate the
-pickle wire of :mod:`repro.distrib.wire` already lives under).
+After the :mod:`repro.net.handshake` on the daemon's Unix socket, every
+exchange is one request frame up, one reply frame down: ``(verb,
+payload)`` in the envelope of :mod:`repro.distrib.wire`.  The verbs are
+``check/wire_proto.json``'s ``serve_client`` / ``serve_api`` roles; the
+dataclasses below are the payload schema, under the one
+``WIRE_VERSION`` and its W001 fingerprint (``check/wire_schema.json``).
 """
 
 from __future__ import annotations
 
 import dataclasses
-import json
-import socket
 from dataclasses import dataclass, field
-from typing import Any, Dict, List, Optional, Tuple
-
-from repro.common.errors import ServeError
-from repro.transport.frames import recv_frame, send_frame, try_recv_frame
-
-#: Bump on any incompatible change to frame payloads or the
-#: dataclasses below.  v1: submit/status/fetch/cancel/list/stats/
-#: ping/shutdown verbs, six job states, content-addressed fetch.
-#: v2: ``metrics`` verb (live fleet metrics, :mod:`repro.obs`) and
-#: the ``trace_id`` span-context field on :class:`JobView`.
-WIRE_VERSION = 2
-
-#: Client -> daemon request verbs.
-REQUEST_KINDS = ("ping", "submit", "status", "fetch", "cancel", "list",
-                 "stats", "metrics", "shutdown")
-
-#: Daemon -> client reply kinds.
-REPLY_KINDS = ("ok", "error")
+from typing import Any, Dict, List, Optional
 
 #: The job lifecycle surfaced to clients and the telemetry ops stream:
 #: ``queued`` (waiting for a worker), ``running`` (on a worker),
@@ -58,8 +32,9 @@ class SubmitSpec:
     """One job submission, as carried in a ``submit`` payload.
 
     Exactly one of ``workload`` (a registry name, rebuilt daemon-side
-    as a :class:`~repro.distrib.wire.WorkloadRef`) or ``program_hex``
-    (a hex-encoded pickled module-level function) names the program.
+    as a :class:`~repro.distrib.wire.WorkloadRef`) or ``program`` (a
+    program reference: anything with ``resolve()``, e.g. a
+    :class:`~repro.distrib.wire.PickledProgram`) names the program.
     ``config`` is a :meth:`~repro.common.config.SimulationConfig.
     to_dict` tree; omitted sections take defaults.
     """
@@ -69,7 +44,7 @@ class SubmitSpec:
     nthreads: int = 0
     scale: float = 1.0
     params: Dict[str, Any] = field(default_factory=dict)
-    program_hex: Optional[str] = None
+    program: Any = None
     args: List[Any] = field(default_factory=list)
     priority: int = 0
 
@@ -107,54 +82,3 @@ class ServerInfo:
 def view_payload(view: Any) -> Dict[str, Any]:
     """Flatten a protocol dataclass into a frame payload dict."""
     return dataclasses.asdict(view)
-
-
-def encode_frame(kind: str, payload: Dict[str, Any]) -> bytes:
-    """Serialize one protocol frame to canonical JSON bytes."""
-    try:
-        return json.dumps(
-            {"v": WIRE_VERSION, "kind": kind, "payload": payload},
-            sort_keys=True, separators=(",", ":")).encode("utf-8")
-    except (TypeError, ValueError) as exc:
-        raise ServeError(
-            f"cannot encode {kind} frame: {exc}") from exc
-
-
-def decode_frame(blob: bytes) -> Tuple[str, Dict[str, Any]]:
-    """Parse one protocol frame; fails loudly on version mismatch."""
-    try:
-        data = json.loads(blob.decode("utf-8"))
-    except (UnicodeDecodeError, ValueError) as exc:
-        raise ServeError(f"undecodable serve frame: {exc}") from exc
-    if not isinstance(data, dict) or "v" not in data:
-        raise ServeError("malformed serve frame: no version field")
-    if data["v"] != WIRE_VERSION:
-        raise ServeError(
-            f"serve protocol version mismatch: got {data['v']!r}, "
-            f"expected {WIRE_VERSION}")
-    kind = data.get("kind")
-    payload = data.get("payload")
-    if not isinstance(kind, str):
-        raise ServeError("malformed serve frame: no kind field")
-    if not isinstance(payload, dict):
-        raise ServeError("malformed serve frame: payload must be an "
-                         "object")
-    return kind, payload
-
-
-def send_message(sock: socket.socket, kind: str,
-                 payload: Dict[str, Any]) -> None:
-    """Encode and send one frame on ``sock``."""
-    send_frame(sock, encode_frame(kind, payload))
-
-
-def recv_message(sock: socket.socket) -> Tuple[str, Dict[str, Any]]:
-    """Receive and decode one frame from ``sock`` (blocking)."""
-    return decode_frame(recv_frame(sock))
-
-
-def try_recv_message(
-        sock: socket.socket) -> Optional[Tuple[str, Dict[str, Any]]]:
-    """Like :func:`recv_message`, ``None`` on clean peer close."""
-    blob = try_recv_frame(sock)
-    return None if blob is None else decode_frame(blob)

@@ -1,19 +1,17 @@
 """Length-prefixed byte framing over stream sockets.
 
-The byte-level building block under every socket-borne protocol in the
-repo: the serve client/daemon channel today (:mod:`repro.serve.
-protocol`), the multi-host TCP transport tomorrow.  A frame is a
-4-byte big-endian length followed by that many payload bytes; the
-framing layer moves opaque ``bytes`` and knows nothing about what they
-encode — schema and versioning live with the protocol that owns the
-payload.
+The byte-level building block under every socket-borne channel in the
+repo (:class:`repro.net.channel.TcpChannel`, over TCP or a Unix
+socket, and the handshake before it).  A frame is a 4-byte big-endian
+length followed by that many payload bytes; the framing layer moves
+opaque ``bytes`` and knows nothing about what they encode — schema and
+versioning live with :mod:`repro.distrib.wire`.
 """
 
 from __future__ import annotations
 
 import socket
 import struct
-from typing import Optional
 
 from repro.common.errors import TransportError
 
@@ -62,30 +60,11 @@ def recv_exact(sock: socket.socket, count: int) -> bytes:
     return b"".join(chunks)
 
 
-def _frame_body(sock: socket.socket, header: bytes) -> bytes:
-    length = _LENGTH.unpack(header)[0]
+def recv_frame(sock: socket.socket) -> bytes:
+    """Read one length-prefixed frame (blocking)."""
+    length = _LENGTH.unpack(recv_exact(sock, _LENGTH.size))[0]
     if length > MAX_FRAME_BYTES:
         raise FrameError(
             f"incoming frame claims {length} bytes, over the "
             f"{MAX_FRAME_BYTES}-byte limit")
     return recv_exact(sock, length) if length else b""
-
-
-def recv_frame(sock: socket.socket) -> bytes:
-    """Read one length-prefixed frame (blocking)."""
-    return _frame_body(sock, recv_exact(sock, _LENGTH.size))
-
-
-def try_recv_frame(sock: socket.socket) -> Optional[bytes]:
-    """Like :func:`recv_frame`, but ``None`` on a clean pre-frame EOF.
-
-    A peer that closes between frames (a client done with its
-    request/reply exchange) is normal protocol flow, not an error; a
-    close *inside* a frame still raises :class:`ConnectionClosed`.
-    """
-    first = sock.recv(_LENGTH.size)
-    if not first:
-        return None
-    header = first if len(first) == _LENGTH.size else \
-        first + recv_exact(sock, _LENGTH.size - len(first))
-    return _frame_body(sock, header)

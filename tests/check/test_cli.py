@@ -105,10 +105,14 @@ def test_github_format_escapes_newlines(capsys):
 
 def test_accept_wire_schema_reports_each_record(capsys):
     # The committed manifest is current, so accepting it again must
-    # be a no-op that says so for every wire module.
-    code = main(["check", "--accept-wire-schema"])
-    assert code == 0
+    # be a no-op; the one record it reports covers every wire module.
+    from repro.check.lint import _SCHEMA_PATH
+    committed = _SCHEMA_PATH.read_text()
+    record = json.loads(committed)
+    assert set(record) == {"wire_version", "fingerprint"}
+    assert main(["check", "--accept-wire-schema"]) == 0
     out = capsys.readouterr().out
-    assert "wire (distrib/wire.py): unchanged" in out
-    assert "serve (serve/protocol.py): unchanged" in out
-    assert "net (net/handshake.py): unchanged" in out
+    assert f"v{record['wire_version']} {record['fingerprint']}" in out
+    assert main(["check", "--accept-wire-schema", "--json"]) == 0
+    assert json.loads(capsys.readouterr().out) == record
+    assert _SCHEMA_PATH.read_text() == committed

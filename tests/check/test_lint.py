@@ -254,29 +254,17 @@ class TestRealTree:
         assert findings == [], "\n".join(f.render() for f in findings)
 
     def test_recorded_schema_matches_real_wire_module(self):
-        """The committed wire_schema.json must pin every wire module as
-        it is today — the refresh after a version bump is mandatory."""
+        """The committed wire_schema.json must pin the wire as it is
+        today — the refresh after a version bump is mandatory."""
         import json
         root = package_root()
         wire_path = root / "distrib" / "wire.py"
         fingerprint, version = wire_fingerprint(
             ast.parse(wire_path.read_text()), wire_siblings(wire_path))
-        serve_tree = ast.parse(
-            (root / "serve" / "protocol.py").read_text())
-        serve_fingerprint, serve_version = wire_fingerprint(serve_tree)
-        net_tree = ast.parse(
-            (root / "net" / "handshake.py").read_text())
-        net_fingerprint, net_version = wire_fingerprint(net_tree)
         recorded = json.loads(
             (root / "check" / "wire_schema.json").read_text())
-        assert recorded == {
-            "wire_version": version,
-            "fingerprint": fingerprint,
-            "serve": {"wire_version": serve_version,
-                      "fingerprint": serve_fingerprint},
-            "net": {"wire_version": net_version,
-                    "fingerprint": net_fingerprint},
-        }
+        assert recorded == {"wire_version": version,
+                            "fingerprint": fingerprint}
 
     def test_real_wire_drift_still_fails(self, tmp_path):
         """Guard the guard: against a stale recorded schema, W001 must
@@ -293,68 +281,57 @@ class TestRealTree:
         findings = check_wire_manifest(tree, str(wire_path), stale)
         assert [f.rule for f in findings] == ["W001"]
 
+    @staticmethod
+    def _edited_wire(tmp_path, rel: str, old: str, new: str) -> list:
+        """W001 findings on ``distrib/wire.py`` of a package copy in
+        which ``rel`` had ``old`` replaced by ``new``."""
+        import shutil
+        root = tmp_path / "repro"
+        for package in ("distrib", "serve", "net"):
+            shutil.copytree(package_root() / package, root / package)
+        edited = root / rel
+        source = edited.read_text()
+        assert source.count(old) == 1
+        edited.write_text(source.replace(old, new))
+        wire_path = root / "distrib" / "wire.py"
+        return check_wire_manifest(ast.parse(wire_path.read_text()),
+                                   str(wire_path))
+
     def test_serve_protocol_drift_still_fails(self, tmp_path):
-        """Same guard for the serve JSON protocol: a stale nested
-        record must flag the real serve/protocol.py module."""
-        import json
-        root = package_root()
-        proto_path = root / "serve" / "protocol.py"
-        tree = ast.parse(proto_path.read_text())
-        _, version = wire_fingerprint(tree)
-        stale = tmp_path / "schema.json"
-        stale.write_text(json.dumps({
-            "wire_version": 99, "fingerprint": "f" * 16,
-            "serve": {"wire_version": version,
-                      "fingerprint": "0" * 16}}))
-        findings = check_wire_manifest(tree, str(proto_path), stale,
-                                       record_key="serve")
+        """The serve payload dataclasses are under the one record: a
+        field change there without a bump flags the wire."""
+        findings = self._edited_wire(
+            tmp_path, "serve/protocol.py", '    trace_id: str = ""\n', "")
         assert [f.rule for f in findings] == ["W001"]
         assert "bump WIRE_VERSION" in findings[0].message
 
     def test_net_handshake_drift_still_fails(self, tmp_path):
-        """Same guard for the net handshake frames: a stale nested
-        record must flag the real net/handshake.py module."""
-        import json
-        root = package_root()
-        hs_path = root / "net" / "handshake.py"
-        tree = ast.parse(hs_path.read_text())
-        _, version = wire_fingerprint(tree)
-        stale = tmp_path / "schema.json"
-        stale.write_text(json.dumps({
-            "wire_version": 99, "fingerprint": "f" * 16,
-            "net": {"wire_version": version,
-                    "fingerprint": "0" * 16}}))
-        findings = check_wire_manifest(tree, str(hs_path), stale,
-                                       record_key="net")
+        """Same guard for the net handshake frames."""
+        findings = self._edited_wire(
+            tmp_path, "net/handshake.py", '    trace: str = ""\n', "")
         assert [f.rule for f in findings] == ["W001"]
         assert "bump WIRE_VERSION" in findings[0].message
 
-    def test_missing_serve_record_is_flagged(self, tmp_path):
-        import json
-        root = package_root()
-        proto_path = root / "serve" / "protocol.py"
-        tree = ast.parse(proto_path.read_text())
-        stale = tmp_path / "schema.json"
-        stale.write_text(json.dumps(
-            {"wire_version": 4, "fingerprint": "0" * 16}))
-        findings = check_wire_manifest(tree, str(proto_path), stale,
-                                       record_key="serve")
-        assert [f.rule for f in findings] == ["W001"]
-        assert "no 'serve' record" in findings[0].message
-
     def test_accept_wire_schema_records_both_modules(self, tmp_path):
+        """One record, and it covers the serve and net modules: a
+        field change in either moves the accepted fingerprint."""
         import json
+        import shutil
         from repro.check.lint import accept_wire_schema
-        schema = tmp_path / "schema.json"
-        record = accept_wire_schema(schema_path=schema)
-        on_disk = json.loads(schema.read_text())
-        assert on_disk == record
-        assert {"wire_version", "fingerprint", "serve", "net"} \
-            <= set(record)
-        assert {"wire_version", "fingerprint"} \
-            == set(record["serve"])
-        assert {"wire_version", "fingerprint"} \
-            == set(record["net"])
+        record = accept_wire_schema(schema_path=tmp_path / "schema.json")
+        assert json.loads((tmp_path / "schema.json").read_text()) == record
+        assert set(record) == {"wire_version", "fingerprint"}
+        for rel, field in (("serve/protocol.py", '    trace_id: str = ""\n'),
+                           ("net/handshake.py", '    trace: str = ""\n')):
+            root = tmp_path / rel.replace("/", "_") / "repro"
+            for package in ("distrib", "serve", "net"):
+                shutil.copytree(package_root() / package, root / package)
+            edited = root / rel
+            edited.write_text(edited.read_text().replace(field, ""))
+            moved = accept_wire_schema(root=root,
+                                       schema_path=tmp_path / "moved.json")
+            assert moved["wire_version"] == record["wire_version"]
+            assert moved["fingerprint"] != record["fingerprint"], rel
 
     def test_lint_paths_recurses_directories(self):
         findings = lint_paths([FIXTURES])
@@ -363,21 +340,18 @@ class TestRealTree:
 
 
 class TestSchemaManifest:
-    """W001 drift guards on the two wires a simulation crosses, taken
-    through ``check_wire_manifest`` as ``repro check`` takes them."""
-
-    def _check(self, rel: str, record_key) -> list:
-        path = package_root() / rel
-        tree = ast.parse(path.read_text())
-        return check_wire_manifest(tree, str(path),
-                                   record_key=record_key)
+    """W001 drift guards on the one wire, taken through
+    ``check_wire_manifest`` as ``repro check`` takes them."""
 
     def test_shipped_manifest_is_current(self):
         """The checked-in wire_schema.json matches the live modules —
         i.e. the last frame or handshake change was accepted via
         ``repro check --accept-wire-schema``."""
-        assert self._check("distrib/wire.py", None) == []
-        assert self._check("net/handshake.py", "net") == []
+        path = package_root() / "distrib" / "wire.py"
+        assert check_wire_manifest(ast.parse(path.read_text()),
+                                   str(path)) == []
+        for rel in ("serve/protocol.py", "net/handshake.py"):
+            assert lint_file(package_root() / rel) == [], rel
 
     def test_trace_field_is_fingerprinted(self):
         """Removing ``Welcome.trace`` must change the net fingerprint:
@@ -397,17 +371,13 @@ class TestSchemaManifest:
         stale = tmp_path / "schema.json"
         stale.write_text(json.dumps(
             {"wire_version": version, "fingerprint": "0" * 16}))
-        findings = check_wire_manifest(tree, str(path), stale,
-                                       record_key=None)
+        findings = check_wire_manifest(tree, str(path), stale)
         assert [finding.rule for finding in findings] == ["W001"]
 
     def test_accept_then_check_clean(self, tmp_path):
         from repro.check.lint import accept_wire_schema
         schema = tmp_path / "schema.json"
         accept_wire_schema(schema_path=schema)
-        for rel, key in (("distrib/wire.py", None),
-                         ("net/handshake.py", "net")):
-            path = package_root() / rel
-            tree = ast.parse(path.read_text())
-            assert check_wire_manifest(tree, str(path), schema,
-                                       record_key=key) == []
+        path = package_root() / "distrib" / "wire.py"
+        assert check_wire_manifest(ast.parse(path.read_text()), str(path),
+                                   schema) == []

@@ -7,6 +7,7 @@ never a hang, never a bare builtin.
 
 from __future__ import annotations
 
+import contextlib
 import os
 import signal
 import socket
@@ -22,7 +23,7 @@ from repro.distrib.wire import WIRE_VERSION, FrameKind
 from repro.host.cluster import ClusterLayout
 from repro.net.handshake import HandshakeError
 from repro.net.listener import connect_worker
-from repro.transport.frames import recv_frame
+from repro.transport.frames import send_frame
 
 
 def _dial_with_retry(port: int, wire_version: int, deadline: float = 10.0):
@@ -38,6 +39,14 @@ def _dial_with_retry(port: int, wire_version: int, deadline: float = 10.0):
                     time.monotonic() > stop:
                 raise
             time.sleep(0.02)
+
+
+@contextlib.contextmanager
+def _rogue(port: int, hello: bytes):
+    """A raw dial-in whose opening handshake frame is ``hello``."""
+    with socket.create_connection(("127.0.0.1", port), timeout=5.0) as sock:
+        send_frame(sock, hello)
+        yield sock
 
 
 def _free_port() -> int:
@@ -150,6 +159,9 @@ def test_mid_run_join_rejects_mismatched_peer_without_dying():
             connect_worker(f"127.0.0.1:{port}", WIRE_VERSION + 7,
                            timeout=10.0)
         assert cluster.poll_joins() == []
+        # Valid JSON that is no handshake frame is rejected the same way.
+        with _rogue(port, b"5"):
+            assert cluster.poll_joins() == []
         assert cluster.workers() == [0, 1]
         stats = cluster.collect_stats()
         assert len(stats) == 2
@@ -185,3 +197,42 @@ def test_mid_run_join_registers_a_tileless_worker():
         assert joined["welcome"].config_fingerprint == \
             cfg.content_hash()
         cluster._active[2] = False  # joiner hung up; skip its SHUTDOWN
+
+
+def test_rogue_dial_ins_mid_run_leave_the_result_byte_identical():
+    """Dial-ins that fail the handshake mid-run — a peer one version
+    ahead, a frame that is JSON but no object — are skipped at the
+    quantum boundary; the run finishes byte-identical to inproc."""
+    from repro.distrib.wire import WorkloadRef
+    from repro.net.handshake import Hello, encode_handshake
+    from repro.serve.store import canonical_result_bytes
+    from repro.sim.runner import create_simulator
+    from repro.sim.simulator import Simulator
+
+    ref = WorkloadRef("matrix_multiply", nthreads=4, scale=0.05)
+    inproc = _config("pipe")
+    inproc.distrib.backend = "inproc"
+    port = _free_port()
+    cfg = _config("tcp", listen=f"127.0.0.1:{port}")
+    cfg.distrib.backend = "mp"
+    cfg.host.quantum_instructions = 200
+    inproc.host.quantum_instructions = 200
+    ahead = encode_handshake(Hello(role="worker",
+                                   wire_version=WIRE_VERSION + 1, pid=1,
+                                   host="rogue"))
+    sim = create_simulator(cfg)
+    turns = {"n": 0}
+
+    def _rogues_then_net(scheduler):
+        turns["n"] += 1
+        if turns["n"] == 2:
+            with _rogue(port, ahead), _rogue(port, b"5"):
+                sim._net_stage(scheduler)
+            return
+        sim._net_stage(scheduler)
+
+    sim.scheduler.set_stage("net", 1, _rogues_then_net)
+    result = sim.run(ref)
+    assert turns["n"] > 2
+    assert canonical_result_bytes(result) == canonical_result_bytes(
+        Simulator(inproc).run(ref))

@@ -138,26 +138,15 @@ def test_frame_roundtrip(kind, payload):
     assert decoded == payload
 
 
-def test_frame_version_mismatch_rejected():
-    blob = pickle.dumps((WIRE_VERSION + 1, FrameKind.HELLO.value, None))
-    with pytest.raises(WireFormatError, match="version"):
-        decode_frame(blob)
-
-
 def test_previous_wire_version_is_refused_at_both_gates():
-    """v10 gave RUN_QUANTUM a fifth field (the mode) and dropped a
-    frame kind: a v9 peer must be turned away by the per-frame check
-    and, over TCP, already by the handshake (whose error type is its
-    own — :mod:`repro.net` imports nothing from distrib)."""
+    """Frames carry no version: a peer one ``WIRE_VERSION`` behind is
+    turned away by the handshake, before any pickle is read, and both
+    gates — the dialer's and the coordinator listener's — raise a typed
+    error naming both versions.  (The serve daemon's two doors:
+    ``tests/serve/test_protocol.py``.)"""
     import threading
     from repro.net.handshake import HandshakeError
     from repro.net.listener import NetListener, connect_worker
-
-    assert WIRE_VERSION == 10
-    stale = pickle.dumps((9, FrameKind.RUN_QUANTUM.value,
-                          (0, 200, None, [])))
-    with pytest.raises(WireFormatError, match="got 9, expected 10"):
-        decode_frame(stale)
 
     listener = NetListener("127.0.0.1:0", role="coordinator",
                            wire_version=WIRE_VERSION)
@@ -172,39 +161,50 @@ def test_previous_wire_version_is_refused_at_both_gates():
     thread = threading.Thread(target=accept)
     thread.start()
     try:
-        with pytest.raises(HandshakeError, match="v9"):
-            connect_worker(listener.address, wire_version=9, timeout=5.0)
+        with pytest.raises(HandshakeError, match="wire mismatch") as dialer:
+            connect_worker(listener.address, WIRE_VERSION - 1, timeout=5.0)
     finally:
         thread.join(timeout=10.0)
         listener.close()
     assert not thread.is_alive()
-    assert len(refused) == 1 and "v9" in str(refused[0])
+    assert len(refused) == 1
+    for exc in (dialer.value, refused[0]):
+        assert f"v{WIRE_VERSION - 1}" in str(exc)
+        assert f"v{WIRE_VERSION}" in str(exc)
 
 
 def test_kernel_dispatch_change_without_bump_is_w001(tmp_path):
-    """The handler tables and the tuple arity of the quantum loop's
-    frames are wire schema: reshaping either under the committed
-    ``WIRE_VERSION`` is a W001 finding on ``distrib/wire.py``."""
+    """The handler tables and the payload shapes of the frames either
+    wire builds — the quantum loop's ``FrameKind`` tuples, the fleet's
+    and the serve client's ``(verb, payload)`` tuples — are wire
+    schema: reshaping one under the committed ``WIRE_VERSION`` is a
+    W001 finding on ``distrib/wire.py``."""
     import shutil
     from repro.check.lint import lint_file, package_root
 
     def w001(case: str, edit_file: str, old: str, new: str) -> list:
         root = tmp_path / case / "repro"
-        shutil.copytree(package_root() / "distrib", root / "distrib")
-        edited = root / "distrib" / edit_file
+        for package in ("distrib", "serve", "net"):
+            shutil.copytree(package_root() / package, root / package)
+        edited = root / edit_file
         source = edited.read_text()
         assert source.count(old) == 1
         edited.write_text(source.replace(old, new))
         return [f.rule for f in lint_file(root / "distrib" / "wire.py",
                                           root=root)]
 
-    assert w001("same", "coordinator.py", "Coordinator: ",
+    assert w001("same", "distrib/coordinator.py", "Coordinator: ",
                 "Coordinator:  ") == []
-    assert w001("renamed", "coordinator.py", '"memory_read": self.',
-                '"memory_load": self.') == ["W001"]
-    assert w001("reshaped", "worker.py",
+    assert w001("renamed", "distrib/coordinator.py",
+                '"memory_read": self.', '"memory_load": self.') == ["W001"]
+    assert w001("reshaped", "distrib/worker.py",
                 "(method, args, self._take_casts())",
                 "(method, args)") == ["W001"]
+    assert w001("job_verb", "serve/fleet.py", '("job", item))',
+                '("job", (item, None)))') == ["W001"]
+    assert w001("status_verb", "serve/client.py",
+                '("status", {"job_id": job_id})',
+                '("status", {"id": job_id})') == ["W001"]
 
 
 def test_frame_garbage_rejected():

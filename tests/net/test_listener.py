@@ -3,11 +3,17 @@
 from __future__ import annotations
 
 import threading
+import time
 
 import pytest
 
 from repro.net.handshake import HandshakeError
-from repro.net.listener import NetListener, connect_worker, parse_address
+from repro.net.listener import (
+    NetListener,
+    connect_unix,
+    connect_worker,
+    parse_address,
+)
 
 
 def test_parse_address():
@@ -23,6 +29,42 @@ def test_accept_times_out_to_none():
     assert listener.accept(0.0) is None
     assert listener.accept(0.05) is None
     listener.close()
+
+
+def test_an_empty_accept_is_a_poll_not_a_sleep():
+    """The coordinator's net stage and the serve pump ask on every
+    pass; with nobody waiting that must cost a poll(2), not the 1 ms a
+    sub-millisecond socket timeout rounds up to."""
+    listener = NetListener("127.0.0.1:0", role="coordinator",
+                           wire_version=5)
+    try:
+        start = time.perf_counter()
+        for _ in range(200):
+            assert listener.accept(0.0) is None
+        assert time.perf_counter() - start < 0.05
+    finally:
+        listener.close()
+
+
+def test_unix_door_hands_out_a_framed_channel(tmp_path):
+    path = str(tmp_path / "door.sock")
+    listener = NetListener(path, role="serve", wire_version=5, unix=True)
+    assert listener.address == path
+    accepted = {}
+    thread = threading.Thread(
+        target=lambda: accepted.update(pair=listener.accept(5.0)))
+    thread.start()
+    channel, welcome = connect_unix(path, wire_version=5)
+    thread.join(timeout=5.0)
+    server_channel, hello = accepted["pair"]
+    assert (welcome.role, hello.role) == ("serve", "client")
+    channel.send_bytes(b"ping")
+    assert server_channel.recv_bytes() == b"ping"
+    channel.close()
+    server_channel.close()
+    listener.close()
+    with pytest.raises(HandshakeError, match="connect failed"):
+        connect_unix(str(tmp_path / "nobody.sock"), wire_version=5)
 
 
 def test_dial_accept_round_trip_carries_fingerprint_and_pid():

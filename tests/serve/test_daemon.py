@@ -14,13 +14,17 @@ import contextlib
 import os
 import shutil
 import signal
+import socket
 import tempfile
+import threading
+import time
 
 import pytest
 
 from repro.common.config import SimulationConfig, TelemetryConfig
 from repro.common.errors import ServeError
-from repro.distrib.wire import WorkloadRef
+from repro.distrib.wire import WIRE_VERSION, WorkloadRef, decode_frame
+from repro.net.listener import connect_unix
 from repro.serve.client import ServeClient
 from repro.serve.daemon import SimServer
 from repro.serve.store import canonical_result_bytes
@@ -197,7 +201,7 @@ def test_job_states_surface_on_the_telemetry_bus():
 
 def test_status_list_and_ping_verbs():
     with running_server(fleet=1) as (server, client):
-        assert client.ping()["protocol"] == 2
+        assert client.ping()["protocol"] == WIRE_VERSION
         assert client.alive()
         view = client.submit(config=_config(71),
                              workload="matrix_multiply", nthreads=2,
@@ -210,13 +214,12 @@ def test_status_list_and_ping_verbs():
 
 
 def test_torn_and_oversized_frames_leave_the_daemon_quiet(capfd):
-    """A client that hangs up mid-frame is a hang-up, not a daemon
-    fault; an oversized length prefix is answered like any other bad
-    frame.  Neither reaches the daemon's stderr, and it serves on."""
-    import socket
+    """A client that hangs up mid-frame — in the handshake or after it
+    — is a hang-up, not a daemon fault; an oversized length prefix or
+    an undecodable frame is answered like any other bad request.  None
+    reaches the daemon's stderr, and the pump serves on."""
     import struct
 
-    from repro.serve import protocol
     from repro.transport.frames import MAX_FRAME_BYTES
 
     with running_server(fleet=1) as (server, client):
@@ -224,14 +227,93 @@ def test_torn_and_oversized_frames_leave_the_daemon_quiet(capfd):
             torn.connect(server.socket_path)
             torn.sendall(b"\x00\x00")
         assert client.alive()  # served after the torn one was
-        with socket.socket(socket.AF_UNIX) as huge:
-            huge.connect(server.socket_path)
-            huge.sendall(struct.pack(">I", MAX_FRAME_BYTES + 1))
-            kind, payload = protocol.recv_message(huge)
-        assert kind == "error"
-        assert "limit" in payload["error"]
+        torn, _welcome = connect_unix(server.socket_path, WIRE_VERSION)
+        torn.sock.sendall(b"\x00\x00")
+        torn.close()
+        assert client.alive()
+        for bad in (struct.pack(">I", MAX_FRAME_BYTES + 1),
+                    struct.pack(">I", 3) + b"\x80\x05."):
+            channel, _welcome = connect_unix(server.socket_path,
+                                             WIRE_VERSION)
+            channel.sock.sendall(bad)
+            kind, payload = decode_frame(channel.recv_bytes())
+            channel.close()
+            assert kind == "error"
+            assert "limit" in payload["error"] or \
+                "undecodable" in payload["error"]
         assert client.alive()
     assert capfd.readouterr().err == ""
+
+
+def test_a_rogue_handshake_at_the_client_door_is_skipped(capfd):
+    """Valid JSON that is no handshake frame fails the dial-in alone:
+    the pump rejects it quietly and answers the next ping."""
+    from repro.transport.frames import send_frame
+
+    with running_server(fleet=1) as (server, client):
+        with socket.socket(socket.AF_UNIX) as rogue:
+            rogue.connect(server.socket_path)
+            send_frame(rogue, b"5")
+            assert client.ping()["fleet"] == 1
+        assert client.alive()
+    assert capfd.readouterr().err == ""
+
+
+def test_one_client_is_one_connection():
+    """A client dials once and keeps its channel: twenty verbs cost
+    the daemon exactly one accept."""
+    with running_server(fleet=1) as (server, _client):
+        door = server._listener
+        accept = door.accept
+        accepted = []
+
+        def counting(timeout=0.0):
+            pair = accept(timeout)
+            if pair is not None:
+                accepted.append(pair)
+            return pair
+
+        door.accept = counting
+        client = ServeClient(server.socket_path)
+        for i in range(20):
+            if i % 2:
+                client.ping()
+            else:
+                client.stats()
+        assert len(accepted) == 1
+        client.close()
+
+
+def test_the_pump_is_the_only_service_thread():
+    with running_server(fleet=1) as (server, client):
+        names = {thread.name for thread in threading.enumerate()}
+        assert "serve-pump" in names
+        assert not any("listen" in name for name in names)
+        assert client.alive()
+
+
+def test_a_stalled_client_costs_the_pump_a_bounded_wait():
+    """A client that writes half a frame header and goes quiet is
+    dropped after the stall bound; meanwhile a running job's result
+    is still stored and a second client is still answered."""
+    from repro.serve import daemon as daemon_module
+
+    bound = daemon_module._CLIENT_STALL
+    with running_server(fleet=1) as (server, client):
+        view = client.submit(config=_config(17), workload="matrix_multiply",
+                             nthreads=2, scale=FAST_SCALE)
+        stalled, _welcome = connect_unix(server.socket_path, WIRE_VERSION)
+        stalled.sock.sendall(b"\x00\x00")
+        second = ServeClient(server.socket_path)
+        start = time.monotonic()
+        assert second.ping()["fleet"] == 1
+        assert time.monotonic() - start < bound + 2.0
+        assert client.wait(view["job_id"], timeout=60)["state"] == "done"
+        assert client.fetch_result(view["job_id"]) is not None
+        # The stalled client was dropped, not left wedged in the pump.
+        assert stalled.poll(bound + 2.0)
+        stalled.close()
+        second.close()
 
 
 def test_cli_verbs_against_a_live_daemon(capsys):

@@ -1,25 +1,34 @@
-"""Serve protocol tests: frame round trips, versioning, socket flow."""
+"""Serve protocol tests: verbs in the one frame envelope, socket flow."""
 
 from __future__ import annotations
 
 import json
+import shutil
 import socket
+import tempfile
+import time
 
 import pytest
 
-from repro.common.errors import ServeError
-from repro.serve import protocol
+from repro.common.config import TelemetryConfig
+from repro.distrib.errors import WireFormatError
+from repro.distrib.wire import (
+    WIRE_VERSION,
+    WorkloadRef,
+    decode_frame,
+    encode_frame,
+)
+from repro.net.channel import TcpChannel
+from repro.net.handshake import HandshakeError
+from repro.net.listener import connect_unix, connect_worker
+from repro.serve.client import ServeClient
+from repro.serve.daemon import SimServer
 from repro.serve.protocol import (
     JOB_STATES,
     TERMINAL_STATES,
     JobView,
     ServerInfo,
     SubmitSpec,
-    decode_frame,
-    encode_frame,
-    recv_message,
-    send_message,
-    try_recv_message,
     view_payload,
 )
 
@@ -31,60 +40,74 @@ class TestFrames:
         assert kind == "submit"
         assert payload == {"workload": "fft", "priority": 3}
 
-    def test_frames_are_canonical_bytes(self):
-        # Same message, same bytes — key order cannot leak in.
-        a = encode_frame("status", {"b": 1, "a": 2})
-        b = encode_frame("status", {"a": 2, "b": 1})
-        assert a == b
-
-    def test_version_travels_in_every_frame(self):
-        data = json.loads(encode_frame("ping", {}).decode())
-        assert data["v"] == protocol.WIRE_VERSION
-
-    def test_version_mismatch_fails_loudly(self):
-        blob = json.dumps({"v": protocol.WIRE_VERSION + 1,
-                           "kind": "ping", "payload": {}}).encode()
-        with pytest.raises(ServeError, match="version mismatch"):
-            decode_frame(blob)
-
     @pytest.mark.parametrize("blob", [
         b"not json",
         b"[1,2,3]",
         json.dumps({"kind": "ping", "payload": {}}).encode(),
-        json.dumps({"v": protocol.WIRE_VERSION,
-                    "payload": {}}).encode(),
-        json.dumps({"v": protocol.WIRE_VERSION, "kind": "ping",
-                    "payload": [1]}).encode(),
+        json.dumps({"v": 2, "payload": {}}).encode(),
+        json.dumps({"v": 2, "kind": "ping", "payload": [1]}).encode(),
     ])
     def test_malformed_frames_rejected(self, blob):
-        with pytest.raises(ServeError):
+        # Garbage, and the JSON envelope clients spoke before the one
+        # wire, are not a pickled (kind, payload) pair.
+        with pytest.raises(WireFormatError, match="undecodable"):
             decode_frame(blob)
 
     def test_unencodable_payload_raises(self):
-        with pytest.raises(ServeError, match="cannot encode"):
-            encode_frame("submit", {"bad": object()})
+        with pytest.raises(WireFormatError, match="cannot encode"):
+            encode_frame("submit", {"bad": lambda: None})
+
+    def test_version_mismatch_fails_loudly(self):
+        """No frame carries a version: a peer one ``WIRE_VERSION``
+        behind is refused by the handshake at both of a daemon's doors
+        (the TCP worker door, the Unix client door), and both ends get
+        a typed error naming both versions — the dialer raises, the
+        daemon reports the rejection and serves on."""
+        old, new = f"v{WIRE_VERSION - 1}", f"v{WIRE_VERSION}"
+        root = tempfile.mkdtemp(dir="/tmp", prefix="rp-")
+        server = SimServer(root, fleet=0, listen="127.0.0.1:0",
+                           telemetry=TelemetryConfig(
+                               enabled=True, events=["serve"])).start()
+        try:
+            for dial in (lambda: connect_worker(server.listen_address,
+                                                WIRE_VERSION - 1,
+                                                timeout=5.0),
+                         lambda: connect_unix(server.socket_path,
+                                              WIRE_VERSION - 1)):
+                with pytest.raises(HandshakeError, match=f"{old}.*{new}"):
+                    dial()
+            rejected = {}
+            deadline = time.monotonic() + 10.0
+            while len(rejected) < 2 and time.monotonic() < deadline:
+                rejected = {event.name: event.args["error"]
+                            for event in list(server.bus.events)
+                            if event.name.endswith(".rejected")}
+                time.sleep(0.01)
+            assert set(rejected) == {"worker.rejected", "client.rejected"}
+            for error in rejected.values():
+                assert old in error and new in error
+            assert ServeClient(server.socket_path).ping()["protocol"] \
+                == WIRE_VERSION
+        finally:
+            server.stop()
+            shutil.rmtree(root, ignore_errors=True)
 
 
 class TestSocketFlow:
     def test_message_round_trip_over_socketpair(self):
         a, b = socket.socketpair()
+        client, daemon = TcpChannel(a, peer="a"), TcpChannel(b, peer="b")
         try:
-            send_message(a, "submit", {"workload": "radix"})
-            assert recv_message(b) == ("submit", {"workload": "radix"})
-            send_message(b, "ok", {"job": {"job_id": "job-000001"}})
-            assert recv_message(a) == (
+            client.send_bytes(encode_frame("submit", {"workload": "radix"}))
+            assert decode_frame(daemon.recv_bytes()) == (
+                "submit", {"workload": "radix"})
+            daemon.send_bytes(encode_frame(
+                "ok", {"job": {"job_id": "job-000001"}}))
+            assert decode_frame(client.recv_bytes()) == (
                 "ok", {"job": {"job_id": "job-000001"}})
         finally:
-            a.close()
-            b.close()
-
-    def test_clean_close_is_none(self):
-        a, b = socket.socketpair()
-        a.close()
-        try:
-            assert try_recv_message(b) is None
-        finally:
-            b.close()
+            client.close()
+            daemon.close()
 
 
 class TestSchema:
@@ -102,8 +125,10 @@ class TestSchema:
             == view_payload(info)
 
     def test_submit_spec_round_trips_through_a_frame(self):
-        spec = SubmitSpec(config={"seed": 9}, workload="fft",
-                          nthreads=4, scale=0.5, priority=2)
-        kind, payload = decode_frame(
-            encode_frame("submit", view_payload(spec)))
-        assert SubmitSpec(**payload) == spec
+        # The program reference rides the frame as itself.
+        spec = SubmitSpec(config={"seed": 9}, nthreads=4, scale=0.5,
+                          program=WorkloadRef("fft", 4, 0.5), priority=2)
+        payload = dict(view_payload(spec), program=spec.program)
+        kind, decoded = decode_frame(encode_frame("submit", payload))
+        assert kind == "submit"
+        assert SubmitSpec(**decoded) == spec

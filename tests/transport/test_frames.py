@@ -13,7 +13,6 @@ from repro.transport.frames import (
     ConnectionClosed,
     recv_frame,
     send_frame,
-    try_recv_frame,
 )
 
 
@@ -69,15 +68,6 @@ def test_oversized_frame_rejected_before_send():
         b.close()
 
 
-def test_clean_eof_is_none_from_try_recv():
-    a, b = _pair()
-    a.close()
-    try:
-        assert try_recv_frame(b) is None
-    finally:
-        b.close()
-
-
 def test_truncated_frame_raises():
     a, b = _pair()
     try:
@@ -90,14 +80,3 @@ def test_truncated_frame_raises():
     finally:
         b.close()
 
-
-def test_mid_frame_eof_raises_even_for_try_recv():
-    import struct
-    a, b = _pair()
-    try:
-        a.sendall(struct.pack(">I", 8))
-        a.close()
-        with pytest.raises(ConnectionClosed):
-            try_recv_frame(b)
-    finally:
-        b.close()
