@@ -10,7 +10,8 @@ from __future__ import annotations
 
 import enum
 from collections import OrderedDict
-from typing import List, Optional, TYPE_CHECKING
+from types import MappingProxyType
+from typing import List, Mapping, Optional, TYPE_CHECKING
 
 from repro.common import slot_state
 from repro.common.config import CacheConfig
@@ -18,6 +19,11 @@ from repro.common.stats import StatGroup
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.telemetry.bus import Channel
+
+#: The set every untouched slot of every cache refers to: empty and
+#: read-only, so a probe reads through it and a stray write raises
+#: instead of putting a line into every cache.
+EMPTY_SET: Mapping[int, "CacheLine"] = MappingProxyType({})
 
 
 class LineState(enum.Enum):
@@ -73,19 +79,23 @@ class Cache:
         self.associativity = config.associativity
         self.num_sets = config.num_sets
         self._line_shift = config.line_bytes.bit_length() - 1
-        # Each set is an OrderedDict: iteration order == LRU order
-        # (oldest first); move_to_end on touch.
-        self._sets: List["OrderedDict[int, CacheLine]"] = [
-            OrderedDict() for _ in range(self.num_sets)]
+        # A set exists once a line enters it: until then its slot is
+        # ``EMPTY_SET``.  A real set is an OrderedDict: iteration order
+        # == LRU order (oldest first); move_to_end on touch.
+        self._sets: List[Mapping[int, CacheLine]] = [EMPTY_SET] * self.num_sets
         self.stats = stats
         self._lookups = stats.counter("lookups")
         self._hits = stats.counter("hits")
         self._evictions = stats.counter("evictions")
         self._invalidations = stats.counter("invalidations")
 
-    def _set_of(self, line_address: int) -> "OrderedDict[int, CacheLine]":
+    def _own_set(self, line_address: int) -> "OrderedDict[int, CacheLine]":
+        """The set ``line_address`` maps to, made real if still shared."""
         index = (line_address >> self._line_shift) % self.num_sets
-        return self._sets[index]
+        cache_set = self._sets[index]
+        if cache_set is EMPTY_SET:
+            cache_set = self._sets[index] = OrderedDict()
+        return cache_set
 
     def __getstate__(self) -> dict:
         """Scalars plus the *resident* lines, one flat list of ``(address,
@@ -100,9 +110,9 @@ class Cache:
         for name, value in state.items():
             setattr(self, name, value)
         lines = self._sets  # as pickled: the flat list
-        self._sets = [OrderedDict() for _ in range(self.num_sets)]
+        self._sets = [EMPTY_SET] * self.num_sets
         for line in lines:  # LRU order in, so the same eviction order
-            self._set_of(line[0])[line[0]] = CacheLine(*line)
+            self._own_set(line[0])[line[0]] = CacheLine(*line)
 
     # -- operations -----------------------------------------------------------
 
@@ -113,8 +123,9 @@ class Cache:
         ``count=False`` makes the probe invisible to hit/miss statistics
         (used by coherence-side probes that are not program accesses).
         """
-        # ``_set_of`` inlined: lookup and peek dominate the memory
-        # system's host cost on both execution modes.
+        # The set index inlined: lookup and peek dominate the memory
+        # system's host cost on both execution modes.  An untouched
+        # set is ``EMPTY_SET``; its ``get`` misses like an empty set's.
         cache_set = self._sets[(line_address >> self._line_shift)
                                % self.num_sets]
         line = cache_set.get(line_address)
@@ -135,7 +146,7 @@ class Cache:
         evicts nothing.  ``timestamp`` (target cycles) is only consumed
         by telemetry.
         """
-        cache_set = self._set_of(line_address)
+        cache_set = self._own_set(line_address)
         existing = cache_set.get(line_address)
         if existing is not None:
             existing.state = state
@@ -160,7 +171,11 @@ class Cache:
     def remove(self, line_address: int,
                timestamp: int = 0) -> Optional[CacheLine]:
         """Invalidate a line (coherence); returns it if it was resident."""
-        line = self._set_of(line_address).pop(line_address, None)
+        cache_set = self._sets[(line_address >> self._line_shift)
+                               % self.num_sets]
+        if cache_set is EMPTY_SET:
+            return None
+        line = cache_set.pop(line_address, None)
         if line is not None:
             self._invalidations.add()
             if self._tele is not None:

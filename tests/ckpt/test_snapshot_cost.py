@@ -29,7 +29,7 @@ from repro.ckpt.store import CheckpointStore
 from repro.common.config import CacheConfig, SimulationConfig
 from repro.common.stats import StatGroup
 from repro.distrib.wire import WorkloadRef
-from repro.memory.cache import Cache, LineState
+from repro.memory.cache import EMPTY_SET, Cache, LineState
 from repro.sim.runner import create_simulator, run_simulation
 from tests.profile.test_instrument import table_targets
 
@@ -126,6 +126,22 @@ def test_eviction_order_survives_a_round_trip():
     assert cache.peek(64).state is restored.peek(64).state \
         is LineState.MODIFIED
     assert restored.stats.to_dict() == cache.stats.to_dict()
+
+
+@pytest.mark.parametrize("lines", [0, 1, 3, 9, 40])
+def test_a_restore_creates_no_more_sets_than_lines(lines):
+    """``__setstate__`` starts every slot at the shared empty set and
+    makes a set only where a pickled line lands: k lines, <= k sets."""
+    cache = Cache("l2", CacheConfig(size_bytes=64 * 1024, associativity=4),
+                  StatGroup("l2"))                   # 256 sets
+    for way in range(lines):      # 3 lines per set, 8 sets apart
+        cache.insert(way // 3 * 8 * 64 + way % 3 * 256 * 64,
+                     LineState.SHARED)
+    restored = load_bytes(snapshot_bytes(cache))
+    made = {id(s) for s in restored._sets if s is not EMPTY_SET}
+    assert len(made) == -(-lines // 3) <= lines
+    assert [line.address for line in restored] == \
+        [line.address for line in cache]
 
 
 def test_a_buffer_two_holders_share_is_one_buffer_after():

@@ -9,6 +9,7 @@ identical to the undisturbed in-process run.
 from __future__ import annotations
 
 import multiprocessing
+import select
 import socket
 
 import pytest
@@ -138,10 +139,13 @@ def test_elastic_join_absorbs_work_and_preserves_metrics():
     fired = {"n": 0}
 
     def _join_then_net(scheduler):
-        # Launch the joiner from inside the membership stage so the
-        # dial-in deterministically lands mid-run.
+        # Launch the joiner from inside the membership stage, and hold
+        # that first firing (10 s at most) until its dial-in waits on
+        # the listener: the join then lands mid-run however short the
+        # run is, not whenever the forked process gets round to it.
         if fired["n"] == 0:
             joiner.start()
+            select.select([sim._cluster.listener.fileno()], [], [], 10.0)
         fired["n"] += 1
         sim._net_stage(scheduler)
 

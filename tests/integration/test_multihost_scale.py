@@ -6,12 +6,22 @@ byte-identical to the undisturbed in-process run and to the original
 pipe transport.  This is the paper's distribution claim end to end:
 host topology — including a host topology that *changes while the run
 is in flight* — is invisible to the simulated machine.
+
+What 1024 tiles cost the host before a run touches them is held here
+too: a cache set exists once a line enters it, so a fresh build is
+bounded in memory by its state, not by the target's cache geometry.
 """
 
 from __future__ import annotations
 
+import os
+import subprocess
+import sys
+import textwrap
+
 import pytest
 
+import repro
 from repro.common.config import SimulationConfig
 from repro.distrib.wire import WorkloadRef
 from repro.sim.runner import create_simulator
@@ -39,6 +49,43 @@ def _assert_same_metrics(result, reference) -> None:
     assert result.wall_clock_seconds == reference.wall_clock_seconds
     assert result.core_busy_seconds == reference.core_busy_seconds
     assert result.main_result == reference.main_result
+
+
+#: Run in a fresh interpreter, so its max RSS is the build's and nothing
+#: the test process already holds.  Prints max RSS in bytes, then the
+#: distinct set objects and the (cache, set) pairs holding a line after
+#: a one-thread program has stored to a few dozen lines.
+_BUILD_1024 = textwrap.dedent("""
+    import resource
+    from repro import SimulationConfig, Simulator
+
+    sim = Simulator(SimulationConfig(num_tiles=1024, seed=7))
+    max_rss = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss * 1024
+
+    def program(ctx, count):
+        base = yield from ctx.calloc(64 * count, 64)
+        for i in range(count):
+            yield from ctx.store_u64(base + 64 * i, i)
+
+    sim.run(program, (40,))
+    caches = [cache for hierarchy in sim.engine.hierarchies
+              for cache in (hierarchy.l1i, hierarchy.l1d, hierarchy.l2)]
+    sets = {id(s) for cache in caches for s in cache._sets}
+    touched = {(id(cache), (line.address >> cache._line_shift)
+                % cache.num_sets) for cache in caches for line in cache}
+    print(max_rss, len(sets), len(touched))
+""")
+
+
+def test_a_1024_tile_build_holds_only_the_sets_a_run_touched():
+    src = os.path.dirname(os.path.dirname(repro.__file__))
+    out = subprocess.run([sys.executable, "-c", _BUILD_1024], check=True,
+                         env=dict(os.environ, PYTHONPATH=src),
+                         capture_output=True, text=True).stdout
+    max_rss, sets, touched = map(int, out.split())
+    assert max_rss <= 100 * 10 ** 6, f"{max_rss / 2 ** 20:.1f} MiB"
+    assert touched > 40  # the stores' lines, in L1D and L2, plus code
+    assert sets == touched + 1  # every untouched slot shares one set
 
 
 @pytest.mark.slow

@@ -1,11 +1,14 @@
 """Property-based tests of the cache (hypothesis)."""
 
+from collections import OrderedDict
+
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.common.config import CacheConfig
 from repro.common.stats import StatGroup
-from repro.memory.cache import Cache, LineState
+from repro.memory.cache import EMPTY_SET, Cache, CacheLine, LineState
 
 
 def make_cache(size=2048, line=64, ways=2):
@@ -101,3 +104,89 @@ def test_data_integrity(writes):
         latest[address] = data
     for line in cache:
         assert bytes(line.data) == latest[line.address]
+
+
+class EagerCache:
+    """The reference: one ``OrderedDict`` per set, all built up front."""
+
+    def __init__(self, num_sets, ways):
+        self.sets = [OrderedDict() for _ in range(num_sets)]
+        self.ways = ways
+        self.counts = dict.fromkeys(
+            ("lookups", "hits", "evictions", "invalidations"), 0)
+
+    def _set(self, address):
+        return self.sets[(address // 64) % len(self.sets)]
+
+    def lookup(self, address, touch, count):
+        cache_set = self._set(address)
+        line = cache_set.get(address)
+        if count:
+            self.counts["lookups"] += 1
+            self.counts["hits"] += line is not None
+        if line is not None and touch:
+            cache_set.move_to_end(address)
+        return line
+
+    def peek(self, address):
+        return self._set(address).get(address)
+
+    def insert(self, address, state):
+        cache_set = self._set(address)
+        if address in cache_set:
+            cache_set[address].state = state
+            cache_set.move_to_end(address)
+            return None
+        victim = None
+        if len(cache_set) >= self.ways:
+            victim = cache_set.popitem(last=False)[1]
+            self.counts["evictions"] += 1
+        cache_set[address] = CacheLine(address, state, None)
+        return victim
+
+    def remove(self, address):
+        line = self._set(address).pop(address, None)
+        self.counts["invalidations"] += line is not None
+        return line
+
+
+def _seen(line):
+    return None if line is None else (line.address, line.state)
+
+
+#: Eight lines per set of a 4-set cache, so sets fill and evict.
+few_lines = st.integers(min_value=0, max_value=31).map(lambda i: i * 64)
+lazy_operations = st.lists(
+    st.one_of(
+        st.tuples(st.just("insert"), few_lines,
+                  st.sampled_from(list(LineState))),
+        st.tuples(st.just("lookup"), few_lines, st.booleans(), st.booleans()),
+        st.tuples(st.sampled_from(["peek", "remove"]), few_lines)),
+    min_size=1, max_size=200)
+
+
+@settings(max_examples=100, deadline=None)
+@given(lazy_operations)
+def test_sets_made_on_first_touch_behave_as_eager_ones(ops):
+    """Return values, victims, per-set LRU order and the four counters
+    of a cache whose sets appear on first insert equal those of one
+    with every set built up front; the shared empty set stays empty."""
+    cache = make_cache(size=512, line=64, ways=2)  # 4 sets x 2 ways
+    reference = EagerCache(cache.num_sets, cache.associativity)
+    entered = set()  # indices of the sets a line has entered
+    for op, address, *args in ops:
+        if op == "insert":
+            entered.add((address // 64) % cache.num_sets)
+        got = getattr(cache, op)(address, *args)
+        assert _seen(got) == _seen(getattr(reference, op)(address, *args))
+        assert [_seen(line) for line in cache] == [
+            _seen(line) for cache_set in reference.sets
+            for line in cache_set.values()]
+    # Probes and removes create no set; only an insert does.
+    assert {index for index, cache_set in enumerate(cache._sets)
+            if cache_set is not EMPTY_SET} == entered
+    assert {name: cache.stats.counter(name).value
+            for name in reference.counts} == reference.counts
+    assert len(EMPTY_SET) == 0
+    with pytest.raises(TypeError):
+        EMPTY_SET[0] = CacheLine(0, LineState.SHARED, None)
