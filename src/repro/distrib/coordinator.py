@@ -474,15 +474,25 @@ class RemoteTask(ThreadTask):
     wake notifications exactly as ``Clock.forward_to`` would.
     """
 
-    __slots__ = ("tile", "start_clock", "core", "result", "_sim")
+    __slots__ = ("tile", "start_clock", "core", "result", "kernel")
 
-    def __init__(self, sim: "DistribSimulator", tile: TileId,
+    def __init__(self, kernel: "DistribSimulator", tile: TileId,
                  start_clock: int) -> None:
         self.tile = tile
         self.start_clock = start_clock
         self.core = _CoreView(start_clock)
         self.result: Any = None
-        self._sim = sim
+        #: The simulator serving this thread, as an interpreter's is.
+        self.kernel = kernel
+
+    def __setstate__(self, state: tuple) -> None:
+        _dict, slots = state
+        # A ``repro.ckpt/4`` snapshot written before the rename calls
+        # the simulator ``_sim``.
+        if "_sim" in slots:
+            slots["kernel"] = slots.pop("_sim")
+        for name, value in slots.items():
+            setattr(self, name, value)
 
     @property
     def cycles(self) -> int:
@@ -491,12 +501,12 @@ class RemoteTask(ThreadTask):
     def notify_wake(self, timestamp: int) -> None:
         if timestamp > self.core.cycles:
             self.core.cycles = timestamp
-        self._sim.cluster.notify_wake(self.tile, timestamp)
+        self.kernel.cluster.notify_wake(self.tile, timestamp)
 
     def run(self, budget_instructions: int,
             cycle_limit: Optional[int] = None) -> QuantumResult:
-        return self._sim.service_quantum(self, budget_instructions,
-                                         cycle_limit)
+        return self.kernel.service_quantum(self, budget_instructions,
+                                           cycle_limit)
 
 
 class DistribSimulator(Simulator):
@@ -589,6 +599,13 @@ class DistribSimulator(Simulator):
                 TileId(t), c),
             "wake_scheduler": lambda t: self.wake_scheduler(TileId(t)),
         }
+
+    def _release(self) -> None:
+        """The base cut, plus the kernel dispatch tables: bound methods
+        and lambdas over this simulator.  The fleet and the transport's
+        attachment to it go when :meth:`_fleet` closes, right after."""
+        super()._release()
+        self._rpc_handlers = self._cast_handlers = None
 
     def __getstate__(self) -> tuple:
         state = slot_state(self)

@@ -22,7 +22,7 @@ already hold the post-op state from the snapshot).
 
 from __future__ import annotations
 
-from typing import Any, List, Optional
+from typing import Any, Dict, List, Optional
 
 from repro.common import slot_state
 from repro.common.errors import CheckpointError, SimulationError
@@ -73,7 +73,7 @@ class ThreadInterpreter(ThreadTask):
                  "generator", "start_clock", "_send_value", "_pending_op",
                  "_wake_time", "_finished", "result", "_fetch_cursor",
                  "_code_base", "_model_ifetch", "_l1i_hit_latency",
-                 "_ckpt_log")
+                 "_ckpt_log", "_log_values")
 
     def __init__(self, kernel: Any, tile: TileId, program: Any,
                  args: tuple = (), start_clock: int = 0) -> None:
@@ -128,6 +128,14 @@ class ThreadInterpreter(ThreadTask):
             and distrib.migration_capable())
         self._ckpt_log: Optional[List[Any]] = (
             [] if snapshottable else None)
+        #: Each distinct ``bytes`` value the log holds, as the one
+        #: object every entry equal to it shares: a load result is
+        #: logged once per load but takes few values (48-100 % of the
+        #: entries repeat on every kernel, DESIGN.md §3), and pickle
+        #: writes a repeat as a reference.  Host-side: never pickled,
+        #: rebuilt from the restored log.
+        self._log_values: Optional[Dict[bytes, bytes]] = (
+            {} if snapshottable else None)
 
     # -- ThreadTask interface ------------------------------------------------------
 
@@ -163,6 +171,7 @@ class ThreadInterpreter(ThreadTask):
         self._model_ifetch = (not functional
                               and self.kernel.config.memory.l1i.enabled)
         handlers, clock, log = self._HANDLERS, core.clock, self._ckpt_log
+        intern = None if log is None else self._log_values.setdefault
         send, compute = self.generator.send, ops.Compute
         executed = 0
         while executed < budget_instructions:
@@ -173,7 +182,10 @@ class ThreadInterpreter(ThreadTask):
                 self._consume_wake(core)
             else:
                 if log is not None:
-                    log.append(self._send_value)
+                    value = self._send_value
+                    if type(value) is bytes:
+                        value = intern(value, value)
+                    log.append(value)
                 try:
                     op = send(self._send_value)
                 except StopIteration as stop:
@@ -197,7 +209,7 @@ class ThreadInterpreter(ThreadTask):
         self._finished = True
         # A finished thread never replays; drop the log so snapshots
         # of long runs do not keep every completed thread's history.
-        self._ckpt_log = None
+        self._ckpt_log = self._log_values = None
         # Retire everything in flight before reporting the final clock.
         core.drain()
         self.kernel.thread_finished(self.tile, core.cycles)
@@ -215,6 +227,7 @@ class ThreadInterpreter(ThreadTask):
         """
         state = slot_state(self)
         state["generator"] = None
+        del state["_log_values"]
         ref = self.program_ref
         if ref is None:
             from repro.distrib.wire import make_program_ref
@@ -226,6 +239,9 @@ class ThreadInterpreter(ThreadTask):
     def __setstate__(self, state: dict) -> None:
         for name, value in state.items():
             setattr(self, name, value)
+        log = self._ckpt_log
+        self._log_values = None if log is None else {
+            value: value for value in log if type(value) is bytes}
         if hasattr(self.program, "resolve"):
             self.program = self.program.resolve()
 

@@ -320,6 +320,13 @@ class Scheduler:
         """Names of the armed stages, in firing order."""
         return [name for name, _period, _stage in self._stages]
 
+    def disarm_stages(self) -> None:
+        """Drop every stage's callable, keeping names and periods, once
+        the run is over: the callables are the simulator's bound
+        methods, and a finished run must not hold it in a cycle."""
+        self._stages = [(name, period, None)
+                        for name, period, _stage in self._stages]
+
     def __getstate__(self) -> tuple:
         state = slot_state(self)
         state["_stages"] = []

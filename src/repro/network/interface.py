@@ -33,9 +33,7 @@ class NetworkFabric:
     def __init__(self, num_tiles: int, config: NetworkConfig,
                  transport: Transport, stats: StatGroup,
                  telemetry: Optional["TelemetryBus"] = None) -> None:
-        config.validate()
         self.num_tiles = num_tiles
-        self.config = config
         self.transport = transport
         self.stats = stats
         self._tele = None
@@ -47,17 +45,31 @@ class NetworkFabric:
         #: network models are bypassed — zero latency, no contention
         #: state, no bandwidth accounting (modeling).
         self.functional = False
+        self.build_models(config)
+
+    def build_models(self, config: NetworkConfig) -> None:
+        """Make ``config`` the fabric's, with a fresh model per class.
+
+        Each traffic class gets its own independently configured model
+        instance — separate models for application and memory traffic,
+        as commonly done in multicore chips (paper §3.3).  Each model's
+        stat subtree starts fresh too, so a library fork re-dressing a
+        restored fabric for its variant's network (nothing routed
+        during fast-forward) matches a fresh build exactly.
+        """
+        config.validate()
+        self.config = config
         model_names = {
             MessageKind.USER: config.user_model,
             MessageKind.MEMORY: config.memory_model,
             MessageKind.SYSTEM: config.system_model,
         }
-        # Each traffic class gets its own independently configured model
-        # instance — separate models for application and memory traffic,
-        # as commonly done in multicore chips (paper §3.3).
+        for kind in model_names:
+            self.stats.children.pop(f"{kind.value}_net", None)
         self.models: Dict[MessageKind, NetworkModel] = {
             kind: create_network_model(
-                name, num_tiles, config, stats.child(f"{kind.value}_net"))
+                name, self.num_tiles, config,
+                self.stats.child(f"{kind.value}_net"))
             for kind, name in model_names.items()
         }
         for model in self.models.values():

@@ -371,7 +371,9 @@ def _redress_fork(simulator: Any) -> None:
         redress_core(interpreter, config.core_config_for(int(tile)))
     fabric = simulator.fabric
     if fabric.config != config.network:
-        _rebuild_fabric(fabric, config.network)
+        # Nothing routed during fast-forward (functional sends bypass
+        # the models), so the primer's models are pristine.
+        fabric.build_models(config.network)
     controller = simulator.sample_controller
     if controller is not None:
         controller.config = config.sample
@@ -389,30 +391,3 @@ def _redress_fork(simulator: Any) -> None:
             if not phase.measured:
                 controller._open_window = None
 
-
-def _rebuild_fabric(fabric: Any, network_config: Any) -> None:
-    """Replace the network models with ``network_config``'s.
-
-    Nothing routed during fast-forward (functional sends bypass the
-    models entirely), so the primer's model state and counters are all
-    pristine; dropping the per-class stat subtrees and rebuilding
-    matches an unshared variant run exactly.
-    """
-    from repro.network.model import create_network_model
-    from repro.transport.message import MessageKind
-    fabric.config = network_config
-    model_names = {
-        MessageKind.USER: network_config.user_model,
-        MessageKind.MEMORY: network_config.memory_model,
-        MessageKind.SYSTEM: network_config.system_model,
-    }
-    for kind in model_names:
-        fabric.stats.children.pop(f"{kind.value}_net", None)
-    fabric.models = {
-        kind: create_network_model(name, fabric.num_tiles,
-                                   network_config,
-                                   fabric.stats.child(f"{kind.value}_net"))
-        for kind, name in model_names.items()
-    }
-    for model in fabric.models.values():
-        model.telemetry = fabric._tele

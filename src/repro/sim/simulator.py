@@ -90,7 +90,7 @@ class Simulator:
 
         # Communication.
         self.transport = self._make_transport()
-        self.transport.add_delivery_hook(self._charge_message)
+        self.transport.delivery_hook = self._charge_message
         self.fabric = NetworkFabric(config.num_tiles, config.network,
                                     self.transport,
                                     self.stats.child("network"),
@@ -435,6 +435,12 @@ class Simulator:
             return self._run_to_completion()
 
     def _run_to_completion(self) -> SimulationResult:
+        try:
+            return self._complete()
+        finally:
+            self._release()
+
+    def _complete(self) -> SimulationResult:
         report = self.scheduler.run()
         self._before_results()
         if self.profiler is not None:
@@ -489,6 +495,25 @@ class Simulator:
                 worker_scopes=self._worker_host_scopes,
                 top_n=self.config.profile.top_n)
         return result
+
+    def _release(self) -> None:
+        """Cut every edge from the run's parts back to the simulator,
+        once the run ends, normally or by unwinding (``FastForwardDone``,
+        ``JobPreempted``, a crash the recovery loop restarts from).
+        Uncut, a finished simulator is a cycle only a full collection
+        frees; cut, a dropped one is a tree that reference counting
+        frees at once (DESIGN.md §3 "A finished run is a tree").  What
+        callers read after a run stays, stage names included; the
+        simulator cannot run again."""
+        for task in self.interpreters.values():
+            task.kernel = None
+        self.cost_model.scheduler = None
+        self.sync_model.scheduler = None
+        self.transport.delivery_hook = None
+        self.mcp.disarm_wakes()
+        self.scheduler.disarm_stages()
+        if self.sample_controller is not None:
+            self.sample_controller.simulator = None
 
     # -- checkpointing ---------------------------------------------------------------------
 

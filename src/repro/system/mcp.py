@@ -95,6 +95,13 @@ class MasterControlProgram:
         self._barriers: Dict[int, _BarrierState] = {}
         self._barrier_releases = stats.counter("barrier_releases")
 
+    def disarm_wakes(self) -> None:
+        """Drop ``wake_thread`` here and in the managers it was handed
+        to, once the run is over: it is the simulator's bound method,
+        and a finished run must not hold the simulator in a cycle."""
+        self._wake_thread = self.futex._wake_thread = None
+        self.threads._wake_thread = None
+
     # -- application barriers ----------------------------------------------------
 
     def barrier_arrive(self, address: int, total: int, tile: TileId,

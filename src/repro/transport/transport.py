@@ -20,8 +20,8 @@ from repro.common.stats import StatGroup
 from repro.host.cluster import ClusterLayout, Locality
 from repro.transport.message import Message, MessageKind
 
-#: Called for every delivered message: (message, locality).  Used by the
-#: scheduler to charge host communication costs.
+#: Called for every delivered message: (message, locality).  The
+#: simulator's, which charges host communication costs.
 DeliveryHook = Callable[[Message, Locality], None]
 
 
@@ -33,7 +33,7 @@ class Transport:
     handlers) or block via the scheduler (user messaging API).
     """
 
-    __slots__ = ("layout", "_queues", "_hooks", "stats", "_sent",
+    __slots__ = ("layout", "_queues", "delivery_hook", "stats", "_sent",
                  "_bytes", "_by_locality")
 
     def __init__(self, layout: ClusterLayout,
@@ -43,7 +43,8 @@ class Transport:
             {kind: deque() for kind in MessageKind}
             for _ in range(layout.num_tiles)
         ]
-        self._hooks: List[DeliveryHook] = []
+        #: Fired on every delivery (cost charging); one is all there is.
+        self.delivery_hook: Optional[DeliveryHook] = None
         self.stats = stats if stats is not None else StatGroup("transport")
         self._sent = self.stats.counter("messages_sent")
         self._bytes = self.stats.counter("bytes_sent")
@@ -52,9 +53,15 @@ class Transport:
             for loc in Locality
         }
 
-    def add_delivery_hook(self, hook: DeliveryHook) -> None:
-        """Register a callback fired on every delivery (cost charging)."""
-        self._hooks.append(hook)
+    def __setstate__(self, state: tuple) -> None:
+        _dict, slots = state
+        # A ``repro.ckpt/4`` snapshot written while the hook was a list
+        # carries it as ``_hooks``, one entry long.
+        hooks = slots.pop("_hooks", None)
+        if hooks is not None:
+            slots["delivery_hook"] = hooks[0] if hooks else None
+        for name, value in slots.items():
+            setattr(self, name, value)
 
     # -- sending ------------------------------------------------------------
 
@@ -74,7 +81,8 @@ class Transport:
         self._sent.add()
         self._bytes.add(message.size_bytes)
         self._by_locality[locality].add()
-        for hook in self._hooks:
+        hook = self.delivery_hook
+        if hook is not None:
             hook(message, locality)
         return locality
 
@@ -95,18 +103,17 @@ class Transport:
         Coherence and system-control messages are serviced at the
         destination the moment they are sent (the engine processes them
         inline), so nothing is enqueued — but the transfer still
-        happened physically: statistics and host-cost hooks fire exactly
-        as for :meth:`send`.
+        happened physically: statistics and the host-cost hook fire
+        exactly as for :meth:`send`.
         """
         locality = self.layout.locality(src, dst)
         self._sent.value += 1
         self._bytes.value += size_bytes
         self._by_locality[locality].value += 1
-        if self._hooks:
-            message = Message(src=src, dst=dst, kind=kind,
-                              size_bytes=size_bytes)
-            for hook in self._hooks:
-                hook(message, locality)
+        hook = self.delivery_hook
+        if hook is not None:
+            hook(Message(src=src, dst=dst, kind=kind, size_bytes=size_bytes),
+                 locality)
         return locality
 
     # -- receiving ----------------------------------------------------------

@@ -16,7 +16,10 @@ import pytest
 from repro.common.config import SimulationConfig
 from repro.common.errors import CheckpointError, ConfigError
 from repro.ckpt.recovery import load_checkpoint
+from repro.ckpt.snapshot import load_bytes, snapshot_bytes
 from repro.ckpt.store import FORMAT, CheckpointStore
+from repro.common.ids import TileId
+from repro.distrib.coordinator import RemoteTask
 from repro.distrib.wire import WorkloadRef
 from repro.host.costmodel import BLOCK
 from repro.sim.runner import create_simulator
@@ -106,6 +109,49 @@ def test_resume_from_specific_snapshot(tmp_path):
     # A path straight at one snapshot directory is also accepted.
     restored, _ = load_checkpoint(str(ckpt_dir / names[0]))
     assert _asdict(restored.resume_run()) == _asdict(baseline)
+
+
+def test_a_snapshot_of_logs_never_interned_resumes_identically(tmp_path):
+    """An interpreter's pickled state has no intern table: a restore
+    rebuilds it from the log.  A snapshot whose logs hold every load
+    result as its own object (how they were written before interning)
+    restores and resumes to the uninterrupted run's result all the
+    same."""
+    baseline = create_simulator(_config("inproc")).run(REF)
+    ckpt_dir = tmp_path / "ck"
+    create_simulator(_config("inproc", ckpt_dir, every=20)).run(REF)
+    store = CheckpointStore(str(ckpt_dir))
+    interned = store.read(store.list()[0])[1]["coordinator"]
+    simulator = load_bytes(interned)
+    live = [interpreter for interpreter in simulator.interpreters.values()
+            if interpreter._ckpt_log]
+    assert live
+    for interpreter in live:
+        assert "_log_values" not in interpreter.__getstate__()
+        interpreter._ckpt_log = [
+            bytes(bytearray(value)) if type(value) is bytes else value
+            for value in interpreter._ckpt_log]
+    never_interned = snapshot_bytes(simulator)
+    assert len(never_interned) > len(interned)
+    restored = load_bytes(never_interned)
+    restored._after_restore()
+    for interpreter in live:
+        values = restored.interpreters[interpreter.tile]._log_values
+        assert values == {value: value for value in interpreter._ckpt_log
+                          if type(value) is bytes}
+    assert _asdict(restored.resume_run()) == _asdict(baseline)
+
+
+def test_a_remote_task_pickled_as_sim_restores_its_kernel():
+    """An mp coordinator snapshot written while a ``RemoteTask`` called
+    the simulator serving it ``_sim`` restores it as ``kernel``."""
+    kernel = object()
+    _dict, state = RemoteTask(kernel, TileId(3), 40).__reduce_ex__(2)[2]
+    state["_sim"] = state.pop("kernel")
+    restored = RemoteTask.__new__(RemoteTask)
+    restored.__setstate__((None, state))
+    assert restored.kernel is kernel
+    assert (restored.tile, restored.cycles) == (3, 40)
 
 
 def test_manual_save_and_restored_state_consistency(tmp_path):

@@ -87,6 +87,37 @@ def test_objects_pickled_scale_with_live_state_not_geometry(tmp_path):
         assert counts["REDUCE"] <= 100, (name, counts["REDUCE"])
 
 
+def _logged_repeats(ckpt_dir) -> int:
+    """Repeated ``bytes`` entries in the logs of every snapshot under
+    ``ckpt_dir``, asserting that equal entries are one object."""
+    store = CheckpointStore(str(ckpt_dir))
+    repeats = 0
+    for name in store.list():
+        restored = load_bytes(store.read(name)[1]["coordinator"])
+        for interpreter in restored.interpreters.values():
+            values = [value for value in interpreter._ckpt_log or ()
+                      if type(value) is bytes]
+            assert len({id(value) for value in values}) == len(set(values))
+            repeats += len(values) - len(set(values))
+    return repeats
+
+
+def test_a_restored_send_log_holds_each_value_once(tmp_path):
+    """A load result is logged once per load but takes few values, so
+    the log keeps one object per distinct value and a snapshot writes
+    each repeat as a memo reference; a restore keeps the sharing, and
+    a resumed run's later entries share the restored ones' objects."""
+    config = _config(tmp_path)
+    create_simulator(config).run(PROGRAM)
+    assert _logged_repeats(config.ckpt.dir) > 1000  # something to share
+    first = CheckpointStore(config.ckpt.dir).list()[0]
+    resumed = _config(tmp_path / "resumed")
+    simulator, _manifest = load_checkpoint(config.ckpt.dir, first,
+                                           config=resumed)
+    simulator.resume_run()
+    assert _logged_repeats(resumed.ckpt.dir) > 1000
+
+
 def test_a_fresh_snapshot_does_not_grow_with_the_number_of_sets(tmp_path):
     counts = []
     for factor in (1, 4):

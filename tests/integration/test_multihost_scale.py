@@ -52,15 +52,23 @@ def _assert_same_metrics(result, reference) -> None:
 
 
 #: Run in a fresh interpreter, so its max RSS is the build's and nothing
-#: the test process already holds.  Prints max RSS in bytes, then the
-#: distinct set objects and the (cache, set) pairs holding a line after
-#: a one-thread program has stored to a few dozen lines.
+#: the test process already holds: on Linux that is ``VmHWM``, because
+#: ``ru_maxrss`` carries the spawning process's RSS across ``exec``.
+#: Prints max RSS in bytes, then the distinct set objects and the
+#: (cache, set) pairs holding a line after a one-thread program has
+#: stored to a few dozen lines.
 _BUILD_1024 = textwrap.dedent("""
     import resource
     from repro import SimulationConfig, Simulator
 
     sim = Simulator(SimulationConfig(num_tiles=1024, seed=7))
     max_rss = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss * 1024
+    try:
+        with open("/proc/self/status") as status:
+            max_rss = next(int(line.split()[1]) * 1024 for line in status
+                           if line.startswith("VmHWM:"))
+    except (OSError, StopIteration):
+        pass
 
     def program(ctx, count):
         base = yield from ctx.calloc(64 * count, 64)

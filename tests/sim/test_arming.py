@@ -8,10 +8,15 @@ back.  A fresh build and a restore run the same two functions
 file holds them to it: for each host-side feature, a simulator that
 came back through any restoring entry point has exactly the stages and
 the live observer slots a fresh build of the same config has.
+
+The same entry points hold the other end of a run: once it is over,
+normally or by unwinding, the simulator is a tree, so dropping it frees
+it by reference counting and leaves the collector nothing of ours.
 """
 
 from __future__ import annotations
 
+import gc
 import pickle
 
 import pytest
@@ -22,7 +27,7 @@ from repro.common.config import SimulationConfig
 from repro.distrib.wire import WorkloadRef
 from repro.host.scheduler import STAGE_ORDER
 from repro.sample.library import SnapshotLibrary
-from repro.serve.worker import JobPreempted
+from repro.serve.worker import JobPreempted, run_job
 from repro.sim.runner import create_simulator, launch
 
 REF = WorkloadRef("matrix_multiply", nthreads=4, scale=0.05)
@@ -222,3 +227,66 @@ def test_snapshots_carry_no_boundary_stages(backend, tmp_path):
             assert stage not in blob, (label, stage)
     assert pickle.loads(blobs["coordinator"]).scheduler.stage_names() \
         == []
+
+
+# -- the other end: a finished run is a tree ------------------------------------
+
+
+def _cyclic_repro_objects(run) -> list:
+    """Types of the ``repro`` objects only the collector would free,
+    once ``run()`` and everything it made are dropped."""
+    gc.collect()
+    enabled = gc.isenabled()
+    gc.disable()
+    try:
+        run()
+        gc.set_debug(gc.DEBUG_SAVEALL)
+        gc.collect()
+        # What else turns up is the stdlib's own (``json.dump``'s
+        # encoder closures), not ours.
+        return sorted({type(obj).__qualname__ for obj in gc.garbage
+                       if type(obj).__module__.startswith("repro.")})
+    finally:
+        gc.set_debug(0)
+        gc.garbage.clear()
+        if enabled:
+            gc.enable()
+
+
+def _entry_points(tmp_path) -> dict:
+    """Each way a run comes to exist, as a call that runs it to its end
+    and drops it; what they restore from is written up front."""
+    cfg = _config("ckpt.every", tmp_path)
+    snapshot = _checkpoint_mid_run(_config("ckpt.every", tmp_path / "snap"))
+    mp_cfg = _config("ckpt.every", tmp_path / "mp", backend="mp")
+    mp_snapshot = _checkpoint_mid_run(
+        _config("ckpt.every", tmp_path / "mp-snap", backend="mp"))
+    sampled = _config("sample.ff_until", tmp_path / "lib")
+    library = SnapshotLibrary(str(tmp_path / "lib" / "entries"))
+
+    def preempted_job():
+        try:
+            run_job(cfg, REF, preempt_flag=_SetOnPoll(12))
+        except JobPreempted:
+            pass
+
+    return {
+        "run": lambda: create_simulator(cfg).run(REF),
+        "mp run": lambda: create_simulator(mp_cfg).run(REF),
+        "launch": lambda: launch(cfg, REF),
+        "launch resume_dir": lambda: launch(cfg, REF, resume_dir=snapshot),
+        "resume_with_recovery": lambda: resume_with_recovery(snapshot),
+        "library prime + fork": lambda: launch(sampled, REF,
+                                               library=library),
+        "library fork": lambda: launch(sampled, REF, library=library),
+        "mp load + resume_run": lambda: load_checkpoint(
+            mp_snapshot)[0].resume_run(),
+        "serve run_job, preempted": preempted_job,
+    }
+
+
+def test_a_dropped_finished_run_leaves_the_collector_nothing(tmp_path):
+    entry_points = _entry_points(tmp_path)
+    left = {name: _cyclic_repro_objects(run)
+            for name, run in entry_points.items()}
+    assert left == {name: [] for name in entry_points}
