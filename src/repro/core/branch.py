@@ -8,8 +8,6 @@ compares, and reports whether the misprediction penalty applies.
 
 from __future__ import annotations
 
-from typing import List
-
 from repro.common.stats import StatGroup
 
 _STRONG_NOT_TAKEN = 0
@@ -27,7 +25,8 @@ class BranchPredictor:
         if entries <= 0 or entries & (entries - 1):
             raise ValueError("predictor entries must be a power of two")
         self._mask = entries - 1
-        self._table: List[int] = [_WEAK_NOT_TAKEN] * entries
+        #: One byte per counter (a snapshot may restore a list).
+        self._table = bytearray([_WEAK_NOT_TAKEN]) * entries
         self._predicted = stats.counter("branches")
         self._mispredicted = stats.counter("mispredictions")
 

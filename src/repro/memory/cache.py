@@ -9,9 +9,7 @@ come from :class:`repro.common.config.CacheConfig`.
 from __future__ import annotations
 
 import enum
-from collections import OrderedDict
-from types import MappingProxyType
-from typing import List, Mapping, Optional, TYPE_CHECKING
+from typing import Dict, List, Optional, TYPE_CHECKING
 
 from repro.common import slot_state
 from repro.common.config import CacheConfig
@@ -19,12 +17,6 @@ from repro.common.stats import StatGroup
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.telemetry.bus import Channel
-
-#: The set every untouched slot of every cache refers to: empty and
-#: read-only, so a probe reads through it and a stray write raises
-#: instead of putting a line into every cache.
-EMPTY_SET: Mapping[int, "CacheLine"] = MappingProxyType({})
-
 
 class LineState(enum.Enum):
     """Coherence state of a cached line (absence is Invalid).
@@ -62,8 +54,8 @@ class Cache:
     """Set-associative LRU cache keyed by line-aligned addresses."""
 
     __slots__ = ("name", "config", "tile", "_tele", "line_bytes",
-                 "associativity", "num_sets", "_line_shift", "_sets", "stats",
-                 "_lookups", "_hits", "_evictions", "_invalidations")
+                 "associativity", "num_sets", "_line_shift", "_lines", "_sets",
+                 "stats", "_lookups", "_hits", "_evictions", "_invalidations")
 
     def __init__(self, name: str, config: CacheConfig,
                  stats: StatGroup, tile: Optional[int] = None,
@@ -79,29 +71,22 @@ class Cache:
         self.associativity = config.associativity
         self.num_sets = config.num_sets
         self._line_shift = config.line_bytes.bit_length() - 1
-        # A set exists once a line enters it: until then its slot is
-        # ``EMPTY_SET``.  A real set is an OrderedDict: iteration order
-        # == LRU order (oldest first); move_to_end on touch.
-        self._sets: List[Mapping[int, CacheLine]] = [EMPTY_SET] * self.num_sets
+        # The cache holds what is resident: every line in one dict, and
+        # per *occupied* set its addresses, least recently used first.
+        # An untouched set has no entry.
+        self._lines: Dict[int, CacheLine] = {}
+        self._sets: Dict[int, List[int]] = {}
         self.stats = stats
         self._lookups = stats.counter("lookups")
         self._hits = stats.counter("hits")
         self._evictions = stats.counter("evictions")
         self._invalidations = stats.counter("invalidations")
 
-    def _own_set(self, line_address: int) -> "OrderedDict[int, CacheLine]":
-        """The set ``line_address`` maps to, made real if still shared."""
-        index = (line_address >> self._line_shift) % self.num_sets
-        cache_set = self._sets[index]
-        if cache_set is EMPTY_SET:
-            cache_set = self._sets[index] = OrderedDict()
-        return cache_set
-
     def __getstate__(self) -> dict:
-        """Scalars plus the *resident* lines, one flat list of ``(address,
-        state, data)`` in set then LRU order: a snapshot costs what is
-        cached, not ``num_sets`` containers.  ``data`` is not copied."""
+        """Scalars plus the resident lines, one flat list of ``(address,
+        state, data)`` in set then LRU order.  ``data`` is not copied."""
         state = slot_state(self)
+        del state["_lines"]
         state["_sets"] = [(line.address, line.state, line.data)
                           for line in self]
         return state
@@ -110,9 +95,11 @@ class Cache:
         for name, value in state.items():
             setattr(self, name, value)
         lines = self._sets  # as pickled: the flat list
-        self._sets = [EMPTY_SET] * self.num_sets
+        self._lines, self._sets = {}, {}
         for line in lines:  # LRU order in, so the same eviction order
-            self._own_set(line[0])[line[0]] = CacheLine(*line)
+            self._lines[line[0]] = CacheLine(*line)
+            self._sets.setdefault((line[0] >> self._line_shift)
+                                  % self.num_sets, []).append(line[0])
 
     # -- operations -----------------------------------------------------------
 
@@ -123,18 +110,20 @@ class Cache:
         ``count=False`` makes the probe invisible to hit/miss statistics
         (used by coherence-side probes that are not program accesses).
         """
-        # The set index inlined: lookup and peek dominate the memory
-        # system's host cost on both execution modes.  An untouched
-        # set is ``EMPTY_SET``; its ``get`` misses like an empty set's.
-        cache_set = self._sets[(line_address >> self._line_shift)
-                               % self.num_sets]
-        line = cache_set.get(line_address)
+        line = self._lines.get(line_address)
         if count:
             self._lookups.value += 1
             if line is not None:
                 self._hits.value += 1
         if line is not None and touch:
-            cache_set.move_to_end(line_address)
+            # The set index inlined: lookup dominates the memory system's
+            # host cost.  A touch of the most recent line (the fetch
+            # ring, sequential data) moves nothing.
+            lru = self._sets[(line_address >> self._line_shift)
+                             % self.num_sets]
+            if lru[-1] != line_address:
+                lru.remove(line_address)
+                lru.append(line_address)
         return line
 
     def insert(self, line_address: int, state: LineState,
@@ -146,19 +135,25 @@ class Cache:
         evicts nothing.  ``timestamp`` (target cycles) is only consumed
         by telemetry.
         """
-        cache_set = self._own_set(line_address)
-        existing = cache_set.get(line_address)
+        index = (line_address >> self._line_shift) % self.num_sets
+        lru = self._sets.get(index)
+        existing = self._lines.get(line_address)
         if existing is not None:
             existing.state = state
             if data is not None:
                 existing.data = data
-            cache_set.move_to_end(line_address)
+            if lru[-1] != line_address:
+                lru.remove(line_address)
+                lru.append(line_address)
             return None
         victim = None
-        if len(cache_set) >= self.associativity:
-            _, victim = cache_set.popitem(last=False)  # LRU
+        if lru is None:
+            lru = self._sets[index] = []
+        elif len(lru) >= self.associativity:
+            victim = self._lines.pop(lru.pop(0))  # LRU
             self._evictions.add()
-        cache_set[line_address] = CacheLine(line_address, state, data)
+        lru.append(line_address)
+        self._lines[line_address] = CacheLine(line_address, state, data)
         if self._tele is not None:
             self._tele.emit("fill", self.tile, timestamp,
                             {"line": line_address, "state": state.value})
@@ -171,12 +166,13 @@ class Cache:
     def remove(self, line_address: int,
                timestamp: int = 0) -> Optional[CacheLine]:
         """Invalidate a line (coherence); returns it if it was resident."""
-        cache_set = self._sets[(line_address >> self._line_shift)
-                               % self.num_sets]
-        if cache_set is EMPTY_SET:
-            return None
-        line = cache_set.pop(line_address, None)
+        line = self._lines.pop(line_address, None)
         if line is not None:
+            index = (line_address >> self._line_shift) % self.num_sets
+            lru = self._sets[index]
+            lru.remove(line_address)
+            if not lru:
+                del self._sets[index]
             self._invalidations.add()
             if self._tele is not None:
                 self._tele.emit("invalidate", self.tile, timestamp,
@@ -186,14 +182,13 @@ class Cache:
 
     def peek(self, line_address: int) -> Optional[CacheLine]:
         """Lookup without LRU update or statistics."""
-        return self._sets[(line_address >> self._line_shift)
-                          % self.num_sets].get(line_address)
+        return self._lines.get(line_address)
 
     # -- introspection -------------------------------------------------------
 
     @property
     def resident_lines(self) -> int:
-        return sum(len(s) for s in self._sets)
+        return len(self._lines)
 
     @property
     def hit_rate(self) -> float:
@@ -202,5 +197,6 @@ class Cache:
 
     def __iter__(self):
         """Iterate over all resident lines (tests, invariant checks)."""
-        for cache_set in self._sets:
-            yield from cache_set.values()
+        for index in sorted(self._sets):
+            for address in self._sets[index]:
+                yield self._lines[address]

@@ -39,10 +39,9 @@ class Transport:
     def __init__(self, layout: ClusterLayout,
                  stats: Optional[StatGroup] = None) -> None:
         self.layout = layout
+        #: Per tile, one FIFO per message kind it has been sent.
         self._queues: List[Dict[MessageKind, Deque[Message]]] = [
-            {kind: deque() for kind in MessageKind}
-            for _ in range(layout.num_tiles)
-        ]
+            {} for _ in range(layout.num_tiles)]
         #: Fired on every delivery (cost charging); one is all there is.
         self.delivery_hook: Optional[DeliveryHook] = None
         self.stats = stats if stats is not None else StatGroup("transport")
@@ -94,7 +93,11 @@ class Transport:
         override this to route the message to the process owning the
         destination tile instead of a local queue.
         """
-        self._queues[int(message.dst)][message.kind].append(message)
+        queues = self._queues[int(message.dst)]
+        queue = queues.get(message.kind)
+        if queue is None:
+            queue = queues[message.kind] = deque()
+        queue.append(message)
 
     def account(self, src: TileId, dst: TileId, kind: MessageKind,
                 size_bytes: int) -> Locality:
@@ -120,7 +123,7 @@ class Transport:
 
     def poll(self, tile: TileId, kind: MessageKind) -> Optional[Message]:
         """Dequeue the oldest pending message of ``kind``, if any."""
-        queue = self._queues[int(tile)][kind]
+        queue = self._queues[int(tile)].get(kind)
         return queue.popleft() if queue else None
 
     def poll_match(self, tile: TileId, kind: MessageKind,
@@ -131,7 +134,7 @@ class Transport:
         Non-matching messages stay queued in order, mirroring tagged
         receive in the user messaging API.
         """
-        queue = self._queues[int(tile)][kind]
+        queue = self._queues[int(tile)].get(kind, ())
         for i, msg in enumerate(queue):
             if src is not None and msg.src != src:
                 continue
@@ -143,7 +146,7 @@ class Transport:
 
     def pending(self, tile: TileId, kind: MessageKind) -> int:
         """Number of queued messages of ``kind`` at ``tile``."""
-        return len(self._queues[int(tile)][kind])
+        return len(self._queues[int(tile)].get(kind, ()))
 
     def total_pending(self) -> int:
         """Total queued messages across all tiles (deadlock detection)."""

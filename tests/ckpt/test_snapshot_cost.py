@@ -26,11 +26,16 @@ import pytest
 from repro.ckpt.recovery import load_checkpoint
 from repro.ckpt.snapshot import load_bytes, snapshot_bytes
 from repro.ckpt.store import CheckpointStore
-from repro.common.config import CacheConfig, SimulationConfig
+from repro.common.config import CacheConfig, HostConfig, SimulationConfig
+from repro.common.ids import TileId
 from repro.common.stats import StatGroup
+from repro.core.branch import BranchPredictor
 from repro.distrib.wire import WorkloadRef
-from repro.memory.cache import EMPTY_SET, Cache, LineState
+from repro.host.cluster import ClusterLayout
+from repro.memory.cache import Cache, LineState
 from repro.sim.runner import create_simulator, run_simulation
+from repro.transport.message import Message, MessageKind
+from repro.transport.transport import Transport
 from tests.profile.test_instrument import table_targets
 
 TILES = 4
@@ -161,18 +166,98 @@ def test_eviction_order_survives_a_round_trip():
 
 @pytest.mark.parametrize("lines", [0, 1, 3, 9, 40])
 def test_a_restore_creates_no_more_sets_than_lines(lines):
-    """``__setstate__`` starts every slot at the shared empty set and
-    makes a set only where a pickled line lands: k lines, <= k sets."""
+    """``__setstate__`` makes a set entry only where a pickled line
+    lands: k lines, <= k sets."""
     cache = Cache("l2", CacheConfig(size_bytes=64 * 1024, associativity=4),
                   StatGroup("l2"))                   # 256 sets
     for way in range(lines):      # 3 lines per set, 8 sets apart
         cache.insert(way // 3 * 8 * 64 + way % 3 * 256 * 64,
                      LineState.SHARED)
     restored = load_bytes(snapshot_bytes(cache))
-    made = {id(s) for s in restored._sets if s is not EMPTY_SET}
-    assert len(made) == -(-lines // 3) <= lines
+    assert len(restored._sets) == -(-lines // 3) <= lines
     assert [line.address for line in restored] == \
         [line.address for line in cache]
+
+
+#: The slots a ``Cache`` pickles, in order: ``repro.ckpt/4``'s shape,
+#: with ``_sets`` the flat list of resident lines and no ``_lines``.
+CACHE_STATE = ["name", "config", "tile", "_tele", "line_bytes",
+               "associativity", "num_sets", "_line_shift", "_sets", "stats",
+               "_lookups", "_hits", "_evictions", "_invalidations"]
+
+
+def _warm_cache() -> Cache:
+    cache = _small_cache()
+    for address in (0, 128, 64, 256):
+        cache.insert(address, LineState.SHARED, bytearray(64))
+    return cache
+
+
+def _parent_cache(cache: Cache) -> Cache:
+    assert list(cache.__getstate__()) == CACHE_STATE
+    return cache
+
+
+def _use_cache(cache: Cache) -> list:
+    victims = [cache.insert(way * 128, LineState.MODIFIED, bytearray(64))
+               for way in range(1, 7)]
+    cache.lookup(4 * 128)
+    cache.remove(64)
+    return [[victim and victim.address for victim in victims],
+            [(line.address, line.state) for line in cache],
+            sorted(cache._sets), cache.stats.to_dict()]
+
+
+def _fresh_transport() -> Transport:
+    return Transport(ClusterLayout(4, HostConfig(num_machines=2)))
+
+
+def _parent_transport(transport: Transport) -> Transport:
+    transport._queues = [{kind: collections.deque() for kind in MessageKind}
+                         for _ in transport._queues]
+    return transport
+
+
+def _use_transport(transport: Transport) -> list:
+    for tag, kind in enumerate(MessageKind):
+        transport.send(Message(src=TileId(0), dst=TileId(1), kind=kind,
+                               size_bytes=8, tag=tag, payload=tag))
+    seen = [transport.pending(TileId(1), kind) for kind in MessageKind]
+    seen.append(transport.poll_match(TileId(1), MessageKind.USER,
+                                     tag=99))
+    seen += [transport.poll(TileId(1), kind).payload for kind in MessageKind]
+    seen += [transport.poll(TileId(2), MessageKind.USER),
+             transport.total_pending(), transport.stats.to_dict()]
+    return seen
+
+
+def _fresh_predictor() -> BranchPredictor:
+    return BranchPredictor(64, StatGroup("bp"))
+
+
+def _parent_predictor(predictor: BranchPredictor) -> BranchPredictor:
+    predictor._table = list(predictor._table)
+    return predictor
+
+
+def _use_predictor(predictor: BranchPredictor) -> list:
+    return [predictor.predict_and_update(pc, taken)
+            for pc in (0x100, 0x104, 0x140) for taken in
+            (True, True, False, True, False, False, False, True)]
+
+
+@pytest.mark.parametrize("make, as_parent, use", [
+    (_warm_cache, _parent_cache, _use_cache),
+    (_fresh_transport, _parent_transport, _use_transport),
+    (_fresh_predictor, _parent_predictor, _use_predictor),
+], ids=["cache", "transport", "predictor"])
+def test_a_parent_shaped_state_restores_and_behaves_as_a_fresh_one(
+        make, as_parent, use):
+    """What the previous layout pickled still loads: a cache state with
+    only the flat line list, a transport whose every tile holds one
+    deque per kind, a predictor whose table is a list."""
+    restored = load_bytes(snapshot_bytes(as_parent(make())))
+    assert use(restored) == use(make())
 
 
 def test_a_buffer_two_holders_share_is_one_buffer_after():

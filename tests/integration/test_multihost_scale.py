@@ -54,7 +54,7 @@ def _assert_same_metrics(result, reference) -> None:
 #: Run in a fresh interpreter, so its max RSS is the build's and nothing
 #: the test process already holds: on Linux that is ``VmHWM``, because
 #: ``ru_maxrss`` carries the spawning process's RSS across ``exec``.
-#: Prints max RSS in bytes, then the distinct set objects and the
+#: Prints max RSS in bytes, then the caches' set entries and the
 #: (cache, set) pairs holding a line after a one-thread program has
 #: stored to a few dozen lines.
 _BUILD_1024 = textwrap.dedent("""
@@ -78,10 +78,10 @@ _BUILD_1024 = textwrap.dedent("""
     sim.run(program, (40,))
     caches = [cache for hierarchy in sim.engine.hierarchies
               for cache in (hierarchy.l1i, hierarchy.l1d, hierarchy.l2)]
-    sets = {id(s) for cache in caches for s in cache._sets}
+    sets = sum(len(cache._sets) for cache in caches)
     touched = {(id(cache), (line.address >> cache._line_shift)
                 % cache.num_sets) for cache in caches for line in cache}
-    print(max_rss, len(sets), len(touched))
+    print(max_rss, sets, len(touched))
 """)
 
 
@@ -91,9 +91,9 @@ def test_a_1024_tile_build_holds_only_the_sets_a_run_touched():
                          env=dict(os.environ, PYTHONPATH=src),
                          capture_output=True, text=True).stdout
     max_rss, sets, touched = map(int, out.split())
-    assert max_rss <= 100 * 10 ** 6, f"{max_rss / 2 ** 20:.1f} MiB"
+    assert max_rss <= 40 * 10 ** 6, f"{max_rss / 2 ** 20:.1f} MiB"
     assert touched > 40  # the stores' lines, in L1D and L2, plus code
-    assert sets == touched + 1  # every untouched slot shares one set
+    assert sets == touched  # an untouched set has no entry
 
 
 @pytest.mark.slow

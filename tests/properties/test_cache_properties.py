@@ -2,13 +2,12 @@
 
 from collections import OrderedDict
 
-import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.common.config import CacheConfig
 from repro.common.stats import StatGroup
-from repro.memory.cache import EMPTY_SET, Cache, CacheLine, LineState
+from repro.memory.cache import Cache, CacheLine, LineState
 
 
 def make_cache(size=2048, line=64, ways=2):
@@ -168,25 +167,24 @@ lazy_operations = st.lists(
 @settings(max_examples=100, deadline=None)
 @given(lazy_operations)
 def test_sets_made_on_first_touch_behave_as_eager_ones(ops):
-    """Return values, victims, per-set LRU order and the four counters
-    of a cache whose sets appear on first insert equal those of one
-    with every set built up front; the shared empty set stays empty."""
+    """Return values, victims, iteration order, the four counters and
+    the pickled flat line list of a cache that holds only its resident
+    lines equal those of one with an ``OrderedDict`` built up front for
+    every set, and a set has an entry exactly while a line is in it."""
     cache = make_cache(size=512, line=64, ways=2)  # 4 sets x 2 ways
     reference = EagerCache(cache.num_sets, cache.associativity)
-    entered = set()  # indices of the sets a line has entered
     for op, address, *args in ops:
-        if op == "insert":
-            entered.add((address // 64) % cache.num_sets)
         got = getattr(cache, op)(address, *args)
         assert _seen(got) == _seen(getattr(reference, op)(address, *args))
         assert [_seen(line) for line in cache] == [
             _seen(line) for cache_set in reference.sets
             for line in cache_set.values()]
-    # Probes and removes create no set; only an insert does.
-    assert {index for index, cache_set in enumerate(cache._sets)
-            if cache_set is not EMPTY_SET} == entered
+        # A probe makes no set entry and an emptied set leaves none.
+        assert set(cache._sets) == {
+            index for index, cache_set in enumerate(reference.sets)
+            if cache_set}
     assert {name: cache.stats.counter(name).value
             for name in reference.counts} == reference.counts
-    assert len(EMPTY_SET) == 0
-    with pytest.raises(TypeError):
-        EMPTY_SET[0] = CacheLine(0, LineState.SHARED, None)
+    assert cache.__getstate__()["_sets"] == [
+        (line.address, line.state, line.data)
+        for cache_set in reference.sets for line in cache_set.values()]

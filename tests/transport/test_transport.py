@@ -30,6 +30,18 @@ class TestDelivery:
     def test_poll_empty_returns_none(self, transport):
         assert transport.poll(TileId(1), MessageKind.USER) is None
 
+    def test_a_tile_holds_a_queue_only_for_kinds_it_was_sent(
+            self, transport):
+        transport.send(msg(0, 1, kind=MessageKind.MEMORY))
+        assert list(transport._queues[1]) == [MessageKind.MEMORY]
+        assert transport._queues[2] == {}
+        assert transport.poll(TileId(2), MessageKind.USER) is None
+        assert transport.poll_match(TileId(2), MessageKind.USER,
+                                    tag=1) is None
+        assert transport.pending(TileId(2), MessageKind.USER) == 0
+        assert transport._queues[2] == {}  # reads made no queue
+        assert transport.total_pending() == 1
+
     def test_fifo_order_preserved(self, transport):
         for i in range(5):
             transport.send(msg(0, 1, payload=i))
