@@ -28,12 +28,13 @@ from repro.common.rng import RngStreams
 from repro.common.stats import Counter, Histogram, StatGroup, TimeSeries
 
 
-def slot_state(obj: Any) -> dict:
+def slot_state(obj: Any, *omit: str) -> dict:
     """``{slot: value}`` over ``obj``'s class and bases for a ``__getstate__``
-    to edit, ``obj.__dict__`` unread (see :mod:`repro.ckpt.snapshot`)."""
+    to edit, ``obj.__dict__`` unread (see :mod:`repro.ckpt.snapshot`),
+    less the slots ``omit`` names (shortcuts rebuilt on unpickling)."""
     return {name: getattr(obj, name)
             for name in copyreg._slotnames(type(obj))
-            if hasattr(obj, name)}
+            if name not in omit and hasattr(obj, name)}
 
 
 __all__ = [

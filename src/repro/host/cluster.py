@@ -24,6 +24,10 @@ class Locality(enum.Enum):
     CROSS_MACHINE = "cross_machine"
 
 
+#: Nearest first: a leg names its locality by index, hashing no enum.
+LOCALITIES = tuple(Locality)
+
+
 class ClusterLayout:
     """Static placement of tiles onto processes, machines and cores."""
 

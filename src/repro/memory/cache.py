@@ -151,7 +151,7 @@ class Cache:
             lru = self._sets[index] = []
         elif len(lru) >= self.associativity:
             victim = self._lines.pop(lru.pop(0))  # LRU
-            self._evictions.add()
+            self._evictions.value += 1
         lru.append(line_address)
         self._lines[line_address] = CacheLine(line_address, state, data)
         if self._tele is not None:
@@ -173,7 +173,7 @@ class Cache:
             lru.remove(line_address)
             if not lru:
                 del self._sets[index]
-            self._invalidations.add()
+            self._invalidations.value += 1
             if self._tele is not None:
                 self._tele.emit("invalidate", self.tile, timestamp,
                                 {"line": line_address,

@@ -19,7 +19,7 @@ windowed global-progress estimate.
 
 from __future__ import annotations
 
-from typing import List, Optional, TYPE_CHECKING
+from typing import Iterable, List, Optional, TYPE_CHECKING
 
 from repro.common.config import MemoryConfig
 from repro.common.errors import ProtocolError
@@ -43,6 +43,8 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
 CONTROL_BYTES = 8
 #: Header added to a data-carrying coherence message.
 HEADER_BYTES = 8
+#: Every protocol leg's traffic class.
+MEMORY = MessageKind.MEMORY
 
 
 class CoherenceEngine:
@@ -104,27 +106,6 @@ class CoherenceEngine:
         self._write_misses = stats.counter("write_misses")
         self._upgrades = stats.counter("upgrades")
 
-    # -- network helper -----------------------------------------------------------
-
-    def _transfer(self, src: TileId, dst: TileId, size_bytes: int,
-                  timestamp: int) -> int:
-        if self.functional:
-            return 0
-        return self.fabric.transfer(src, dst, MessageKind.MEMORY,
-                                    size_bytes, timestamp)
-
-    # -- DRAM timing helpers (bypassed under fast-forward) -------------------
-
-    def _dram_read(self, home: TileId, now: int) -> int:
-        if self.functional:
-            return 0
-        return self.drams[int(home)].read(now, self.line_bytes)
-
-    def _dram_post_write(self, home: TileId, now: int) -> None:
-        if self.functional:
-            return
-        self.drams[int(home)].post_write(now, self.line_bytes)
-
     # -- public protocol operations --------------------------------------------------
 
     def read_access(self, tile: TileId, address: int, size: int,
@@ -134,19 +115,22 @@ class CoherenceEngine:
         ``address``/``size`` must lie within one cache line (the memory
         controller splits larger accesses).
         """
-        line_address = self.space.line_of(address)
-        hierarchy = self.hierarchies[int(tile)]
+        line_bytes = self.line_bytes
+        line_address = address & -line_bytes  # a power of two
+        hierarchy = self.hierarchies[tile]
         latency = self.config.l2.access_latency
-        line = hierarchy.l2_line(line_address)
+        line = hierarchy.l2.lookup(line_address)
         if line is not None:
             return line, latency
-        self._read_misses.add()
+        self._read_misses.value += 1
         if self.classifier is not None:
             self.classifier.classify(tile, address, size)
-        home = self.space.home_tile(line_address)
-        directory = self.directories[int(home)]
+        # Lines interleave over the tiles (``AddressSpace.home_tile``).
+        home = line_address // line_bytes % self.num_tiles
+        directory = self.directories[home]
+        transfer = self.fabric.transfer
         now = timestamp + latency
-        now += self._transfer(tile, home, CONTROL_BYTES, now)
+        now += transfer(tile, home, MEMORY, CONTROL_BYTES, now)
         now += self.config.directory_latency
         entry = directory.entry(line_address)
 
@@ -163,16 +147,17 @@ class CoherenceEngine:
                     f"says it owns ({line_address:#x})")
             # Recall the dirty line: home -> owner -> home, then the
             # owner keeps a shared copy (M -> S downgrade).
-            now += self._transfer(home, owner, CONTROL_BYTES, now)
-            owner_line = self.hierarchies[int(owner)].downgrade(line_address)
+            now += transfer(home, owner, MEMORY, CONTROL_BYTES, now)
+            owner_line = self.hierarchies[owner].downgrade(line_address)
             if owner_line is None or owner_line.data is None:
                 raise ProtocolError(
                     f"directory owner {int(owner)} does not hold "
                     f"{line_address:#x}")
             self.backing.write_line(line_address, owner_line.data)
-            now += self._transfer(owner, home,
-                                  self.line_bytes + HEADER_BYTES, now)
-            self._dram_post_write(home, now)
+            now += transfer(owner, home, MEMORY, line_bytes + HEADER_BYTES,
+                            now)
+            if not self.functional:
+                self.drams[home].post_write(now, line_bytes)
             entry.state = DirState.SHARED
         elif entry.state is DirState.SHARED and entry.sharers \
                 and self.config.forward_shared_reads:
@@ -182,13 +167,13 @@ class CoherenceEngine:
             # forwarding, widely read-shared lines serialize every new
             # sharer behind one controller's bandwidth slice.
             forwarder = next(iter(entry.sharers))
-            now += self._transfer(home, forwarder, CONTROL_BYTES, now)
-            now += self._transfer(forwarder, tile,
-                                  self.line_bytes + HEADER_BYTES, now)
+            now += transfer(home, forwarder, MEMORY, CONTROL_BYTES, now)
+            now += transfer(forwarder, tile, MEMORY,
+                            line_bytes + HEADER_BYTES, now)
             data_forwarded = True
-        elif entry.state is not DirState.MODIFIED:
+        elif not self.functional:
             # Data comes from the home memory controller.
-            now += self._dram_read(home, now)
+            now += self.drams[home].read(now, line_bytes)
 
         result = directory.add_sharer(entry, tile, timestamp=now)
         now += result.extra_latency
@@ -199,12 +184,9 @@ class CoherenceEngine:
         # may silently dirty the line, so recalls must go through it.
         entry.state = DirState.MODIFIED if grant_exclusive \
             else DirState.SHARED
-        if data_forwarded:
-            # Completion acknowledgement only; the data already arrived.
-            now += self._transfer(home, tile, CONTROL_BYTES, now)
-        else:
-            now += self._transfer(home, tile,
-                                  self.line_bytes + HEADER_BYTES, now)
+        # Completion acknowledgement only if the data already arrived.
+        now += transfer(home, tile, MEMORY, CONTROL_BYTES if data_forwarded
+                        else line_bytes + HEADER_BYTES, now)
         data = self.backing.read_line(line_address)
         fill_state = LineState.EXCLUSIVE if grant_exclusive \
             else LineState.SHARED
@@ -246,10 +228,11 @@ class CoherenceEngine:
     def write_access(self, tile: TileId, address: int, size: int,
                      timestamp: int) -> "tuple[CacheLine, int]":
         """Ensure an exclusive (M) copy at ``tile``; returns latency."""
-        line_address = self.space.line_of(address)
-        hierarchy = self.hierarchies[int(tile)]
+        line_bytes = self.line_bytes
+        line_address = address & -line_bytes
+        hierarchy = self.hierarchies[tile]
         latency = self.config.l2.access_latency
-        line = hierarchy.l2_line(line_address)
+        line = hierarchy.l2.lookup(line_address)
         if line is not None and line.state is LineState.MODIFIED:
             return line, latency
         if line is not None and line.state is LineState.EXCLUSIVE:
@@ -258,24 +241,25 @@ class CoherenceEngine:
             line.state = LineState.MODIFIED
             return line, latency
 
-        home = self.space.home_tile(line_address)
-        directory = self.directories[int(home)]
+        home = line_address // line_bytes % self.num_tiles
+        directory = self.directories[home]
+        transfer = self.fabric.transfer
         now = timestamp + latency
 
         if line is not None:
             # Upgrade: we hold S; invalidate the other sharers.
-            self._upgrades.add()
-            now += self._transfer(tile, home, CONTROL_BYTES, now)
+            self._upgrades.value += 1
+            now += transfer(tile, home, MEMORY, CONTROL_BYTES, now)
             now += self.config.directory_latency
             entry = directory.entry(line_address)
             now += directory.invalidation_latency(entry)
-            now += self._invalidate_sharers(home, entry.sharer_list(),
+            now += self._invalidate_sharers(home, entry.sharers,
                                             line_address, now,
                                             exclude=tile)
             entry.sharers.clear()
             entry.sharers[tile] = None
             entry.state = DirState.MODIFIED
-            now += self._transfer(home, tile, CONTROL_BYTES, now)
+            now += transfer(home, tile, MEMORY, CONTROL_BYTES, now)
             line.state = LineState.MODIFIED
             if self._tele_cache is not None:
                 self._tele_cache.emit("upgrade", int(tile), timestamp,
@@ -284,10 +268,10 @@ class CoherenceEngine:
             return line, now - timestamp
 
         # Write miss.
-        self._write_misses.add()
+        self._write_misses.value += 1
         if self.classifier is not None:
             self.classifier.classify(tile, address, size)
-        now += self._transfer(tile, home, CONTROL_BYTES, now)
+        now += transfer(tile, home, MEMORY, CONTROL_BYTES, now)
         now += self.config.directory_latency
         entry = directory.entry(line_address)
 
@@ -297,8 +281,8 @@ class CoherenceEngine:
                 raise ProtocolError(
                     f"tile {int(tile)} write-missed on a line the "
                     f"directory says it owns ({line_address:#x})")
-            now += self._transfer(home, owner, CONTROL_BYTES, now)
-            owner_line = self.hierarchies[int(owner)].invalidate(
+            now += transfer(home, owner, MEMORY, CONTROL_BYTES, now)
+            owner_line = self.hierarchies[owner].invalidate(
                 line_address, timestamp=now)
             if owner_line is None or owner_line.data is None:
                 raise ProtocolError(
@@ -308,25 +292,25 @@ class CoherenceEngine:
             if self.classifier is not None:
                 self.classifier.note_invalidation(owner, line_address,
                                                   due_to_write=True)
-            now += self._transfer(owner, home,
-                                  self.line_bytes + HEADER_BYTES, now)
-            self._dram_post_write(home, now)
+            now += transfer(owner, home, MEMORY, line_bytes + HEADER_BYTES,
+                            now)
+            if not self.functional:
+                self.drams[home].post_write(now, line_bytes)
             entry.sharers.clear()
-        elif entry.state is DirState.SHARED:
-            now += directory.invalidation_latency(entry)
-            now += self._invalidate_sharers(home, entry.sharer_list(),
-                                            line_address, now,
-                                            exclude=None)
-            entry.sharers.clear()
-            now += self._dram_read(home, now)
         else:
-            now += self._dram_read(home, now)
+            if entry.state is DirState.SHARED:
+                now += directory.invalidation_latency(entry)
+                now += self._invalidate_sharers(home, entry.sharers,
+                                                line_address, now,
+                                                exclude=None)
+                entry.sharers.clear()
+            if not self.functional:
+                now += self.drams[home].read(now, line_bytes)
 
         result = directory.add_sharer(entry, tile, timestamp=now)
         now += result.extra_latency
         entry.state = DirState.MODIFIED
-        now += self._transfer(home, tile,
-                              self.line_bytes + HEADER_BYTES, now)
+        now += transfer(home, tile, MEMORY, line_bytes + HEADER_BYTES, now)
         data = self.backing.read_line(line_address)
         line = self._install(tile, line_address, LineState.MODIFIED,
                              data, now)
@@ -338,7 +322,7 @@ class CoherenceEngine:
 
     # -- invalidations -----------------------------------------------------------------
 
-    def _invalidate_sharers(self, home: TileId, sharers: List[TileId],
+    def _invalidate_sharers(self, home: TileId, sharers: Iterable[TileId],
                             line_address: int, timestamp: int,
                             exclude: Optional[TileId]) -> int:
         """Invalidate all sharers in parallel; latency is the worst leg."""
@@ -353,8 +337,9 @@ class CoherenceEngine:
     def _invalidate_one(self, home: TileId, sharer: TileId,
                         line_address: int, timestamp: int,
                         due_to_write: bool) -> int:
-        leg = self._transfer(home, sharer, CONTROL_BYTES, timestamp)
-        removed = self.hierarchies[int(sharer)].invalidate(
+        transfer = self.fabric.transfer
+        leg = transfer(home, sharer, MEMORY, CONTROL_BYTES, timestamp)
+        removed = self.hierarchies[sharer].invalidate(
             line_address, timestamp=timestamp + leg)
         if removed is None:
             raise ProtocolError(
@@ -367,15 +352,14 @@ class CoherenceEngine:
         if self.classifier is not None:
             self.classifier.note_invalidation(sharer, line_address,
                                               due_to_write)
-        leg += self._transfer(sharer, home, CONTROL_BYTES,
+        return leg + transfer(sharer, home, MEMORY, CONTROL_BYTES,
                               timestamp + leg)
-        return leg
 
     # -- fills and evictions ---------------------------------------------------------------
 
     def _install(self, tile: TileId, line_address: int, state: LineState,
                  data: bytearray, timestamp: int) -> CacheLine:
-        hierarchy = self.hierarchies[int(tile)]
+        hierarchy = self.hierarchies[tile]
         victim = hierarchy.fill_l2(line_address, state, data,
                                    timestamp=timestamp)
         if victim is not None:
@@ -393,19 +377,22 @@ class CoherenceEngine:
         Posted off the critical path: the requester does not wait, but
         bandwidth and host transfer costs are consumed.
         """
-        victim_home = self.space.home_tile(victim.address)
-        directory = self.directories[int(victim_home)]
+        line_bytes = self.line_bytes
+        home = victim.address // line_bytes % self.num_tiles
+        directory = self.directories[home]
         entry = directory.entry(victim.address)
         if victim.state is LineState.MODIFIED:
             if victim.data is None:
                 raise ProtocolError("dirty victim with no data")
-            self._transfer(tile, victim_home,
-                           self.line_bytes + HEADER_BYTES, timestamp)
+            self.fabric.transfer(tile, home, MEMORY,
+                                 line_bytes + HEADER_BYTES, timestamp)
             self.backing.write_line(victim.address, victim.data)
-            self._dram_post_write(victim_home, timestamp)
+            if not self.functional:
+                self.drams[home].post_write(timestamp, line_bytes)
         else:
             # Evict notice keeps the full-map sharer list precise.
-            self._transfer(tile, victim_home, CONTROL_BYTES, timestamp)
+            self.fabric.transfer(tile, home, MEMORY, CONTROL_BYTES,
+                                 timestamp)
         directory.remove_sharer(entry, tile, timestamp=timestamp)
         if self.classifier is not None:
             self.classifier.note_eviction(tile, victim.address)

@@ -57,9 +57,6 @@ class DirectoryEntry:
                 f"MODIFIED entry with {len(self.sharers)} sharers")
         return next(iter(self.sharers))
 
-    def sharer_list(self) -> List[TileId]:
-        return list(self.sharers)
-
 
 @dataclass
 class AddResult:
@@ -69,6 +66,10 @@ class AddResult:
     evict: List[TileId] = field(default_factory=list)
     #: Extra latency charged (LimitLESS software trap).
     extra_latency: int = 0
+
+
+#: Every full-map add's result, shared so an add allocates nothing.
+_NO_EFFECT = AddResult()
 
 
 class Directory:
@@ -108,7 +109,7 @@ class Directory:
         if e is None:
             e = DirectoryEntry()
             self.entries[line_address] = e
-        self._lookups.add()
+        self._lookups.value += 1
         return e
 
     def add_sharer(self, entry: DirectoryEntry, tile: TileId,
@@ -119,7 +120,7 @@ class Directory:
             self._tele.emit("sharer_add", int(self.home), timestamp,
                             {"sharer": int(tile),
                              "sharers": len(entry.sharers)})
-        return AddResult()
+        return _NO_EFFECT
 
     def remove_sharer(self, entry: DirectoryEntry, tile: TileId,
                       timestamp: int = 0) -> None:

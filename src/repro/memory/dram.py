@@ -58,8 +58,8 @@ class DramController:
         """Latency of a read: fixed access latency + queue + transfer."""
         occupancy = self.queue.access(timestamp, self.service_cycles(size_bytes))
         latency = self.config.access_latency + occupancy
-        self._reads.add()
-        self._read_latency.add(latency)
+        self._reads.value += 1
+        self._read_latency.value += latency
         if self._tele is not None:
             self._tele.emit("read", int(self.tile), timestamp,
                             {"occupancy": occupancy, "latency": latency,
@@ -70,7 +70,7 @@ class DramController:
         """A posted write(back): consumes bandwidth, off the critical path."""
         occupancy = self.queue.access(timestamp,
                                       self.service_cycles(size_bytes))
-        self._writes.add()
+        self._writes.value += 1
         if self._tele is not None:
             self._tele.emit("write", int(self.tile), timestamp,
                             {"occupancy": occupancy, "bytes": size_bytes})

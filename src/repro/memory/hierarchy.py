@@ -125,11 +125,6 @@ class CacheHierarchy(L1Caches):
 
     # -- L2 / coherence side ---------------------------------------------------------
 
-    def l2_line(self, line_address: int, count: bool = True
-                ) -> Optional[CacheLine]:
-        """The L2's resident line, refreshing LRU."""
-        return self.l2.lookup(line_address, count=count)
-
     def fill_l2(self, line_address: int, state: LineState,
                 data: bytearray,
                 timestamp: int = 0) -> Optional[CacheLine]:

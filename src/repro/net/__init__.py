@@ -10,7 +10,7 @@ around them:
 * :mod:`repro.net.channel` — the :class:`~repro.net.channel.Channel`
   abstraction the cluster speaks agnostically, with a multiprocessing
   pipe implementation and a TCP implementation over the
-  length-prefixed framing of :mod:`repro.transport.frames`.
+  length-prefixed framing of :mod:`repro.net.frames`.
 * :mod:`repro.net.handshake` — the JSON hello/welcome exchange that
   fails version- or config-mismatched peers loudly before any pickle
   crosses the socket: the one place a version is checked.

@@ -11,7 +11,7 @@ carried them, which is what keeps the paths byte-identical.
 Close/crash semantics are normalized: any "the peer is gone" condition
 (EOF, broken pipe, reset) surfaces as :class:`ChannelClosedError`, so
 callers distinguish *dead peer* from *malformed traffic*
-(:class:`~repro.transport.frames.FrameError`) without transport-
+(:class:`~repro.net.frames.FrameError`) without transport-
 specific except clauses.
 """
 
@@ -22,7 +22,7 @@ import socket
 from typing import Optional
 
 from repro.common.errors import TransportError
-from repro.transport.frames import (
+from repro.net.frames import (
     ConnectionClosed,
     FrameError,
     recv_frame,

@@ -1,7 +1,7 @@
 """The hello/welcome exchange that opens every TCP channel.
 
 Before a single pickle crosses a socket, the two ends exchange one
-JSON frame each (over the :mod:`repro.transport.frames` framing):
+JSON frame each (over the :mod:`repro.net.frames` framing):
 
 * the dialer sends a :class:`Hello` carrying its
   :data:`repro.distrib.wire.WIRE_VERSION` — the one version of every
@@ -33,7 +33,7 @@ from dataclasses import asdict, dataclass
 from typing import Union
 
 from repro.common.errors import TransportError
-from repro.transport.frames import FrameError, recv_frame, send_frame
+from repro.net.frames import FrameError, recv_frame, send_frame
 
 
 class HandshakeError(TransportError):

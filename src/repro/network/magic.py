@@ -24,6 +24,8 @@ class MagicNetworkModel(NetworkModel):
         super().__init__("magic", stats)
         del num_tiles, config  # geometry-independent
 
-    def _latency_of(self, src: TileId, dst: TileId, size_bytes: int,
-                    timestamp: int) -> int:
+    def route(self, src: TileId, dst: TileId, size_bytes: int,
+              timestamp: int) -> int:
+        self._packets.value += 1
+        self._bytes.value += size_bytes
         return 0

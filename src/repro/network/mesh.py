@@ -36,10 +36,16 @@ class MeshNetworkModel(NetworkModel):
         self.link_bytes_per_cycle = config.link_bytes_per_cycle
         self.endpoint_latency = config.endpoint_latency
 
-    def _latency_of(self, src: TileId, dst: TileId, size_bytes: int,
-                    timestamp: int) -> int:
-        hops = self.geometry.distance(src, dst)
-        serial = serialization_cycles(size_bytes, self.link_bytes_per_cycle)
+    def route(self, src: TileId, dst: TileId, size_bytes: int,
+              timestamp: int) -> int:
+        """Every coherence leg's price, in one frame: the hops of
+        :meth:`MeshGeometry.distance` and :func:`serialization_cycles`
+        spelled inline, the counters :meth:`NetworkModel.route` bumps."""
+        width = self.geometry.width
+        hops = (abs(src % width - dst % width)
+                + abs(src // width - dst // width))
+        serial = (-(-size_bytes // self.link_bytes_per_cycle)
+                  if size_bytes > 0 else 0)
         latency = (2 * self.endpoint_latency + hops * self.hop_latency
                    + serial)
         if self.telemetry is not None:
@@ -47,4 +53,7 @@ class MeshNetworkModel(NetworkModel):
                                 {"dst": int(dst), "hops": hops,
                                  "serialization": serial,
                                  "latency": latency})
+        self._packets.value += 1
+        self._bytes.value += size_bytes
+        self._latency.value += latency
         return latency

@@ -9,7 +9,6 @@ destination, size and timestamp.
 
 from __future__ import annotations
 
-import abc
 from typing import Callable, Dict
 
 from repro.common.config import NetworkConfig
@@ -18,8 +17,9 @@ from repro.common.ids import TileId
 from repro.common.stats import StatGroup
 
 
-class NetworkModel(abc.ABC):
-    """Computes modelled packet latency for one traffic class."""
+class NetworkModel:
+    """Computes modelled packet latency for one traffic class: in
+    ``_latency_of``, or pricing and counting in a ``route`` of its own."""
 
     __slots__ = ("name", "stats", "telemetry", "_packets", "_bytes",
                  "_latency")
@@ -43,10 +43,10 @@ class NetworkModel(abc.ABC):
         self._latency.value += latency
         return latency
 
-    @abc.abstractmethod
     def _latency_of(self, src: TileId, dst: TileId, size_bytes: int,
                     timestamp: int) -> int:
         """Model-specific latency computation."""
+        raise NotImplementedError
 
     @property
     def mean_latency(self) -> float:

@@ -90,7 +90,7 @@ class Simulator:
 
         # Communication.
         self.transport = self._make_transport()
-        self.transport.delivery_hook = self._charge_message
+        self._arm_transport()
         self.fabric = NetworkFabric(config.num_tiles, config.network,
                                     self.transport,
                                     self.stats.child("network"),
@@ -252,6 +252,15 @@ class Simulator:
             if config.ckpt.every > 0:
                 scheduler.set_stage("ckpt", config.ckpt.every,
                                     lambda _s: self.save_checkpoint())
+
+    def _arm_transport(self) -> None:
+        """A queued send charges through the delivery hook; a leg
+        (``Transport.account``) through the cost model's charger, and
+        the sanitizers count both.  The last two are not pickled."""
+        transport = self.transport
+        transport.delivery_hook = self._charge_message
+        transport.charge_leg = self.cost_model.charge_leg
+        transport.sanitizers = self.sanitizers
 
     def _make_transport(self) -> Transport:
         """Build the message fabric; overridden by the mp backend."""
@@ -509,7 +518,7 @@ class Simulator:
             task.kernel = None
         self.cost_model.scheduler = None
         self.sync_model.scheduler = None
-        self.transport.delivery_hook = None
+        self.transport.delivery_hook = self.transport.charge_leg = None
         self.mcp.disarm_wakes()
         self.scheduler.disarm_stages()
         if self.sample_controller is not None:
@@ -559,6 +568,7 @@ class Simulator:
         if config is not None:
             self.config = config
         self._arm_observers()
+        self._arm_transport()
         syscalls = self.mcp.syscalls
         inner = getattr(syscalls, "_inner", None)
         if inner is not None:

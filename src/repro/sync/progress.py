@@ -27,12 +27,13 @@ class ProgressEstimator:
         self._window: Deque[int] = deque(maxlen=window_size)
         self._sum = 0
 
-    def observe(self, timestamp: int) -> None:
-        """Record a message timestamp."""
+    def observe(self, timestamp: int) -> float:
+        """Record a message timestamp; returns the new :meth:`estimate`."""
         if len(self._window) == self.window_size:
             self._sum -= self._window[0]
         self._window.append(timestamp)
         self._sum += timestamp
+        return self._sum / len(self._window)
 
     def estimate(self) -> float:
         """Current approximation of the global cycle count (0 if empty)."""

@@ -57,8 +57,7 @@ class LaxQueueModel:
         prevent (paper §3.6.1: "the large window is necessary to
         eliminate outliers from overly influencing the result").
         """
-        self._progress.observe(arrival_time)
-        global_clock = self._progress.estimate()
+        global_clock = self._progress.observe(arrival_time)
         delay = max(self._queue_clock - global_clock, 0.0)
         # A bounded queue: no packet can wait behind more than
         # max_backlog others, whatever the apparent clock skew says.
@@ -66,8 +65,8 @@ class LaxQueueModel:
         self._queue_clock = max(self._queue_clock, global_clock) \
             + processing_time
         total = int(delay) + processing_time
-        self._delay_total.add(int(delay))
-        self._requests.add()
+        self._delay_total.value += int(delay)
+        self._requests.value += 1
         return total
 
     @property

@@ -14,15 +14,18 @@ from __future__ import annotations
 from collections import deque
 from typing import Callable, Deque, Dict, List, Optional
 
+from repro.common import slot_state
 from repro.common.errors import TransportError
 from repro.common.ids import TileId
 from repro.common.stats import StatGroup
-from repro.host.cluster import ClusterLayout, Locality
+from repro.host.cluster import LOCALITIES, ClusterLayout, Locality
 from repro.transport.message import Message, MessageKind
 
 #: Called for every delivered message: (message, locality).  The
 #: simulator's, which charges host communication costs.
 DeliveryHook = Callable[[Message, Locality], None]
+#: Each locality's counter name, by index in :data:`LOCALITIES`.
+_COUNTERS = tuple(f"messages_{loc.value}" for loc in LOCALITIES)
 
 
 class Transport:
@@ -34,7 +37,7 @@ class Transport:
     """
 
     __slots__ = ("layout", "_queues", "delivery_hook", "stats", "_sent",
-                 "_bytes", "_by_locality")
+                 "_bytes", "_by_locality", "charge_leg", "sanitizers")
 
     def __init__(self, layout: ClusterLayout,
                  stats: Optional[StatGroup] = None) -> None:
@@ -48,9 +51,15 @@ class Transport:
         self._sent = self.stats.counter("messages_sent")
         self._bytes = self.stats.counter("bytes_sent")
         self._by_locality = {
-            loc: self.stats.counter(f"messages_{loc.value}")
-            for loc in Locality
+            loc: self.stats.counter(name)
+            for loc, name in zip(LOCALITIES, _COUNTERS)
         }
+        #: :meth:`account`'s charger and checker, armed, never pickled.
+        self.charge_leg: Optional[Callable[[int, int, bool], None]] = None
+        self.sanitizers = None
+
+    def __getstate__(self) -> tuple:
+        return None, slot_state(self, "charge_leg", "sanitizers")
 
     def __setstate__(self, state: tuple) -> None:
         _dict, slots = state
@@ -61,6 +70,7 @@ class Transport:
             slots["delivery_hook"] = hooks[0] if hooks else None
         for name, value in slots.items():
             setattr(self, name, value)
+        self.charge_leg = self.sanitizers = None
 
     # -- sending ------------------------------------------------------------
 
@@ -100,24 +110,29 @@ class Transport:
         queue.append(message)
 
     def account(self, src: TileId, dst: TileId, kind: MessageKind,
-                size_bytes: int) -> Locality:
+                size_bytes: int) -> None:
         """Account for a transfer that is processed synchronously.
 
         Coherence and system-control messages are serviced at the
         destination the moment they are sent (the engine processes them
-        inline), so nothing is enqueued — but the transfer still
-        happened physically: statistics and the host-cost hook fire
-        exactly as for :meth:`send`.
+        inline), so nothing is enqueued and no :class:`Message` is
+        built — but the transfer still happened physically: the
+        statistics, the sanitizers' count and the host charge are
+        :meth:`send`'s.  The locality, an index in :data:`LOCALITIES`,
+        is ``ClusterLayout.locality``'s striping spelled inline.
         """
-        locality = self.layout.locality(src, dst)
+        layout = self.layout
+        a, b = src % layout.num_processes, dst % layout.num_processes
+        machines = layout.num_machines
+        locality = 0 if a == b else 1 if a % machines == b % machines else 2
         self._sent.value += 1
         self._bytes.value += size_bytes
-        self._by_locality[locality].value += 1
-        hook = self.delivery_hook
-        if hook is not None:
-            hook(Message(src=src, dst=dst, kind=kind, size_bytes=size_bytes),
-                 locality)
-        return locality
+        self.stats.counters[_COUNTERS[locality]].value += 1
+        if self.sanitizers is not None:
+            self.sanitizers.messages_checked += 1
+        if self.charge_leg is not None:
+            self.charge_leg(locality, size_bytes,
+                            kind is not MessageKind.SYSTEM)
 
     # -- receiving ----------------------------------------------------------
 

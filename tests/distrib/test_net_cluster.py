@@ -23,7 +23,7 @@ from repro.distrib.wire import WIRE_VERSION, FrameKind
 from repro.host.cluster import ClusterLayout
 from repro.net.handshake import HandshakeError
 from repro.net.listener import connect_worker
-from repro.transport.frames import send_frame
+from repro.net.frames import send_frame
 
 
 def _dial_with_retry(port: int, wire_version: int, deadline: float = 10.0):

@@ -9,7 +9,7 @@ import struct
 import pytest
 
 from repro.net.channel import ChannelClosedError, PipeChannel, TcpChannel
-from repro.transport.frames import FrameError
+from repro.net.frames import FrameError
 
 
 def _tcp_pair():

@@ -8,7 +8,7 @@ import threading
 import pytest
 
 from repro.common.errors import TransportError
-from repro.transport.frames import (
+from repro.net.frames import (
     MAX_FRAME_BYTES,
     ConnectionClosed,
     recv_frame,

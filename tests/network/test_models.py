@@ -8,6 +8,7 @@ from repro.common.ids import TileId
 from repro.common.stats import StatGroup
 from repro.network.mesh import serialization_cycles
 from repro.network.model import create_network_model
+from repro.network.routing import MeshGeometry
 
 
 def make(name, tiles=16, **overrides):
@@ -69,6 +70,59 @@ class TestMesh:
         model.route(TileId(0), TileId(1), 8, 0)
         model.route(TileId(0), TileId(2), 8, 0)
         assert model.mean_latency > 0
+
+
+class TestMeshReference:
+    """``MeshNetworkModel.route`` prices a packet in its own frame; the
+    geometry's ``distance`` and :func:`serialization_cycles` are the
+    reference it must equal, on square and ragged grids alike."""
+
+    CONFIG = NetworkConfig(hop_latency=3, link_bytes_per_cycle=8,
+                           endpoint_latency=2)
+
+    @staticmethod
+    def _reference(geometry, src, dst, size, config):
+        return (2 * config.endpoint_latency
+                + geometry.distance(src, dst) * config.hop_latency
+                + serialization_cycles(size, config.link_bytes_per_cycle))
+
+    def _check(self, tiles, pairs):
+        model = create_network_model("mesh", tiles, self.CONFIG,
+                                     StatGroup("n"))
+        geometry = MeshGeometry(tiles)
+        packets = total_bytes = total_latency = 0
+        for index, (src, dst) in enumerate(pairs):
+            size = (0, 1, 8, 72, 513)[index % 5]
+            latency = model.route(TileId(src), TileId(dst), size, index)
+            assert latency == self._reference(
+                geometry, TileId(src), TileId(dst), size, self.CONFIG), \
+                (tiles, src, dst, size)
+            packets += 1
+            total_bytes += size
+            total_latency += latency
+        stats = model.stats
+        assert stats.counter("packets").value == packets
+        assert stats.counter("bytes").value == total_bytes
+        assert stats.counter("total_latency_cycles").value == total_latency
+
+    @pytest.mark.parametrize("tiles", [1, 2, 3, 6, 8, 17, 64])
+    def test_every_pair_equals_the_geometry(self, tiles):
+        self._check(tiles, [(src, dst) for src in range(tiles)
+                            for dst in range(tiles)])
+
+    def test_sampled_pairs_at_1024_tiles(self):
+        pairs = [((7919 * i) % 1024, (104729 * i + 17) % 1024)
+                 for i in range(4096)]
+        pairs += [(0, 1023), (1023, 0), (31, 992), (5, 5)]
+        self._check(1024, pairs)
+
+    def test_magic_prices_nothing_and_counts_alike(self):
+        model = create_network_model("magic", 17, self.CONFIG,
+                                     StatGroup("n"))
+        assert model.route(TileId(0), TileId(16), 72, 5) == 0
+        assert model.stats.counter("packets").value == 1
+        assert model.stats.counter("bytes").value == 72
+        assert model.stats.counter("total_latency_cycles").value == 0
 
 
 class TestContentionMesh:

@@ -220,7 +220,7 @@ def test_torn_and_oversized_frames_leave_the_daemon_quiet(capfd):
     reaches the daemon's stderr, and the pump serves on."""
     import struct
 
-    from repro.transport.frames import MAX_FRAME_BYTES
+    from repro.net.frames import MAX_FRAME_BYTES
 
     with running_server(fleet=1) as (server, client):
         with socket.socket(socket.AF_UNIX) as torn:
@@ -248,7 +248,7 @@ def test_torn_and_oversized_frames_leave_the_daemon_quiet(capfd):
 def test_a_rogue_handshake_at_the_client_door_is_skipped(capfd):
     """Valid JSON that is no handshake frame fails the dial-in alone:
     the pump rejects it quietly and answers the next ping."""
-    from repro.transport.frames import send_frame
+    from repro.net.frames import send_frame
 
     with running_server(fleet=1) as (server, client):
         with socket.socket(socket.AF_UNIX) as rogue:

@@ -2,11 +2,12 @@
 
 import pytest
 
-from repro.common.config import HostConfig
+from repro.common.config import HostConfig, SimulationConfig
 from repro.common.errors import TransportError
 from repro.common.ids import TileId
 from repro.host.cluster import ClusterLayout, Locality
 from repro.transport.message import Message, MessageKind
+from repro.sim.runner import create_simulator
 from repro.transport.transport import Transport
 
 
@@ -19,6 +20,50 @@ def transport():
 def msg(src, dst, kind=MessageKind.USER, payload=None, size=8, tag=None):
     return Message(src=TileId(src), dst=TileId(dst), kind=kind,
                    payload=payload, size_bytes=size, tag=tag)
+
+
+#: Eight tiles striped over four processes on two machines: tile 0's
+#: peer at each locality.
+PEER = {Locality.SAME_PROCESS: 4, Locality.SAME_MACHINE: 2,
+        Locality.CROSS_MACHINE: 1}
+
+
+class _Running:
+    """Stands for the thread whose quantum is open."""
+
+
+def _one_transfer(locality, kind, queued: bool) -> dict:
+    """What one 72-byte transfer from tile 0 to ``PEER[locality]`` at
+    cycle 1000 leaves behind in a fresh traced, sanitized simulator
+    whose quantum is open."""
+    config = SimulationConfig(num_tiles=8, seed=5)
+    config.host.num_machines = 2
+    config.host.num_processes = 4
+    config.telemetry.enabled = True
+    config.check.sanitize = True
+    config.validate()
+    sim = create_simulator(config)
+    scheduler = sim.scheduler
+    scheduler._running = _Running()
+    src, dst = TileId(0), TileId(PEER[locality])
+    assert sim.layout.locality(src, dst) is locality
+    if queued:
+        latency = sim.fabric.send(src, dst, kind, None, 72, 1000).latency
+    else:
+        latency = sim.fabric.transfer(src, dst, kind, 72, 1000)
+    counters = sim.transport.stats.counters
+    return {
+        "latency": latency,
+        "counters": {name: counter.value
+                     for name, counter in counters.items()},
+        "factors": list(sim.cost_model._factors),
+        "charged": (scheduler._quantum_charge,
+                    scheduler._quantum_blocking),
+        "msg": [event.args for event in sim.telemetry.events
+                if event.name == "msg"],
+        "checked": sim.sanitizers.messages_checked,
+        "pending": sim.transport.total_pending(),
+    }
 
 
 class TestDelivery:
@@ -98,12 +143,22 @@ class TestAccounting:
         transport.send(msg(0, 1))
         assert events == [Locality.CROSS_MACHINE]
 
-    def test_account_fires_hooks_without_enqueue(self, transport):
-        events = []
-        transport.delivery_hook = lambda m, loc: events.append(loc)
-        transport.account(TileId(0), TileId(2), MessageKind.MEMORY, 64)
-        assert events == [Locality.SAME_PROCESS]
-        assert transport.total_pending() == 0
+    @pytest.mark.parametrize("kind", [MessageKind.MEMORY,
+                                      MessageKind.SYSTEM],
+                             ids=lambda kind: kind.value)
+    @pytest.mark.parametrize("locality", list(Locality),
+                             ids=lambda locality: locality.value)
+    def test_a_leg_is_a_send_that_is_not_queued(self, locality, kind):
+        """``fabric.transfer`` (a coherence or control leg, accounted
+        with no :class:`Message`) and ``fabric.send`` cost and count
+        the same; only the send leaves a message queued."""
+        leg = _one_transfer(locality, kind, queued=False)
+        send = _one_transfer(locality, kind, queued=True)
+        assert leg.pop("pending") == 0
+        assert send.pop("pending") == 1
+        assert leg == send
+        assert leg["checked"] == 1
+        assert len(leg["msg"]) == 1
 
     def test_a_snapshot_holding_a_hook_list_restores_its_one_hook(
             self, transport):
