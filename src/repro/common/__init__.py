@@ -28,13 +28,12 @@ from repro.common.rng import RngStreams
 from repro.common.stats import Counter, Histogram, StatGroup, TimeSeries
 
 
-def slot_state(obj: Any, *omit: str) -> dict:
+def slot_state(obj: Any) -> dict:
     """``{slot: value}`` over ``obj``'s class and bases for a ``__getstate__``
-    to edit, ``obj.__dict__`` unread (see :mod:`repro.ckpt.snapshot`),
-    less the slots ``omit`` names (shortcuts rebuilt on unpickling)."""
+    to edit, ``obj.__dict__`` unread (see :mod:`repro.ckpt.snapshot`)."""
     return {name: getattr(obj, name)
             for name in copyreg._slotnames(type(obj))
-            if name not in omit and hasattr(obj, name)}
+            if hasattr(obj, name)}
 
 
 __all__ = [

@@ -19,13 +19,12 @@ from repro.common.ids import CoreId, ProcessId, TileId
 class Locality(enum.Enum):
     """How far apart two tiles are on the host platform."""
 
+    #: As ``MessageKind`` hashes: every leg looks its locality up.
+    __hash__ = object.__hash__
+
     SAME_PROCESS = "same_process"
     SAME_MACHINE = "same_machine"
     CROSS_MACHINE = "cross_machine"
-
-
-#: Nearest first: a leg names its locality by index, hashing no enum.
-LOCALITIES = tuple(Locality)
 
 
 class ClusterLayout:

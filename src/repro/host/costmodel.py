@@ -17,15 +17,16 @@ import random
 from math import cos, log, sin, sqrt
 from typing import List, Optional, TYPE_CHECKING
 
-from repro.common import slot_state
 from repro.common.config import HostConfig
-from repro.host.cluster import LOCALITIES, Locality
+from repro.host.cluster import Locality
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.host.scheduler import Scheduler
 
 #: Jitter factors drawn per refill (even: Box–Muller yields pairs).
 BLOCK = 256
+#: Bound once, as ``Transport.account`` binds the localities.
+_CROSS_MACHINE = Locality.CROSS_MACHINE
 
 
 class HostCostModel:
@@ -47,7 +48,7 @@ class HostCostModel:
     """
 
     __slots__ = ("config", "_rng", "_factors", "scheduler", "_instr_cost",
-                 "_message", "_legs")
+                 "_message")
 
     def __init__(self, config: HostConfig,
                  rng: Optional[random.Random] = None) -> None:
@@ -69,19 +70,6 @@ class HostCostModel:
             Locality.CROSS_MACHINE: (config.inter_machine_message_cost,
                                      config.inter_machine_message_latency),
         }
-        self._index_localities()
-
-    def _index_localities(self) -> None:
-        """``_message`` by index in :data:`LOCALITIES`, for legs."""
-        self._legs = tuple(self._message[loc] for loc in LOCALITIES)
-
-    def __getstate__(self) -> tuple:
-        return None, slot_state(self, "_legs")
-
-    def __setstate__(self, state: tuple) -> None:
-        for name, value in state[1].items():
-            setattr(self, name, value)
-        self._index_localities()
 
     # -- jitter ---------------------------------------------------------
 
@@ -149,25 +137,18 @@ class HostCostModel:
         are cheap, so it is size-independent); when ``blocking``, the
         wire/stack latency also holds the waiting thread off its core,
         which stays free to run other tile threads meanwhile."""
-        self.charge_leg(LOCALITIES.index(locality), size_bytes, blocking)
-
-    def charge_leg(self, locality: int, size_bytes: int,
-                   blocking: bool) -> None:
-        """:meth:`charge_message` by ``locality``'s index in
-        :data:`LOCALITIES`, as ``Transport.account`` has it: no enum
-        hashed, the blocking charge summed here too."""
         scheduler = self.scheduler
         if scheduler.functional:
             return
         factors = self._factors
-        seconds, latency = self._legs[locality]
+        seconds, latency = self._message[locality]
         seconds *= factors.pop() if factors else self._refill()
         if scheduler._running is None or seconds < 0:
             scheduler.charge(seconds)
         else:
             scheduler._quantum_charge += seconds
         if blocking:
-            if locality == 2:  # cross-machine: the bytes cross a wire
+            if locality is _CROSS_MACHINE:
                 latency += size_bytes * self.config.inter_machine_byte_cost
             latency *= factors.pop() if factors else self._refill()
             if latency > 0.0 and scheduler._running is not None:

@@ -47,6 +47,11 @@ HEADER_BYTES = 8
 MEMORY = MessageKind.MEMORY
 
 
+def _no_leg(*leg: object) -> int:
+    """A fast-forwarded leg: free, and no call on the fabric."""
+    return 0
+
+
 class CoherenceEngine:
     """Global protocol engine owning all per-tile memory structures."""
 
@@ -128,7 +133,7 @@ class CoherenceEngine:
         # Lines interleave over the tiles (``AddressSpace.home_tile``).
         home = line_address // line_bytes % self.num_tiles
         directory = self.directories[home]
-        transfer = self.fabric.transfer
+        transfer = _no_leg if self.functional else self.fabric.transfer
         now = timestamp + latency
         now += transfer(tile, home, MEMORY, CONTROL_BYTES, now)
         now += self.config.directory_latency
@@ -243,7 +248,7 @@ class CoherenceEngine:
 
         home = line_address // line_bytes % self.num_tiles
         directory = self.directories[home]
-        transfer = self.fabric.transfer
+        transfer = _no_leg if self.functional else self.fabric.transfer
         now = timestamp + latency
 
         if line is not None:
@@ -337,7 +342,7 @@ class CoherenceEngine:
     def _invalidate_one(self, home: TileId, sharer: TileId,
                         line_address: int, timestamp: int,
                         due_to_write: bool) -> int:
-        transfer = self.fabric.transfer
+        transfer = _no_leg if self.functional else self.fabric.transfer
         leg = transfer(home, sharer, MEMORY, CONTROL_BYTES, timestamp)
         removed = self.hierarchies[sharer].invalidate(
             line_address, timestamp=timestamp + leg)
@@ -381,18 +386,18 @@ class CoherenceEngine:
         home = victim.address // line_bytes % self.num_tiles
         directory = self.directories[home]
         entry = directory.entry(victim.address)
+        transfer = _no_leg if self.functional else self.fabric.transfer
         if victim.state is LineState.MODIFIED:
             if victim.data is None:
                 raise ProtocolError("dirty victim with no data")
-            self.fabric.transfer(tile, home, MEMORY,
-                                 line_bytes + HEADER_BYTES, timestamp)
+            transfer(tile, home, MEMORY, line_bytes + HEADER_BYTES,
+                     timestamp)
             self.backing.write_line(victim.address, victim.data)
             if not self.functional:
                 self.drams[home].post_write(timestamp, line_bytes)
         else:
             # Evict notice keeps the full-map sharer list precise.
-            self.fabric.transfer(tile, home, MEMORY, CONTROL_BYTES,
-                                 timestamp)
+            transfer(tile, home, MEMORY, CONTROL_BYTES, timestamp)
         directory.remove_sharer(entry, tile, timestamp=timestamp)
         if self.classifier is not None:
             self.classifier.note_eviction(tile, victim.address)

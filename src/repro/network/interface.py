@@ -13,7 +13,6 @@ from __future__ import annotations
 
 from typing import Any, Dict, Optional, TYPE_CHECKING
 
-from repro.common import slot_state
 from repro.common.config import NetworkConfig
 from repro.common.ids import TileId
 from repro.common.stats import StatGroup
@@ -29,7 +28,7 @@ class NetworkFabric:
     """All network models plus the shared transport, for one simulation."""
 
     __slots__ = ("num_tiles", "config", "transport", "stats", "_tele",
-                 "functional", "models", "_routes")
+                 "functional", "models")
 
     def __init__(self, num_tiles: int, config: NetworkConfig,
                  transport: Transport, stats: StatGroup,
@@ -75,21 +74,6 @@ class NetworkFabric:
         }
         for model in self.models.values():
             model.telemetry = self._tele
-        self._index_models()
-
-    def _index_models(self) -> None:
-        """Each model's ``route`` by its kind's value, so a packet
-        hashes a string, not the enum (a Python ``__hash__`` frame)."""
-        self._routes = {kind._value_: model.route
-                        for kind, model in self.models.items()}
-
-    def __getstate__(self) -> tuple:
-        return None, slot_state(self, "_routes")
-
-    def __setstate__(self, state: tuple) -> None:
-        for name, value in state[1].items():
-            setattr(self, name, value)
-        self._index_models()
 
     def send(self, src: TileId, dst: TileId, kind: MessageKind,
              payload: Any = None, size_bytes: int = 8, timestamp: int = 0,
@@ -101,7 +85,7 @@ class NetworkFabric:
                               arrival_time=timestamp, tag=tag)
             self.transport.send(message)
             return message
-        latency = self._routes[kind._value_](src, dst, size_bytes, timestamp)
+        latency = self.models[kind].route(src, dst, size_bytes, timestamp)
         message = Message(src=src, dst=dst, kind=kind, payload=payload,
                           size_bytes=size_bytes, timestamp=timestamp,
                           arrival_time=timestamp + latency, tag=tag)
@@ -125,7 +109,7 @@ class NetworkFabric:
         """
         if self.functional:
             return 0
-        latency = self._routes[kind._value_](src, dst, size_bytes, timestamp)
+        latency = self.models[kind].route(src, dst, size_bytes, timestamp)
         if self._tele is not None:
             self._tele.emit("msg", int(src), timestamp,
                             {"src": int(src), "dst": int(dst),

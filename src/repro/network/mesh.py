@@ -38,9 +38,8 @@ class MeshNetworkModel(NetworkModel):
 
     def route(self, src: TileId, dst: TileId, size_bytes: int,
               timestamp: int) -> int:
-        """Every coherence leg's price, in one frame: the hops of
-        :meth:`MeshGeometry.distance` and :func:`serialization_cycles`
-        spelled inline, the counters :meth:`NetworkModel.route` bumps."""
+        """One frame: ``MeshGeometry.distance`` and
+        :func:`serialization_cycles` spelled inline."""
         width = self.geometry.width
         hops = (abs(src % width - dst % width)
                 + abs(src // width - dst // width))

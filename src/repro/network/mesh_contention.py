@@ -53,8 +53,8 @@ class ContentionMeshNetworkModel(NetworkModel):
             self._links[link_id] = model
         return model
 
-    def _latency_of(self, src: TileId, dst: TileId, size_bytes: int,
-                    timestamp: int) -> int:
+    def route(self, src: TileId, dst: TileId, size_bytes: int,
+              timestamp: int) -> int:
         serial = serialization_cycles(size_bytes, self.link_bytes_per_cycle)
         latency = 2 * self.endpoint_latency
         time = timestamp + latency
@@ -75,4 +75,7 @@ class ContentionMeshNetworkModel(NetworkModel):
                                 {"dst": int(dst), "hops": hops,
                                  "contention": total_contention,
                                  "latency": latency})
+        self._packets.value += 1
+        self._bytes.value += size_bytes
+        self._latency.value += latency
         return latency

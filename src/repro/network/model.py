@@ -9,6 +9,7 @@ destination, size and timestamp.
 
 from __future__ import annotations
 
+import abc
 from typing import Callable, Dict
 
 from repro.common.config import NetworkConfig
@@ -17,9 +18,8 @@ from repro.common.ids import TileId
 from repro.common.stats import StatGroup
 
 
-class NetworkModel:
-    """Computes modelled packet latency for one traffic class: in
-    ``_latency_of``, or pricing and counting in a ``route`` of its own."""
+class NetworkModel(abc.ABC):
+    """Computes modelled packet latency for one traffic class."""
 
     __slots__ = ("name", "stats", "telemetry", "_packets", "_bytes",
                  "_latency")
@@ -34,19 +34,11 @@ class NetworkModel:
         self._bytes = stats.counter("bytes")
         self._latency = stats.counter("total_latency_cycles")
 
+    @abc.abstractmethod
     def route(self, src: TileId, dst: TileId, size_bytes: int,
               timestamp: int) -> int:
-        """Return the packet's modelled latency in cycles."""
-        latency = self._latency_of(src, dst, size_bytes, timestamp)
-        self._packets.value += 1
-        self._bytes.value += size_bytes
-        self._latency.value += latency
-        return latency
-
-    def _latency_of(self, src: TileId, dst: TileId, size_bytes: int,
-                    timestamp: int) -> int:
-        """Model-specific latency computation."""
-        raise NotImplementedError
+        """Return the packet's modelled latency in cycles; the model
+        itself counts the packet, its bytes and that latency."""
 
     @property
     def mean_latency(self) -> float:

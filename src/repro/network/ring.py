@@ -39,13 +39,17 @@ class RingNetworkModel(NetworkModel):
         direct = abs(int(src) - int(dst))
         return min(direct, self.num_tiles - direct)
 
-    def _latency_of(self, src: TileId, dst: TileId, size_bytes: int,
-                    timestamp: int) -> int:
+    def route(self, src: TileId, dst: TileId, size_bytes: int,
+              timestamp: int) -> int:
         hops = self.distance(src, dst)
         serial = serialization_cycles(size_bytes,
                                       self.link_bytes_per_cycle)
-        return 2 * self.endpoint_latency + hops * self.hop_latency \
+        latency = 2 * self.endpoint_latency + hops * self.hop_latency \
             + serial
+        self._packets.value += 1
+        self._bytes.value += size_bytes
+        self._latency.value += latency
+        return latency
 
 
 @register_model("torus")
@@ -71,10 +75,5 @@ class TorusNetworkModel(NetworkModel):
         step_y = min(abs(sy - dy), height - abs(sy - dy))
         return step_x + step_y
 
-    def _latency_of(self, src: TileId, dst: TileId, size_bytes: int,
-                    timestamp: int) -> int:
-        hops = self.distance(src, dst)
-        serial = serialization_cycles(size_bytes,
-                                      self.link_bytes_per_cycle)
-        return 2 * self.endpoint_latency + hops * self.hop_latency \
-            + serial
+    #: The ring's, over this model's :meth:`distance`.
+    route = RingNetworkModel.route

@@ -254,12 +254,11 @@ class Simulator:
                                     lambda _s: self.save_checkpoint())
 
     def _arm_transport(self) -> None:
-        """A queued send charges through the delivery hook; a leg
-        (``Transport.account``) through the cost model's charger, and
-        the sanitizers count both.  The last two are not pickled."""
+        """Queued sends charge through the hook, legs (``account``) call
+        the cost model itself; neither of the last two is pickled."""
         transport = self.transport
         transport.delivery_hook = self._charge_message
-        transport.charge_leg = self.cost_model.charge_leg
+        transport.charge_leg = self.cost_model.charge_message
         transport.sanitizers = self.sanitizers
 
     def _make_transport(self) -> Transport:

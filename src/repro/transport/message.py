@@ -22,6 +22,10 @@ _sequence = itertools.count()
 class MessageKind(enum.Enum):
     """Traffic class of a message; selects the network model used."""
 
+    #: By identity, in C: no ``Enum.__hash__`` frame per packet.  (Members
+    #: are singletons, and no set of kinds is iterated into a result.)
+    __hash__ = object.__hash__
+
     #: Application-level messages sent via the user messaging API.
     USER = "user"
     #: Memory-subsystem traffic (coherence requests, data, DRAM).

@@ -18,14 +18,15 @@ from repro.common import slot_state
 from repro.common.errors import TransportError
 from repro.common.ids import TileId
 from repro.common.stats import StatGroup
-from repro.host.cluster import LOCALITIES, ClusterLayout, Locality
+from repro.host.cluster import ClusterLayout, Locality
 from repro.transport.message import Message, MessageKind
 
 #: Called for every delivered message: (message, locality).  The
 #: simulator's, which charges host communication costs.
 DeliveryHook = Callable[[Message, Locality], None]
-#: Each locality's counter name, by index in :data:`LOCALITIES`.
-_COUNTERS = tuple(f"messages_{loc.value}" for loc in LOCALITIES)
+#: Bound once (an enum's class attribute costs ~0.1 µs); nearest first.
+_NEAR, _MID, _FAR = Locality
+_SYSTEM = MessageKind.SYSTEM
 
 
 class Transport:
@@ -51,15 +52,17 @@ class Transport:
         self._sent = self.stats.counter("messages_sent")
         self._bytes = self.stats.counter("bytes_sent")
         self._by_locality = {
-            loc: self.stats.counter(name)
-            for loc, name in zip(LOCALITIES, _COUNTERS)
+            loc: self.stats.counter(f"messages_{loc.value}")
+            for loc in Locality
         }
         #: :meth:`account`'s charger and checker, armed, never pickled.
-        self.charge_leg: Optional[Callable[[int, int, bool], None]] = None
+        self.charge_leg: Optional[Callable[..., None]] = None
         self.sanitizers = None
 
     def __getstate__(self) -> tuple:
-        return None, slot_state(self, "charge_leg", "sanitizers")
+        slots = slot_state(self)
+        del slots["charge_leg"], slots["sanitizers"]
+        return None, slots
 
     def __setstate__(self, state: tuple) -> None:
         _dict, slots = state
@@ -118,21 +121,21 @@ class Transport:
         inline), so nothing is enqueued and no :class:`Message` is
         built — but the transfer still happened physically: the
         statistics, the sanitizers' count and the host charge are
-        :meth:`send`'s.  The locality, an index in :data:`LOCALITIES`,
-        is ``ClusterLayout.locality``'s striping spelled inline.
+        :meth:`send`'s.  The locality is ``ClusterLayout.locality``'s
+        striping spelled inline.
         """
         layout = self.layout
         a, b = src % layout.num_processes, dst % layout.num_processes
         machines = layout.num_machines
-        locality = 0 if a == b else 1 if a % machines == b % machines else 2
+        locality = (_NEAR if a == b
+                    else _MID if a % machines == b % machines else _FAR)
         self._sent.value += 1
         self._bytes.value += size_bytes
-        self.stats.counters[_COUNTERS[locality]].value += 1
+        self._by_locality[locality].value += 1
         if self.sanitizers is not None:
             self.sanitizers.messages_checked += 1
         if self.charge_leg is not None:
-            self.charge_leg(locality, size_bytes,
-                            kind is not MessageKind.SYSTEM)
+            self.charge_leg(locality, size_bytes, kind is not _SYSTEM)
 
     # -- receiving ----------------------------------------------------------
 

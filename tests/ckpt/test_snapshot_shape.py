@@ -1,12 +1,10 @@
 """The classes a coherence leg runs through pickle the state they did
 before the leg lost its objects (DESIGN.md §3 "A miss in one pass").
 
-The per-kind route table and the per-locality cost table are shortcuts
-derived from pickled state, and the leg's charger and sanitizers are
-armed by the simulator: each is rebuilt in
-``build_models`` / ``__setstate__`` or re-armed on restore, and none is
-pickled.  So a ``repro.ckpt/4`` snapshot written before the change still
-restores, and one written after it is read by the code before it.
+The leg's charger and sanitizers are armed by the simulator, on
+restore too, and are not pickled.  So a ``repro.ckpt/4`` snapshot
+written before the change still restores, and one written after it is
+read by the code before it.
 """
 
 from __future__ import annotations
@@ -90,15 +88,11 @@ def test_pickled_state_keys_are_the_parents(name):
     assert _keys(_objects()[name]) == sorted(PARENT_KEYS[name])
 
 
-def test_a_restored_simulator_rebuilds_its_shortcuts_and_rearms():
+def test_a_restored_simulator_rearms_its_transport():
     sim = _simulator()
     sim.fabric.transfer(TileId(0), TileId(3), MessageKind.MEMORY, 72, 0)
     restored = load_bytes(snapshot_bytes(sim))
     fabric, transport = restored.fabric, restored.transport
-    assert set(fabric._routes) == {kind.value for kind in MessageKind}
-    for kind, model in fabric.models.items():
-        assert fabric._routes[kind.value].__self__ is model
-    assert restored.cost_model._legs == sim.cost_model._legs
     # A leg counts in the restored locality counter (one process here).
     same_process = transport._by_locality[Locality.SAME_PROCESS]
     assert same_process.value == 1
@@ -112,13 +106,3 @@ def test_a_restored_simulator_rebuilds_its_shortcuts_and_rearms():
     assert transport.delivery_hook.__self__ is restored
     assert snapshot_bytes(load_bytes(snapshot_bytes(restored))) == \
         snapshot_bytes(restored)
-
-
-def test_a_library_fork_rebuilds_the_route_table():
-    """The fork's re-dress swaps the models; the table follows them."""
-    fabric = _simulator().fabric
-    config = NetworkConfig(memory_model="mesh_contention")
-    fabric.build_models(config)
-    route = fabric._routes[MessageKind.MEMORY.value]
-    assert route.__self__ is fabric.models[MessageKind.MEMORY]
-    assert type(route.__self__).__name__ == "ContentionMeshNetworkModel"

@@ -174,6 +174,32 @@ class TestEvictions:
         rig.engine.check_coherence_invariants()
 
 
+class TestHoming:
+    @pytest.mark.parametrize("num_tiles", [2, 3, 5, 6])
+    def test_every_directory_entry_sits_at_its_home(self, num_tiles):
+        """The engine's inline line -> home interleaving, on read and
+        write misses and on evictions, is ``AddressSpace.home_tile``'s."""
+        config = SimulationConfig(num_tiles=num_tiles)
+        config.memory.l2.size_bytes = 4 * KB
+        config.memory.l2.associativity = 2
+        rig = MemoryRig(config)
+        for i in range(600):
+            address = HEAP + i * 17 * 64  # every home, every set
+            if i % 3:
+                rig.load_int(i % num_tiles, address)
+            else:
+                rig.store_int(i % num_tiles, address, i)
+        shared = 0
+        for home, directory in enumerate(rig.engine.directories):
+            for line, entry in directory.entries.items():
+                assert int(rig.space.home_tile(line)) == home
+                shared += bool(entry.sharers)
+        assert shared
+        assert sum(h.l2._evictions.value
+                   for h in rig.engine.hierarchies) > 0
+        rig.engine.check_coherence_invariants()
+
+
 class TestDirectoryVariantsInProtocol:
     def test_limited_directory_thrashes_readers(self):
         config = SimulationConfig(num_tiles=8)

@@ -160,6 +160,27 @@ class TestAccounting:
         assert leg["checked"] == 1
         assert len(leg["msg"]) == 1
 
+    @pytest.mark.parametrize("tiles,processes,machines",
+                             [(8, 1, 1), (8, 4, 2), (12, 6, 3), (7, 3, 2)])
+    def test_a_leg_stripes_tiles_as_the_layout_does(self, tiles, processes,
+                                                    machines):
+        """``account`` spells ``ClusterLayout.locality`` inline; every
+        tile pair counts at the locality the layout names."""
+        layout = ClusterLayout(tiles, HostConfig(num_machines=machines,
+                                                 num_processes=processes))
+        transport = Transport(layout)
+        counters = transport.stats.counters
+        for a in range(tiles):
+            for b in range(tiles):
+                before = {name: c.value for name, c in counters.items()}
+                transport.account(TileId(a), TileId(b), MessageKind.MEMORY,
+                                  8)
+                bumped = [name for name, c in counters.items()
+                          if c.value != before[name]]
+                assert bumped == [
+                    "messages_sent", "bytes_sent",
+                    f"messages_{layout.locality(TileId(a), TileId(b)).value}"]
+
     def test_a_snapshot_holding_a_hook_list_restores_its_one_hook(
             self, transport):
         """``repro.ckpt/4`` snapshots written while the hook was a list
