@@ -2,18 +2,15 @@
 
 Loads the newest complete checkpoint from a ``--ckpt-dir`` (or one
 named snapshot), drives the restored simulator to completion with the
-same crash-recovery loop the original run used, and reports the same
-metric keys ``repro run --json`` emits — so resumed and uninterrupted
-runs can be diffed mechanically (the CI resume-equivalence smoke job
-does exactly that).
+same crash-recovery loop the original run used, and reports it through
+``repro run``'s own report — so resumed and uninterrupted runs can be
+diffed mechanically (the CI resume-equivalence smoke job does exactly
+that).
 """
 
 from __future__ import annotations
 
 import argparse
-import json
-
-from repro.common.units import pretty_seconds
 
 
 def add_resume_arguments(parser: argparse.ArgumentParser) -> None:
@@ -31,41 +28,10 @@ def add_resume_arguments(parser: argparse.ArgumentParser) -> None:
 
 
 def run_resume(args: argparse.Namespace) -> int:
-    from repro.cli import telemetry_from_args
+    from repro.cli import print_result, telemetry_from_args
     from repro.ckpt.recovery import resume_with_recovery
     result, simulator = resume_with_recovery(
         args.dir, args.name, telemetry=telemetry_from_args(args))
-    simulator.engine.check_coherence_invariants()
-
-    if args.json:
-        payload = {
-            "backend": simulator.config.distrib.backend,
-            "tiles": simulator.config.num_tiles,
-            "simulated_cycles": result.simulated_cycles,
-            "parallel_cycles": result.parallel_cycles,
-            "instructions": result.total_instructions,
-            "wall_clock_seconds": result.wall_clock_seconds,
-            "native_seconds": result.native_seconds,
-            "slowdown": result.slowdown,
-            "l2_miss_rate": result.cache_miss_rate("l2"),
-            "messages": result.counter("transport.messages_sent"),
-            "miss_breakdown": result.miss_breakdown,
-            "recoveries": result.recoveries,
-        }
-        print(json.dumps(payload, indent=2))
-        return 0
-
-    print(f"resumed from:        {args.dir}"
-          + (f" ({args.name})" if args.name else ""))
-    print(f"backend:             {simulator.config.distrib.backend}")
-    print(f"simulated run-time:  {result.simulated_cycles:,} cycles "
-          f"(parallel region {result.parallel_cycles:,})")
-    print(f"instructions:        {result.total_instructions:,}")
-    print("wall-clock (model):  "
-          f"{pretty_seconds(result.wall_clock_seconds)}")
-    print(f"slowdown:            {result.slowdown:,.0f}x")
-    print(f"L2 miss rate:        {result.cache_miss_rate('l2'):.2%}")
-    if result.recoveries:
-        print(f"recoveries:          {len(result.recoveries)} "
-              f"worker restart(s)")
+    origin = args.dir + (f" ({args.name})" if args.name else "")
+    print_result(simulator, result, args.json, origin=origin)
     return 0

@@ -90,6 +90,64 @@ def telemetry_from_args(args: argparse.Namespace,
     return telemetry
 
 
+def add_target_arguments(parser: argparse.ArgumentParser) -> None:
+    """The flags that name a target: workload, architecture, host.
+
+    ``run``, ``submit`` and ``sample prime`` all take exactly these,
+    and :func:`target_config` is the one place they become a config.
+    """
+    parser.add_argument("--workload", required=True,
+                        help=f"one of: {', '.join(sorted(WORKLOADS))}")
+    parser.add_argument("--tiles", type=int, default=32,
+                        help="target tiles (default 32)")
+    parser.add_argument("--threads", type=int, default=0,
+                        help="application threads (default: = tiles)")
+    parser.add_argument("--scale", type=float, default=1.0,
+                        help="problem-size multiplier (default 1.0)")
+    parser.add_argument("--seed", type=int, default=42)
+    parser.add_argument("--machines", type=int, default=1,
+                        help="host machines (default 1)")
+    parser.add_argument("--cores", type=int, default=8,
+                        help="host cores per machine (default 8)")
+    parser.add_argument("--sync", choices=SYNC_MODELS, default="lax",
+                        help="synchronization model (default lax)")
+    parser.add_argument("--directory", choices=DIRECTORY_TYPES,
+                        default="full_map",
+                        help="coherence directory (default full_map)")
+    parser.add_argument("--sharers", type=int, default=4,
+                        help="pointers for limited/limitless "
+                             "directories")
+    parser.add_argument("--network", choices=NETWORK_MODELS,
+                        default="mesh", help="memory network model")
+    parser.add_argument("--quantum", type=int, default=0,
+                        help="scheduler quantum in instructions")
+    parser.add_argument("--classify-misses", action="store_true",
+                        help="report the miss-type breakdown (Figure 8)")
+
+
+def target_config(args: argparse.Namespace) -> tuple:
+    """``(config, WorkloadRef)`` for the flags of
+    :func:`add_target_arguments`: the config validated, an unknown
+    workload rejected before anything runs."""
+    get_workload(args.workload)
+    config = SimulationConfig(num_tiles=args.tiles, seed=args.seed)
+    config.host.num_machines = args.machines
+    config.host.cores_per_machine = args.cores
+    config.sync.model = args.sync
+    config.memory.directory_type = args.directory
+    config.memory.directory_max_sharers = args.sharers
+    config.network.memory_model = args.network
+    config.memory.classify_misses = args.classify_misses
+    if args.quantum:
+        config.host.quantum_instructions = args.quantum
+    config.validate()
+    # A WorkloadRef rather than a built program: both backends resolve
+    # it at spawn time, and the mp backend can ship it to workers.
+    from repro.distrib.wire import WorkloadRef
+    return config, WorkloadRef(args.workload, args.threads or args.tiles,
+                               args.scale)
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="repro",
@@ -98,29 +156,7 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     run = sub.add_parser("run", help="simulate one workload")
-    run.add_argument("--workload", required=True,
-                     help=f"one of: {', '.join(sorted(WORKLOADS))}")
-    run.add_argument("--tiles", type=int, default=32,
-                     help="target tiles (default 32)")
-    run.add_argument("--threads", type=int, default=0,
-                     help="application threads (default: = tiles)")
-    run.add_argument("--scale", type=float, default=1.0,
-                     help="problem-size multiplier (default 1.0)")
-    run.add_argument("--machines", type=int, default=1,
-                     help="host machines (default 1)")
-    run.add_argument("--cores", type=int, default=8,
-                     help="host cores per machine (default 8)")
-    run.add_argument("--sync", choices=SYNC_MODELS, default="lax",
-                     help="synchronization model (default lax)")
-    run.add_argument("--directory", choices=DIRECTORY_TYPES,
-                     default="full_map",
-                     help="coherence directory (default full_map)")
-    run.add_argument("--sharers", type=int, default=4,
-                     help="pointers for limited/limitless directories")
-    run.add_argument("--network", choices=NETWORK_MODELS,
-                     default="mesh", help="memory network model")
-    run.add_argument("--quantum", type=int, default=0,
-                     help="scheduler quantum in instructions")
+    add_target_arguments(run)
     run.add_argument("--backend", choices=EXECUTION_BACKENDS,
                      default="inproc",
                      help="execution backend: inproc runs everything "
@@ -177,9 +213,6 @@ def build_parser() -> argparse.ArgumentParser:
                           "prefix across runs — the first run primes "
                           "a switch-point checkpoint, later runs fork "
                           "from it (requires --ff-until)")
-    run.add_argument("--seed", type=int, default=42)
-    run.add_argument("--classify-misses", action="store_true",
-                     help="report the miss-type breakdown (Figure 8)")
     add_telemetry_arguments(run)
     run.add_argument("--json", action="store_true",
                      help="emit machine-readable JSON instead of text")
@@ -226,13 +259,6 @@ def build_parser() -> argparse.ArgumentParser:
              "(byte-identical to the uninterrupted run)")
     from repro.ckpt.cli import add_resume_arguments
     add_resume_arguments(resume)
-
-    profile = sub.add_parser(
-        "profile",
-        help="profile one workload: host wall-time breakdown by "
-             "subsystem, simulation rates, achieved slowdown")
-    from repro.profile.cli import add_profile_arguments
-    add_profile_arguments(profile)
 
     from repro.serve.cli import (
         add_cancel_arguments,
@@ -289,15 +315,14 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _configure(args: argparse.Namespace) -> SimulationConfig:
-    config = SimulationConfig(num_tiles=args.tiles, seed=args.seed)
-    config.host.num_machines = args.machines
-    config.host.cores_per_machine = args.cores
-    config.sync.model = args.sync
-    config.memory.directory_type = args.directory
-    config.memory.directory_max_sharers = args.sharers
-    config.network.memory_model = args.network
-    config.memory.classify_misses = args.classify_misses
+def _configure(args: argparse.Namespace,
+               config: Optional[SimulationConfig] = None
+               ) -> SimulationConfig:
+    """``run``'s config: the target (``config``, else the one the flags
+    name) plus backend, checkpoint, sampling and observability."""
+    from repro.common.errors import ConfigError
+    if config is None:
+        config = target_config(args)[0]
     config.distrib.backend = args.backend
     config.distrib.transport = args.transport
     config.distrib.listen = args.listen
@@ -309,32 +334,18 @@ def _configure(args: argparse.Namespace) -> SimulationConfig:
     config.distrib.drain_worker = args.drain_worker
     config.check.sanitize = args.sanitize
     config.profile.enabled = args.profile
-    if args.quantum:
-        config.host.quantum_instructions = args.quantum
     if args.ckpt_dir:
         config.ckpt.dir = args.ckpt_dir
         config.ckpt.every = args.ckpt_every
         config.ckpt.max_restarts = args.ckpt_retries
     elif args.ckpt_every:
-        from repro.common.errors import ConfigError
         raise ConfigError("--ckpt-every requires --ckpt-dir")
-    if args.ff_until:
-        config.sample.ff_until = args.ff_until
+    config.sample.ff_until = args.ff_until
     if args.sample:
-        from repro.common.errors import ConfigError
-        try:
-            period, detail, warmup = (
-                int(part) for part in args.sample.split(":"))
-        except ValueError:
-            raise ConfigError(
-                "--sample expects PERIOD:DETAIL:WARMUP in cycles, "
-                f"got {args.sample!r}") from None
-        config.sample.period = period
-        config.sample.detail = detail
-        config.sample.warmup = warmup
+        (config.sample.period, config.sample.detail,
+         config.sample.warmup) = config.sample.parse_intervals(args.sample)
     if args.sample_library:
         if not args.ff_until:
-            from repro.common.errors import ConfigError
             raise ConfigError("--sample-library requires --ff-until")
         config.sample.library = args.sample_library
     telemetry = telemetry_from_args(args)
@@ -351,34 +362,37 @@ def _configure(args: argparse.Namespace) -> SimulationConfig:
     return config
 
 
-def _command_run(args: argparse.Namespace) -> int:
-    config = _configure(args)
-    threads = args.threads or args.tiles
-    get_workload(args.workload)  # fail fast on unknown names
-    # A WorkloadRef rather than a built program: both backends resolve
-    # it at spawn time, and the mp backend can ship it to workers.
-    from repro.distrib.wire import WorkloadRef
-    program = WorkloadRef(args.workload, threads, args.scale)
-    result, simulator = launch(config, program)
+def print_result(simulator, result, as_json: bool, program=None,
+                 origin: str = "", report: bool = False) -> None:
+    """Report a finished run — ``repro run`` and ``repro resume`` alike.
+
+    Everything but the workload (``program``, when the caller knows
+    it) and the ``origin`` line (a resume's checkpoint) is read from
+    ``simulator.config`` and ``result``, so a resumed run reports the
+    keys an uninterrupted one does, with equal values.  ``report``
+    prints the full sim.out-style report instead.
+    """
+    config = simulator.config
     simulator.engine.check_coherence_invariants()
-    if simulator.sanitizers is not None and not args.json:
+    if simulator.sanitizers is not None and not as_json:
         print(simulator.sanitizers.summary())
+    if report:
+        from repro.analysis.report import render_report
+        print(render_report(config, result))
+        return
     trace_events = (len(simulator.telemetry.events)
                     if simulator.telemetry is not None else 0)
 
-    if args.report:
-        from repro.analysis.report import render_report
-        print(render_report(config, result))
-        return 0
-
-    if args.json:
-        payload = {
-            "workload": args.workload,
-            "tiles": args.tiles,
-            "threads": threads,
-            "machines": args.machines,
-            "backend": args.backend,
-            "sync": args.sync,
+    if as_json:
+        payload = ({"workload": program.workload,
+                    "tiles": config.num_tiles,
+                    "threads": program.nthreads}
+                   if program is not None else
+                   {"tiles": config.num_tiles})
+        payload.update({
+            "machines": config.host.num_machines,
+            "backend": config.distrib.backend,
+            "sync": config.sync.model,
             "simulated_cycles": result.simulated_cycles,
             "parallel_cycles": result.parallel_cycles,
             "instructions": result.total_instructions,
@@ -388,7 +402,7 @@ def _command_run(args: argparse.Namespace) -> int:
             "l2_miss_rate": result.cache_miss_rate("l2"),
             "messages": result.counter("transport.messages_sent"),
             "miss_breakdown": result.miss_breakdown,
-        }
+        })
         if config.sample.enabled:
             payload["sample"] = result.sample
         if config.ckpt.enabled:
@@ -399,15 +413,20 @@ def _command_run(args: argparse.Namespace) -> int:
         if simulator.host_profile is not None:
             payload["host_profile"] = simulator.host_profile
         print(json.dumps(payload, indent=2))
-        return 0
+        return
 
-    print(f"workload:            {args.workload} "
-          f"({threads} threads, scale {args.scale})")
-    print(f"target:              {args.tiles} tiles, "
-          f"{args.directory} directory, {args.network} network, "
-          f"{args.sync} sync")
-    print(f"host:                {args.machines} machine(s) x "
-          f"{args.cores} cores, {args.backend} backend")
+    if origin:
+        print(f"resumed from:        {origin}")
+    if program is not None:
+        print(f"workload:            {program.workload} "
+              f"({program.nthreads} threads, scale {program.scale})")
+    print(f"target:              {config.num_tiles} tiles, "
+          f"{config.memory.directory_type} directory, "
+          f"{config.network.memory_model} network, "
+          f"{config.sync.model} sync")
+    print(f"host:                {config.host.num_machines} machine(s) x "
+          f"{config.host.cores_per_machine} cores, "
+          f"{config.distrib.backend} backend")
     print(f"simulated run-time:  {result.simulated_cycles:,} cycles "
           f"(parallel region {result.parallel_cycles:,})")
     print(f"instructions:        {result.total_instructions:,}")
@@ -451,6 +470,13 @@ def _command_run(args: argparse.Namespace) -> int:
         from repro.profile.report import render_profile
         print()
         print(render_profile(simulator.host_profile))
+
+
+def _command_run(args: argparse.Namespace) -> int:
+    config, program = target_config(args)
+    result, simulator = launch(_configure(args, config), program)
+    print_result(simulator, result, args.json, program,
+                 report=args.report)
     return 0
 
 
@@ -476,15 +502,12 @@ def _command_worker(args: argparse.Namespace) -> int:
     telemetry = telemetry_from_args(
         args, default_events=["net", "worker", "serve", "obs"])
     if telemetry is not None:
-        from repro.telemetry.bus import TelemetryBus, create_bus
+        from repro.telemetry.bus import create_bus
         bus = create_bus(telemetry)
         if telemetry.flight_dir:
-            from repro.obs.flight import FlightRecorder
-            from repro.telemetry.events import ALL_CATEGORIES
-            if bus is None:
-                bus = TelemetryBus(0)
-            flight = FlightRecorder(telemetry.flight_events)
-            bus.observe(flight.on_event, ALL_CATEGORIES)
+            from repro.obs.flight import arm_flight_recorder
+            bus, flight = arm_flight_recorder(bus,
+                                              telemetry.flight_events)
     ops = None
     if bus is not None:
         from repro.telemetry.events import EventCategory
@@ -555,9 +578,6 @@ def main(argv: Optional[List[str]] = None) -> int:
         return _command_list()
     if args.command == "show-config":
         return _command_show_config()
-    if args.command == "profile":
-        from repro.profile.cli import run_profile
-        return run_profile(args)
     if args.command == "check":
         from repro.check.cli import run_check
         return run_check(args)

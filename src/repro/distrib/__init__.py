@@ -18,7 +18,7 @@ from repro.distrib.errors import (
     WorkerCrashError,
     WorkerTimeoutError,
 )
-from repro.distrib.pool import parallel_repeat, parallel_sweep, run_jobs
+from repro.distrib.pool import run_jobs
 from repro.distrib.wire import (
     WIRE_VERSION,
     PickledProgram,
@@ -34,8 +34,6 @@ __all__ = [
     "WireFormatError",
     "WorkerCrashError",
     "WorkerTimeoutError",
-    "parallel_repeat",
-    "parallel_sweep",
     "run_jobs",
     "WIRE_VERSION",
     "PickledProgram",

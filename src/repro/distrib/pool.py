@@ -111,23 +111,3 @@ def run_jobs(jobs: Sequence[Job], workers: int,
         for slot in slots:
             slot.shutdown(grace=0.0)
 
-
-def parallel_sweep(configs: Sequence[SimulationConfig],
-                   program: Any, args: tuple = (),
-                   workers: int = 1) -> List[SimulationResult]:
-    """Parallel counterpart of :func:`repro.sim.experiment.sweep`."""
-    return run_jobs([(c, program, args) for c in configs], workers)
-
-
-def parallel_repeat(config: SimulationConfig, program: Any,
-                    args: tuple = (), runs: int = 10,
-                    base_seed: Optional[int] = None,
-                    workers: int = 1) -> List[SimulationResult]:
-    """Parallel counterpart of the repeat-runs seed protocol."""
-    seed0 = config.seed if base_seed is None else base_seed
-    jobs = []
-    for run_index in range(runs):
-        run_config = config.copy()
-        run_config.seed = seed0 + 7919 * run_index
-        jobs.append((run_config, program, args))
-    return run_jobs(jobs, workers)

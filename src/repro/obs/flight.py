@@ -103,6 +103,20 @@ class FlightRecorder:
         return path
 
 
+def arm_flight_recorder(bus: Any, capacity: int) -> tuple:
+    """Attach a :class:`FlightRecorder` observing every category to
+    ``bus`` — a mask-0 bus that records nothing when there is none.
+    Returns ``(bus, recorder)``.  Arm before any channel is resolved:
+    ``channel()`` honours the observer mask."""
+    from repro.telemetry.bus import TelemetryBus
+    from repro.telemetry.events import ALL_CATEGORIES
+    if bus is None:
+        bus = TelemetryBus(0)
+    recorder = FlightRecorder(capacity)
+    bus.observe(recorder.on_event, ALL_CATEGORIES)
+    return bus, recorder
+
+
 def load_bundles(directory: str) -> List[Dict[str, Any]]:
     """Read every flight bundle under ``directory``, sorted by name."""
     bundles = []

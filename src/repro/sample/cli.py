@@ -4,9 +4,9 @@ Three verbs over a library directory (:mod:`repro.sample.library`):
 
 * ``ls`` lists every complete entry with its workload descriptor,
   fast-forward target and backend;
-* ``prime`` fast-forwards one workload/config to its target and files
-  the switch-point checkpoint, so later sweeps (and serve jobs) fork
-  instead of re-running the prefix;
+* ``prime`` fast-forwards one target (named by ``repro run``'s target
+  flags) and files the switch-point checkpoint, so later runs, sweeps
+  and serve jobs fork instead of re-running the prefix;
 * ``gc`` bounds the library's disk footprint, keeping the most
   recently used entries and dropping the rest — and every entry no
   run can fork (unreadable, or another layout version's).
@@ -35,18 +35,11 @@ def add_sample_arguments(parser: argparse.ArgumentParser) -> None:
              "switch-point checkpoint")
     prime.add_argument("--library", required=True, metavar="DIR",
                        help="snapshot library directory")
-    prime.add_argument("--workload", required=True,
-                       help="registered workload name")
     prime.add_argument("--ff-until", type=int, required=True,
                        metavar="CYCLES",
                        help="fast-forward target in simulated cycles")
-    prime.add_argument("--tiles", type=int, default=32,
-                       help="number of target tiles (default 32)")
-    prime.add_argument("--threads", type=int, default=0,
-                       help="worker threads (default: one per tile)")
-    prime.add_argument("--scale", type=float, default=1.0,
-                       help="workload problem-size scale factor")
-    prime.add_argument("--seed", type=int, default=42)
+    from repro.cli import add_target_arguments
+    add_target_arguments(prime)
     prime.add_argument("--backend", choices=("inproc", "mp"),
                        default="inproc",
                        help="execution backend for the primer run")
@@ -94,21 +87,15 @@ def _command_ls(args: argparse.Namespace) -> int:
 
 
 def _command_prime(args: argparse.Namespace) -> int:
-    from repro.common.config import SimulationConfig
-    from repro.distrib.wire import WorkloadRef
+    from repro.cli import target_config
     from repro.sample.library import SnapshotLibrary
-    from repro.workloads import get_workload
-    get_workload(args.workload)  # fail fast on unknown names
-    config = SimulationConfig(num_tiles=args.tiles, seed=args.seed)
+    config, program = target_config(args)
     config.distrib.backend = args.backend
     config.sample.ff_until = args.ff_until
     config.validate()
-    threads = args.threads or args.tiles
-    program = WorkloadRef(args.workload, threads, args.scale)
-    library = SnapshotLibrary(args.library)
-    key, primed = library.ensure(config, program)
+    key, primed = SnapshotLibrary(args.library).ensure(config, program)
     verb = "primed" if primed else "already present"
-    print(f"entry {key} {verb} ({args.workload} x{threads}, "
+    print(f"entry {key} {verb} ({program.workload} x{program.nthreads}, "
           f"ff_until={args.ff_until})")
     return 0
 

@@ -14,14 +14,7 @@ import json
 import os
 import signal
 import sys
-from typing import Optional
 
-from repro.common.config import (
-    DIRECTORY_TYPES,
-    NETWORK_MODELS,
-    SYNC_MODELS,
-    SimulationConfig,
-)
 from repro.common.errors import ServeError
 
 
@@ -59,20 +52,9 @@ def add_serve_arguments(parser: argparse.ArgumentParser) -> None:
 
 
 def add_submit_arguments(parser: argparse.ArgumentParser) -> None:
+    from repro.cli import add_target_arguments
     _add_spool_argument(parser)
-    parser.add_argument("--workload", required=True)
-    parser.add_argument("--tiles", type=int, default=32)
-    parser.add_argument("--threads", type=int, default=0,
-                        help="application threads (default: = tiles)")
-    parser.add_argument("--scale", type=float, default=1.0)
-    parser.add_argument("--seed", type=int, default=42)
-    parser.add_argument("--sync", choices=SYNC_MODELS, default="lax")
-    parser.add_argument("--directory", choices=DIRECTORY_TYPES,
-                        default="full_map")
-    parser.add_argument("--network", choices=NETWORK_MODELS,
-                        default="mesh")
-    parser.add_argument("--quantum", type=int, default=0,
-                        help="scheduler quantum in instructions")
+    add_target_arguments(parser)
     parser.add_argument("--priority", type=int, default=0,
                         help="higher runs earlier and may preempt "
                              "(default 0)")
@@ -174,17 +156,6 @@ def run_serve(args: argparse.Namespace) -> int:
     return 0
 
 
-def _submit_config(args: argparse.Namespace) -> SimulationConfig:
-    config = SimulationConfig(num_tiles=args.tiles, seed=args.seed)
-    config.sync.model = args.sync
-    config.memory.directory_type = args.directory
-    config.network.memory_model = args.network
-    if args.quantum:
-        config.host.quantum_instructions = args.quantum
-    config.validate()
-    return config
-
-
 def _print_view(view: dict, as_json: bool) -> None:
     if as_json:
         print(json.dumps(view, indent=2, sort_keys=True))
@@ -196,12 +167,13 @@ def _print_view(view: dict, as_json: bool) -> None:
 
 
 def run_submit(args: argparse.Namespace) -> int:
+    from repro.cli import target_config
+    config, program = target_config(args)
     client = _client(args)
     try:
-        view = client.submit(config=_submit_config(args),
-                             workload=args.workload,
-                             nthreads=args.threads or args.tiles,
-                             scale=args.scale,
+        view = client.submit(config=config, workload=program.workload,
+                             nthreads=program.nthreads,
+                             scale=program.scale,
                              priority=args.priority)
         if args.wait:
             view = client.wait(view["job_id"], timeout=args.timeout)

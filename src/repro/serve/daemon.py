@@ -144,13 +144,9 @@ class SimServer:
         self.flight = None
         self._flight_dir = ""
         if telemetry is not None and telemetry.flight_dir:
-            from repro.obs.flight import FlightRecorder
-            from repro.telemetry.bus import TelemetryBus
-            from repro.telemetry.events import ALL_CATEGORIES
-            if self.bus is None:
-                self.bus = TelemetryBus(0)
-            self.flight = FlightRecorder(telemetry.flight_events)
-            self.bus.observe(self.flight.on_event, ALL_CATEGORIES)
+            from repro.obs.flight import arm_flight_recorder
+            self.bus, self.flight = arm_flight_recorder(
+                self.bus, telemetry.flight_events)
             self._flight_dir = telemetry.flight_dir
 
         self._channel = (self.bus.channel(EventCategory.SERVE)

@@ -81,6 +81,33 @@ class RunStatistics:
         return deviation / baseline_mean_cycles * 100.0  # check: allow D004 -- stats on run means
 
 
+def _run_each(configs: Sequence[SimulationConfig],
+              program: Callable[..., Any], args: tuple, workers: int,
+              libraries: Optional[Sequence[Any]] = None
+              ) -> List[SimulationResult]:
+    """Run one job per config, in order: run ``i`` traces into its own
+    file and forks from ``libraries[i]`` if given.  ``workers > 1``
+    primes those prefixes here, then hands the jobs to the sweep pool;
+    otherwise each goes through ``launch``, closures included."""
+    jobs = []
+    for index, config in enumerate(configs):
+        if config.telemetry.trace_path:
+            config = config.copy()
+            config.telemetry.trace_path = _per_run_trace_path(
+                config.telemetry.trace_path, index)
+        jobs.append(config)
+    libraries = libraries or [None] * len(jobs)
+    if workers > 1:
+        for config, lib in zip(jobs, libraries):
+            if lib is not None:
+                lib.ensure(config, program, args)
+        from repro.distrib.pool import run_jobs
+        return run_jobs([(config, program, args) for config in jobs],
+                        workers)
+    return [launch(config, program, args, library=lib)[0]
+            for config, lib in zip(jobs, libraries)]
+
+
 def repeat_runs(config: SimulationConfig,
                 program: Callable[..., Any],
                 args: tuple = (),
@@ -98,21 +125,13 @@ def repeat_runs(config: SimulationConfig,
     results are identical to the serial path since each run is an
     independent, fully seeded simulation.
     """
-    if workers > 1:
-        from repro.distrib.pool import parallel_repeat
-        return RunStatistics(parallel_repeat(
-            config, program, args, runs=runs, base_seed=base_seed,
-            workers=workers))
-    results: List[SimulationResult] = []
     seed0 = config.seed if base_seed is None else base_seed
+    configs = []
     for run_index in range(runs):
         run_config = config.copy()
         run_config.seed = seed0 + 7919 * run_index
-        if run_config.telemetry.trace_path:
-            run_config.telemetry.trace_path = _per_run_trace_path(
-                config.telemetry.trace_path, run_index)
-        results.append(launch(run_config, program, args)[0])
-    return RunStatistics(results)
+        configs.append(run_config)
+    return RunStatistics(_run_each(configs, program, args, workers))
 
 
 def sweep(configs: Sequence[SimulationConfig],
@@ -170,23 +189,7 @@ def sweep(configs: Sequence[SimulationConfig],
         config.sample.library = root
         return config
 
-    if workers > 1:
-        staged = []
-        for config in configs:
-            lib = _library_for(config)
-            config = _rooted(config, lib)
-            if lib is not None:
-                lib.ensure(config, program, args)
-            staged.append(config)
-        from repro.distrib.pool import parallel_sweep
-        return parallel_sweep(staged, program, args, workers=workers)
-    results = []
-    for index, config in enumerate(configs):
-        if config.telemetry.trace_path:
-            config = config.copy()
-            config.telemetry.trace_path = _per_run_trace_path(
-                config.telemetry.trace_path, index)
-        lib = _library_for(config)
-        results.append(launch(_rooted(config, lib), program, args,
-                              library=lib)[0])
-    return results
+    libs = [_library_for(config) for config in configs]
+    return _run_each([_rooted(config, lib)
+                      for config, lib in zip(configs, libs)],
+                     program, args, workers, libs)

@@ -187,11 +187,9 @@ class Simulator:
                                          self._observer_bus())
         self.flight = None
         if config.telemetry.flight_dir:
-            from repro.obs.flight import FlightRecorder
-            from repro.telemetry.events import ALL_CATEGORIES
-            self.flight = FlightRecorder(config.telemetry.flight_events)
-            self._observer_bus().observe(self.flight.on_event,
-                                         ALL_CATEGORIES)
+            from repro.obs.flight import arm_flight_recorder
+            self.telemetry, self.flight = arm_flight_recorder(
+                self.telemetry, config.telemetry.flight_events)
 
         # Run-level span (:mod:`repro.obs.spans`): when a trace id was
         # propagated into this config (e.g. by the serve daemon at job

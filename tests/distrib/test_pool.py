@@ -13,7 +13,7 @@ from repro.distrib.errors import (
     WorkerCrashError,
     WorkerTimeoutError,
 )
-from repro.distrib.pool import parallel_repeat, run_jobs
+from repro.distrib.pool import run_jobs
 from repro.distrib.wire import WorkloadRef
 from repro.sim.experiment import repeat_runs, sweep
 
@@ -104,8 +104,8 @@ def test_empty_and_single_worker_paths():
 
 def test_parallel_repeat_seed_protocol():
     cfg = _configs(1)[0]
-    results = parallel_repeat(cfg, REF, runs=2, workers=2)
-    assert len(results) == 2
+    stats = repeat_runs(cfg, REF, runs=2, workers=2)
+    assert len(stats.results) == 2
 
 
 def test_pool_deadline_names_unfinished_jobs():
@@ -252,3 +252,20 @@ def test_single_job_takes_the_serial_path(monkeypatch):
     assert result.simulated_cycles > 0
     jobs = [(cfg, REF, ()) for cfg in _configs(2)]
     assert len(run_jobs(jobs, workers=0)) == 2
+
+
+@pytest.mark.parametrize("run", ["sweep", "repeat"])
+def test_pooled_runs_each_write_their_own_trace(tmp_path, run):
+    """Pooled like serial: run ``i`` of a sweep or a repeat traces into
+    ``<trace>.run<i><ext>``, never all into one file."""
+    configs = _configs(2)
+    for cfg in configs:
+        cfg.telemetry.enabled = True
+        cfg.telemetry.events = ["sync"]
+        cfg.telemetry.trace_path = str(tmp_path / "sweep.jsonl")
+    if run == "sweep":
+        sweep(configs, REF, workers=2)
+    else:
+        repeat_runs(configs[0], REF, runs=2, workers=2)
+    assert sorted(os.listdir(tmp_path)) == ["sweep.run0.jsonl",
+                                            "sweep.run1.jsonl"]

@@ -1,4 +1,4 @@
-"""CLI surfacing of host profiling: ``--profile``, ``repro profile``."""
+"""CLI surfacing of host profiling: ``repro run --profile``."""
 
 from __future__ import annotations
 
@@ -33,32 +33,9 @@ def test_run_profile_flag_json_output(capsys):
         "simulated_cycles"]
 
 
-def test_profile_subcommand_text(capsys):
-    code = main(["profile", "fmm", "--tiles", "4", "--scale", "0.1",
-                 "--top", "3"])
-    assert code == 0
-    out = capsys.readouterr().out
-    assert "host wall time:" in out
-    assert "subsystem self-times:" in out
-
-
-def test_profile_subcommand_json_and_report_file(tmp_path, capsys):
-    report = tmp_path / "profile.json"
-    code = main(["profile", "fmm", "--tiles", "4", "--scale", "0.1",
-                 "--json", "--out", str(report)])
-    assert code == 0
-    printed = json.loads(capsys.readouterr().out)
-    saved = json.loads(report.read_text())
-    assert printed == saved
-    assert saved["workload"] == "fmm"
-    assert saved["schema"] == "repro.host_profile/1"
-
-
-def test_profile_subcommand_chrome_trace(tmp_path, capsys):
+def test_run_profile_chrome_trace(tmp_path, capsys):
     trace = tmp_path / "trace.json"
-    code = main(["profile", "fmm", "--tiles", "4", "--scale", "0.1",
-                 "--trace-out", str(trace)])
-    assert code == 0
+    assert main(RUN + ["--profile", "--trace-out", str(trace)]) == 0
     payload = json.loads(trace.read_text())
     from repro.telemetry.chrome import HOST_PID
     pids = {r.get("pid") for r in payload["traceEvents"]}

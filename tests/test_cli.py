@@ -125,3 +125,100 @@ class TestCheckpointCli:
         from repro.common.errors import CheckpointError
         with pytest.raises(CheckpointError, match="no checkpoint"):
             main(["resume", str(tmp_path / "nothing-here")])
+
+
+class _Stop(Exception):
+    """Raised by a stub to end a verb once its config is built."""
+
+
+#: Every target flag away from its default.
+ALL_TARGET_FLAGS = ["--workload", "radix", "--tiles", "8", "--threads",
+                    "4", "--scale", "0.5", "--seed", "7", "--machines",
+                    "2", "--cores", "2", "--sync", "lax_barrier",
+                    "--directory", "limited", "--sharers", "2",
+                    "--network", "ring", "--quantum", "150",
+                    "--classify-misses"]
+
+
+class TestOneFrontDoor:
+    """``run``, ``submit`` and ``sample prime`` name a target with the
+    same flags and build the same config from them."""
+
+    def _run(self, monkeypatch, argv):
+        import repro.cli
+        built = {}
+
+        def launch(config, program):
+            built.update(config=config, program=program)
+            raise _Stop
+        monkeypatch.setattr(repro.cli, "launch", launch)
+        with pytest.raises(_Stop):
+            main(["run"] + argv)
+        return built["config"], built["program"]
+
+    def _submit(self, monkeypatch, argv):
+        from repro.distrib.wire import WorkloadRef
+        import repro.serve.cli
+        built = {}
+
+        class Client:
+            def submit(self, config, workload, nthreads, scale,
+                       priority):
+                built.update(config=config, program=WorkloadRef(
+                    workload, nthreads, scale))
+                raise _Stop
+        monkeypatch.setattr(repro.serve.cli, "_client",
+                            lambda args: Client())
+        with pytest.raises(_Stop):
+            main(["submit", "--dir", "spool"] + argv)
+        return built["config"], built["program"]
+
+    def _prime(self, monkeypatch, argv):
+        from repro.sample.library import SnapshotLibrary
+        built = {}
+
+        def ensure(library, config, program, args=()):
+            built.update(config=config, program=program)
+            raise _Stop
+        monkeypatch.setattr(SnapshotLibrary, "ensure", ensure)
+        with pytest.raises(_Stop):
+            main(["sample", "prime", "--library", "lib"] + argv)
+        return built["config"], built["program"]
+
+    @pytest.mark.parametrize("flags", [
+        ALL_TARGET_FLAGS,
+        ["--workload", "fft", "--tiles", "4", "--directory",
+         "limitless", "--network", "torus", "--sync", "lax_p2p"],
+    ])
+    def test_run_submit_and_prime_build_one_config(self, monkeypatch,
+                                                   flags):
+        run, run_program = self._run(monkeypatch, flags)
+        submit, submit_program = self._submit(monkeypatch, flags)
+        assert submit.content_hash() == run.content_hash()
+        assert submit_program == run_program
+        ff = ["--ff-until", "8000"]
+        run_ff, _ = self._run(monkeypatch, flags + ff)
+        prime, prime_program = self._prime(monkeypatch, flags + ff)
+        assert prime.content_hash() == run_ff.content_hash()
+        assert prime.prefix_hash() == run_ff.prefix_hash()
+        assert prime_program == run_program
+
+    def test_prime_files_the_entry_a_limited_directory_run_forks(
+            self, tmp_path, capsys):
+        library = str(tmp_path / "slib")
+        target = ["--workload", "fft", "--tiles", "4", "--scale", "0.3",
+                  "--ff-until", "8000", "--directory", "limited"]
+        assert main(["sample", "prime", "--library", library]
+                    + target) == 0
+        assert "primed" in capsys.readouterr().out
+        assert main(["run"] + target + ["--sample-library", library,
+                                        "--json"]) == 0
+        payload = json.loads(capsys.readouterr().out)
+        assert payload["sample"]["library"]["primed"] is False
+
+    @pytest.mark.parametrize("spec", ["10:2", "a:b:c"])
+    def test_malformed_sample_spec_is_a_config_error(self, spec):
+        from repro.common.errors import ConfigError
+        with pytest.raises(ConfigError, match="interval spec"):
+            main(["run", "--workload", "fft", "--ff-until", "100",
+                  "--sample", spec])
