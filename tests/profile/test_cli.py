@@ -33,6 +33,22 @@ def test_run_profile_flag_json_output(capsys):
         "simulated_cycles"]
 
 
+def test_profile_subcommand_text(capsys):
+    # The former ``repro profile`` verb's text report, now ``run --profile``.
+    assert main(RUN + ["--profile"]) == 0
+    out = capsys.readouterr().out
+    assert "host wall time:" in out
+    assert "subsystem self-times:" in out
+
+
+def test_profile_subcommand_json_and_report_file(capsys):
+    # The former verb's JSON report rides in ``run --profile --json``.
+    assert main(RUN + ["--profile", "--json"]) == 0
+    payload = json.loads(capsys.readouterr().out)
+    assert payload["workload"] == "fmm"
+    assert payload["host_profile"]["schema"] == "repro.host_profile/1"
+
+
 def test_run_profile_chrome_trace(tmp_path, capsys):
     trace = tmp_path / "trace.json"
     assert main(RUN + ["--profile", "--trace-out", str(trace)]) == 0
