@@ -18,7 +18,7 @@ import pytest
 
 from repro.analysis.tables import Table
 from repro.sim.simulator import Simulator
-from repro.workloads import get_workload
+from repro.workloads.base import get_workload
 
 from conftest import paper_config, save_artifact
 
@@ -129,7 +129,7 @@ def test_ablation_msi_vs_mesi(benchmark):
     private-RMW microkernel (pure win) and ocean_cont (upgrades halve,
     but boundary-row recalls give the time back).
     """
-    from repro.workloads import get_workload as _get
+    from repro.workloads.base import get_workload as _get
 
     stats = {}
 

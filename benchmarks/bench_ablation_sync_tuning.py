@@ -18,7 +18,7 @@ import pytest
 
 from repro.analysis.tables import Table
 from repro.sim.experiment import repeat_runs
-from repro.workloads import get_workload
+from repro.workloads.base import get_workload
 
 from conftest import paper_config, save_artifact
 

@@ -16,7 +16,7 @@ import pytest
 from repro.analysis.figures import render_series
 from repro.analysis.tables import Table
 from repro.sim.simulator import Simulator
-from repro.workloads import get_workload
+from repro.workloads.base import get_workload
 
 from conftest import paper_config, save_artifact
 

@@ -41,7 +41,7 @@ from repro.frontend.api import ThreadContext
 from repro.sim.experiment import RunStatistics, repeat_runs, sweep
 from repro.sim.results import SimulationResult
 from repro.sim.simulator import Simulator
-from repro.workloads import WORKLOADS, get_workload
+from repro.workloads.base import WORKLOADS, get_workload
 
 __version__ = "1.0.0"
 

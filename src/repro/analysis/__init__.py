@@ -6,14 +6,3 @@ renders aligned text tables matching the paper's table layouts; and
 :mod:`repro.analysis.figures` renders series as text charts so every
 figure has a directly comparable textual form in the benchmark output.
 """
-
-from repro.analysis.metrics import (
-    normalize,
-    speedup_series,
-)
-from repro.analysis.tables import Table
-from repro.analysis.figures import render_series
-from repro.analysis.report import render_report
-
-__all__ = ["Table", "normalize", "render_report", "render_series",
-           "speedup_series"]

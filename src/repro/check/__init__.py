@@ -34,28 +34,3 @@ Five layers, all reachable through ``python -m repro check``:
     observe and never perturb: results are identical with them on or
     off.
 """
-
-from repro.check.lint import LintFinding, lint_paths, lint_tree
-from repro.check.membership import (
-    MembershipExplorer,
-    MembershipReport,
-    MembershipViolation,
-)
-from repro.check.protocol import ExplorationReport, ProtocolExplorer
-from repro.check.sanitize import Sanitizers
-from repro.check.wireproto import RoleSites, extract_role, load_spec
-
-__all__ = [
-    "ExplorationReport",
-    "LintFinding",
-    "MembershipExplorer",
-    "MembershipReport",
-    "MembershipViolation",
-    "ProtocolExplorer",
-    "RoleSites",
-    "Sanitizers",
-    "extract_role",
-    "lint_paths",
-    "lint_tree",
-    "load_spec",
-]

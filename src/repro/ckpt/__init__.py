@@ -19,12 +19,3 @@ that checkpoints, dies and resumes produces a byte-identical
 :class:`~repro.sim.results.SimulationResult` to an uninterrupted run,
 on both the inproc and mp backends.
 """
-
-from repro.ckpt.recovery import (  # noqa: F401
-    drive,
-    load_checkpoint,
-    resume_with_recovery,
-    run_with_recovery,
-)
-from repro.ckpt.snapshot import snapshot_bytes  # noqa: F401
-from repro.ckpt.store import CheckpointStore  # noqa: F401

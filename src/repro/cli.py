@@ -28,7 +28,7 @@ from repro.common.config import (
 )
 from repro.common.units import pretty_seconds
 from repro.sim.runner import launch
-from repro.workloads import WORKLOADS, get_workload
+from repro.workloads.base import get_workload, workload_names
 
 
 def add_telemetry_arguments(parser: argparse.ArgumentParser,
@@ -97,7 +97,7 @@ def add_target_arguments(parser: argparse.ArgumentParser) -> None:
     and :func:`target_config` is the one place they become a config.
     """
     parser.add_argument("--workload", required=True,
-                        help=f"one of: {', '.join(sorted(WORKLOADS))}")
+                        help=f"one of: {', '.join(workload_names())}")
     parser.add_argument("--tiles", type=int, default=32,
                         help="target tiles (default 32)")
     parser.add_argument("--threads", type=int, default=0,
@@ -555,9 +555,10 @@ def _command_worker(args: argparse.Namespace) -> int:
 
 
 def _command_list() -> int:
-    width = max(len(name) for name in WORKLOADS)
-    for name in sorted(WORKLOADS):
-        factory = WORKLOADS[name]
+    names = workload_names()
+    width = max(len(name) for name in names)
+    for name in names:
+        factory = get_workload(name)
         print(f"{name.ljust(width)}  {factory.description} "
               f"[communication: {factory.comm_intensity}]")
     return 0

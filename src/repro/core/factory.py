@@ -14,7 +14,6 @@ from __future__ import annotations
 from repro.common.config import CoreConfig
 from repro.common.errors import ConfigError
 from repro.common.stats import StatGroup
-from repro.core.ooo_model import OutOfOrderCoreModel
 from repro.core.perf_model import CoreModel, CorePerfModel
 
 
@@ -29,6 +28,7 @@ def create_core_model(config: CoreConfig, stats: StatGroup,
     if config.model == "in_order":
         return CorePerfModel(config, stats, telemetry, tile)
     if config.model == "out_of_order":
+        from repro.core.ooo_model import OutOfOrderCoreModel
         return OutOfOrderCoreModel(config, stats, telemetry, tile)
     raise ConfigError(f"unknown core model {config.model!r}")
 

@@ -9,34 +9,3 @@ Two independent ways to use more than one OS process:
 * the sweep pool — independent configurations run concurrently, one
   simulation per process; see :mod:`repro.distrib.pool`.
 """
-
-from repro.distrib.coordinator import DistribSimulator, WorkerCluster
-from repro.distrib.errors import (
-    DistribError,
-    ProgramTransportError,
-    WireFormatError,
-    WorkerCrashError,
-    WorkerTimeoutError,
-)
-from repro.distrib.pool import run_jobs
-from repro.distrib.wire import (
-    WIRE_VERSION,
-    PickledProgram,
-    WorkloadRef,
-    make_program_ref,
-)
-
-__all__ = [
-    "DistribSimulator",
-    "WorkerCluster",
-    "DistribError",
-    "ProgramTransportError",
-    "WireFormatError",
-    "WorkerCrashError",
-    "WorkerTimeoutError",
-    "run_jobs",
-    "WIRE_VERSION",
-    "PickledProgram",
-    "WorkloadRef",
-    "make_program_ref",
-]

@@ -50,6 +50,7 @@ from repro.distrib.wire import (
     WIRE_VERSION,
     FrameKind,
     HostStatsBatch,
+    WorkloadRef,
     decode_frame,
     encode_frame,
     make_program_ref,
@@ -66,6 +67,7 @@ from repro.telemetry.aggregate import TelemetryBatch, merge_batch
 from repro.telemetry.events import EventCategory
 from repro.transport.message import Message, MessageKind
 from repro.transport.transport import Transport
+from repro.workloads.base import get_workload
 
 #: Seconds between liveness re-checks while waiting on a worker.
 _LIVENESS_TICK = 0.05
@@ -623,6 +625,14 @@ class DistribSimulator(Simulator):
         return ShardTransport(self.layout, self.stats.child("transport"))
 
     # -- lifecycle -----------------------------------------------------------
+
+    def run(self, main_program: Any, args: tuple = ()) -> Any:
+        """As :meth:`Simulator.run`, with a named kernel's module loaded
+        first: the fleet forks in :meth:`_running`, so every worker
+        inherits the module instead of compiling it in the run."""
+        if isinstance(main_program, WorkloadRef):
+            get_workload(main_program.workload)
+        return super().run(main_program, args)
 
     @contextlib.contextmanager
     def _fleet(self) -> Iterator[WorkerCluster]:

@@ -207,7 +207,7 @@ class WorkloadRef:
     params: Dict[str, Any] = field(default_factory=dict)
 
     def resolve(self) -> Callable[..., Any]:
-        from repro.workloads import get_workload
+        from repro.workloads.base import get_workload
         return get_workload(self.workload).main(
             self.nthreads, self.scale, **dict(self.params))
 

@@ -11,45 +11,3 @@ memory, network and system models, and the user API
 applications see — pthreads-style spawn/join, locks and barriers, the
 core-to-core messaging API, malloc, and system calls.
 """
-
-from repro.frontend.api import ThreadContext
-from repro.frontend.trace import Trace, TraceRecorder, replay_program
-from repro.frontend.interpreter import ThreadInterpreter
-from repro.frontend.ops import (
-    BarrierWait,
-    Branch,
-    Compute,
-    Free,
-    Join,
-    Load,
-    Lock,
-    Malloc,
-    Recv,
-    Send,
-    Spawn,
-    Store,
-    Syscall,
-    Unlock,
-)
-
-__all__ = [
-    "BarrierWait",
-    "Branch",
-    "Compute",
-    "Free",
-    "Join",
-    "Load",
-    "Lock",
-    "Malloc",
-    "Recv",
-    "Send",
-    "Spawn",
-    "Store",
-    "Syscall",
-    "ThreadContext",
-    "Trace",
-    "TraceRecorder",
-    "replay_program",
-    "ThreadInterpreter",
-    "Unlock",
-]

@@ -8,8 +8,3 @@ cost model that substitutes for the paper's real Xeon cluster, and the
 scheduler that multiplexes tile threads onto simulated host cores and
 derives wall-clock time as a parallel makespan.
 """
-
-from repro.host.cluster import ClusterLayout, Locality
-from repro.host.costmodel import HostCostModel
-
-__all__ = ["ClusterLayout", "HostCostModel", "Locality"]

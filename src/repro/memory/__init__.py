@@ -10,37 +10,3 @@ directory MSI coherence (full-map, limited Dir_iNB, or LimitLESS),
 network round trips, and DRAM controllers with lax-compatible queue
 models.
 """
-
-from repro.memory.address import AddressSpace, Segment
-from repro.memory.allocator import DynamicMemoryManager
-from repro.memory.backing import BackingStore
-from repro.memory.cache import Cache, CacheLine, LineState
-from repro.memory.coherence import CoherenceEngine
-from repro.memory.controller import MemoryController
-from repro.memory.directory import (
-    Directory,
-    DirectoryEntry,
-    create_directory,
-)
-from repro.memory.dram import DramController
-from repro.memory.hierarchy import CacheHierarchy
-from repro.memory.miss_classifier import MissClassifier, MissType
-
-__all__ = [
-    "AddressSpace",
-    "BackingStore",
-    "Cache",
-    "CacheHierarchy",
-    "CacheLine",
-    "CoherenceEngine",
-    "Directory",
-    "DirectoryEntry",
-    "DramController",
-    "DynamicMemoryManager",
-    "LineState",
-    "MemoryController",
-    "MissClassifier",
-    "MissType",
-    "Segment",
-    "create_directory",
-]

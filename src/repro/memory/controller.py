@@ -22,6 +22,9 @@ from repro.common.stats import StatGroup
 from repro.memory.cache import LineState
 from repro.memory.coherence import CoherenceEngine
 
+#: Enum members as globals: a class attribute lookup costs ~0.2 us.
+_MODIFIED = LineState.MODIFIED
+
 #: Charges the host cost of one memory-model access — nothing under
 #: fast-forward (:mod:`repro.sample`): the host cost model's charger, or
 #: in an mp worker the cast of its token.
@@ -143,7 +146,7 @@ class MemoryController:
             l1d = hierarchy.l1d
             if (l1d is not None and l1d.lookup(line_address) is not None
                     and resident is not None
-                    and resident.state is LineState.MODIFIED):
+                    and resident.state is _MODIFIED):
                 line = resident
                 latency = self._l1d_latency
             else:
@@ -166,7 +169,7 @@ class MemoryController:
             line_address = piece_address - offset
             resident = self.hierarchy.l2.peek(line_address)
             if (self.hierarchy.l1d_hit(line_address) and resident is not None
-                    and resident.state is LineState.MODIFIED):
+                    and resident.state is _MODIFIED):
                 line = resident
                 piece_latency = self._l1d_latency
             else:

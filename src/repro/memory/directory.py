@@ -36,12 +36,16 @@ class DirState(enum.Enum):
     MODIFIED = "M"
 
 
+#: Members as globals: an enum class attribute lookup costs ~0.2 us.
+_DIR_UNCACHED, _DIR_MODIFIED = DirState.UNCACHED, DirState.MODIFIED
+
+
 class DirectoryEntry:
     """Directory knowledge about one line."""
 
     __slots__ = ("state", "sharers")
 
-    def __init__(self, state: DirState = DirState.UNCACHED,
+    def __init__(self, state: DirState = _DIR_UNCACHED,
                  sharers: Optional[Dict[TileId, None]] = None) -> None:
         self.state = state
         #: Sharer tiles in insertion order (dict used as an ordered set).
@@ -50,7 +54,7 @@ class DirectoryEntry:
     @property
     def owner(self) -> Optional[TileId]:
         """Owning tile when MODIFIED (exactly one sharer)."""
-        if self.state is not DirState.MODIFIED:
+        if self.state is not _DIR_MODIFIED:
             return None
         if len(self.sharers) != 1:
             raise ProtocolError(
@@ -126,7 +130,7 @@ class Directory:
                       timestamp: int = 0) -> None:
         entry.sharers.pop(tile, None)
         if not entry.sharers:
-            entry.state = DirState.UNCACHED
+            entry.state = _DIR_UNCACHED
         if self._tele is not None:
             self._tele.emit("sharer_remove", int(self.home), timestamp,
                             {"sharer": int(tile),

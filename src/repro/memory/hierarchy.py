@@ -20,6 +20,9 @@ from repro.common.ids import TileId
 from repro.common.stats import StatGroup
 from repro.memory.cache import Cache, CacheLine, LineState
 
+#: Enum members as globals: a class attribute lookup costs ~0.2 us.
+_SHARED = LineState.SHARED
+
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.telemetry.bus import Channel
 
@@ -53,11 +56,11 @@ class L1Caches:
     def fill_l1d(self, line: CacheLine) -> None:
         """Install ``line``'s tag in the L1D after an L1 miss (no data)."""
         if self.l1d is not None:
-            self.l1d.insert(line.address, LineState.SHARED, None)
+            self.l1d.insert(line.address, _SHARED, None)
 
     def fill_l1i(self, line_address: int) -> None:
         if self.l1i is not None:
-            self.l1i.insert(line_address, LineState.SHARED, None)
+            self.l1i.insert(line_address, _SHARED, None)
 
     def purge_l1(self, line_address: int) -> None:
         """Inclusion: the L2 lost the line, so both L1s drop it."""
@@ -93,7 +96,7 @@ class MirroredL1(L1Caches):
     def downgrade(self, line_address: int) -> None:
         line = self.peek(line_address)
         if line is not None:
-            line.state = LineState.SHARED
+            line.state = _SHARED
 
 
 class CacheHierarchy(L1Caches):
@@ -149,7 +152,7 @@ class CacheHierarchy(L1Caches):
         """M -> S transition on a remote read (data stays resident)."""
         line = self.l2.peek(line_address)
         if line is not None:
-            line.state = LineState.SHARED
+            line.state = _SHARED
             if self.l1_notes is not None:
                 self.l1_notes.append(
                     (int(self.tile), line_address, "downgrade"))

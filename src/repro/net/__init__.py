@@ -24,26 +24,3 @@ modelled cost reads the simulated :class:`~repro.host.cluster.
 ClusterLayout`, never the executor map, so joins, leaves and live
 shard migrations cannot perturb simulated metrics.
 """
-
-from repro.net.channel import (
-    Channel,
-    ChannelClosedError,
-    ChannelError,
-    PipeChannel,
-    TcpChannel,
-)
-from repro.net.handshake import HandshakeError, Hello, Welcome
-from repro.net.listener import NetListener, connect_worker
-
-__all__ = [
-    "Channel",
-    "ChannelClosedError",
-    "ChannelError",
-    "PipeChannel",
-    "TcpChannel",
-    "HandshakeError",
-    "Hello",
-    "Welcome",
-    "NetListener",
-    "connect_worker",
-]

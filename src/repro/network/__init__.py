@@ -9,15 +9,3 @@ a common interface — they route packets and update timestamps, while
 the network component handles functionality (multiplexing, delivery,
 the application messaging API).
 """
-
-from repro.network.interface import NetworkInterface, NetworkFabric
-from repro.network.model import NetworkModel, create_network_model
-from repro.network.routing import MeshGeometry
-
-__all__ = [
-    "MeshGeometry",
-    "NetworkFabric",
-    "NetworkInterface",
-    "NetworkModel",
-    "create_network_model",
-]

@@ -21,23 +21,3 @@ Everything here is host-side and purely observational: span events,
 metrics scrapes and flight dumps never touch simulated state, so
 ``SimulationResult`` is byte-identical with obs enabled or disabled.
 """
-
-from repro.obs.flight import FlightRecorder
-from repro.obs.spans import (
-    SpanEmitter,
-    build_span_tree,
-    mint_trace_id,
-    orphan_spans,
-    span_id,
-)
-from repro.obs.watchdog import StragglerWatchdog
-
-__all__ = [
-    "FlightRecorder",
-    "SpanEmitter",
-    "StragglerWatchdog",
-    "build_span_tree",
-    "mint_trace_id",
-    "orphan_spans",
-    "span_id",
-]

@@ -12,23 +12,3 @@ Profiling is zero-overhead when disabled (no profiler object exists;
 call sites keep their original methods) and purely observational when
 enabled: simulation metrics are byte-identical either way.
 """
-
-from repro.profile.report import (
-    PROFILE_SCHEMA,
-    build_profile,
-    render_profile,
-    summarize_worker,
-    top_subsystems,
-)
-from repro.profile.timers import HostProfiler, ScopeStats, create_profiler
-
-__all__ = [
-    "PROFILE_SCHEMA",
-    "HostProfiler",
-    "ScopeStats",
-    "build_profile",
-    "create_profiler",
-    "render_profile",
-    "summarize_worker",
-    "top_subsystems",
-]

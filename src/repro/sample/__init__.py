@@ -19,18 +19,3 @@ Three layers, each usable on its own:
   :mod:`repro.sample.stats` extrapolates whole-run cycle counts with
   Student-t confidence intervals.
 """
-
-from repro.sample.controller import FastForwardDone, SampleController
-from repro.sample.intervals import Phase, phase_at
-from repro.sample.library import SnapshotLibrary
-from repro.sample.stats import confidence_interval, extrapolate
-
-__all__ = [
-    "FastForwardDone",
-    "Phase",
-    "SampleController",
-    "SnapshotLibrary",
-    "confidence_interval",
-    "extrapolate",
-    "phase_at",
-]

@@ -33,14 +33,17 @@ The entry layout on disk::
             ckpt-NNNNNNNN/      the switch-point checkpoint
             LATEST
 
-Entries are created atomically (staging directory + ``os.replace``) so
-concurrent sweep processes racing to prime the same prefix cannot
-observe a half-written entry — the losing primer's work is discarded.
+Entries are created atomically (a staging directory of the primer's
+own + one ``os.replace``) so concurrent sweep processes racing to
+prime the same prefix cannot observe a half-written entry or touch
+each other's staging — the losing primer's work is discarded.
 """
 
 from __future__ import annotations
 
+import errno
 import hashlib
+import itertools
 import json
 import os
 import shutil
@@ -55,6 +58,9 @@ LIBRARY_META = "LIBRARY.json"
 
 #: On-disk entry format version.
 LIBRARY_FORMAT = "repro.sample/4"
+
+#: Numbers this process's staging directories, so no two primers share one.
+_STAGINGS = itertools.count()
 
 
 def workload_descriptor(program: Any, args: tuple = ()) -> Dict[str, Any]:
@@ -168,8 +174,9 @@ class SnapshotLibrary:
     def keys(self) -> List[str]:
         """Every complete entry's key, sorted, whatever its format."""
         return [name for name in sorted(os.listdir(self.root))
-                if os.path.isfile(os.path.join(self.root, name,
-                                               LIBRARY_META))]
+                if not name.startswith(".")
+                and os.path.isfile(os.path.join(self.root, name,
+                                                LIBRARY_META))]
 
     def entries(self) -> List[Tuple[str, Dict[str, Any]]]:
         """Every complete entry as ``(key, metadata)``, key-sorted."""
@@ -194,17 +201,39 @@ class SnapshotLibrary:
         into a staging directory — on the config's own backend, with
         the sample controller's ``stop_after_ff`` set so the run
         checkpoints at the fast-forward switch and unwinds.  The
-        staging directory is moved into place atomically; if another
-        process primed the same key meanwhile, its entry wins and this
-        one is discarded.  Returns the entry directory.
+        staging directory, this call's own, is moved into place by one
+        ``os.replace``; if another primer published the same key
+        meanwhile, its entry wins and this one is discarded.  Returns
+        the entry directory.
         """
         if config.sample.ff_until <= 0:
             raise SampleError("priming needs sample.ff_until > 0")
         key = self.key(config, program, args)
         final = self.entry_dir(key)
-        staging = os.path.join(self.root, f".priming-{key}")
-        if os.path.isdir(staging):
-            shutil.rmtree(staging)
+        staging = os.path.join(
+            self.root, f".priming-{key}.{os.getpid()}.{next(_STAGINGS)}")
+        try:
+            self._prime_into(staging, key, config, program, args)
+        except BaseException:
+            shutil.rmtree(staging, ignore_errors=True)
+            raise
+        self.stats["primes"] += 1
+        if not os.path.isdir(final):
+            try:
+                os.replace(staging, final)
+                return final
+            except OSError as exc:
+                if exc.errno not in (errno.ENOTEMPTY, errno.EEXIST):
+                    raise
+        # Lost a priming race; both entries hold byte-identical state
+        # (that is the whole point), keep the incumbent.
+        shutil.rmtree(staging)
+        return final
+
+    def _prime_into(self, staging: str, key: str, config: SimulationConfig,
+                    program: Any, args: tuple) -> None:
+        """Fast-forward a primer into ``staging``, then write the
+        entry's metadata there."""
         primer_config = self._primer_config(config, staging)
         from repro.sim.runner import create_simulator
         simulator = create_simulator(primer_config)
@@ -216,7 +245,6 @@ class SnapshotLibrary:
         except FastForwardDone:
             pass
         else:
-            shutil.rmtree(staging, ignore_errors=True)
             raise SampleError(
                 f"workload finished before the fast-forward target "
                 f"(ff_until={config.sample.ff_until}); there is no "
@@ -234,14 +262,6 @@ class SnapshotLibrary:
         with open(os.path.join(staging, LIBRARY_META), "w",
                   encoding="utf-8") as handle:
             json.dump(meta, handle, indent=2, sort_keys=True)
-        self.stats["primes"] += 1
-        if os.path.isdir(final):
-            # Lost a priming race; both entries hold byte-identical
-            # state (that is the whole point), keep the incumbent.
-            shutil.rmtree(staging)
-        else:
-            os.replace(staging, final)
-        return final
 
     @staticmethod
     def _primer_config(config: SimulationConfig,

@@ -21,18 +21,3 @@ guarantees make the service's semantics strong:
 See ``docs/serving.md`` for the daemon lifecycle, client protocol and
 cache semantics.
 """
-
-from repro.serve.client import ServeClient
-from repro.serve.daemon import SimServer
-from repro.serve.jobs import JOB_STATES, JobQueue, ServeJob
-from repro.serve.store import ResultStore, canonical_result_bytes
-
-__all__ = [
-    "JOB_STATES",
-    "JobQueue",
-    "ResultStore",
-    "ServeClient",
-    "ServeJob",
-    "SimServer",
-    "canonical_result_bytes",
-]

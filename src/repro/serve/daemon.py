@@ -780,8 +780,8 @@ class SimServer:
             raise ServeError("submit needs exactly one of workload or "
                              "program")
         if spec.workload is not None:
-            from repro.workloads import WORKLOADS
-            if spec.workload not in WORKLOADS:
+            from repro.workloads.base import workload_names
+            if spec.workload not in workload_names():
                 raise ServeError(
                     f"unknown workload {spec.workload!r}")
             nthreads = spec.nthreads or config.num_tiles

@@ -7,12 +7,3 @@ the MCP/LCP system layer and a synchronization model — and runs a
 target program to completion.  :mod:`repro.sim.experiment` adds the
 multi-run/multi-config sweep helpers the benchmarks are built on.
 """
-
-from repro.sim.results import SimulationResult
-from repro.sim.simulator import Simulator
-from repro.sim.experiment import (
-    repeat_runs,
-    RunStatistics,
-)
-
-__all__ = ["RunStatistics", "SimulationResult", "Simulator", "repeat_runs"]

@@ -9,7 +9,8 @@ threads.
 
 from __future__ import annotations
 
-from typing import Any, Callable, ContextManager, Dict, List, Optional, Tuple
+from typing import (Any, Callable, ContextManager, Dict, List, Optional,
+                    Tuple, TYPE_CHECKING)
 
 from repro.common.config import SimulationConfig
 from repro.common.ids import ProcessId, ThreadId, TileId
@@ -24,7 +25,6 @@ from repro.memory.allocator import DynamicMemoryManager
 from repro.memory.backing import BackingStore
 from repro.memory.coherence import CoherenceEngine
 from repro.memory.controller import MemoryController
-from repro.memory.miss_classifier import MissClassifier
 from repro.network.interface import NetworkFabric
 from repro.profile.instrument import installed
 from repro.profile.timers import create_profiler
@@ -33,12 +33,13 @@ from repro.sync.model import create_sync_model
 from repro.system.lcp import create_lcps
 from repro.system.mcp import MCP_TILE, MasterControlProgram
 from repro.telemetry.bus import create_bus
-from repro.telemetry.chrome import ChromeTraceSink
 from repro.telemetry.events import EventCategory
-from repro.telemetry.registry import MetricsRegistry
-from repro.telemetry.skew import ClockSkewSampler
 from repro.transport.message import MessageKind
 from repro.transport.transport import Transport
+
+if TYPE_CHECKING:
+    from repro.memory.miss_classifier import MissClassifier
+    from repro.telemetry.registry import MetricsRegistry
 
 #: Synthetic code placement: each distinct program gets a 64 KB region.
 _CODE_REGION_BYTES = 64 * 1024
@@ -102,6 +103,7 @@ class Simulator:
         self.backing = BackingStore(line_bytes)
         self.classifier: Optional[MissClassifier] = None
         if config.memory.classify_misses:
+            from repro.memory.miss_classifier import MissClassifier
             self.classifier = MissClassifier(
                 config.num_tiles, line_bytes,
                 self.stats.child("miss_classes"))
@@ -225,6 +227,7 @@ class Simulator:
         config = self.config
         scheduler = self.scheduler
         if config.trace_clock_skew and config.skew_sample_period:
+            from repro.telemetry.skew import ClockSkewSampler
             scheduler.set_stage(
                 "skew", config.skew_sample_period,
                 ClockSkewSampler(self.skew_trace,
@@ -232,6 +235,7 @@ class Simulator:
         interval = config.telemetry.metrics_interval
         if interval > 0:
             if self.metrics is None:
+                from repro.telemetry.registry import MetricsRegistry
                 self.metrics = MetricsRegistry(self.stats, interval)
             self.metrics.channel = self._channel(EventCategory.METRICS)
             scheduler.set_stage("metrics", interval,
@@ -267,6 +271,7 @@ class Simulator:
         """Give file sinks the layout facts only the simulator knows."""
         if self.telemetry is None:
             return
+        from repro.telemetry.chrome import ChromeTraceSink
         tile_process = {
             t: int(self.layout.process_of_tile(TileId(t)))
             for t in range(self.config.num_tiles)}
@@ -580,6 +585,7 @@ class Simulator:
         """Give Chrome sinks the host-profiler data (pre-close)."""
         if self.profiler is None or self.telemetry is None:
             return
+        from repro.telemetry.chrome import ChromeTraceSink
         payload = {"run_ns": self.profiler.run_ns,
                    "scopes": self.profiler.scope_dict(),
                    "workers": self._worker_host_scopes or {}}

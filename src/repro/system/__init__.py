@@ -9,17 +9,3 @@ condition variables), the distributed thread spawn/join protocol, and a
 system-call interface with an in-memory filesystem so threads in
 different host processes see one consistent set of file descriptors.
 """
-
-from repro.system.futex import FutexManager
-from repro.system.lcp import LocalControlProgram
-from repro.system.mcp import MasterControlProgram
-from repro.system.syscalls import SyscallInterface
-from repro.system.threading_api import ThreadManager
-
-__all__ = [
-    "FutexManager",
-    "LocalControlProgram",
-    "MasterControlProgram",
-    "SyscallInterface",
-    "ThreadManager",
-]

@@ -19,37 +19,3 @@ runs.  Four pieces:
 
 See ``docs/observability.md`` for the event taxonomy and sink formats.
 """
-
-from repro.telemetry.aggregate import TelemetryBatch, merge_batch, order_events
-from repro.telemetry.bus import Channel, TelemetryBus, create_bus
-from repro.telemetry.chrome import ChromeTraceSink, write_chrome_trace
-from repro.telemetry.events import (
-    ALL_CATEGORIES,
-    Event,
-    EventCategory,
-    parse_event_mask,
-)
-from repro.telemetry.registry import MetricsRegistry
-from repro.telemetry.sinks import JsonlTraceSink, LoggerSink, MemorySink, Sink
-from repro.telemetry.skew import ClockSkewSampler
-
-__all__ = [
-    "ALL_CATEGORIES",
-    "Channel",
-    "ChromeTraceSink",
-    "ClockSkewSampler",
-    "Event",
-    "EventCategory",
-    "JsonlTraceSink",
-    "LoggerSink",
-    "MemorySink",
-    "MetricsRegistry",
-    "Sink",
-    "TelemetryBatch",
-    "TelemetryBus",
-    "create_bus",
-    "merge_batch",
-    "order_events",
-    "parse_event_mask",
-    "write_chrome_trace",
-]

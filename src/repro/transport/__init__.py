@@ -8,8 +8,3 @@ plus a host-cost model (`repro.host.costmodel`) that charges realistic
 latencies for each locality class.  The API mirrors the paper's: the
 network component is the only client, and the back end is swappable.
 """
-
-from repro.transport.message import Message, MessageKind
-from repro.transport.transport import Locality, Transport
-
-__all__ = ["Locality", "Message", "MessageKind", "Transport"]

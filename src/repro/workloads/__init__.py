@@ -14,30 +14,3 @@ pattern* — the properties the paper's evaluation actually measures:
 Every workload also computes a real result that is validated at the end
 of the run, so the coherent memory system is exercised functionally.
 """
-
-from repro.workloads.base import (
-    WORKLOADS,
-    WorkloadFactory,
-    get_workload,
-    register_workload,
-)
-# Importing the modules registers the workloads.
-from repro.workloads import (  # noqa: F401
-    barnes,
-    blackscholes,
-    cholesky,
-    fft,
-    fmm,
-    lu,
-    matmul,
-    ocean,
-    radix,
-    water,
-)
-
-__all__ = [
-    "WORKLOADS",
-    "WorkloadFactory",
-    "get_workload",
-    "register_workload",
-]

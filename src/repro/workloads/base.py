@@ -2,8 +2,9 @@
 
 from __future__ import annotations
 
+import importlib
 from dataclasses import dataclass
-from typing import Any, Callable, Dict, Generator, Optional
+from typing import Any, Callable, Dict, Generator, List, Optional
 
 from repro.common.errors import ConfigError
 from repro.frontend.api import ThreadContext
@@ -17,9 +18,9 @@ class WorkloadFactory:
     """A named workload with tunable thread count and problem scale.
 
     ``build(nthreads, scale)`` returns the main program to hand to
-    :meth:`repro.sim.Simulator.run`.  ``scale`` multiplies the default
-    problem size; benchmarks use small scales so pure-Python simulation
-    stays fast, while tests use tiny ones.
+    :meth:`repro.sim.simulator.Simulator.run`.  ``scale`` multiplies the
+    default problem size; benchmarks use small scales so pure-Python
+    simulation stays fast, while tests use tiny ones.
     """
 
     name: str
@@ -33,7 +34,27 @@ class WorkloadFactory:
         return self.build(nthreads=nthreads, scale=scale, **params)
 
 
+#: Factories registered so far: a kernel's appear when its module loads.
 WORKLOADS: Dict[str, WorkloadFactory] = {}
+
+#: Every built-in kernel's name -> the module of this package that
+#: registers it.  :func:`get_workload` imports the module the first time
+#: one of its names is asked for, so a run compiles only its own kernel.
+KERNEL_MODULES: Dict[str, str] = {
+    "barnes": "barnes",
+    "blackscholes": "blackscholes",
+    "cholesky": "cholesky",
+    "fft": "fft",
+    "fmm": "fmm",
+    "lu_cont": "lu",
+    "lu_non_cont": "lu",
+    "matrix_multiply": "matmul",
+    "ocean_cont": "ocean",
+    "ocean_non_cont": "ocean",
+    "radix": "radix",
+    "water_nsquared": "water",
+    "water_spatial": "water",
+}
 
 
 def register_workload(factory: WorkloadFactory) -> WorkloadFactory:
@@ -43,11 +64,19 @@ def register_workload(factory: WorkloadFactory) -> WorkloadFactory:
     return factory
 
 
+def workload_names() -> List[str]:
+    """Every name :func:`get_workload` resolves, loaded or not."""
+    return sorted(set(KERNEL_MODULES) | set(WORKLOADS))
+
+
 def get_workload(name: str) -> WorkloadFactory:
     factory = WORKLOADS.get(name)
+    if factory is None and name in KERNEL_MODULES:
+        importlib.import_module(f"repro.workloads.{KERNEL_MODULES[name]}")
+        factory = WORKLOADS.get(name)
     if factory is None:
         raise ConfigError(
-            f"unknown workload {name!r}; known: {sorted(WORKLOADS)}")
+            f"unknown workload {name!r}; known: {workload_names()}")
     return factory
 
 

@@ -83,7 +83,7 @@ def test_silent_worker_times_out_under_profiling():
     """The timed recv (``mp.idle.wait`` around it, ``mp.wire.decode``
     inside) must preserve the deadline behaviour, worker id included,
     and close its scope on the way out."""
-    from repro.profile import HostProfiler
+    from repro.profile.timers import HostProfiler
     from repro.profile.instrument import installed
 
     cfg = _cluster_config(timeout=0.5)

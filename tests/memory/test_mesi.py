@@ -134,7 +134,7 @@ class TestValidation:
 
     def test_full_simulation_under_mesi(self):
         from repro.sim.simulator import Simulator
-        from repro.workloads import get_workload
+        from repro.workloads.base import get_workload
         from tests.conftest import tiny_config
 
         config = tiny_config(4)

@@ -85,7 +85,7 @@ class TestEndToEnd:
     @pytest.mark.parametrize("model", ["ring", "torus"])
     def test_full_simulation_on_topology(self, model):
         from repro.sim.simulator import Simulator
-        from repro.workloads import get_workload
+        from repro.workloads.base import get_workload
 
         config = SimulationConfig(num_tiles=8)
         config.network.memory_model = model

@@ -10,7 +10,7 @@ import types
 
 import pytest
 
-from repro.profile import HostProfiler
+from repro.profile.timers import HostProfiler
 from repro.profile.instrument import TABLES, installed
 
 #: Layers ``repro.profile`` and ``bench/tracer.py`` must both bracket at

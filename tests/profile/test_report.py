@@ -2,14 +2,14 @@
 
 from __future__ import annotations
 
-from repro.profile import (
+from repro.profile.report import (
     PROFILE_SCHEMA,
-    HostProfiler,
     build_profile,
     render_profile,
     summarize_worker,
     top_subsystems,
 )
+from repro.profile.timers import HostProfiler
 
 
 class FakeResult:

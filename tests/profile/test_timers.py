@@ -5,7 +5,7 @@ from __future__ import annotations
 import time
 
 from repro.common.config import ProfileConfig
-from repro.profile import HostProfiler, create_profiler
+from repro.profile.timers import HostProfiler, create_profiler
 
 
 def test_single_scope_self_equals_cum():

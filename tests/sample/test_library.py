@@ -182,6 +182,34 @@ class TestEntries:
         assert library.entries() == []
         assert not library.drop(key)
 
+    def test_a_second_primer_of_one_key_leaves_the_first_whole(
+            self, tmp_path, monkeypatch):
+        """A second primer of the same key, run between the first's
+        fast-forward and its metadata write, must neither kill the
+        first nor leave two entries: both return the one entry, and a
+        fork from it equals the unshared run."""
+        config = library_config(tmp_path)
+        library = SnapshotLibrary(config.sample.library)
+        events = SnapshotLibrary._sample_events
+        inner = []
+
+        def nested(simulator):
+            if not inner:
+                inner.append(None)
+                inner[0] = library.prime(config, long_program)
+            return events(simulator)
+
+        monkeypatch.setattr(SnapshotLibrary, "_sample_events",
+                            staticmethod(nested))
+        outer = library.prime(config, long_program)
+        key = library.key(config, long_program)
+        assert inner == [outer] == [library.entry_dir(key)]
+        assert [k for k, _ in library.entries()] == [key]
+        assert os.listdir(library.root) == [key]  # no staging left over
+        monkeypatch.undo()
+        outcome = library.verify(config, long_program)
+        assert outcome["identical"] and not outcome["primed"]
+
     def test_priming_requires_ff(self, tmp_path):
         config = library_config(tmp_path, ff_until=0)
         library = SnapshotLibrary(str(tmp_path / "lib"))

@@ -15,6 +15,7 @@ import os
 import shutil
 import signal
 import socket
+import sys
 import tempfile
 import threading
 import time
@@ -89,6 +90,22 @@ def test_fleet_serves_concurrent_submissions_byte_identical():
         stats = client.stats()
         assert stats["submitted"] == 4
         assert stats["states"] == {"done": 4}
+
+
+def test_submit_names_a_kernel_not_yet_loaded(monkeypatch):
+    """The daemon checks a workload against the kernel table, not the
+    factories loaded so far; the worker loads the module it runs."""
+    from repro.workloads.base import WORKLOADS
+    monkeypatch.delitem(WORKLOADS, "radix", raising=False)
+    monkeypatch.delitem(sys.modules, "repro.workloads.radix",
+                        raising=False)
+    with running_server(fleet=1) as (server, client):
+        view = client.submit(config=_config(5), workload="radix",
+                             nthreads=2, scale=FAST_SCALE)
+        assert client.wait(view["job_id"], timeout=120)["state"] == "done"
+        served = client.fetch_result(view["job_id"])
+    assert canonical_result_bytes(served) == _direct_bytes(
+        5, "radix", FAST_SCALE)
 
 
 def test_duplicate_submission_is_a_cache_hit():

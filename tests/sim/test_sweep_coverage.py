@@ -14,7 +14,7 @@ from repro.common.config import (
     SimulationConfig,
 )
 from repro.sim.simulator import Simulator
-from repro.workloads import get_workload
+from repro.workloads.base import get_workload
 
 
 def run_one(mutate):

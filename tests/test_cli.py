@@ -5,14 +5,14 @@ import json
 import pytest
 
 from repro.cli import main
-from repro.workloads import WORKLOADS
+from repro.workloads.base import KERNEL_MODULES
 
 
 class TestListWorkloads:
     def test_lists_all(self, capsys):
         assert main(["list-workloads"]) == 0
         out = capsys.readouterr().out
-        for name in WORKLOADS:
+        for name in KERNEL_MODULES:
             assert name in out
 
 

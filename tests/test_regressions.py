@@ -12,7 +12,7 @@ from repro.common.stats import StatGroup
 from repro.sim.simulator import Simulator
 from repro.sync.progress import ProgressEstimator
 from repro.sync.queue_model import LaxQueueModel
-from repro.workloads import get_workload
+from repro.workloads.base import get_workload
 from tests.conftest import tiny_config
 
 

@@ -27,7 +27,7 @@ class TestRegistry:
             del WORKLOADS["__test_dummy__"]
 
     def test_duplicate_rejected(self):
-        name = next(iter(WORKLOADS))
+        name = get_workload("fft").name
         with pytest.raises(ConfigError):
             register_workload(WorkloadFactory(name=name,
                                               build=lambda: None))

@@ -2,7 +2,7 @@
 
 
 from repro.sim.simulator import Simulator
-from repro.workloads import get_workload
+from repro.workloads.base import get_workload
 from tests.conftest import tiny_config
 
 

@@ -1,13 +1,18 @@
 """Workload kernels: completion, functional results, sharing patterns."""
 
+import json
+import os
+import subprocess
+import sys
+
 import pytest
 
 from repro.common.errors import ConfigError
 from repro.sim.simulator import Simulator
-from repro.workloads import WORKLOADS, get_workload
+from repro.workloads.base import KERNEL_MODULES, get_workload
 from tests.conftest import tiny_config
 
-ALL = sorted(WORKLOADS)
+ALL = sorted(KERNEL_MODULES)
 
 
 class TestRegistry:
@@ -17,15 +22,44 @@ class TestRegistry:
             "lu_cont", "lu_non_cont", "matrix_multiply", "ocean_cont",
             "ocean_non_cont", "radix", "water_nsquared", "water_spatial",
         }
-        assert set(WORKLOADS) == expected
+        assert set(KERNEL_MODULES) == expected
 
     def test_unknown_workload_raises(self):
         with pytest.raises(ConfigError):
             get_workload("specjbb")
 
     def test_factories_carry_descriptions(self):
-        for factory in WORKLOADS.values():
-            assert factory.description
+        for name in ALL:
+            assert get_workload(name).description
+
+
+REGISTRATIONS = """
+import importlib, json
+from repro.workloads.base import KERNEL_MODULES, WORKLOADS
+registered = {}
+for module in sorted(set(KERNEL_MODULES.values())):
+    before = set(WORKLOADS)
+    importlib.import_module("repro.workloads." + module)
+    registered[module] = sorted(set(WORKLOADS) - before)
+print(json.dumps(registered))
+"""
+
+
+class TestKernelTable:
+    """``KERNEL_MODULES`` stays in step with what the modules register."""
+
+    def test_each_module_registers_exactly_its_table_names(self):
+        src = os.path.join(os.path.dirname(os.path.dirname(
+            os.path.dirname(os.path.abspath(__file__)))), "src")
+        out = subprocess.run(
+            [sys.executable, "-c", REGISTRATIONS], check=True,
+            capture_output=True, text=True,
+            env=dict(os.environ, PYTHONPATH=src))
+        expected = {}
+        for name, module in KERNEL_MODULES.items():
+            expected.setdefault(module, []).append(name)
+        assert json.loads(out.stdout) == {
+            module: sorted(names) for module, names in expected.items()}
 
 
 @pytest.mark.parametrize("name", ALL)
