@@ -7,9 +7,9 @@ survive process crashes and host reboots.  This package provides:
   simulator (or one worker's shard) into a self-contained blob, with
   host-side observers excised and thread generators replaced by their
   replay logs.
-- :mod:`repro.ckpt.store` — the on-disk format ``repro.ckpt/4``: one
-  directory per checkpoint with a JSON manifest, sha256 integrity
-  checksums and an atomically updated ``LATEST`` pointer.
+- :mod:`repro.ckpt.store` — the one on-disk store (checkpoints in the
+  ``repro.ckpt/4`` format, library entries, results): a directory per
+  entry with a JSON manifest of sha256 checksums, verified on read.
 - :mod:`repro.ckpt.recovery` — loading a checkpoint back into a
   runnable simulator, plus the crash-recovery driver that restarts
   dead mp workers with exponential backoff.

@@ -11,6 +11,7 @@ that).
 from __future__ import annotations
 
 import argparse
+import sys
 
 
 def add_resume_arguments(parser: argparse.ArgumentParser) -> None:
@@ -30,8 +31,13 @@ def add_resume_arguments(parser: argparse.ArgumentParser) -> None:
 def run_resume(args: argparse.Namespace) -> int:
     from repro.cli import print_result, telemetry_from_args
     from repro.ckpt.recovery import resume_with_recovery
-    result, simulator = resume_with_recovery(
-        args.dir, args.name, telemetry=telemetry_from_args(args))
+    from repro.common.errors import CheckpointError
+    try:
+        result, simulator = resume_with_recovery(
+            args.dir, args.name, telemetry=telemetry_from_args(args))
+    except CheckpointError as exc:
+        print(f"resume: {exc}", file=sys.stderr)
+        return 1
     origin = args.dir + (f" ({args.name})" if args.name else "")
     print_result(simulator, result, args.json, origin=origin)
     return 0

@@ -27,21 +27,21 @@ from typing import Any, Callable, Dict, Optional, Tuple
 from repro.common.config import SimulationConfig
 from repro.common.errors import CheckpointError
 from repro.ckpt.snapshot import load_bytes
-from repro.ckpt.store import CheckpointStore
+from repro.ckpt.store import CheckpointStore, manifest_path
 
 
 def _locate(path: str, name: Optional[str]) -> Tuple[str, Optional[str]]:
     """``(root, name)`` of a checkpoint given either a checkpoint
     *root* (the ``--ckpt-dir``; ``name`` or the newest complete
     checkpoint is meant) or one specific ``ckpt-NNNNNNNN`` directory."""
-    if name is None and os.path.isfile(os.path.join(path,
-                                                    "manifest.json")):
+    if name is None and os.path.isfile(manifest_path(path)):
         return os.path.dirname(path) or ".", os.path.basename(path)
     return path, name
 
 
 def load_checkpoint(path: str, name: Optional[str] = None,
-                    config: Optional[SimulationConfig] = None
+                    config: Optional[SimulationConfig] = None,
+                    telemetry: Optional[Any] = None
                     ) -> Tuple[Any, Dict[str, Any]]:
     """Restore a simulator from a checkpoint directory.
 
@@ -50,7 +50,8 @@ def load_checkpoint(path: str, name: Optional[str] = None,
     configuration before the simulator re-arms; the caller vouches
     that it differs only in sections that cannot change the result —
     the observational ones, and for a snapshot-library fork the
-    timing sections the fork re-dresses.  Returns ``(simulator,
+    timing sections the fork re-dresses.  ``telemetry`` replaces that
+    config's telemetry section alone.  Returns ``(simulator,
     manifest)``; drive the simulator with ``resume_run()``.
     """
     root, name = _locate(path, name)
@@ -60,6 +61,10 @@ def load_checkpoint(path: str, name: Optional[str] = None,
               for key, blob in blobs.items() if key.startswith("shard")}
     if shards:
         simulator._restore_shards = shards
+    if telemetry is not None:
+        config = (config or simulator.config).copy()
+        config.telemetry = telemetry
+        config.validate()
     simulator._after_restore(config)
     return simulator, manifest
 
@@ -160,12 +165,6 @@ def resume_with_recovery(path: str, name: Optional[str] = None,
     without it.  Observational only: it cannot change the resumed
     result.
     """
-    config = None
-    if telemetry is not None:
-        path, name = _locate(path, name)
-        name, manifest = CheckpointStore(path).manifest(name)
-        config = SimulationConfig.from_dict(manifest["config"])
-        config.telemetry = telemetry
-        config.validate()
-    simulator, _manifest = load_checkpoint(path, name, config=config)
+    simulator, _manifest = load_checkpoint(path, name,
+                                           telemetry=telemetry)
     return drive(simulator, simulator.resume_run)

@@ -1,42 +1,200 @@
-"""On-disk checkpoint layout: the ``repro.ckpt/4`` format.
+"""The one on-disk store: checkpoints, library entries and results.
 
-A checkpoint directory tree looks like::
+Every stored thing is an *entry*: a directory ``<root>/<key>/`` of
+blobs plus a ``manifest.json`` listing each blob's sha256 and size
+(``files``) beside the kind's own fields.  A checkpoint root (format
+``repro.ckpt/4``) holds ``LATEST`` and ``ckpt-NNNNNNNN/`` entries of
+``coordinator.pkl`` (plus ``shardN.pkl`` on mp); a library entry is a
+checkpoint with library fields; a result is ``result.json``.
 
-    <ckpt-dir>/
-        LATEST              # name of the newest complete checkpoint
-        ckpt-000240/
-            manifest.json   # format, turn, backend, config, checksums
-            coordinator.pkl # the pickled simulator
-            shard0.pkl      # one per mp worker (mp backend only)
-            shard1.pkl
-
-Write protocol: blobs and manifest land in a ``.tmp`` directory that
-is renamed into place, then ``LATEST`` is replaced via rename — so a
-crash mid-write can never leave a half checkpoint that ``LATEST``
-points at.  A turn that already exists steps aside to ``.old`` first
-(no renaming a directory over a non-empty one); if the writer dies
-between the two renames, ``latest()`` finds the complete ``.old``.
-Every blob's sha256 travels in the manifest and is re-verified on
-read; corruption surfaces as :class:`~repro.common.errors.
-CheckpointError` instead of an unpickling crash deep in a resume.
+A writer fills a stage of its own (``.{key}.{pid}.{n}``) and publishes
+it with one ``os.replace``; if the key exists by then the incumbent
+wins, and a failed write removes its stage.  A writer killed mid-write
+cannot remove its stage; the next stage made under that root removes
+every stage whose pid is no live process on this host.  A checkpoint
+rewriting its turn steps the old one aside to ``.old`` first; a writer
+dying between the two renames leaves that complete ``.old`` for
+``latest()``.  Every blob is re-verified on read, raising the caller's
+typed error.  Listings skip dot-names, and readers create nothing.
 """
 
 from __future__ import annotations
 
+import errno
 import hashlib
+import itertools
 import json
 import os
 import shutil
-from typing import Any, Dict, List, Optional, Tuple
+from typing import Any, Dict, List, Optional, Tuple, Type
 
 from repro.common.errors import CheckpointError
 
-#: Version tag written into (and required from) every manifest.
+#: Version tag written into (and required from) every checkpoint.
 FORMAT = "repro.ckpt/4"
 
 _MANIFEST = "manifest.json"
 _LATEST = "LATEST"
 _PREFIX = "ckpt-"
+
+_STAGES = itertools.count()  # no two stages of one process share a name
+
+
+# -- entries ------------------------------------------------------------------
+
+
+def program_descriptor(program: Any) -> Dict[str, Any]:
+    """Structural identity of a program, stable across processes: a
+    named workload's name, threads, scale and parameters, else the
+    sha256 of its pickled reference."""
+    from repro.distrib.wire import WorkloadRef, make_program_ref, program_key
+    ref = make_program_ref(program)
+    if isinstance(ref, WorkloadRef):
+        return {"kind": "workload", "workload": ref.workload,
+                "nthreads": ref.nthreads, "scale": ref.scale,
+                "params": dict(ref.params)}
+    return {"kind": "pickled",
+            "sha256": hashlib.sha256(program_key(ref)).hexdigest()}
+
+
+def manifest_path(entry: str) -> str:
+    """Where an entry's manifest lives; it exists once the entry does."""
+    return os.path.join(entry, _MANIFEST)
+
+
+def make_stage(root: str, key: str) -> str:
+    """A fresh, empty staging directory of this writer's own; stages
+    left under ``root`` by dead writers go first."""
+    reclaim_stages(root)
+    stage = os.path.join(root, f".{key}.{os.getpid()}.{next(_STAGES)}")
+    os.makedirs(stage)
+    return stage
+
+
+def reclaim_stages(root: str) -> List[str]:
+    """Remove the stages under ``root`` whose writer is no live process
+    on this host (killed mid-write); returns their names, sorted."""
+    reclaimed = []
+    for name in sorted(os.listdir(root)) if os.path.isdir(root) else []:
+        parts = name.split(".")  # "", key, pid, n
+        if len(parts) < 4 or parts[0] or not all(
+                part.isdigit() for part in parts[-2:]):
+            continue
+        try:
+            os.kill(int(parts[-2]), 0)
+        except OSError as exc:
+            if exc.errno == errno.ESRCH:  # EPERM: alive, another user's
+                shutil.rmtree(os.path.join(root, name), ignore_errors=True)
+                reclaimed.append(name)
+    return reclaimed
+
+
+def _dump_manifest(entry: str, manifest: Dict[str, Any]) -> None:
+    with open(manifest_path(entry), "w", encoding="utf-8") as handle:
+        json.dump(manifest, handle, indent=2, sort_keys=True)
+
+
+def amend_manifest(entry: str, fields: Dict[str, Any]) -> None:
+    """Add ``fields`` to the manifest of an entry not yet published."""
+    manifest = read_manifest(entry)
+    manifest.update(fields)
+    _dump_manifest(entry, manifest)
+
+
+def stage_entry(root: str, key: str, blobs: Dict[str, bytes],
+                fields: Dict[str, Any]) -> str:
+    """A stage holding ``blobs`` (file name -> bytes) and a manifest of
+    ``fields`` plus their checksums; a write that raises leaves no
+    stage behind."""
+    stage = make_stage(root, key)
+    try:
+        files: Dict[str, Dict[str, Any]] = {}
+        for name, blob in sorted(blobs.items()):
+            with open(os.path.join(stage, name), "wb") as handle:
+                handle.write(blob)
+            files[name] = {"sha256": hashlib.sha256(blob).hexdigest(),
+                           "size": len(blob)}
+        _dump_manifest(stage, {**fields, "files": files})
+    except BaseException:
+        shutil.rmtree(stage, ignore_errors=True)
+        raise
+    return stage
+
+
+def publish(stage: str, final: str, step_aside: bool = False) -> bool:
+    """Move the entry at ``stage`` to ``final`` by one ``os.replace``;
+    returns whether it landed.  An incumbent wins and the stage is
+    removed — unless ``step_aside``, the checkpoint rewrite of a turn,
+    which renames the incumbent to ``.old`` first and removes it once
+    the stage has landed.  A publish that raises removes its stage."""
+    retired = final + ".old"
+    try:
+        if step_aside and os.path.exists(final):
+            shutil.rmtree(retired, ignore_errors=True)
+            os.replace(final, retired)
+        os.replace(stage, final)
+    except OSError as exc:
+        shutil.rmtree(stage, ignore_errors=True)
+        if exc.errno not in (errno.ENOTEMPTY, errno.EEXIST):
+            raise
+        return False
+    if step_aside:
+        shutil.rmtree(retired, ignore_errors=True)
+    return True
+
+
+def write_entry(root: str, key: str, blobs: Dict[str, bytes],
+                fields: Dict[str, Any]) -> bool:
+    """Stage an entry (:func:`stage_entry`) and :func:`publish` it as
+    ``<root>/<key>``; returns whether it landed."""
+    return publish(stage_entry(root, key, blobs, fields),
+                   os.path.join(root, key))
+
+
+def read_manifest(entry: str, error: Type[Exception] = CheckpointError
+                  ) -> Dict[str, Any]:
+    """An entry's manifest, blobs unread; ``error`` if there is none."""
+    try:
+        with open(manifest_path(entry), encoding="utf-8") as handle:
+            return json.load(handle)
+    except (OSError, ValueError) as exc:
+        raise error(f"{entry!r} is not a store entry (no readable "
+                    f"{_MANIFEST}: {exc})") from exc
+
+
+def read_entry(entry: str, error: Type[Exception] = CheckpointError
+               ) -> Tuple[Dict[str, Any], Dict[str, bytes]]:
+    """``(manifest, {file name: blob})`` of one entry; ``error`` on a
+    missing manifest or blob, a checksum mismatch or a short blob."""
+    manifest = read_manifest(entry, error)
+    name = os.path.basename(entry)
+    blobs: Dict[str, bytes] = {}
+    for filename, meta in manifest.get("files", {}).items():
+        try:
+            with open(os.path.join(entry, filename), "rb") as handle:
+                blob = handle.read()
+        except OSError as exc:
+            raise error(f"{name}: missing blob {filename}: {exc}") from exc
+        digest = hashlib.sha256(blob).hexdigest()
+        if digest != meta.get("sha256"):
+            raise error(f"{name}: {filename} is corrupt (sha256 {digest} "
+                        f"!= manifest {meta.get('sha256')})")
+        if len(blob) != meta.get("size"):
+            raise error(f"{name}: {filename} truncated ({len(blob)} "
+                        f"bytes, manifest says {meta.get('size')})")
+        blobs[filename] = blob
+    return manifest, blobs
+
+
+def list_entries(root: str) -> List[str]:
+    """Keys of the complete entries under ``root``, sorted; never a
+    stage, and none for a missing root."""
+    names = sorted(os.listdir(root)) if os.path.isdir(root) else []
+    return [name for name in names if not name.startswith(".")
+            and os.path.isfile(manifest_path(os.path.join(root, name)))]
+
+
+# -- checkpoints --------------------------------------------------------------
 
 
 class CheckpointStore:
@@ -45,7 +203,6 @@ class CheckpointStore:
     def __init__(self, root: str, keep: int = 2) -> None:
         self.root = root
         self.keep = max(int(keep), 1)
-        os.makedirs(root, exist_ok=True)
 
     # -- writing --------------------------------------------------------------
 
@@ -53,39 +210,15 @@ class CheckpointStore:
               blobs: Dict[str, bytes]) -> str:
         """Commit one checkpoint atomically; returns its directory."""
         name = f"{_PREFIX}{turn:08d}"
-        final = os.path.join(self.root, name)
-        staging = final + ".tmp"
-        if os.path.exists(staging):
-            shutil.rmtree(staging)
-        os.makedirs(staging)
-        files: Dict[str, Dict[str, Any]] = {}
-        for key, blob in sorted(blobs.items()):
-            filename = f"{key}.pkl"
-            with open(os.path.join(staging, filename), "wb") as fh:
-                fh.write(blob)
-            files[filename] = {
-                "sha256": hashlib.sha256(blob).hexdigest(),
-                "size": len(blob),
-            }
-        manifest = {
-            "format": FORMAT,
-            "turn": int(turn),
-            "backend": backend,
-            "config": config.to_dict(),
-            "files": files,
-        }
-        with open(os.path.join(staging, _MANIFEST), "w",
-                  encoding="utf-8") as fh:
-            json.dump(manifest, fh, indent=2, sort_keys=True)
-        retired = final + ".old"
-        if os.path.exists(final):
-            shutil.rmtree(retired, ignore_errors=True)
-            os.replace(final, retired)
-        os.replace(staging, final)
-        shutil.rmtree(retired, ignore_errors=True)
+        stage = stage_entry(
+            self.root, name,
+            {f"{key}.pkl": blob for key, blob in blobs.items()},
+            {"format": FORMAT, "turn": int(turn), "backend": backend,
+             "config": config.to_dict()})
+        publish(stage, os.path.join(self.root, name), step_aside=True)
         self._write_latest(name)
         self._prune()
-        return final
+        return os.path.join(self.root, name)
 
     def _write_latest(self, name: str) -> None:
         staging = os.path.join(self.root, _LATEST + ".tmp")
@@ -103,13 +236,8 @@ class CheckpointStore:
 
     def list(self) -> List[str]:
         """Complete checkpoints, oldest first (names sort by turn)."""
-        out = []
-        for entry in sorted(os.listdir(self.root)):
-            if not entry.startswith(_PREFIX):
-                continue
-            if os.path.isfile(os.path.join(self.root, entry, _MANIFEST)):
-                out.append(entry)
-        return out
+        return [name for name in list_entries(self.root)
+                if name.startswith(_PREFIX)]
 
     def latest(self) -> Optional[str]:
         """Name of the newest complete checkpoint, or ``None``."""
@@ -118,33 +246,10 @@ class CheckpointStore:
             with open(pointer, encoding="utf-8") as fh:
                 name = fh.read().strip()
             if name and os.path.isfile(
-                    os.path.join(self.root, name, _MANIFEST)):
+                    manifest_path(os.path.join(self.root, name))):
                 return name
         names = self.list()
         return names[-1] if names else None
-
-    def manifest(self, name: Optional[str] = None
-                 ) -> Tuple[str, Dict[str, Any]]:
-        """``(name, manifest)`` of one checkpoint (the latest by
-        default), blobs unread.  Raises :class:`CheckpointError` on a
-        missing checkpoint or an unknown format version."""
-        if name is None:
-            name = self.latest()
-            if name is None:
-                raise CheckpointError(
-                    f"no checkpoint found under {self.root!r}")
-        path = os.path.join(self.root, name)
-        manifest_path = os.path.join(path, _MANIFEST)
-        if not os.path.isfile(manifest_path):
-            raise CheckpointError(f"{path!r} is not a checkpoint "
-                                  f"(no {_MANIFEST})")
-        with open(manifest_path, encoding="utf-8") as fh:
-            manifest = json.load(fh)
-        if manifest.get("format") != FORMAT:
-            raise CheckpointError(
-                f"{name}: unsupported snapshot format "
-                f"{manifest.get('format')!r} (expected {FORMAT!r})")
-        return name, manifest
 
     def read(self, name: Optional[str] = None
              ) -> Tuple[Dict[str, Any], Dict[str, bytes]]:
@@ -152,31 +257,19 @@ class CheckpointStore:
 
         Returns ``(manifest, blobs)`` with blobs keyed by their
         manifest name minus the ``.pkl`` suffix.  Raises
-        :class:`CheckpointError` as :meth:`manifest` does, and on any
-        checksum mismatch.
+        :class:`CheckpointError` on a missing checkpoint, an unknown
+        format version or any checksum mismatch.
         """
-        name, manifest = self.manifest(name)
-        path = os.path.join(self.root, name)
-        blobs: Dict[str, bytes] = {}
-        for filename, meta in manifest.get("files", {}).items():
-            blob_path = os.path.join(path, filename)
-            try:
-                with open(blob_path, "rb") as fh:
-                    blob = fh.read()
-            except OSError as exc:
-                raise CheckpointError(
-                    f"{name}: missing blob {filename}: {exc}") from exc
-            digest = hashlib.sha256(blob).hexdigest()
-            if digest != meta.get("sha256"):
-                raise CheckpointError(
-                    f"{name}: {filename} is corrupt (sha256 {digest} "
-                    f"!= manifest {meta.get('sha256')})")
-            if len(blob) != meta.get("size"):
-                raise CheckpointError(
-                    f"{name}: {filename} truncated ({len(blob)} bytes, "
-                    f"manifest says {meta.get('size')})")
-            key = filename[:-4] if filename.endswith(".pkl") else filename
-            blobs[key] = blob
+        name = name or self.latest()
+        if name is None:
+            raise CheckpointError(f"no checkpoint found under {self.root!r}")
+        manifest, files = read_entry(os.path.join(self.root, name))
+        if manifest.get("format") != FORMAT:
+            raise CheckpointError(
+                f"{name}: unsupported snapshot format "
+                f"{manifest.get('format')!r} (expected {FORMAT!r})")
+        blobs = {filename[:-4] if filename.endswith(".pkl") else filename:
+                 blob for filename, blob in files.items()}
         if "coordinator" not in blobs:
             raise CheckpointError(
                 f"{name}: manifest lists no coordinator blob")

@@ -64,6 +64,15 @@ PREFIX_IRRELEVANT_SECTIONS = ("core", "network", "sample")
 EXECUTION_BACKENDS = ("inproc", "mp")
 
 
+def content_key(payload: Any) -> str:
+    """sha256 (hex) of ``payload``'s canonical JSON: one key in every
+    process and under every ``PYTHONHASHSEED``.  The key function of
+    config hashes, result keys and snapshot-library keys alike."""
+    return hashlib.sha256(json.dumps(
+        payload, sort_keys=True,
+        separators=(",", ":")).encode("utf-8")).hexdigest()
+
+
 def _require(condition: bool, message: str) -> None:
     if not condition:
         raise ConfigError(message)
@@ -848,11 +857,8 @@ class SimulationConfig:
         sorts keys and carries no addresses or wall-clock state.
         """
         from repro.distrib.wire import WIRE_VERSION
-        payload = {"config": self.semantic_dict(),
-                   "wire_version": WIRE_VERSION}
-        blob = json.dumps(payload, sort_keys=True,
-                          separators=(",", ":")).encode("utf-8")
-        return hashlib.sha256(blob).hexdigest()
+        return content_key({"config": self.semantic_dict(),
+                            "wire_version": WIRE_VERSION})
 
     def prefix_hash(self) -> str:
         """Identity of this config's *functional prefix*.
@@ -872,10 +878,7 @@ class SimulationConfig:
         for section in PREFIX_IRRELEVANT_SECTIONS:
             data.pop(section, None)
         data.pop("tile_core_overrides", None)
-        payload = {"prefix": data, "wire_version": WIRE_VERSION}
-        blob = json.dumps(payload, sort_keys=True,
-                          separators=(",", ":")).encode("utf-8")
-        return hashlib.sha256(blob).hexdigest()
+        return content_key({"prefix": data, "wire_version": WIRE_VERSION})
 
     # -- pickling (wire format) ---------------------------------------------
     #

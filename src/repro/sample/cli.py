@@ -9,7 +9,8 @@ Three verbs over a library directory (:mod:`repro.sample.library`):
   and serve jobs fork instead of re-running the prefix;
 * ``gc`` bounds the library's disk footprint, keeping the most
   recently used entries and dropping the rest — and every entry no
-  run can fork (unreadable, or another layout version's).
+  run can fork (another layout version's) and every stage of a dead
+  primer.  Names a library never writes are left alone.
 """
 
 from __future__ import annotations
@@ -17,6 +18,7 @@ from __future__ import annotations
 import argparse
 import json
 import os
+import sys
 from typing import List, Tuple
 
 
@@ -52,11 +54,16 @@ def add_sample_arguments(parser: argparse.ArgumentParser) -> None:
                     help="entries to keep, newest first (default 8)")
 
 
+#: What ``ls`` shows of an entry's manifest (not its config or files).
+_LS_FIELDS = ("descriptor", "prefix_hash", "ff_until", "backend",
+              "num_tiles", "events")
+
+
 def _entry_mtime(library, key: str) -> float:
-    """Last-use time of an entry (the metadata file's mtime)."""
+    """Last-use time of an entry (its manifest's mtime)."""
+    from repro.ckpt.store import manifest_path
     try:
-        return os.path.getmtime(
-            os.path.join(library.entry_dir(key), "LIBRARY.json"))
+        return os.path.getmtime(manifest_path(library.entry_dir(key)))
     except OSError:
         return 0.0
 
@@ -64,7 +71,8 @@ def _entry_mtime(library, key: str) -> float:
 def _command_ls(args: argparse.Namespace) -> int:
     from repro.sample.library import SnapshotLibrary
     library = SnapshotLibrary(args.library)
-    entries = library.entries()
+    entries = [(key, {field: meta.get(field) for field in _LS_FIELDS})
+               for key, meta in library.entries()]
     if args.json:
         print(json.dumps(
             [{"key": key, **meta} for key, meta in entries], indent=2))
@@ -74,15 +82,15 @@ def _command_ls(args: argparse.Namespace) -> int:
         return 0
     print(f"library {args.library}: {len(entries)} entry(ies)")
     for key, meta in entries:
-        descriptor = meta.get("descriptor", {})
+        descriptor = meta["descriptor"]
         workload = descriptor.get(
-            "workload", descriptor.get("program_sha", "?")[:12])
+            "workload", descriptor.get("sha256", "?")[:12])
         print(f"  {key}  {workload}"
               f" x{descriptor.get('nthreads', '?')}"
               f" scale={descriptor.get('scale', '?')}"
-              f"  ff_until={meta.get('ff_until')}"
-              f"  backend={meta.get('backend')}"
-              f"  tiles={meta.get('num_tiles')}")
+              f"  ff_until={meta['ff_until']}"
+              f"  backend={meta['backend']}"
+              f"  tiles={meta['num_tiles']}")
     return 0
 
 
@@ -101,17 +109,23 @@ def _command_prime(args: argparse.Namespace) -> int:
 
 
 def _command_gc(args: argparse.Namespace) -> int:
-    from repro.sample.library import SnapshotLibrary
+    from repro.ckpt.store import reclaim_stages
     from repro.common.errors import SampleError
+    from repro.sample.library import SnapshotLibrary
     library = SnapshotLibrary(args.library)
-    ranked: List[Tuple[float, str]] = []
     dropped = 0
+    for name in reclaim_stages(args.library):
+        print(f"dropped {name} (stage of a dead primer)")
+        dropped += 1
+    ranked: List[Tuple[float, str]] = []
+    # Only what a library wrote, never a live primer's stage: a library
+    # pointed at the wrong directory must not empty it.
     for key in library.keys():
         try:
             library.meta(key)
         except SampleError as exc:
-            # Unreadable, or written by another layout version: no run
-            # can ever fork it, so it does not count against --keep.
+            # Another layout version's: no run can ever fork it, so it
+            # does not count against --keep.
             library.drop(key)
             print(f"dropped {key} ({exc})")
             dropped += 1
@@ -128,11 +142,10 @@ def _command_gc(args: argparse.Namespace) -> int:
 
 
 def run_sample(args: argparse.Namespace) -> int:
-    if args.sample_command == "ls":
-        return _command_ls(args)
-    if args.sample_command == "prime":
-        return _command_prime(args)
-    if args.sample_command == "gc":
-        return _command_gc(args)
-    raise AssertionError(
-        f"unhandled sample verb {args.sample_command}")
+    from repro.common.errors import SampleError
+    verbs = {"ls": _command_ls, "prime": _command_prime, "gc": _command_gc}
+    try:
+        return verbs[args.sample_command](args)
+    except SampleError as exc:
+        print(f"sample {args.sample_command}: {exc}", file=sys.stderr)
+        return 1

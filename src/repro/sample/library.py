@@ -25,70 +25,33 @@ the same variant; :func:`SnapshotLibrary.verify` checks exactly that,
 loudly, and :class:`~repro.common.errors.SampleError` means the
 prefix-irrelevance contract was broken.
 
-The entry layout on disk::
-
-    <library root>/
-        <key>/                  one entry per (workload, prefix, target)
-            LIBRARY.json        descriptor, hashes, primer telemetry
-            ckpt-NNNNNNNN/      the switch-point checkpoint
-            LATEST
-
-Entries are created atomically (a staging directory of the primer's
-own + one ``os.replace``) so concurrent sweep processes racing to
-prime the same prefix cannot observe a half-written entry or touch
-each other's staging — the losing primer's work is discarded.
+An entry *is* the switch-point checkpoint, a :mod:`repro.ckpt.store`
+entry ``<library root>/<key>/``: ``coordinator.pkl`` (plus shards on
+mp) and a manifest that also carries the ``library`` format, the
+descriptor, prefix hash, target and primer telemetry.  A primer
+checkpoints into a stage of its own and publishes it with one
+``os.replace``, so racing primers of one prefix never see a half entry
+or each other's stage; the loser's work is discarded.  An entry of
+another layout sits under a key this build never computes, and
+``repro sample gc`` drops it.
 """
 
 from __future__ import annotations
 
-import errno
-import hashlib
-import itertools
 import json
 import os
 import shutil
 from typing import Any, Dict, List, Tuple
 
-from repro.common.config import SampleConfig, SimulationConfig
-from repro.common.errors import SampleError
+from repro.ckpt.store import (CheckpointStore, amend_manifest, make_stage,
+                              manifest_path, program_descriptor, publish,
+                              read_entry, read_manifest)
+from repro.common.config import SampleConfig, SimulationConfig, content_key
+from repro.common.errors import CheckpointError, SampleError
 from repro.sample.controller import FastForwardDone
 
-#: Metadata file marking a complete library entry.
-LIBRARY_META = "LIBRARY.json"
-
-#: On-disk entry format version.
-LIBRARY_FORMAT = "repro.sample/4"
-
-#: Numbers this process's staging directories, so no two primers share one.
-_STAGINGS = itertools.count()
-
-
-def workload_descriptor(program: Any, args: tuple = ()) -> Dict[str, Any]:
-    """Structural identity of a workload, stable across processes.
-
-    Named workloads (anything :func:`repro.distrib.wire.
-    make_program_ref` can resolve to a :class:`~repro.distrib.wire.
-    WorkloadRef`) are described by their registry name, thread count,
-    scale and parameters; ad-hoc callables fall back to the sha256 of
-    their pickled program reference — correct, but shared only between
-    runs shipping the very same code object.
-    """
-    from repro.distrib.wire import make_program_ref, program_key
-    ref = make_program_ref(program)
-    if hasattr(ref, "workload"):
-        descriptor: Dict[str, Any] = {
-            "workload": ref.workload,
-            "nthreads": ref.nthreads,
-            "scale": ref.scale,
-            "params": {k: ref.params[k] for k in sorted(ref.params)},
-        }
-    else:
-        descriptor = {
-            "program_sha": hashlib.sha256(program_key(ref)).hexdigest(),
-        }
-    if args:
-        descriptor["args"] = repr(tuple(args))
-    return descriptor
+#: On-disk entry format version, the ``library`` field of its manifest.
+LIBRARY_FORMAT = "repro.sample/5"
 
 
 def roi_metrics(result: Any) -> Dict[str, Any]:
@@ -119,7 +82,6 @@ class SnapshotLibrary:
 
     def __init__(self, root: str) -> None:
         self.root = root
-        os.makedirs(root, exist_ok=True)
         #: Sweep-level accounting: how many variants primed a new entry
         #: versus forked an existing one.  ``primes`` counts actual
         #: fast-forwards performed — a shared-prefix sweep asserts it
@@ -132,19 +94,19 @@ class SnapshotLibrary:
             args: tuple = ()) -> str:
         """The library key of ``config``'s functional prefix.
 
-        sha256 over canonical JSON of the workload descriptor, the
+        The content key of the program descriptor, its arguments, the
         config's prefix hash and the fast-forward target — no repr of
         live objects, no addresses, so the key is stable across
         processes and ``PYTHONHASHSEED`` values.
         """
-        payload = {
-            "descriptor": workload_descriptor(program, args),
-            "prefix": config.prefix_hash(),
-            "ff_until": config.sample.ff_until,
-        }
-        blob = json.dumps(payload, sort_keys=True,
-                          separators=(",", ":")).encode("utf-8")
-        return hashlib.sha256(blob).hexdigest()[:16]
+        try:
+            return content_key({"descriptor": program_descriptor(program),
+                                "args": list(args),
+                                "prefix": config.prefix_hash(),
+                                "ff_until": config.sample.ff_until})
+        except (TypeError, ValueError) as exc:
+            raise SampleError(
+                f"program arguments are not JSON-encodable: {exc}") from exc
 
     def entry_dir(self, key: str) -> str:
         return os.path.join(self.root, key)
@@ -152,38 +114,49 @@ class SnapshotLibrary:
     def has(self, key: str) -> bool:
         """Whether a complete entry exists; a complete entry of
         another format version is an error, never a silent miss."""
-        path = os.path.join(self.entry_dir(key), LIBRARY_META)
-        return os.path.isfile(path) and bool(self.meta(key))
+        return (os.path.isfile(manifest_path(self.entry_dir(key)))
+                and bool(self.meta(key)))
 
     def meta(self, key: str) -> Dict[str, Any]:
-        path = os.path.join(self.entry_dir(key), LIBRARY_META)
-        try:
-            with open(path, "r", encoding="utf-8") as handle:
-                meta = json.load(handle)
-        except (OSError, ValueError) as exc:
-            raise SampleError(
-                f"library entry {key!r} is unreadable: {exc}") from exc
-        if meta.get("format") != LIBRARY_FORMAT:
+        """The entry's manifest; SampleError unless it is this format's."""
+        meta = self._manifest(key)
+        if meta.get("library") != LIBRARY_FORMAT:
             raise SampleError(
                 f"library entry {key!r} in {self.root} has format "
-                f"{meta.get('format')!r}, this build reads "
+                f"{meta.get('library')!r}, this build reads "
                 f"{LIBRARY_FORMAT!r}; `repro sample gc --library "
                 f"{self.root}` drops it")
         return meta
 
     def keys(self) -> List[str]:
-        """Every complete entry's key, sorted, whatever its format."""
-        return [name for name in sorted(os.listdir(self.root))
-                if not name.startswith(".")
-                and os.path.isfile(os.path.join(self.root, name,
-                                                LIBRARY_META))]
+        """Every key a library wrote, sorted, whatever its layout: its
+        manifest names a ``library`` format, or it holds
+        ``LIBRARY.json`` (``/4`` and older).  ``sample gc`` drops
+        nothing else, whatever else the root holds."""
+        names = os.listdir(self.root) if os.path.isdir(self.root) else []
+        return sorted(key for key in names
+                      if not key.startswith(".") and self._owns(key))
+
+    def _manifest(self, key: str) -> Dict[str, Any]:
+        """``key``'s manifest; an old entry (``LIBRARY.json`` beside a
+        nested checkpoint root) reads as its layout alone."""
+        entry = self.entry_dir(key)
+        if os.path.isfile(os.path.join(entry, "LIBRARY.json")):
+            return {"library": "repro.sample/4 or older"}
+        return read_manifest(entry, SampleError)
+
+    def _owns(self, key: str) -> bool:
+        try:
+            return "library" in self._manifest(key)
+        except SampleError:
+            return False
 
     def entries(self) -> List[Tuple[str, Dict[str, Any]]]:
-        """Every complete entry as ``(key, metadata)``, key-sorted."""
+        """Every complete entry as ``(key, manifest)``, key-sorted."""
         return [(key, self.meta(key)) for key in self.keys()]
 
     def drop(self, key: str) -> bool:
-        """Delete one entry; returns whether anything was removed."""
+        """Delete one entry; whether it existed."""
         entry = self.entry_dir(key)
         if not os.path.isdir(entry):
             return False
@@ -196,45 +169,31 @@ class SnapshotLibrary:
               args: tuple = ()) -> str:
         """Fast-forward once and file the switch-point checkpoint.
 
-        Runs a primer simulation — the variant's config with the
-        timing-irrelevant sections untouched, checkpointing redirected
-        into a staging directory — on the config's own backend, with
-        the sample controller's ``stop_after_ff`` set so the run
-        checkpoints at the fast-forward switch and unwinds.  The
-        staging directory, this call's own, is moved into place by one
-        ``os.replace``; if another primer published the same key
-        meanwhile, its entry wins and this one is discarded.  Returns
-        the entry directory.
+        Runs a primer simulation — the variant's config, checkpointing
+        into a stage of this call's own — on the config's own backend,
+        with ``stop_after_ff`` set so the run checkpoints at the switch
+        and unwinds.  The checkpoint gains the library's fields and is
+        published as the entry, unless another primer's got there
+        first.  Returns the entry directory.
         """
         if config.sample.ff_until <= 0:
             raise SampleError("priming needs sample.ff_until > 0")
         key = self.key(config, program, args)
-        final = self.entry_dir(key)
-        staging = os.path.join(
-            self.root, f".priming-{key}.{os.getpid()}.{next(_STAGINGS)}")
+        stage = make_stage(self.root, key)
         try:
-            self._prime_into(staging, key, config, program, args)
-        except BaseException:
-            shutil.rmtree(staging, ignore_errors=True)
-            raise
-        self.stats["primes"] += 1
-        if not os.path.isdir(final):
-            try:
-                os.replace(staging, final)
-                return final
-            except OSError as exc:
-                if exc.errno not in (errno.ENOTEMPTY, errno.EEXIST):
-                    raise
-        # Lost a priming race; both entries hold byte-identical state
-        # (that is the whole point), keep the incumbent.
-        shutil.rmtree(staging)
-        return final
+            checkpoint = self._prime_into(stage, config, program, args)
+            self.stats["primes"] += 1
+            # Lost a priming race if this lands nowhere; both entries
+            # hold byte-identical state (that is the whole point).
+            publish(checkpoint, self.entry_dir(key))
+        finally:
+            shutil.rmtree(stage, ignore_errors=True)
+        return self.entry_dir(key)
 
-    def _prime_into(self, staging: str, key: str, config: SimulationConfig,
-                    program: Any, args: tuple) -> None:
-        """Fast-forward a primer into ``staging``, then write the
-        entry's metadata there."""
-        primer_config = self._primer_config(config, staging)
+    def _prime_into(self, stage: str, config: SimulationConfig,
+                    program: Any, args: tuple) -> str:
+        """The primer's switch-point checkpoint in ``stage``, amended."""
+        primer_config = self._primer_config(config, stage)
         from repro.sim.runner import create_simulator
         simulator = create_simulator(primer_config)
         controller = simulator.sample_controller
@@ -249,31 +208,28 @@ class SnapshotLibrary:
                 f"workload finished before the fast-forward target "
                 f"(ff_until={config.sample.ff_until}); there is no "
                 f"detailed region to share")
-        meta = {
-            "format": LIBRARY_FORMAT,
-            "key": key,
-            "descriptor": workload_descriptor(program, args),
+        checkpoint = os.path.join(stage, CheckpointStore(stage).latest())
+        amend_manifest(checkpoint, {
+            "library": LIBRARY_FORMAT,
+            "descriptor": program_descriptor(program),
             "prefix_hash": config.prefix_hash(),
             "ff_until": config.sample.ff_until,
-            "backend": primer_config.distrib.backend,
             "num_tiles": config.num_tiles,
             "events": self._sample_events(simulator),
-        }
-        with open(os.path.join(staging, LIBRARY_META), "w",
-                  encoding="utf-8") as handle:
-            json.dump(meta, handle, indent=2, sort_keys=True)
+        })
+        return checkpoint
 
     @staticmethod
     def _primer_config(config: SimulationConfig,
-                       staging: str) -> SimulationConfig:
+                       stage: str) -> SimulationConfig:
         """The primer's config: the variant minus everything post-FF."""
         primer = config.copy()
         # Fast-forward only — the primer never runs the variant's
         # interval schedule, and must not try to fork a library itself.
         primer.sample = SampleConfig(ff_until=config.sample.ff_until)
-        # Checkpoints go to the staging entry; no periodic cadence, the
+        # Checkpoints go to the stage; no periodic cadence, the
         # controller writes the single switch-point snapshot itself.
-        primer.ckpt.dir = staging
+        primer.ckpt.dir = stage
         primer.ckpt.every = 0
         primer.ckpt.keep = 1
         # In-memory SAMPLE telemetry so the primer's mode switches land
@@ -306,12 +262,18 @@ class SnapshotLibrary:
         """Prime the entry for ``config`` unless present.
 
         Returns ``(key, primed)`` where ``primed`` says whether this
-        call performed the fast-forward.
+        call performed the fast-forward.  An entry whose blobs fail
+        their checksums is a miss: it is dropped and primed again.
         """
         key = self.key(config, program, args)
         if self.has(key):
-            self.stats["hits"] += 1
-            return key, False
+            try:
+                read_entry(self.entry_dir(key), SampleError)
+            except SampleError:
+                self.drop(key)
+            else:
+                self.stats["hits"] += 1
+                return key, False
         self.prime(config, program, args)
         return key, True
 
@@ -327,8 +289,10 @@ class SnapshotLibrary:
         if not self.has(key):
             raise SampleError(f"no library entry {key!r} in {self.root}")
         from repro.ckpt.recovery import load_checkpoint
-        simulator, _manifest = load_checkpoint(self.entry_dir(key),
-                                               config=config)
+        try:
+            simulator, _ = load_checkpoint(self.root, key, config=config)
+        except CheckpointError as exc:
+            raise SampleError(f"library entry {key!r}: {exc}") from exc
         _redress_fork(simulator)
         return simulator
 

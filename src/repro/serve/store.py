@@ -9,12 +9,12 @@ SimulationResult` by :func:`job_key`, and a repeat submission with an
 equal key may return the stored bytes without simulating — not as a
 heuristic, but provably the same answer.
 
-Layout: ``<root>/<key>.json``, each file the canonical bytes of
-``{"format": "repro.result/1", "key": ..., "result": {...}}`` written
-atomically (tmp + rename).  Canonical means sorted keys, compact
-separators, no wall-clock or host-address content — so two runs of
-the same job produce byte-identical files, which is what the serve
-cache-correctness tests assert end to end.
+Layout: a store entry (:mod:`repro.ckpt.store`) per key, ``<key>/``
+holding ``manifest.json`` and ``result.json``, the canonical bytes of
+``{"format": "repro.result/1", "key": ..., "result": {...}}``.
+Canonical means sorted keys, compact separators, no wall-clock or
+host-address content — so two runs of the same job produce
+byte-identical files.  A blob failing its sha256 is refused, not served.
 """
 
 from __future__ import annotations
@@ -22,14 +22,18 @@ from __future__ import annotations
 import dataclasses
 import json
 import os
+import shutil
 from typing import Any, Dict, List, Optional
 
-from repro.common.config import SimulationConfig
+from repro.ckpt.store import (list_entries, manifest_path, program_descriptor,
+                              read_entry, write_entry)
+from repro.common.config import SimulationConfig, content_key
 from repro.common.errors import ServeError
 from repro.sim.results import SimulationResult
 
 #: Version tag written into (and required from) every stored result.
 FORMAT = "repro.result/1"
+_BLOB = "result.json"
 
 
 # -- canonical result encoding ------------------------------------------------
@@ -86,26 +90,6 @@ def canonical_result_bytes(result: SimulationResult,
 # -- job identity -------------------------------------------------------------
 
 
-def program_descriptor(program: Any) -> Dict[str, Any]:
-    """A canonical JSON description of a shippable program reference."""
-    from repro.distrib.wire import (
-        PickledProgram,
-        WorkloadRef,
-        make_program_ref,
-    )
-    ref = make_program_ref(program)
-    if isinstance(ref, WorkloadRef):
-        return {"kind": "workload", "workload": ref.workload,
-                "nthreads": ref.nthreads, "scale": ref.scale,
-                "params": dict(ref.params)}
-    if isinstance(ref, PickledProgram):
-        import hashlib
-        return {"kind": "pickled",
-                "sha256": hashlib.sha256(ref.blob).hexdigest()}
-    raise ServeError(
-        f"cannot derive a content key for program reference {ref!r}")
-
-
 def job_key(config: SimulationConfig, program: Any,
             args: tuple = ()) -> str:
     """Content address of one job's result.
@@ -114,19 +98,13 @@ def job_key(config: SimulationConfig, program: Any,
     seed + wire version) with the program identity and arguments; two
     submissions with equal keys are guaranteed the same metrics.
     """
-    import hashlib
-    payload = {
-        "config": config.content_hash(),
-        "program": program_descriptor(program),
-        "args": list(args),
-    }
     try:
-        blob = json.dumps(payload, sort_keys=True,
-                          separators=(",", ":")).encode("utf-8")
+        return content_key({"config": config.content_hash(),
+                            "program": program_descriptor(program),
+                            "args": list(args)})
     except (TypeError, ValueError) as exc:
         raise ServeError(
             f"job arguments are not JSON-encodable: {exc}") from exc
-    return hashlib.sha256(blob).hexdigest()
 
 
 # -- the store ----------------------------------------------------------------
@@ -137,23 +115,23 @@ class ResultStore:
 
     def __init__(self, root: str) -> None:
         self.root = root
-        os.makedirs(root, exist_ok=True)
 
     def path_for(self, key: str) -> str:
         if not key or os.sep in key or key.startswith("."):
             raise ServeError(f"malformed result key {key!r}")
-        return os.path.join(self.root, f"{key}.json")
+        return os.path.join(self.root, key)
 
     def __contains__(self, key: str) -> bool:
-        return os.path.isfile(self.path_for(key))
+        """Whether an intact result is stored: a corrupt one is a miss,
+        so its job runs again and :meth:`put` replaces it."""
+        try:
+            return self.get_bytes(key) is not None
+        except ServeError:
+            return False
 
     def keys(self) -> List[str]:
         """Stored keys, sorted (deterministic listing)."""
-        out = []
-        for entry in sorted(os.listdir(self.root)):
-            if entry.endswith(".json"):
-                out.append(entry[:-len(".json")])
-        return out
+        return list_entries(self.root)
 
     def put(self, key: str, result: SimulationResult) -> bytes:
         """Store ``result`` under ``key`` atomically; returns the bytes.
@@ -162,41 +140,36 @@ class ResultStore:
         agree byte-for-byte — determinism guarantees it, and the store
         *checks* it: a mismatch raises :class:`ServeError` naming the
         key, surfacing a determinism bug instead of silently serving
-        one of two different answers.
+        one of two different answers.  A stored copy that fails its
+        checksum is no answer at all: it is dropped and rewritten.
         """
         blob = canonical_result_bytes(result, key)
-        path = self.path_for(key)
-        existing = self.get_bytes(key)
-        if existing is not None:
-            if existing != blob:
-                raise ServeError(
-                    f"determinism violation: result for key {key} "
-                    f"differs from the stored copy")
-            return blob
-        staging = path + f".tmp.{os.getpid()}"
-        with open(staging, "wb") as fh:
-            fh.write(blob)
-        os.replace(staging, path)
+        if key not in self:  # absent, or corrupt and dropped here
+            shutil.rmtree(self.path_for(key), ignore_errors=True)
+            if write_entry(self.root, key, {_BLOB: blob},
+                           {"format": FORMAT}):
+                return blob
+        # A duplicate, or another writer's that landed first.
+        if self.get_bytes(key) != blob:
+            raise ServeError(
+                f"determinism violation: result for key {key} "
+                f"differs from the stored copy")
         return blob
 
     def get_bytes(self, key: str) -> Optional[bytes]:
-        """The stored canonical bytes, or ``None``."""
-        try:
-            with open(self.path_for(key), "rb") as fh:
-                return fh.read()
-        except OSError:
+        """The stored canonical bytes, or ``None``; a blob that fails
+        its checksum raises :class:`ServeError`, never returns."""
+        if not os.path.isfile(manifest_path(self.path_for(key))):
             return None
+        _manifest, blobs = read_entry(self.path_for(key), ServeError)
+        return blobs[_BLOB]
 
     def get(self, key: str) -> Optional[Dict[str, Any]]:
         """The stored envelope as a dict, or ``None``; verifies format."""
         blob = self.get_bytes(key)
         if blob is None:
             return None
-        try:
-            envelope = json.loads(blob.decode("utf-8"))
-        except (UnicodeDecodeError, ValueError) as exc:
-            raise ServeError(
-                f"stored result {key} is corrupt: {exc}") from exc
+        envelope = json.loads(blob.decode("utf-8"))
         if envelope.get("format") != FORMAT:
             raise ServeError(
                 f"stored result {key} has unsupported format "

@@ -10,6 +10,7 @@ import pytest
 from repro.common.config import SimulationConfig
 from repro.common.errors import CheckpointError
 from repro.ckpt.store import FORMAT, CheckpointStore
+from tests.conftest import dead_pid
 
 
 def _config() -> SimulationConfig:
@@ -106,17 +107,33 @@ def test_crash_between_the_two_renames_leaves_a_readable_checkpoint(
     with pytest.raises(OSError, match="killed"):
         _write(store, 20, b"second")
     monkeypatch.undo()
-    assert calls == [("ckpt-00000020", "ckpt-00000020.old"),
-                     ("ckpt-00000020.tmp", "ckpt-00000020")]
-    # Both survivors are whole: the one stepped aside and the one staged
-    # (its manifest, written last, is there).  read() verifies either.
+    assert calls[0] == ("ckpt-00000020", "ckpt-00000020.old")
+    assert calls[1][1] == "ckpt-00000020"
+    assert calls[1][0].startswith(f".ckpt-00000020.{os.getpid()}.")
+    # The turn stepped aside is whole, and the failed write removed its
+    # own stage.  read() verifies what survives.
+    assert not any(name.startswith(".") for name in os.listdir(tmp_path))
     manifest, blobs = CheckpointStore(str(tmp_path)).read()
     assert manifest["turn"] == 20
-    assert blobs["coordinator"] in (b"first", b"second")
+    assert blobs["coordinator"] == b"first"
     # The next write of the turn goes through and leaves no debris.
     _write(store, 20, b"third")
     assert store.read()[1]["coordinator"] == b"third"
     assert sorted(os.listdir(tmp_path)) == ["LATEST", "ckpt-00000020"]
+
+
+def test_a_killed_writers_stage_is_reclaimed_by_the_next_write(tmp_path):
+    """A writer killed mid-write cannot remove its stage; the next
+    write under that root does, sparing a live writer's."""
+    store = CheckpointStore(str(tmp_path))
+    dead = tmp_path / f".ckpt-00000040.{dead_pid()}.0"
+    live = tmp_path / f".ckpt-00000040.{os.getpid()}.999999"
+    for stage in (dead, live):
+        os.makedirs(stage)
+        (stage / "coordinator.pkl").write_bytes(b"half a snapshot")
+    _write(store, 20)
+    assert sorted(os.listdir(tmp_path)) == [
+        live.name, "LATEST", "ckpt-00000020"]
 
 
 def test_missing_root_reports_no_checkpoint(tmp_path):
@@ -180,10 +197,12 @@ def test_checkpoint_without_coordinator_is_rejected(tmp_path):
 
 
 def test_half_written_staging_dir_is_invisible(tmp_path):
-    """A crash mid-write leaves only a ``.tmp`` dir, which readers and
-    ``list()`` never see."""
+    """A crash mid-write leaves only a dot-named stage, which readers
+    and ``list()`` never see, even once its manifest is written."""
     store = CheckpointStore(str(tmp_path))
     _write(store, 20)
-    os.makedirs(tmp_path / "ckpt-00000040.tmp")
+    stage = tmp_path / ".ckpt-00000040.999.0"
+    os.makedirs(stage)
+    (stage / "manifest.json").write_text("{}")
     assert store.list() == ["ckpt-00000020"]
     assert store.latest() == "ckpt-00000020"

@@ -2,6 +2,9 @@
 
 from __future__ import annotations
 
+import subprocess
+import sys
+
 import pytest
 
 from repro.common.config import SimulationConfig
@@ -92,3 +95,11 @@ def tiny_config(num_tiles: int = 4, **host_kwargs) -> SimulationConfig:
     cfg.host.quantum_instructions = 200
     cfg.validate()
     return cfg
+
+
+def dead_pid() -> int:
+    """The pid of a process that has exited and been reaped."""
+    child = subprocess.run(
+        [sys.executable, "-c", "import os; print(os.getpid())"],
+        capture_output=True, text=True, check=True)
+    return int(child.stdout)

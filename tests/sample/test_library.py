@@ -9,12 +9,12 @@ import pytest
 
 from repro.common.config import SimulationConfig
 from repro.common.errors import SampleError
-from repro.sample.library import (SnapshotLibrary, roi_metrics,
-                                  workload_descriptor)
+from repro.ckpt.store import program_descriptor
+from repro.sample.library import SnapshotLibrary, roi_metrics
 from repro.serve.store import canonical_result_bytes
 from repro.sim.experiment import sweep
 from repro.sim.runner import run_simulation
-from tests.conftest import tiny_config
+from tests.conftest import dead_pid, tiny_config
 
 
 def long_program(ctx):
@@ -91,6 +91,11 @@ class TestKeying:
         assert (library.key(config, long_program, ())
                 != library.key(config, long_program, (1,)))
 
+    def test_unencodable_args_are_a_typed_error(self, tmp_path):
+        library = SnapshotLibrary(str(tmp_path))
+        with pytest.raises(SampleError, match="JSON-encodable"):
+            library.key(library_config(), long_program, (object(),))
+
     def test_key_stable_across_hash_seeds(self, tmp_path):
         """The key must not depend on ``PYTHONHASHSEED`` — a serve
         fleet's children must agree on entry identity."""
@@ -118,7 +123,7 @@ class TestKeying:
 
     def test_descriptor_for_named_workload(self):
         from repro.distrib.wire import WorkloadRef
-        descriptor = workload_descriptor(WorkloadRef("fft", 4, 0.5))
+        descriptor = program_descriptor(WorkloadRef("fft", 4, 0.5))
         assert descriptor["workload"] == "fft"
         assert descriptor["nthreads"] == 4
         assert descriptor["scale"] == 0.5
@@ -139,7 +144,7 @@ class TestEntries:
         library = SnapshotLibrary(config.sample.library)
         key, _ = library.ensure(config, long_program)
         meta = library.meta(key)
-        assert meta["format"] == "repro.sample/4"
+        assert meta["library"] == "repro.sample/5"
         assert meta["ff_until"] == config.sample.ff_until
         assert meta["prefix_hash"] == config.prefix_hash()
         # The primer's SAMPLE telemetry rides along: exactly one
@@ -153,11 +158,11 @@ class TestEntries:
         config = library_config(tmp_path)
         library = SnapshotLibrary(config.sample.library)
         key, _ = library.ensure(config, long_program)
-        path = os.path.join(library.entry_dir(key), "LIBRARY.json")
+        path = os.path.join(library.entry_dir(key), "manifest.json")
         with open(path) as handle:
             meta = json.load(handle)
-        for old in ("repro.sample/2", "repro.sample/3"):  # previous layouts
-            meta["format"] = old
+        for old in ("repro.sample/3", "repro.sample/4"):  # previous layouts
+            meta["library"] = old
             with open(path, "w") as handle:
                 json.dump(meta, handle)
             for lookup in (lambda: library.has(key),
@@ -172,6 +177,92 @@ class TestEntries:
         from repro.cli import main
         assert main(["sample", "gc", "--library", library.root]) == 0
         assert library.keys() == [kept]
+
+    def test_gc_drops_an_old_nested_entry_and_spares_stages(
+            self, tmp_path, capsys):
+        """A ``/4`` entry (``LIBRARY.json`` over a nested checkpoint
+        root) is no entry of this layout: ``ls`` names the fix, ``gc``
+        drops it, keeps the current entry, drops a dead primer's stage
+        and never touches a live primer's."""
+        config = library_config(tmp_path)
+        library = SnapshotLibrary(config.sample.library)
+        key, _ = library.ensure(config, long_program)
+        old = os.path.join(library.root, "2e5ee2b2a401fc1f")
+        os.makedirs(os.path.join(old, "ckpt-00000001"))
+        for name, text in (("LIBRARY.json", '{"format": "repro.sample/4"}'),
+                           ("LATEST", "ckpt-00000001\n"),
+                           ("ckpt-00000001/manifest.json", "{}")):
+            with open(os.path.join(old, name), "w") as handle:
+                handle.write(text)
+        live = f".{key}.{os.getpid()}.999999"
+        dead = f".{key}.{dead_pid()}.0"
+        for stage in (live, dead):
+            os.makedirs(os.path.join(library.root, stage))
+            with open(os.path.join(library.root, stage, "manifest.json"),
+                      "w") as handle:
+                handle.write("{}")
+        from repro.cli import main
+        assert main(["sample", "ls", "--library", library.root]) == 1
+        assert "`repro sample gc" in capsys.readouterr().err
+        assert main(["sample", "gc", "--library", library.root]) == 0
+        out = capsys.readouterr().out
+        assert "dropped 2e5ee2b2a401fc1f" in out
+        assert f"dropped {dead}" in out
+        assert sorted(os.listdir(library.root)) == [live, key]
+        assert main(["sample", "ls", "--library", library.root,
+                     "--json"]) == 0
+        [listed] = json.loads(capsys.readouterr().out)
+        assert sorted(listed) == ["backend", "descriptor", "events",
+                                  "ff_until", "key", "num_tiles",
+                                  "prefix_hash"]
+        assert listed["key"] == key
+
+    def test_gc_leaves_what_no_library_wrote(self, tmp_path, capsys):
+        """Pointed at the wrong directory, ``gc`` drops nothing: a
+        checkpoint root's turns and ``LATEST``, a nested checkpoint
+        root and a stray file all survive, beside a library entry."""
+        config = library_config(tmp_path)
+        library = SnapshotLibrary(config.sample.library)
+        key, _ = library.ensure(config, long_program)
+        from repro.ckpt.store import CheckpointStore
+        for root in (library.root, os.path.join(library.root, "run")):
+            CheckpointStore(root).write(
+                turn=20, backend="inproc", config=config,
+                blobs={"coordinator": b"state"})
+        with open(os.path.join(library.root, "notes.txt"), "w") as handle:
+            handle.write("mine")
+        before = sorted(os.listdir(library.root))
+        from repro.cli import main
+        assert main(["sample", "gc", "--library", library.root,
+                     "--keep", "0"]) == 0
+        assert "dropped ckpt" not in capsys.readouterr().out
+        assert sorted(os.listdir(library.root)) == [
+            name for name in before if name != key]
+        assert sorted(os.listdir(os.path.join(library.root, "run"))) == [
+            "LATEST", "ckpt-00000020"]
+        assert main(["sample", "ls", "--library", library.root]) == 0
+        assert "no entries" in capsys.readouterr().out
+
+    def test_a_corrupt_entry_is_primed_again(self, tmp_path):
+        """An entry whose blob fails its checksum cannot be forked;
+        the next ``ensure`` treats it as a miss and primes it anew."""
+        config = library_config(tmp_path)
+        library = SnapshotLibrary(config.sample.library)
+        key, _ = library.ensure(config, long_program)
+        blob = os.path.join(library.entry_dir(key), "coordinator.pkl")
+        with open(blob, "r+b") as handle:
+            handle.seek(100)
+            byte = handle.read(1)
+            handle.seek(100)
+            handle.write(bytes([byte[0] ^ 0x01]))
+        with pytest.raises(SampleError, match="corrupt"):
+            library.fork(key, config)
+        assert library.ensure(config, long_program) == (key, True)
+        forked = library.fork(key, config).resume_run()
+        unshared = config.copy()
+        unshared.sample.library = None
+        assert (roi_metrics(forked)
+                == roi_metrics(run_simulation(unshared, long_program)))
 
     def test_entries_and_drop(self, tmp_path):
         config = library_config(tmp_path)

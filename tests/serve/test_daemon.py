@@ -127,6 +127,38 @@ def test_duplicate_submission_is_a_cache_hit():
         assert client.stats()["cache_hits"] == 1
 
 
+def test_a_corrupt_stored_result_is_refused_not_served():
+    """A cached result whose blob fails its checksum is an error
+    naming the key, never a cache hit with someone else's numbers, and
+    the next submission of the job computes it again."""
+    with running_server(fleet=1) as (server, client):
+        view = client.submit(config=_config(22),
+                             workload="matrix_multiply", nthreads=2,
+                             scale=FAST_SCALE)
+        assert client.wait(view["job_id"], timeout=120)["state"] == "done"
+        blob_path = os.path.join(server.store.path_for(view["key"]),
+                                 "result.json")
+        with open(blob_path, "rb") as handle:
+            blob = handle.read()
+        at = blob.index(b'"simulated_cycles":') + len(b'"simulated_cycles":')
+        digit = b"1" if blob[at:at + 1] != b"1" else b"2"
+        with open(blob_path, "wb") as handle:
+            handle.write(blob[:at] + digit + blob[at + 1:])
+        with pytest.raises(ServeError, match="corrupt") as refused:
+            client.fetch(view["job_id"])
+        assert view["key"] in str(refused.value)
+        # A corrupt copy is a miss: submitting again runs the job and
+        # replaces it with the right answer.
+        again = client.submit(config=_config(22),
+                              workload="matrix_multiply", nthreads=2,
+                              scale=FAST_SCALE)
+        assert again["state"] != "cached"
+        assert client.wait(again["job_id"], timeout=120)["state"] == "done"
+        assert canonical_result_bytes(
+            client.fetch_result(again["job_id"])) == _direct_bytes(
+                22, "matrix_multiply", FAST_SCALE)
+
+
 def test_seed_flip_misses_the_cache():
     with running_server(fleet=1) as (server, client):
         first = client.submit(config=_config(31),

@@ -6,6 +6,7 @@ import json
 
 import pytest
 
+from repro.ckpt.store import write_entry
 from repro.common.config import SimulationConfig
 from repro.common.errors import ServeError
 from repro.distrib.wire import PickledProgram, WorkloadRef
@@ -141,6 +142,18 @@ class TestResultStore:
         with pytest.raises(ServeError, match="determinism violation"):
             store.put(self.KEY, _result(9999))
 
+    def test_a_corrupt_copy_is_a_miss_and_put_replaces_it(self, tmp_path):
+        store = ResultStore(str(tmp_path))
+        blob = store.put(self.KEY, _result())
+        path = tmp_path / self.KEY / "result.json"
+        path.write_bytes(blob.replace(b'"simulated_cycles":1000',
+                                      b'"simulated_cycles":1001'))
+        assert self.KEY not in store
+        with pytest.raises(ServeError, match="corrupt"):
+            store.get_bytes(self.KEY)
+        assert store.put(self.KEY, _result()) == blob
+        assert store.get_bytes(self.KEY) == blob
+
     def test_missing_key_is_absent(self, tmp_path):
         store = ResultStore(str(tmp_path))
         assert self.KEY not in store
@@ -156,13 +169,12 @@ class TestResultStore:
     def test_no_tmp_droppings_after_put(self, tmp_path):
         store = ResultStore(str(tmp_path))
         store.put(self.KEY, _result())
-        assert [p.name for p in tmp_path.iterdir()] \
-            == [f"{self.KEY}.json"]
+        assert [p.name for p in tmp_path.iterdir()] == [self.KEY]
 
     def test_unsupported_format_rejected(self, tmp_path):
         store = ResultStore(str(tmp_path))
-        path = store.path_for(self.KEY)
-        with open(path, "w") as fh:
-            json.dump({"format": "repro.result/999", "result": {}}, fh)
+        blob = json.dumps({"format": "repro.result/999", "result": {}})
+        write_entry(store.root, self.KEY, {"result.json": blob.encode()},
+                    {"format": FORMAT})
         with pytest.raises(ServeError, match="unsupported format"):
             store.get(self.KEY)

@@ -121,10 +121,12 @@ class TestCheckpointCli:
             main(["run", "--workload", "fmm", "--tiles", "4",
                   "--scale", "0.2", "--ckpt-every", "10"])
 
-    def test_resume_without_checkpoint_fails(self, tmp_path):
-        from repro.common.errors import CheckpointError
-        with pytest.raises(CheckpointError, match="no checkpoint"):
-            main(["resume", str(tmp_path / "nothing-here")])
+    def test_resume_without_checkpoint_fails(self, tmp_path, capsys):
+        """A usage error, not a traceback; and reading creates nothing."""
+        missing = tmp_path / "nothing-here"
+        assert main(["resume", str(missing)]) == 1
+        assert capsys.readouterr().err.startswith("resume: no checkpoint")
+        assert not missing.exists()
 
 
 class _Stop(Exception):
