@@ -377,9 +377,9 @@ class DistribConfig:
     worker_timeout: float = 120.0
     #: Seconds allowed for orderly worker shutdown before termination.
     shutdown_timeout: float = 10.0
-    #: Worker channel: ``pipe`` (forked children over multiprocessing
-    #: pipes) or ``tcp`` (length-prefixed sockets via :mod:`repro.net`,
-    #: the multi-host transport).
+    #: Worker channel: ``pipe`` (forked children over socketpairs) or
+    #: ``tcp`` (the multi-host transport); both length-prefixed sockets
+    #: via :mod:`repro.net`.
     transport: str = "pipe"
     #: TCP bind address of the coordinator's listener (port 0 picks an
     #: ephemeral port; only meaningful with ``transport="tcp"``).

@@ -20,9 +20,10 @@ independent configurations in parallel.
 The service loop costs one round trip per true interaction point — an
 L1 miss or write upgrade (the L1s live with the workers' threads; the
 L2s, the coherence point, stay here), a message, a sync or system
-call — not per front-end op.  The worker's one-way casts (the per-op
-host ``charge``, a completed store's bytes) arrive inside the next
-KERNEL_CALL or the closing QUANTUM_DONE and are applied ahead of it:
+call — not per front-end op.  The worker's one-way casts (its host
+charges since the last cast, as one list of event codes; a completed
+store's bytes) arrive inside the next KERNEL_CALL or the closing
+QUANTUM_DONE and are applied ahead of it:
 the worker touches no shared state between a cast and the frame that
 carries it, so the order of shared-state touches is unchanged.  What
 an L2 does to a tile's L1s (inclusion purges, M->S downgrades) is as
@@ -46,6 +47,7 @@ from repro.distrib.errors import (
     WorkerTimeoutError,
 )
 from repro.distrib.shard import ShardTransport
+from repro.distrib.worker import run_connected_worker, tcp_worker_main
 from repro.distrib.wire import (
     WIRE_VERSION,
     FrameKind,
@@ -57,7 +59,12 @@ from repro.distrib.wire import (
     program_key,
 )
 from repro.host.cluster import ClusterLayout
-from repro.net.channel import Channel, ChannelClosedError, PipeChannel
+from repro.net.channel import (
+    Channel,
+    ChannelClosedError,
+    ChannelError,
+    fork_child,
+)
 from repro.net.listener import NetListener
 from repro.net.rebalance import create_policy
 from repro.host.scheduler import QuantumResult, QuantumStatus, ThreadTask
@@ -72,17 +79,12 @@ from repro.workloads.base import get_workload
 #: Seconds between liveness re-checks while waiting on a worker.
 _LIVENESS_TICK = 0.05
 
-#: Cost token a worker casts -> the ``HostCostModel`` charger it names.
-_CHARGERS = {"instructions": "charge_instructions",
-             "model_trap": "charge_trap",
-             "memory_access": "charge_memory_access"}
-
 
 class WorkerCluster:
     """Lifecycle, framed I/O and tile ownership for the worker fleet.
 
     The cluster speaks :class:`~repro.net.channel.Channel` — forked
-    children over multiprocessing pipes (``transport="pipe"``) or
+    children over socketpairs (``transport="pipe"``) or
     TCP-connected workers (``transport="tcp"``, local self-dialed or
     remote ``repro worker --connect`` dial-ins) — and owns the dynamic
     tile→worker map.  Membership only changes between quanta (the
@@ -106,10 +108,6 @@ class WorkerCluster:
         #: the simulator after formation (formation frames are not
         #: recorded — the ring is for steady-state forensics).
         self.flight = None
-        try:
-            self._ctx = multiprocessing.get_context("fork")
-        except ValueError:  # pragma: no cover - non-POSIX hosts
-            self._ctx = multiprocessing.get_context("spawn")
         self._channels: List[Channel] = []
         #: False once a worker departed (drained + GOODBYE) or died.
         self._active: List[bool] = []
@@ -132,15 +130,10 @@ class WorkerCluster:
 
     def _start_pipes(self, config: SimulationConfig) -> None:
         for index, tiles in enumerate(self.layout.shards()):
-            parent, child = self._ctx.Pipe(duplex=True)
-            proc = self._ctx.Process(
-                target=_worker_entry, args=(child,),
-                name=f"repro-worker-{index}", daemon=True)
-            proc.start()
-            child.close()
-            self._spawned.append(proc)
-            self._channels.append(PipeChannel(parent, proc))
-            self._active.append(True)
+            channel = fork_child(run_connected_worker,
+                                 f"repro-worker-{index}")
+            self._spawned.append(channel.proc)
+            self._attach(channel)
             for tile in tiles:
                 self._owner[int(tile)] = index
             self.send(index, FrameKind.HELLO,
@@ -158,9 +151,10 @@ class WorkerCluster:
         if expect == 0:
             # Self-contained multi-host shape: fork local workers that
             # dial our own listener, exercising the full TCP path.
+            context = multiprocessing.get_context("fork")
             for index in range(count):
-                proc = self._ctx.Process(
-                    target=_tcp_worker_entry,
+                proc = context.Process(
+                    target=tcp_worker_main,
                     args=(self.listener.address,),
                     name=f"repro-worker-{index}", daemon=True)
                 proc.start()
@@ -179,14 +173,21 @@ class WorkerCluster:
                 continue
             channel, hello = accepted
             channel.proc = procs_by_pid.get(hello.pid)
-            self._channels.append(channel)
-            self._active.append(True)
+            self._attach(channel)
         for index in range(count):
             tiles = [t for t in range(self.layout.num_tiles)
                      if t % count == index]
             for tile in tiles:
                 self._owner[tile] = index
             self.send(index, FrameKind.HELLO, (config, tiles, index))
+
+    def _attach(self, channel: Channel) -> int:
+        """Register a worker's channel; its index.  A frame that stops
+        part-way is failed after the worker timeout, as silence is."""
+        channel.bound_frame_reads(self.timeout)
+        self._channels.append(channel)
+        self._active.append(True)
+        return len(self._channels) - 1
 
     # -- membership ----------------------------------------------------------
 
@@ -226,9 +227,7 @@ class WorkerCluster:
             return []
         joined: List[int] = []
         for channel, _hello in self.listener.pending(lambda exc: None):
-            index = len(self._channels)
-            self._channels.append(channel)
-            self._active.append(True)
+            index = self._attach(channel)
             self.send(index, FrameKind.HELLO, (self.config, [], index))
             joined.append(index)
         return joined
@@ -309,6 +308,10 @@ class WorkerCluster:
                         f"worker {worker} ({channel.describe()}) closed "
                         f"its channel (exit code {channel.exitcode()})"
                     ) from exc
+                except ChannelError as exc:  # stalled mid-frame
+                    raise WorkerTimeoutError(
+                        f"worker {worker} stopped mid-frame for "
+                        f"{self.timeout:.0f}s") from exc
                 frame = decode_frame(blob)
                 if self.flight is not None:
                     self.flight.note_frame("recv", f"worker{worker}",
@@ -428,16 +431,6 @@ class WorkerCluster:
 
     def __exit__(self, *exc_info) -> None:
         self.shutdown()
-
-
-def _worker_entry(conn) -> None:  # pragma: no cover - child
-    from repro.distrib.worker import run_connected_worker
-    run_connected_worker(PipeChannel(conn))
-
-
-def _tcp_worker_entry(address: str) -> None:  # pragma: no cover - child
-    from repro.distrib.worker import tcp_worker_main
-    tcp_worker_main(address)
 
 
 def _raise_remote(worker: int, payload: tuple) -> None:
@@ -594,7 +587,7 @@ class DistribSimulator(Simulator):
             "spawn_thread": self._rpc_spawn_thread,
         }
         self._cast_handlers: Dict[str, Callable] = {
-            "charge": self._cast_charge,
+            "charges": lambda codes: self.cost_model.charge_events(codes),
             "store_data": lambda t, a, d: self.engine.apply_store(
                 TileId(t), a, d),
             "thread_finished": lambda t, c: self.thread_finished(
@@ -924,13 +917,6 @@ class DistribSimulator(Simulator):
         handlers = self._cast_handlers
         for method, args in casts:
             handlers[method](*args)
-
-    def _cast_charge(self, token: tuple) -> None:
-        """Make a deferred charge ``(cost token, *args)``, consuming
-        jitter here — in cast-issue order, which equals in-process call
-        order."""
-        name, *args = token
-        getattr(self.cost_model, _CHARGERS[name])(*args)
 
     # -- results -------------------------------------------------------------
 

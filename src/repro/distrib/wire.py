@@ -54,7 +54,10 @@ from repro.distrib.errors import ProgramTransportError, WireFormatError
 #: v11: one version for every wire, checked once at connect — the net
 #: handshake's and the serve verbs' own versions fold in; frames are
 #: ``(kind, payload)`` and serve verbs are pickled, not JSON.
-WIRE_VERSION = 11
+#: v12: a worker's host charges cross as one ``charges`` cast of event
+#: codes (0 memory access, 1 trap, ``n + 2`` instructions), not one
+#: ``charge`` cast per event.
+WIRE_VERSION = 12
 
 #: Pickle protocol of every frame, pinned so peers under different
 #: Pythons read each other (5: the highest of every supported one).

@@ -11,15 +11,16 @@ the L2s and all behind them, network models, MCP, allocator, host cost
 model and scheduler all live in the coordinator, reached through
 :class:`KernelProxy` — a stand-in for the kernel object whose local
 pieces (config, per-thread stats, L1s, inbound message queues) are
-worker resident and whose shared pieces are RPCs over the control pipe.
+worker resident and whose shared pieces are RPCs over the channel.
 
-Determinism: the pipe is FIFO and the coordinator runs exactly one
+Determinism: the channel is FIFO and the coordinator runs exactly one
 quantum anywhere at a time, so kernel calls reach the coordinator in
 the same order the in-process backend would make them — including the
-order in which the jittered cost model's RNG is consumed.  Cost-model
-lookups themselves are deferred: ``charge_instructions(n)`` here casts
-a ``charge`` token, and the coordinator evaluates it (consuming RNG)
-when it arrives.  One-way casts (``charge``,
+order in which the jittered cost model's RNG is consumed.  Host
+charges are deferred: each appends one small int to a list (0 for a
+memory access, 1 for a trap, ``n + 2`` for ``n`` instructions) that
+crosses as one ``charges`` cast, and the coordinator prices them
+(consuming RNG) when it arrives.  One-way casts (``charges``,
 ``store_data``, ``wake_scheduler``, ``thread_finished``) cost no frame
 of their own: they ride the next KERNEL_CALL or the closing
 QUANTUM_DONE and are applied, in order, ahead of it.  What the L2s do
@@ -56,13 +57,6 @@ from repro.telemetry.aggregate import TelemetryBatch
 from repro.telemetry.bus import create_bus
 from repro.telemetry.events import EventCategory
 from repro.transport.message import Message, MessageKind
-
-
-#: Host charges cross as ``(cost token, *args)``, not host seconds: the
-#: real model spends a jitter factor per charge, making them here would
-#: fork that stream, so the coordinator makes them, in program order.
-#: The per-access one is one tuple, so pickled once per frame.
-_MEMORY_CHARGE = ("charge", (("memory_access",),))
 
 
 class _RemoteL2:
@@ -270,7 +264,7 @@ class KernelProxy:
         self._pending_code_base: Optional[int] = None
         self._code_bases: dict = {}
 
-    # -- pipe plumbing -------------------------------------------------------
+    # -- channel plumbing ----------------------------------------------------
 
     def rpc(self, method: str, args: tuple) -> Any:
         return self._worker.rpc(method, args)
@@ -278,20 +272,19 @@ class KernelProxy:
     def cast(self, method: str, args: tuple) -> None:
         self._worker.cast(method, args)
 
-    def charge_memory_access(self) -> None:
-        if not self.exec_functional:
-            self._worker._casts.append(_MEMORY_CHARGE)
-
     # -- kernel interface ----------------------------------------------------
 
-    def charge_instructions(self, count: int) -> None:
+    def charge_memory_access(self) -> None:
         if not self.exec_functional:
-            self._worker._casts.append(
-                ("charge", (("instructions", count),)))
+            self._worker._charges.append(0)
 
     def charge_trap(self) -> None:
         if not self.exec_functional:
-            self.cast("charge", (("model_trap",),))
+            self._worker._charges.append(1)
+
+    def charge_instructions(self, count: int) -> None:
+        if not self.exec_functional:
+            self._worker._charges.append(count + 2)
 
     def code_base(self, program: Any) -> int:
         base = self._code_bases.get(id(program))
@@ -335,6 +328,10 @@ class Worker:
         #: state is touched in program order all the same.  Empty
         #: whenever the worker is between quanta.
         self._casts: List[tuple] = []
+        #: Host charges since the last cast, as event codes (not host
+        #: seconds: pricing one spends a jitter factor, which only the
+        #: coordinator may), sealed into one ``charges`` cast.
+        self._charges: List[int] = []
         #: Kernel proxies adopted through live shard migration: their
         #: interpreters keep charging stats into these trees, so stat
         #: and histogram collection folds them in alongside the
@@ -364,14 +361,14 @@ class Worker:
         """Ship buffered events once the batch threshold is crossed.
 
         Only called at points where the coordinator is known to be
-        reading this worker's pipe (inside a quantum, or answering
+        reading this worker's channel (inside a quantum, or answering
         COLLECT_TELEMETRY) — an unsolicited frame at any other time
-        would deadlock against an unread pipe.
+        would deadlock against an unread channel.
         """
         bus = self.kernel.telemetry
         if bus is None or len(bus.events) < self._batch_events:
             return
-        if self._casts:
+        if self._casts or self._charges:
             # Merging the batch touches coordinator state; the casts
             # issued before it must land first.
             self._send(FrameKind.KERNEL_CAST, self._take_casts())
@@ -411,11 +408,21 @@ class Worker:
             self._handle_cast_frame(kind, payload)
 
     def cast(self, method: str, args: tuple) -> None:
+        if self._charges:
+            self._seal_charges()
         self._casts.append((method, args))
 
     def _take_casts(self) -> List[tuple]:
+        if self._charges:
+            self._seal_charges()
         casts, self._casts = self._casts, []
         return casts
+
+    def _seal_charges(self) -> None:
+        """Queue the charges so far as one cast, before the next: a
+        finished thread wakes its joiner, which draws jitter."""
+        self._casts.append(("charges", (self._charges,)))
+        self._charges = []
 
     def _apply_l1_notes(self, notes: List[tuple]) -> None:
         """What the coordinator's L2s did to our tiles' L1s since the
@@ -648,7 +655,7 @@ class Worker:
                 # Drained: our tiles live elsewhere now; leave cleanly.
                 return
             try:
-                assert not self._casts, \
+                assert not (self._casts or self._charges), \
                     f"casts pending between quanta at {kind.value}"
                 if kind is FrameKind.RUN_QUANTUM:
                     self._handle_run_quantum(payload)

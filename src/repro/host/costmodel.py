@@ -15,7 +15,7 @@ from __future__ import annotations
 
 import random
 from math import cos, log, sin, sqrt
-from typing import List, Optional, TYPE_CHECKING
+from typing import List, Optional, Sequence, TYPE_CHECKING
 
 from repro.common.config import HostConfig
 from repro.host.cluster import Locality
@@ -130,6 +130,25 @@ class HostCostModel:
             scheduler.charge(seconds)
         else:
             scheduler._quantum_charge += seconds
+
+    def charge_events(self, codes: Sequence[int]) -> None:
+        """The three charges above, in order, as an mp worker's codes: 0
+        a memory access, 1 a trap, ``n + 2`` ``n`` instructions; each
+        bit for bit as its own call."""
+        scheduler = self.scheduler
+        if scheduler.functional:
+            return
+        factors = self._factors
+        costs = (self.config.memory_model_cost, self.config.model_trap_cost)
+        instr_cost = self._instr_cost
+        in_quantum = scheduler._running is not None
+        for code in codes:
+            seconds = (costs[code] if code < 2 else (code - 2) * instr_cost) \
+                * (factors.pop() if factors else self._refill())
+            if in_quantum and seconds >= 0:
+                scheduler._quantum_charge += seconds
+            else:
+                scheduler.charge(seconds)
 
     def charge_message(self, locality: Locality, size_bytes: int,
                        blocking: bool) -> None:

@@ -8,9 +8,9 @@ supplies the byte pipes it travels over plus the membership machinery
 around them:
 
 * :mod:`repro.net.channel` — the :class:`~repro.net.channel.Channel`
-  abstraction the cluster speaks agnostically, with a multiprocessing
-  pipe implementation and a TCP implementation over the
-  length-prefixed framing of :mod:`repro.net.frames`.
+  abstraction the cluster speaks agnostically: one stream-socket
+  channel over the length-prefixed framing of :mod:`repro.net.frames`,
+  on a socketpair to a forked child or on TCP.
 * :mod:`repro.net.handshake` — the JSON hello/welcome exchange that
   fails version- or config-mismatched peers loudly before any pickle
   crosses the socket: the one place a version is checked.

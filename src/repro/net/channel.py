@@ -2,9 +2,10 @@
 
 The cluster logic (:mod:`repro.distrib.coordinator`) is written
 against this small surface — blocking framed send/recv, a bounded
-poll, best-effort liveness — so the same code drives a forked child
-over a multiprocessing pipe and a remote worker over TCP (or a Unix
-socket).  A channel moves opaque ``bytes``; the frames on top
+poll, best-effort liveness — and every carrier is a stream socket
+under one framing (:mod:`repro.net.frames`): a socketpair to a forked
+child, TCP to a remote worker, or a Unix socket to a serve client.  A
+channel moves opaque ``bytes``; the frames on top
 (:mod:`repro.distrib.wire`) neither know nor care which transport
 carried them, which is what keeps the paths byte-identical.
 
@@ -17,17 +18,14 @@ specific except clauses.
 
 from __future__ import annotations
 
+import multiprocessing
 import select
 import socket
-from typing import Optional
+import struct
+from typing import Any, Callable, Optional
 
 from repro.common.errors import TransportError
-from repro.net.frames import (
-    ConnectionClosed,
-    FrameError,
-    recv_frame,
-    send_frame,
-)
+from repro.net.frames import ConnectionClosed, recv_frame, send_frame
 
 
 class ChannelError(TransportError):
@@ -92,52 +90,11 @@ class Channel:
         raise NotImplementedError
 
 
-class PipeChannel(Channel):
-    """A duplex multiprocessing pipe, optionally owning the child."""
-
-    kind = "pipe"
-
-    def __init__(self, conn, proc=None) -> None:
-        super().__init__(conn.fileno())
-        self.conn = conn
-        self.proc = proc
-
-    def send_bytes(self, blob: bytes) -> None:
-        try:
-            self.conn.send_bytes(blob)
-        except (BrokenPipeError, EOFError, OSError) as exc:
-            raise ChannelClosedError(f"pipe closed: {exc}") from exc
-
-    def recv_bytes(self) -> bytes:
-        try:
-            return self.conn.recv_bytes()
-        except (BrokenPipeError, EOFError, OSError) as exc:
-            raise ChannelClosedError(f"pipe closed: {exc}") from exc
-
-    def poll(self, timeout: float = 0.0) -> bool:
-        # A closed descriptor number may already name another file.
-        return self.conn.closed or super().poll(timeout)
-
-    def alive(self) -> bool:
-        if self.proc is not None:
-            return self.proc.is_alive()
-        return not self.conn.closed
-
-    def describe(self) -> str:
-        if self.proc is not None:
-            return f"pipe pid {self.proc.pid}"
-        return "pipe"
-
-    def close(self) -> None:
-        try:
-            self.conn.close()
-        except OSError:
-            pass
-
-
 class TcpChannel(Channel):
-    """A connected stream socket under length-prefixed framing (TCP,
-    or a Unix socket: ``peer`` names the other end either way)."""
+    """A connected stream socket under the length-prefixed framing of
+    :mod:`repro.net.frames` — TCP, a Unix socket, or (as
+    :class:`PipeChannel`) a socketpair to a forked child; ``peer``
+    names the other end."""
 
     kind = "tcp"
 
@@ -152,12 +109,20 @@ class TcpChannel(Channel):
     def send_bytes(self, blob: bytes) -> None:
         try:
             send_frame(self.sock, blob)
-        except FrameError:
-            raise
-        except (BrokenPipeError, ConnectionError, OSError) as exc:
+        except OSError as exc:
             self._eof = True
             raise ChannelClosedError(
-                f"tcp peer {self.peer} gone: {exc}") from exc
+                f"{self.describe()} gone: {exc}") from exc
+
+    def bound_frame_reads(self, seconds: float) -> None:
+        """Fail a read that waits ``seconds`` for more of a frame with
+        :class:`ChannelError` instead of blocking for good.  A kernel
+        receive timeout: a read that does not stall pays nothing for it
+        (a socket timeout would poll before every read)."""
+        whole = int(seconds)
+        self.sock.setsockopt(socket.SOL_SOCKET, socket.SO_RCVTIMEO,
+                             struct.pack("ll", whole,
+                                         int((seconds - whole) * 1e6)))
 
     def recv_bytes(self) -> bytes:
         try:
@@ -165,13 +130,14 @@ class TcpChannel(Channel):
         except ConnectionClosed as exc:
             self._eof = True
             raise ChannelClosedError(
-                f"tcp peer {self.peer} closed: {exc}") from exc
-        except FrameError:
-            raise  # protocol violation, not a dead peer
-        except (ConnectionError, OSError) as exc:
+                f"{self.describe()} closed: {exc}") from exc
+        except BlockingIOError as exc:
+            raise ChannelError(
+                f"{self.describe()} stalled mid-frame") from exc
+        except OSError as exc:
             self._eof = True
             raise ChannelClosedError(
-                f"tcp peer {self.peer} gone: {exc}") from exc
+                f"{self.describe()} gone: {exc}") from exc
 
     def poll(self, timeout: float = 0.0) -> bool:
         return self._closed or self._eof or super().poll(timeout)
@@ -198,7 +164,7 @@ class TcpChannel(Channel):
         return True
 
     def describe(self) -> str:
-        return f"tcp {self.peer}"
+        return f"{self.kind} {self.peer}".rstrip()
 
     def close(self) -> None:
         self._closed = True
@@ -210,3 +176,44 @@ class TcpChannel(Channel):
             self.sock.close()
         except OSError:
             pass
+
+
+class PipeChannel(TcpChannel):
+    """One end of a ``socket.socketpair()`` between a process and a
+    child it forked (:func:`fork_child`): the same framing as TCP.
+    Where this end owns the child, liveness is the child's process: a
+    process the child forked holds a copy of the child's end, so EOF
+    alone does not say the child died."""
+
+    kind = "pipe"
+
+    def __init__(self, sock: socket.socket, proc=None) -> None:
+        super().__init__(sock, "" if proc is None else f"pid {proc.pid}",
+                         proc)
+
+    def alive(self) -> bool:
+        if self.proc is not None:
+            return self.proc.is_alive()
+        return super().alive()
+
+
+def fork_child(target: Callable[[Channel], Any], name: str) -> PipeChannel:
+    """Fork a daemon child that runs ``target(channel)`` on its end of
+    a fresh socketpair; returns this end, owning the child."""
+    mine, theirs = socket.socketpair()
+    proc = multiprocessing.get_context("fork").Process(
+        target=_child_main, args=(target, theirs, mine), name=name,
+        daemon=True)
+    try:
+        proc.start()
+    finally:
+        theirs.close()
+    return PipeChannel(mine, proc)
+
+
+def _child_main(target: Callable[[Channel], Any], sock: socket.socket,
+                parent_end: socket.socket) -> None:  # pragma: no cover
+    # The parent's end is the parent's: a copy held here would keep
+    # this child from ever reading EOF once the parent is gone.
+    parent_end.close()
+    target(PipeChannel(sock))

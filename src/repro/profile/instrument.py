@@ -93,18 +93,15 @@ _COORDINATOR: Tuple[Row, ...] = (
      ("decode_frame",)),
     ("mp.wire.encode", "repro.distrib.coordinator", None,
      ("encode_frame",)),
-    ("mp.wire.send", "repro.net.channel", "PipeChannel", ("send_bytes",)),
     ("mp.wire.send", "repro.net.channel", "TcpChannel", ("send_bytes",)),
 )
 
 _WORKER: Tuple[Row, ...] = (
     ("quantum.run", "repro.frontend.interpreter", "ThreadInterpreter",
      ("run",)),
-    ("idle.wait", "repro.net.channel", "PipeChannel", ("recv_bytes",)),
     ("idle.wait", "repro.net.channel", "TcpChannel", ("recv_bytes",)),
     ("wire.decode", "repro.distrib.worker", None, ("decode_frame",)),
     ("wire.encode", "repro.distrib.worker", None, ("encode_frame",)),
-    ("wire.send", "repro.net.channel", "PipeChannel", ("send_bytes",)),
     ("wire.send", "repro.net.channel", "TcpChannel", ("send_bytes",)),
 )
 

@@ -12,7 +12,7 @@ down, ``("result", (job_id, status, payload))`` up, where status is
 ``ok`` (payload: the :class:`~repro.sim.results.SimulationResult`),
 ``preempted`` (the checkpoint directory to resume from) or ``failed``
 (the traceback).  A forked child gets a
-:class:`~repro.net.channel.PipeChannel`, a dial-in a
+:class:`~repro.net.channel.PipeChannel` (a socketpair), a dial-in a
 :class:`~repro.net.channel.TcpChannel`; nothing else differs, except
 that a dead forked child can be forked again (``respawn``) and a
 vanished remote host cannot.
@@ -28,7 +28,6 @@ the new job.
 
 from __future__ import annotations
 
-import multiprocessing
 import multiprocessing.connection
 import pickle
 import traceback
@@ -39,7 +38,7 @@ from repro.net.channel import (
     Channel,
     ChannelClosedError,
     ChannelError,
-    PipeChannel,
+    fork_child,
 )
 from repro.serve.worker import JobPreempted, run_job
 
@@ -80,18 +79,8 @@ class FleetSlot:
     @classmethod
     def fork(cls, index: int, name: str) -> "FleetSlot":
         """A slot whose worker is a forked child of this process."""
-        try:
-            ctx = multiprocessing.get_context("fork")
-        except ValueError:  # pragma: no cover - non-POSIX hosts
-            ctx = multiprocessing.get_context("spawn")
-
         def spawn() -> Channel:
-            parent, child = ctx.Pipe()
-            proc = ctx.Process(target=_forked_child, args=(child,),
-                               name=name, daemon=True)
-            proc.start()
-            child.close()
-            return PipeChannel(parent, proc)
+            return fork_child(run_fleet_child, name)
 
         return cls(index, spawn(), spawn)
 
@@ -103,9 +92,8 @@ class FleetSlot:
         self.preempt_pending = False
 
     def alive(self) -> bool:
-        """A forked child's process sentinel, a dial-in's socket: later
-        forks inherit this process's pipe ends, so EOF alone does not
-        say a forked child died."""
+        """A forked child's process, a dial-in's socket
+        (:meth:`~repro.net.channel.PipeChannel.alive`)."""
         return self.channel.alive()
 
     def waitables(self) -> List[Any]:
@@ -257,7 +245,3 @@ def run_fleet_child(channel: Channel, ops: Any = None) -> None:
         pass  # supervisor gone: nothing left to serve
     finally:
         channel.close()
-
-
-def _forked_child(conn: Any) -> None:  # pragma: no cover - child
-    run_fleet_child(PipeChannel(conn))

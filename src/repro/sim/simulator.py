@@ -16,6 +16,8 @@ from repro.common.config import SimulationConfig
 from repro.common.ids import ProcessId, ThreadId, TileId
 from repro.common.rng import RngStreams
 from repro.common.stats import StatGroup
+from repro.distrib.errors import ProgramTransportError
+from repro.distrib.wire import make_program_ref, program_key
 from repro.frontend.interpreter import ThreadInterpreter
 from repro.host.cluster import ClusterLayout
 from repro.host.costmodel import HostCostModel
@@ -293,8 +295,14 @@ class Simulator:
     # -- kernel interface (called by the interpreters) ---------------------------
 
     def code_base(self, program: Callable[..., Any]) -> int:
-        """Stable synthetic code address for a program function."""
-        return self._code_base_for(id(program))
+        """Stable synthetic code address for a program function, keyed
+        as mp keys it so a resume in a fresh process finds it (by id if
+        it cannot be pickled, when mp cannot run it either)."""
+        try:
+            key = program_key(make_program_ref(program))
+        except ProgramTransportError:
+            key = id(program)
+        return self._code_base_for(key)
 
     def _code_base_for(self, key: Any) -> int:
         """Allocate (once) a 64 KB code region for a program identity.

@@ -9,7 +9,10 @@ uninterrupted run's — on both execution backends.
 from __future__ import annotations
 
 import dataclasses
+import json
 import os
+import subprocess
+import sys
 
 import pytest
 
@@ -23,6 +26,7 @@ from repro.distrib.coordinator import RemoteTask
 from repro.distrib.wire import WorkloadRef
 from repro.host.costmodel import BLOCK
 from repro.sim.runner import create_simulator
+from tests.corpus.make_corpus import digest
 
 REF = WorkloadRef("matrix_multiply", nthreads=4, scale=0.05)
 
@@ -90,6 +94,55 @@ def test_a_snapshot_taken_mid_block_resumes_identically(backend, tmp_path):
         assert _asdict(restored.resume_run()) == _asdict(baseline)
     assert len(unspent) >= 3 and all(0 < n < BLOCK for n in unspent)
     assert len(set(unspent)) == len(unspent)  # a different cursor each
+
+
+def respawned_child(ctx):
+    yield from ctx.compute(2000)
+
+
+def respawning_main(ctx):
+    """Spawns ``respawned_child``, joins it, computes, and spawns it
+    again: the second spawn asks for the code region the first one was
+    given, after checkpoints of a 10-turn cadence were taken."""
+    child = yield from ctx.spawn(respawned_child)
+    yield from ctx.join(child)
+    yield from ctx.compute(6000)
+    child = yield from ctx.spawn(respawned_child)
+    yield from ctx.join(child)
+
+
+_RESUME_ALL = """
+import json, sys
+from repro.ckpt.recovery import load_checkpoint
+from repro.ckpt.store import CheckpointStore
+from tests.corpus.make_corpus import digest
+root = sys.argv[1]
+print(json.dumps({name: digest(load_checkpoint(root, name)[0].resume_run())
+                  for name in CheckpointStore(root).list()}))
+"""
+
+
+@pytest.mark.parametrize("backend", BACKENDS)
+def test_a_resume_in_a_fresh_process_spawns_into_the_same_code(backend,
+                                                                tmp_path):
+    """A checkpoint resumed in a new process — where no program object
+    has the address it had — runs on to the uninterrupted result, a
+    thread spawned after the checkpoint included."""
+    baseline = digest(create_simulator(_config(backend)).run(
+        respawning_main))
+    cfg = _config(backend, tmp_path / "ck", every=10)
+    cfg.ckpt.keep = 99
+    create_simulator(cfg).run(respawning_main)
+    root = os.path.dirname(os.path.dirname(os.path.dirname(
+        os.path.abspath(__file__))))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [os.path.join(root, "src"), root]))
+    out = subprocess.run(
+        [sys.executable, "-c", _RESUME_ALL, str(tmp_path / "ck")],
+        env=env, cwd=root, check=True, capture_output=True, text=True)
+    resumed = json.loads(out.stdout.strip().splitlines()[-1])
+    assert len(resumed) >= 3
+    assert resumed == {name: baseline for name in resumed}
 
 
 def test_resume_from_specific_snapshot(tmp_path):

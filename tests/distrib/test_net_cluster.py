@@ -13,17 +13,20 @@ import signal
 import socket
 import struct
 import threading
+import time
 
 import pytest
 
 from repro.common.config import SimulationConfig
 from repro.distrib.coordinator import WorkerCluster
-from repro.distrib.errors import WorkerCrashError
-from repro.distrib.wire import WIRE_VERSION, FrameKind
+from repro.distrib.errors import WorkerCrashError, WorkerTimeoutError
+from repro.distrib.wire import WIRE_VERSION, FrameKind, WorkloadRef, encode_frame
+from repro.distrib.worker import Worker
 from repro.host.cluster import ClusterLayout
 from repro.net.handshake import HandshakeError
 from repro.net.listener import connect_worker
 from repro.net.frames import send_frame
+from repro.sim.runner import run_simulation
 
 
 def _dial_with_retry(port: int, wire_version: int, deadline: float = 10.0):
@@ -123,6 +126,37 @@ def test_tcp_peer_closing_mid_frame_is_crash_error():
     finally:
         thread.join(timeout=5.0)
         cluster.shutdown()
+
+
+@pytest.mark.parametrize("transport", ["pipe", "tcp"])
+@pytest.mark.parametrize("then", ["exits", "stalls"])
+def test_a_kernel_call_torn_mid_quantum_is_a_typed_error(transport, then,
+                                                         monkeypatch):
+    """A worker that writes half of a KERNEL_CALL frame in a running
+    simulation and then dies is a crash; one that stays silent is a
+    timeout once the worker timeout has passed mid-frame — either way
+    a typed error within the timeout, never a hang."""
+    send = Worker._send
+
+    def torn_send(self, kind, payload):
+        if kind is not FrameKind.KERNEL_CALL:
+            return send(self, kind, payload)
+        blob = encode_frame(kind, payload)
+        self.conn.sock.sendall(struct.pack(">I", len(blob))
+                               + blob[:len(blob) // 2])
+        if then == "stalls":
+            time.sleep(60.0)
+        os._exit(3)
+
+    # Forked workers inherit the patched class.
+    monkeypatch.setattr(Worker, "_send", torn_send)
+    cfg = _config(transport, worker_timeout=1.5, shutdown_timeout=0.5,
+                  backend="mp")
+    expected = WorkerCrashError if then == "exits" else WorkerTimeoutError
+    start = time.monotonic()
+    with pytest.raises(expected, match="worker"):
+        run_simulation(cfg, WorkloadRef("matrix_multiply", 4, 0.05))
+    assert time.monotonic() - start < 2 * cfg.distrib.worker_timeout
 
 
 def test_tcp_handshake_version_mismatch_fails_both_sides():

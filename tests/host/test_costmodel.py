@@ -295,3 +295,57 @@ def test_nothing_is_charged_or_drawn_while_fast_forwarding():
     m.charge_message(Locality.CROSS_MACHINE, 64, True)
     assert not any(m.scheduler.core_time)
     assert rng.getstate() == before
+
+
+# -- event codes: an mp worker's charges, priced in one loop -----------------
+
+
+def _charge_each(m, codes):
+    """The per-event calls ``codes`` stand for, one by one."""
+    for code in codes:
+        if code == 0:
+            m.charge_memory_access()
+        elif code == 1:
+            m.charge_trap()
+        else:
+            m.charge_instructions(code - 2)
+
+
+@settings(max_examples=40, deadline=None)
+@given(seed=st.integers(0, 2 ** 32),
+       sigma=st.sampled_from([0.0, 0.02, 0.1]),
+       spent=st.integers(0, BLOCK - 1),
+       codes=st.lists(st.one_of(st.just(0), st.just(1),
+                                st.integers(2, 4002)),
+                      min_size=BLOCK + 1, max_size=3 * BLOCK),
+       where=st.sampled_from(["quantum", "outside", "fast-forward"]))
+def test_charge_events_equals_the_per_event_charges(seed, sigma, spent,
+                                                    codes, where):
+    """Across at least two jitter blocks, from any point in the first:
+    the factors left, the stream, the open quantum's sum and every
+    core's totals are bit for bit those of one call per event."""
+    observed = []
+    for charge in (_charge_each, HostCostModel.charge_events):
+        rng = random.Random(seed)
+        m = model(jitter=sigma, rng=rng)
+        for _ in range(spent):
+            m.charge_trap()
+        scheduler = m.scheduler
+        scheduler.functional = where == "fast-forward"
+        sums = []
+
+        def run(m=m, charge=charge, sums=sums, scheduler=scheduler):
+            charge(m, codes)
+            sums.append(scheduler._quantum_charge)
+
+        if where == "quantum":
+            scheduler.add_thread(_ChargingTask(run))
+            scheduler.run()
+        else:
+            run()
+        observed.append((sums, list(m._factors), rng.getstate(),
+                         list(scheduler.core_time),
+                         list(scheduler.core_busy)))
+    assert observed[0] == observed[1]
+    if where == "fast-forward":
+        assert len(observed[0][1]) == (BLOCK - spent) % BLOCK

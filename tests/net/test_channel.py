@@ -1,14 +1,22 @@
-"""Channel semantics both carriers must share: framing, EOF, liveness."""
+"""Channel semantics both carriers must share: framing, EOF, liveness.
+
+Both are a stream socket under :mod:`repro.net.frames`: a socketpair to
+a forked child (``PipeChannel``) or TCP (``TcpChannel``), so every
+fault below is run on each."""
 
 from __future__ import annotations
 
-import multiprocessing
 import socket
 import struct
 
 import pytest
 
-from repro.net.channel import ChannelClosedError, PipeChannel, TcpChannel
+from repro.net.channel import (
+    ChannelClosedError,
+    PipeChannel,
+    TcpChannel,
+    fork_child,
+)
 from repro.net.frames import FrameError
 
 
@@ -18,7 +26,7 @@ def _tcp_pair():
 
 
 def _pipe_pair():
-    a, b = multiprocessing.Pipe(duplex=True)
+    a, b = socket.socketpair()
     return PipeChannel(a), PipeChannel(b)
 
 
@@ -101,25 +109,21 @@ def test_send_to_closed_peer_raises_channel_closed(pair):
             left.send_bytes(b"x" * 4096)
 
 
-def test_tcp_partial_frame_then_close_is_channel_closed():
+def test_a_partial_frame_then_close_is_channel_closed(pair):
     """A peer dying mid-frame must not hang or mis-deliver."""
-    a, b = socket.socketpair()
-    channel = TcpChannel(b, peer="victim")
-    a.sendall(struct.pack(">I", 1000) + b"only-forty-bytes-of-it")
-    a.close()
+    left, right = pair
+    left.sock.sendall(struct.pack(">I", 1000) + b"only-forty-bytes-of-it")
+    left.close()
     with pytest.raises(ChannelClosedError, match="closed"):
-        channel.recv_bytes()
-    channel.close()
+        right.recv_bytes()
 
 
-def test_tcp_oversized_frame_is_protocol_violation_not_eof():
-    a, b = socket.socketpair()
-    channel = TcpChannel(b, peer="hostile")
-    a.sendall(struct.pack(">I", 0xFFFFFFF0))
-    with pytest.raises(FrameError):
-        channel.recv_bytes()
-    a.close()
-    channel.close()
+def test_an_oversized_frame_is_protocol_violation_not_eof(pair):
+    left, right = pair
+    left.sock.sendall(struct.pack(">I", 0xFFFFFFF0))
+    with pytest.raises(FrameError) as raised:
+        right.recv_bytes()
+    assert not isinstance(raised.value, ChannelClosedError)
 
 
 def test_tcp_alive_tracks_peer_eof():
@@ -134,11 +138,8 @@ def test_tcp_alive_tracks_peer_eof():
 
 
 def test_pipe_alive_tracks_child_process():
-    parent, child = multiprocessing.Pipe(duplex=True)
-    proc = multiprocessing.get_context("fork").Process(
-        target=lambda conn: conn.recv_bytes(), args=(child,))
-    proc.start()
-    channel = PipeChannel(parent, proc=proc)
+    channel = fork_child(lambda child: child.recv_bytes(), "recv-once")
+    proc = channel.proc
     assert channel.alive()
     assert channel.exitcode() is None
     channel.send_bytes(b"done")
@@ -154,7 +155,30 @@ def test_describe_names_the_transport():
     assert left.describe().startswith("tcp ")
     left.close()
     right.close()
-    a, b = multiprocessing.Pipe()
+    a, b = socket.socketpair()
     assert PipeChannel(a).describe() == "pipe"
     a.close()
     b.close()
+
+
+def _recv_until_eof(channel):
+    try:
+        while True:
+            channel.recv_bytes()
+    except ChannelClosedError:
+        pass
+
+
+def test_a_forked_child_reads_eof_once_its_parent_end_closes():
+    """The child holds no copy of the parent's end, so the end's last
+    descriptor closing — as when the parent is killed, with no
+    ``shutdown`` — is EOF to the child, not a child left waiting."""
+    channel = fork_child(_recv_until_eof, "eof-reader")
+    channel.send_bytes(b"one frame")
+    channel.sock.close()
+    channel.proc.join(timeout=5.0)
+    try:
+        assert channel.exitcode() == 0
+    finally:
+        if channel.proc.is_alive():
+            channel.proc.terminate()
