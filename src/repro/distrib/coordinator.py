@@ -36,7 +36,8 @@ from __future__ import annotations
 import contextlib
 import multiprocessing
 import time
-from typing import Any, Callable, Dict, Iterator, List, Optional, Tuple
+from typing import (TYPE_CHECKING, Any, Callable, Dict, Iterator, List,
+                    Optional, Tuple)
 
 from repro.common import slot_state
 from repro.common.config import SimulationConfig
@@ -65,7 +66,6 @@ from repro.net.channel import (
     ChannelError,
     fork_child,
 )
-from repro.net.listener import NetListener
 from repro.net.rebalance import create_policy
 from repro.host.scheduler import QuantumResult, QuantumStatus, ThreadTask
 from repro.sim.simulator import Simulator
@@ -75,6 +75,9 @@ from repro.telemetry.events import EventCategory
 from repro.transport.message import Message, MessageKind
 from repro.transport.transport import Transport
 from repro.workloads.base import get_workload
+
+if TYPE_CHECKING:  # pragma: no cover - typing only
+    from repro.net.listener import NetListener
 
 #: Seconds between liveness re-checks while waiting on a worker.
 _LIVENESS_TICK = 0.05
@@ -140,6 +143,8 @@ class WorkerCluster:
                       (config, [int(t) for t in tiles], index))
 
     def _start_tcp(self, config: SimulationConfig) -> None:
+        # Loaded here: a run over socketpairs never opens a listener.
+        from repro.net.listener import NetListener
         self.listener = NetListener(
             config.distrib.listen, role="coordinator",
             wire_version=WIRE_VERSION,
