@@ -156,7 +156,8 @@ def test_a_kernel_call_torn_mid_quantum_is_a_typed_error(transport, then,
     start = time.monotonic()
     with pytest.raises(expected, match="worker"):
         run_simulation(cfg, WorkloadRef("matrix_multiply", 4, 0.05))
-    assert time.monotonic() - start < 2 * cfg.distrib.worker_timeout
+    # Long before the stalled worker would wake and exit.
+    assert time.monotonic() - start < 20.0
 
 
 def test_tcp_handshake_version_mismatch_fails_both_sides():
