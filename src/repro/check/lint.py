@@ -41,9 +41,9 @@ These rules encode the repo-specific ways that property gets broken:
     change to the schema requires a ``WIRE_VERSION`` bump (tracked via
     one fingerprint record, refreshed with ``repro check
     --accept-wire-schema``).  The schema includes what dataclasses
-    cannot show: the kernel methods the coordinator serves (names,
-    arities) and the payload shape of every frame a send site builds
-    (:data:`WIRE_DISPATCH_MODULES`).
+    cannot show: the kernel calls the coordinator serves (names,
+    arities, from ``KERNEL_CALLS``) and the payload shape of every
+    frame a send site builds (:data:`WIRE_DISPATCH_MODULES`).
 
 ``P001``–``P003``
     Wire-*protocol* conformance (who may send what, what must be
@@ -97,15 +97,14 @@ SET_ITER_DIRS = MODEL_DIRS + ("distrib", "serve", "net")
 #: ``WIRE_VERSION`` the first defines (its manifest check covers all).
 WIRE_MODULES = ("distrib/wire.py", "serve/protocol.py", "net/handshake.py")
 
-#: Modules whose dispatch shape is wire schema: the coordinator's
-#: handler tables, and the payload shape of every frame a send site
-#: builds — ``FrameKind`` tuples on the mp wire (RUN_QUANTUM,
-#: KERNEL_CALL, KERNEL_REPLY, ...), ``(verb, payload)`` tuples on the
-#: fleet and serve channels.
+#: Modules whose dispatch shape is wire schema: the payload shape of
+#: every frame a send site builds — ``FrameKind`` tuples on the mp wire
+#: (RUN_QUANTUM, KERNEL_CALL, KERNEL_REPLY, ...), ``(verb, payload)``
+#: tuples on the fleet and serve channels.  The kernel calls the
+#: coordinator serves are the first module's ``KERNEL_CALLS`` table.
 WIRE_DISPATCH_MODULES = ("distrib/coordinator.py", "distrib/worker.py",
                          "serve/fleet.py", "serve/client.py",
                          "serve/daemon.py")
-_HANDLER_TABLES = ("_rpc_handlers", "_cast_handlers")
 
 #: The one module allowed to construct random.Random.
 RNG_MODULE = "common/rng.py"
@@ -541,25 +540,16 @@ def _shape(node: ast.AST) -> str:
     return "."
 
 
-def dispatch_rows(tree: ast.Module) -> List[Tuple[str, str, str]]:
-    """A dispatch module's share of the wire schema: each ``(handler
-    table, method, positional arity)``, each ``(frame, "send", payload
-    shape)`` of a ``FrameKind`` send site with a tuple payload, and each
-    ``(verb, "send", shape)`` of a ``(verb, ...)`` frame tuple passed
-    to a call."""
-    arity = {node.name: len(node.args.args) - 1
-             for node in ast.walk(tree) if isinstance(node, ast.FunctionDef)}
+def dispatch_rows(tree: ast.Module, kernel: Sequence[Tuple[str, str, str]]
+                  = ()) -> List[Tuple[str, str, str]]:
+    """A dispatch module's share of the wire schema: each ``(frame,
+    "send", payload shape)`` of a ``FrameKind`` send site with a tuple
+    payload, each ``(verb, "send", shape)`` of a ``(verb, ...)`` frame
+    tuple passed to a call, and — in the module that sends
+    KERNEL_REPLY, the one serving them — the ``kernel`` rows."""
     rows = set()
     for node in ast.walk(tree):
-        if isinstance(node, ast.AnnAssign) and \
-                getattr(node.target, "attr", None) in _HANDLER_TABLES:
-            table = node.target.attr
-            for key, handler in zip(node.value.keys, node.value.values):
-                rows.add((table, key.value, str(
-                    len(handler.args.args)
-                    if isinstance(handler, ast.Lambda)
-                    else arity.get(getattr(handler, "attr", None)))))
-        elif isinstance(node, ast.Call):
+        if isinstance(node, ast.Call):
             for kind, payload in zip(node.args, node.args[1:]):
                 if isinstance(payload, ast.Tuple) and getattr(getattr(
                         kind, "value", None), "id", None) == "FrameKind":
@@ -570,6 +560,8 @@ def dispatch_rows(tree: ast.Module) -> List[Tuple[str, str, str]]:
                         isinstance(frame.elts[0].value, str):
                     rows.add((frame.elts[0].value, "send",
                               "".join(_shape(e) for e in frame.elts[1:])))
+    if any(row[0] == "KERNEL_REPLY" for row in rows):
+        rows.update(kernel)
     return sorted(rows)
 
 
@@ -577,7 +569,7 @@ def wire_fingerprint(tree: ast.Module, siblings: Sequence[ast.Module] = ()
                      ) -> Tuple[str, Optional[int]]:
     """Schema fingerprint of the wire: dataclass fields + types of
     ``tree`` and ``siblings``, plus the :func:`dispatch_rows` of the
-    siblings.
+    siblings, with the ``KERNEL_CALLS`` rows of ``tree``.
 
     Returns ``(fingerprint, wire_version)``; the fingerprint hashes the
     ordered rows so *any* field change — add, remove, rename, retype —
@@ -585,6 +577,7 @@ def wire_fingerprint(tree: ast.Module, siblings: Sequence[ast.Module] = ()
     """
     rows: List[Tuple[str, str, str]] = []
     version: Optional[int] = None
+    kernel: List[Tuple[str, str, str]] = []
     for module in [tree, *siblings]:
         for node in module.body:
             if isinstance(node, ast.Assign) and module is tree:
@@ -593,6 +586,14 @@ def wire_fingerprint(tree: ast.Module, siblings: Sequence[ast.Module] = ()
                             target.id == "WIRE_VERSION" and \
                             isinstance(node.value, ast.Constant):
                         version = int(node.value.value)
+                    elif getattr(target, "id", None) == "KERNEL_CALLS":
+                        # Each row as ``(_{mode}_handlers, name,
+                        # arity)``: the names of the two dispatch dicts
+                        # the table replaced, so the record carries over.
+                        kernel = [(f"_{mode}_handlers", name,
+                                   str(len(arguments)))
+                                  for name, mode, _path, arguments, _reply
+                                  in ast.literal_eval(node.value)]
             if isinstance(node, ast.ClassDef) and _is_dataclass(node):
                 for stmt in node.body:
                     if isinstance(stmt, ast.AnnAssign) and \
@@ -600,7 +601,7 @@ def wire_fingerprint(tree: ast.Module, siblings: Sequence[ast.Module] = ()
                         rows.append((node.name, stmt.target.id,
                                      ast.dump(stmt.annotation)))
     for sibling in siblings:
-        rows.extend(dispatch_rows(sibling))
+        rows.extend(dispatch_rows(sibling, kernel))
     digest = hashlib.sha256(repr(rows).encode("utf-8")).hexdigest()[:16]
     return digest, version
 

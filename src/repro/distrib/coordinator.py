@@ -41,7 +41,7 @@ from typing import (TYPE_CHECKING, Any, Callable, Dict, Iterator, List,
 
 from repro.common import slot_state
 from repro.common.config import SimulationConfig
-from repro.common.ids import ProcessId, ThreadId, TileId
+from repro.common.ids import TileId
 from repro.distrib.errors import (
     DistribError,
     WorkerCrashError,
@@ -56,6 +56,7 @@ from repro.distrib.wire import (
     WorkloadRef,
     decode_frame,
     encode_frame,
+    bind_handlers,
     make_program_ref,
     program_key,
 )
@@ -69,10 +70,9 @@ from repro.net.channel import (
 from repro.net.rebalance import create_policy
 from repro.host.scheduler import QuantumResult, QuantumStatus, ThreadTask
 from repro.sim.simulator import Simulator
-from repro.system.mcp import MCP_TILE
 from repro.telemetry.aggregate import TelemetryBatch, merge_batch
 from repro.telemetry.events import EventCategory
-from repro.transport.message import Message, MessageKind
+from repro.transport.message import Message
 from repro.transport.transport import Transport
 from repro.workloads.base import get_workload
 
@@ -514,7 +514,7 @@ class DistribSimulator(Simulator):
 
     __slots__ = ("_cluster", "_restore_shards", "_owner_at_ckpt",
                  "_drained", "_l1_notes", "_rebalance", "_watchdog",
-                 "_rpc_handlers", "_cast_handlers")
+                 "_kernel_handlers")
 
     def __init__(self, config: SimulationConfig) -> None:
         super().__init__(config)
@@ -547,7 +547,9 @@ class DistribSimulator(Simulator):
         drives: both track *this* fleet's processes, so a restored
         coordinator — which starts a fresh fleet — starts them fresh."""
         super()._arm_boundary()
-        self._build_handler_tables()
+        # The kernel-call handlers are host-side wiring like the stages
+        # (closures cannot cross a snapshot), armed with them.
+        self._kernel_handlers = bind_handlers(self)
         config = self.config
         self._rebalance = create_policy(config)
         self._watchdog = None
@@ -566,52 +568,18 @@ class DistribSimulator(Simulator):
             # watchdog.
             self.scheduler.set_stage("net", 1, self._net_stage)
 
-    def _build_handler_tables(self) -> None:
-        """The kernel dispatch tables: host-side wiring like the stages
-        (their lambdas cannot cross a snapshot), armed with them."""
-        self._rpc_handlers: Dict[str, Callable] = {
-            "memory_read": self._rpc_memory_read,
-            "memory_write": self._rpc_memory_write,
-            "fabric_send": self._rpc_fabric_send,
-            "fabric_transfer": self._rpc_fabric_transfer,
-            "malloc": lambda size, align: self.allocator.malloc(size,
-                                                                align),
-            "free": lambda address: self.allocator.free(address),
-            "futex_wait": lambda a, t: self.mcp.futex.wait(a, TileId(t)),
-            "futex_wake": lambda a, n, c: self.mcp.futex.wake(a, n, c),
-            "barrier_arrive": lambda a, n, t, c: self.mcp.barrier_arrive(
-                a, n, TileId(t), c),
-            "barrier_is_waiting": lambda a, t: self.mcp.barrier_is_waiting(
-                a, TileId(t)),
-            "try_join": lambda t, g: self.mcp.threads.try_join(
-                TileId(t), TileId(g)),
-            "final_clock": lambda g: self.mcp.threads.final_clock(
-                TileId(g)),
-            "syscall": lambda name, args: self.mcp.syscalls.execute(
-                name, args),
-            "spawn_thread": self._rpc_spawn_thread,
-        }
-        self._cast_handlers: Dict[str, Callable] = {
-            "charges": lambda codes: self.cost_model.charge_events(codes),
-            "store_data": lambda t, a, d: self.engine.apply_store(
-                TileId(t), a, d),
-            "thread_finished": lambda t, c: self.thread_finished(
-                TileId(t), c),
-            "wake_scheduler": lambda t: self.wake_scheduler(TileId(t)),
-        }
-
     def _release(self) -> None:
-        """The base cut, plus the kernel dispatch tables: bound methods
-        and lambdas over this simulator.  The fleet and the transport's
-        attachment to it go when :meth:`_fleet` closes, right after."""
+        """The base cut, plus the kernel-call handlers: closures over
+        this simulator.  The fleet and the transport's attachment to it
+        go when :meth:`_fleet` closes, right after."""
         super()._release()
-        self._rpc_handlers = self._cast_handlers = None
+        self._kernel_handlers = None
 
     def __getstate__(self) -> tuple:
         state = slot_state(self)
         state["_cluster"] = None
         state["_restore_shards"] = {}
-        del state["_rpc_handlers"], state["_cast_handlers"]
+        del state["_kernel_handlers"]
         return None, state  # (no __dict__, slots): default restore
 
     @property
@@ -805,35 +773,14 @@ class DistribSimulator(Simulator):
 
     # -- spawning ------------------------------------------------------------
 
-    def spawn_thread(self, program: Any, args: tuple,
-                     parent_tile: Optional[TileId],
-                     parent_clock: int) -> ThreadId:
-        """Spawn protocol, distributed: the interpreter is built in the
-        owning worker from a shipped program reference.
-
-        Mirrors the in-process sequence step for step (same MCP
-        bookkeeping, same LCP hops, same transfer and host charge, and
-        the code region allocated at the same point in global order) so
-        all modelled costs land identically.
-        """
+    def _start_thread(self, tile: TileId, program: Any, args: tuple,
+                      clock: int) -> RemoteTask:
+        """The thread is built in the worker owning ``tile``, from a
+        program reference and a code base allocated here, in order."""
         ref = make_program_ref(program)
-        tile = self.mcp.threads.allocate_tile()
-        self.mcp.threads.register_spawn(tile)
-        process = self.layout.process_of_tile(tile)
-        lcp = self.lcps[ProcessId(int(process))]
-        if not lcp.initialized:
-            lcp.initialize_process()
-        lcp.handle_spawn(tile)
-        self.fabric.transfer(MCP_TILE, tile, MessageKind.SYSTEM, 64,
-                             parent_clock)
-        self.scheduler.charge(self.config.host.thread_spawn_cost)
-        code_base = self._code_base_for(program_key(ref))
-        self.cluster.spawn(tile, ref, args, parent_clock, code_base)
-        task = RemoteTask(self, tile, parent_clock)
-        self.interpreters[tile] = task
-        self.scheduler.add_thread(
-            task, start_host_time=self.scheduler.current_host_time())
-        return ThreadId(int(tile))
+        self.cluster.spawn(tile, ref, args, clock,
+                           self._code_base_for(program_key(ref)))
+        return RemoteTask(self, tile, clock)
 
     # -- the quantum service loop --------------------------------------------
 
@@ -865,7 +812,7 @@ class DistribSimulator(Simulator):
             if kind is FrameKind.KERNEL_CALL:
                 method, args, casts = payload
                 self._apply_casts(casts)
-                value = self._rpc_handlers[method](*args)
+                value = self._kernel_handlers[method](*args)
                 self.cluster.send(worker, FrameKind.KERNEL_REPLY,
                                   (value, self._l1_notes_for(worker)))
             elif kind is FrameKind.KERNEL_CAST:
@@ -879,47 +826,28 @@ class DistribSimulator(Simulator):
                     f"unexpected frame {kind.value} from worker "
                     f"{worker} during a quantum")
 
-    # -- RPC handlers --------------------------------------------------------
+    # -- kernel calls served by a method of this backend -------------------
 
-    def _rpc_memory_read(self, tile: int, address: int, size: int,
-                         timestamp: int, want_line: bool) -> tuple:
+    def memory_read(self, tile: TileId, address: int, size: int,
+                    timestamp: int, want_line: bool) -> tuple:
         """An L1 miss: ``(line bytes, line state, latency)``.  An
         instruction fetch fills a tag only and wants no bytes."""
-        line, latency = self.engine.read_access(TileId(tile), address,
-                                                size, timestamp)
+        line, latency = self.engine.read_access(tile, address, size,
+                                                timestamp)
         return (bytes(line.data) if want_line else None,
                 line.state.value, latency)
 
-    def _rpc_memory_write(self, tile: int, address: int, size: int,
-                          timestamp: int) -> tuple:
+    def memory_write(self, tile: TileId, address: int, size: int,
+                     timestamp: int) -> tuple:
         """An L1D write miss, or a store to a line held S or E."""
-        line, latency = self.engine.write_access(TileId(tile), address,
-                                                 size, timestamp)
+        line, latency = self.engine.write_access(tile, address, size,
+                                                 timestamp)
         return bytes(line.data), line.state.value, latency
-
-    def _rpc_fabric_send(self, src: int, dst: int, kind: str,
-                         payload: Any, size_bytes: int, timestamp: int,
-                         tag: Optional[int]) -> None:
-        self.fabric.send(TileId(src), TileId(dst), MessageKind(kind),
-                         payload, size_bytes, timestamp, tag)
-
-    def _rpc_fabric_transfer(self, src: int, dst: int, kind: str,
-                             size_bytes: int, timestamp: int) -> int:
-        return self.fabric.transfer(TileId(src), TileId(dst),
-                                    MessageKind(kind), size_bytes,
-                                    timestamp)
-
-    def _rpc_spawn_thread(self, ref: Any, args: tuple, parent_tile: int,
-                          parent_clock: int) -> int:
-        return int(self.spawn_thread(ref, args, TileId(parent_tile),
-                                     parent_clock))
-
-    # -- cast handlers -------------------------------------------------------
 
     def _apply_casts(self, casts: List[tuple]) -> None:
         """Apply the casts a frame carried, in the order they were
         issued, before the frame's own work."""
-        handlers = self._cast_handlers
+        handlers = self._kernel_handlers
         for method, args in casts:
             handlers[method](*args)
 

@@ -14,16 +14,24 @@ the workload registry on the far side) or a :class:`PickledProgram`
 (for module-level functions, e.g. the per-thread workers the workloads
 spawn).  Both expose ``resolve()``, the duck-typed protocol
 :meth:`repro.sim.simulator.Simulator.spawn_thread` already honors.
+
+Last, it declares the *kernel calls* — every call a tile makes into
+shared state — once, in :data:`KERNEL_CALLS`, and builds each binding
+of them from that table: the worker's framing methods, the
+coordinator's handlers and the in-process simulator's flat methods.
 """
 
 from __future__ import annotations
 
 import enum
+import functools
 import pickle
 from dataclasses import dataclass, field
 from typing import Any, Callable, Dict, Tuple
 
+from repro.common.ids import ThreadId, TileId
 from repro.distrib.errors import ProgramTransportError, WireFormatError
+from repro.transport.message import MessageKind
 
 #: Bump on any incompatible change to frame payloads or pickling.
 #: v2: TELEMETRY / COLLECT_TELEMETRY frames (event + histogram
@@ -247,3 +255,98 @@ def program_key(ref: Any) -> bytes:
     same code base, mirroring the in-process ``id(program)`` keying.
     """
     return pickle.dumps(ref, protocol=PICKLE_PROTOCOL)
+
+
+# -- kernel calls ------------------------------------------------------------
+
+#: How a value crosses the mp wire, by codec letter: the expressions
+#: that encode it where it is sent and decode it where it arrives
+#: (arguments go worker -> coordinator, replies back).
+CODECS: Dict[str, Tuple[Any, Any]] = {
+    ".": ("{}", "{}"),                     # plain data, as is
+    "t": ("int({})", "TileId({})"),        # TileId <-> int
+    "k": ("{}.value", "MessageKind({})"),  # MessageKind <-> its value
+    "p": ("make_program_ref({})", "{}"),   # program -> reference
+    "h": ("int({})", "ThreadId({})"),      # ThreadId <-> int
+    "-": (None, None),                     # the reply is dropped
+}
+
+#: Every call a tile makes into shared state, declared once:
+#: ``(name, mode, path, arguments, reply)``.  An ``rpc`` waits for its
+#: reply, a ``cast`` rides the next frame; ``path`` is the simulator
+#: attribute that serves it; one codec letter per argument, and one
+#: for the reply.  Names and arities enter the W001 fingerprint.
+KERNEL_CALLS = (
+    ("memory_read", "rpc", "memory_read", "t....", "."),
+    ("memory_write", "rpc", "memory_write", "t...", "."),
+    ("fabric_send", "rpc", "fabric.send", "ttk....", "-"),
+    ("fabric_transfer", "rpc", "fabric.transfer", "ttk..", "."),
+    ("malloc", "rpc", "allocator.malloc", "..", "."),
+    ("free", "rpc", "allocator.free", ".", "."),
+    ("futex_wait", "rpc", "mcp.futex.wait", ".t", "."),
+    ("futex_wake", "rpc", "mcp.futex.wake", "...", "."),
+    ("barrier_arrive", "rpc", "mcp.barrier_arrive", "..t.", "."),
+    ("barrier_is_waiting", "rpc", "mcp.barrier_is_waiting", ".t", "."),
+    ("try_join", "rpc", "mcp.threads.try_join", "tt", "."),
+    ("final_clock", "rpc", "mcp.threads.final_clock", "t", "."),
+    ("syscall", "rpc", "mcp.syscalls.execute", "..", "."),
+    ("spawn_thread", "rpc", "spawn_thread", "p.t.", "h"),
+    ("charges", "cast", "cost_model.charge_events", ".", "-"),
+    ("store_data", "cast", "engine.apply_store", "t..", "-"),
+    ("thread_finished", "cast", "thread_finished", "t.", "-"),
+    ("wake_scheduler", "cast", "wake_scheduler", "t", "-"),
+)
+
+
+@functools.lru_cache(maxsize=None)
+def _compiled(role: str) -> Dict[str, Any]:
+    """What the table generates for ``role``, compiled once per process
+    as :mod:`dataclasses` compiles the methods it writes: a slotted
+    base class of ``worker`` methods that encode and frame each call,
+    or of ``inproc`` methods forwarding each row served by a dotted
+    path; or one ``bind(sim)`` returning a ``coordinator`` handler per
+    row."""
+    if role == "coordinator":
+        source = "def bind(sim):\n"
+    else:
+        source = f"class {role.title()}KernelCalls:\n    __slots__ = ()\n"
+    for name, mode, path, arguments, reply in KERNEL_CALLS:
+        params = [f"a{i}" for i in range(len(arguments))]
+        if role == "worker":
+            sent = ", ".join(CODECS[letter][0].format(param)
+                             for letter, param in zip(arguments, params))
+            call = f'self._worker.{mode}("{name}", ({sent},))'
+            head, wrap = ["self", *params], CODECS[reply][1]
+        elif role == "coordinator":
+            served = ", ".join(CODECS[letter][1].format(param)
+                               for letter, param in zip(arguments, params))
+            call, head, wrap = f"sim.{path}({served})", params, \
+                CODECS[reply][0]
+        elif "." in path:
+            call = f"self.{path}({', '.join(params)})"
+            head, wrap = ["self", *params], "{}"
+        else:
+            continue  # served in process by the simulator's own method
+        body = call if wrap is None else "return " + wrap.format(call)
+        source += f"    def {name}({', '.join(head)}):\n        {body}\n"
+    if role == "coordinator":
+        source += "    return {%s}\n" % ", ".join(
+            f'"{row[0]}": {row[0]}' for row in KERNEL_CALLS)
+    namespace = {"__name__": __name__, "TileId": TileId,
+                 "ThreadId": ThreadId, "MessageKind": MessageKind,
+                 "make_program_ref": make_program_ref}
+    exec(compile(source, f"<kernel calls: {role}>", "exec"), namespace)
+    return namespace
+
+
+def kernel_calls_base(role: str) -> type:
+    """The ``worker`` or ``inproc`` base class of a kernel."""
+    return _compiled(role)[f"{role.title()}KernelCalls"]
+
+
+def bind_handlers(sim: Any) -> Dict[str, Callable[..., Any]]:
+    """The coordinator's handler of every row, by name: a closure over
+    ``sim`` that looks the serving attribute up per call (so profiler
+    and tracer patches on the model classes see it), the one Python
+    frame between the dispatch loop and the model."""
+    return _compiled("coordinator")["bind"](sim)

@@ -35,7 +35,7 @@ import traceback
 from typing import Any, List, Optional
 
 from repro.common.config import SimulationConfig
-from repro.common.ids import ThreadId, TileId
+from repro.common.ids import TileId
 from repro.common.stats import StatGroup
 from repro.distrib.errors import WireFormatError
 from repro.distrib.shard import ShardQueues
@@ -45,6 +45,7 @@ from repro.distrib.wire import (
     ShardCheckpoint,
     decode_frame,
     encode_frame,
+    kernel_calls_base,
 )
 from repro.frontend.interpreter import ThreadInterpreter
 from repro.memory.address import AddressSpace
@@ -82,21 +83,20 @@ class _RemoteL2:
 
     def read_access(self, tile: TileId, address: int, size: int,
                     timestamp: int) -> tuple:
-        return self._line(address, self._kernel.rpc(
-            "memory_read", (int(tile), address, size, timestamp, True)))
+        return self._line(address, self._kernel.memory_read(
+            tile, address, size, timestamp, True))
 
     def write_access(self, tile: TileId, address: int, size: int,
                      timestamp: int) -> tuple:
-        return self._line(address, self._kernel.rpc(
-            "memory_write", (int(tile), address, size, timestamp)))
+        return self._line(address, self._kernel.memory_write(
+            tile, address, size, timestamp))
 
     def fetch_access(self, tile: TileId, pc: int, timestamp: int) -> int:
-        return self._kernel.rpc(
-            "memory_read", (int(tile), pc, 4, timestamp, False))[2]
+        return self._kernel.memory_read(tile, pc, 4, timestamp, False)[2]
 
     def forward_store(self, tile: TileId, address: int,
                       data: bytes) -> None:
-        self._kernel.cast("store_data", (int(tile), address, data))
+        self._kernel.store_data(tile, address, data)
 
 
 class _ControllerTable(dict):
@@ -135,9 +135,8 @@ class _NetIfProxy:
     def send(self, dst: TileId, payload: Any = None,
              kind: MessageKind = MessageKind.USER, size_bytes: int = 8,
              timestamp: int = 0, tag: Optional[int] = None) -> None:
-        return self._kernel.rpc("fabric_send",
-                                (int(self.tile), int(dst), kind.value,
-                                 payload, size_bytes, timestamp, tag))
+        self._kernel.fabric_send(self.tile, dst, kind, payload, size_bytes,
+                                 timestamp, tag)
 
     def poll(self, kind: MessageKind) -> Optional[Message]:
         return self._kernel.queues.poll(self.tile, kind)
@@ -150,96 +149,23 @@ class _NetIfProxy:
         return self._kernel.queues.pending(self.tile, kind)
 
 
-class _FabricProxy:
-    __slots__ = ("_kernel",)
-
-    def __init__(self, kernel: "KernelProxy") -> None:
-        self._kernel = kernel
-
-    def interface(self, tile: TileId) -> _NetIfProxy:
-        return _NetIfProxy(self._kernel, tile)
-
-    def transfer(self, src: TileId, dst: TileId, kind: MessageKind,
-                 size_bytes: int, timestamp: int) -> int:
-        if self._kernel.exec_functional:
-            return 0  # as the fabric itself would answer, minus the RPC
-        return self._kernel.rpc("fabric_transfer",
-                                (int(src), int(dst), kind.value,
-                                 size_bytes, timestamp))
+class _Retired:
+    """What a per-service stand-in the kernel-call table retired loads
+    as from an older shard, under the names below: nothing, as
+    :meth:`KernelProxy.__setstate__` drops the slots that held one."""
 
 
-class _AllocatorProxy:
-    __slots__ = ("_kernel",)
-
-    def __init__(self, kernel: "KernelProxy") -> None:
-        self._kernel = kernel
-
-    def malloc(self, size: int, align: int = 8) -> int:
-        return self._kernel.rpc("malloc", (size, align))
-
-    def free(self, address: int) -> None:
-        return self._kernel.rpc("free", (address,))
+_FabricProxy = _AllocatorProxy = _McpProxy = _Retired
+_FutexProxy = _ThreadsProxy = _SyscallsProxy = _Retired
 
 
-class _FutexProxy:
-    __slots__ = ("_kernel",)
-
-    def __init__(self, kernel: "KernelProxy") -> None:
-        self._kernel = kernel
-
-    def wait(self, address: int, tile: TileId) -> None:
-        return self._kernel.rpc("futex_wait", (address, int(tile)))
-
-    def wake(self, address: int, count: int, clock: int) -> int:
-        return self._kernel.rpc("futex_wake", (address, count, clock))
-
-
-class _ThreadsProxy:
-    __slots__ = ("_kernel",)
-
-    def __init__(self, kernel: "KernelProxy") -> None:
-        self._kernel = kernel
-
-    def try_join(self, tile: TileId, target: TileId) -> Optional[int]:
-        return self._kernel.rpc("try_join", (int(tile), int(target)))
-
-    def final_clock(self, target: TileId) -> Optional[int]:
-        return self._kernel.rpc("final_clock", (int(target),))
-
-
-class _SyscallsProxy:
-    __slots__ = ("_kernel",)
-
-    def __init__(self, kernel: "KernelProxy") -> None:
-        self._kernel = kernel
-
-    def execute(self, name: str, args: tuple) -> Any:
-        return self._kernel.rpc("syscall", (name, args))
-
-
-class _McpProxy:
-    def __init__(self, kernel: "KernelProxy") -> None:
-        self._kernel = kernel
-        self.futex = _FutexProxy(kernel)
-        self.threads = _ThreadsProxy(kernel)
-        self.syscalls = _SyscallsProxy(kernel)
-
-    def barrier_arrive(self, address: int, total: int, tile: TileId,
-                       clock: int) -> Optional[int]:
-        return self._kernel.rpc("barrier_arrive",
-                                (address, total, int(tile), clock))
-
-    def barrier_is_waiting(self, address: int, tile: TileId) -> bool:
-        return self._kernel.rpc("barrier_is_waiting",
-                                (address, int(tile)))
-
-
-class KernelProxy:
-    """The kernel object handed to this worker's interpreters."""
+class KernelProxy(kernel_calls_base("worker")):
+    """The kernel object handed to this worker's interpreters: its
+    kernel calls (:data:`~repro.distrib.wire.KERNEL_CALLS`) are framed
+    to the coordinator, the rest is local."""
 
     __slots__ = ("_worker", "config", "exec_functional", "stats", "queues",
-                 "telemetry", "engine", "controllers", "fabric",
-                 "allocator", "mcp", "_pending_code_base", "_code_bases")
+                 "telemetry", "engine", "controllers")
 
     def __init__(self, worker: "Worker",
                  config: SimulationConfig) -> None:
@@ -247,7 +173,7 @@ class KernelProxy:
         self.config = config
         #: The mode of the quantum being run (:mod:`repro.sample`), as
         #: its RUN_QUANTUM frame named it: read by the interpreter, the
-        #: L1 controllers' host charge and the proxies below.
+        #: L1 controllers' host charge and ``fabric_transfer``.
         self.exec_functional = False
         self.stats = StatGroup("sim")
         self.queues = worker.queues
@@ -256,23 +182,22 @@ class KernelProxy:
         self.telemetry = create_bus(config.telemetry, with_sinks=False)
         self.engine = _RemoteL2(self)
         self.controllers = _ControllerTable(self)
-        self.fabric = _FabricProxy(self)
-        self.allocator = _AllocatorProxy(self)
-        self.mcp = _McpProxy(self)
-        #: Code base shipped in the SPAWN frame currently being handled;
-        #: consumed by the interpreter's single ``code_base`` call.
-        self._pending_code_base: Optional[int] = None
-        self._code_bases: dict = {}
 
-    # -- channel plumbing ----------------------------------------------------
+    def __setstate__(self, state: tuple) -> None:
+        # (An older shard's proxy holds slots this class no longer has.)
+        for name, value in state[1].items():
+            if name in KernelProxy.__slots__:
+                setattr(self, name, value)
 
-    def rpc(self, method: str, args: tuple) -> Any:
-        return self._worker.rpc(method, args)
+    def interface(self, tile: TileId) -> _NetIfProxy:
+        return _NetIfProxy(self, tile)
 
-    def cast(self, method: str, args: tuple) -> None:
-        self._worker.cast(method, args)
-
-    # -- kernel interface ----------------------------------------------------
+    def fabric_transfer(self, src: TileId, dst: TileId, kind: MessageKind,
+                        size_bytes: int, timestamp: int) -> int:
+        if self.exec_functional:
+            return 0  # as the fabric itself would answer, minus the RPC
+        return super().fabric_transfer(src, dst, kind, size_bytes,
+                                       timestamp)
 
     def charge_memory_access(self) -> None:
         if not self.exec_functional:
@@ -285,29 +210,6 @@ class KernelProxy:
     def charge_instructions(self, count: int) -> None:
         if not self.exec_functional:
             self._worker._charges.append(count + 2)
-
-    def code_base(self, program: Any) -> int:
-        base = self._code_bases.get(id(program))
-        if base is None:
-            base = self._pending_code_base
-            assert base is not None, "code_base outside a SPAWN frame"
-            self._pending_code_base = None
-            self._code_bases[id(program)] = base
-        return base
-
-    def spawn_thread(self, program: Any, args: tuple, parent_tile: TileId,
-                     parent_clock: int) -> ThreadId:
-        from repro.distrib.wire import make_program_ref
-        child = self.rpc("spawn_thread",
-                         (make_program_ref(program), args,
-                          int(parent_tile), parent_clock))
-        return ThreadId(child)
-
-    def thread_finished(self, tile: TileId, final_clock: int) -> None:
-        self.cast("thread_finished", (int(tile), final_clock))
-
-    def wake_scheduler(self, tile: TileId) -> None:
-        self.cast("wake_scheduler", (int(tile),))
 
 
 class Worker:
@@ -450,16 +352,13 @@ class Worker:
         This handler must not issue RPCs: it can run while the
         coordinator is busy servicing *another* worker's quantum, in
         which case nobody would answer.  Everything the interpreter
-        constructor needs — including the synthetic code base the
-        in-process backend would allocate on demand — arrives in the
-        frame.
+        constructor needs — the synthetic code base the coordinator
+        allocated for the program included — arrives in the frame.
         """
         tile, ref, args, start_clock, code_base = payload
         program = ref.resolve() if hasattr(ref, "resolve") else ref
-        self.kernel._pending_code_base = code_base
         interpreter = ThreadInterpreter(self.kernel, TileId(tile), program,
-                                        tuple(args),
-                                        start_clock=start_clock)
+                                        tuple(args), start_clock, code_base)
         if hasattr(ref, "resolve"):
             interpreter.program_ref = ref
         self.interpreters[tile] = interpreter
@@ -546,11 +445,8 @@ class Worker:
 
     def _rewire(self, kernel: KernelProxy) -> None:
         """Point an unpickled kernel proxy at this worker: the backref
-        was excised by the snapshot pickler, and its program-id cache
-        is dropped (object ids do not survive a process boundary)."""
+        was excised by the snapshot pickler."""
         kernel._worker = self
-        kernel._code_bases = {}
-        kernel._pending_code_base = None
 
     def _handle_adopt(self, blob: bytes) -> None:
         """Merge a migrated shard into this worker's own (wire v5).

@@ -76,7 +76,7 @@ class ThreadInterpreter(ThreadTask):
                  "_ckpt_log", "_log_values")
 
     def __init__(self, kernel: Any, tile: TileId, program: Any,
-                 args: tuple = (), start_clock: int = 0) -> None:
+                 args: tuple, start_clock: int, code_base: int) -> None:
         self.kernel = kernel
         self.tile = tile
         self.program = program
@@ -98,7 +98,7 @@ class ThreadInterpreter(ThreadTask):
         self._sanitizers = getattr(kernel, "sanitizers", None)
         self.core.clock.forward_to(start_clock)
         self.memory = kernel.controllers[int(tile)]
-        self.netif = kernel.fabric.interface(tile)
+        self.netif = kernel.interface(tile)
         self.context = ThreadContext(ThreadId(int(tile)),
                                      kernel.config.num_tiles)
         self.generator = program(self.context, *args)
@@ -111,7 +111,7 @@ class ThreadInterpreter(ThreadTask):
         #: Value returned by the program generator, if any.
         self.result: Any = None
         self._fetch_cursor = 0
-        self._code_base = kernel.code_base(program)
+        self._code_base = code_base
         self._model_ifetch = kernel.config.memory.l1i.enabled
         self._l1i_hit_latency = kernel.config.memory.l1i.access_latency
         #: Replay log for checkpoint/restore: every value handed to
@@ -340,12 +340,12 @@ class ThreadInterpreter(ThreadTask):
     def _op_malloc(self, op: ops.Malloc, core: Any) -> int:
         core.clock.advance(MALLOC_CYCLES)
         self.kernel.charge_trap()
-        return self.kernel.allocator.malloc(op.size, op.align)
+        return self.kernel.malloc(op.size, op.align)
 
     def _op_free(self, op: ops.Free, core: Any) -> None:
         core.clock.advance(FREE_CYCLES)
         self.kernel.charge_trap()
-        self.kernel.allocator.free(op.address)
+        self.kernel.free(op.address)
 
     # -- messaging -----------------------------------------------------------------------------
 
@@ -406,14 +406,14 @@ class ThreadInterpreter(ThreadTask):
         # and sleep until an unlock wakes us.
         self._system_round_trip(core)
         core.clock.advance(SYSCALL_TRAP_CYCLES)
-        self.kernel.mcp.futex.wait(op.address, self.tile)
+        self.kernel.futex_wait(op.address, self.tile)
         return _BLOCK
 
     def _op_unlock(self, op: ops.Unlock, core: Any) -> None:
         latency = self.memory.store(op.address, bytes(8), core.cycles)
         core.execute_memory(_STORE, op.address, 8, latency)
         self.kernel.charge_instructions(2)
-        woken = self.kernel.mcp.futex.wake(op.address, 1, core.cycles)
+        woken = self.kernel.futex_wake(op.address, 1, core.cycles)
         if woken:
             self._system_round_trip(core)
 
@@ -421,7 +421,7 @@ class ThreadInterpreter(ThreadTask):
         if not op.registered:
             self._rmw_lock_word(op.address, core)
             self._system_round_trip(core)
-            release = self.kernel.mcp.barrier_arrive(
+            release = self.kernel.barrier_arrive(
                 op.address, op.participants, self.tile, core.cycles)
             op.registered = True
             if release is None:
@@ -431,7 +431,7 @@ class ThreadInterpreter(ThreadTask):
                 PseudoKind.SYNC, time=release))
             return None
         # Retried after a wake: released unless we are still registered.
-        if self.kernel.mcp.barrier_is_waiting(op.address, self.tile):
+        if self.kernel.barrier_is_waiting(op.address, self.tile):
             return _BLOCK
         op.registered = False
         return None
@@ -449,7 +449,7 @@ class ThreadInterpreter(ThreadTask):
         if not op.registered:
             self._system_round_trip(core)
             core.clock.advance(JOIN_CYCLES)
-            final = self.kernel.mcp.threads.try_join(self.tile, target)
+            final = self.kernel.try_join(self.tile, target)
             op.registered = True
             if final is None:
                 return _BLOCK
@@ -457,7 +457,7 @@ class ThreadInterpreter(ThreadTask):
             core.execute_pseudo(PseudoInstruction(
                 PseudoKind.SYNC, time=final))
             return None
-        final = self.kernel.mcp.threads.final_clock(target)
+        final = self.kernel.final_clock(target)
         if final is None:
             return _BLOCK  # spurious wake; child still running
         op.registered = False
@@ -469,7 +469,7 @@ class ThreadInterpreter(ThreadTask):
         self._system_round_trip(core)
         core.clock.advance(SYSCALL_TRAP_CYCLES)
         self.kernel.charge_trap()
-        return self.kernel.mcp.syscalls.execute(op.name, op.args)
+        return self.kernel.syscall(op.name, op.args)
 
     # -- helpers -------------------------------------------------------------------------------------------
 
@@ -477,9 +477,9 @@ class ThreadInterpreter(ThreadTask):
         """A control round trip to the MCP over the system network."""
         from repro.system.mcp import MCP_TILE
         clock = core.cycles
-        out = self.kernel.fabric.transfer(self.tile, MCP_TILE,
+        out = self.kernel.fabric_transfer(self.tile, MCP_TILE,
                                           MessageKind.SYSTEM, 32, clock)
-        self.kernel.fabric.transfer(MCP_TILE, self.tile,
+        self.kernel.fabric_transfer(MCP_TILE, self.tile,
                                     MessageKind.SYSTEM, 32, clock + out)
 
     _HANDLERS = {

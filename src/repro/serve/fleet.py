@@ -45,6 +45,10 @@ from repro.serve.worker import JobPreempted, run_job
 #: Seconds allowed for orderly worker shutdown before termination.
 _SHUTDOWN_GRACE = 2.0
 
+#: Seconds a supervisor waits for the rest of a frame a worker has
+#: begun before it gives the worker up (its job is requeued).
+_FRAME_STALL_S = 30.0
+
 
 def _post(channel: Channel, frame: tuple) -> None:
     """Best-effort send of one ``(verb, payload)`` frame tuple: a peer
@@ -71,6 +75,7 @@ class FleetSlot:
                  respawn: Optional[Callable[[], Channel]] = None) -> None:
         self.index = index
         self.channel = channel
+        channel.bound_frame_reads(_FRAME_STALL_S)
         self.respawn = respawn
         self.job: Any = None
         #: A preempt frame is in flight for the current job.
@@ -88,6 +93,7 @@ class FleetSlot:
         """Replace a dead forked child; the slot comes back idle."""
         self.channel.close()
         self.channel = self.respawn()
+        self.channel.bound_frame_reads(_FRAME_STALL_S)
         self.job = None
         self.preempt_pending = False
 
@@ -124,6 +130,16 @@ class FleetSlot:
             kind, payload = decode_frame(self.channel.recv_bytes())
         except ChannelClosedError:
             return None  # death: the supervisor's alive() pass sees it
+        except ChannelError:
+            # Stalled part-way through a frame: give the worker up, and
+            # the supervisor's alive() pass requeues its job.
+            proc = self.channel.proc
+            if proc is not None:
+                proc.terminate()
+                proc.join(timeout=1.0)
+            else:
+                self.channel.close()
+            return None
         if kind != "result":
             raise ChannelError(f"fleet worker {self.index} spoke "
                                f"{kind!r}, expected a result")

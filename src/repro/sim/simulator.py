@@ -17,7 +17,8 @@ from repro.common.ids import ProcessId, ThreadId, TileId
 from repro.common.rng import RngStreams
 from repro.common.stats import StatGroup
 from repro.distrib.errors import ProgramTransportError
-from repro.distrib.wire import make_program_ref, program_key
+from repro.distrib.wire import (kernel_calls_base, make_program_ref,
+                                program_key)
 from repro.frontend.interpreter import ThreadInterpreter
 from repro.host.cluster import ClusterLayout
 from repro.host.costmodel import HostCostModel
@@ -47,8 +48,9 @@ if TYPE_CHECKING:
 _CODE_REGION_BYTES = 64 * 1024
 
 
-class Simulator:
-    """One fully wired simulation instance."""
+class Simulator(kernel_calls_base("inproc")):
+    """One fully wired simulation instance; as the kernel, it serves
+    each row of :data:`~repro.distrib.wire.KERNEL_CALLS` as a method."""
 
     # The kernel the interpreters read per op, so slotted like them.
     __slots__ = ("config", "rngs", "stats", "layout", "telemetry",
@@ -322,10 +324,8 @@ class Simulator:
     def spawn_thread(self, program: Callable[..., Any], args: tuple,
                      parent_tile: Optional[TileId],
                      parent_clock: int) -> ThreadId:
-        """The spawn protocol: caller -> MCP -> owning LCP -> new thread."""
-        ref = program if hasattr(program, "resolve") else None
-        if ref is not None:
-            program = ref.resolve()
+        """The spawn protocol: caller -> MCP -> owning LCP -> new thread,
+        which :meth:`_start_thread` starts where the backend runs it."""
         tile = self.mcp.threads.allocate_tile()
         self.mcp.threads.register_spawn(tile)
         process = self.layout.process_of_tile(tile)
@@ -337,15 +337,24 @@ class Simulator:
         self.fabric.transfer(MCP_TILE, tile, MessageKind.SYSTEM, 64,
                              parent_clock)
         self.scheduler.charge(self.config.host.thread_spawn_cost)
-        interpreter = ThreadInterpreter(self, tile, program, args,
-                                        start_clock=parent_clock)
+        task = self._start_thread(tile, program, args, parent_clock)
+        self.interpreters[tile] = task
+        self.scheduler.add_thread(
+            task, start_host_time=self.scheduler.current_host_time())
+        return ThreadId(int(tile))
+
+    def _start_thread(self, tile: TileId, program: Any, args: tuple,
+                      clock: int) -> Any:
+        """The new thread's scheduler task: an interpreter in this
+        process, which keeps a program reference for snapshots."""
+        ref = program if hasattr(program, "resolve") else None
+        if ref is not None:
+            program = ref.resolve()
+        interpreter = ThreadInterpreter(self, tile, program, args, clock,
+                                        self.code_base(program))
         if ref is not None:
             interpreter.program_ref = ref
-        self.interpreters[tile] = interpreter
-        self.scheduler.add_thread(
-            interpreter,
-            start_host_time=self.scheduler.current_host_time())
-        return ThreadId(int(tile))
+        return interpreter
 
     def thread_finished(self, tile: TileId, final_clock: int) -> None:
         self.mcp.threads.on_thread_exit(tile, final_clock)
@@ -354,6 +363,10 @@ class Simulator:
         """Poke a possibly-blocked thread to re-check its condition."""
         if tile in self.interpreters:
             self.scheduler.wake(tile)
+
+    def interface(self, tile: TileId):
+        """Tile ``tile``'s endpoint on the network fabric."""
+        return self.fabric.interface(tile)
 
     # -- internal hooks -------------------------------------------------------------
 

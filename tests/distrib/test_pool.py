@@ -4,6 +4,9 @@ from __future__ import annotations
 
 import os
 import signal
+import struct
+import threading
+import time
 
 import pytest
 
@@ -15,6 +18,7 @@ from repro.distrib.errors import (
 )
 from repro.distrib.pool import run_jobs
 from repro.distrib.wire import WorkloadRef
+from repro.serve import fleet
 from repro.sim.experiment import repeat_runs, sweep
 
 REF = WorkloadRef("matrix_multiply", nthreads=2, scale=0.05)
@@ -269,3 +273,42 @@ def test_pooled_runs_each_write_their_own_trace(tmp_path, run):
         repeat_runs(configs[0], REF, runs=2, workers=2)
     assert sorted(os.listdir(tmp_path)) == ["sweep.run0.jsonl",
                                             "sweep.run1.jsonl"]
+
+
+def test_pool_requeues_the_job_of_a_child_stalled_mid_result(tmp_path,
+                                                            monkeypatch):
+    """A child that stops part-way through its result frame is given up
+    after the fleet's frame bound: its job reruns on a fresh child and
+    the sweep completes, where the pool used to block on the missing
+    bytes for good."""
+    marker = str(tmp_path / "stalled-once")
+    post = fleet._post
+
+    def stall_once(channel, frame):
+        # Children inherit this: the first result any of them sends is
+        # torn and the child stalls; every other frame goes as usual.
+        if frame[0] == "result":
+            try:
+                os.close(os.open(marker, os.O_CREAT | os.O_EXCL))
+            except FileExistsError:
+                pass
+            else:
+                channel.sock.sendall(struct.pack(">I", 1000) + b"half")
+                time.sleep(60.0)
+        post(channel, frame)
+
+    monkeypatch.setattr(fleet, "_post", stall_once)
+    monkeypatch.setattr(fleet, "_FRAME_STALL_S", 0.5, raising=False)
+    configs = _configs(3)
+    jobs = [(config, REF, ()) for config in configs]
+    outcome = []
+    sweep_thread = threading.Thread(
+        target=lambda: outcome.append(run_jobs(jobs, workers=2)),
+        daemon=True)
+    sweep_thread.start()
+    sweep_thread.join(timeout=30.0)
+    assert not sweep_thread.is_alive(), "the pool hung on a torn result"
+    assert os.path.exists(marker), "no child ever stalled"
+    serial = [run_jobs([job], workers=1)[0] for job in jobs]
+    assert [r.simulated_cycles for r in outcome[0]] \
+        == [r.simulated_cycles for r in serial]

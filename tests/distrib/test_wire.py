@@ -174,11 +174,12 @@ def test_previous_wire_version_is_refused_at_both_gates():
 
 
 def test_kernel_dispatch_change_without_bump_is_w001(tmp_path):
-    """The handler tables and the payload shapes of the frames either
+    """The kernel-call table and the payload shapes of the frames either
     wire builds — the quantum loop's ``FrameKind`` tuples, the fleet's
     and the serve client's ``(verb, payload)`` tuples — are wire
-    schema: reshaping one under the committed ``WIRE_VERSION`` is a
-    W001 finding on ``distrib/wire.py``."""
+    schema: renaming a row, adding an argument to one or reshaping a
+    frame under the committed ``WIRE_VERSION`` is a W001 finding on
+    ``distrib/wire.py``."""
     import shutil
     from repro.check.lint import lint_file, package_root
 
@@ -195,8 +196,12 @@ def test_kernel_dispatch_change_without_bump_is_w001(tmp_path):
 
     assert w001("same", "distrib/coordinator.py", "Coordinator: ",
                 "Coordinator:  ") == []
-    assert w001("renamed", "distrib/coordinator.py",
-                '"memory_read": self.', '"memory_load": self.') == ["W001"]
+    assert w001("renamed", "distrib/wire.py",
+                '("memory_read", "rpc"', '("memory_load", "rpc"') \
+        == ["W001"]
+    assert w001("reshaped_row", "distrib/wire.py",
+                '"fabric.transfer", "ttk.."', '"fabric.transfer", "ttk..."') \
+        == ["W001"]
     assert w001("reshaped", "distrib/worker.py",
                 "(method, args, self._take_casts())",
                 "(method, args)") == ["W001"]

@@ -13,13 +13,18 @@ import contextlib
 import multiprocessing
 import os
 import signal
+import socket
+import struct
+import threading
 import time
 
 import pytest
 
 from repro.common.config import TelemetryConfig
 from repro.distrib.wire import WIRE_VERSION, WorkloadRef
+from repro.net.channel import TcpChannel, fork_child
 from repro.net.listener import NetListener, connect_worker
+from repro.serve import fleet
 from repro.serve.fleet import FleetSlot, run_fleet_child
 from repro.serve.store import canonical_result_bytes
 from tests.serve.test_daemon import (
@@ -221,3 +226,52 @@ def test_stale_preempt_does_not_leak_into_the_next_job(carrier):
         assert (job_id, status) == ("second", "ok"), result
         assert canonical_result_bytes(result) == _direct_bytes(
             6, "matrix_multiply", 1.0)
+
+
+def _half_a_result_then_sleep(channel) -> None:
+    """A fleet child that takes its job, writes the first bytes of a
+    result frame and stalls."""
+    channel.recv_bytes()
+    channel.sock.sendall(struct.pack(">I", 1000) + b"half a result")
+    time.sleep(60.0)
+
+
+@pytest.mark.parametrize("carrier", CARRIERS)
+def test_a_result_stalled_mid_frame_gives_the_worker_up(carrier,
+                                                       monkeypatch):
+    """A worker that stops part-way through a result frame costs the
+    supervisor the frame bound, not the pump: ``take_result`` returns
+    ``None`` and the slot reads dead, which is what the daemon's reaper
+    and the pool requeue a job on."""
+    monkeypatch.setattr(fleet, "_FRAME_STALL_S", 0.5, raising=False)
+    peer = None
+    if carrier == "pipe":
+        slot = FleetSlot(0, fork_child(_half_a_result_then_sleep,
+                                       "test-fleet-stall"))
+    else:  # a dial-in's shape: a socket and no process behind it
+        mine, peer = socket.socketpair()
+        slot = FleetSlot(0, TcpChannel(mine, "test peer"))
+    try:
+        slot.assign("stalled", ("stalled", None, None, (), None))
+        if peer is not None:
+            peer.sendall(struct.pack(">I", 1000) + b"half a result")
+        assert slot.channel.poll(10.0)
+        taken = []
+        reader = threading.Thread(
+            target=lambda: taken.append(slot.take_result()), daemon=True)
+        start = time.monotonic()
+        reader.start()
+        reader.join(timeout=10.0)
+        assert not reader.is_alive(), "take_result hung on a torn frame"
+        assert time.monotonic() - start < 5.0
+        assert taken == [None]
+        assert not slot.alive()
+        assert slot.job == "stalled"  # for the supervisor to requeue
+    finally:
+        proc = slot.channel.proc
+        if proc is not None and proc.is_alive():
+            proc.terminate()
+            proc.join(timeout=5.0)
+        slot.channel.close()
+        if peer is not None:
+            peer.close()

@@ -9,6 +9,13 @@ they resume here is the check that the ``repro.ckpt/4`` format did not
 move.  A change to a pickled shape keeps these loading, or bumps the
 format and ships the old format's loader; a model change re-pins
 ``digests.json`` as it re-pins the bench digests.
+
+The mp checkpoint's shard was pickled before the kernel-call table
+(``repro.distrib.wire.KERNEL_CALLS``) replaced the worker's
+per-service stand-ins: it still names them and the ``KernelProxy``
+slots that held them.  ``repro.distrib.worker`` keeps those class
+names loadable, as a class that holds nothing, and
+``KernelProxy.__setstate__`` drops the slots the class no longer has.
 """
 
 import json
