@@ -121,8 +121,7 @@ def drive(simulator: Any, start: Callable[[], Any]) -> Tuple[Any, Any]:
         attempt += 1
         if attempt > config.ckpt.max_restarts:
             raise failure
-        delay = (config.ckpt.backoff_base
-                 * config.ckpt.backoff_factor ** (attempt - 1))
+        delay = config.ckpt.backoff_base * 2 ** (attempt - 1)
         time.sleep(delay)
         try:
             restored, manifest = load_checkpoint(config.ckpt.dir,

@@ -506,8 +506,7 @@ def _command_worker(args: argparse.Namespace) -> int:
         bus = create_bus(telemetry)
         if telemetry.flight_dir:
             from repro.obs.flight import arm_flight_recorder
-            bus, flight = arm_flight_recorder(bus,
-                                              telemetry.flight_events)
+            bus, flight = arm_flight_recorder(bus)
     ops = None
     if bus is not None:
         from repro.telemetry.events import EventCategory

@@ -63,6 +63,23 @@ PREFIX_IRRELEVANT_SECTIONS = ("core", "network", "sample")
 #: host process — with traffic over pipes.
 EXECUTION_BACKENDS = ("inproc", "mp")
 
+#: Fields deleted from the config, by dotted name, with what each
+#: became.  Checkpoints, library manifests and serve submissions carry
+#: the whole config dict of the code that wrote them, so
+#: :meth:`SimulationConfig.from_dict` drops exactly these keys, each in
+#: its own section, and still rejects any other unknown key.  To retire
+#: a field, add its row here and delete the field: the committed corpus
+#: (``tests/corpus/``) keeps the old keys and is the test.
+RETIRED_FIELDS: Dict[str, str] = {
+    "distrib.straggler_fraction": "no straggler watchdog; the rebalance "
+                                  "policy reads the busy signal",
+    "distrib.rebalance_threshold": "SlowestWorkerPolicy's threshold, 4.0",
+    "telemetry.trace_format": "chrome for a .json trace path, else jsonl",
+    "telemetry.flight_events": "a flight ring of 256 events",
+    "ckpt.backoff_factor": "the restart delay doubles per attempt",
+    "profile.top_n": "12 subsystem rows",
+}
+
 
 def content_key(payload: Any) -> str:
     """sha256 (hex) of ``payload``'s canonical JSON: one key in every
@@ -396,19 +413,12 @@ class DistribConfig:
     rebalance: str = "off"
     #: Scheduler turns between policy evaluations.
     rebalance_every: int = 8
-    #: Busy-time ratio (slowest/fastest) that triggers a drain.
-    rebalance_threshold: float = 4.0
     #: Scripted drain: at this scheduler turn, migrate one worker's
     #: shard away (0 = never).  Deterministic hook for tests and the
     #: CI migration smoke; independent of the rebalance policy.
     drain_turn: int = 0
     #: Worker index to drain at ``drain_turn`` (-1 = highest index).
     drain_worker: int = -1
-    #: Straggler watchdog (:mod:`repro.obs.watchdog`): emit a
-    #: ``straggler.warn`` telemetry event when a worker's interval
-    #: ``quantum.run`` rate falls below this fraction of the fleet
-    #: median (the signal ``rebalance="slowest"`` acts on).  0 = off.
-    straggler_fraction: float = 0.0
 
     def migration_capable(self) -> bool:
         """Can this run ever migrate a shard between workers?
@@ -425,9 +435,9 @@ class DistribConfig:
             or self.drain_turn > 0)
 
     def needs_worker_busy_signal(self) -> bool:
-        """True when something consumes per-worker ``quantum.run``
-        self-time: the rebalance policy or the straggler watchdog."""
-        return self.rebalance != "off" or self.straggler_fraction > 0
+        """True when the rebalance policy consumes per-worker
+        ``quantum.run`` self-time."""
+        return self.rebalance != "off"
 
     def validate(self) -> None:
         _require(self.backend in EXECUTION_BACKENDS,
@@ -451,23 +461,14 @@ class DistribConfig:
                  f"{self.rebalance!r} (choose from ('off', 'slowest'))")
         _require(self.rebalance_every > 0,
                  "distrib: rebalance_every must be positive")
-        _require(self.rebalance_threshold >= 1.0,
-                 "distrib: rebalance_threshold must be >= 1.0")
         _require(self.drain_turn >= 0,
                  "distrib: drain_turn must be >= 0")
-        _require(0.0 <= self.straggler_fraction <= 1.0,
-                 "distrib: straggler_fraction must be in [0, 1]")
         if self.transport == "tcp":
             from repro.net.listener import parse_address
             try:
                 parse_address(self.listen)
             except ValueError as exc:
                 _require(False, f"distrib: {exc}")
-
-
-#: Trace file formats (see :mod:`repro.telemetry`): ``auto`` infers
-#: chrome for ``.json`` paths and jsonl otherwise.
-TRACE_FORMATS = ("auto", "jsonl", "chrome")
 
 
 @dataclass
@@ -485,10 +486,9 @@ class TelemetryConfig:
     #: Event categories to record; names from
     #: :class:`repro.telemetry.events.EventCategory` or ``"all"``.
     events: List[str] = field(default_factory=lambda: ["all"])
-    #: Trace output file; ``None`` keeps events in memory only.
+    #: Trace output file; ``None`` keeps events in memory only.  A
+    #: ``.json`` path gets a Chrome trace, any other JSON lines.
     trace_path: Optional[str] = None
-    #: Output format: ``auto`` | ``jsonl`` | ``chrome``.
-    trace_format: str = "auto"
     #: Metrics-registry snapshot cadence in scheduler turns; 0 disables.
     metrics_interval: int = 0
     #: mp backend: worker flushes its event batch to the coordinator
@@ -503,34 +503,21 @@ class TelemetryConfig:
     span_parent: str = ""
     #: Crash flight recorder (:mod:`repro.obs.flight`): directory to
     #: dump forensics bundles into when a worker crashes or a protocol
-    #: error kills a connection ("" = recorder off), and the ring
-    #: capacity in events.  Works with telemetry otherwise disabled —
-    #: the recorder rides a mask-0 bus as an observer, so the recorded
-    #: trace and the simulated results are unchanged either way.
+    #: error kills a connection ("" = recorder off).  Works with
+    #: telemetry otherwise disabled — the recorder rides a mask-0 bus
+    #: as an observer, so the recorded trace and the simulated results
+    #: are unchanged either way.
     flight_dir: str = ""
-    flight_events: int = 256
-
-    def resolved_trace_format(self) -> str:
-        if self.trace_format != "auto":
-            return self.trace_format
-        if self.trace_path and str(self.trace_path).endswith(".json"):
-            return "chrome"
-        return "jsonl"
 
     def events_include(self, name: str) -> bool:
         """Whether the requested category set covers ``name``."""
         return "all" in self.events or name in self.events
 
     def validate(self) -> None:
-        _require(self.trace_format in TRACE_FORMATS,
-                 f"telemetry: unknown trace format {self.trace_format!r} "
-                 f"(choose from {TRACE_FORMATS})")
         _require(self.metrics_interval >= 0,
                  "telemetry: metrics_interval must be >= 0")
         _require(self.batch_events >= 1,
                  "telemetry: batch_events must be >= 1")
-        _require(self.flight_events >= 1,
-                 "telemetry: flight_events must be >= 1")
         # Resolves category names; raises ConfigError on unknown ones.
         from repro.telemetry.events import parse_event_mask
         parse_event_mask(self.events)
@@ -552,11 +539,9 @@ class ProfileConfig:
 
     #: Enable host profiling (CLI ``--profile``).
     enabled: bool = False
-    #: Subsystem rows kept in rendered reports and bench trajectories.
-    top_n: int = 12
 
     def validate(self) -> None:
-        _require(self.top_n >= 1, "profile: top_n must be >= 1")
+        pass
 
 
 @dataclass
@@ -593,8 +578,8 @@ class CkptConfig:
     Under the mp backend a checkpoint is a *coordinated* one (every
     worker acknowledges a CHECKPOINT barrier before the snapshot
     commits), and a crashed worker triggers restore-and-resume from
-    the last consistent checkpoint with exponential backoff, up to
-    ``max_restarts`` attempts.
+    the last consistent checkpoint, the delay doubling per attempt, up
+    to ``max_restarts`` attempts.
     """
 
     #: Checkpoint directory; ``None`` disables the subsystem entirely.
@@ -607,8 +592,6 @@ class CkptConfig:
     max_restarts: int = 3
     #: First restart delay in seconds; doubles per subsequent attempt.
     backoff_base: float = 0.05
-    #: Multiplier applied to the backoff delay after every attempt.
-    backoff_factor: float = 2.0
 
     @property
     def enabled(self) -> bool:
@@ -621,8 +604,6 @@ class CkptConfig:
                  "ckpt: max_restarts must be >= 0")
         _require(self.backoff_base >= 0.0,
                  "ckpt: backoff_base must be >= 0")
-        _require(self.backoff_factor >= 1.0,
-                 "ckpt: backoff_factor must be >= 1")
         _require(self.every == 0 or self.dir is not None,
                  "ckpt: periodic checkpointing (every > 0) needs dir")
 
@@ -771,51 +752,38 @@ class SimulationConfig:
 
     @classmethod
     def from_dict(cls, data: Mapping[str, Any]) -> "SimulationConfig":
-        """Build a config from nested dicts, applying defaults elsewhere."""
+        """Build a config from nested dicts, applying defaults elsewhere.
 
-        def build(klass: type, section: Mapping[str, Any]) -> Any:
-            names = {f.name for f in dataclasses.fields(klass)}
-            unknown = set(section) - names
+        A key named in :data:`RETIRED_FIELDS` is dropped; any other key
+        that is not a field raises :class:`ConfigError`.
+        """
+
+        def build(klass: type, path: str, section: Mapping[str, Any]) -> Any:
+            types = {f.name: f.type for f in dataclasses.fields(klass)}
+            kwargs: Dict[str, Any] = {}
+            unknown = []
+            for key, value in section.items():
+                name = f"{path}{key}"
+                if key not in types:
+                    if name not in RETIRED_FIELDS:
+                        unknown.append(key)
+                    continue
+                # A nested section's annotation names its class here.
+                nested = globals().get(types[key])
+                if dataclasses.is_dataclass(nested):
+                    value = build(nested, f"{name}.", value)
+                kwargs[key] = value
             if unknown:
                 raise ConfigError(
                     f"{klass.__name__}: unknown keys {sorted(unknown)}")
-            return klass(**dict(section))
+            return klass(**kwargs)
 
         data = dict(data)
         if "tile_core_overrides" in data:
             data["tile_core_overrides"] = {
                 int(tile): dict(overrides) for tile, overrides
                 in data["tile_core_overrides"].items()}
-        sections: Dict[str, Tuple[type, ...]] = {
-            "core": (CoreConfig,),
-            "network": (NetworkConfig,),
-            "sync": (SyncConfig,),
-            "host": (HostConfig,),
-            "dram": (DramConfig,),
-            "distrib": (DistribConfig,),
-            "telemetry": (TelemetryConfig,),
-            "check": (CheckConfig,),
-            "profile": (ProfileConfig,),
-            "ckpt": (CkptConfig,),
-            "sample": (SampleConfig,),
-        }
-        kwargs: Dict[str, Any] = {}
-        for key, value in data.items():
-            if key == "memory":
-                mem = dict(value)
-                mkwargs: Dict[str, Any] = {}
-                for ck in ("l1i", "l1d", "l2"):
-                    if ck in mem:
-                        mkwargs[ck] = build(CacheConfig, mem.pop(ck))
-                if "dram" in mem:
-                    mkwargs["dram"] = build(DramConfig, mem.pop("dram"))
-                mkwargs.update(mem)
-                kwargs["memory"] = MemoryConfig(**mkwargs)
-            elif key in sections:
-                kwargs[key] = build(sections[key][0], value)
-            else:
-                kwargs[key] = value
-        config = cls(**kwargs)
+        config = build(cls, "", data)
         config.validate()
         return config
 

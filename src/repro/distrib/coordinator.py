@@ -513,7 +513,7 @@ class DistribSimulator(Simulator):
     """Simulator whose tile threads execute in forked worker processes."""
 
     __slots__ = ("_cluster", "_restore_shards", "_owner_at_ckpt",
-                 "_drained", "_l1_notes", "_rebalance", "_watchdog",
+                 "_drained", "_l1_notes", "_rebalance",
                  "_kernel_handlers")
 
     def __init__(self, config: SimulationConfig) -> None:
@@ -552,20 +552,13 @@ class DistribSimulator(Simulator):
         self._kernel_handlers = bind_handlers(self)
         config = self.config
         self._rebalance = create_policy(config)
-        self._watchdog = None
-        if config.distrib.straggler_fraction > 0:
-            from repro.obs.watchdog import StragglerWatchdog
-            self._watchdog = StragglerWatchdog(
-                self._channel(EventCategory.OBS),
-                config.distrib.straggler_fraction)
         if (config.distrib.backend == "mp"
                 and (config.distrib.transport == "tcp"
                      or config.distrib.migration_capable()
                      or config.distrib.needs_worker_busy_signal())):
             # Membership and migration act strictly between quanta:
             # the stage polls for dial-ins, fires the scripted drain,
-            # and evaluates the rebalance policy and the straggler
-            # watchdog.
+            # and evaluates the rebalance policy.
             self.scheduler.set_stage("net", 1, self._net_stage)
 
     def _release(self) -> None:
@@ -581,6 +574,14 @@ class DistribSimulator(Simulator):
         state["_restore_shards"] = {}
         del state["_kernel_handlers"]
         return None, state  # (no __dict__, slots): default restore
+
+    def __setstate__(self, state: tuple) -> None:
+        _dict, slots = state
+        # A snapshot written before the straggler watchdog was retired
+        # holds its slot.
+        slots.pop("_watchdog", None)
+        for name, value in slots.items():
+            setattr(self, name, value)
 
     @property
     def cluster(self) -> WorkerCluster:
@@ -695,16 +696,9 @@ class DistribSimulator(Simulator):
                 and turn >= distrib.drain_turn):
             self._drained = True
             self._scripted_drain(cluster, channel)
-        watchdog = self._watchdog
-        if ((self._rebalance is not None or watchdog is not None)
+        if (self._rebalance is not None
                 and turn % distrib.rebalance_every == 0):
-            # One host-stats sweep feeds both consumers of the
-            # per-worker busy signal.
-            busy = cluster.quantum_busy_ns()
-            if watchdog is not None:
-                watchdog.observe(busy, turn=turn)
-            if self._rebalance is not None:
-                self._policy_drain(cluster, channel, busy)
+            self._policy_drain(cluster, channel, cluster.quantum_busy_ns())
 
     def _scripted_drain(self, cluster: WorkerCluster, channel) -> None:
         """Deterministic drain (``--drain-turn``): one worker's shard

@@ -247,9 +247,8 @@ class Worker:
         #: Worker-side host profiler, or ``None``.  Under ``--profile``
         #: it times the ``worker`` table of
         #: :mod:`repro.profile.instrument`; a migration-capable run
-        #: (or one with a straggler watchdog) that is not profiled
-        #: still brackets ``quantum.run`` alone, the per-worker busy
-        #: signal the rebalance policy and the watchdog feed on.
+        #: that is not profiled still brackets ``quantum.run`` alone,
+        #: the per-worker busy signal the rebalance policy feeds on.
         self.profiler = create_profiler(config.profile)
         role = "worker"
         if self.profiler is None and (
@@ -606,7 +605,6 @@ def run_connected_worker(channel, welcome=None) -> None:
     simulation than the one it agreed to join.
     """
     from repro.net.channel import ChannelClosedError
-    from repro.net.handshake import HandshakeError
     try:
         kind, payload = decode_frame(channel.recv_bytes())
         if kind is not FrameKind.HELLO:
@@ -614,6 +612,7 @@ def run_connected_worker(channel, welcome=None) -> None:
         config, tiles, index = payload
         worker = Worker(channel, index, config, tiles)
         if welcome is not None:
+            from repro.net.handshake import HandshakeError
             if welcome.config_fingerprint and \
                     config.content_hash() != welcome.config_fingerprint:
                 raise HandshakeError(

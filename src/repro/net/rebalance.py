@@ -76,6 +76,5 @@ class SlowestWorkerPolicy:
 def create_policy(config) -> Optional[SlowestWorkerPolicy]:
     """Build the policy named by ``config.distrib.rebalance``."""
     if config.distrib.rebalance == "slowest":
-        return SlowestWorkerPolicy(
-            threshold=config.distrib.rebalance_threshold)
+        return SlowestWorkerPolicy()
     return None

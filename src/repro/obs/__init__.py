@@ -13,9 +13,6 @@ the low-level event bus).  Three pieces, all zero-overhead when off:
 * :mod:`repro.obs.flight` — a bounded ring buffer of recent telemetry
   events and wire-frame summaries, dumped as a forensics bundle when a
   worker crashes or a protocol error kills a connection.
-* :mod:`repro.obs.watchdog` — the straggler watchdog that WARNs when a
-  worker's interval ``quantum.run`` rate falls below a fraction of the
-  fleet median (the same signal ``SlowestWorkerPolicy`` rebalances on).
 
 Everything here is host-side and purely observational: span events,
 metrics scrapes and flight dumps never touch simulated state, so

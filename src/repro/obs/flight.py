@@ -103,7 +103,7 @@ class FlightRecorder:
         return path
 
 
-def arm_flight_recorder(bus: Any, capacity: int) -> tuple:
+def arm_flight_recorder(bus: Any) -> tuple:
     """Attach a :class:`FlightRecorder` observing every category to
     ``bus`` — a mask-0 bus that records nothing when there is none.
     Returns ``(bus, recorder)``.  Arm before any channel is resolved:
@@ -112,7 +112,7 @@ def arm_flight_recorder(bus: Any, capacity: int) -> tuple:
     from repro.telemetry.events import ALL_CATEGORIES
     if bus is None:
         bus = TelemetryBus(0)
-    recorder = FlightRecorder(capacity)
+    recorder = FlightRecorder()
     bus.observe(recorder.on_event, ALL_CATEGORIES)
     return bus, recorder
 

@@ -108,7 +108,7 @@ _WORKER: Tuple[Row, ...] = (
 #: What each kind of process times.  ``inproc`` and ``mp`` are the
 #: ``distrib.backend`` of the simulator that runs; ``worker.busy`` —
 #: ``quantum.run`` alone — is the mp worker of an unprofiled run that
-#: still owes the rebalance policy or the watchdog its busy signal.
+#: still owes the rebalance policy its busy signal.
 TABLES = {"inproc": _MODELS, "mp": _MODELS + _COORDINATOR,
           "worker": _WORKER, "worker.busy": _WORKER[:1]}
 

@@ -145,8 +145,7 @@ class SimServer:
         self._flight_dir = ""
         if telemetry is not None and telemetry.flight_dir:
             from repro.obs.flight import arm_flight_recorder
-            self.bus, self.flight = arm_flight_recorder(
-                self.bus, telemetry.flight_events)
+            self.bus, self.flight = arm_flight_recorder(self.bus)
             self._flight_dir = telemetry.flight_dir
 
         self._channel = (self.bus.channel(EventCategory.SERVE)

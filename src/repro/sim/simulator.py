@@ -195,7 +195,7 @@ class Simulator(kernel_calls_base("inproc")):
         if config.telemetry.flight_dir:
             from repro.obs.flight import arm_flight_recorder
             self.telemetry, self.flight = arm_flight_recorder(
-                self.telemetry, config.telemetry.flight_events)
+                self.telemetry)
 
         # Run-level span (:mod:`repro.obs.spans`): when a trace id was
         # propagated into this config (e.g. by the serve daemon at job
@@ -524,8 +524,7 @@ class Simulator(kernel_calls_base("inproc")):
             from repro.profile.report import build_profile
             self.host_profile = build_profile(
                 self.profiler, result, self.config.distrib.backend,
-                worker_scopes=self._worker_host_scopes,
-                top_n=self.config.profile.top_n)
+                worker_scopes=self._worker_host_scopes)
         return result
 
     def _release(self) -> None:

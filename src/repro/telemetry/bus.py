@@ -157,8 +157,7 @@ def create_bus(config: "TelemetryConfig",
     if with_sinks and config.trace_path:
         from repro.telemetry.chrome import ChromeTraceSink
         from repro.telemetry.sinks import JsonlTraceSink
-        fmt = config.resolved_trace_format()
-        if fmt == "chrome":
+        if str(config.trace_path).endswith(".json"):
             bus.subscribe(ChromeTraceSink(config.trace_path))
         else:
             bus.subscribe(JsonlTraceSink(config.trace_path))

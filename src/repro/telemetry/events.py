@@ -42,9 +42,8 @@ class EventCategory(enum.IntFlag):
     #: Multi-host membership (:mod:`repro.net`): worker.joined,
     #: worker.left, worker.migrated (live shard migration).
     NET = 0x400
-    #: Observability spans and warnings (:mod:`repro.obs`):
-    #: span.begin/span.end/span.note with trace context, plus the
-    #: straggler watchdog's straggler.warn.
+    #: Observability spans (:mod:`repro.obs`): span.begin/span.end/
+    #: span.note with trace context.
     OBS = 0x800
     #: Checkpoint-accelerated sampling (:mod:`repro.sample`): execution
     #: mode switches, fast-forward completion, measurement windows,

@@ -5,7 +5,9 @@ import math
 
 import pytest
 
+from repro.common import config as config_module
 from repro.common.config import (
+    RETIRED_FIELDS,
     CacheConfig,
     CoreConfig,
     DramConfig,
@@ -194,6 +196,66 @@ class TestSerialisation:
         data = SimulationConfig().to_dict()
         assert isinstance(data, dict)
         assert not dataclasses.is_dataclass(data["memory"])
+
+
+def _leaf_names(klass: type, prefix: str = "") -> set:
+    """Dotted names of every leaf field under ``klass``."""
+    names = set()
+    for f in dataclasses.fields(klass):
+        nested = getattr(config_module, f.type, None)
+        if dataclasses.is_dataclass(nested):
+            names |= _leaf_names(nested, f"{prefix}{f.name}.")
+        else:
+            names.add(prefix + f.name)
+    return names
+
+
+def _put(data: dict, name: str, value) -> None:
+    """Set dotted ``name`` in nested ``data``, making sections."""
+    *sections, key = name.split(".")
+    for section in sections:
+        data = data.setdefault(section, {})
+    data[key] = value
+
+
+class TestRetiredFields:
+    """``RETIRED_FIELDS`` lets a deleted field's key still load."""
+
+    def test_a_retired_key_is_dropped_in_its_own_section(self):
+        data = SimulationConfig().to_dict()
+        for name in RETIRED_FIELDS:
+            _put(data, name, "a value no live field would accept")
+        assert SimulationConfig.from_dict(data).to_dict() \
+            == SimulationConfig().to_dict()
+
+    @pytest.mark.parametrize("name", sorted(RETIRED_FIELDS))
+    def test_the_same_name_in_another_section_still_raises(self, name):
+        own, key = name.rsplit(".", 1)
+        for section in ("core.", "sync.", "memory.l2.", ""):
+            assert section != own + "."
+            data: dict = {}
+            _put(data, section + key, 1)
+            with pytest.raises(ConfigError, match=key):
+                SimulationConfig.from_dict(data)
+
+    @pytest.mark.parametrize("data", [
+        {"bogus": 1},
+        {"profile": {"bogus": 1}},
+        {"memory": {"bogus": 1}},
+        {"memory": {"dram": {"bogus": 1}}},
+        {"distrib": {"straggler_fraction": 0.0, "bogus": 1}},
+    ])
+    def test_an_unknown_key_still_raises(self, data):
+        with pytest.raises(ConfigError, match="bogus"):
+            SimulationConfig.from_dict(data)
+
+    def test_no_retired_name_is_a_live_field(self):
+        live = _leaf_names(SimulationConfig)
+        assert not set(RETIRED_FIELDS) & live
+        # ... and each names a live section, or its row could never match.
+        sections = {name.rsplit(".", 1)[0] for name in live}
+        for name in RETIRED_FIELDS:
+            assert name.rsplit(".", 1)[0] in sections, name
 
 
 class TestContentHash:

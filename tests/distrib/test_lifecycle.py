@@ -120,3 +120,59 @@ def test_failed_run_does_not_leak_workers():
     with pytest.raises(ZeroDivisionError):
         sim.run(_failing_program)
     assert sim._cluster is None  # run() tore the cluster down
+
+
+#: Runs a 2-worker pipe simulation with an import hook installed before
+#: anything forks.  A process appends its pid to ``argv[1]`` when it
+#: imports ``repro.net.handshake``, and each worker its pid to
+#: ``argv[2]`` as it starts serving.
+_HANDSHAKE_SPY = """
+import os
+import sys
+
+seen, served = sys.argv[1:3]
+
+
+class Spy:
+    def find_spec(self, name, path=None, target=None):
+        if name == "repro.net.handshake":
+            with open(seen, "a") as handle:
+                handle.write(f"{os.getpid()}\\n")
+        return None
+
+
+sys.meta_path.insert(0, Spy())
+from repro.common.config import SimulationConfig
+from repro.distrib import coordinator
+from repro.distrib.wire import WorkloadRef
+from repro.sim.runner import run_simulation
+
+serve = coordinator.run_connected_worker
+
+
+def counted(channel, welcome=None):
+    with open(served, "a") as handle:
+        handle.write(f"{os.getpid()}\\n")
+    serve(channel, welcome)
+
+
+coordinator.run_connected_worker = counted
+cfg = SimulationConfig(num_tiles=4, seed=5)
+cfg.host.num_machines = 2
+cfg.host.cores_per_machine = 2
+cfg.distrib.backend = "mp"
+run_simulation(cfg, WorkloadRef("fft", 4, 0.05))
+"""
+
+
+def test_a_pipe_run_imports_no_handshake(tmp_path):
+    """Only a TCP worker has a welcome to check: forked pipe workers
+    (and their coordinator) never load ``repro.net.handshake``."""
+    import subprocess
+    seen, served = tmp_path / "seen", tmp_path / "served"
+    src = os.path.join(os.path.dirname(__file__), "..", "..", "src")
+    subprocess.run([sys.executable, "-c", _HANDSHAKE_SPY, str(seen),
+                    str(served)], check=True, timeout=120,
+                   env=dict(os.environ, PYTHONPATH=src))
+    assert len(set(served.read_text().split())) == 2
+    assert not seen.exists(), seen.read_text()

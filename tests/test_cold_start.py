@@ -45,7 +45,7 @@ UNUSED_MODULES = (
     "repro.distrib.coordinator", "repro.distrib.pool",
     "repro.telemetry.chrome", "repro.telemetry.sinks",
     "repro.telemetry.registry", "repro.telemetry.skew",
-    "repro.profile.report", "repro.frontend.trace",
+    "repro.profile.report",
     "repro.core.ooo_model", "repro.memory.miss_classifier")
 KERNELS = {f"repro.workloads.{module}"
            for module in KERNEL_MODULES.values()}

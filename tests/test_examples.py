@@ -23,11 +23,6 @@ class TestExamples:
         out = run_example("custom_workload.py", capsys)
         assert "all jobs accounted for: True" in out
 
-    def test_trace_replay(self, capsys):
-        out = run_example("trace_replay.py", capsys)
-        assert "captured" in out
-        assert "out-of-order core" in out
-
     def test_network_exploration(self, capsys):
         out = run_example("network_exploration.py", capsys)
         assert "mesh_contention" in out
