@@ -27,9 +27,9 @@ import io
 import pickle
 import sys
 import types
-from typing import Any, Tuple
+from typing import Any, BinaryIO, Tuple
 
-from repro.common.errors import CheckpointError
+from repro.common.errors import CheckpointError, SnapshotWriteError
 
 #: Classes serialized as ``None`` ("disabled"), by dotted location.
 #: Looked up lazily in ``sys.modules`` so snapshotting never imports a
@@ -66,7 +66,7 @@ def _excised_types() -> Tuple[type, ...]:
 class SnapshotPickler(pickle.Pickler):
     """Pickler that excises unpicklable host-side objects to ``None``."""
 
-    def __init__(self, file: io.BytesIO) -> None:
+    def __init__(self, file: BinaryIO) -> None:
         super().__init__(file, protocol=pickle.HIGHEST_PROTOCOL)
         self._excised = _excised_types()
 
@@ -78,20 +78,32 @@ class SnapshotPickler(pickle.Pickler):
         return NotImplemented
 
 
-def snapshot_bytes(obj: Any) -> bytes:
-    """Serialize ``obj`` (a simulator or shard dict) to snapshot bytes.
+def snapshot_to(obj: Any, file: BinaryIO) -> None:
+    """Serialize ``obj`` (a simulator or shard dict) into ``file``.
 
+    The pickle is written frame by frame as it is built (protocol 5
+    frames, ~64 KiB), so no copy of the whole snapshot is ever held.
     Observational: the graph's values are only read, and no instance
     ``__dict__`` is materialised (on CPython 3.11/3.12 that slows every
     later attribute read on the instance): the model classes keep their
     fields in ``__slots__`` and every ``__getstate__`` reads those,
-    through :func:`repro.common.slot_state`.
+    through :func:`repro.common.slot_state`.  A failed write raises
+    :class:`SnapshotWriteError`, anything else :class:`CheckpointError`.
     """
-    buffer = io.BytesIO()
     try:
-        SnapshotPickler(buffer).dump(obj)
+        SnapshotPickler(file).dump(obj)
+    except OSError as exc:
+        raise SnapshotWriteError(
+            exc.errno,
+            f"cannot write snapshot: {exc.strerror or exc}") from exc
     except Exception as exc:
         raise CheckpointError(f"cannot snapshot state: {exc}") from exc
+
+
+def snapshot_bytes(obj: Any) -> bytes:
+    """:func:`snapshot_to` into memory: the snapshot as one blob."""
+    buffer = io.BytesIO()
+    snapshot_to(obj, buffer)
     return buffer.getvalue()
 
 

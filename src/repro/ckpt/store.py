@@ -26,7 +26,8 @@ import itertools
 import json
 import os
 import shutil
-from typing import Any, Dict, List, Optional, Tuple, Type
+from typing import Any, BinaryIO, Callable, Dict, List, Optional, Tuple, \
+    Type, Union
 
 from repro.common.errors import CheckpointError
 
@@ -38,6 +39,10 @@ _LATEST = "LATEST"
 _PREFIX = "ckpt-"
 
 _STAGES = itertools.count()  # no two stages of one process share a name
+
+#: What an entry's file holds: its bytes, or a function that writes
+#: them to the file it is given (a snapshot streamed as it is pickled).
+Blob = Union[bytes, Callable[[BinaryIO], None]]
 
 
 # -- entries ------------------------------------------------------------------
@@ -101,19 +106,43 @@ def amend_manifest(entry: str, fields: Dict[str, Any]) -> None:
     _dump_manifest(entry, manifest)
 
 
-def stage_entry(root: str, key: str, blobs: Dict[str, bytes],
+class _HashingWriter:
+    """A binary file's ``write`` that hashes and counts what it writes,
+    so a blob's manifest line needs no second pass over its bytes."""
+
+    __slots__ = ("_write", "_sha256", "_size")
+
+    def __init__(self, handle: BinaryIO) -> None:
+        self._write = handle.write
+        self._sha256 = hashlib.sha256()
+        self._size = 0
+
+    def write(self, data: Any) -> Optional[int]:
+        self._sha256.update(data)
+        self._size += memoryview(data).nbytes
+        return self._write(data)
+
+    def meta(self) -> Dict[str, Any]:
+        """The blob's manifest line: ``{"sha256", "size"}``."""
+        return {"sha256": self._sha256.hexdigest(), "size": self._size}
+
+
+def stage_entry(root: str, key: str, blobs: Dict[str, Blob],
                 fields: Dict[str, Any]) -> str:
-    """A stage holding ``blobs`` (file name -> bytes) and a manifest of
-    ``fields`` plus their checksums; a write that raises leaves no
-    stage behind."""
+    """A stage holding ``blobs`` (file name -> :data:`Blob`) and a
+    manifest of ``fields`` plus their checksums; a write that raises
+    leaves no stage behind."""
     stage = make_stage(root, key)
     try:
         files: Dict[str, Dict[str, Any]] = {}
         for name, blob in sorted(blobs.items()):
             with open(os.path.join(stage, name), "wb") as handle:
-                handle.write(blob)
-            files[name] = {"sha256": hashlib.sha256(blob).hexdigest(),
-                           "size": len(blob)}
+                writer = _HashingWriter(handle)
+                if callable(blob):
+                    blob(writer)
+                else:
+                    writer.write(blob)
+            files[name] = writer.meta()
         _dump_manifest(stage, {**fields, "files": files})
     except BaseException:
         shutil.rmtree(stage, ignore_errors=True)
@@ -200,21 +229,31 @@ def list_entries(root: str) -> List[str]:
 class CheckpointStore:
     """Reads and writes checkpoints under one root directory."""
 
-    def __init__(self, root: str, keep: int = 2) -> None:
+    def __init__(self, root: str, keep: int = 2,
+                 config: Optional[Dict[str, Any]] = None) -> None:
         self.root = root
         self.keep = max(int(keep), 1)
+        #: The run's config as :meth:`~repro.common.config.
+        #: SimulationConfig.to_dict` gives it, made once when the run is
+        #: armed and written into every manifest.
+        self.config = config
+
+    def __getstate__(self) -> Dict[str, Any]:
+        """Root and policy only: a restored run is armed with its own
+        store, config dict and all."""
+        return {"root": self.root, "keep": self.keep}
 
     # -- writing --------------------------------------------------------------
 
-    def write(self, turn: int, backend: str, config: Any,
-              blobs: Dict[str, bytes]) -> str:
+    def write(self, turn: int, backend: str,
+              blobs: Dict[str, Blob]) -> str:
         """Commit one checkpoint atomically; returns its directory."""
         name = f"{_PREFIX}{turn:08d}"
         stage = stage_entry(
             self.root, name,
             {f"{key}.pkl": blob for key, blob in blobs.items()},
             {"format": FORMAT, "turn": int(turn), "backend": backend,
-             "config": config.to_dict()})
+             "config": self.config})
         publish(stage, os.path.join(self.root, name), step_aside=True)
         self._write_latest(name)
         self._prune()

@@ -43,6 +43,12 @@ class CheckpointError(SimulationError):
     """
 
 
+class SnapshotWriteError(CheckpointError, OSError):
+    """A snapshot's file write failed (a full disk, say): a
+    :class:`CheckpointError` that is also the ``OSError`` it wraps,
+    ``errno`` included, so either ``except`` catches it."""
+
+
 class SampleError(SimulationError):
     """A failure in checkpoint-accelerated sampling (:mod:`repro.sample`).
 

@@ -742,7 +742,7 @@ class DistribSimulator(Simulator):
 
     # -- checkpointing -------------------------------------------------------
 
-    def _checkpoint_blobs(self) -> Dict[str, bytes]:
+    def _checkpoint_blobs(self) -> Dict[str, Any]:
         """Coordinated snapshot: barrier every worker, then self.
 
         The ``ckpt`` stage fires between quanta, when every worker sits
@@ -750,19 +750,17 @@ class DistribSimulator(Simulator):
         workers at once and each shard snapshot is consistent with the
         coordinator's shared state by construction.
         """
-        from repro.ckpt.snapshot import snapshot_bytes
         cluster = self.cluster
         active = cluster.workers()
         for worker in active:
             cluster.send(worker, FrameKind.CHECKPOINT, None)
-        blobs: Dict[str, bytes] = {}
+        blobs = super()._checkpoint_blobs()
         for worker in active:
             shard = cluster.reply(worker, FrameKind.CKPT_ACK)
             blobs[f"shard{shard.worker}"] = shard.blob
         # The coordinator snapshot carries the live tile→worker map so
         # a post-migration checkpoint resumes with the same placement.
         self._owner_at_ckpt = cluster.ownership
-        blobs["coordinator"] = snapshot_bytes(self)
         return blobs
 
     # -- spawning ------------------------------------------------------------

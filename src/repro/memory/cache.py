@@ -1,9 +1,9 @@
 """A set-associative cache with LRU replacement.
 
 Used for the L1 instruction, L1 data, and L2 caches (Table 1).  The L2
-is the coherence point and stores real line data; the L1s are
-timing-only tag arrays kept inclusive with the L2.  Geometry and policy
-come from :class:`repro.common.config.CacheConfig`.
+is the coherence point and stores real line data; the in-process L1s are
+timing-only tag arrays (:class:`TagArray`) kept inclusive with the L2.
+Geometry and policy come from :class:`repro.common.config.CacheConfig`.
 """
 
 from __future__ import annotations
@@ -29,6 +29,10 @@ class LineState(enum.Enum):
     SHARED = "S"
     EXCLUSIVE = "E"
     MODIFIED = "M"
+
+
+#: Enum member as a global: a class attribute lookup costs ~0.2 us.
+_SHARED = LineState.SHARED
 
 
 class CacheLine:
@@ -135,24 +139,14 @@ class Cache:
         evicts nothing.  ``timestamp`` (target cycles) is only consumed
         by telemetry.
         """
-        index = (line_address >> self._line_shift) % self.num_sets
-        lru = self._sets.get(index)
         existing = self._lines.get(line_address)
+        evicted = self._place(line_address, existing is not None)
         if existing is not None:
             existing.state = state
             if data is not None:
                 existing.data = data
-            if lru[-1] != line_address:
-                lru.remove(line_address)
-                lru.append(line_address)
             return None
-        victim = None
-        if lru is None:
-            lru = self._sets[index] = []
-        elif len(lru) >= self.associativity:
-            victim = self._lines.pop(lru.pop(0))  # LRU
-            self._evictions.value += 1
-        lru.append(line_address)
+        victim = None if evicted is None else self._lines.pop(evicted)
         self._lines[line_address] = CacheLine(line_address, state, data)
         if self._tele is not None:
             self._tele.emit("fill", self.tile, timestamp,
@@ -162,6 +156,27 @@ class Cache:
                                 {"line": victim.address,
                                  "dirty": victim.dirty})
         return victim
+
+    def _place(self, line_address: int, resident: bool) -> Optional[int]:
+        """Make ``line_address`` its set's most recent address; a new
+        one joins its set, first evicting the least recent when the set
+        is full.  Returns the evicted address; ``_lines`` is the
+        caller's to update."""
+        index = (line_address >> self._line_shift) % self.num_sets
+        lru = self._sets.get(index)
+        if resident:
+            if lru[-1] != line_address:
+                lru.remove(line_address)
+                lru.append(line_address)
+            return None
+        evicted = None
+        if lru is None:
+            lru = self._sets[index] = []
+        elif len(lru) >= self.associativity:
+            evicted = lru.pop(0)
+            self._evictions.value += 1
+        lru.append(line_address)
+        return evicted
 
     def remove(self, line_address: int,
                timestamp: int = 0) -> Optional[CacheLine]:
@@ -200,3 +215,34 @@ class Cache:
         for index in sorted(self._sets):
             for address in self._sets[index]:
                 yield self._lines[address]
+
+
+class TagArray(Cache):
+    """A timing-only cache: every resident line is SHARED and carries no
+    data, so a tag is its address alone (``insert`` ignores ``state``
+    and ``data``).  ``_lines`` maps each resident address to itself and
+    no :class:`CacheLine` is kept per tag: a probe's answer is
+    ``lookup(address) is not None``, and ``insert``, ``remove`` and
+    ``peek`` return addresses.  Iteration and the pickled state still
+    show ``(address, SHARED, None)`` lines, as a :class:`Cache` of such
+    lines would."""
+
+    __slots__ = ()
+
+    def __setstate__(self, state: dict) -> None:
+        super().__setstate__(state)
+        self._lines = {address: address for address in self._lines}
+
+    def insert(self, line_address: int, state: LineState = _SHARED,
+               data: Optional[bytearray] = None,
+               timestamp: int = 0) -> Optional[int]:
+        """Install a tag; returns the evicted tag's address, if any."""
+        evicted = self._place(line_address, line_address in self._lines)
+        if evicted is not None:
+            del self._lines[evicted]
+        self._lines[line_address] = line_address
+        return evicted
+
+    def __iter__(self):
+        for address in super().__iter__():
+            yield CacheLine(address, _SHARED, None)

@@ -177,7 +177,7 @@ class CoherenceEngine:
             # requester data), sparing the DRAM controller: without
             # forwarding, widely read-shared lines serialize every new
             # sharer behind one controller's bandwidth slice.
-            forwarder = next(iter(entry.sharers))
+            forwarder = entry.sharers[0]
             now += transfer(home, forwarder, MEMORY, CONTROL_BYTES, now)
             now += transfer(forwarder, tile, MEMORY,
                             line_bytes + HEADER_BYTES, now)
@@ -265,8 +265,7 @@ class CoherenceEngine:
             now += self._invalidate_sharers(home, entry.sharers,
                                             line_address, now,
                                             exclude=tile)
-            entry.sharers.clear()
-            entry.sharers[tile] = None
+            entry.sharers = (tile,)
             entry.state = _DIR_MODIFIED
             now += transfer(home, tile, MEMORY, CONTROL_BYTES, now)
             line.state = _MODIFIED
@@ -305,14 +304,14 @@ class CoherenceEngine:
                             now)
             if not self.functional:
                 self.drams[home].post_write(now, line_bytes)
-            entry.sharers.clear()
+            entry.sharers = ()
         else:
             if entry.state is _DIR_SHARED:
                 now += directory.invalidation_latency(entry)
                 now += self._invalidate_sharers(home, entry.sharers,
                                                 line_address, now,
                                                 exclude=None)
-                entry.sharers.clear()
+                entry.sharers = ()
             if not self.functional:
                 now += self.drams[home].read(now, line_bytes)
 

@@ -16,7 +16,7 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, TYPE_CHECKING
+from typing import Dict, List, Optional, Tuple, TYPE_CHECKING
 
 from repro.common import slot_state
 from repro.common.config import MemoryConfig
@@ -46,10 +46,12 @@ class DirectoryEntry:
     __slots__ = ("state", "sharers")
 
     def __init__(self, state: DirState = _DIR_UNCACHED,
-                 sharers: Optional[Dict[TileId, None]] = None) -> None:
+                 sharers: Tuple[TileId, ...] = ()) -> None:
         self.state = state
-        #: Sharer tiles in insertion order (dict used as an ordered set).
-        self.sharers = {} if sharers is None else sharers
+        #: Sharer tiles in insertion order, as the hardware's pointers
+        #: or bit vector record them: a tuple, the shared ``()`` when
+        #: empty, replaced (never mutated) on every change.
+        self.sharers = sharers
 
     @property
     def owner(self) -> Optional[TileId]:
@@ -59,7 +61,7 @@ class DirectoryEntry:
         if len(self.sharers) != 1:
             raise ProtocolError(
                 f"MODIFIED entry with {len(self.sharers)} sharers")
-        return next(iter(self.sharers))
+        return self.sharers[0]
 
 
 @dataclass
@@ -104,8 +106,10 @@ class Directory:
     def __setstate__(self, state: dict) -> None:
         for name, value in state.items():
             setattr(self, name, value)
-        self.entries = {line: DirectoryEntry(*pair)
-                        for line, pair in self.entries.items()}
+        # ``tuple()`` also reads the sharer dicts older snapshots hold.
+        self.entries = {line: DirectoryEntry(dir_state, tuple(sharers))
+                        for line, (dir_state, sharers)
+                        in self.entries.items()}
 
     def entry(self, line_address: int) -> DirectoryEntry:
         """Fetch (or create) the entry for a line homed here."""
@@ -119,7 +123,8 @@ class Directory:
     def add_sharer(self, entry: DirectoryEntry, tile: TileId,
                    timestamp: int = 0) -> AddResult:
         """Register ``tile`` as a sharer; organisation-specific limits."""
-        entry.sharers[tile] = None
+        if tile not in entry.sharers:
+            entry.sharers += (tile,)
         if self._tele is not None:
             self._tele.emit("sharer_add", int(self.home), timestamp,
                             {"sharer": int(tile),
@@ -128,7 +133,10 @@ class Directory:
 
     def remove_sharer(self, entry: DirectoryEntry, tile: TileId,
                       timestamp: int = 0) -> None:
-        entry.sharers.pop(tile, None)
+        sharers = entry.sharers
+        if tile in sharers:
+            at = sharers.index(tile)
+            entry.sharers = sharers[:at] + sharers[at + 1:]
         if not entry.sharers:
             entry.state = _DIR_UNCACHED
         if self._tele is not None:
@@ -171,15 +179,15 @@ class LimitedDirectory(Directory):
         result = AddResult()
         if tile not in entry.sharers:
             while len(entry.sharers) >= self.max_sharers:
-                victim = next(iter(entry.sharers))  # oldest pointer
-                del entry.sharers[victim]
+                victim = entry.sharers[0]  # oldest pointer
+                entry.sharers = entry.sharers[1:]
                 result.evict.append(victim)
                 self._pointer_evictions.add()
                 if self._tele is not None:
                     self._tele.emit("pointer_evict", int(self.home),
                                     timestamp, {"victim": int(victim),
                                                 "for": int(tile)})
-        entry.sharers[tile] = None
+            entry.sharers += (tile,)
         if self._tele is not None:
             self._tele.emit("sharer_add", int(self.home), timestamp,
                             {"sharer": int(tile),
@@ -211,15 +219,15 @@ class LimitLessDirectory(Directory):
     def add_sharer(self, entry: DirectoryEntry, tile: TileId,
                    timestamp: int = 0) -> AddResult:
         result = AddResult()
-        if tile not in entry.sharers and \
-                len(entry.sharers) >= self.hw_pointers:
-            result.extra_latency = self.trap_latency
-            self._traps.add()
-            if self._tele is not None:
-                self._tele.emit("trap", int(self.home), timestamp,
-                                {"sharer": int(tile),
-                                 "sharers": len(entry.sharers)})
-        entry.sharers[tile] = None
+        if tile not in entry.sharers:
+            if len(entry.sharers) >= self.hw_pointers:
+                result.extra_latency = self.trap_latency
+                self._traps.add()
+                if self._tele is not None:
+                    self._tele.emit("trap", int(self.home), timestamp,
+                                    {"sharer": int(tile),
+                                     "sharers": len(entry.sharers)})
+            entry.sharers += (tile,)
         if self._tele is not None:
             self._tele.emit("sharer_add", int(self.home), timestamp,
                             {"sharer": int(tile),

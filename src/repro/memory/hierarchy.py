@@ -18,7 +18,7 @@ from typing import List, Optional, TYPE_CHECKING
 from repro.common.config import MemoryConfig
 from repro.common.ids import TileId
 from repro.common.stats import StatGroup
-from repro.memory.cache import Cache, CacheLine, LineState
+from repro.memory.cache import Cache, CacheLine, LineState, TagArray
 
 #: Enum members as globals: a class attribute lookup costs ~0.2 us.
 _SHARED = LineState.SHARED
@@ -34,12 +34,15 @@ class L1Caches:
 
     __slots__ = ("l1i", "l1d")
 
+    #: What an L1 is: tags alone, beside an L2 in this process.
+    l1_class = TagArray
+
     def __init__(self, config: MemoryConfig, stats: StatGroup) -> None:
         self.l1i: Optional[Cache] = (
-            Cache("l1i", config.l1i, stats.child("l1i"))
+            self.l1_class("l1i", config.l1i, stats.child("l1i"))
             if config.l1i.enabled else None)
         self.l1d: Optional[Cache] = (
-            Cache("l1d", config.l1d, stats.child("l1d"))
+            self.l1_class("l1d", config.l1d, stats.child("l1d"))
             if config.l1d.enabled else None)
 
     def l1d_hit(self, line_address: int) -> bool:
@@ -81,6 +84,9 @@ class MirroredL1(L1Caches):
     """
 
     __slots__ = ("l2",)
+
+    #: Real lines: a hit reads the bytes and state mirrored here.
+    l1_class = Cache
 
     def __init__(self, config: MemoryConfig, stats: StatGroup) -> None:
         super().__init__(config, stats)

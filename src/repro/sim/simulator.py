@@ -248,13 +248,15 @@ class Simulator(kernel_calls_base("inproc")):
             self.sample_controller.channel = self._channel(
                 EventCategory.SAMPLE)
             scheduler.set_stage("sample", 1, self.sample_controller)
-        # Checkpointing (``--ckpt-dir``): a store when enabled, and a
-        # stage when a cadence is configured.
+        # Checkpointing (``--ckpt-dir``): a store when enabled, given
+        # the config's dict once for all its manifests, and a stage when
+        # a cadence is configured.
         self._ckpt_store = None
         if config.ckpt.enabled:
             from repro.ckpt.store import CheckpointStore
-            self._ckpt_store = CheckpointStore(config.ckpt.dir,
-                                               keep=config.ckpt.keep)
+            self._ckpt_store = CheckpointStore(
+                config.ckpt.dir, keep=config.ckpt.keep,
+                config=config.to_dict())
             if config.ckpt.every > 0:
                 scheduler.set_stage("ckpt", config.ckpt.every,
                                     lambda _s: self.save_checkpoint())
@@ -273,8 +275,8 @@ class Simulator(kernel_calls_base("inproc")):
 
     def _configure_trace_sinks(self) -> None:
         """Give file sinks the layout facts only the simulator knows."""
-        if self.telemetry is None:
-            return
+        if self.telemetry is None or not self.telemetry.sinks:
+            return  # no sink to adjust, so no sink module to import
         from repro.telemetry.chrome import ChromeTraceSink
         tile_process = {
             t: int(self.layout.process_of_tile(TileId(t)))
@@ -562,17 +564,18 @@ class Simulator(kernel_calls_base("inproc")):
         path = self._ckpt_store.write(
             turn=self.scheduler.turns,
             backend=self.config.distrib.backend,
-            config=self.config,
             blobs=self._checkpoint_blobs())
         if self._span_emitter is not None and self._run_span:
             self._span_emitter.note(self._run_span, "checkpoint",
                                     turn=self.scheduler.turns)
         return path
 
-    def _checkpoint_blobs(self) -> Dict[str, bytes]:
-        """Blobs of one snapshot; the mp backend adds worker shards."""
-        from repro.ckpt.snapshot import snapshot_bytes
-        return {"coordinator": snapshot_bytes(self)}
+    def _checkpoint_blobs(self) -> Dict[str, Any]:
+        """Blobs of one snapshot (:data:`repro.ckpt.store.Blob`): this
+        simulator, pickled straight into its file; the mp backend adds
+        worker shards."""
+        from repro.ckpt.snapshot import snapshot_to
+        return {"coordinator": lambda file: snapshot_to(self, file)}
 
     def _after_restore(self,
                        config: Optional[SimulationConfig] = None) -> None:

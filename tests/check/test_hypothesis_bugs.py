@@ -35,7 +35,8 @@ def mutate_phantom_sharer(engine):
         result = super(type(self), self).add_sharer(entry, tile,
                                                     timestamp)
         phantom = type(tile)((int(tile) + 1) % engine.num_tiles)
-        entry.sharers.setdefault(phantom, None)
+        if phantom not in entry.sharers:
+            entry.sharers += (phantom,)
         return result
 
     for directory in engine.directories:

@@ -21,7 +21,8 @@ def _config() -> SimulationConfig:
 
 def _write(store: CheckpointStore, turn: int,
            blob: bytes = b"coordinator-state") -> str:
-    return store.write(turn=turn, backend="inproc", config=_config(),
+    store.config = _config().to_dict()
+    return store.write(turn=turn, backend="inproc",
                        blobs={"coordinator": blob})
 
 
@@ -38,8 +39,8 @@ def test_write_read_roundtrip(tmp_path):
 
 
 def test_shard_blobs_travel_with_the_coordinator(tmp_path):
-    store = CheckpointStore(str(tmp_path))
-    store.write(turn=8, backend="mp", config=_config(),
+    store = CheckpointStore(str(tmp_path), config=_config().to_dict())
+    store.write(turn=8, backend="mp",
                 blobs={"coordinator": b"coord", "shard0": b"s0",
                        "shard1": b"s1"})
     manifest, blobs = store.read()
@@ -189,8 +190,8 @@ def test_unknown_format_version_is_rejected(tmp_path):
 
 
 def test_checkpoint_without_coordinator_is_rejected(tmp_path):
-    store = CheckpointStore(str(tmp_path))
-    store.write(turn=4, backend="mp", config=_config(),
+    store = CheckpointStore(str(tmp_path), config=_config().to_dict())
+    store.write(turn=4, backend="mp",
                 blobs={"shard0": b"orphan"})
     with pytest.raises(CheckpointError, match="coordinator"):
         store.read()

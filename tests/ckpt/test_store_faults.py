@@ -47,9 +47,8 @@ class Checkpoint:
 
     def put(self, root):
         config = tiny_config(2)
-        CheckpointStore(root).write(turn=20, backend="inproc",
-                                    config=config,
-                                    blobs={"coordinator": b"state" * 64})
+        CheckpointStore(root, config=config.to_dict()).write(
+            turn=20, backend="inproc", blobs={"coordinator": b"state" * 64})
         return os.path.join(root, "ckpt-00000020", "coordinator.pkl")
 
     def get(self, root):

@@ -38,19 +38,18 @@ class TestEntry:
 
     def test_owner_requires_single_sharer(self):
         entry = DirectoryEntry(state=DirState.MODIFIED)
-        entry.sharers[TileId(1)] = None
+        entry.sharers = (TileId(1),)
         assert entry.owner == TileId(1)
 
     def test_owner_with_many_sharers_is_protocol_error(self):
         entry = DirectoryEntry(state=DirState.MODIFIED)
-        entry.sharers[TileId(1)] = None
-        entry.sharers[TileId(2)] = None
+        entry.sharers = (TileId(1), TileId(2))
         with pytest.raises(ProtocolError):
             _ = entry.owner
 
     def test_owner_none_when_not_modified(self):
         entry = DirectoryEntry(state=DirState.SHARED)
-        entry.sharers[TileId(1)] = None
+        entry.sharers = (TileId(1),)
         assert entry.owner is None
 
     def test_remove_last_sharer_uncaches(self):

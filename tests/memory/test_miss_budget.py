@@ -13,7 +13,8 @@ A coherence leg is ``NetworkFabric.transfer``, the model's ``route``,
 miss in one pass").  At the parent commit a leg was 18 frames (17 under
 ``transfer`` plus the engine's ``_transfer``), a read miss served from
 DRAM 64, a write miss that recalls a dirty owner 107 and an upgrade that
-invalidates two sharers 136; they are 4 / 23 / 38 / 43 now.  A miss
+invalidates two sharers 136; they are 4 / 24 / 39 / 43 now (an L2
+fill's set bookkeeping is one frame, ``Cache._place``).  A miss
 kind's budget is half its parent count: room for an honest seam, not
 for a helper chain to grow back.
 """

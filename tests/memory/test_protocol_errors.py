@@ -52,7 +52,7 @@ class TestInvariantChecker:
         entry = rig.engine.directories[home].entries[
             rig.space.line_of(HEAP)]
         rig.engine.hierarchies[0].l2.remove(rig.space.line_of(HEAP))
-        entry.sharers.clear()  # SHARED with empty sharer set
+        entry.sharers = ()  # SHARED with empty sharer set
         with pytest.raises(ProtocolError):
             rig.engine.check_coherence_invariants()
 
@@ -71,7 +71,7 @@ class TestDirectoryEntryGuards:
         home = int(rig.space.home_tile(HEAP))
         entry = rig.engine.directories[home].entries[
             rig.space.line_of(HEAP)]
-        entry.sharers[TileId(1)] = None  # corrupt: two "owners"
+        entry.sharers += (TileId(1),)  # corrupt: two "owners"
         with pytest.raises(ProtocolError):
             _ = entry.owner
 

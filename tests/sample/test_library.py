@@ -226,9 +226,8 @@ class TestEntries:
         key, _ = library.ensure(config, long_program)
         from repro.ckpt.store import CheckpointStore
         for root in (library.root, os.path.join(library.root, "run")):
-            CheckpointStore(root).write(
-                turn=20, backend="inproc", config=config,
-                blobs={"coordinator": b"state"})
+            CheckpointStore(root, config=config.to_dict()).write(
+                turn=20, backend="inproc", blobs={"coordinator": b"state"})
         with open(os.path.join(library.root, "notes.txt"), "w") as handle:
             handle.write("mine")
         before = sorted(os.listdir(library.root))

@@ -91,3 +91,21 @@ class TestEndToEnd:
         assert len(tids) > 1, "expected multiple per-tile tracks"
         metadata = {e["name"] for e in events if e["ph"] == "M"}
         assert "thread_name" in metadata
+
+
+def test_a_json_trace_path_gets_the_simulators_layout_facts(tmp_path):
+    from repro.telemetry.chrome import ChromeTraceSink
+    cfg = SimulationConfig(num_tiles=4, seed=3)
+    cfg.host.num_machines = 2
+    cfg.core.clock_hz = 2_000_000_000
+    cfg.telemetry.enabled = True
+    cfg.telemetry.trace_path = str(tmp_path / "t.json")
+    cfg.validate()
+    simulator = Simulator(cfg)
+    sinks = [sink for sink in simulator.telemetry.sinks
+             if isinstance(sink, ChromeTraceSink)]
+    assert len(sinks) == 1
+    assert sinks[0].clock_hz == 2_000_000_000
+    assert sinks[0].tile_process == {
+        t: int(simulator.layout.process_of_tile(t)) for t in range(4)}
+    assert len(set(sinks[0].tile_process.values())) == 2

@@ -72,3 +72,32 @@ def test_an_inproc_set_up_loads_only_what_it_uses():
     assert report["lines"] <= 11_000
     # A run loads its own kernel's module and no other.
     assert set(report["after_run"]) & KERNELS == {"repro.workloads.fft"}
+
+
+PRIME = """
+import json, sys
+from repro.common.config import SimulationConfig
+from repro.distrib.wire import WorkloadRef
+from repro.sample.library import SnapshotLibrary
+
+root = sys.argv[1]
+config = SimulationConfig(num_tiles=4)
+config.sample.ff_until = 5000
+config.sample.library = root
+config.validate()
+SnapshotLibrary(root).prime(config, WorkloadRef("fft", 4, 0.3))
+print(json.dumps(sorted(sys.modules)))
+"""
+
+
+def test_a_library_prime_loads_no_trace_sink(tmp_path):
+    """The primer keeps its SAMPLE events in memory with no sink, so
+    nothing of the file sinks or the logging they use is imported."""
+    env = dict(os.environ, PYTHONPATH=SRC)
+    out = subprocess.run([sys.executable, "-c", PRIME, str(tmp_path)],
+                         env=env, check=True, capture_output=True,
+                         text=True)
+    loaded = set(json.loads(out.stdout.strip().splitlines()[-1]))
+    assert "repro.sample.library" in loaded
+    assert loaded & {"repro.telemetry.chrome", "repro.telemetry.sinks",
+                     "repro.common.log", "logging"} == set()
