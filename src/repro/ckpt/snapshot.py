@@ -23,11 +23,12 @@ groups — which in turn is what makes a restored run byte-identical.
 
 from __future__ import annotations
 
+import copyreg
 import io
 import pickle
 import sys
 import types
-from typing import Any, BinaryIO, Tuple
+from typing import Any, BinaryIO, Optional, Tuple
 
 from repro.common.errors import CheckpointError, SnapshotWriteError
 
@@ -63,14 +64,28 @@ def _excised_types() -> Tuple[type, ...]:
     return tuple(out)
 
 
-class SnapshotPickler(pickle.Pickler):
-    """Pickler that excises unpicklable host-side objects to ``None``."""
+#: No object is pinned (see :class:`SnapshotPickler`).
+_NOTHING = object()
 
-    def __init__(self, file: BinaryIO) -> None:
+
+class SnapshotPickler(pickle.Pickler):
+    """Pickler that excises unpicklable host-side objects to ``None``.
+
+    ``pinned`` is ``(obj, state)``: ``obj`` is pickled with ``state``,
+    already built, instead of asking it for its own (the run's config,
+    whose state is a deep dict its simulator builds once per armed
+    run).  The bytes are those ``obj``'s own ``__reduce_ex__`` makes.
+    """
+
+    def __init__(self, file: BinaryIO,
+                 pinned: Optional[Tuple[Any, Any]] = None) -> None:
         super().__init__(file, protocol=pickle.HIGHEST_PROTOCOL)
         self._excised = _excised_types()
+        self._pinned, self._pinned_state = pinned or (_NOTHING, None)
 
     def reducer_override(self, obj: Any) -> Any:
+        if obj is self._pinned:
+            return copyreg.__newobj__, (type(obj),), self._pinned_state
         if isinstance(obj, types.GeneratorType):
             return (_none, ())
         if self._excised and isinstance(obj, self._excised):
@@ -78,7 +93,8 @@ class SnapshotPickler(pickle.Pickler):
         return NotImplemented
 
 
-def snapshot_to(obj: Any, file: BinaryIO) -> None:
+def snapshot_to(obj: Any, file: BinaryIO,
+                pinned: Optional[Tuple[Any, Any]] = None) -> None:
     """Serialize ``obj`` (a simulator or shard dict) into ``file``.
 
     The pickle is written frame by frame as it is built (protocol 5
@@ -87,11 +103,12 @@ def snapshot_to(obj: Any, file: BinaryIO) -> None:
     ``__dict__`` is materialised (on CPython 3.11/3.12 that slows every
     later attribute read on the instance): the model classes keep their
     fields in ``__slots__`` and every ``__getstate__`` reads those,
-    through :func:`repro.common.slot_state`.  A failed write raises
+    through :func:`repro.common.slot_state`.  ``pinned`` is
+    :class:`SnapshotPickler`'s.  A failed write raises
     :class:`SnapshotWriteError`, anything else :class:`CheckpointError`.
     """
     try:
-        SnapshotPickler(file).dump(obj)
+        SnapshotPickler(file, pinned).dump(obj)
     except OSError as exc:
         raise SnapshotWriteError(
             exc.errno,
@@ -107,10 +124,28 @@ def snapshot_bytes(obj: Any) -> bytes:
     return buffer.getvalue()
 
 
+def _bound_or_retired(obj: Any, name: str) -> Any:
+    """What a pickled bound method loads as: ``getattr`` — or ``None``
+    when the class no longer has the method.  An older snapshot may
+    hold a method since retired in a slot since retired, which the
+    owner's ``__setstate__`` drops (a host charger, say)."""
+    return getattr(obj, name, None)
+
+
+class SnapshotUnpickler(pickle.Unpickler):
+    """Loads what :class:`SnapshotPickler` wrote, older snapshots
+    included."""
+
+    def find_class(self, module: str, name: str) -> Any:
+        if module == "builtins" and name == "getattr":
+            return _bound_or_retired
+        return super().find_class(module, name)
+
+
 def load_bytes(blob: bytes) -> Any:
     """Deserialize a snapshot blob (inverse of :func:`snapshot_bytes`)."""
     try:
-        return pickle.loads(blob)
+        return SnapshotUnpickler(io.BytesIO(blob)).load()
     except Exception as exc:
         raise CheckpointError(
             f"cannot deserialize snapshot: {exc}") from exc

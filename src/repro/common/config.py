@@ -858,7 +858,14 @@ class SimulationConfig:
     _PICKLE_VERSION = 1
 
     def __getstate__(self) -> Dict[str, Any]:
-        return {"version": self._PICKLE_VERSION, "data": self.to_dict()}
+        return self.state_from(self.to_dict())
+
+    @classmethod
+    def state_from(cls, data: Dict[str, Any]) -> Dict[str, Any]:
+        """The pickled state of a config whose :meth:`to_dict` is
+        ``data``: a checkpoint pickles the run's config from the dict
+        its simulator built once when the run was armed."""
+        return {"version": cls._PICKLE_VERSION, "data": data}
 
     def __setstate__(self, state: Dict[str, Any]) -> None:
         version = state.get("version")

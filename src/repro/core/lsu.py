@@ -5,6 +5,12 @@ buffers, load units ... are all modeled and configurable" (§3.1).  The
 store buffer lets stores retire without stalling until it fills; the
 load queue bounds outstanding loads and supports store-to-load
 forwarding from buffered stores.
+
+:meth:`repro.core.perf_model.CorePerfModel.retire` works both inline,
+a whole run of loads and stores per call; :meth:`StoreBuffer.issue`,
+:meth:`StoreBuffer.forwards` and :meth:`LoadQueue.issue` state the
+same rules one access at a time, and ``tests/core/test_retire.py``
+holds the two equal.
 """
 
 from __future__ import annotations

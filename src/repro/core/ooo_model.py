@@ -30,7 +30,7 @@ changes — which is the paper's point.
 from __future__ import annotations
 
 import heapq
-from typing import List
+from typing import Iterable, List
 
 from repro.common.config import CoreConfig
 from repro.common.stats import StatGroup
@@ -41,7 +41,9 @@ from repro.core.instruction import (
     PseudoKind,
 )
 from repro.core.isa import DEFAULT_COST, InstructionClass
-from repro.core.perf_model import CoreModel
+from repro.core.perf_model import CoreModel, Entry
+
+_LOAD, _STORE = InstructionClass.LOAD, InstructionClass.STORE
 
 
 class OutOfOrderCoreModel(CoreModel):
@@ -101,11 +103,27 @@ class OutOfOrderCoreModel(CoreModel):
 
     # -- the core-model interface ----------------------------------------------
 
+    def retire(self, run: Iterable[Entry]) -> int:
+        """Retire ``run`` (entries as :meth:`CorePerfModel.retire`'s) in
+        order; returns the cycles the clock moved.  Memory ops overlap:
+        they occupy a window slot, not the pipe."""
+        costs = self._costs
+        start = self.clock.cycles
+        for klass, value, latency in run:
+            if klass is _LOAD or klass is _STORE:
+                self._dispatch(costs.get(klass._value_, DEFAULT_COST))
+                self._reserve_slot()
+                heapq.heappush(self._window, self.clock.cycles + latency)
+                self._overlapped.value += latency
+                self._instructions.value += 1
+            else:
+                self._dispatch(value * costs.get(klass._value_,
+                                                 DEFAULT_COST))
+                self._instructions.value += value
+        return self.clock.cycles - start
+
     def execute(self, instruction: Instruction) -> None:
-        count = instruction.count
-        self._dispatch(count * self._costs.get(
-            instruction.klass._value_, DEFAULT_COST))
-        self._instructions.value += count
+        self.retire(((instruction.klass, instruction.count, 0),))
 
     def execute_branch(self, branch: BranchInstruction) -> bool:
         mispredicted = self.branch_predictor.predict_and_update(
@@ -121,15 +139,10 @@ class OutOfOrderCoreModel(CoreModel):
 
     def execute_memory(self, klass: InstructionClass, address: int,
                        size: int, latency: int) -> int:
-        """Memory ops overlap: they occupy a window slot, not the pipe."""
-        issue_cost = self._costs.get(klass._value_, DEFAULT_COST)
-        self._dispatch(issue_cost)
-        self._reserve_slot()
-        before = self.clock.cycles
-        heapq.heappush(self._window, before + latency)
-        self._overlapped.value += latency
-        self._instructions.value += 1
-        return self.clock.cycles - before + issue_cost
+        """Retire one load or store (a run of one)."""
+        if klass is not _LOAD and klass is not _STORE:
+            raise ValueError(f"not a memory instruction class: {klass}")
+        return self.retire(((klass, address, latency),))
 
     def execute_pseudo(self, pseudo: PseudoInstruction) -> None:
         if pseudo.kind in (PseudoKind.MESSAGE_RECEIVE, PseudoKind.SYNC,

@@ -13,7 +13,7 @@ could consume the same streams.
 
 from __future__ import annotations
 
-from typing import Optional, TYPE_CHECKING
+from typing import Iterable, Optional, Tuple, TYPE_CHECKING
 
 from repro.common.config import CoreConfig
 from repro.common.stats import StatGroup
@@ -35,6 +35,11 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
 STORE_FORWARD_LATENCY = 1
 
 _LOAD, _STORE = InstructionClass.LOAD, InstructionClass.STORE
+
+#: One entry of a run a core model retires: ``(klass, value, latency)``
+#: — a load or store at address ``value`` and its memory latency, or
+#: ``value`` instructions of a computational ``klass`` (latency 0).
+Entry = Tuple[InstructionClass, int, int]
 
 
 class CoreModel:
@@ -88,13 +93,94 @@ class CorePerfModel(CoreModel):
 
     # -- instruction consumption -------------------------------------------
 
+    def retire(self, run: Iterable[Entry]) -> int:
+        """Retire ``run`` in order; returns the cycles the clock moved.
+
+        Each entry is ``(klass, value, latency)``: a load or store at
+        address ``value`` whose memory round trip (network legs of a
+        miss included) took ``latency`` cycles, or ``value``
+        computational instructions of ``klass``.  Loads are charged in
+        full (the in-order core needs the value), shortened to the
+        forwarding latency when a buffered store holds the address; the
+        load queue adds structural stalls.  Stores are buffered, so the
+        pipeline only stalls when the store buffer is full.  The store
+        buffer and load queue are worked here, one entry after another,
+        with the clock and counters in locals until the run is done.
+        """
+        costs = self._costs
+        load_cost = costs.get("load", DEFAULT_COST)
+        store_cost = costs.get("store", DEFAULT_COST)
+        store_buffer, load_queue = self.store_buffer, self.load_queue
+        stores, loads = store_buffer._inflight, load_queue._inflight
+        max_stores, max_loads = store_buffer.entries, load_queue.entries
+        start = now = self.clock.cycles
+        instructions = memory_stall = 0
+        store_stall = load_stall = issued_stores = issued_loads = 0
+        for klass, value, latency in run:
+            if klass is _LOAD:
+                for buffered in stores:
+                    if buffered[1] == value:
+                        if latency > STORE_FORWARD_LATENCY:
+                            latency = STORE_FORWARD_LATENCY
+                        break
+                while loads and loads[0] <= now:
+                    loads.popleft()
+                stall = 0
+                if len(loads) >= max_loads:
+                    stall = loads[0] - now  # > 0: the head is in flight
+                    while loads and loads[0] <= now + stall:
+                        loads.popleft()
+                    load_stall += stall
+                loads.append(now + stall + latency)
+                issued_loads += 1
+                stall += latency
+                now += load_cost + stall
+                memory_stall += stall
+                instructions += 1
+            elif klass is _STORE:
+                while stores and stores[0][0] <= now:
+                    stores.popleft()
+                stall = 0
+                if len(stores) >= max_stores:
+                    stall = stores[0][0] - now
+                    while stores and stores[0][0] <= now + stall:
+                        stores.popleft()
+                    store_stall += stall
+                stores.append((now + stall + latency, value))
+                issued_stores += 1
+                now += store_cost + stall
+                memory_stall += stall
+                instructions += 1
+            else:
+                cycles = value * costs.get(klass._value_, DEFAULT_COST)
+                if cycles < 0:
+                    raise ValueError("clock cannot move backwards")
+                now += cycles
+                instructions += value
+        self.clock.cycles = now
+        self._instructions.value += instructions
+        if memory_stall:
+            self._memory_stall.value += memory_stall
+        if issued_stores:
+            store_buffer._stores.value += issued_stores
+            store_buffer._stalls.value += store_stall
+        if issued_loads:
+            load_queue._loads.value += issued_loads
+            load_queue._stalls.value += load_stall
+        return now - start
+
     def execute(self, instruction: Instruction) -> None:
         """Retire a batch of computational instructions (anything with
-        a ``klass`` and a ``count``: the front-end's ``Compute`` op)."""
-        count = instruction.count
-        self.clock.advance(count * self._costs.get(
-            instruction.klass._value_, DEFAULT_COST))
-        self._instructions.value += count
+        a ``klass`` and a ``count``): a run of one."""
+        self.retire(((instruction.klass, instruction.count, 0),))
+
+    def execute_memory(self, klass: InstructionClass, address: int,
+                       size: int, latency: int) -> int:
+        """Retire one load or store (a run of one); returns the cycles
+        the pipeline spent on it."""
+        if klass is not _LOAD and klass is not _STORE:
+            raise ValueError(f"not a memory instruction class: {klass}")
+        return self.retire(((klass, address, latency),))
 
     def execute_branch(self, branch: BranchInstruction) -> bool:
         """Retire a branch; charge the penalty on a misprediction."""
@@ -107,35 +193,6 @@ class CorePerfModel(CoreModel):
         self.clock.advance(cost)
         self._instructions.value += 1
         return mispredicted
-
-    def execute_memory(self, klass: InstructionClass, address: int,
-                       size: int, latency: int) -> int:
-        """Retire a load or store; returns the cycles the pipeline spent.
-
-        ``latency`` is the memory model's round trip (network legs of a
-        miss included); how much of it stalls the pipeline is decided
-        here.  Loads: charged in full (the in-order core needs the
-        value), shortened to the forwarding latency when a buffered
-        store holds the address; the load queue adds structural stalls.
-        Stores: buffered, so the pipeline only stalls when the store
-        buffer is full.
-        """
-        clock = self.clock
-        issue_cost = self._costs.get(klass._value_, DEFAULT_COST)
-        if klass is _LOAD:
-            if self.store_buffer.forwards(address):
-                latency = min(latency, STORE_FORWARD_LATENCY)
-            total = (issue_cost + latency
-                     + self.load_queue.issue(clock.cycles, latency))
-        elif klass is _STORE:
-            total = issue_cost + self.store_buffer.issue(
-                clock.cycles, address, latency)
-        else:
-            raise ValueError(f"not a memory instruction class: {klass}")
-        clock.advance(total)
-        self._instructions.value += 1
-        self._memory_stall.value += total - issue_cost
-        return total
 
     def execute_pseudo(self, pseudo: PseudoInstruction) -> None:
         """Consume a pseudo-instruction from elsewhere in the system."""
@@ -185,9 +242,17 @@ class UnitCostCoreModel:
     def cycles(self) -> int:
         return self.clock.cycles
 
+    def retire(self, run: Iterable[Entry]) -> int:
+        """A cycle per instruction; a load or store is one."""
+        cycles = 0
+        for klass, value, _latency in run:
+            cycles += 1 if klass is _LOAD or klass is _STORE else value
+        self.clock.advance(cycles)
+        self._instructions.value += cycles
+        return cycles
+
     def execute(self, instruction: Instruction) -> None:
-        self.clock.advance(instruction.count)
-        self._instructions.value += instruction.count
+        self.retire(((instruction.klass, instruction.count, 0),))
 
     def execute_branch(self, branch: BranchInstruction) -> bool:
         self.clock.advance(1)
@@ -196,9 +261,7 @@ class UnitCostCoreModel:
 
     def execute_memory(self, klass: InstructionClass, address: int,
                        size: int, latency: int) -> int:
-        self.clock.advance(1)
-        self._instructions.value += 1
-        return 1
+        return self.retire(((klass, address, latency),))
 
     def execute_pseudo(self, pseudo: PseudoInstruction) -> None:
         self.clock.forward_to(pseudo.time)

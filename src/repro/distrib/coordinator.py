@@ -575,14 +575,6 @@ class DistribSimulator(Simulator):
         del state["_kernel_handlers"]
         return None, state  # (no __dict__, slots): default restore
 
-    def __setstate__(self, state: tuple) -> None:
-        _dict, slots = state
-        # A snapshot written before the straggler watchdog was retired
-        # holds its slot.
-        slots.pop("_watchdog", None)
-        for name, value in slots.items():
-            setattr(self, name, value)
-
     @property
     def cluster(self) -> WorkerCluster:
         assert self._cluster is not None, "cluster not running"

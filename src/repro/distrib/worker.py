@@ -113,7 +113,7 @@ class _ControllerTable(dict):
             kernel.engine.config,
             kernel.stats.child("memory").child(f"tile{tile}"))
         self[tile] = MemoryController(
-            TileId(tile), kernel.engine, kernel.charge_memory_access,
+            TileId(tile), kernel.engine, kernel.charge_log,
             kernel.stats.child(f"mc{tile}"))
         return self[tile]
 
@@ -147,6 +147,12 @@ class _NetIfProxy:
 
     def pending(self, kind: MessageKind) -> int:
         return self._kernel.queues.pending(self.tile, kind)
+
+
+#: Casts that neither draw a jitter factor nor read host time, so the
+#: host charges made before them may be sealed after them: a store hit
+#: forwarding its bytes to the L2 (``store_data``) seals nothing.
+_UNTIMED_CASTS = frozenset({"store_data"})
 
 
 class _Retired:
@@ -199,17 +205,11 @@ class KernelProxy(kernel_calls_base("worker")):
         return super().fabric_transfer(src, dst, kind, size_bytes,
                                        timestamp)
 
-    def charge_memory_access(self) -> None:
-        if not self.exec_functional:
-            self._worker._charges.append(0)
-
-    def charge_trap(self) -> None:
-        if not self.exec_functional:
-            self._worker._charges.append(1)
-
-    def charge_instructions(self, count: int) -> None:
-        if not self.exec_functional:
-            self._worker._charges.append(count + 2)
+    @property
+    def charge_log(self) -> List[int]:
+        """Where an interpreter and its controller log the host charges
+        of a quantum: the worker's codes, priced on the coordinator."""
+        return self._worker._charges
 
 
 class Worker:
@@ -230,9 +230,12 @@ class Worker:
         #: state is touched in program order all the same.  Empty
         #: whenever the worker is between quanta.
         self._casts: List[tuple] = []
-        #: Host charges since the last cast, as event codes (not host
+        #: Host charges not yet sealed, as event codes (not host
         #: seconds: pricing one spends a jitter factor, which only the
-        #: coordinator may), sealed into one ``charges`` cast.
+        #: coordinator may), sealed into one ``charges`` cast before
+        #: the next frame or a cast that reads host time.  The running
+        #: controller appends to this very list: it is only ever
+        #: cleared in place.
         self._charges: List[int] = []
         #: Kernel proxies adopted through live shard migration: their
         #: interpreters keep charging stats into these trees, so stat
@@ -309,7 +312,7 @@ class Worker:
             self._handle_cast_frame(kind, payload)
 
     def cast(self, method: str, args: tuple) -> None:
-        if self._charges:
+        if self._charges and method not in _UNTIMED_CASTS:
             self._seal_charges()
         self._casts.append((method, args))
 
@@ -320,10 +323,12 @@ class Worker:
         return casts
 
     def _seal_charges(self) -> None:
-        """Queue the charges so far as one cast, before the next: a
-        finished thread wakes its joiner, which draws jitter."""
-        self._casts.append(("charges", (self._charges,)))
-        self._charges = []
+        """Queue the charges so far as one cast, before the next that
+        may draw jitter or read host time: a finished thread wakes its
+        joiner, a woken thread is stamped with host time."""
+        codes = self._charges
+        self._casts.append(("charges", (codes[:],)))
+        codes.clear()
 
     def _apply_l1_notes(self, notes: List[tuple]) -> None:
         """What the coordinator's L2s did to our tiles' L1s since the
@@ -416,8 +421,9 @@ class Worker:
         rewired to this worker, and every live interpreter's generator
         is replayed back to its checkpointed position.
         """
+        from repro.ckpt.snapshot import load_bytes
         hello_config = self.kernel.config
-        shard = pickle.loads(blob)
+        shard = load_bytes(blob)
         self.kernel = shard["kernel"]
         self.queues = self.kernel.queues
         self.interpreters = shard["interpreters"]

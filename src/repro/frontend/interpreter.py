@@ -35,9 +35,10 @@ from repro.core.instruction import (
 )
 from repro.core.isa import InstructionClass
 from repro.core.factory import create_core_model
-from repro.core.perf_model import UnitCostCoreModel
+from repro.core.perf_model import Entry, UnitCostCoreModel
 from repro.frontend import ops
 from repro.frontend.api import ThreadContext
+from repro.host.costmodel import INSTRUCTIONS, MEMORY_ACCESS, TRAP
 from repro.host.scheduler import QuantumResult, QuantumStatus, ThreadTask
 from repro.transport.message import MessageKind
 
@@ -159,50 +160,134 @@ class ThreadInterpreter(ThreadTask):
 
     def run(self, budget_instructions: int,
             cycle_limit: Optional[int] = None) -> QuantumResult:
+        """Run ops until the budget, the cycle limit, a block or the end.
+
+        A load, store or compute whose accesses all hit their L1 is
+        done by one call, the controller's :meth:`~repro.memory.
+        controller.MemoryController.hit`; its host charges are logged
+        and its retirement joins the quantum's pending run.  The core
+        model retires that run in one call (:meth:`~repro.core.
+        perf_model.CorePerfModel.retire`) before anything else happens:
+        a miss, any other op, a block, the end of the program or of the
+        quantum, and — with a cycle limit — before each check of the
+        clock.  Until then the clock has not moved, which nothing in
+        between reads: a hit's latency does not depend on when it is
+        issued.  The value sent to the program and the fetch cursor
+        live in locals while ops hit, and are written back before
+        anything else reads them.
+        """
         if self._finished:
             raise SimulationError("running a finished thread")
         # The mode is the quantum's (the scheduler only flips it between
         # quanta, :mod:`repro.sample`).  Fast-forward runs the same
-        # handlers against the unit-cost core model and fetches no
-        # instructions; host charges and system-network legs are
-        # skipped where they are made, by the kernel and the fabric.
-        functional = self.kernel.exec_functional
+        # handlers against the unit-cost core model, fetches no
+        # instructions and logs no host charge; system-network legs
+        # are skipped by the fabric.
+        kernel, memory = self.kernel, self.memory
+        functional = kernel.exec_functional
         core = UnitCostCoreModel(self.core) if functional else self.core
-        self._model_ifetch = (not functional
-                              and self.kernel.config.memory.l1i.enabled)
+        ifetch = self._model_ifetch = (not functional
+                                       and kernel.config.memory.l1i.enabled)
+        codes = memory.charge_log = None if functional else kernel.charge_log
+        # A hit load or store charges its fetch (when modelled), its
+        # access and its one instruction.
+        access_codes = ((MEMORY_ACCESS,) * (1 + ifetch)
+                        + (INSTRUCTIONS + 1,))
         handlers, clock, log = self._HANDLERS, core.clock, self._ckpt_log
         intern = None if log is None else self._log_values.setdefault
-        send, compute = self.generator.send, ops.Compute
+        send, hit, retire = self.generator.send, memory.hit, core.retire
+        compute, load, store = ops.Compute, ops.Load, ops.Store
+        code_base, latency = self._code_base, memory.hit_latency
+        pending: List[Entry] = []
+        append = pending.append
+        sent, cursor, op = self._send_value, self._fetch_cursor, \
+            self._pending_op
         executed = 0
         while executed < budget_instructions:
-            if cycle_limit is not None and clock.cycles >= cycle_limit:
-                return QuantumResult(QuantumStatus.RAN, executed)
-            if self._pending_op is not None:
-                op = self._pending_op
-                self._consume_wake(core)
-            else:
+            if cycle_limit is not None:
+                if pending:
+                    retire(pending)
+                    pending.clear()
+                if clock.cycles >= cycle_limit:
+                    break
+            if op is None:
                 if log is not None:
-                    value = self._send_value
+                    value = sent
                     if type(value) is bytes:
                         value = intern(value, value)
                     log.append(value)
                 try:
-                    op = send(self._send_value)
+                    op = send(sent)
                 except StopIteration as stop:
+                    if pending:
+                        retire(pending)
+                    self._send_value, self._fetch_cursor = None, cursor
                     self.result = stop.value
                     return self._finish(core, executed)
-                self._send_value = None
+                sent = None
+            else:  # the op that blocked, retried after a wake-up
+                self._consume_wake(core)
             kind = type(op)
+            if kind is load:
+                address = op.address
+                value = hit(code_base + cursor if ifetch else None,
+                            address, op.size, None)
+                if value is not None:
+                    append((_LOAD, address, latency))
+                    if codes is not None:
+                        codes += access_codes
+                    if ifetch:
+                        cursor = (cursor + 64) % CODE_FOOTPRINT_BYTES
+                    sent = value
+                    executed += 1
+                    op = None
+                    continue
+            elif kind is store:
+                address, data = op.address, op.data
+                if hit(code_base + cursor if ifetch else None, address,
+                       len(data), data) is not None:
+                    append((_STORE, address, latency))
+                    if codes is not None:
+                        codes += access_codes
+                    if ifetch:
+                        cursor = (cursor + 64) % CODE_FOOTPRINT_BYTES
+                    executed += 1
+                    op = None
+                    continue
+            elif kind is compute:
+                if not ifetch or hit(code_base + cursor, None, 0,
+                                     None) is not None:
+                    count = op.count
+                    append((op.klass, count, 0))
+                    if ifetch:
+                        cursor = (cursor + 64) % CODE_FOOTPRINT_BYTES
+                        if codes is not None:
+                            codes.append(MEMORY_ACCESS)
+                    if codes is not None:
+                        codes.append(INSTRUCTIONS + count)
+                    executed += count
+                    op = None
+                    continue
+            if pending:
+                retire(pending)
+                pending.clear()
             handler = handlers.get(kind)
             if handler is None:
                 raise SimulationError(f"unknown front-end op {op!r}")
+            self._fetch_cursor = cursor
             result = handler(self, op, core)
+            cursor = self._fetch_cursor
             if result is _BLOCK:
                 self._pending_op = op
+                self._send_value = sent
                 return QuantumResult(QuantumStatus.BLOCKED, executed)
             self._pending_op = None
-            self._send_value = result
+            sent = result
             executed += op.count if kind is compute else 1
+            op = None
+        if pending:
+            retire(pending)
+        self._send_value, self._fetch_cursor = sent, cursor
         return QuantumResult(QuantumStatus.RAN, executed)
 
     def _finish(self, core: Any, executed: int) -> QuantumResult:
@@ -271,6 +356,13 @@ class ThreadInterpreter(ThreadTask):
                     f"program is not deterministic") from None
         self.generator = generator
 
+    def _log_charge(self, code: int) -> None:
+        """Log one host charge, an event code of :mod:`repro.host.
+        costmodel`; none in fast-forward."""
+        codes = self.memory.charge_log
+        if codes is not None:
+            codes.append(code)
+
     def _consume_wake(self, core: Any) -> None:
         if self._wake_time is not None:
             core.execute_pseudo(PseudoInstruction(
@@ -298,13 +390,13 @@ class ThreadInterpreter(ThreadTask):
     def _op_compute(self, op: ops.Compute, core: Any) -> None:
         self._fetch(core)
         core.execute(op)  # a klass and a count: no record to build
-        self.kernel.charge_instructions(op.count)
+        self._log_charge(INSTRUCTIONS + op.count)
 
     def _op_branch(self, op: ops.Branch, core: Any) -> None:
         self._fetch(core)
         pc = op.pc if op.pc is not None else self._code_base
         core.execute_branch(BranchInstruction(pc, op.taken))
-        self.kernel.charge_instructions(1)
+        self._log_charge(INSTRUCTIONS + 1)
 
     # -- memory ops ------------------------------------------------------------------------
 
@@ -320,7 +412,7 @@ class ThreadInterpreter(ThreadTask):
         address, size = op.address, op.size
         data, latency = self.memory.load(address, size, clock.cycles)
         core.execute_memory(_LOAD, address, size, latency)
-        self.kernel.charge_instructions(1)
+        self._log_charge(INSTRUCTIONS + 1)
         return data
 
     def _op_store(self, op: ops.Store, core: Any) -> None:
@@ -335,16 +427,16 @@ class ThreadInterpreter(ThreadTask):
         address, data = op.address, op.data
         latency = self.memory.store(address, data, clock.cycles)
         core.execute_memory(_STORE, address, len(data), latency)
-        self.kernel.charge_instructions(1)
+        self._log_charge(INSTRUCTIONS + 1)
 
     def _op_malloc(self, op: ops.Malloc, core: Any) -> int:
         core.clock.advance(MALLOC_CYCLES)
-        self.kernel.charge_trap()
+        self._log_charge(TRAP)
         return self.kernel.malloc(op.size, op.align)
 
     def _op_free(self, op: ops.Free, core: Any) -> None:
         core.clock.advance(FREE_CYCLES)
-        self.kernel.charge_trap()
+        self._log_charge(TRAP)
         self.kernel.free(op.address)
 
     # -- messaging -----------------------------------------------------------------------------
@@ -391,7 +483,7 @@ class ThreadInterpreter(ThreadTask):
             address, data, core.cycles)  # ownership acquisition
         core.execute_memory(_STORE, address, 8, store_latency)
         core.execute(Instruction(InstructionClass.IALU, LOCK_ALU_CYCLES))
-        self.kernel.charge_instructions(4)
+        self._log_charge(INSTRUCTIONS + 4)
         return value
 
     def _op_lock(self, op: ops.Lock, core: Any) -> Any:
@@ -412,7 +504,7 @@ class ThreadInterpreter(ThreadTask):
     def _op_unlock(self, op: ops.Unlock, core: Any) -> None:
         latency = self.memory.store(op.address, bytes(8), core.cycles)
         core.execute_memory(_STORE, op.address, 8, latency)
-        self.kernel.charge_instructions(2)
+        self._log_charge(INSTRUCTIONS + 2)
         woken = self.kernel.futex_wake(op.address, 1, core.cycles)
         if woken:
             self._system_round_trip(core)
@@ -468,7 +560,7 @@ class ThreadInterpreter(ThreadTask):
     def _op_syscall(self, op: ops.Syscall, core: Any) -> Any:
         self._system_round_trip(core)
         core.clock.advance(SYSCALL_TRAP_CYCLES)
-        self.kernel.charge_trap()
+        self._log_charge(TRAP)
         return self.kernel.syscall(op.name, op.args)
 
     # -- helpers -------------------------------------------------------------------------------------------

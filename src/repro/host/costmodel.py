@@ -17,6 +17,7 @@ import random
 from math import cos, log, sin, sqrt
 from typing import List, Optional, Sequence, TYPE_CHECKING
 
+from repro.common import slot_state
 from repro.common.config import HostConfig
 from repro.host.cluster import Locality
 
@@ -25,6 +26,10 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
 
 #: Jitter factors drawn per refill (even: Box–Muller yields pairs).
 BLOCK = 256
+#: Event codes (:meth:`HostCostModel.charge_events`): a memory-model
+#: access, a trap into a back-end model, and ``INSTRUCTIONS + n`` for
+#: ``n`` interpreted instructions.
+MEMORY_ACCESS, TRAP, INSTRUCTIONS = 0, 1, 2
 #: Bound once, as ``Transport.account`` binds the localities.
 _CROSS_MACHINE = Locality.CROSS_MACHINE
 
@@ -32,23 +37,29 @@ _CROSS_MACHINE = Locality.CROSS_MACHINE
 class HostCostModel:
     """Charges the host seconds each class of simulation event costs.
 
-    The ``charge_*`` methods are what the models call, once per event:
-    each multiplies its cost by the next jitter factor and adds the
-    product to the open quantum of ``scheduler`` — :meth:`Scheduler.
-    charge`'s sum, made here because a call is a frame and an L1 hit
-    makes three charges; outside a quantum (core 0) and for a negative
-    cost (an error) they do call it.  While the scheduler fast-forwards
-    (:mod:`repro.sample`) nothing is charged and nothing drawn.
+    The per-op events — a memory-model access, a trap into a back-end
+    model, ``n`` interpreted instructions — are not charged where they
+    happen: the interpreter and the memory controllers append one int
+    code each (``0``, ``1``, ``n + 2``) to :attr:`codes`, and
+    :meth:`charge_events` prices them.  In process the log is priced by
+    :meth:`settle` wherever host time is read or a jitter factor drawn
+    (:meth:`charge_message`, :meth:`message` and the scheduler's
+    charges, host-time reads and quantum end), so every factor goes to
+    the event it went to when each event drew its own; an mp worker
+    ships its log to be priced by :meth:`charge_events` on the
+    coordinator.  While the scheduler fast-forwards (:mod:`repro.sample`)
+    nothing is logged, charged or drawn.
 
     The factors ``1 + z·σ`` are drawn :data:`BLOCK` at a time with the
     arithmetic of :meth:`random.Random.gauss`, so the n-th event costs
     bit for bit what one ``gauss`` draw of mean 0 and deviation σ per
     event made it; the unspent factors are ordinary state and ride a
-    snapshot.
+    snapshot.  The log is empty at every quantum boundary and is not
+    pickled.
     """
 
     __slots__ = ("config", "_rng", "_factors", "scheduler", "_instr_cost",
-                 "_message")
+                 "_message", "codes")
 
     def __init__(self, config: HostConfig,
                  rng: Optional[random.Random] = None) -> None:
@@ -70,6 +81,20 @@ class HostCostModel:
             Locality.CROSS_MACHINE: (config.inter_machine_message_cost,
                                      config.inter_machine_message_latency),
         }
+        #: Event codes logged in process and not yet priced; the
+        #: controllers append to this very list, so it is only ever
+        #: cleared in place.
+        self.codes: List[int] = []
+
+    def __getstate__(self) -> tuple:
+        state = slot_state(self)
+        del state["codes"]  # empty between quanta, and host-side
+        return None, state
+
+    def __setstate__(self, state: tuple) -> None:
+        for name, value in state[1].items():
+            setattr(self, name, value)
+        self.codes = []
 
     # -- jitter ---------------------------------------------------------
 
@@ -92,49 +117,13 @@ class HostCostModel:
 
     # -- per-event charges ------------------------------------------------
 
-    def charge_instructions(self, count: int) -> None:
-        """Interpreting ``count`` instrumented instructions."""
-        scheduler = self.scheduler
-        if scheduler.functional:
-            return
-        factors = self._factors
-        seconds = count * self._instr_cost * (
-            factors.pop() if factors else self._refill())
-        if scheduler._running is None or seconds < 0:
-            scheduler.charge(seconds)
-        else:
-            scheduler._quantum_charge += seconds
-
-    def charge_trap(self) -> None:
-        """One trap into a back-end model."""
-        scheduler = self.scheduler
-        if scheduler.functional:
-            return
-        factors = self._factors
-        seconds = self.config.model_trap_cost * (
-            factors.pop() if factors else self._refill())
-        if scheduler._running is None or seconds < 0:
-            scheduler.charge(seconds)
-        else:
-            scheduler._quantum_charge += seconds
-
-    def charge_memory_access(self) -> None:
-        """Servicing one memory-hierarchy model access."""
-        scheduler = self.scheduler
-        if scheduler.functional:
-            return
-        factors = self._factors
-        seconds = self.config.memory_model_cost * (
-            factors.pop() if factors else self._refill())
-        if scheduler._running is None or seconds < 0:
-            scheduler.charge(seconds)
-        else:
-            scheduler._quantum_charge += seconds
-
     def charge_events(self, codes: Sequence[int]) -> None:
-        """The three charges above, in order, as an mp worker's codes: 0
-        a memory access, 1 a trap, ``n + 2`` ``n`` instructions; each
-        bit for bit as its own call."""
+        """Price event codes, in order: 0 a memory-model access, 1 a
+        trap into a back-end model, ``n + 2`` ``n`` interpreted
+        instructions.  Each costs its nominal seconds times the next
+        jitter factor, added to the open quantum — :meth:`Scheduler.
+        charge`'s sum, made here — or, outside a quantum or for a
+        negative cost, charged through it."""
         scheduler = self.scheduler
         if scheduler.functional:
             return
@@ -150,12 +139,24 @@ class HostCostModel:
             else:
                 scheduler.charge(seconds)
 
+    def settle(self) -> None:
+        """Price the codes logged in process so far (:attr:`codes`),
+        leaving the log empty before any is priced (a charge outside a
+        quantum settles first)."""
+        codes = self.codes
+        if codes:
+            logged = codes[:]
+            codes.clear()
+            self.charge_events(logged)
+
     def charge_message(self, locality: Locality, size_bytes: int,
                        blocking: bool) -> None:
         """One one-way message: its CPU cost consumes the core (copies
         are cheap, so it is size-independent); when ``blocking``, the
         wire/stack latency also holds the waiting thread off its core,
         which stays free to run other tile threads meanwhile."""
+        if self.codes:
+            self.settle()
         scheduler = self.scheduler
         if scheduler.functional:
             return
@@ -180,6 +181,8 @@ class HostCostModel:
     def message(self, locality: Locality) -> float:
         """Jittered CPU cost of one message, for the sync models, which
         charge a thread's core outside any quantum."""
+        if self.codes:
+            self.settle()
         factors = self._factors
         return self._message[locality][0] * (
             factors.pop() if factors else self._refill())

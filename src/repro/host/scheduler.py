@@ -224,9 +224,12 @@ class Scheduler:
         """Charge host time to the quantum currently executing.
 
         Outside a quantum (e.g. during set-up) the charge is folded
-        into core 0's time.  The cost model's per-event ``charge_*``
-        make the in-quantum sum themselves and call here otherwise.
+        into core 0's time.  The event codes logged before it are
+        priced first (:meth:`HostCostModel.settle`), as they are
+        wherever host time is read: they were made first.
         """
+        if self.cost_model.codes:
+            self.cost_model.settle()
         if seconds < 0:
             raise SimulationError("cannot charge negative host time")
         if self._running is not None:
@@ -244,6 +247,8 @@ class Scheduler:
         dispatch instead of advancing the core clock — the overlap that
         lets oversubscribed host cores hide communication stalls.
         """
+        if self.cost_model.codes:
+            self.cost_model.settle()
         if seconds < 0:
             raise SimulationError("cannot charge negative blocking time")
         if self._running is not None:
@@ -264,6 +269,8 @@ class Scheduler:
 
     def current_host_time(self) -> float:
         """Best estimate of 'now' in host time at the running core."""
+        if self.cost_model.codes:
+            self.cost_model.settle()
         if self._running is not None:
             return self.core_time[self._running_core] + self._quantum_charge
         return max(self.core_time) if self.core_time else 0.0
@@ -498,6 +505,7 @@ class Scheduler:
         cycles_before = thread.task.cycles if self._tele_quantum else 0
         try:
             result = thread.task.run(budget, cycle_limit)
+            self.cost_model.settle()  # the quantum's last events
         finally:
             self._running = None
         if self._tele_quantum is not None:

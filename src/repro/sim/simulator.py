@@ -9,6 +9,7 @@ threads.
 
 from __future__ import annotations
 
+import copyreg
 from typing import (Any, Callable, ContextManager, Dict, List, Optional,
                     Tuple, TYPE_CHECKING)
 
@@ -60,8 +61,7 @@ class Simulator(kernel_calls_base("inproc")):
                  "controllers", "allocator", "mcp", "lcps", "interpreters",
                  "_code_bases", "skew_trace", "metrics", "recoveries",
                  "exec_functional", "sample_controller", "_ckpt_store",
-                 "host_profile", "_worker_host_scopes", "profiler",
-                 "charge_instructions", "charge_trap")
+                 "host_profile", "_worker_host_scopes", "profiler")
 
     def __init__(self, config: SimulationConfig) -> None:
         config.validate()
@@ -88,11 +88,6 @@ class Simulator(kernel_calls_base("inproc")):
             quantum_instructions=config.host.quantum_instructions,
             rng=self.rngs.stream("scheduler"),
             telemetry=self.telemetry)
-        # Kernel interface: the interpreters charge the host cost of
-        # interpreting and of a model trap straight to the cost model.
-        self.charge_instructions = self.cost_model.charge_instructions
-        self.charge_trap = self.cost_model.charge_trap
-
         # Communication.
         self.transport = self._make_transport()
         self._arm_transport()
@@ -116,8 +111,7 @@ class Simulator(kernel_calls_base("inproc")):
             self.fabric, config.core.clock_hz, self.stats.child("memory"),
             self.classifier, telemetry=self.telemetry)
         self.controllers: List[MemoryController] = [
-            MemoryController(TileId(t), self.engine,
-                             self.cost_model.charge_memory_access,
+            MemoryController(TileId(t), self.engine, self.cost_model.codes,
                              self.stats.child(f"mc{t}"))
             for t in range(config.num_tiles)]
 
@@ -296,7 +290,22 @@ class Simulator(kernel_calls_base("inproc")):
         clocks = scheduler.thread_clocks()
         self.metrics.sample(int(max(clocks)) if clocks else 0)
 
+    def __setstate__(self, state: tuple) -> None:
+        """Restore the slots this class has: an older snapshot also
+        holds some it no longer has (mp's straggler watchdog, the host
+        chargers that were bound here), which are dropped."""
+        names = copyreg._slotnames(type(self))
+        for name, value in state[1].items():
+            if name in names:
+                setattr(self, name, value)
+
     # -- kernel interface (called by the interpreters) ---------------------------
+
+    @property
+    def charge_log(self) -> List[int]:
+        """Where an interpreter and its controller log the host charges
+        of a quantum (:attr:`HostCostModel.codes`, priced in process)."""
+        return self.cost_model.codes
 
     def code_base(self, program: Callable[..., Any]) -> int:
         """Stable synthetic code address for a program function, keyed
@@ -572,10 +581,14 @@ class Simulator(kernel_calls_base("inproc")):
 
     def _checkpoint_blobs(self) -> Dict[str, Any]:
         """Blobs of one snapshot (:data:`repro.ckpt.store.Blob`): this
-        simulator, pickled straight into its file; the mp backend adds
-        worker shards."""
+        simulator, pickled straight into its file, its config from the
+        dict built when the run was armed; the mp backend adds worker
+        shards."""
         from repro.ckpt.snapshot import snapshot_to
-        return {"coordinator": lambda file: snapshot_to(self, file)}
+        store = self._ckpt_store
+        pinned = None if store is None else (
+            self.config, SimulationConfig.state_from(store.config))
+        return {"coordinator": lambda file: snapshot_to(self, file, pinned)}
 
     def _after_restore(self,
                        config: Optional[SimulationConfig] = None) -> None:

@@ -55,7 +55,7 @@ class MemoryRig:
             self.fabric, config.core.clock_hz, self.stats.child("mem"),
             self.classifier)
         self.controllers = [
-            MemoryController(TileId(t), self.engine, lambda: None,
+            MemoryController(TileId(t), self.engine, [],
                              self.stats.child(f"mc{t}"))
             for t in range(config.num_tiles)]
 

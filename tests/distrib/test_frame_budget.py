@@ -127,3 +127,39 @@ def test_frames_stay_within_one_round_trip_per_op(transport, monkeypatch):
     # The budget is tight enough to notice one extra frame per memory
     # op, let alone the two a forwarded access costs.
     assert frames + MEMORY_OPS > budget
+
+
+STORES = 300
+
+
+def _stores(ctx):
+    base = yield from ctx.calloc(64, 64)
+    for i in range(STORES):
+        yield from ctx.store_u64(base, i)
+
+
+def test_store_hits_seal_no_charges_of_their_own(monkeypatch):
+    """A store hit forwards its bytes as a ``store_data`` cast, which
+    reads no host time: the host charges logged around it stay one
+    ``charges`` cast per frame, not one per store."""
+    from repro.host.costmodel import HostCostModel
+    priced: list = []
+    charge_events = HostCostModel.charge_events
+
+    def counted(self, codes):
+        priced.append(len(codes))
+        return charge_events(self, codes)
+
+    monkeypatch.setattr(HostCostModel, "charge_events", counted)
+    cfg = SimulationConfig(num_tiles=2, seed=3)
+    cfg.host.num_machines = 1
+    cfg.host.cores_per_machine = 2
+    cfg.host.quantum_instructions = 10 ** 6
+    cfg.distrib.backend = "mp"
+    cfg.validate()
+    result = create_simulator(cfg).run(make_program_ref(_stores))
+    assert result.counters["sim.mc0.stores"] == STORES + 1
+    # The stores' codes (fetch, access, instruction) are all priced...
+    assert sum(priced) >= 3 * STORES
+    # ...in a few casts: one per frame the worker sent, not per store.
+    assert len(priced) < 20, len(priced)

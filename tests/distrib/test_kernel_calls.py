@@ -20,8 +20,9 @@ from repro.transport.message import MessageKind
 NAMES = [row[0] for row in KERNEL_CALLS]
 
 #: What an interpreter calls on its kernel that never crosses the wire:
-#: host charges (batched by the worker) and its network endpoint.
-LOCAL_CALLS = {"charge_instructions", "charge_trap", "interface"}
+#: its network endpoint.  (Host charges are not calls: they are codes
+#: logged to the kernel's ``charge_log``, batched by the worker.)
+LOCAL_CALLS = {"interface"}
 
 #: Kernel calls the mp backend serves by a method of its own.
 DISTRIB_ONLY = {"memory_read", "memory_write"}
@@ -46,8 +47,8 @@ def test_the_interpreter_calls_only_table_rows_and_local_calls():
     called = _kernel_calls_in_interpreter()
     assert called - set(NAMES) - LOCAL_CALLS == set()
     # The walk sees the calls at all: the hot ones and a few rows.
-    assert {"charge_instructions", "futex_wait", "spawn_thread",
-            "fabric_transfer", "interface"} <= called
+    assert {"futex_wait", "spawn_thread", "fabric_transfer",
+            "interface"} <= called
 
 
 def test_every_row_is_bound_on_each_side():
@@ -61,7 +62,7 @@ def test_every_row_is_bound_on_each_side():
         assert callable(getattr(KernelProxy, name)), name
         served = DistribSimulator if name in DISTRIB_ONLY else Simulator
         assert callable(getattr(served, name)), name
-    for name in LOCAL_CALLS:  # (a simulator's charges are slots)
+    for name in [*LOCAL_CALLS, "charge_log"]:
         assert hasattr(KernelProxy, name) and hasattr(Simulator, name)
 
 

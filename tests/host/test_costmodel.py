@@ -22,6 +22,15 @@ from repro.host.scheduler import (
 from repro.sync.lax import LaxModel
 
 
+#: Event codes (``HostCostModel.charge_events``): a memory-model access,
+#: a trap, and ``n`` instructions.
+MEMORY, TRAP = [0], [1]
+
+
+def instructions(count):
+    return [count + 2]
+
+
 def model(jitter=0.0, rng=None, **kwargs):
     """A cost model under a scheduler with no quantum open, so every
     charge lands on core 0 and :func:`charged` can read it back."""
@@ -54,14 +63,14 @@ def blocked(m, locality, size):
 class TestInstructionCosts:
     def test_instrumentation_overhead_applied(self):
         m = model()
-        assert cpu(m, "charge_instructions", 1000) == pytest.approx(
+        assert cpu(m, "charge_events", instructions(1000)) == pytest.approx(
             m.native_instructions(1000)
             * HostConfig().instrumentation_overhead)
 
     def test_costs_scale_linearly(self):
         m = model()
-        assert cpu(m, "charge_instructions", 200) == pytest.approx(
-            2 * cpu(m, "charge_instructions", 100))
+        assert cpu(m, "charge_events", instructions(200)) == pytest.approx(
+            2 * cpu(m, "charge_events", instructions(100)))
 
     def test_native_cost_matches_host_clock(self):
         m = model()
@@ -107,25 +116,25 @@ class TestMessageCosts:
 class TestJitter:
     def test_zero_jitter_deterministic(self):
         m = model(jitter=0.0, rng=random.Random(1))
-        assert cpu(m, "charge_instructions", 100) == \
-            cpu(m, "charge_instructions", 100)
+        assert cpu(m, "charge_events", instructions(100)) == \
+            cpu(m, "charge_events", instructions(100))
 
     def test_jitter_varies_costs(self):
         m = model(jitter=0.05, rng=random.Random(1))
-        samples = {cpu(m, "charge_instructions", 100) for _ in range(20)}
+        samples = {cpu(m, "charge_events", instructions(100)) for _ in range(20)}
         assert len(samples) > 1
 
     def test_jitter_centred_on_nominal(self):
         m = model(jitter=0.02, rng=random.Random(7))
-        nominal = cpu(model(jitter=0.0), "charge_instructions", 100)
-        mean = sum(cpu(m, "charge_instructions", 100)
+        nominal = cpu(model(jitter=0.0), "charge_events", instructions(100))
+        mean = sum(cpu(m, "charge_events", instructions(100))
                    for _ in range(500)) / 500
         assert mean == pytest.approx(nominal, rel=0.01)
 
     def test_no_rng_means_no_jitter(self):
         m = model(jitter=0.1, rng=None)
-        assert cpu(m, "charge_instructions", 100) == \
-            cpu(m, "charge_instructions", 100)
+        assert cpu(m, "charge_events", instructions(100)) == \
+            cpu(m, "charge_events", instructions(100))
 
 
 class TestStartup:
@@ -191,10 +200,12 @@ def _apply(m, event):
     if kind == "sync_message":
         seconds = m.message(event[1])
         return seconds, seconds
-    charger = {"instructions": "charge_instructions", "trap": "charge_trap",
-               "memory_access": "charge_memory_access",
-               "message": "charge_message"}[kind]
-    wall, busy = charged(m, charger, *event[1:])
+    if kind == "message":
+        wall, busy = charged(m, "charge_message", *event[1:])
+    else:
+        codes = (instructions(event[1]) if kind == "instructions"
+                 else {"trap": TRAP, "memory_access": MEMORY}[kind])
+        wall, busy = charged(m, "charge_events", codes)
     return busy, wall
 
 
@@ -220,7 +231,7 @@ def test_no_jitter_consumes_nothing_from_the_stream(sigma, rng):
     before = rng.getstate() if rng is not None else None
     m = model(jitter=sigma, rng=rng)
     for _ in range(3 * BLOCK):
-        m.charge_memory_access()
+        m.charge_events(MEMORY)
     assert m.scheduler.core_busy[0] == pytest.approx(
         3 * BLOCK * HostConfig().memory_model_cost)
     if rng is not None:
@@ -230,7 +241,7 @@ def test_no_jitter_consumes_nothing_from_the_stream(sigma, rng):
 def test_a_block_is_drawn_whole_and_spent_in_draw_order():
     rng, reference = random.Random(11), random.Random(11)
     m = model(jitter=0.02, rng=rng)
-    m.charge_trap()
+    m.charge_events(TRAP)
     assert len(m._factors) == BLOCK - 1
     drawn = [1.0 + reference.gauss(0.0, 0.02) for _ in range(BLOCK)]
     assert m._factors == drawn[:0:-1]
@@ -252,9 +263,10 @@ class _ChargingTask(ThreadTask):
 
 
 def test_a_charge_inside_a_quantum_lands_on_the_running_core():
+    """Logged, as the controllers log it, and priced at quantum end."""
     m = model()
     scheduler = m.scheduler
-    scheduler.add_thread(_ChargingTask(m.charge_memory_access))
+    scheduler.add_thread(_ChargingTask(lambda: m.codes.extend(MEMORY)))
     scheduler.run()
     core = int(scheduler.layout.core_of_tile(TileId(1)))
     assert core != 0
@@ -264,17 +276,17 @@ def test_a_charge_inside_a_quantum_lands_on_the_running_core():
 
 def test_a_charge_outside_a_quantum_lands_on_core_zero():
     m = model()
-    m.charge_trap()
+    m.charge_events(TRAP)
     assert m.scheduler.core_busy[0] == HostConfig().model_trap_cost
     assert sum(m.scheduler.core_busy[1:]) == 0.0
 
 
 @pytest.mark.parametrize("inside", [False, True])
 def test_a_negative_cost_still_raises(inside):
-    m = model()
+    m = model(model_trap_cost=-1e-9)  # a cost no validation rejects
 
     def charge():
-        m.charge_instructions(-1)
+        m.charge_events(TRAP)
 
     with pytest.raises(SimulationError, match="negative host time"):
         if inside:
@@ -289,26 +301,32 @@ def test_nothing_is_charged_or_drawn_while_fast_forwarding():
     before = rng.getstate()
     m = model(jitter=0.05, rng=rng)
     m.scheduler.functional = True
-    m.charge_instructions(10)
-    m.charge_trap()
-    m.charge_memory_access()
+    m.charge_events(instructions(10) + TRAP + MEMORY)
     m.charge_message(Locality.CROSS_MACHINE, 64, True)
     assert not any(m.scheduler.core_time)
     assert rng.getstate() == before
 
 
-# -- event codes: an mp worker's charges, priced in one loop -----------------
+# -- event codes: priced in one loop, wherever they were logged -------------
 
 
 def _charge_each(m, codes):
-    """The per-event calls ``codes`` stand for, one by one."""
+    """One event per call."""
     for code in codes:
-        if code == 0:
-            m.charge_memory_access()
-        elif code == 1:
-            m.charge_trap()
-        else:
-            m.charge_instructions(code - 2)
+        m.charge_events((code,))
+
+
+def _charge_all(m, codes):
+    """One call for them all, as a worker's ``charges`` cast."""
+    m.charge_events(codes)
+
+
+def _log_then_settle(m, codes):
+    """Logged as the interpreter and controllers log them, then priced
+    where a quantum's events are."""
+    m.codes.extend(codes)
+    m.settle()
+    assert m.codes == []
 
 
 @settings(max_examples=40, deadline=None)
@@ -325,11 +343,11 @@ def test_charge_events_equals_the_per_event_charges(seed, sigma, spent,
     the factors left, the stream, the open quantum's sum and every
     core's totals are bit for bit those of one call per event."""
     observed = []
-    for charge in (_charge_each, HostCostModel.charge_events):
+    for charge in (_charge_each, _charge_all, _log_then_settle):
         rng = random.Random(seed)
         m = model(jitter=sigma, rng=rng)
         for _ in range(spent):
-            m.charge_trap()
+            m.charge_events(TRAP)
         scheduler = m.scheduler
         scheduler.functional = where == "fast-forward"
         sums = []
@@ -346,6 +364,6 @@ def test_charge_events_equals_the_per_event_charges(seed, sigma, spent,
         observed.append((sums, list(m._factors), rng.getstate(),
                          list(scheduler.core_time),
                          list(scheduler.core_busy)))
-    assert observed[0] == observed[1]
+    assert observed[0] == observed[1] == observed[2]
     if where == "fast-forward":
         assert len(observed[0][1]) == (BLOCK - spent) % BLOCK
