@@ -30,6 +30,7 @@ import sys
 import types
 from typing import Any, BinaryIO, Optional, Tuple
 
+from repro.common import CLASS, METHOD, RETIRED_STATE, Retired
 from repro.common.errors import CheckpointError, SnapshotWriteError
 
 #: Classes serialized as ``None`` ("disabled"), by dotted location.
@@ -124,22 +125,34 @@ def snapshot_bytes(obj: Any) -> bytes:
     return buffer.getvalue()
 
 
-def _bound_or_retired(obj: Any, name: str) -> Any:
-    """What a pickled bound method loads as: ``getattr`` — or ``None``
-    when the class no longer has the method.  An older snapshot may
-    hold a method since retired in a slot since retired, which the
-    owner's ``__setstate__`` drops (a host charger, say)."""
-    return getattr(obj, name, None)
+def _member(obj: Any, name: str) -> Any:
+    """A pickled bound method: ``getattr``, or ``None`` for a method
+    :data:`~repro.common.RETIRED_STATE` retires from ``obj``'s class or
+    a base."""
+    try:
+        return getattr(obj, name)
+    except AttributeError:
+        for cls in type(obj).__mro__:
+            rows = RETIRED_STATE.get(cls.__name__)
+            if isinstance(rows, dict) and rows.get(name) is METHOD:
+                return None
+        raise
 
 
 class SnapshotUnpickler(pickle.Unpickler):
     """Loads what :class:`SnapshotPickler` wrote, older snapshots
-    included."""
+    included: a class or bound method the code no longer has loads as
+    its :data:`~repro.common.RETIRED_STATE` row says, or fails."""
 
     def find_class(self, module: str, name: str) -> Any:
         if module == "builtins" and name == "getattr":
-            return _bound_or_retired
-        return super().find_class(module, name)
+            return _member
+        try:
+            return super().find_class(module, name)
+        except AttributeError:
+            if RETIRED_STATE.get(name) is CLASS:
+                return Retired
+            raise
 
 
 def load_bytes(blob: bytes) -> Any:

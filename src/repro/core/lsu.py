@@ -72,10 +72,6 @@ class StoreBuffer:
         self._drain(now)
         return len(self._inflight)
 
-    def drain_time(self) -> int:
-        """Completion time of the youngest in-flight store (0 if empty)."""
-        return self._inflight[-1][0] if self._inflight else 0
-
 
 class LoadQueue:
     """Bounds the number of loads in flight.

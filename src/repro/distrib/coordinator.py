@@ -39,7 +39,7 @@ import time
 from typing import (TYPE_CHECKING, Any, Callable, Dict, Iterator, List,
                     Optional, Tuple)
 
-from repro.common import slot_state
+from repro.common import restore_slots, slot_state
 from repro.common.config import SimulationConfig
 from repro.common.ids import TileId
 from repro.distrib.errors import (
@@ -485,14 +485,7 @@ class RemoteTask(ThreadTask):
         #: The simulator serving this thread, as an interpreter's is.
         self.kernel = kernel
 
-    def __setstate__(self, state: tuple) -> None:
-        _dict, slots = state
-        # A ``repro.ckpt/4`` snapshot written before the rename calls
-        # the simulator ``_sim``.
-        if "_sim" in slots:
-            slots["kernel"] = slots.pop("_sim")
-        for name, value in slots.items():
-            setattr(self, name, value)
+    __setstate__ = restore_slots
 
     @property
     def cycles(self) -> int:
@@ -573,7 +566,7 @@ class DistribSimulator(Simulator):
         state["_cluster"] = None
         state["_restore_shards"] = {}
         del state["_kernel_handlers"]
-        return None, state  # (no __dict__, slots): default restore
+        return None, state  # restored by Simulator.__setstate__
 
     @property
     def cluster(self) -> WorkerCluster:

@@ -34,6 +34,7 @@ import sys
 import traceback
 from typing import Any, List, Optional
 
+from repro.common import restore_slots
 from repro.common.config import SimulationConfig
 from repro.common.ids import TileId
 from repro.common.stats import StatGroup
@@ -155,16 +156,6 @@ class _NetIfProxy:
 _UNTIMED_CASTS = frozenset({"store_data"})
 
 
-class _Retired:
-    """What a per-service stand-in the kernel-call table retired loads
-    as from an older shard, under the names below: nothing, as
-    :meth:`KernelProxy.__setstate__` drops the slots that held one."""
-
-
-_FabricProxy = _AllocatorProxy = _McpProxy = _Retired
-_FutexProxy = _ThreadsProxy = _SyscallsProxy = _Retired
-
-
 class KernelProxy(kernel_calls_base("worker")):
     """The kernel object handed to this worker's interpreters: its
     kernel calls (:data:`~repro.distrib.wire.KERNEL_CALLS`) are framed
@@ -189,11 +180,7 @@ class KernelProxy(kernel_calls_base("worker")):
         self.engine = _RemoteL2(self)
         self.controllers = _ControllerTable(self)
 
-    def __setstate__(self, state: tuple) -> None:
-        # (An older shard's proxy holds slots this class no longer has.)
-        for name, value in state[1].items():
-            if name in KernelProxy.__slots__:
-                setattr(self, name, value)
+    __setstate__ = restore_slots
 
     def interface(self, tile: TileId) -> _NetIfProxy:
         return _NetIfProxy(self, tile)

@@ -24,7 +24,7 @@ from __future__ import annotations
 
 from typing import Any, Dict, List, Optional
 
-from repro.common import slot_state
+from repro.common import restore_slots, slot_state
 from repro.common.errors import CheckpointError, SimulationError
 from repro.common.ids import ThreadId, TileId
 from repro.core.instruction import (
@@ -322,8 +322,7 @@ class ThreadInterpreter(ThreadTask):
         return state
 
     def __setstate__(self, state: dict) -> None:
-        for name, value in state.items():
-            setattr(self, name, value)
+        restore_slots(self, state)
         log = self._ckpt_log
         self._log_values = None if log is None else {
             value: value for value in log if type(value) is bytes}

@@ -100,10 +100,6 @@ class ClusterLayout:
     def total_cores(self) -> int:
         return self.num_machines * self.cores_per_machine
 
-    def cores_of_machine(self, machine: int) -> List[CoreId]:
-        base = machine * self.cores_per_machine
-        return [CoreId(base + i) for i in range(self.cores_per_machine)]
-
     # -- locality -----------------------------------------------------------
 
     def locality(self, a: TileId, b: TileId) -> Locality:

@@ -17,7 +17,7 @@ import random
 from math import cos, log, sin, sqrt
 from typing import List, Optional, Sequence, TYPE_CHECKING
 
-from repro.common import slot_state
+from repro.common import restore_slots, slot_state
 from repro.common.config import HostConfig
 from repro.host.cluster import Locality
 
@@ -92,8 +92,7 @@ class HostCostModel:
         return None, state
 
     def __setstate__(self, state: tuple) -> None:
-        for name, value in state[1].items():
-            setattr(self, name, value)
+        restore_slots(self, state)
         self.codes = []
 
     # -- jitter ---------------------------------------------------------

@@ -213,11 +213,6 @@ class Scheduler:
         self.sync_model.on_thread_added(thread)
         return thread
 
-    def live_threads(self) -> List[ScheduledThread]:
-        """Threads that have not finished."""
-        return [t for t in self.threads.values()
-                if t.state is not ThreadState.DONE]
-
     # -- host-time plumbing ---------------------------------------------------
 
     def charge(self, seconds: float) -> None:

@@ -11,7 +11,7 @@ from __future__ import annotations
 import enum
 from typing import Dict, List, Optional, TYPE_CHECKING
 
-from repro.common import slot_state
+from repro.common import restore_slots, slot_state
 from repro.common.config import CacheConfig
 from repro.common.stats import StatGroup
 
@@ -96,8 +96,7 @@ class Cache:
         return state
 
     def __setstate__(self, state: dict) -> None:
-        for name, value in state.items():
-            setattr(self, name, value)
+        restore_slots(self, state)
         lines = self._sets  # as pickled: the flat list
         self._lines, self._sets = {}, {}
         for line in lines:  # LRU order in, so the same eviction order

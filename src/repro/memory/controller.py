@@ -17,7 +17,7 @@ from __future__ import annotations
 import struct
 from typing import List, Optional, Tuple
 
-from repro.common import slot_state
+from repro.common import restore_slots, slot_state
 from repro.common.errors import ProtocolError
 from repro.common.ids import TileId
 from repro.common.stats import StatGroup
@@ -95,12 +95,7 @@ class MemoryController:
         return None, state
 
     def __setstate__(self, state: tuple) -> None:
-        slots = state[1]
-        # A snapshot written while host charges were calls holds the
-        # charger.
-        slots.pop("_charge_host", None)
-        for name, value in slots.items():
-            setattr(self, name, value)
+        restore_slots(self, state)
         self.charge_log = None
         self._derive()
 

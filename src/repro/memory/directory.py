@@ -18,7 +18,7 @@ import enum
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Tuple, TYPE_CHECKING
 
-from repro.common import slot_state
+from repro.common import restore_slots, slot_state
 from repro.common.config import MemoryConfig
 from repro.common.errors import ConfigError, ProtocolError
 from repro.common.ids import TileId
@@ -104,10 +104,8 @@ class Directory:
         return state
 
     def __setstate__(self, state: dict) -> None:
-        for name, value in state.items():
-            setattr(self, name, value)
-        # ``tuple()`` also reads the sharer dicts older snapshots hold.
-        self.entries = {line: DirectoryEntry(dir_state, tuple(sharers))
+        restore_slots(self, state)
+        self.entries = {line: DirectoryEntry(dir_state, sharers)
                         for line, (dir_state, sharers)
                         in self.entries.items()}
 

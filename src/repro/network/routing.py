@@ -49,10 +49,6 @@ class MeshGeometry:
         """Directed link leaving node (x, y); direction in {0:E,1:W,2:N,3:S}."""
         return (y * self.width + x) * 4 + direction
 
-    @property
-    def num_links(self) -> int:
-        return self.width * self.height * 4
-
     def route(self, src: TileId, dst: TileId) -> List[int]:
         """XY route as a list of directed link ids (X first, then Y)."""
         sx, sy = self.coordinates(src)

@@ -9,10 +9,10 @@ threads.
 
 from __future__ import annotations
 
-import copyreg
 from typing import (Any, Callable, ContextManager, Dict, List, Optional,
                     Tuple, TYPE_CHECKING)
 
+from repro.common import restore_slots
 from repro.common.config import SimulationConfig
 from repro.common.ids import ProcessId, ThreadId, TileId
 from repro.common.rng import RngStreams
@@ -290,14 +290,7 @@ class Simulator(kernel_calls_base("inproc")):
         clocks = scheduler.thread_clocks()
         self.metrics.sample(int(max(clocks)) if clocks else 0)
 
-    def __setstate__(self, state: tuple) -> None:
-        """Restore the slots this class has: an older snapshot also
-        holds some it no longer has (mp's straggler watchdog, the host
-        chargers that were bound here), which are dropped."""
-        names = copyreg._slotnames(type(self))
-        for name, value in state[1].items():
-            if name in names:
-                setattr(self, name, value)
+    __setstate__ = restore_slots
 
     # -- kernel interface (called by the interpreters) ---------------------------
 

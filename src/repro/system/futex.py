@@ -14,7 +14,7 @@ is atomic and the classic lost-wakeup race cannot occur.
 from __future__ import annotations
 
 from collections import deque
-from typing import Callable, Deque, Dict, List, Tuple
+from typing import Callable, Deque, Dict, List
 
 from repro.common.ids import TileId
 from repro.common.stats import StatGroup
@@ -74,6 +74,3 @@ class FutexManager:
 
     def waiters(self, address: int) -> int:
         return len(self._queues.get(address, ()))
-
-    def pending_addresses(self) -> Tuple[int, ...]:
-        return tuple(self._queues)

@@ -137,10 +137,6 @@ class MasterControlProgram:
         self._barrier_releases.add()
         return release
 
-    def barrier_waiting(self, address: int) -> int:
-        state = self._barriers.get(address)
-        return len(state.arrivals) if state else 0
-
     def barrier_is_waiting(self, address: int, tile: TileId) -> bool:
         """Whether ``tile`` is still registered (not yet released)."""
         state = self._barriers.get(address)

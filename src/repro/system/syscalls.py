@@ -175,7 +175,3 @@ class SyscallInterface:
         if handler is None:
             raise TargetFault(f"unsupported system call {name!r}")
         return handler(*args)
-
-    @property
-    def open_descriptors(self) -> int:
-        return len(self._fds)

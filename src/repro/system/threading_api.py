@@ -95,6 +95,3 @@ class ThreadManager:
 
     def live_count(self) -> int:
         return sum(1 for alive in self._live.values() if alive)
-
-    def is_live(self, tile: TileId) -> bool:
-        return self._live.get(tile, False)

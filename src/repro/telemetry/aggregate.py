@@ -12,7 +12,7 @@ timestamp-ordered stream identical in content to an in-process run.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, Iterable, List, Optional
+from typing import Dict, List, Optional
 
 from repro.common.stats import StatGroup
 from repro.telemetry.bus import TelemetryBus
@@ -52,11 +52,3 @@ def merge_batch(bus: Optional[TelemetryBus], stats: Optional[StatGroup],
         stats.merge_histogram_states(batch.histograms)
     return count
 
-
-def order_events(events: Iterable[Event]) -> List[Event]:
-    """Deterministic total order: ``(t, origin, seq)``.
-
-    The standalone counterpart of ``TelemetryBus.ordered_events`` for
-    event lists that never passed through a bus (trace files, tests).
-    """
-    return sorted(events, key=lambda e: (e.t, e.origin, e.seq))

@@ -14,7 +14,7 @@ from __future__ import annotations
 from collections import deque
 from typing import Callable, Deque, Dict, List, Optional
 
-from repro.common import slot_state
+from repro.common import restore_slots, slot_state
 from repro.common.errors import TransportError
 from repro.common.ids import TileId
 from repro.common.stats import StatGroup
@@ -65,14 +65,7 @@ class Transport:
         return None, slots
 
     def __setstate__(self, state: tuple) -> None:
-        _dict, slots = state
-        # A ``repro.ckpt/4`` snapshot written while the hook was a list
-        # carries it as ``_hooks``, one entry long.
-        hooks = slots.pop("_hooks", None)
-        if hooks is not None:
-            slots["delivery_hook"] = hooks[0] if hooks else None
-        for name, value in slots.items():
-            setattr(self, name, value)
+        restore_slots(self, state)
         self.charge_leg = self.sanitizers = None
 
     # -- sending ------------------------------------------------------------

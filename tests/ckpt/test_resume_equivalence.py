@@ -21,8 +21,6 @@ from repro.common.errors import CheckpointError, ConfigError
 from repro.ckpt.recovery import load_checkpoint
 from repro.ckpt.snapshot import load_bytes, snapshot_bytes
 from repro.ckpt.store import FORMAT, CheckpointStore
-from repro.common.ids import TileId
-from repro.distrib.coordinator import RemoteTask
 from repro.distrib.wire import WorkloadRef
 from repro.host.costmodel import BLOCK
 from repro.sim.runner import create_simulator
@@ -193,18 +191,6 @@ def test_a_snapshot_of_logs_never_interned_resumes_identically(tmp_path):
         assert values == {value: value for value in interpreter._ckpt_log
                           if type(value) is bytes}
     assert _asdict(restored.resume_run()) == _asdict(baseline)
-
-
-def test_a_remote_task_pickled_as_sim_restores_its_kernel():
-    """An mp coordinator snapshot written while a ``RemoteTask`` called
-    the simulator serving it ``_sim`` restores it as ``kernel``."""
-    kernel = object()
-    _dict, state = RemoteTask(kernel, TileId(3), 40).__reduce_ex__(2)[2]
-    state["_sim"] = state.pop("kernel")
-    restored = RemoteTask.__new__(RemoteTask)
-    restored.__setstate__((None, state))
-    assert restored.kernel is kernel
-    assert (restored.tile, restored.cycles) == (3, 40)
 
 
 def test_manual_save_and_restored_state_consistency(tmp_path):

@@ -115,23 +115,6 @@ def test_an_emptied_entry_shares_the_one_empty_tuple():
     assert entry.sharers is EMPTY and entry.state is DirState.UNCACHED
 
 
-def test_sharer_dicts_of_older_snapshots_load_as_tuples():
-    directory = _directory("limited")
-    entry = directory.entry(0x40)
-    for tile in (4, 1, 6):
-        directory.add_sharer(entry, TileId(tile))
-    entry.state = DirState.SHARED
-    state = directory.__getstate__()
-    state["entries"] = {line: (dir_state, dict.fromkeys(sharers))
-                        for line, (dir_state, sharers)
-                        in state["entries"].items()}
-    restored = object.__new__(type(directory))
-    restored.__setstate__(state)
-    assert restored.entries[0x40].sharers == (4, 1, 6)
-    assert type(restored.entries[0x40].sharers) is tuple
-    assert restored.entries[0x40].state is DirState.SHARED
-
-
 def _finished_simulator():
     config = SimulationConfig(num_tiles=4, seed=5)
     config.validate()

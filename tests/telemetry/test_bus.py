@@ -8,7 +8,7 @@ import pytest
 
 from repro.common.config import SimulationConfig, TelemetryConfig
 from repro.common.errors import ConfigError
-from repro.telemetry.aggregate import TelemetryBatch, merge_batch, order_events
+from repro.telemetry.aggregate import TelemetryBatch, merge_batch
 from repro.telemetry.bus import TelemetryBus, create_bus
 from repro.telemetry.events import (
     ALL_CATEGORIES,
@@ -117,12 +117,6 @@ class TestAggregation:
         assert merged == 1
         assert bus.events[0].origin == 4  # worker index + 1
         assert bus.absorbed == 1
-
-    def test_order_events_total_order(self):
-        events = [Event(EventCategory.SYNC, "a", 0, 5, seq=1, origin=1),
-                  Event(EventCategory.SYNC, "b", 0, 5, seq=0, origin=0),
-                  Event(EventCategory.SYNC, "c", 0, 1, seq=7, origin=2)]
-        assert [e.name for e in order_events(events)] == ["c", "b", "a"]
 
     def test_content_key_ignores_bookkeeping(self):
         a = Event(EventCategory.CACHE, "fill", 1, 9, {"line": 64},

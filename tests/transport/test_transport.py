@@ -181,20 +181,6 @@ class TestAccounting:
                     "messages_sent", "bytes_sent",
                     f"messages_{layout.locality(TileId(a), TileId(b)).value}"]
 
-    def test_a_snapshot_holding_a_hook_list_restores_its_one_hook(
-            self, transport):
-        """``repro.ckpt/4`` snapshots written while the hook was a list
-        still load: its one entry becomes the hook."""
-        events = []
-        _dict, state = transport.__reduce_ex__(2)[2]
-        del state["delivery_hook"]
-        state["_hooks"] = [lambda m, loc: events.append(loc)]
-        restored = Transport.__new__(Transport)
-        restored.__setstate__((None, state))
-        restored.send(msg(0, 1))
-        assert events == [Locality.CROSS_MACHINE]
-        assert restored.pending(TileId(1), MessageKind.USER) == 1
-
     def test_byte_and_message_counters(self, transport):
         transport.send(msg(0, 1, size=100))
         transport.account(TileId(0), TileId(1), MessageKind.MEMORY, 50)
